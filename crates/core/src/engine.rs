@@ -283,8 +283,7 @@ fn run_collective_computing(
 
     let request = var.byte_extents(slab);
     let requests = exchange_requests(comm, &request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), &hints);
+    let schedule = plans.get(comm, requests, &hints);
     // The request exchange is collective, so the tag counter is symmetric
     // across ranks here and this operation's result tag is unique to it.
     let results_tag = comm.next_engine_tag(TAG_RESULTS);

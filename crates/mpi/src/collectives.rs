@@ -18,6 +18,7 @@ use cc_model::SimTime;
 
 use crate::comm::{Comm, TagValue, COLLECTIVE_TAG_BASE};
 use crate::elem::Elem;
+use crate::hier::{frame_sections, push_section};
 use crate::ops::ReduceOp;
 
 impl Comm {
@@ -142,32 +143,49 @@ impl Comm {
     /// ranks' contributions, indexed by rank. Ring algorithm when flat;
     /// hierarchical gather-to-zero plus frame broadcast otherwise.
     pub fn allgatherv<T: Elem>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
+        let frame = self.allgatherv_frame(mine);
+        let out = frame_sections(&frame).map(crate::elem::decode_vec).collect();
+        self.recycle_buf(frame);
+        out
+    }
+
+    /// [`allgatherv`](Self::allgatherv) with the result left in wire form:
+    /// one pooled buffer holding every rank's encoded contribution as a
+    /// length-prefixed section, in rank order — read it with
+    /// [`frame_sections`] and hand it back to
+    /// [`recycle_buf`](Self::recycle_buf). The messages are the typed
+    /// call's (it is built on this one); what the caller saves is the
+    /// split into `nprocs` vectors when it can decode the sections in
+    /// place, or — with [`memo`](Self::memo) — let one rank decode for all.
+    pub fn allgatherv_frame<T: Elem>(&mut self, mine: &[T]) -> Vec<u8> {
         let tag = self.next_collective_tag();
+        let mut own = self.take_buf();
+        crate::elem::encode_slice_into(mine, &mut own);
         if let Some(view) = self.hier_view() {
-            let bytes = crate::elem::encode_slice(mine);
-            return self
-                .hier_allgatherv_bytes(&view, &bytes, tag)
-                .into_iter()
-                .map(|b| crate::elem::decode_vec(&b))
-                .collect();
+            let frame = self.hier_allgatherv_frame(&view, &own, tag);
+            self.recycle_buf(own);
+            return frame;
         }
         let p = self.nprocs();
         let rank = self.rank();
-        let mut blocks: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        blocks[rank] = mine.to_vec();
-        if p == 1 {
-            return blocks;
-        }
+        let mut blocks: Vec<Vec<u8>> = (0..p).map(|_| Vec::new()).collect();
+        blocks[rank] = own;
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
         for step in 0..p - 1 {
             let send_block = (rank + p - step) % p;
             let recv_block = (rank + p - step - 1) % p;
-            self.send(right, tag, &blocks[send_block]);
-            let (data, _) = self.recv::<T>(left, tag);
-            blocks[recv_block] = data;
+            let mut copy = self.take_buf();
+            copy.extend_from_slice(&blocks[send_block]);
+            self.send_bytes(right, tag, copy);
+            blocks[recv_block] = self.recv_bytes(left, tag).0;
         }
-        blocks
+        let mut frame = self.take_buf();
+        for block in blocks {
+            push_section(&mut frame, &block);
+            self.recycle_buf(block);
+        }
+        frame
     }
 
     /// Personalized all-to-all exchange of variable-length byte buffers.

@@ -8,8 +8,10 @@
 //! `max(local clock, message arrival time)` where the arrival time was
 //! computed from the sender's clock plus the modeled transfer time.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,8 +20,10 @@ use cc_model::{ClusterModel, SimTime};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::elem::{decode_vec, encode_slice_into, Elem};
+use crate::memo::Memo;
 use crate::pool::BufferPool;
 use crate::stats::CommStats;
+use crate::world::panic_message;
 
 /// Message tag. Values with the top *nibble* set are reserved: bit 31 for
 /// the collectives in this crate, bits 28–30 for engine tag bases (the
@@ -41,7 +45,7 @@ pub const SEQ_MASK: TagValue = 0x0fff_ffff;
 /// while holding mailbox locks, and the survivors still need to read the
 /// queues (for diagnostics) and unwind cleanly rather than cascade
 /// "poisoned" panics.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -138,6 +142,9 @@ pub(crate) struct Shared {
     /// legitimately leave one receive parked for a long real-time while
     /// its peers churn through other ranks' traffic).
     progress: AtomicU64,
+    /// Values computed once per collective call site and shared by every
+    /// rank (see [`Comm::memo`]).
+    pub(crate) memo: Memo,
 }
 
 impl Shared {
@@ -149,6 +156,7 @@ impl Shared {
             abort: Mutex::new(None),
             states: (0..nprocs).map(|_| RankState::default()).collect(),
             progress: AtomicU64::new(0),
+            memo: Memo::default(),
         })
     }
 
@@ -171,8 +179,8 @@ impl Shared {
     }
 
     /// Records `rank`'s panic (first one wins) and wakes every blocked
-    /// receiver so the whole world unwinds immediately instead of waiting
-    /// out the watchdog.
+    /// receiver and every rank parked on a memo cell, so the whole world
+    /// unwinds immediately instead of waiting out the watchdog.
     pub(crate) fn signal_abort(&self, rank: usize, message: String) {
         {
             let mut slot = lock_unpoisoned(&self.abort);
@@ -189,6 +197,7 @@ impl Shared {
             let _guard = lock_unpoisoned(&mb.queue);
             mb.arrived.notify_all();
         }
+        self.memo.wake_all();
     }
 
     /// The recorded abort cause, if any.
@@ -241,7 +250,7 @@ pub struct Comm {
     /// Self-sends, short-circuited past the shared mailbox: no lock, no
     /// modeled transfer, no network stats. Only this thread touches it.
     self_queue: VecDeque<Envelope>,
-    pub(crate) collective_seq: u32,
+    collective_seq: u32,
 }
 
 impl Comm {
@@ -327,10 +336,68 @@ impl Comm {
     /// SPMD-symmetrically (every rank, same order), like the collectives.
     pub fn next_engine_tag(&mut self, base: TagValue) -> TagValue {
         debug_assert_eq!(base & SEQ_MASK, 0, "engine tag base overlaps seq bits");
-        let tag = base | (self.collective_seq & SEQ_MASK);
-        self.collective_seq = self.collective_seq.wrapping_add(1);
+        base | (self.next_seq() & SEQ_MASK)
+    }
+
+    /// This rank's collective sequence number, advancing the counter.
+    fn next_seq(&mut self) -> u32 {
+        let seq = self.collective_seq;
+        self.collective_seq = seq.wrapping_add(1);
         self.shared.publish_seq(self.rank, self.collective_seq);
-        tag
+        seq
+    }
+
+    /// Computes `f` once per world instead of once per rank: the first rank
+    /// to reach this call site runs `f`, every rank returns the same
+    /// `Arc`. A collective — every rank must call it, in the same order
+    /// relative to the other collectives — but one that sends no message
+    /// and charges no virtual time.
+    ///
+    /// Sound only where every rank's `f` would return the same value: `f`
+    /// must be a pure function of inputs that are identical on all ranks
+    /// (an allgather's result, the shared model, the hints). Whatever `f`
+    /// costs on the host is then work the simulator would otherwise repeat
+    /// `nprocs` times without any rank being able to tell the difference.
+    ///
+    /// The entry is keyed by the collective sequence number, scoped to this
+    /// `World::run`, and released when the last rank has taken it.
+    ///
+    /// # Panics
+    /// A panic inside `f` aborts the world like any other rank panic,
+    /// reported under the computing rank's name; ranks waiting for the
+    /// value unwind at once. Panics if the ranks disagree on the value's
+    /// type, which means they disagree on the call site.
+    pub fn memo<T: Any + Send + Sync>(&mut self, f: impl FnOnce() -> T) -> Arc<T> {
+        let key = self.next_seq();
+        let shared = &self.shared;
+        if shared.memo.claim(key, self.nprocs) {
+            match catch_unwind(AssertUnwindSafe(f)) {
+                Ok(value) => {
+                    let value = Arc::new(value);
+                    shared.memo.publish(key, value.clone());
+                    value
+                }
+                Err(payload) => {
+                    // Raise the abort before unwinding: the peers parked on
+                    // this cell have no other way to learn the value will
+                    // never come.
+                    shared.signal_abort(self.rank, panic_message(payload.as_ref()));
+                    resume_unwind(payload);
+                }
+            }
+        } else {
+            let value = shared
+                .memo
+                .take(key, || shared.is_aborted())
+                .unwrap_or_else(|| resume_unwind(Box::new(WorldAborted)));
+            value.downcast::<T>().unwrap_or_else(|_| {
+                panic!(
+                    "rank {} expected a different type than the rank that computed memo \
+                     entry {key}: the ranks are not at the same call site",
+                    self.rank
+                )
+            })
+        }
     }
 
     /// Communication counters accumulated so far.

@@ -100,7 +100,7 @@ impl NodeView {
 }
 
 /// Appends one length-prefixed frame section.
-fn push_section(frame: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn push_section(frame: &mut Vec<u8>, bytes: &[u8]) {
     frame.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
     frame.extend_from_slice(bytes);
 }
@@ -112,6 +112,14 @@ fn read_section<'f>(frame: &'f [u8], pos: &mut usize) -> &'f [u8] {
     let body = &frame[*pos..*pos + len as usize];
     *pos += len as usize;
     body
+}
+
+/// The sections of a frame of length-prefixed blocks, in order — for an
+/// [`allgatherv_frame`](Comm::allgatherv_frame) result, one block of
+/// encoded elements per rank.
+pub fn frame_sections(frame: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut pos = 0;
+    std::iter::from_fn(move || (pos < frame.len()).then(|| read_section(frame, &mut pos)))
 }
 
 impl Comm {
@@ -331,13 +339,14 @@ impl Comm {
     }
 
     /// Hierarchical allgather: gather everything to rank 0 (the leader of
-    /// node 0), then broadcast one frame holding all blocks.
-    pub(crate) fn hier_allgatherv_bytes(
+    /// node 0), then broadcast one frame holding all blocks as
+    /// length-prefixed sections in rank order. Returns that frame.
+    pub(crate) fn hier_allgatherv_frame(
         &mut self,
         view: &NodeView,
         mine: &[u8],
         tag: TagValue,
-    ) -> Vec<Vec<u8>> {
+    ) -> Vec<u8> {
         let table = self.hier_gatherv_bytes(view, 0, mine, tag);
         let frame = table.map(|blocks| {
             let mut frame = self.take_buf();
@@ -346,13 +355,7 @@ impl Comm {
             }
             frame
         });
-        let frame = self.hier_bcast_bytes(view, 0, frame, tag);
-        let mut pos = 0;
-        let out = (0..self.nprocs())
-            .map(|_| read_section(&frame, &mut pos).to_vec())
-            .collect();
-        self.recycle_buf(frame);
-        out
+        self.hier_bcast_bytes(view, 0, frame, tag)
     }
 
     /// Hierarchical rank-order reduce: members fold into their leader in

@@ -28,13 +28,14 @@ pub mod collectives;
 pub mod comm;
 pub mod elem;
 pub mod hier;
+mod memo;
 pub mod ops;
 pub mod pool;
 pub mod stats;
 pub mod world;
 
 pub use comm::{Comm, RecvInfo, RecvRequest, Source, ANY_TAG};
-pub use hier::NodeView;
+pub use hier::{frame_sections, NodeView};
 pub use elem::Elem;
 pub use ops::ReduceOp;
 pub use pool::BufferPool;

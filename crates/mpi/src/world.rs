@@ -1,9 +1,9 @@
 //! SPMD launcher: one OS thread per rank, with run supervision.
 //!
 //! Every rank closure runs under a panic guard. The first rank to panic
-//! records itself as the abort cause and wakes every mailbox condvar, so
-//! peers blocked in `recv` unwind immediately (well under the watchdog)
-//! instead of timing out. [`World::run`] then re-raises a single panic
+//! records itself as the abort cause and wakes every mailbox condvar (and
+//! the memo's), so peers blocked in `recv` or parked on a memo cell unwind
+//! immediately (well under the watchdog) instead of timing out. [`World::run`] then re-raises a single panic
 //! naming the *originating* rank and its message, plus a per-rank
 //! diagnostic snapshot (virtual clock, collectives entered, pending
 //! envelopes).
@@ -16,7 +16,7 @@ use cc_model::ClusterModel;
 use crate::comm::{Comm, Shared, WorldAborted};
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -107,10 +107,17 @@ impl World {
                 shared.diagnostic()
             );
         }
-        results
+        let results = results
             .into_iter()
             .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
+            .collect();
+        // Every rank returned, so every rank passed every collective: a
+        // memo cell still waiting for a taker means some rank skipped one.
+        assert!(
+            shared.memo.is_empty(),
+            "memo entries outlived the run: the ranks did not all make the same memo calls"
+        );
+        results
     }
 }
 

@@ -1,38 +1,98 @@
 //! Offset-list exchange.
 //!
 //! Before the two-phase protocol can partition file domains, every process
-//! must know every other process's request — ROMIO does this with an
-//! allgather of flattened offset/length lists, and so do we. The exchange
-//! is a real (timed) collective, so its cost shows up in the totals.
+//! must know every other process's request. ROMIO does this with an
+//! allgather of flattened offset/length lists, and on the wire so do we:
+//! the exchange is a real (timed) collective, message for message what
+//! [`Comm::allgatherv`] sends, so its cost shows up in the totals.
+//!
+//! What ROMIO's processes then each do for themselves — decode the
+//! gathered lists into a request table — the simulated ranks do once. All
+//! of them receive the same frame and the decode is charged to no clock,
+//! so the first rank to finish the allgather decodes and the rest share
+//! its table through [`Comm::memo`].
 
-use cc_mpi::Comm;
+use std::sync::Arc;
+
+use cc_mpi::{frame_sections, Comm};
 
 use crate::extent::OffsetList;
 
 /// Exchanges offset lists among all ranks; returns every rank's request,
-/// indexed by rank. Must be called collectively.
-pub fn exchange_requests(comm: &mut Comm, mine: &OffsetList) -> Vec<OffsetList> {
-    let words = mine.to_words();
-    let gathered = comm.allgatherv(&words);
-    let mut out = Vec::with_capacity(gathered.len());
-    for (rank, w) in gathered.iter().enumerate() {
-        if rank == comm.rank() {
-            // The local slot round-tripped through our own encoding; clone
-            // the already-validated list instead of re-sorting/coalescing.
-            out.push(mine.clone());
-        } else {
-            out.push(OffsetList::from_words(w));
-        }
-    }
-    out
+/// indexed by rank — one table per collective, shared by all ranks. Must be
+/// called collectively.
+pub fn exchange_requests(comm: &mut Comm, mine: &OffsetList) -> Arc<Vec<OffsetList>> {
+    let frame = comm.allgatherv_frame(&mine.to_words());
+    let table = comm.memo(|| {
+        let mut words = Vec::new();
+        frame_sections(&frame)
+            .map(|section| {
+                cc_mpi::elem::decode_into(section, &mut words);
+                OffsetList::from_words(&words)
+            })
+            .collect::<Vec<_>>()
+    });
+    comm.recycle_buf(frame);
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extent::Extent;
-    use cc_model::ClusterModel;
+    use cc_model::{ClusterModel, CollectiveMode, SimTime};
     use cc_mpi::World;
+
+    /// The exchange's cost model is `allgatherv`'s, exactly: in a flat-ring
+    /// and in a hierarchical world, every rank leaves `exchange_requests`
+    /// with the clock and the counters it leaves a plain `allgatherv` of
+    /// the same words with — and with the one shared table, equal to what
+    /// each rank would have decoded for itself.
+    #[test]
+    fn exchange_costs_exactly_an_allgatherv_and_shares_one_table() {
+        let n = 10;
+        // Ragged lists (rank 0 and 4 and 8 empty) and staggered arrivals, so
+        // message sizes and the critical path differ from rank to rank.
+        let request = |rank: usize| {
+            OffsetList::new(
+                (0..rank % 4)
+                    .map(|i| Extent {
+                        offset: (rank * 1000 + i * 100) as u64,
+                        len: 10 + i as u64,
+                    })
+                    .collect(),
+            )
+        };
+        let arrive = |rank: usize| SimTime::from_secs(((rank * 7) % 5) as f64 * 1e-6);
+        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+            let world = World::new(n, ClusterModel::hopper_like(3, 4).with_collectives(mode));
+            let plain = world.run(|comm| {
+                comm.advance(arrive(comm.rank()));
+                let all = comm.allgatherv(&request(comm.rank()).to_words());
+                (comm.clock(), comm.stats(), all)
+            });
+            let exchanged = world.run(|comm| {
+                comm.advance(arrive(comm.rank()));
+                let table = exchange_requests(comm, &request(comm.rank()));
+                (comm.clock(), comm.stats(), table)
+            });
+            for (rank, ((clock, stats, words), (x_clock, x_stats, table))) in
+                plain.iter().zip(&exchanged).enumerate()
+            {
+                assert_eq!(x_clock, clock, "{mode:?} rank {rank} clock");
+                assert_eq!(x_stats, stats, "{mode:?} rank {rank} stats");
+                assert!(
+                    Arc::ptr_eq(table, &exchanged[0].2),
+                    "{mode:?} rank {rank} holds its own table"
+                );
+                let oracle: Vec<OffsetList> =
+                    words.iter().map(|w| OffsetList::from_words(w)).collect();
+                assert_eq!(**table, oracle, "{mode:?} rank {rank} table");
+                assert_eq!(table[rank], request(rank));
+            }
+            assert!(plain[0].1.msgs_sent > 0, "{mode:?} moved no messages");
+        }
+    }
 
     #[test]
     fn every_rank_sees_every_request() {

@@ -156,21 +156,50 @@ impl OffsetList {
         out
     }
 
-    /// Deserializes from [`to_words`](Self::to_words) output.
+    /// Deserializes from [`to_words`](Self::to_words) output: the decode
+    /// path for a list that arrives from another rank already canonical,
+    /// so one pass checks and rebuilds it with no sort. User input goes
+    /// through [`new`](Self::new), which sorts.
     ///
     /// # Panics
-    /// Panics on an odd-length word vector.
+    /// Panics on an odd-length word vector, and on words `to_words` cannot
+    /// have produced: a zero-length extent, or one that starts before the
+    /// previous one ends (unsorted or overlapping).
     pub fn from_words(words: &[u64]) -> Self {
         assert!(words.len().is_multiple_of(2), "offset list words must come in pairs");
-        Self::new(
-            words
-                .chunks_exact(2)
-                .map(|p| Extent {
-                    offset: p[0],
-                    len: p[1],
-                })
-                .collect(),
-        )
+        let n = words.len() / 2;
+        let mut extents: Vec<Extent> = Vec::with_capacity(n);
+        let mut prefix = Vec::with_capacity(n + 1);
+        prefix.push(0u64);
+        let mut total = 0u64;
+        for pair in words.chunks_exact(2) {
+            let e = Extent {
+                offset: pair[0],
+                len: pair[1],
+            };
+            assert!(e.len > 0, "zero-length extent at offset {} in offset list words", e.offset);
+            total += e.len;
+            match extents.last_mut() {
+                Some(last) if e.offset < last.end() => {
+                    panic!(
+                        "overlapping extents: [{}, {}) and [{}, {})",
+                        last.offset,
+                        last.end(),
+                        e.offset,
+                        e.end()
+                    );
+                }
+                Some(last) if e.offset == last.end() => {
+                    last.len += e.len;
+                    *prefix.last_mut().expect("one entry per extent") = total;
+                }
+                _ => {
+                    extents.push(e);
+                    prefix.push(total);
+                }
+            }
+        }
+        Self { extents, prefix }
     }
 }
 
@@ -239,6 +268,36 @@ mod tests {
     }
 
     #[test]
+    fn from_words_matches_new_on_canonical_and_adjacent_input() {
+        // Adjacent extents still coalesce, as they do in `new`.
+        let words = [3, 4, 7, 2, 100, 50, 150, 1, 200, 8];
+        let pairs = words.chunks_exact(2).map(|p| ext(p[0], p[1])).collect();
+        let decoded = OffsetList::from_words(&words);
+        assert_eq!(decoded, OffsetList::new(pairs));
+        assert_eq!(decoded.extents(), &[ext(3, 6), ext(100, 51), ext(200, 8)]);
+        assert_eq!(decoded.locate(150, 204)[1].buf_offset, 57);
+        assert_eq!(OffsetList::from_words(&[]), OffsetList::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping extents: [10, 15) and [0, 4)")]
+    fn from_words_rejects_unsorted_input() {
+        let _ = OffsetList::from_words(&[10, 5, 0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping extents: [0, 10) and [5, 15)")]
+    fn from_words_rejects_overlap() {
+        let _ = OffsetList::from_words(&[0, 10, 5, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length extent at offset 20")]
+    fn from_words_rejects_zero_length_extents() {
+        let _ = OffsetList::from_words(&[0, 10, 20, 0]);
+    }
+
+    #[test]
     fn contiguous_constructor() {
         let l = OffsetList::contiguous(7, 9);
         assert_eq!(l.extents(), &[ext(7, 9)]);
@@ -260,6 +319,11 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_word_roundtrip_is_identity(l in arb_list()) {
+            prop_assert_eq!(OffsetList::from_words(&l.to_words()), l);
+        }
+
         #[test]
         fn prop_locate_partitions_buffer(l in arb_list(), split in 0u64..2000) {
             // locate(0, split) and locate(split, inf) partition the buffer.

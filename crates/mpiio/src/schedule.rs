@@ -26,6 +26,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use cc_model::Topology;
+use cc_mpi::Comm;
 
 use crate::extent::{Extent, OffsetList, Piece};
 use crate::hints::Hints;
@@ -867,7 +868,23 @@ impl PlanCache {
         hints: &Hints,
         job: u64,
     ) -> (PlanSchedule, CacheOutcome, bool) {
-        let requests: Arc<Vec<OffsetList>> = requests.into();
+        self.get_or_else(requests.into(), topology, nprocs, hints, job, |requests| {
+            compile(requests, topology, nprocs, hints)
+        })
+    }
+
+    /// The lookup behind every `get_or_compile*`, with the miss path's
+    /// compile left to the caller: in place for a bare cache, once per
+    /// world when the lookup is one rank's share of a collective.
+    fn get_or_else(
+        &mut self,
+        requests: Arc<Vec<OffsetList>>,
+        topology: &Topology,
+        nprocs: usize,
+        hints: &Hints,
+        job: u64,
+        compile: impl FnOnce(Arc<Vec<OffsetList>>) -> PlanSchedule,
+    ) -> (PlanSchedule, CacheOutcome, bool) {
         let lo = global_lo(&requests);
         let key = CacheKey {
             shape_hash: shape_fingerprint(&requests, lo),
@@ -906,8 +923,7 @@ impl PlanCache {
             }
         }
         self.stats.misses += 1;
-        let plan = CollectivePlan::build(Arc::clone(&requests), topology, nprocs, hints);
-        let schedule = PlanSchedule::compile(plan);
+        let schedule = compile(Arc::clone(&requests));
         self.entries.insert(
             key,
             CacheEntry {
@@ -984,9 +1000,11 @@ impl SharedPlanCache {
 /// counters so each job can report its own cache experience even though
 /// the cache itself is shared.
 pub enum PlanSource<'a> {
-    /// Compile fresh on every lookup; nothing is cached.
+    /// Compile on every lookup; nothing is cached.
     Fresh,
-    /// A caller-owned cache spanning one run or sweep.
+    /// A caller-owned cache spanning one run or sweep. Every rank holds its
+    /// own, fed the same lookups in the same order, so all ranks hit or
+    /// miss together.
     Local(&'a mut PlanCache),
     /// A process-wide cache shared across jobs.
     Shared {
@@ -998,6 +1016,23 @@ pub enum PlanSource<'a> {
         /// with the cross-job subsets filled in.
         seen: PlanCacheStats,
     },
+}
+
+/// Builds and compiles the plan of `requests`.
+fn compile(
+    requests: Arc<Vec<OffsetList>>,
+    topology: &Topology,
+    nprocs: usize,
+    hints: &Hints,
+) -> PlanSchedule {
+    PlanSchedule::compile(CollectivePlan::build(requests, topology, nprocs, hints))
+}
+
+/// [`compile`] for `comm`'s world, run by one rank and shared by all.
+fn compile_once(comm: &mut Comm, requests: Arc<Vec<OffsetList>>, hints: &Hints) -> PlanSchedule {
+    let topology = comm.model().topology.clone();
+    let nprocs = comm.nprocs();
+    PlanSchedule::clone(&comm.memo(|| compile(requests, &topology, nprocs, hints)))
 }
 
 impl<'a> PlanSource<'a> {
@@ -1019,26 +1054,37 @@ impl<'a> PlanSource<'a> {
         }
     }
 
-    /// Returns the compiled schedule for `requests` from this source.
-    /// Deterministic across ranks for `Fresh` and `Local`; for `Shared`
-    /// the *schedule* is still rank-deterministic (all ranks compute the
-    /// same tables or share the same entry) though which rank's lookup
-    /// populates the cache first is not.
+    /// Returns the compiled schedule for `requests` — every rank's, as
+    /// [`exchange_requests`](crate::exchange::exchange_requests) returns
+    /// them — planned for `comm`'s world. A collective: every rank of the
+    /// world calls it with equal `requests` and `hints`.
+    ///
+    /// However many ranks ask, a collective compiles at most once per
+    /// process. The schedule is a pure function of inputs all ranks share
+    /// and compiling it is charged to no clock, so `Fresh` lookups and
+    /// `Local` misses (which all ranks take together) compile through
+    /// [`Comm::memo`] and the ranks share the tables. A `Shared` miss falls
+    /// to whichever single rank reaches the cache first — the cache's lock
+    /// already makes that the one compile, and the other ranks' lookups
+    /// hit it — so it compiles in place. Lookups and their
+    /// [`PlanCacheStats`] stay per rank.
     pub fn get(
         &mut self,
+        comm: &mut Comm,
         requests: impl Into<Arc<Vec<OffsetList>>>,
-        topology: &Topology,
-        nprocs: usize,
         hints: &Hints,
     ) -> PlanSchedule {
+        let requests = requests.into();
         match self {
-            PlanSource::Fresh => {
-                let plan =
-                    CollectivePlan::build(requests.into(), topology, nprocs, hints);
-                PlanSchedule::compile(plan)
+            PlanSource::Fresh => compile_once(comm, requests, hints),
+            PlanSource::Local(cache) => {
+                let topology = comm.model().topology.clone();
+                let nprocs = comm.nprocs();
+                let on_miss = |requests| compile_once(comm, requests, hints);
+                cache.get_or_else(requests, &topology, nprocs, hints, 0, on_miss).0
             }
-            PlanSource::Local(cache) => cache.get_or_compile(requests, topology, nprocs, hints),
             PlanSource::Shared { cache, job, seen } => {
+                let (topology, nprocs) = (&comm.model().topology, comm.nprocs());
                 let (schedule, outcome, cross) =
                     cache.get_or_compile_tagged(requests, topology, nprocs, hints, *job);
                 match outcome {
@@ -1386,44 +1432,52 @@ mod tests {
         assert!((stats.cross_job_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// A one-rank world: `PlanSource::get` plans for its caller's world.
+    fn solo<R: Send>(f: impl Fn(&mut Comm) -> R + Send + Sync) -> R {
+        let world = cc_mpi::World::new(1, cc_model::ClusterModel::test_tiny(1));
+        world.run(f).pop().expect("one rank")
+    }
+
     #[test]
     fn plan_source_tracks_per_holder_stats() {
-        let topo = Topology::new(1, 2);
-        let reqs = interleaved(2, 8, 16);
+        let reqs = interleaved(1, 8, 16);
         let shared = SharedPlanCache::new();
-        let mut job_a = PlanSource::shared(&shared, 7);
-        let mut job_b = PlanSource::shared(&shared, 8);
-        let sa = job_a.get(reqs.clone(), &topo, 2, &hints(64));
-        let sb = job_b.get(reqs.clone(), &topo, 2, &hints(64));
-        assert!(sa.shares_index_with(&sb));
-        // Each holder saw its own half of the story.
-        assert_eq!(job_a.seen().misses, 1);
-        assert_eq!(job_a.seen().hits, 0);
-        assert_eq!(job_b.seen().hits, 1);
-        assert_eq!(job_b.seen().cross_job_hits, 1);
-        assert_eq!(job_b.seen().misses, 0);
-        // The cache's global stats are the union.
-        assert_eq!(shared.stats(), job_a.seen().merge(&job_b.seen()));
-        // Fresh sources cache nothing and see nothing.
-        let mut fresh = PlanSource::Fresh;
-        let sf = fresh.get(reqs, &topo, 2, &hints(64));
-        assert!(!sf.shares_index_with(&sa), "fresh compile shares nothing");
-        assert_eq!(fresh.seen(), PlanCacheStats::default());
+        solo(|comm| {
+            let mut job_a = PlanSource::shared(&shared, 7);
+            let mut job_b = PlanSource::shared(&shared, 8);
+            let sa = job_a.get(comm, reqs.clone(), &hints(64));
+            let sb = job_b.get(comm, reqs.clone(), &hints(64));
+            assert!(sa.shares_index_with(&sb));
+            // Each holder saw its own half of the story.
+            assert_eq!(job_a.seen().misses, 1);
+            assert_eq!(job_a.seen().hits, 0);
+            assert_eq!(job_b.seen().hits, 1);
+            assert_eq!(job_b.seen().cross_job_hits, 1);
+            assert_eq!(job_b.seen().misses, 0);
+            // The cache's global stats are the union.
+            assert_eq!(shared.stats(), job_a.seen().merge(&job_b.seen()));
+            // Fresh sources cache nothing and see nothing.
+            let mut fresh = PlanSource::Fresh;
+            let sf = fresh.get(comm, reqs.clone(), &hints(64));
+            assert!(!sf.shares_index_with(&sa), "fresh compile shares nothing");
+            assert_eq!(fresh.seen(), PlanCacheStats::default());
+        });
     }
 
     #[test]
     fn fused_task_credits_partition_and_amortize() {
-        let topo = Topology::new(1, 2);
-        let reqs = interleaved(2, 8, 16);
+        let reqs = interleaved(1, 8, 16);
         let shared = SharedPlanCache::new();
-        let mut job_a = PlanSource::shared(&shared, 1);
-        let mut job_b = PlanSource::shared(&shared, 2);
-        let _ = job_a.get(reqs.clone(), &topo, 2, &hints(64));
-        job_a.note_fused_tasks(600);
-        let _ = job_b.get(reqs, &topo, 2, &hints(64));
-        job_b.note_fused_tasks(400);
-        // Per-holder credits partition the shared totals (Eq over stats).
-        assert_eq!(shared.stats(), job_a.seen().merge(&job_b.seen()));
+        solo(|comm| {
+            let mut job_a = PlanSource::shared(&shared, 1);
+            let mut job_b = PlanSource::shared(&shared, 2);
+            let _ = job_a.get(comm, reqs.clone(), &hints(64));
+            job_a.note_fused_tasks(600);
+            let _ = job_b.get(comm, reqs.clone(), &hints(64));
+            job_b.note_fused_tasks(400);
+            // Per-holder credits partition the shared totals (Eq over stats).
+            assert_eq!(shared.stats(), job_a.seen().merge(&job_b.seen()));
+        });
         assert_eq!(shared.stats().fused_tasks, 1000);
         // One compile served every task: amortization is tasks/compile.
         assert!((shared.stats().amortization() - 1000.0).abs() < 1e-12);
@@ -1433,26 +1487,26 @@ mod tests {
 
     #[test]
     fn shared_cache_concurrent_lookups_converge() {
-        // Many threads race the same shape into the shared cache: every
-        // lookup after the first few misses must reuse, totals must add
-        // up, and all returned schedules answer identically.
-        use std::sync::Arc as StdArc;
-        let topo = Topology::new(1, 2);
-        let reqs = interleaved(2, 8, 16);
-        let shared = StdArc::new(SharedPlanCache::new());
-        let mut handles = Vec::new();
-        for job in 0..8u64 {
-            let shared = StdArc::clone(&shared);
-            let reqs = reqs.clone();
-            let topo = topo.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut src = PlanSource::shared(&shared, job);
-                let s = src.get(reqs, &topo, 2, &hints(64));
-                let shape = (s.sources_for(0).len(), s.sources_for(1).len());
-                (shape, src.seen())
-            }));
-        }
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // Many one-rank jobs race the same shape into the shared cache:
+        // every lookup after the first few misses must reuse, totals must
+        // add up, and all returned schedules answer identically.
+        let reqs = interleaved(1, 8, 16);
+        let shared = SharedPlanCache::new();
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8u64)
+                .map(|job| {
+                    let (shared, reqs) = (&shared, &reqs);
+                    scope.spawn(move || {
+                        solo(|comm| {
+                            let mut src = PlanSource::shared(shared, job);
+                            let s = src.get(comm, reqs.clone(), &hints(64));
+                            (s.sources_for(0).len(), src.seen())
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         let shape0 = results[0].0;
         assert!(results.iter().all(|(s, _)| *s == shape0));
         let folded = results
@@ -1466,6 +1520,41 @@ mod tests {
         assert!(folded.misses >= 1);
         assert!(folded.hits + folded.misses == 8);
         assert!(folded.cross_job_hits <= folded.hits);
+    }
+
+    /// One compile per collective, however many ranks ask: `Fresh` lookups
+    /// and `Local` misses hand every rank the computing rank's tables,
+    /// back-to-back collectives keep their own, and each rank's private
+    /// cache still counts its own lookups.
+    #[test]
+    fn a_collective_compiles_once_and_the_ranks_share_the_tables() {
+        let n = 6;
+        let reqs = Arc::new(interleaved(n, 8, 16));
+        let other = Arc::new(interleaved(n, 5, 32));
+        let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
+        let per_rank = world.run(|comm| {
+            let fresh_a = PlanSource::Fresh.get(comm, Arc::clone(&reqs), &hints(64));
+            let fresh_b = PlanSource::Fresh.get(comm, Arc::clone(&other), &hints(64));
+            let mut cache = PlanCache::new();
+            let mut local = PlanSource::Local(&mut cache);
+            let miss = local.get(comm, Arc::clone(&reqs), &hints(64));
+            let hit = local.get(comm, Arc::clone(&reqs), &hints(64));
+            assert!(hit.shares_index_with(&miss));
+            (fresh_a, fresh_b, miss, local.seen())
+        });
+        let oracle = compile(Arc::clone(&reqs), &Topology::new(1, n), n, &hints(64));
+        let (a0, b0, m0, _) = &per_rank[0];
+        assert!(!a0.shares_index_with(b0), "collectives must not share entries");
+        assert!(!a0.shares_index_with(m0), "each collective compiles for itself");
+        for (rank, (a, b, miss, seen)) in per_rank.iter().enumerate() {
+            assert!(a.shares_index_with(a0), "rank {rank} compiled its own Fresh plan");
+            assert!(b.shares_index_with(b0));
+            assert!(miss.shares_index_with(m0), "rank {rank} compiled its own Local miss");
+            assert_eq!((seen.misses, seen.hits, seen.translations), (1, 1, 0));
+            assert_eq!(*a.index, *oracle.index);
+            assert_eq!(*a.geom, *oracle.geom);
+            assert_eq!(*miss.geom, *oracle.geom);
+        }
     }
 
     #[test]

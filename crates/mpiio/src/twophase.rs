@@ -207,8 +207,7 @@ pub fn collective_read_planned(
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
     let requests = exchange_requests(comm, my_request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), hints);
+    let schedule = plans.get(comm, requests, hints);
     // Every rank passed through the request exchange above, so the engine
     // tag counter is identical on all ranks: this collective's shuffle
     // traffic gets a unique tag, distinct from the previous and next calls.

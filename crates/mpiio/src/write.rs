@@ -126,8 +126,7 @@ pub fn collective_write_planned(
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
     let requests = exchange_requests(comm, my_request);
-    let topology = comm.model().topology.clone();
-    let schedule = plans.get(requests, &topology, comm.nprocs(), hints);
+    let schedule = plans.get(comm, requests, hints);
     // All ranks passed through the request exchange, so the counter is
     // symmetric and this collective's shuffle tag is unique to it.
     let tag = comm.next_engine_tag(TAG_WRITE_SHUFFLE);

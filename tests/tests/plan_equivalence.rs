@@ -1206,6 +1206,111 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
     );
 }
 
+/// One compile per collective: after a real request exchange, the `Fresh`
+/// schedules of all ranks are one set of tables, not `nprocs` equal ones —
+/// on a flat and on a hierarchical world, and separately for each of two
+/// back-to-back collectives.
+#[test]
+fn fresh_schedules_on_different_ranks_share_tables() {
+    use cc_mpiio::exchange::exchange_requests;
+    use cc_mpiio::PlanSource;
+
+    const NPROCS: usize = 8;
+    let hints = Hints {
+        cb_buffer_size: 256,
+        ..Hints::default()
+    };
+    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        let world = World::new(NPROCS, test_model(2, 4).with_collectives(mode));
+        let schedules = world.run(|comm| {
+            let r = comm.rank() as u64;
+            [64u64, 96]
+                .map(|len| {
+                    let mine = OffsetList::new(
+                        (0..6).map(|k| Extent { offset: (k * NPROCS as u64 + r) * len, len }).collect(),
+                    );
+                    let requests = exchange_requests(comm, &mine);
+                    PlanSource::Fresh.get(comm, requests, &hints)
+                })
+        });
+        let [first0, second0] = &schedules[0];
+        assert!(!first0.shares_index_with(second0), "{mode:?}: collectives shared an entry");
+        for (rank, [first, second]) in schedules.iter().enumerate() {
+            assert!(first.shares_index_with(first0), "{mode:?}: rank {rank} compiled for itself");
+            assert!(second.shares_index_with(second0), "{mode:?}: rank {rank} compiled for itself");
+            assert_eq!(first.sources_for(rank), first0.sources_for(rank));
+        }
+    }
+}
+
+/// Sharing compiles between ranks leaves every rank's cache accounting
+/// alone. On the shapes of the shared-cache regression above — two ranks,
+/// a two-step sweep, a second job shifted by one step — each rank still
+/// makes its own lookups and counts exactly what it counted when it also
+/// compiled for itself: with a private cache, one miss and one
+/// translation per rank; with the shared cache, one miss for whichever
+/// rank of the first job got there first and a hit for the other, then
+/// nothing but cross-job reuse for every rank of the second job.
+#[test]
+fn per_rank_plan_cache_stats_are_unchanged_by_shared_compiles() {
+    use cc_core::{iterative_get_vara, iterative_get_vara_shared};
+    use cc_mpiio::{PlanCacheStats, SharedPlanCache};
+
+    const NPROCS: usize = 2;
+    const STEPS: u64 = 2;
+    const ROWS: u64 = 8;
+    const COLS: u64 = 16;
+    let fs = Pfs::new(4, DiskModel::lustre_like());
+    fs.create(
+        "a.nc",
+        StripeLayout::round_robin(1 << 9, 4, 0, 4),
+        Box::new(SyntheticBackend::new(2 * STEPS * ROWS * COLS, ElemKind::F64, test_value)),
+    );
+    let var = cc_array::Variable::new(
+        "v",
+        Shape::new(vec![2 * STEPS * ROWS, COLS]),
+        cc_array::DType::F64,
+        0,
+    );
+    let cache = SharedPlanCache::new();
+    // Per-rank stats of one sweep starting at `row0`, from a private cache
+    // (`job` = None) or from the shared one.
+    let sweep = |job: Option<u64>, row0: u64| -> Vec<PlanCacheStats> {
+        World::new(NPROCS, test_model(1, NPROCS)).run(|comm| {
+            let file = fs.open("a.nc").expect("exists");
+            let per = ROWS / NPROCS as u64;
+            let steps: Vec<_> = (0..STEPS)
+                .map(|s| {
+                    let start = vec![row0 + s * ROWS + comm.rank() as u64 * per, 0];
+                    (&var, ObjectIo::new(start, vec![per, COLS]))
+                })
+                .collect();
+            match job {
+                None => iterative_get_vara(comm, &fs, &file, &steps, &SumKernel),
+                Some(job) => {
+                    iterative_get_vara_shared(comm, &fs, &file, &steps, &SumKernel, &cache, job)
+                }
+            }
+            .plan_cache
+        })
+    };
+    let counts = |s: &PlanCacheStats| {
+        (s.misses, s.hits, s.translations, s.cross_job_hits, s.cross_job_translations)
+    };
+
+    for stats in sweep(None, 0) {
+        assert_eq!(counts(&stats), (1, 0, 1, 0, 0), "private cache: {stats:?}");
+    }
+
+    let mut first: Vec<_> = sweep(Some(7), 0).iter().map(counts).collect();
+    first.sort_unstable();
+    assert_eq!(first, [(0, 1, 1, 0, 0), (1, 0, 1, 0, 0)], "shared cache, compiling job");
+    for stats in sweep(Some(8), ROWS) {
+        assert_eq!(counts(&stats), (0, 0, 2, 0, 2), "shared cache, riding job: {stats:?}");
+    }
+    assert_eq!(counts(&cache.stats()), (1, 1, 6, 0, 4));
+}
+
 /// Fault sweep: under slow OSTs and straggler ranks, every staging depth
 /// must still move the identical bytes — adversity may stretch the
 /// virtual clock but can never reorder what lands in a buffer. The test
