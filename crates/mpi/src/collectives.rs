@@ -143,24 +143,26 @@ impl Comm {
     /// ranks' contributions, indexed by rank. Ring algorithm when flat;
     /// hierarchical gather-to-zero plus frame broadcast otherwise.
     pub fn allgatherv<T: Elem>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
-        let frame = self.allgatherv_frame(mine);
+        let mut own = self.take_buf();
+        crate::elem::encode_slice_into(mine, &mut own);
+        let frame = self.allgatherv_frame(own);
         let out = frame_sections(&frame).map(crate::elem::decode_vec).collect();
         self.recycle_buf(frame);
         out
     }
 
-    /// [`allgatherv`](Self::allgatherv) with the result left in wire form:
-    /// one pooled buffer holding every rank's encoded contribution as a
-    /// length-prefixed section, in rank order — read it with
-    /// [`frame_sections`] and hand it back to
+    /// [`allgatherv`](Self::allgatherv) in wire form at both ends. `own` is
+    /// this rank's contribution, already encoded into a buffer the caller
+    /// owns (ideally one from [`take_buf`](Self::take_buf)); it becomes
+    /// this rank's block without a copy. The result is one pooled buffer
+    /// holding every rank's contribution as a length-prefixed section, in
+    /// rank order — read it with [`frame_sections`] and hand it back to
     /// [`recycle_buf`](Self::recycle_buf). The messages are the typed
     /// call's (it is built on this one); what the caller saves is the
     /// split into `nprocs` vectors when it can decode the sections in
     /// place, or — with [`memo`](Self::memo) — let one rank decode for all.
-    pub fn allgatherv_frame<T: Elem>(&mut self, mine: &[T]) -> Vec<u8> {
+    pub fn allgatherv_frame(&mut self, own: Vec<u8>) -> Vec<u8> {
         let tag = self.next_collective_tag();
-        let mut own = self.take_buf();
-        crate::elem::encode_slice_into(mine, &mut own);
         if let Some(view) = self.hier_view() {
             let frame = self.hier_allgatherv_frame(&view, &own, tag);
             self.recycle_buf(own);

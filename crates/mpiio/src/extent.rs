@@ -7,6 +7,11 @@
 //! [`OffsetList::locate`] intersects the list with a file range and reports
 //! where each intersected piece sits in the buffer — the core primitive of
 //! both the shuffle phase and the paper's "logical map" reconstruction.
+//!
+//! A list crosses rank boundaries (the offset-list exchange) in a compact
+//! wire form, [`OffsetList::encode_into`] / [`OffsetList::decode`]: strided
+//! runs `(gap, len, repeat)` in varints, so a hyperslab's equal extents at
+//! one stride cost a few bytes however many there are.
 
 /// One contiguous byte range of a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,61 +151,173 @@ impl OffsetList {
         self.locate(lo, hi).iter().map(|p| p.extent.len).sum()
     }
 
-    /// Serializes to a flat `u64` vector (for offset-list exchange).
-    pub fn to_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.extents.len() * 2);
-        for e in &self.extents {
-            out.push(e.offset);
-            out.push(e.len);
+    /// Appends the list's wire form to `out`, reserving its exact size
+    /// first so a fresh buffer is allocated once.
+    ///
+    /// The list travels as strided runs `(gap, len, repeat)`, each field an
+    /// unsigned LEB128 varint: `gap` is the distance from the previous
+    /// extent's end (from 0 for the first extent), `len > 0` the extent's
+    /// length, and `repeat` the number of further extents with the same
+    /// gap and length. A hyperslab row — `n` equal extents at one stride —
+    /// is two runs whatever `n` is (the first extent's gap is its offset,
+    /// the rest share `stride - len`); an irregular list still costs only
+    /// the varints of its gaps and lengths. The empty list is zero bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let size = self
+            .runs()
+            .map(|(gap, len, repeat)| varint_len(gap) + varint_len(len) + varint_len(repeat))
+            .sum();
+        out.reserve(size);
+        for (gap, len, repeat) in self.runs() {
+            push_varint(out, gap);
+            push_varint(out, len);
+            push_varint(out, repeat);
         }
-        out
     }
 
-    /// Deserializes from [`to_words`](Self::to_words) output: the decode
-    /// path for a list that arrives from another rank already canonical,
-    /// so one pass checks and rebuilds it with no sort. User input goes
-    /// through [`new`](Self::new), which sorts.
+    /// The list as maximal runs `(gap, len, repeat)`, found greedily.
+    fn runs(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let mut rest = self.extents.as_slice();
+        let mut end = 0u64;
+        std::iter::from_fn(move || {
+            let (first, tail) = rest.split_first()?;
+            let (gap, len) = (first.offset - end, first.len);
+            end = first.end();
+            let mut repeat = 0;
+            while let Some(e) = tail.get(repeat) {
+                if e.offset - end != gap || e.len != len {
+                    break;
+                }
+                end = e.end();
+                repeat += 1;
+            }
+            rest = &tail[repeat..];
+            Some((gap, len, repeat as u64))
+        })
+    }
+
+    /// Rebuilds a list from [`encode_into`](Self::encode_into) output: one
+    /// counting pass sizes the tables, one expanding pass fills them.
+    /// Extents a zero gap makes adjacent coalesce, as they do in
+    /// [`new`](Self::new), so any well-formed encoding decodes to a
+    /// canonical list. An unsorted or overlapping list has no encoding —
+    /// a gap is unsigned and counts from the previous extent's end — so
+    /// there is nothing to reject there.
     ///
     /// # Panics
-    /// Panics on an odd-length word vector, and on words `to_words` cannot
-    /// have produced: a zero-length extent, or one that starts before the
-    /// previous one ends (unsorted or overlapping).
-    pub fn from_words(words: &[u64]) -> Self {
-        assert!(words.len().is_multiple_of(2), "offset list words must come in pairs");
-        let n = words.len() / 2;
+    /// Panics, before allocating anything, on bytes `encode_into` cannot
+    /// have produced: a truncated varint, a varint wider than 64 bits, a
+    /// zero `len`, or a run whose last extent would end past `u64::MAX`.
+    pub fn decode(bytes: &[u8]) -> Self {
+        let mut n = 0u64;
+        for (gap, _, repeat) in decode_runs(bytes) {
+            n += if gap > 0 {
+                repeat + 1
+            } else {
+                u64::from(n == 0)
+            };
+        }
+        let n = usize::try_from(n).expect("extent count fits in memory");
         let mut extents: Vec<Extent> = Vec::with_capacity(n);
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0u64);
-        let mut total = 0u64;
-        for pair in words.chunks_exact(2) {
-            let e = Extent {
-                offset: pair[0],
-                len: pair[1],
+        // `decode_runs` has checked that every sum below fits in a u64.
+        let (mut end, mut total) = (0u64, 0u64);
+        for (gap, len, repeat) in decode_runs(bytes) {
+            // A zero gap makes the whole run one contiguous range, which
+            // extends the previous extent unless it starts the list.
+            let (len, count) = if gap == 0 {
+                (len * (repeat + 1), 1)
+            } else {
+                (len, repeat + 1)
             };
-            assert!(e.len > 0, "zero-length extent at offset {} in offset list words", e.offset);
-            total += e.len;
-            match extents.last_mut() {
-                Some(last) if e.offset < last.end() => {
-                    panic!(
-                        "overlapping extents: [{}, {}) and [{}, {})",
-                        last.offset,
-                        last.end(),
-                        e.offset,
-                        e.end()
-                    );
+            for _ in 0..count {
+                total += len;
+                match extents.last_mut() {
+                    Some(last) if gap == 0 => {
+                        last.len += len;
+                        *prefix.last_mut().expect("one entry per extent") = total;
+                    }
+                    _ => {
+                        extents.push(Extent {
+                            offset: end + gap,
+                            len,
+                        });
+                        prefix.push(total);
+                    }
                 }
-                Some(last) if e.offset == last.end() => {
-                    last.len += e.len;
-                    *prefix.last_mut().expect("one entry per extent") = total;
-                }
-                _ => {
-                    extents.push(e);
-                    prefix.push(total);
-                }
+                end += gap + len;
             }
         }
         Self { extents, prefix }
     }
+}
+
+/// Bytes [`push_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low bits
+/// first, the high bit set on every byte but the last.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint at `*at`, advancing the cursor past it.
+fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let start = *at;
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let Some(&byte) = bytes.get(*at) else {
+            panic!(
+                "truncated varint at byte {start} of a {}-byte offset list",
+                bytes.len()
+            );
+        };
+        *at += 1;
+        let bits = u64::from(byte & 0x7f);
+        if bits << shift >> shift != bits {
+            break;
+        }
+        v |= bits << shift;
+        if byte < 0x80 {
+            return v;
+        }
+    }
+    panic!("varint at byte {start} of an offset list exceeds 64 bits");
+}
+
+/// The validated runs `(gap, len, repeat)` of an encoded list. Panics on
+/// malformed bytes (see [`OffsetList::decode`]); allocates nothing.
+fn decode_runs(bytes: &[u8]) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    let mut at = 0;
+    let mut end = 0u64;
+    std::iter::from_fn(move || {
+        if at == bytes.len() {
+            return None;
+        }
+        let start = at;
+        let gap = read_varint(bytes, &mut at);
+        let len = read_varint(bytes, &mut at);
+        let repeat = read_varint(bytes, &mut at);
+        assert!(len > 0, "zero-length run at byte {start} of an offset list");
+        end = gap
+            .checked_add(len)
+            .and_then(|stride| stride.checked_mul(repeat.checked_add(1)?))
+            .and_then(|span| end.checked_add(span))
+            .unwrap_or_else(|| {
+                panic!(
+                    "run at byte {start} of an offset list (gap {gap}, len {len}, repeat {repeat}) \
+                     ends past u64::MAX"
+                )
+            });
+        Some((gap, len, repeat))
+    })
 }
 
 #[cfg(test)]
@@ -210,6 +327,14 @@ mod tests {
 
     fn ext(offset: u64, len: u64) -> Extent {
         Extent { offset, len }
+    }
+
+    impl OffsetList {
+        pub(crate) fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.encode_into(&mut out);
+            out
+        }
     }
 
     #[test]
@@ -261,40 +386,98 @@ mod tests {
     }
 
     #[test]
-    fn word_roundtrip() {
+    fn codec_roundtrip() {
         let l = OffsetList::new(vec![ext(3, 4), ext(100, 50)]);
-        let back = OffsetList::from_words(&l.to_words());
-        assert_eq!(back, l);
+        assert_eq!(l.encode(), [3, 4, 0, 93, 50, 0]);
+        assert_eq!(OffsetList::decode(&l.encode()), l);
+        assert!(OffsetList::empty().encode().is_empty());
+        assert_eq!(OffsetList::decode(&[]), OffsetList::empty());
     }
 
     #[test]
-    fn from_words_matches_new_on_canonical_and_adjacent_input() {
-        // Adjacent extents still coalesce, as they do in `new`.
-        let words = [3, 4, 7, 2, 100, 50, 150, 1, 200, 8];
-        let pairs = words.chunks_exact(2).map(|p| ext(p[0], p[1])).collect();
-        let decoded = OffsetList::from_words(&words);
+    fn decode_matches_new_on_canonical_and_adjacent_input() {
+        // Extents a zero gap makes adjacent still coalesce, as they do in
+        // `new`: [3,7) [7,9) [100,150) [150,151) [200,208).
+        let bytes = [3, 4, 0, 0, 2, 0, 91, 50, 0, 0, 1, 0, 49, 8, 0];
+        let pairs = vec![ext(3, 4), ext(7, 2), ext(100, 50), ext(150, 1), ext(200, 8)];
+        let decoded = OffsetList::decode(&bytes);
         assert_eq!(decoded, OffsetList::new(pairs));
         assert_eq!(decoded.extents(), &[ext(3, 6), ext(100, 51), ext(200, 8)]);
         assert_eq!(decoded.locate(150, 204)[1].buf_offset, 57);
-        assert_eq!(OffsetList::from_words(&[]), OffsetList::empty());
+        // A repeated zero-gap run is one range, at the list's start or not.
+        assert_eq!(
+            OffsetList::decode(&[0, 5, 2]),
+            OffsetList::contiguous(0, 15)
+        );
+        assert_eq!(
+            OffsetList::decode(&[10, 5, 0, 0, 5, 3]),
+            OffsetList::contiguous(10, 25)
+        );
+    }
+
+    /// `n` equal extents at one stride are two runs whatever `n` is: the
+    /// encoding grows only by the varint of the repeat count.
+    #[test]
+    fn strided_request_encodes_in_constant_space() {
+        let strided =
+            |n: u64| OffsetList::new((0..n).map(|i| ext(4096 + i * 1_000_000, 512)).collect());
+        let small = strided(2).encode();
+        // (4096, 512, 0) then (999_488, 512, n - 2).
+        assert_eq!(small.len(), 2 + 2 + 1 + 3 + 2 + 1);
+        for n in [3, 100, 10_000] {
+            let bytes = strided(n).encode();
+            assert!(
+                bytes.len() <= small.len() + 2,
+                "n = {n}: {} bytes",
+                bytes.len()
+            );
+            assert_eq!(bytes[..8], small[..8]);
+            assert_eq!(OffsetList::decode(&bytes), strided(n));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "overlapping extents: [10, 15) and [0, 4)")]
-    fn from_words_rejects_unsorted_input() {
-        let _ = OffsetList::from_words(&[10, 5, 0, 4]);
+    #[should_panic(expected = "truncated varint at byte 2 of a 3-byte offset list")]
+    fn decode_rejects_truncated_varint() {
+        let _ = OffsetList::decode(&[1, 1, 0x80]);
     }
 
     #[test]
-    #[should_panic(expected = "overlapping extents: [0, 10) and [5, 15)")]
-    fn from_words_rejects_overlap() {
-        let _ = OffsetList::from_words(&[0, 10, 5, 10]);
+    #[should_panic(expected = "truncated varint at byte 2 of a 2-byte offset list")]
+    fn decode_rejects_partial_run() {
+        let _ = OffsetList::decode(&[1, 1]);
     }
 
     #[test]
-    #[should_panic(expected = "zero-length extent at offset 20")]
-    fn from_words_rejects_zero_length_extents() {
-        let _ = OffsetList::from_words(&[0, 10, 20, 0]);
+    #[should_panic(expected = "varint at byte 1 of an offset list exceeds 64 bits")]
+    fn decode_rejects_varint_past_64_bits() {
+        // Ten bytes carry 70 bits; the last may only hold bit 63.
+        let mut bytes = vec![0];
+        bytes.extend([0xff; 9]);
+        bytes.extend([0x02, 0]);
+        let _ = OffsetList::decode(&bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length run at byte 3")]
+    fn decode_rejects_zero_len() {
+        let _ = OffsetList::decode(&[0, 10, 0, 10, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "(gap 1, len 1, repeat 9223372036854775807) ends past u64::MAX")]
+    fn decode_rejects_repeat_that_overflows() {
+        // 2 bytes per extent, 2^63 extents.
+        let mut bytes = vec![1, 1];
+        push_varint(&mut bytes, (1 << 63) - 1);
+        let _ = OffsetList::decode(&bytes);
+    }
+
+    #[test]
+    fn widest_varints_roundtrip() {
+        let l = OffsetList::new(vec![ext(u64::MAX - 1, 1)]);
+        assert_eq!(l.encode().len(), 10 + 1 + 1);
+        assert_eq!(OffsetList::decode(&l.encode()), l);
     }
 
     #[test]
@@ -318,10 +501,55 @@ mod tests {
         }
     }
 
+    prop_compose! {
+        /// A hyperslab-shaped request: `planes` blocks of `rows` equal
+        /// extents at one stride (one strided level when `planes == 1`).
+        fn arb_hyperslab()(
+            base in 0u64..1 << 40,
+            len in 1u64..5000,
+            gap in 1u64..1 << 20,
+            rows in 1u64..40,
+            plane_gap in 0u64..1 << 30,
+            planes in 1u64..5,
+        ) -> OffsetList {
+            let plane_stride = rows * (len + gap) + plane_gap;
+            let extents = (0..planes)
+                .flat_map(|p| (0..rows).map(move |r| (p, r)))
+                .map(|(p, r)| ext(base + p * plane_stride + r * (len + gap), len))
+                .collect();
+            OffsetList::new(extents)
+        }
+    }
+
     proptest! {
         #[test]
-        fn prop_word_roundtrip_is_identity(l in arb_list()) {
-            prop_assert_eq!(OffsetList::from_words(&l.to_words()), l);
+        fn prop_codec_roundtrip_is_identity(l in arb_list(), slab in arb_hyperslab()) {
+            for l in [l, slab] {
+                let bytes = l.encode();
+                let back = OffsetList::decode(&bytes);
+                prop_assert_eq!(back.encode(), bytes);
+                prop_assert_eq!(back, l);
+            }
+        }
+
+        #[test]
+        fn prop_encoding_is_bounded_per_extent(
+            pairs in proptest::collection::vec((1u64..1 << 42, 1u64..1 << 42), 0..64),
+            slab in arb_hyperslab(),
+        ) {
+            // Offsets below 2^49: two 7-byte varints and a repeat per run.
+            let mut end = 0;
+            let extents = pairs.iter().map(|&(gap, len)| {
+                let e = ext(end + gap, len);
+                end = e.end();
+                e
+            });
+            let l = OffsetList::new(extents.collect());
+            prop_assert!(l.max_end().unwrap_or(0) < 1 << 49);
+            prop_assert!(l.encode().len() <= 16 * l.extents().len());
+            // Two runs per plane, however many rows: a gap below 2^41, a
+            // len below 2^14 and a repeat below 2^7 each.
+            prop_assert!(slab.encode().len() <= 8 * (6 + 2 + 1));
         }
 
         #[test]

@@ -760,6 +760,9 @@ mod tests {
         }
     }
 
+    /// One aggregator (a single node), so every OST booking is made by one
+    /// thread in program order: both clocks are lane algebra, not a race
+    /// between aggregators for the same OSTs.
     #[test]
     fn nonblocking_is_no_slower_than_blocking() {
         let n = 4;
@@ -781,7 +784,7 @@ mod tests {
             let fs = make_fs(2, 20_000, 4096, 2);
             let results = run_collective(
                 n,
-                Topology::new(2, 2),
+                Topology::new(1, 4),
                 &mk_req(),
                 Hints {
                     cb_buffer_size: 2000,

@@ -8,6 +8,7 @@
 //! and, crucially, how every reduction computed through the full stack can
 //! be checked against an independently computed expected value.
 
+use std::collections::BTreeMap;
 use std::sync::RwLock;
 
 /// Element value generator for synthetic files: a pure function from the
@@ -229,7 +230,7 @@ impl<V: ValueFn> Backend for SyntheticBackend<V> {
 pub struct OverlayBackend<B> {
     base: B,
     /// Sorted, disjoint written ranges: start -> bytes.
-    written: RwLock<std::collections::BTreeMap<u64, Vec<u8>>>,
+    written: RwLock<BTreeMap<u64, Vec<u8>>>,
 }
 
 impl<B: Backend> OverlayBackend<B> {
@@ -237,7 +238,7 @@ impl<B: Backend> OverlayBackend<B> {
     pub fn new(base: B) -> Self {
         Self {
             base,
-            written: RwLock::new(std::collections::BTreeMap::new()),
+            written: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -247,21 +248,30 @@ impl<B: Backend> OverlayBackend<B> {
     }
 }
 
+/// Key of the first written range that can overlap a range starting at
+/// `offset`: the last one starting at or before it (ranges are disjoint, so
+/// every earlier one ends before that one starts).
+fn scan_start(written: &BTreeMap<u64, Vec<u8>>, offset: u64) -> u64 {
+    written
+        .range(..=offset)
+        .next_back()
+        .map_or(offset, |(&start, _)| start)
+}
+
 impl<B: Backend> Backend for OverlayBackend<B> {
     fn read_into(&self, offset: u64, buf: &mut [u8]) {
         self.base.read_into(offset, buf);
         let end = offset + buf.len() as u64;
         let written = self.written.read().unwrap();
         // Patch every overlapping written range over the base bytes.
-        for (&w_start, bytes) in written.range(..end) {
+        for (&w_start, bytes) in written.range(scan_start(&written, offset)..end) {
             let w_end = w_start + bytes.len() as u64;
-            if w_end <= offset {
-                continue;
-            }
             let lo = w_start.max(offset);
             let hi = w_end.min(end);
-            buf[(lo - offset) as usize..(hi - offset) as usize]
-                .copy_from_slice(&bytes[(lo - w_start) as usize..(hi - w_start) as usize]);
+            if lo < hi {
+                buf[(lo - offset) as usize..(hi - offset) as usize]
+                    .copy_from_slice(&bytes[(lo - w_start) as usize..(hi - w_start) as usize]);
+            }
         }
     }
 
@@ -276,24 +286,29 @@ impl<B: Backend> Backend for OverlayBackend<B> {
         }
         let mut written = self.written.write().unwrap();
         let end = offset + data.len() as u64;
-        // Collect ranges overlapping or adjacent to the new write, merge
-        // them into one contiguous range, then reinsert.
-        let mut merged_start = offset;
-        let mut merged: Vec<u8> = Vec::new();
+        if let Some((&start, range)) = written.range_mut(..=offset).next_back() {
+            if end <= start + range.len() as u64 {
+                // The write lands inside one existing range: patch it.
+                let at = (offset - start) as usize;
+                range[at..at + data.len()].copy_from_slice(data);
+                return;
+            }
+        }
+        // Only ranges the write overlaps are merged with it: a range that
+        // merely abuts it stays its own entry, so a sequential sweep of
+        // writes copies each byte once instead of re-copying the run so far.
         let overlapping: Vec<u64> = written
-            .range(..=end)
-            .filter(|(&s, v)| s + v.len() as u64 >= offset)
+            .range(scan_start(&written, offset)..end)
+            .filter(|(&s, v)| s + v.len() as u64 > offset)
             .map(|(&s, _)| s)
             .collect();
-        if let Some(&first) = overlapping.first() {
-            merged_start = merged_start.min(first);
-        }
-        let merged_end = overlapping
-            .last()
-            .map(|&s| s + written[&s].len() as u64)
-            .unwrap_or(end)
-            .max(end);
-        merged.resize((merged_end - merged_start) as usize, 0);
+        let (Some(&first), Some(&last)) = (overlapping.first(), overlapping.last()) else {
+            written.insert(offset, data.to_vec());
+            return;
+        };
+        let merged_start = offset.min(first);
+        let merged_end = end.max(last + written[&last].len() as u64);
+        let mut merged = vec![0; (merged_end - merged_start) as usize];
         for s in overlapping {
             let bytes = written.remove(&s).expect("key just enumerated");
             let at = (s - merged_start) as usize;
@@ -407,8 +422,10 @@ mod tests {
     fn overlay_merges_adjacent_and_overlapping_writes() {
         let o = OverlayBackend::new(MemBackend::zeroed(64));
         o.write_at(10, &[1; 5]);
-        o.write_at(15, &[2; 5]); // adjacent: merges
-        o.write_at(12, &[3; 6]); // overlapping: merges
+        o.write_at(15, &[2; 5]); // adjacent: its own range
+        assert_eq!(o.written.read().unwrap().len(), 2);
+        o.write_at(12, &[3; 6]); // overlaps both: merges them
+        assert_eq!(o.written.read().unwrap().len(), 1);
         assert_eq!(o.overlay_bytes(), 10);
         let mut buf = [0u8; 12];
         o.read_into(9, &mut buf);
@@ -430,6 +447,24 @@ mod tests {
         }
     }
 
+    /// A sequential sweep of writes stores each byte once: N abutting
+    /// writes are N ranges, none re-copied into a growing merged run.
+    #[test]
+    fn overlay_keeps_adjacent_writes_apart() {
+        let o = OverlayBackend::new(MemBackend::zeroed(1000));
+        for k in 0..100u64 {
+            o.write_at(k * 10, &[k as u8 + 1; 10]);
+        }
+        assert_eq!(o.written.read().unwrap().len(), 100);
+        assert_eq!(o.overlay_bytes(), 1000);
+        // Rewriting inside a range patches it in place.
+        o.write_at(502, &[0xff; 3]);
+        assert_eq!(o.written.read().unwrap().len(), 100);
+        let mut buf = [0u8; 12];
+        o.read_into(495, &mut buf);
+        assert_eq!(buf, [50, 50, 50, 50, 50, 51, 51, 0xff, 0xff, 0xff, 51, 51]);
+    }
+
     #[test]
     #[should_panic]
     fn overlay_oob_write_panics() {
@@ -440,24 +475,44 @@ mod tests {
     proptest! {
         #[test]
         fn prop_overlay_equals_mem_reference(
-            writes in proptest::collection::vec((0u64..200, 1usize..40, any::<u8>()), 0..20),
+            writes in proptest::collection::vec(
+                (0u64..200, 1usize..40, any::<u8>(), any::<bool>()),
+                0..20,
+            ),
+            reads in proptest::collection::vec((0u64..256, 0usize..64), 1..8),
         ) {
             // An overlay over zeroes must behave exactly like a plain
-            // memory backend receiving the same writes.
+            // memory backend receiving the same writes — overlapping ones
+            // and, when `abut` is drawn, ones that start where the previous
+            // write ended.
             let overlay = OverlayBackend::new(MemBackend::zeroed(256));
             let reference = MemBackend::zeroed(256);
-            for (off, len, val) in writes {
-                let len = len.min((256 - off as usize).max(1)).min(256 - off as usize);
-                if len == 0 { continue; }
+            let mut prev_end = 0;
+            for (off, len, val, abut) in writes {
+                let off = if abut { prev_end } else { off };
+                let len = len.min(256 - off as usize);
                 let data = vec![val; len];
                 overlay.write_at(off, &data);
                 reference.write_at(off, &data);
+                prev_end = off + len as u64;
             }
-            let mut a = vec![0u8; 256];
-            let mut b = vec![0u8; 256];
-            overlay.read_into(0, &mut a);
-            reference.read_into(0, &mut b);
-            prop_assert_eq!(a, b);
+            // The stored ranges stay disjoint, so they hold no byte twice.
+            let written = overlay.written.read().unwrap();
+            let mut end = 0;
+            for (&start, bytes) in written.iter() {
+                prop_assert!(start >= end && !bytes.is_empty());
+                end = start + bytes.len() as u64;
+            }
+            drop(written);
+            // Whole-file and windowed reads agree with the reference.
+            for (off, len) in reads.into_iter().chain([(0, 256)]) {
+                let len = len.min(256 - off as usize);
+                let mut a = vec![0u8; len];
+                let mut b = vec![0u8; len];
+                overlay.read_into(off, &mut a);
+                reference.read_into(off, &mut b);
+                prop_assert_eq!(a, b, "read [{}, +{})", off, len);
+            }
         }
 
         #[test]

@@ -562,11 +562,17 @@ mod tests {
     }
 
     fn fs_with(files: &[&str], elems: u64) -> Arc<Pfs> {
+        fs_striped(files, elems, 4)
+    }
+
+    /// `files` on a 4-OST file system, each striped over the first
+    /// `stripe_count` OSTs.
+    fn fs_striped(files: &[&str], elems: u64, stripe_count: usize) -> Arc<Pfs> {
         let fs = Pfs::new(4, DiskModel::lustre_like());
         for name in files {
             fs.create(
                 name,
-                StripeLayout::round_robin(4096, 4, 0, 4),
+                StripeLayout::round_robin(4096, stripe_count, 0, 4),
                 Box::new(SyntheticBackend::new(elems, ElemKind::F64, value)),
             );
         }
@@ -776,10 +782,14 @@ mod tests {
     }
 
     /// WFQ weights steer batch service: with jobs of equal demand, the
-    /// heavier job's virtual time grows slower, so it finishes first.
+    /// heavier job's virtual time grows slower, so it finishes first. Both
+    /// files sit on one OST, so the jobs contend for it at every step and
+    /// the order is the policy's doing: striped over all four, the sweeps
+    /// rotate over the OSTs one step apart and never queue behind each
+    /// other.
     #[test]
     fn wfq_weights_order_batch_completion() {
-        let mut svc = Service::new(cluster(4, 2), fs_with(&["a", "b"], 64 * 64));
+        let mut svc = Service::new(cluster(4, 2), fs_striped(&["a", "b"], 64 * 64, 1));
         svc.submit(sweep_job("light", "a", 2, 6, 8, 64).weight(1.0)).unwrap();
         svc.submit(sweep_job("heavy", "b", 2, 6, 8, 64).weight(8.0)).unwrap();
         let out = svc.run();

@@ -78,12 +78,14 @@ fn all_three_paths_agree() {
 #[test]
 fn cc_no_slower_than_baseline_with_real_compute() {
     // With any nontrivial compute cost, pipelined CC must not lose to the
-    // strictly-sequential baseline (deterministic OST booking makes this a
-    // stable property, not a statistical one).
+    // strictly-sequential baseline. One node means one aggregator, so OST
+    // bookings are made in program order and this is a stable property,
+    // not a statistical one: two aggregators racing for the same OSTs lost
+    // it to OS lock order in a few runs of a hundred.
     let shape = Shape::new(vec![8, 512]);
     let nprocs = 4;
     let (fs, var) = build_var_fs(&shape, 2048, 4, 8);
-    let mut model = test_model(2, 2);
+    let mut model = test_model(1, 4);
     model.cpu.map_cost_per_byte = 1.0 / model.disk.ost_bandwidth;
     let run = |blocking: bool, fs: &std::sync::Arc<cc_pfs::Pfs>| {
         let world = World::new(nprocs, model.clone());
