@@ -1,4 +1,6 @@
-//! The benchmark harness: one runner per table/figure of the paper.
+//! The paper-reproduction harness: one runner per table/figure of the
+//! paper, plus the design ablations. Performance is measured by the
+//! separate `benchmark/` package, not here.
 //!
 //! Each `figNN_*` function reproduces the corresponding experiment at a
 //! configurable scale and returns a [`Table`] with the same rows/series the
@@ -11,16 +13,8 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod comm;
-pub mod compress;
 pub mod figs;
-pub mod hotpath;
-pub mod layout;
-pub mod manytask;
-pub mod pipeline;
-pub mod plan;
 pub mod runner;
-pub mod service;
 
 pub use ablations::*;
 pub use figs::*;

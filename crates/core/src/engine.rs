@@ -19,7 +19,7 @@ use cc_model::{BufferRing, Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
 use cc_mpiio::exchange::exchange_requests;
-use cc_mpiio::{independent_read, Hints, PlanCache, PlanSchedule, PlanSource, Striping};
+use cc_mpiio::{independent_read, Hints, PlanSchedule, PlanSource, Striping};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -112,33 +112,7 @@ pub fn object_get_vara(
     io: &ObjectIo,
     kernel: &dyn MapKernel,
 ) -> CcOutcome {
-    object_get_vara_cached(comm, pfs, file, var, io, kernel, None)
-}
-
-/// [`object_get_vara`] with an optional compiled-plan cache: iterative
-/// sweeps pass one cache across steps so that steps with an identical (or
-/// constant-offset-shifted) access shape reuse the compiled schedule
-/// instead of replanning. Every rank must pass a cache with identical
-/// contents (or none); the cache only matters on the collective
-/// non-blocking path — blocking and independent modes ignore it.
-pub fn object_get_vara_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    var: &Variable,
-    io: &ObjectIo,
-    kernel: &dyn MapKernel,
-    cache: Option<&mut PlanCache>,
-) -> CcOutcome {
-    object_get_vara_planned(
-        comm,
-        pfs,
-        file,
-        var,
-        io,
-        kernel,
-        &mut PlanSource::from_option(cache),
-    )
+    object_get_vara_planned(comm, pfs, file, var, io, kernel, &mut PlanSource::Fresh)
 }
 
 /// [`object_get_vara`] drawing its compiled schedule from an explicit

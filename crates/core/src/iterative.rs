@@ -9,7 +9,7 @@
 
 use cc_array::Variable;
 use cc_mpi::{Comm, CommStats};
-use cc_mpiio::{PlanCache, PlanCacheStats, PlanSource, SharedPlanCache};
+use cc_mpiio::{PlanCache, PlanCacheStats, PlanSource};
 use cc_pfs::{FileHandle, OstBalance, Pfs};
 
 use crate::engine::{object_get_vara_planned, CcOutcome};
@@ -55,24 +55,6 @@ pub fn iterative_get_vara(
     // the access shape reuse the compiled schedule instead of replanning.
     let mut plans = PlanCache::new();
     iterative_get_vara_planned(comm, pfs, file, steps, kernel, &mut PlanSource::Local(&mut plans))
-}
-
-/// [`iterative_get_vara`] drawing schedules from a process-wide
-/// [`SharedPlanCache`] on behalf of job `job` — the multi-job service's
-/// entry point. Sweeps of different jobs issuing the same hyperslab shapes
-/// (same rank count, topology, hints, striping) share one compiled
-/// schedule; the outcome's `plan_cache` reports only *this* sweep's
-/// lookups, with the cross-job subsets filled in.
-pub fn iterative_get_vara_shared(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    steps: &[(&Variable, ObjectIo)],
-    kernel: &dyn MapKernel,
-    cache: &SharedPlanCache,
-    job: u64,
-) -> IterativeOutcome {
-    iterative_get_vara_planned(comm, pfs, file, steps, kernel, &mut PlanSource::shared(cache, job))
 }
 
 /// The common sweep body over an explicit [`PlanSource`].

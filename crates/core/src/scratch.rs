@@ -19,13 +19,6 @@ pub struct Scratch {
     /// iterations are still draining theirs. Like the flat buffers, each
     /// slot keeps its high-water allocation across iterations and steps.
     pub slots: Vec<Vec<u8>>,
-    /// Per-slot codec wire-staging arenas, grown in lockstep with
-    /// [`slots`](Self::slots): when an engine compresses slot `i`'s bytes
-    /// for the wire or the write-back, `codec_slots[i]` holds the encoded
-    /// frame, so compression adds zero steady-state allocations to the
-    /// pipelined hot path (the shuffle engines' transient codec buffers
-    /// ride the communicator's recycled buffer pool the same way).
-    pub codec_slots: Vec<Vec<u8>>,
     /// Decoded run values handed to the kernel.
     pub values: Vec<f64>,
     /// Serialized partial/intermediate words bound for the wire.
@@ -44,9 +37,6 @@ impl Scratch {
     pub fn ensure_slots(&mut self, n: usize) {
         if self.slots.len() < n {
             self.slots.resize_with(n, Vec::new);
-        }
-        if self.codec_slots.len() < n {
-            self.codec_slots.resize_with(n, Vec::new);
         }
     }
 }

@@ -49,11 +49,6 @@ pub enum PipelineDepth {
 }
 
 impl PipelineDepth {
-    /// The classic double buffer.
-    pub fn double() -> Self {
-        Self::Depth(2)
-    }
-
     /// The ring size this depth imposes, or `None` for unbounded staging.
     pub fn bound(&self) -> Option<usize> {
         match self {
@@ -326,7 +321,7 @@ mod tests {
     #[test]
     fn pipeline_depth_bounds_and_validation() {
         assert_eq!(PipelineDepth::Sequential.bound(), Some(1));
-        assert_eq!(PipelineDepth::double(), PipelineDepth::Depth(2));
+        assert_eq!(PipelineDepth::Depth(2).bound(), Some(2));
         assert_eq!(PipelineDepth::Depth(3).bound(), Some(3));
         assert_eq!(PipelineDepth::Unbounded.bound(), None);
         assert_eq!(PipelineDepth::default(), PipelineDepth::Unbounded);

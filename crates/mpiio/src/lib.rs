@@ -43,8 +43,5 @@ pub use plan::{CollectivePlan, FileDomain};
 pub use schedule::{
     CacheOutcome, PlanCache, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache,
 };
-pub use twophase::{
-    collective_read, collective_read_cached, collective_read_planned, IterationTiming,
-    TwoPhaseReport,
-};
-pub use write::{collective_write, collective_write_cached, collective_write_planned, WriteReport};
+pub use twophase::{collective_read, collective_read_planned, IterationTiming, TwoPhaseReport};
+pub use write::{collective_write, collective_write_planned, WriteReport};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use cc_model::Topology;
 
-use crate::extent::{OffsetList, Piece};
+use crate::extent::OffsetList;
 use crate::hints::{lcm, DomainPartition, Hints, Striping};
 
 /// One aggregator's file domain: `nblocks` blocks of `block` bytes, the
@@ -163,48 +163,6 @@ impl FileDomain {
             for b in b0..b1 {
                 let bstart = self.start + b * self.stride;
                 f(bstart, bstart + self.block);
-            }
-        }
-    }
-
-    /// Calls `f` with every iteration index whose chunk overlaps in-domain
-    /// bytes of `[lo, hi)`, ascending. Bytes falling in the gaps of a
-    /// strided domain belong to other aggregators and are skipped.
-    pub fn iterations_overlapping(&self, lo: u64, hi: u64, cb: u64, mut f: impl FnMut(usize)) {
-        if self.is_empty() {
-            return;
-        }
-        let cpb = self.chunks_per_block(cb);
-        let bpc = self.blocks_per_chunk(cb);
-        let lo = lo.max(self.start);
-        if hi <= lo {
-            return;
-        }
-        let first_b = (lo - self.start) / self.stride;
-        let last_b = ((hi - 1 - self.start) / self.stride).min(self.nblocks - 1);
-        let mut last_emitted = usize::MAX;
-        for b in first_b..=last_b {
-            let bstart = self.start + b * self.stride;
-            let bend = bstart + self.block;
-            let s = lo.max(bstart);
-            let e = hi.min(bend);
-            if s >= e {
-                continue;
-            }
-            if cpb > 1 {
-                let first_c = ((s - bstart) / cb) as usize;
-                let last_c = ((e - 1 - bstart) / cb) as usize;
-                for c in first_c..=last_c {
-                    f(b as usize * cpb + c);
-                }
-            } else {
-                // Merged multi-block iterations: consecutive blocks share
-                // an iteration index; emit it once.
-                let it = (b / bpc) as usize;
-                if it != last_emitted {
-                    last_emitted = it;
-                    f(it);
-                }
             }
         }
     }
@@ -368,6 +326,63 @@ impl CollectivePlan {
         self.domains[agg_idx].n_iterations(self.cb)
     }
 
+    /// Calls `f` with the in-domain sub-ranges of iteration `iter` of
+    /// `agg_idx`, one per covered block, ascending.
+    pub fn chunk_blocks(&self, agg_idx: usize, iter: usize, f: impl FnMut(u64, u64)) {
+        self.domains[agg_idx].chunk_blocks(iter, self.cb, f)
+    }
+}
+
+#[cfg(test)]
+impl FileDomain {
+    /// Calls `f` with every iteration index whose chunk overlaps in-domain
+    /// bytes of `[lo, hi)`, ascending. Bytes falling in the gaps of a
+    /// strided domain belong to other aggregators and are skipped.
+    pub fn iterations_overlapping(&self, lo: u64, hi: u64, cb: u64, mut f: impl FnMut(usize)) {
+        if self.is_empty() {
+            return;
+        }
+        let cpb = self.chunks_per_block(cb);
+        let bpc = self.blocks_per_chunk(cb);
+        let lo = lo.max(self.start);
+        if hi <= lo {
+            return;
+        }
+        let first_b = (lo - self.start) / self.stride;
+        let last_b = ((hi - 1 - self.start) / self.stride).min(self.nblocks - 1);
+        let mut last_emitted = usize::MAX;
+        for b in first_b..=last_b {
+            let bstart = self.start + b * self.stride;
+            let bend = bstart + self.block;
+            let s = lo.max(bstart);
+            let e = hi.min(bend);
+            if s >= e {
+                continue;
+            }
+            if cpb > 1 {
+                let first_c = ((s - bstart) / cb) as usize;
+                let last_c = ((e - 1 - bstart) / cb) as usize;
+                for c in first_c..=last_c {
+                    f(b as usize * cpb + c);
+                }
+            } else {
+                // Merged multi-block iterations: consecutive blocks share
+                // an iteration index; emit it once.
+                let it = (b / bpc) as usize;
+                if it != last_emitted {
+                    last_emitted = it;
+                    f(it);
+                }
+            }
+        }
+    }
+}
+
+/// The per-query oracle: each answer re-scans the offset lists, exactly
+/// what [`PlanSchedule`](crate::schedule::PlanSchedule) compiles into flat
+/// tables. Test-only; the schedule's property tests compare against it.
+#[cfg(test)]
+impl CollectivePlan {
     /// The maximum iteration count over all aggregators (the collective
     /// completes when the busiest aggregator finishes).
     pub fn max_iterations(&self) -> usize {
@@ -410,12 +425,6 @@ impl CollectivePlan {
         self.domains[agg_idx].chunk(iter, self.cb)
     }
 
-    /// Calls `f` with the in-domain sub-ranges of iteration `iter` of
-    /// `agg_idx`, one per covered block, ascending.
-    pub fn chunk_blocks(&self, agg_idx: usize, iter: usize, f: impl FnMut(u64, u64)) {
-        self.domains[agg_idx].chunk_blocks(iter, self.cb, f)
-    }
-
     /// The covering extent the aggregator actually reads in this chunk:
     /// from the first to the last byte any rank requested inside its
     /// blocks. `None` if the chunk contains no requested bytes.
@@ -453,7 +462,12 @@ impl CollectivePlan {
     /// order, with their positions in `rank`'s request buffer. Clipped to
     /// the chunk's blocks: bytes in the stride gaps of a merged iteration
     /// belong to other aggregators.
-    pub fn pieces_for(&self, agg_idx: usize, iter: usize, rank: usize) -> Vec<Piece> {
+    pub fn pieces_for(
+        &self,
+        agg_idx: usize,
+        iter: usize,
+        rank: usize,
+    ) -> Vec<crate::extent::Piece> {
         let mut out = Vec::new();
         self.domains[agg_idx].chunk_blocks(iter, self.cb, |blo, bhi| {
             out.extend(self.requests[rank].locate(blo, bhi));
@@ -789,6 +803,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every schedule question the two-phase engines ask of one step, in
+    /// a fixed order: each active chunk's covering range, the pieces it
+    /// sends to each destination, and the pieces each rank receives from
+    /// each of its sources.
+    #[derive(Debug, Default, PartialEq)]
+    struct Walk {
+        ranges: Vec<(usize, usize, Range)>,
+        sends: Vec<(usize, usize, usize, Vec<crate::extent::Piece>)>,
+        recvs: Vec<(usize, usize, usize, Vec<crate::extent::Piece>)>,
+    }
+
+    type Range = Option<(u64, u64)>;
+
+    fn walk_query(plan: &CollectivePlan) -> Walk {
+        let mut w = Walk::default();
+        for a in 0..plan.aggregators.len() {
+            for it in plan.active_iterations(a) {
+                w.ranges.push((a, it, plan.read_range(a, it)));
+                for dst in plan.destinations(a, it) {
+                    w.sends.push((a, it, dst, plan.pieces_for(a, it, dst)));
+                }
+            }
+        }
+        for r in 0..plan.requests.len() {
+            for (a, it) in plan.sources_for(r) {
+                w.recvs.push((a, it, r, plan.pieces_for(a, it, r)));
+            }
+        }
+        w
+    }
+
+    fn walk_compiled(s: &crate::schedule::PlanSchedule) -> Walk {
+        let mut w = Walk::default();
+        for a in 0..s.plan().aggregators.len() {
+            for &it in s.active_iterations(a) {
+                w.ranges.push((a, it, s.read_range(a, it)));
+                for (dst, pieces) in s.dests_with_pieces(a, it) {
+                    w.sends.push((a, it, dst, pieces.to_vec()));
+                }
+            }
+        }
+        for r in 0..s.plan().requests.len() {
+            for (a, it, pieces) in s.sources_with_pieces(r) {
+                w.recvs.push((a, it, r, pieces.to_vec()));
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn all_strategies_agree() {
+        // Query API, a fresh compile and a cache resolve every step of an
+        // interleaved sweep identically; the cache compiles step 0 only
+        // and translates every later (constant-shifted) step.
+        use crate::schedule::{PlanCache, PlanSchedule};
+        let (nprocs, extents, len, steps) = (6u64, 40u64, 16u64, 4u64);
+        let topo = Topology::new(3, 2);
+        let h = hints(512);
+        let mut cache = PlanCache::new();
+        for step in 0..steps {
+            let base = step * nprocs * extents * len;
+            let reqs: Arc<Vec<OffsetList>> = Arc::new(
+                (0..nprocs)
+                    .map(|r| {
+                        let offsets = (0..extents).map(|k| base + (k * nprocs + r) * len);
+                        OffsetList::new(offsets.map(|offset| Extent { offset, len }).collect())
+                    })
+                    .collect(),
+            );
+            let plan = CollectivePlan::build(Arc::clone(&reqs), &topo, nprocs as usize, &h);
+            let query = walk_query(&plan);
+            assert!(!query.sends.is_empty());
+            let fresh = walk_compiled(&PlanSchedule::compile(plan));
+            assert_eq!(query, fresh, "fresh step {step}");
+            let (cached, _, _) = cache.get_or_compile(reqs, &topo, nprocs as usize, &h, 0);
+            assert_eq!(query, walk_compiled(&cached), "cached step {step}");
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "only step 0 should compile");
+        assert_eq!(stats.translations, steps - 1);
     }
 
     fn partition_from(idx: usize) -> DomainPartition {

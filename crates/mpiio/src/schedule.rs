@@ -1,12 +1,11 @@
 //! Compiled collective plans: one-sweep shuffle schedules and plan caching.
 //!
-//! [`CollectivePlan`] answers every schedule question by re-scanning all
-//! ranks' offset lists (`locate`/`bytes_in` per aggregator per iteration
-//! per call site), so planning cost is O(iterations × ranks × log extents)
-//! *per query* — and the engines query it from every hot loop.
+//! [`CollectivePlan`] fixes the partition; its per-query oracle (test-only)
+//! answers every schedule question by re-scanning all ranks' offset lists,
+//! O(iterations × ranks × log extents) *per query*.
 //! [`PlanSchedule`] compiles the complete schedule once, with a single
 //! linear co-sweep over all ranks' extents, into CSR-style flat tables:
-//! per (aggregator, iteration) slot the covering read range, the
+//! per (aggregator, iteration) slot the covering read ranges, the
 //! destination ranks, and each destination's piece slice; per rank the
 //! ordered `(agg, iter)` source list. Every query the engines make becomes
 //! an O(1) or slice lookup, and the per-call `Vec<Piece>` allocations of
@@ -71,10 +70,6 @@ struct ScheduleIndex {
 /// translation has to rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ScheduleGeom {
-    /// Per-slot covering read range; `u64::MAX`/`0` sentinel when the slot
-    /// holds no requested bytes.
-    read_lo: Vec<u64>,
-    read_hi: Vec<u64>,
     pieces: Vec<Piece>,
     /// Per-block covering `(offset, len)` read extents, CSR-indexed by
     /// [`ScheduleIndex::range_base`] — the range list one vectorized
@@ -84,8 +79,8 @@ struct ScheduleGeom {
 
 /// A [`CollectivePlan`] compiled into flat lookup tables.
 ///
-/// Answers are bit-identical to the query methods of the plan it was built
-/// from (property-tested in `tests/`), but cost O(1) or a slice borrow
+/// Answers are bit-identical to the test-only query oracle of the plan it
+/// was built from (property-tested below), but cost O(1) or a slice borrow
 /// instead of a rescan, and cloning shares the tables.
 #[derive(Debug, Clone)]
 pub struct PlanSchedule {
@@ -128,8 +123,6 @@ impl PlanSchedule {
         }
         let slots = iter_base[naggs];
 
-        let mut read_lo = vec![u64::MAX; slots];
-        let mut read_hi = vec![0u64; slots];
         let mut range_base = Vec::with_capacity(slots + 1);
         range_base.push(0usize);
         let mut ranges: Vec<(u64, u64)> = Vec::new();
@@ -234,9 +227,6 @@ impl PlanSchedule {
                                 let p_lo = clip_lo.max(c_lo);
                                 let p_hi = clip_hi.min(c_hi);
                                 debug_assert!(p_lo < p_hi);
-                                let slot = iter_base[a] + it;
-                                read_lo[slot] = read_lo[slot].min(p_lo);
-                                read_hi[slot] = read_hi[slot].max(p_hi);
                                 piece_count[it] += 1;
                                 recs.push((
                                     it as u32,
@@ -306,9 +296,6 @@ impl PlanSchedule {
                                 } else {
                                     (b / bpc) as usize
                                 };
-                                let slot = iter_base[a] + it;
-                                read_lo[slot] = read_lo[slot].min(p_lo);
-                                read_hi[slot] = read_hi[slot].max(p_hi);
                                 piece_count[it] += 1;
                                 recs.push((
                                     it as u32,
@@ -390,8 +377,7 @@ impl PlanSchedule {
             piece_base.extend_from_slice(&local_piece_base[..d]);
 
             // Per-slot covering read ranges, one per covered block: the
-            // extents the vectorized read of this iteration services. For
-            // single-block slots this is exactly `(read_lo, read_hi)`; a
+            // extents the vectorized read of this iteration services. A
             // merged multi-block slot gets one range per block so the
             // stride gaps (other aggregators' bytes) are never read.
             let mut p0 = 0usize;
@@ -463,12 +449,7 @@ impl PlanSchedule {
                 src_dest,
                 range_base,
             }),
-            geom: Arc::new(ScheduleGeom {
-                read_lo,
-                read_hi,
-                pieces,
-                ranges,
-            }),
+            geom: Arc::new(ScheduleGeom { pieces, ranges }),
         }
     }
 
@@ -502,7 +483,7 @@ impl PlanSchedule {
 
     /// The file range `[lo, hi)` of iteration `iter` of `agg_idx`.
     pub fn chunk(&self, agg_idx: usize, iter: usize) -> (u64, u64) {
-        self.plan.chunk(agg_idx, iter)
+        self.plan.domains[agg_idx].chunk(iter, self.plan.cb)
     }
 
     /// The iterations of `agg_idx` that contain requested bytes, ascending.
@@ -514,14 +495,6 @@ impl PlanSchedule {
     /// Whether aggregator `agg_idx` has any work at all.
     pub fn is_active(&self, agg_idx: usize) -> bool {
         !self.active_iterations(agg_idx).is_empty()
-    }
-
-    /// The covering extent read in chunk `(agg_idx, iter)`, `None` if the
-    /// chunk holds no requested bytes.
-    pub fn read_range(&self, agg_idx: usize, iter: usize) -> Option<(u64, u64)> {
-        let slot = self.index.iter_base[agg_idx] + iter;
-        let (lo, hi) = (self.geom.read_lo[slot], self.geom.read_hi[slot]);
-        (lo < hi).then_some((lo, hi))
     }
 
     /// The `(offset, len)` extents the vectorized read of chunk
@@ -547,21 +520,6 @@ impl PlanSchedule {
         let t = &self.index;
         let slot = t.iter_base[agg_idx] + iter;
         &t.dest_rank[t.dest_base[slot]..t.dest_base[slot + 1]]
-    }
-
-    /// The pieces of chunk `(agg_idx, iter)` destined for `rank`, in file
-    /// order. Empty if the rank takes nothing from the chunk.
-    pub fn pieces_for(&self, agg_idx: usize, iter: usize, rank: usize) -> &[Piece] {
-        let t = &self.index;
-        let slot = t.iter_base[agg_idx] + iter;
-        let dests = &t.dest_rank[t.dest_base[slot]..t.dest_base[slot + 1]];
-        match dests.binary_search(&rank) {
-            Ok(i) => {
-                let d = t.dest_base[slot] + i;
-                &self.geom.pieces[t.piece_base[d]..t.piece_base[d + 1]]
-            }
-            Err(_) => &[],
-        }
     }
 
     /// Every destination of chunk `(agg_idx, iter)` with its piece slice,
@@ -619,9 +577,8 @@ impl PlanSchedule {
     }
 
     /// [`Self::sources_for`] with each source's piece slice attached — the
-    /// receiver hot loop. Equivalent to calling [`Self::pieces_for`] per
-    /// source, but reads the destination index recorded at compile time
-    /// instead of re-searching the destination list.
+    /// receiver hot loop. Reads the destination index recorded at compile
+    /// time instead of searching each source's destination list.
     pub fn sources_with_pieces(
         &self,
         rank: usize,
@@ -645,16 +602,6 @@ impl PlanSchedule {
     fn translate(&self, new_requests: Arc<Vec<OffsetList>>, old_lo: u64, new_lo: u64) -> Self {
         let shift = |x: u64| new_lo + (x - old_lo);
         let t = &*self.geom;
-        let read_lo = t
-            .read_lo
-            .iter()
-            .map(|&lo| if lo == u64::MAX { u64::MAX } else { shift(lo) })
-            .collect();
-        let read_hi = t
-            .read_hi
-            .iter()
-            .map(|&hi| if hi == 0 { 0 } else { shift(hi) })
-            .collect();
         let pieces = t
             .pieces
             .iter()
@@ -680,12 +627,7 @@ impl PlanSchedule {
         Self {
             plan,
             index: Arc::clone(&self.index),
-            geom: Arc::new(ScheduleGeom {
-                read_lo,
-                read_hi,
-                pieces,
-                ranges,
-            }),
+            geom: Arc::new(ScheduleGeom { pieces, ranges }),
         }
     }
 }
@@ -830,37 +772,14 @@ impl PlanCache {
 
     /// Returns the compiled schedule for `requests`, reusing or
     /// translating a cached one when the request shape matches a previous
-    /// step. Deterministic across ranks: every rank makes the identical
-    /// decision from the identical inputs.
+    /// step, and how the lookup was satisfied. Deterministic across ranks:
+    /// every rank makes the identical decision from the identical inputs.
+    ///
+    /// The lookup is made on behalf of job `job` (0 when untagged): a reuse
+    /// of an entry compiled by a *different* job additionally bumps the
+    /// cross-job counters, and the third return is true exactly for such
+    /// cross-job reuses.
     pub fn get_or_compile(
-        &mut self,
-        requests: impl Into<Arc<Vec<OffsetList>>>,
-        topology: &Topology,
-        nprocs: usize,
-        hints: &Hints,
-    ) -> PlanSchedule {
-        let (schedule, _) = self.get_or_compile_traced(requests, topology, nprocs, hints);
-        schedule
-    }
-
-    /// [`get_or_compile`](Self::get_or_compile), also reporting how the
-    /// lookup was satisfied.
-    pub fn get_or_compile_traced(
-        &mut self,
-        requests: impl Into<Arc<Vec<OffsetList>>>,
-        topology: &Topology,
-        nprocs: usize,
-        hints: &Hints,
-    ) -> (PlanSchedule, CacheOutcome) {
-        let (schedule, outcome, _) = self.get_or_compile_tagged(requests, topology, nprocs, hints, 0);
-        (schedule, outcome)
-    }
-
-    /// [`get_or_compile_traced`](Self::get_or_compile_traced) on behalf of
-    /// job `job`: a reuse of an entry compiled by a *different* job
-    /// additionally bumps the cross-job counters. The third return is true
-    /// exactly for such cross-job reuses. Untagged lookups use job 0.
-    pub fn get_or_compile_tagged(
         &mut self,
         requests: impl Into<Arc<Vec<OffsetList>>>,
         topology: &Topology,
@@ -873,9 +792,10 @@ impl PlanCache {
         })
     }
 
-    /// The lookup behind every `get_or_compile*`, with the miss path's
-    /// compile left to the caller: in place for a bare cache, once per
-    /// world when the lookup is one rank's share of a collective.
+    /// The lookup behind [`get_or_compile`](Self::get_or_compile), with
+    /// the miss path's compile left to the caller: in place for a bare
+    /// cache, once per world when the lookup is one rank's share of a
+    /// collective.
     fn get_or_else(
         &mut self,
         requests: Arc<Vec<OffsetList>>,
@@ -962,11 +882,11 @@ impl SharedPlanCache {
         Self::default()
     }
 
-    /// Tagged lookup on behalf of `job` (see
-    /// [`PlanCache::get_or_compile_tagged`]). One lock acquisition per
+    /// Lookup on behalf of `job` (see [`PlanCache::get_or_compile`]).
+    /// One lock acquisition per
     /// lookup; the returned schedule shares its compiled tables with the
     /// cache via `Arc`, so no copying happens under the lock on a hit.
-    pub fn get_or_compile_tagged(
+    pub fn get_or_compile(
         &self,
         requests: impl Into<Arc<Vec<OffsetList>>>,
         topology: &Topology,
@@ -977,7 +897,7 @@ impl SharedPlanCache {
         self.inner
             .lock()
             .unwrap()
-            .get_or_compile_tagged(requests, topology, nprocs, hints, job)
+            .get_or_compile(requests, topology, nprocs, hints, job)
     }
 
     /// Lifetime counters over all jobs.
@@ -1046,14 +966,6 @@ impl<'a> PlanSource<'a> {
         }
     }
 
-    /// Adapts the engines' older optional-local-cache parameter.
-    pub fn from_option(cache: Option<&'a mut PlanCache>) -> Self {
-        match cache {
-            Some(c) => PlanSource::Local(c),
-            None => PlanSource::Fresh,
-        }
-    }
-
     /// Returns the compiled schedule for `requests` — every rank's, as
     /// [`exchange_requests`](crate::exchange::exchange_requests) returns
     /// them — planned for `comm`'s world. A collective: every rank of the
@@ -1086,7 +998,7 @@ impl<'a> PlanSource<'a> {
             PlanSource::Shared { cache, job, seen } => {
                 let (topology, nprocs) = (&comm.model().topology, comm.nprocs());
                 let (schedule, outcome, cross) =
-                    cache.get_or_compile_tagged(requests, topology, nprocs, hints, *job);
+                    cache.get_or_compile(requests, topology, nprocs, hints, *job);
                 match outcome {
                     CacheOutcome::Hit => {
                         seen.hits += 1;
@@ -1170,6 +1082,36 @@ fn same_shape(a: &[OffsetList], a_lo: u64, b: &[OffsetList], b_lo: u64) -> bool 
                     ea.offset - a_lo == eb.offset - b_lo && ea.len == eb.len
                 })
         })
+}
+
+/// Per-slot lookups only the oracle comparisons ask for; the engines walk
+/// [`PlanSchedule::dests_with_pieces`] and
+/// [`PlanSchedule::sources_with_pieces`] instead.
+#[cfg(test)]
+impl PlanSchedule {
+    /// The covering extent read in chunk `(agg_idx, iter)`, `None` if the
+    /// chunk holds no requested bytes.
+    pub fn read_range(&self, agg_idx: usize, iter: usize) -> Option<(u64, u64)> {
+        let ranges = self.read_ranges(agg_idx, iter);
+        let &(lo, _) = ranges.first()?;
+        let &(last_lo, last_len) = ranges.last()?;
+        Some((lo, last_lo + last_len))
+    }
+
+    /// The pieces of chunk `(agg_idx, iter)` destined for `rank`, in file
+    /// order. Empty if the rank takes nothing from the chunk.
+    pub fn pieces_for(&self, agg_idx: usize, iter: usize, rank: usize) -> &[Piece] {
+        let t = &self.index;
+        let slot = t.iter_base[agg_idx] + iter;
+        let dests = &t.dest_rank[t.dest_base[slot]..t.dest_base[slot + 1]];
+        match dests.binary_search(&rank) {
+            Ok(i) => {
+                let d = t.dest_base[slot] + i;
+                &self.geom.pieces[t.piece_base[d]..t.piece_base[d + 1]]
+            }
+            Err(_) => &[],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1367,8 +1309,8 @@ mod tests {
         let topo = Topology::new(1, 2);
         let reqs = interleaved(2, 8, 16);
         let mut cache = PlanCache::new();
-        let (s1, o1) = cache.get_or_compile_traced(reqs.clone(), &topo, 2, &hints(64));
-        let (s2, o2) = cache.get_or_compile_traced(reqs, &topo, 2, &hints(64));
+        let (s1, o1, _) = cache.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 0);
+        let (s2, o2, _) = cache.get_or_compile(reqs, &topo, 2, &hints(64), 0);
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&s1.index, &s2.index), "hit must share index tables");
@@ -1390,12 +1332,12 @@ mod tests {
         let reqs = interleaved(2, 8, 16);
         let shared = SharedPlanCache::new();
         // Job 1 compiles; its own re-lookup is a plain (same-job) hit.
-        let (s1, o1, c1) = shared.get_or_compile_tagged(reqs.clone(), &topo, 2, &hints(64), 1);
-        let (_, o2, c2) = shared.get_or_compile_tagged(reqs.clone(), &topo, 2, &hints(64), 1);
+        let (s1, o1, c1) = shared.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 1);
+        let (_, o2, c2) = shared.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 1);
         assert_eq!((o1, c1), (CacheOutcome::Miss, false));
         assert_eq!((o2, c2), (CacheOutcome::Hit, false));
         // Job 2 issuing the same shape reuses job 1's entry: a cross-job hit.
-        let (s3, o3, c3) = shared.get_or_compile_tagged(reqs.clone(), &topo, 2, &hints(64), 2);
+        let (s3, o3, c3) = shared.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 2);
         assert_eq!((o3, c3), (CacheOutcome::Hit, true));
         assert!(s1.shares_index_with(&s3), "cross-job hit must share one index");
         // Job 3 issuing a period-aligned shift of the shape translates it.
@@ -1413,7 +1355,7 @@ mod tests {
                 )
             })
             .collect();
-        let (s4, o4, c4) = shared.get_or_compile_tagged(shifted, &topo, 2, &hints(64), 3);
+        let (s4, o4, c4) = shared.get_or_compile(shifted, &topo, 2, &hints(64), 3);
         assert_eq!((o4, c4), (CacheOutcome::Translated, true));
         assert!(s1.shares_index_with(&s4), "translation must share one index");
         let stats = shared.stats();
@@ -1577,8 +1519,8 @@ mod tests {
             })
             .collect();
         let mut cache = PlanCache::new();
-        let (compiled, o1) = cache.get_or_compile_traced(base, &topo, 4, &hints(64));
-        let (translated, o2) = cache.get_or_compile_traced(shifted.clone(), &topo, 4, &hints(64));
+        let (compiled, o1, _) = cache.get_or_compile(base, &topo, 4, &hints(64), 0);
+        let (translated, o2, _) = cache.get_or_compile(shifted.clone(), &topo, 4, &hints(64), 0);
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Translated);
         // Translation shares the shape-invariant index tables outright...
@@ -1620,8 +1562,8 @@ mod tests {
             })
             .collect();
         let mut cache = PlanCache::new();
-        let (_, o1) = cache.get_or_compile_traced(base, &topo, 2, &h);
-        let (sched, o2) = cache.get_or_compile_traced(shifted.clone(), &topo, 2, &h);
+        let (_, o1, _) = cache.get_or_compile(base, &topo, 2, &h, 0);
+        let (sched, o2, _) = cache.get_or_compile(shifted.clone(), &topo, 2, &h, 0);
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Miss);
         let fresh_plan = CollectivePlan::build(shifted, &topo, 2, &h);
@@ -1633,8 +1575,8 @@ mod tests {
         let topo = Topology::new(1, 2);
         let reqs = interleaved(2, 4, 8);
         let mut cache = PlanCache::new();
-        let _ = cache.get_or_compile(reqs.clone(), &topo, 2, &hints(64));
-        let (_, o) = cache.get_or_compile_traced(reqs, &topo, 2, &hints(128));
+        let _ = cache.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 0);
+        let (_, o, _) = cache.get_or_compile(reqs, &topo, 2, &hints(128), 0);
         assert_eq!(o, CacheOutcome::Miss);
     }
 
@@ -1645,10 +1587,11 @@ mod tests {
         let topo = Topology::new(1, 2);
         let reqs = interleaved(2, 4, 8);
         let mut cache = PlanCache::new();
-        let _ = cache.get_or_compile(reqs.clone(), &topo, 2, &hints(64));
-        let (_, o) = cache.get_or_compile_traced(reqs.clone(), &topo, 2, &group_cyclic_hints(64, 16, 2));
+        let _ = cache.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 0);
+        let (_, o, _) =
+            cache.get_or_compile(reqs.clone(), &topo, 2, &group_cyclic_hints(64, 16, 2), 0);
         assert_eq!(o, CacheOutcome::Miss);
-        let (_, o) = cache.get_or_compile_traced(reqs, &topo, 2, &group_cyclic_hints(64, 16, 2));
+        let (_, o, _) = cache.get_or_compile(reqs, &topo, 2, &group_cyclic_hints(64, 16, 2), 0);
         assert_eq!(o, CacheOutcome::Hit);
     }
 
@@ -1673,18 +1616,18 @@ mod tests {
                 .collect()
         };
         let mut cache = PlanCache::new();
-        let (compiled, o1) = cache.get_or_compile_traced(base.clone(), &topo, 4, &h);
+        let (compiled, o1, _) = cache.get_or_compile(base.clone(), &topo, 4, &h, 0);
         assert_eq!(o1, CacheOutcome::Miss);
         // A shift of 3 periods translates...
         let shifted = shift_by(&base, 3 * 64);
-        let (translated, o2) = cache.get_or_compile_traced(shifted.clone(), &topo, 4, &h);
+        let (translated, o2, _) = cache.get_or_compile(shifted.clone(), &topo, 4, &h, 0);
         assert_eq!(o2, CacheOutcome::Translated);
         assert!(Arc::ptr_eq(&compiled.index, &translated.index));
         let fresh = PlanSchedule::compile(CollectivePlan::build(shifted, &topo, 4, &h));
         assert_eq!(translated.plan.domains, fresh.plan.domains);
         assert_eq!(*translated.geom, *fresh.geom);
         // ...a mid-period shift does not (the slot assignment changes).
-        let (_, o3) = cache.get_or_compile_traced(shift_by(&base, 24), &topo, 4, &h);
+        let (_, o3, _) = cache.get_or_compile(shift_by(&base, 24), &topo, 4, &h, 0);
         assert_eq!(o3, CacheOutcome::Miss);
     }
 
@@ -1711,10 +1654,10 @@ mod tests {
         let topo = Topology::new(1, 4);
         let base = interleaved(4, 10, 8);
         let mut cache = PlanCache::new();
-        let (_, o1) = cache.get_or_compile_traced(base.clone(), &topo, 4, h);
+        let (_, o1, _) = cache.get_or_compile(base.clone(), &topo, 4, h, 0);
         assert_eq!(o1, CacheOutcome::Miss);
         let shifted = shift_by(&base, delta);
-        let (sched, o2) = cache.get_or_compile_traced(shifted.clone(), &topo, 4, h);
+        let (sched, o2, _) = cache.get_or_compile(shifted.clone(), &topo, 4, h, 0);
         assert_eq!(o2, expect, "shift {delta} under {:?}", h.effective_partition());
         let fresh_plan = CollectivePlan::build(shifted, &topo, 4, h);
         let fresh = PlanSchedule::compile(fresh_plan.clone());
@@ -1855,9 +1798,9 @@ mod tests {
                 ))
                 .collect();
             let mut cache = PlanCache::new();
-            let _ = cache.get_or_compile(reqs, &topo, nprocs, &h);
-            let (cached, outcome) =
-                cache.get_or_compile_traced(shifted.clone(), &topo, nprocs, &h);
+            let _ = cache.get_or_compile(reqs, &topo, nprocs, &h, 0);
+            let (cached, outcome, _) =
+                cache.get_or_compile(shifted.clone(), &topo, nprocs, &h, 0);
             let fresh_plan = CollectivePlan::build(shifted, &topo, nprocs, &h);
             let fresh = PlanSchedule::compile(fresh_plan.clone());
             prop_assert_eq!(cached.plan.domains.clone(), fresh.plan.domains.clone());

@@ -25,7 +25,7 @@ use cc_profile::{Activity, Segment};
 use crate::exchange::exchange_requests;
 use crate::extent::OffsetList;
 use crate::hints::{Compression, Hints, Striping};
-use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
+use crate::schedule::{PlanSchedule, PlanSource};
 
 /// Encodes `payload` for the wire when `mode` compresses this lane
 /// (inter-node only — intra-node and self traffic always travels raw).
@@ -161,23 +161,7 @@ pub fn collective_read(
     my_request: &OffsetList,
     hints: &Hints,
 ) -> (Vec<u8>, TwoPhaseReport) {
-    collective_read_cached(comm, pfs, file, my_request, hints, None)
-}
-
-/// [`collective_read`] with an optional plan cache: when `cache` is given,
-/// the compiled schedule of a previous step with the same (or
-/// offset-shifted) request shape is reused instead of recompiled. Every
-/// rank must pass a cache with identical contents (or none) — the schedule
-/// decision must stay symmetric.
-pub fn collective_read_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    hints: &Hints,
-    cache: Option<&mut PlanCache>,
-) -> (Vec<u8>, TwoPhaseReport) {
-    collective_read_planned(comm, pfs, file, my_request, hints, &mut PlanSource::from_option(cache))
+    collective_read_planned(comm, pfs, file, my_request, hints, &mut PlanSource::Fresh)
 }
 
 /// [`collective_read`] drawing its compiled schedule from an explicit

@@ -18,7 +18,7 @@ use cc_profile::{Activity, Segment};
 use crate::exchange::exchange_requests;
 use crate::extent::{Extent, OffsetList};
 use crate::hints::{Hints, Striping};
-use crate::schedule::{PlanCache, PlanSchedule, PlanSource};
+use crate::schedule::{PlanSchedule, PlanSource};
 use crate::twophase::{decode_from_wire, encode_for_wire};
 
 /// Tag base for write-shuffle messages; each collective stamps its
@@ -74,21 +74,6 @@ pub fn collective_write(
     data: &[u8],
     hints: &Hints,
 ) -> WriteReport {
-    collective_write_cached(comm, pfs, file, my_request, data, hints, None)
-}
-
-/// [`collective_write`] with an optional plan cache (see
-/// [`collective_read_cached`](crate::twophase::collective_read_cached) for
-/// the symmetry requirement on `cache`).
-pub fn collective_write_cached(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    data: &[u8],
-    hints: &Hints,
-    cache: Option<&mut PlanCache>,
-) -> WriteReport {
     collective_write_planned(
         comm,
         pfs,
@@ -96,7 +81,7 @@ pub fn collective_write_cached(
         my_request,
         data,
         hints,
-        &mut PlanSource::from_option(cache),
+        &mut PlanSource::Fresh,
     )
 }
 

@@ -104,19 +104,8 @@ pub struct ServiceOutcome {
     pub latency_p99: SimTime,
 }
 
-impl ServiceOutcome {
-    /// Jobs completed per virtual second — the aggregate throughput the
-    /// headline bench compares against serial execution.
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.makespan == SimTime::ZERO {
-            return 0.0;
-        }
-        self.jobs.len() as f64 / self.makespan.secs()
-    }
-}
-
-/// The `p`-th percentile of a set of virtual durations (nearest-rank, the
-/// same convention the bench harness uses); zero for an empty set.
+/// The `p`-th percentile of a set of virtual durations (nearest-rank);
+/// zero for an empty set.
 pub fn percentile_time(mut times: Vec<SimTime>, p: f64) -> SimTime {
     if times.is_empty() {
         return SimTime::ZERO;
@@ -841,6 +830,13 @@ mod tests {
         assert_eq!(percentile_time(times.clone(), 50.0), SimTime::from_secs(50.0));
         assert_eq!(percentile_time(times, 99.0), SimTime::from_secs(99.0));
         assert_eq!(percentile_time(Vec::new(), 50.0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn percentile_picks_tail() {
+        let lat: Vec<SimTime> = [0.5, 0.1, 0.9, 0.3].map(SimTime::from_secs).to_vec();
+        assert_eq!(percentile_time(lat.clone(), 99.0), SimTime::from_secs(0.9));
+        assert_eq!(percentile_time(lat, 50.0), SimTime::from_secs(0.3));
     }
 
     /// More queued jobs than nodes: placement queues the overflow and

@@ -88,7 +88,7 @@ impl ManyTask {
     /// Name of the shared file.
     pub const FILE: &'static str = "manytask.nc";
 
-    /// A small, fast population for tests and `--quick` benches: a
+    /// A small, fast population for tests: a
     /// 512 x 256 f64 variable over 8 OSTs, 4 x 64 task regions, 16 ranks.
     pub fn quick(tasks: usize) -> Self {
         Self {

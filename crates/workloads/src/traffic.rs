@@ -52,7 +52,7 @@ impl MixedTraffic {
     /// Variable name used in every generated file.
     pub const VAR: &'static str = "field";
 
-    /// A small, fast population for tests and `--quick` benches:
+    /// A small, fast population for tests:
     /// `batch_jobs` sweeps of 4 steps x 32 rows x 256 columns (512 KiB
     /// per step) and `interactive_jobs` 8-row ROI queries, over 8 OSTs.
     pub fn quick(batch_jobs: usize, interactive_jobs: usize) -> Self {

@@ -15,15 +15,15 @@ use std::sync::Arc;
 
 use cc_array::{Hyperslab, Shape};
 use cc_core::{
-    object_get_vara, object_get_vara_cached, traditional_get_vara, FusedKernel, MinLocKernel,
+    object_get_vara, object_get_vara_planned, traditional_get_vara, FusedKernel, MinLocKernel,
     ObjectIo, SumKernel,
 };
 use cc_integration::{build_var_fs, oracle_min_loc, oracle_sum, test_model, test_value};
 use cc_model::{CollectiveMode, DiskModel, FaultPlan, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
-    collective_read, collective_read_cached, collective_write, collective_write_cached,
-    DomainPartition, Extent, Hints, OffsetList, PipelineDepth, PlanCache,
+    collective_read, collective_read_planned, collective_write, collective_write_planned,
+    DomainPartition, Extent, Hints, OffsetList, PipelineDepth, PlanCache, PlanSource,
 };
 use cc_pfs::backend::ElemKind;
 use cc_pfs::{MemBackend, Pfs, StripeLayout, SyntheticBackend};
@@ -156,8 +156,9 @@ proptest! {
             for step in 0..sweep_ref.steps {
                 let req = sweep_ref.request(comm.rank(), step);
                 let (fresh, _) = collective_read(comm, fs, &file, &req, &hints);
-                let (cached, _) =
-                    collective_read_cached(comm, fs, &file, &req, &hints, Some(&mut cache));
+                let (cached, _) = collective_read_planned(
+                    comm, fs, &file, &req, &hints, &mut PlanSource::Local(&mut cache),
+                );
                 all_match &= fresh == cached;
                 // Planner-free oracle: the backend's bytes, extent by extent.
                 let mut at = 0usize;
@@ -209,14 +210,14 @@ proptest! {
                         .flat_map(|e| (e.offset..e.end()).map(value_at))
                         .collect();
                     collective_write(comm, fs, &fresh_file, &req, &data, &hints);
-                    collective_write_cached(
+                    collective_write_planned(
                         comm,
                         fs,
                         &cached_file,
                         &req,
                         &data,
                         &hints,
-                        Some(&mut cache),
+                        &mut PlanSource::Local(&mut cache),
                     );
                 }
             });
@@ -354,8 +355,8 @@ proptest! {
                     let mut got = Vec::new();
                     for step in 0..sweep_ref.steps {
                         let req = sweep_ref.request(comm.rank(), step);
-                        let (bytes, _) = collective_read_cached(
-                            comm, fs, &file, &req, &hints, Some(&mut cache),
+                        let (bytes, _) = collective_read_planned(
+                            comm, fs, &file, &req, &hints, &mut PlanSource::Local(&mut cache),
                         );
                         let wreq = sweep_ref.request_disjoint(comm.rank(), step);
                         let data: Vec<u8> = wreq
@@ -363,8 +364,9 @@ proptest! {
                             .iter()
                             .flat_map(|e| (e.offset..e.end()).map(value_at))
                             .collect();
-                        collective_write_cached(
-                            comm, fs, &out, &wreq, &data, &hints, Some(&mut cache),
+                        collective_write_planned(
+                            comm, fs, &out, &wreq, &data, &hints,
+                            &mut PlanSource::Local(&mut cache),
                         );
                         got.push(bytes);
                     }
@@ -447,8 +449,8 @@ proptest! {
             for step in 0..2u64 {
                 let io = io_for(step);
                 let fresh = object_get_vara(comm, fs, &file, var, &io, &SumKernel);
-                let cached = object_get_vara_cached(
-                    comm, fs, &file, var, &io, &SumKernel, Some(&mut cache),
+                let cached = object_get_vara_planned(
+                    comm, fs, &file, var, &io, &SumKernel, &mut PlanSource::Local(&mut cache),
                 );
                 assert_eq!(
                     fresh.global_partial, cached.global_partial,
@@ -461,8 +463,8 @@ proptest! {
                 );
                 // Fused kernel through the cached path: its split
                 // components must equal the dedicated kernels' answers.
-                let fused_out = object_get_vara_cached(
-                    comm, fs, &file, var, &io, &fused, Some(&mut cache),
+                let fused_out = object_get_vara_planned(
+                    comm, fs, &file, var, &io, &fused, &mut PlanSource::Local(&mut cache),
                 );
                 let minloc = object_get_vara(comm, fs, &file, var, &io, &MinLocKernel);
                 if let (Some(fp), Some(sp), Some(mp)) = (
@@ -1121,7 +1123,7 @@ proptest! {
 /// job's lookups must all be counted as cross-job.
 #[test]
 fn shared_plan_cache_concurrent_jobs_share_and_count() {
-    use cc_core::{iterative_get_vara_shared, SumKernel};
+    use cc_core::{iterative_get_vara_planned, SumKernel};
     use cc_mpiio::SharedPlanCache;
 
     const NPROCS: usize = 2;
@@ -1166,7 +1168,8 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
                     })
                     .collect();
                 let steps: Vec<_> = ios.iter().map(|io| (var, io.clone())).collect();
-                iterative_get_vara_shared(comm, fs, &file, &steps, &SumKernel, cache, job)
+                let plans = &mut PlanSource::shared(cache, job);
+                iterative_get_vara_planned(comm, fs, &file, &steps, &SumKernel, plans)
             });
             // Sum per-rank stats: each rank made STEPS lookups.
             outs.iter().fold(cc_mpiio::PlanCacheStats::default(), |acc, o| {
@@ -1213,7 +1216,6 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
 #[test]
 fn fresh_schedules_on_different_ranks_share_tables() {
     use cc_mpiio::exchange::exchange_requests;
-    use cc_mpiio::PlanSource;
 
     const NPROCS: usize = 8;
     let hints = Hints {
@@ -1253,7 +1255,7 @@ fn fresh_schedules_on_different_ranks_share_tables() {
 /// nothing but cross-job reuse for every rank of the second job.
 #[test]
 fn per_rank_plan_cache_stats_are_unchanged_by_shared_compiles() {
-    use cc_core::{iterative_get_vara, iterative_get_vara_shared};
+    use cc_core::{iterative_get_vara, iterative_get_vara_planned};
     use cc_mpiio::{PlanCacheStats, SharedPlanCache};
 
     const NPROCS: usize = 2;
@@ -1288,7 +1290,8 @@ fn per_rank_plan_cache_stats_are_unchanged_by_shared_compiles() {
             match job {
                 None => iterative_get_vara(comm, &fs, &file, &steps, &SumKernel),
                 Some(job) => {
-                    iterative_get_vara_shared(comm, &fs, &file, &steps, &SumKernel, &cache, job)
+                    let plans = &mut PlanSource::shared(&cache, job);
+                    iterative_get_vara_planned(comm, &fs, &file, &steps, &SumKernel, plans)
                 }
             }
             .plan_cache
