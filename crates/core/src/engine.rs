@@ -591,21 +591,24 @@ fn reduce_all_to_all(
 
     // Receiver side: my partials come from every aggregator whose domain
     // holds any of my bytes — exactly the aggregators appearing in my
-    // source list, which is (aggregator, iteration)-ordered, so adjacent
-    // dedup suffices.
+    // (round-ordered) source list, combined in aggregator order.
     let mut mine = kernel.identity();
     if let Some(p) = inter.get(comm.rank()) {
         kernel.combine(&mut mine, p);
     }
-    let mut my_senders: Vec<usize> = Vec::new();
-    for &(a, _) in schedule.sources_for(comm.rank()) {
-        let agg_rank = schedule.aggregator_rank(a);
-        if agg_rank != comm.rank() && my_senders.last() != Some(&agg_rank) {
-            my_senders.push(agg_rank);
-        }
-    }
+    let mut my_aggs: Vec<usize> = schedule
+        .sources_for(comm.rank())
+        .iter()
+        .map(|&(a, _)| a)
+        .collect();
+    my_aggs.sort_unstable();
+    my_aggs.dedup();
     let mut combines = 0usize;
-    for src in my_senders {
+    for a in my_aggs {
+        let src = schedule.aggregator_rank(a);
+        if src == comm.rank() {
+            continue;
+        }
         let (bytes, info) = comm.recv_bytes_no_clock(src, tag);
         cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
         comm.recycle_buf(bytes);

@@ -476,9 +476,21 @@ impl CollectivePlan {
     }
 
     /// All `(agg_idx, iter)` chunks that contain bytes for `rank`, in
-    /// deterministic (aggregator, iteration) order. Receivers use this to
-    /// know exactly which messages to expect.
+    /// ROMIO round order: sorted by `(k, a)`, where `k` is the position of
+    /// `iter` among aggregator `a`'s active iterations. Receivers use this
+    /// to know exactly which messages to expect, and in which order.
     pub fn sources_for(&self, rank: usize) -> Vec<(usize, usize)> {
+        let mut out = self.aggregator_major_sources(rank);
+        out.sort_by_cached_key(|&(a, it)| {
+            let k = self.active_iterations(a).binary_search(&it);
+            (k.expect("a source chunk is active"), a)
+        });
+        out
+    }
+
+    /// The chunks of [`Self::sources_for`] in (aggregator, iteration)
+    /// order.
+    pub fn aggregator_major_sources(&self, rank: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for agg_idx in 0..self.aggregators.len() {
             let d = &self.domains[agg_idx];

@@ -6,10 +6,11 @@
 //! [`PlanSchedule`] compiles the complete schedule once, with a single
 //! linear co-sweep over all ranks' extents, into CSR-style flat tables:
 //! per (aggregator, iteration) slot the covering read ranges, the
-//! destination ranks, and each destination's piece slice; per rank the
-//! ordered `(agg, iter)` source list. Every query the engines make becomes
-//! an O(1) or slice lookup, and the per-call `Vec<Piece>` allocations of
-//! the query API disappear.
+//! destination ranks, and each destination's piece slice; the global round
+//! order of the active slots; per rank the `(agg, iter)` source list in
+//! that round order. Every query the engines make becomes an O(1) or slice
+//! lookup, and the per-call `Vec<Piece>` allocations of the query API
+//! disappear.
 //!
 //! [`PlanCache`] layers reuse on top for iterative sweeps
 //! (`cc-core::iterative`): schedules are keyed by a request-shape
@@ -49,8 +50,12 @@ struct ScheduleIndex {
     /// final end sentinel): destination `d` owns `pieces[piece_base[d]..
     /// piece_base[d + 1]]`, in file (and buffer) order.
     piece_base: Vec<usize>,
-    /// CSR of `(agg_idx, iter)` sources per rank, in deterministic
-    /// (aggregator, iteration) order.
+    /// Every active slot `(agg_idx, iter)` in ROMIO's round order, sorted
+    /// by `(k, a)` where `k` is the slot's position among aggregator `a`'s
+    /// active iterations: round `k` of every aggregator comes before round
+    /// `k + 1` of any. Every order-sensitive relay loop walks this list.
+    rounds: Vec<(usize, usize)>,
+    /// CSR of `(agg_idx, iter)` sources per rank, in round order.
     src_base: Vec<usize>,
     sources: Vec<(usize, usize)>,
     /// Destination-table index of each source entry (parallel to
@@ -100,7 +105,9 @@ impl PlanSchedule {
     /// domain boundary it spans). That keeps the counting-sort that groups
     /// a slot's pieces by destination inside a per-domain scratch small
     /// enough to stay cache-resident, and makes every global table a
-    /// sequential append — slots are emitted in `(agg, iter)` order.
+    /// sequential append — slots are emitted in `(agg, iter)` order. The
+    /// round order and the per-rank source lists are derived from those
+    /// tables afterwards.
     ///
     /// Strided (group-cyclic) domains interleave across aggregators, so
     /// the persistent-cursor sweep does not apply; those plans use a
@@ -137,16 +144,6 @@ impl PlanSchedule {
         let mut dest_rank = Vec::new();
         let mut piece_base = Vec::new();
         let mut pieces: Vec<Piece> = Vec::new();
-        // Source lists are per-rank but emitted domain-major; collect them
-        // per rank (aggregator order is preserved) with the destination
-        // entry each source corresponds to, and concatenate below. A rank
-        // rarely has more sources than extents, so reserving that much
-        // avoids growth reallocations in the common case.
-        let mut rank_sources: Vec<Vec<(usize, usize, usize)>> = plan
-            .requests
-            .iter()
-            .map(|r| Vec::with_capacity(r.extents().len()))
-            .collect();
 
         // Per-rank sweep cursor: index of the first extent not fully behind
         // the domains processed so far, and its request-buffer offset.
@@ -400,19 +397,6 @@ impl PlanSchedule {
                 p0 += cnt;
             }
 
-            // Source lists: walking this domain's destinations slot-major
-            // visits each rank's chunks in (aggregator, iteration) order, so
-            // appending per rank preserves the deterministic source order —
-            // and records which destination entry the source's pieces live
-            // under.
-            let mut dd = 0usize;
-            for (it, &c) in dest_count.iter().enumerate() {
-                for _ in 0..c {
-                    rank_sources[local_dest_rank[dd]].push((a, it, dest_off0 + dd));
-                    dd += 1;
-                }
-            }
-
             for (it, &c) in piece_count.iter().enumerate() {
                 if c > 0 {
                     active_iters.push(it);
@@ -422,17 +406,41 @@ impl PlanSchedule {
         }
         piece_base.push(pieces.len());
 
-        let mut src_base = Vec::with_capacity(nprocs + 1);
-        src_base.push(0usize);
-        let total_sources = rank_sources.iter().map(Vec::len).sum();
-        let mut sources = Vec::with_capacity(total_sources);
-        let mut src_dest = Vec::with_capacity(total_sources);
-        for per_rank in &rank_sources {
-            for &(a, it, d) in per_rank {
-                sources.push((a, it));
-                src_dest.push(d);
+        // Round order: round k of every aggregator, in aggregator order,
+        // before round k + 1 of any.
+        let rounds_of = |a: usize| active_base[a + 1] - active_base[a];
+        let max_rounds = (0..naggs).map(rounds_of).max().unwrap_or(0);
+        let mut rounds = Vec::with_capacity(active_iters.len());
+        for k in 0..max_rounds {
+            for a in 0..naggs {
+                if k < rounds_of(a) {
+                    rounds.push((a, active_iters[active_base[a] + k]));
+                }
             }
-            src_base.push(sources.len());
+        }
+
+        // Source lists: every destination entry is one source of its rank.
+        // Walking the slots in round order and scattering each entry into
+        // its rank's CSR row lists every rank's sources in round order,
+        // each with the destination entry its pieces live under.
+        let mut src_base = vec![0usize; nprocs + 1];
+        for &r in &dest_rank {
+            src_base[r + 1] += 1;
+        }
+        for r in 0..nprocs {
+            src_base[r + 1] += src_base[r];
+        }
+        let mut next_src = src_base[..nprocs].to_vec();
+        let mut sources = vec![(0usize, 0usize); dest_rank.len()];
+        let mut src_dest = vec![0usize; dest_rank.len()];
+        for &(a, it) in &rounds {
+            let slot = iter_base[a] + it;
+            for d in dest_base[slot]..dest_base[slot + 1] {
+                let k = &mut next_src[dest_rank[d]];
+                sources[*k] = (a, it);
+                src_dest[*k] = d;
+                *k += 1;
+            }
         }
 
         Self {
@@ -444,6 +452,7 @@ impl PlanSchedule {
                 dest_base,
                 dest_rank,
                 piece_base,
+                rounds,
                 src_base,
                 sources,
                 src_dest,
@@ -569,8 +578,17 @@ impl PlanSchedule {
         })
     }
 
-    /// All `(agg_idx, iter)` chunks holding bytes for `rank`, in
-    /// deterministic (aggregator, iteration) order.
+    /// Every active chunk `(agg_idx, iter)` in ROMIO's round order: each
+    /// aggregator's `k`-th active iteration, in aggregator order, before
+    /// any aggregator's `k + 1`-th. Restricted to one aggregator the list
+    /// ascends in iteration order, so a relay loop walking it pairs FIFO
+    /// with that aggregator's own ascending stream.
+    pub fn rounds(&self) -> &[(usize, usize)] {
+        &self.index.rounds
+    }
+
+    /// All `(agg_idx, iter)` chunks holding bytes for `rank`, in round
+    /// order (the order of [`Self::rounds`]).
     pub fn sources_for(&self, rank: usize) -> &[(usize, usize)] {
         let t = &self.index;
         &t.sources[t.src_base[rank]..t.src_base[rank + 1]]
@@ -1200,6 +1218,20 @@ mod tests {
                 }
             }
         }
+        // Round order, re-derived from the oracle's active iterations:
+        // every (a, it) slot, sorted by (position among a's, a).
+        let mut rounds: Vec<(usize, usize, usize)> = (0..naggs)
+            .flat_map(|a| {
+                let active = plan.active_iterations(a);
+                active
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(k, it)| (k, a, it))
+            })
+            .collect();
+        rounds.sort_unstable();
+        let rounds: Vec<(usize, usize)> = rounds.into_iter().map(|(_, a, it)| (a, it)).collect();
+        assert_eq!(sched.rounds(), rounds.as_slice(), "rounds");
         for rank in 0..plan.requests.len() {
             assert_eq!(
                 sched.sources_for(rank),
@@ -1766,6 +1798,37 @@ mod tests {
             let plan = CollectivePlan::build(reqs, &topo, nprocs, &h);
             let sched = PlanSchedule::compile(plan.clone());
             assert_matches_oracle(&plan, &sched);
+        }
+
+        #[test]
+        fn prop_round_order_permutes_aggregator_major_sources(
+            reqs in arb_requests(6),
+            cb in 1u64..200,
+            nodes in 1usize..4,
+            partition_idx in 0usize..3,
+            striping in proptest::option::of((1u64..48, 1usize..6)),
+        ) {
+            let nprocs = reqs.len();
+            let topo = Topology::new(nodes, nprocs.div_ceil(nodes).max(1));
+            let h = Hints {
+                domain_partition: partition_from(partition_idx),
+                striping: striping.map(|(unit, factor)| Striping { unit, factor }),
+                ..hints(cb)
+            };
+            let plan = CollectivePlan::build(reqs, &topo, nprocs, &h);
+            let sched = PlanSchedule::compile(plan.clone());
+            for rank in 0..nprocs {
+                let mut round_ordered = sched.sources_for(rank).to_vec();
+                // Within one aggregator the round order keeps iterations
+                // ascending: FIFO pairing with the aggregator's own stream.
+                for a in 0..plan.aggregators.len() {
+                    let its: Vec<usize> =
+                        round_ordered.iter().filter(|s| s.0 == a).map(|s| s.1).collect();
+                    prop_assert!(its.windows(2).all(|w| w[0] < w[1]));
+                }
+                round_ordered.sort_unstable();
+                prop_assert_eq!(round_ordered, plan.aggregator_major_sources(rank));
+            }
         }
 
         #[test]

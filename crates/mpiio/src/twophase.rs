@@ -222,7 +222,41 @@ pub fn collective_read_planned(
     }
 
     // --- Receiver role: collect pieces from every sending chunk. -------
-    let mut done = agg_done;
+    let done = receive_pieces(
+        comm,
+        &schedule,
+        hier.as_ref(),
+        tag,
+        hints,
+        &mut buf,
+        agg_done,
+    );
+    if done > agg_done {
+        report
+            .segments
+            .push(Segment::new(agg_done, done, Activity::Wait));
+    }
+    comm.advance_to(done);
+    report.end = comm.clock();
+    (buf, report)
+}
+
+/// The member receive loop: collects this rank's pieces of every chunk it
+/// sources into `buf`, walking its sources in round order — the order the
+/// node leader relays in. Remote-node chunks arrive through the leader's
+/// relay, same-node chunks straight from their aggregator, and this rank's
+/// own chunks were placed by its aggregator loop. Returns the time the last
+/// piece was unpacked, no earlier than `start`.
+fn receive_pieces(
+    comm: &mut Comm,
+    schedule: &PlanSchedule,
+    hier: Option<&NodeView>,
+    tag: TagValue,
+    hints: &Hints,
+    buf: &mut [u8],
+    start: SimTime,
+) -> SimTime {
+    let mut done = start;
     let cpu = comm.model().cpu.clone();
     let relay_tag = TAG_SHUFFLE_RELAY | (tag & SEQ_MASK);
     for (a, iter, pieces) in schedule.sources_with_pieces(comm.rank()) {
@@ -232,7 +266,7 @@ pub fn collective_read_planned(
         }
         // Remote-node chunks arrive re-shuffled through the node leader;
         // same-node chunks come straight from the aggregator.
-        let (src, src_tag) = match hier.as_ref() {
+        let (src, src_tag) = match hier {
             Some(view) if view.node_of(agg_rank) != view.node => (view.leader, relay_tag),
             _ => (agg_rank, tag),
         };
@@ -266,14 +300,7 @@ pub fn collective_read_planned(
         comm.recycle_buf(payload);
         done = done.max(unpacked);
     }
-    if done > agg_done {
-        report
-            .segments
-            .push(Segment::new(agg_done, done, Activity::Wait));
-    }
-    comm.advance_to(done);
-    report.end = comm.clock();
-    (buf, report)
+    done
 }
 
 /// Runs the aggregator loop for `agg_idx`; returns the time the last
@@ -505,9 +532,9 @@ fn run_aggregator(
 }
 
 /// The node leader's relay loop: for every chunk whose aggregator lives on
-/// a *remote* node and that holds pieces for this node, receives the
-/// aggregator's coalesced frame and forwards each member's sections as one
-/// intra-node message. The leader's own sections travel through the
+/// a *remote* node and that holds pieces for this node, in round order,
+/// receives the aggregator's coalesced frame and forwards each member's
+/// sections as one intra-node message. The leader's own sections travel through the
 /// self-send short circuit, so the receiver loop stays uniform. Frames are
 /// header-less — section boundaries are recomputed from the shared
 /// schedule. Returns the time the last relay departed.
@@ -525,67 +552,64 @@ fn relay_read_frames(
     let start = comm.clock();
     let mut relay_lane = Lane::free_from(start);
     let mut last = start;
-    // Slots are walked in global (aggregator, iteration) order — the same
-    // order in which every member drains its relay stream, and in which
-    // each aggregator posts its frames, so FIFO matching pairs them up.
-    for a in 0..schedule.plan().aggregators.len() {
+    // Slots are walked in round order — the order in which every member
+    // drains its relay stream (its sources follow the same order) — so
+    // FIFO matching pairs them up. Restricted to one aggregator the order
+    // ascends by iteration, which is how the aggregator posts its frames.
+    for &(a, iter) in schedule.rounds() {
         let agg_rank = schedule.aggregator_rank(a);
         if view.node_of(agg_rank) == view.node {
             continue; // same-node chunks are shuffled directly
         }
-        for &iter in schedule.active_iterations(a) {
-            if schedule
-                .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-                .next()
-                .is_none()
-            {
-                continue; // no frame was sent for this chunk
-            }
-            let (frame, info) = comm.recv_bytes_no_clock(agg_rank, frame_tag);
-            // Frames from remote aggregators arrive compressed when the
-            // hints say so; the leader decodes once (occupying the relay
-            // lane) and relays raw sections intra-node.
-            let frame = if hints.compression.is_on() {
-                let (logical, n) = decode_from_wire(comm, frame);
-                relay_lane.acquire(info.arrival, cpu.decompress_time(n));
-                logical
-            } else {
-                frame
-            };
-            let mut pos = 0usize;
-            for (dst, pieces) in
-                schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            {
-                let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-                let mut payload = comm.take_buf();
-                payload.extend_from_slice(&frame[pos..pos + len]);
-                pos += len;
-                // Splitting a contiguous section is a plain copy — the
-                // per-piece scatter cost was already paid by the
-                // aggregator when it packed the frame.
-                let cost = if dst == comm.rank() {
-                    cpu.memcpy_time(len)
-                } else {
-                    cpu.memcpy_time(len)
-                        + comm.model().net.wire_time(len, true)
-                        + comm.model().net.msg_cost(true)
-                };
-                let depart = relay_lane.acquire(info.arrival, cost);
-                if dst != comm.rank() {
-                    report.bytes_shuffled += len as u64;
-                }
-                comm.post_bytes_at(dst, relay_tag, payload, depart);
-                last = last.max(depart);
-            }
-            assert_eq!(
-                pos,
-                frame.len(),
-                "rank {}: shuffle frame length mismatch from rank {agg_rank} \
-                 (aggregator {a}, iteration {iter}, tag {frame_tag:#x})",
-                comm.rank(),
-            );
-            comm.recycle_buf(frame);
+        if schedule
+            .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
+            .next()
+            .is_none()
+        {
+            continue; // no frame was sent for this chunk
         }
+        let (frame, info) = comm.recv_bytes_no_clock(agg_rank, frame_tag);
+        // Frames from remote aggregators arrive compressed when the
+        // hints say so; the leader decodes once (occupying the relay
+        // lane) and relays raw sections intra-node.
+        let frame = if hints.compression.is_on() {
+            let (logical, n) = decode_from_wire(comm, frame);
+            relay_lane.acquire(info.arrival, cpu.decompress_time(n));
+            logical
+        } else {
+            frame
+        };
+        let mut pos = 0usize;
+        for (dst, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
+            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+            let mut payload = comm.take_buf();
+            payload.extend_from_slice(&frame[pos..pos + len]);
+            pos += len;
+            // Splitting a contiguous section is a plain copy — the
+            // per-piece scatter cost was already paid by the
+            // aggregator when it packed the frame.
+            let cost = if dst == comm.rank() {
+                cpu.memcpy_time(len)
+            } else {
+                cpu.memcpy_time(len)
+                    + comm.model().net.wire_time(len, true)
+                    + comm.model().net.msg_cost(true)
+            };
+            let depart = relay_lane.acquire(info.arrival, cost);
+            if dst != comm.rank() {
+                report.bytes_shuffled += len as u64;
+            }
+            comm.post_bytes_at(dst, relay_tag, payload, depart);
+            last = last.max(depart);
+        }
+        assert_eq!(
+            pos,
+            frame.len(),
+            "rank {}: shuffle frame length mismatch from rank {agg_rank} \
+             (aggregator {a}, iteration {iter}, tag {frame_tag:#x})",
+            comm.rank(),
+        );
+        comm.recycle_buf(frame);
     }
     if last > start {
         report
@@ -593,6 +617,53 @@ fn relay_read_frames(
             .push(Segment::new(start, last, Activity::Sys));
     }
     last
+}
+
+/// The shape of the relay lane tests of both engines: two nodes of two
+/// ranks, both aggregators (ranks 2 and 3) on node 1, each owning two
+/// 100-byte chunks; every chunk holds 50 bytes for rank 0 (node 0's
+/// leader) then 50 for rank 1. The model makes every clock exact: no
+/// latency, infinite bandwidth, free copies, and a posting overhead of
+/// `u` (intra-node) or `2u` (inter-node) seconds, `u = 2^-10`. Returns the
+/// model, the compiled schedule and `u`.
+#[cfg(test)]
+pub(crate) fn two_remote_aggregators() -> (cc_model::ClusterModel, PlanSchedule, f64) {
+    use crate::extent::Extent;
+    use crate::plan::{CollectivePlan, FileDomain};
+    let u = 1.0 / 1024.0;
+    let mut model = cc_model::ClusterModel::test_tiny(4)
+        .with_collectives(cc_model::CollectiveMode::Hierarchical);
+    model.topology = cc_model::Topology::new(2, 2);
+    model.net.latency_intra = 0.0;
+    model.net.latency_inter = 0.0;
+    model.net.bw_intra = f64::INFINITY;
+    model.net.bw_inter = f64::INFINITY;
+    model.net.send_overhead = 0.0;
+    model.net.scatter_overhead = 0.0;
+    model.net.msg_overhead_intra = u;
+    model.net.msg_overhead_inter = 2.0 * u;
+    model.cpu.memcpy_cost_per_byte = 0.0;
+    let half = |first: u64| {
+        let offsets = (0..4).map(|c| first + 100 * c);
+        OffsetList::new(offsets.map(|offset| Extent { offset, len: 50 }).collect())
+    };
+    let plan = CollectivePlan {
+        aggregators: vec![2, 3],
+        domains: vec![
+            FileDomain::contiguous(0, 200),
+            FileDomain::contiguous(200, 400),
+        ],
+        cb: 100,
+        requests: std::sync::Arc::new(vec![
+            half(0),
+            half(50),
+            OffsetList::empty(),
+            OffsetList::empty(),
+        ]),
+    };
+    let schedule = PlanSchedule::compile(plan);
+    assert_eq!(schedule.rounds(), &[(0, 0), (1, 0), (0, 1), (1, 1)]);
+    (model, schedule, u)
 }
 
 #[cfg(test)]
@@ -1031,6 +1102,57 @@ mod tests {
             inter(&flat),
             inter(&hier)
         );
+    }
+
+    /// The read leader's relay lane in closed form. Each aggregator's
+    /// round-0 frame reaches the leader at 0 and its round-1 frame at 8u;
+    /// relaying a frame costs nothing for the leader's own section and u
+    /// for rank 1's. Round order relays (0,0), (1,0) at once and the
+    /// round-1 frames when they land: rank 1's sections depart at u, 2u,
+    /// 9u, 10u. Aggregator-major order would hold (1,0) behind (0,1)'s 8u
+    /// arrival and finish at 11u.
+    #[test]
+    fn read_relay_serves_aggregators_in_round_order() {
+        let (model, schedule, u) = two_remote_aggregators();
+        let t = |n: f64| SimTime::from_secs(n * u);
+        let schedule = &schedule;
+        let tag = TAG_SHUFFLE | 1;
+        let out = World::new(4, model).run(move |comm| {
+            let hints = Hints::default();
+            let view = comm.hier_view().expect("two nodes");
+            if let Some(a) = schedule.aggregator_index(comm.rank()) {
+                for (k, &iter) in schedule.active_iterations(a).iter().enumerate() {
+                    let mut frame = Vec::new();
+                    for (_, pieces) in schedule.dests_with_pieces_in(a, iter, 0, 2) {
+                        for p in pieces {
+                            frame.extend((p.extent.offset..p.extent.end()).map(|i| i as u8));
+                        }
+                    }
+                    let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
+                    comm.post_bytes_at(0, frame_tag, frame, t(8.0 * k as f64));
+                }
+                return None;
+            }
+            let mut report = TwoPhaseReport::default();
+            let mut relayed = SimTime::ZERO;
+            if view.is_leader(comm.rank()) {
+                relayed = relay_read_frames(comm, schedule, &view, tag, &hints, &mut report);
+            }
+            let request = &schedule.plan().requests[comm.rank()];
+            let mut buf = vec![0u8; request.total_bytes() as usize];
+            let done = receive_pieces(comm, schedule, Some(&view), tag, &hints, &mut buf, relayed);
+            let expect: Vec<u8> = request
+                .extents()
+                .iter()
+                .flat_map(|e| (e.offset..e.end()).map(|i| i as u8))
+                .collect();
+            assert_eq!(buf, expect, "rank {} bytes", comm.rank());
+            Some((relayed, done))
+        });
+        // Leader: last relay departs at 10u, and its completion waits for it.
+        assert_eq!(out[0], Some((t(10.0), t(10.0))));
+        // Member: its last section arrives at 10u.
+        assert_eq!(out[1], Some((SimTime::ZERO, t(10.0))));
     }
 
     #[test]

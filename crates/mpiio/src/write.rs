@@ -121,62 +121,16 @@ pub fn collective_write_planned(
     };
 
     // --- Sender role: scatter my pieces to the owning aggregators. -----
-    // With hierarchical paths active, pieces bound for a remote-node
-    // aggregator go to the local node leader (one cheap intra-node hop)
-    // instead of crossing the interconnect one message per rank; the
-    // leader coalesces them below.
     let hier = comm.hier_view();
-    let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
-    let cpu = comm.model().cpu.clone();
-    let mut send_lane = Lane::free_from(comm.clock());
-    for (a, _, pieces) in schedule.sources_with_pieces(comm.rank()) {
-        let agg_rank = schedule.aggregator_rank(a);
-        if agg_rank == comm.rank() {
-            // Own pieces are handed over locally in the aggregator loop.
-            continue;
-        }
-        let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-        let mut payload = comm.take_buf();
-        payload.reserve(piece_bytes);
-        for p in pieces {
-            let lo = p.buf_offset as usize;
-            payload.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
-        }
-        if let Some(view) = hier.as_ref().filter(|v| v.node_of(agg_rank) != v.node) {
-            // The leader's own contribution rides the self-send short
-            // circuit: no wire or posting cost, just the pack.
-            let mut cost = cpu.memcpy_time(payload.len())
-                + comm.model().net.scatter_cost().scale(pieces.len() as f64);
-            if comm.rank() != view.leader {
-                cost = cost
-                    + comm.model().net.wire_time(payload.len(), true)
-                    + comm.model().net.msg_cost(true);
-            }
-            let depart = send_lane.acquire(comm.clock(), cost);
-            report.bytes_shuffled += payload.len() as u64;
-            comm.post_bytes_at(view.leader, up_tag, payload, depart);
-            continue;
-        }
-        // Direct sends that cross the interconnect may travel compressed;
-        // intra-node sends always stay raw (cheap lane, nothing to save).
-        let same_node = comm.model().topology.same_node(comm.rank(), agg_rank);
-        let (wire, logical_len, compressed) =
-            encode_for_wire(comm, &hints.compression, same_node, payload);
-        let codec = if compressed {
-            cpu.compress_time(logical_len)
-        } else {
-            SimTime::ZERO
-        };
-        let cost = cpu.memcpy_time(logical_len)
-            + codec
-            + comm.model().net.scatter_cost().scale(pieces.len() as f64)
-            + comm.model().net.wire_time(wire.len(), same_node)
-            + comm.model().net.msg_cost(same_node);
-        let depart = send_lane.acquire(comm.clock(), cost);
-        report.bytes_shuffled += logical_len as u64;
-        comm.post_framed_bytes_at(agg_rank, tag, wire, depart, logical_len);
-    }
-    let sends_done = send_lane.free_at().max(comm.clock());
+    let sends_done = send_pieces(
+        comm,
+        &schedule,
+        hier.as_ref(),
+        tag,
+        hints,
+        data,
+        &mut report,
+    );
     if sends_done > report.start {
         report
             .segments
@@ -217,12 +171,83 @@ pub fn collective_write_planned(
     report
 }
 
+/// The member send loop: packs this rank's pieces of every chunk it
+/// sources and posts them, walking its sources in round order — the order
+/// the node leader coalesces in. With hierarchical paths active, pieces
+/// bound for a remote-node aggregator go to the local node leader (one
+/// cheap intra-node hop) instead of crossing the interconnect one message
+/// per rank; same-node pieces go straight to their aggregator, and this
+/// rank's own chunks are handed over in its aggregator loop. Returns the
+/// time the send lane is free.
+fn send_pieces(
+    comm: &mut Comm,
+    schedule: &PlanSchedule,
+    hier: Option<&NodeView>,
+    tag: TagValue,
+    hints: &Hints,
+    data: &[u8],
+    report: &mut WriteReport,
+) -> SimTime {
+    let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
+    let cpu = comm.model().cpu.clone();
+    let mut send_lane = Lane::free_from(comm.clock());
+    for (a, _, pieces) in schedule.sources_with_pieces(comm.rank()) {
+        let agg_rank = schedule.aggregator_rank(a);
+        if agg_rank == comm.rank() {
+            // Own pieces are handed over locally in the aggregator loop.
+            continue;
+        }
+        let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+        let mut payload = comm.take_buf();
+        payload.reserve(piece_bytes);
+        for p in pieces {
+            let lo = p.buf_offset as usize;
+            payload.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
+        }
+        if let Some(view) = hier.filter(|v| v.node_of(agg_rank) != v.node) {
+            // The leader's own contribution rides the self-send short
+            // circuit: no wire or posting cost, just the pack.
+            let mut cost = cpu.memcpy_time(payload.len())
+                + comm.model().net.scatter_cost().scale(pieces.len() as f64);
+            if comm.rank() != view.leader {
+                cost = cost
+                    + comm.model().net.wire_time(payload.len(), true)
+                    + comm.model().net.msg_cost(true);
+            }
+            let depart = send_lane.acquire(comm.clock(), cost);
+            report.bytes_shuffled += payload.len() as u64;
+            comm.post_bytes_at(view.leader, up_tag, payload, depart);
+            continue;
+        }
+        // Direct sends that cross the interconnect may travel compressed;
+        // intra-node sends always stay raw (cheap lane, nothing to save).
+        let same_node = comm.model().topology.same_node(comm.rank(), agg_rank);
+        let (wire, logical_len, compressed) =
+            encode_for_wire(comm, &hints.compression, same_node, payload);
+        let codec = if compressed {
+            cpu.compress_time(logical_len)
+        } else {
+            SimTime::ZERO
+        };
+        let cost = cpu.memcpy_time(logical_len)
+            + codec
+            + comm.model().net.scatter_cost().scale(pieces.len() as f64)
+            + comm.model().net.wire_time(wire.len(), same_node)
+            + comm.model().net.msg_cost(same_node);
+        let depart = send_lane.acquire(comm.clock(), cost);
+        report.bytes_shuffled += logical_len as u64;
+        comm.post_framed_bytes_at(agg_rank, tag, wire, depart, logical_len);
+    }
+    send_lane.free_at().max(comm.clock())
+}
+
 /// The node leader's coalescing loop, the mirror of the read engine's
 /// relay: for every chunk owned by a *remote-node* aggregator that this
-/// node contributes to, receives each member's up-message (its own rides
-/// the self-send short circuit), concatenates them in ascending member
-/// order into one header-less frame, and sends it to the aggregator —
-/// paying the inter-node posting overhead once per (chunk, node) pair.
+/// node contributes to, in round order, receives each member's up-message
+/// (its own rides the self-send short circuit), concatenates them in
+/// ascending member order into one header-less frame, and sends it to the
+/// aggregator — paying the inter-node posting overhead once per (chunk,
+/// node) pair.
 /// Returns the time the last frame departed.
 fn coalesce_write_frames(
     comm: &mut Comm,
@@ -238,63 +263,60 @@ fn coalesce_write_frames(
     let start = comm.clock();
     let mut frame_lane = Lane::free_from(start);
     let mut last = start;
-    // Slots are walked in global (aggregator, iteration) order — the same
-    // order in which every member posts its up-messages and in which each
-    // aggregator drains its frame stream, so FIFO matching pairs them up.
-    for a in 0..schedule.plan().aggregators.len() {
+    // Slots are walked in round order — the order in which every member
+    // posts its up-messages (its sources follow the same order) — so FIFO
+    // matching pairs them up. Restricted to one aggregator the order
+    // ascends by iteration, which is how the aggregator drains its frames.
+    for &(a, iter) in schedule.rounds() {
         let agg_rank = schedule.aggregator_rank(a);
         if view.node_of(agg_rank) == view.node {
             continue; // same-node chunks are shuffled directly
         }
-        for &iter in schedule.active_iterations(a) {
-            // Pre-size the frame from the schedule's piece tables so
-            // coalescing never reallocates mid-concatenation.
-            let frame_bytes: usize = schedule
-                .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-                .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
-                .sum();
-            if frame_bytes == 0 {
-                continue; // this node contributes nothing to the chunk
-            }
-            let mut frame = comm.take_buf();
-            frame.reserve(frame_bytes);
-            let mut arrival = start;
-            for (src, pieces) in
-                schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            {
-                let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-                let (payload, info) = comm.recv_bytes_no_clock(src, up_tag);
-                assert_eq!(
-                    payload.len(),
-                    len,
-                    "rank {}: write up-message length mismatch from rank {src} \
-                     (aggregator {a}, iteration {iter}, tag {up_tag:#x})",
-                    comm.rank(),
-                );
-                arrival = arrival.max(info.arrival);
-                frame.extend_from_slice(&payload);
-                comm.recycle_buf(payload);
-            }
-            // Concatenating contiguous payloads is a plain copy — the
-            // per-piece scatter cost was already paid by the members.
-            // The coalesced frame always crosses the interconnect, so it
-            // is compressed whenever the hints ask for it.
-            let (wire, logical_len, compressed) =
-                encode_for_wire(comm, &hints.compression, false, frame);
-            let codec = if compressed {
-                cpu.compress_time(logical_len)
-            } else {
-                SimTime::ZERO
-            };
-            let cost = cpu.memcpy_time(logical_len)
-                + codec
-                + comm.model().net.wire_time(wire.len(), false)
-                + comm.model().net.msg_cost(false);
-            let depart = frame_lane.acquire(arrival, cost);
-            report.bytes_shuffled += logical_len as u64;
-            comm.post_framed_bytes_at(agg_rank, frame_tag, wire, depart, logical_len);
-            last = last.max(depart);
+        // Pre-size the frame from the schedule's piece tables so
+        // coalescing never reallocates mid-concatenation.
+        let frame_bytes: usize = schedule
+            .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
+            .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
+            .sum();
+        if frame_bytes == 0 {
+            continue; // this node contributes nothing to the chunk
         }
+        let mut frame = comm.take_buf();
+        frame.reserve(frame_bytes);
+        let mut arrival = start;
+        for (src, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
+            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+            let (payload, info) = comm.recv_bytes_no_clock(src, up_tag);
+            assert_eq!(
+                payload.len(),
+                len,
+                "rank {}: write up-message length mismatch from rank {src} \
+                 (aggregator {a}, iteration {iter}, tag {up_tag:#x})",
+                comm.rank(),
+            );
+            arrival = arrival.max(info.arrival);
+            frame.extend_from_slice(&payload);
+            comm.recycle_buf(payload);
+        }
+        // Concatenating contiguous payloads is a plain copy — the
+        // per-piece scatter cost was already paid by the members.
+        // The coalesced frame always crosses the interconnect, so it
+        // is compressed whenever the hints ask for it.
+        let (wire, logical_len, compressed) =
+            encode_for_wire(comm, &hints.compression, false, frame);
+        let codec = if compressed {
+            cpu.compress_time(logical_len)
+        } else {
+            SimTime::ZERO
+        };
+        let cost = cpu.memcpy_time(logical_len)
+            + codec
+            + comm.model().net.wire_time(wire.len(), false)
+            + comm.model().net.msg_cost(false);
+        let depart = frame_lane.acquire(arrival, cost);
+        report.bytes_shuffled += logical_len as u64;
+        comm.post_framed_bytes_at(agg_rank, frame_tag, wire, depart, logical_len);
+        last = last.max(depart);
     }
     if last > start {
         report
@@ -884,6 +906,61 @@ mod tests {
             logical >= 3 * wire,
             "expected >=3x inter-node wire reduction: logical {logical} wire {wire}"
         );
+    }
+
+    /// The write leader's frame lane in closed form. Rank 1 posts its four
+    /// up-messages in round order at u, 2u, 3u, 4u (u each); the leader's
+    /// own ride the self-send short circuit at 0. Each coalesced frame
+    /// costs the leader's lane 2u once its sections are in, so frames
+    /// depart at 3u, 5u, 7u, 9u in round order: aggregator 0 (rank 2)
+    /// gets its chunks at 3u and 7u, aggregator 1 (rank 3) at 5u and 9u.
+    /// Aggregator-major order would starve aggregator 1 until 7u.
+    #[test]
+    fn write_leader_coalesces_in_round_order() {
+        let (model, schedule, u) = crate::twophase::two_remote_aggregators();
+        let t = |n: f64| SimTime::from_secs(n * u);
+        let schedule = &schedule;
+        let tag = TAG_WRITE_SHUFFLE | 1;
+        let out = World::new(4, model).run(move |comm| {
+            let hints = Hints::default();
+            let view = comm.hier_view().expect("two nodes");
+            if let Some(a) = schedule.aggregator_index(comm.rank()) {
+                let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
+                let frames = schedule.active_iterations(a).iter();
+                return frames
+                    .map(|_| comm.recv_bytes_no_clock(0, frame_tag).1.arrival)
+                    .collect();
+            }
+            let data = vec![comm.rank() as u8; 200];
+            let mut report = WriteReport::default();
+            let mut times = vec![send_pieces(
+                comm,
+                schedule,
+                Some(&view),
+                tag,
+                &hints,
+                &data,
+                &mut report,
+            )];
+            if view.is_leader(comm.rank()) {
+                times.push(coalesce_write_frames(
+                    comm,
+                    schedule,
+                    &view,
+                    tag,
+                    &hints,
+                    &mut report,
+                ));
+            }
+            times
+        });
+        // Leader: own sends done at once, last frame departs at 9u.
+        assert_eq!(out[0], vec![SimTime::ZERO, t(9.0)]);
+        // Member: its send lane is free after four up-messages.
+        assert_eq!(out[1], vec![t(4.0)]);
+        // Each aggregator's frames, by iteration.
+        assert_eq!(out[2], vec![t(3.0), t(7.0)]);
+        assert_eq!(out[3], vec![t(5.0), t(9.0)]);
     }
 
     #[test]

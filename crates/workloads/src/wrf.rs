@@ -17,6 +17,12 @@ use cc_array::{DType, Dataset, Hyperslab, Shape, Variable};
 use cc_pfs::backend::{ElemKind, SyntheticBackend};
 use cc_pfs::{Pfs, StripeLayout};
 
+/// Squared distance from the storm center beyond which the SLP depression
+/// is below half an ulp of the 1010 hPa ambient for every depth (at most
+/// 75 hPa): `75 * exp(-2000 / 50)` is about `3e-16`, half an ulp of 1010
+/// is about `5.7e-14`. There the full formula rounds to exactly 1010.0.
+const SLP_AMBIENT_D2: f64 = 2000.0;
+
 /// The WRF grid: `times x south_north x west_east`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrfGrid {
@@ -48,12 +54,14 @@ impl WrfGrid {
         dy * dy + dx * dx
     }
 
-    /// Decomposes a flat element index into `(t, y, x)`.
+    /// Decomposes a flat element index into `(t, y, x)`, with one
+    /// division per level.
     pub fn coords(&self, i: u64) -> (u64, u64, u64) {
-        let x = i % self.we;
-        let y = (i / self.we) % self.sn;
-        let t = i / (self.we * self.sn);
-        (t, y, x)
+        let plane = self.sn * self.we;
+        let t = i / plane;
+        let r = i - t * plane;
+        let y = r / self.we;
+        (t, y, r - y * self.we)
     }
 
     /// Storm depth (hPa below ambient) at time `t`: deepens by 1 hPa per
@@ -63,10 +71,16 @@ impl WrfGrid {
     }
 
     /// Sea-level pressure (hPa) at flat element index `i`: ambient 1010
-    /// minus a Gaussian depression around the storm center.
+    /// minus a Gaussian depression around the storm center. Far from the
+    /// center the depression rounds away, so the `exp` is skipped there;
+    /// the result is bit-identical either way.
     pub fn slp(&self, i: u64) -> f64 {
         let (t, y, x) = self.coords(i);
-        1010.0 - self.depth(t) * (-self.d2(t, y, x) / 50.0).exp()
+        let d2 = self.d2(t, y, x);
+        if d2 >= SLP_AMBIENT_D2 {
+            return 1010.0;
+        }
+        slp_at(self.depth(t), d2)
     }
 
     /// 10 m wind speed (knots) at flat element index `i`: calm background
@@ -87,6 +101,12 @@ impl WrfGrid {
         let idx = (t * self.sn + cy) * self.we + cx;
         (1010.0 - self.depth(t), idx)
     }
+}
+
+/// Sea level pressure at storm depth `depth` and squared distance `d2` from
+/// the storm center.
+fn slp_at(depth: f64, d2: f64) -> f64 {
+    1010.0 - depth * (-d2 / 50.0).exp()
 }
 
 /// The WRF workload: a dataset with `slp` and `wind10` variables and a
@@ -247,6 +267,62 @@ mod tests {
         let (expect_v, expect_i) = grid().slp_min();
         assert_eq!(min_i, expect_i);
         assert!((min_v - expect_v).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slp_ambient_shortcut_is_bit_identical_on_the_benchmark_grid() {
+        // Every (depth, d2) pair a 400 x 256 x 512 grid can produce, and
+        // more: all depths the grid reaches, and every |dy| < sn, |dx| < we
+        // (each time step's offsets from its center are a subset).
+        let g = WrfGrid {
+            times: 400,
+            sn: 256,
+            we: 512,
+        };
+        let mut depths: Vec<f64> = (0..g.times).map(|t| g.depth(t)).collect();
+        depths.dedup();
+        assert_eq!(depths.len(), 36);
+        let mut checked = 0u64;
+        for &depth in &depths {
+            for dy in 0..g.sn {
+                for dx in 0..g.we {
+                    let d2 = (dy * dy + dx * dx) as f64;
+                    if d2 >= SLP_AMBIENT_D2 {
+                        assert_eq!(
+                            slp_at(depth, d2).to_bits(),
+                            1010.0f64.to_bits(),
+                            "depth {depth} d2 {d2}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 36 * 129_000);
+        // The shortcut's boundary is reachable, so it is exercised.
+        let near = (0..g.elements() / g.times).any(|i| {
+            let (t, y, x) = g.coords(i);
+            g.d2(t, y, x) < SLP_AMBIENT_D2 && g.d2(t, y, x) + 100.0 >= SLP_AMBIENT_D2
+        });
+        assert!(near);
+    }
+
+    #[test]
+    fn coords_inverts_the_flat_index() {
+        let g = WrfGrid {
+            times: 3,
+            sn: 5,
+            we: 7,
+        };
+        let mut i = 0;
+        for t in 0..g.times {
+            for y in 0..g.sn {
+                for x in 0..g.we {
+                    assert_eq!(g.coords(i), (t, y, x));
+                    i += 1;
+                }
+            }
+        }
     }
 
     #[test]
