@@ -280,6 +280,15 @@ impl Comm {
         self.pool.put(buf);
     }
 
+    /// Drops every buffer this rank's recycle pool retains, leaving it as
+    /// empty as a fresh `Comm`'s. Receivers pool buffers their senders
+    /// allocated, so a rank that mostly receives keeps filling its pool;
+    /// callers that run many collectives in one `World::run` empty it
+    /// between phases.
+    pub fn drop_pooled_bufs(&mut self) {
+        self.pool.clear();
+    }
+
     /// `(buffers handed out, of which reused)` from this rank's pool.
     pub fn pool_stats(&self) -> (u64, u64) {
         self.pool.stats()
@@ -398,6 +407,26 @@ impl Comm {
                 )
             })
         }
+    }
+
+    /// The maximum of every rank's `t`, returned on every rank. A
+    /// collective — every rank must call it, in the same order relative to
+    /// the other collectives — that, like [`memo`](Self::memo), sends no
+    /// message, leaves this rank's clock and [`CommStats`] untouched, and
+    /// lives in the memo's table. It is how ranks that run several phases
+    /// inside one `World::run` agree where the next phase starts; which
+    /// clock, if any, moves to the result is the caller's decision.
+    ///
+    /// # Panics
+    /// A rank that panics before contributing aborts the world; the ranks
+    /// parked here unwind at once.
+    pub fn agree_max(&mut self, t: SimTime) -> SimTime {
+        let key = self.next_seq();
+        let shared = &self.shared;
+        shared
+            .memo
+            .agree_max(key, self.nprocs, t, || shared.is_aborted())
+            .unwrap_or_else(|| resume_unwind(Box::new(WorldAborted)))
     }
 
     /// Communication counters accumulated so far.

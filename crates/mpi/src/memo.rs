@@ -13,29 +13,56 @@
 //! last rank has taken its value — so back-to-back collectives, repeated
 //! runs and concurrent worlds can never see each other's entries.
 //!
+//! The same cells carry [`Comm::agree_max`], the memo's sibling: instead of
+//! one rank computing a value, every rank contributes a clock and every
+//! rank takes the maximum. It is a rendezvous with the memo's guarantees —
+//! no message, no virtual time, a prompt unwind when a peer panics, and the
+//! run's "every cell was taken" check.
+//!
 //! [`Comm::memo`]: crate::Comm::memo
+//! [`Comm::agree_max`]: crate::Comm::agree_max
 
 use std::any::Any;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+use cc_model::SimTime;
 
 use crate::comm::lock_unpoisoned;
 
 /// A memoized value, type-erased so one table serves every call site.
 pub(crate) type MemoValue = Arc<dyn Any + Send + Sync>;
 
+/// What a cell holds until its last taker drops it.
+enum Slot {
+    /// A memo's value: `None` while the first rank is still computing.
+    Memo(Option<MemoValue>),
+    /// An agreement: the maximum so far, and how many ranks have yet to
+    /// contribute. Ready once `owed` reaches zero.
+    Max { max: SimTime, owed: usize },
+}
+
 struct Cell {
-    /// `None` while the first rank is still computing.
-    value: Option<MemoValue>,
+    slot: Slot,
     /// Ranks that have not taken the value yet.
     remaining: usize,
 }
 
+type Cells = HashMap<u32, Cell>;
+
 /// The memo table of one run.
 #[derive(Default)]
 pub(crate) struct Memo {
-    cells: Mutex<HashMap<u32, Cell>>,
+    cells: Mutex<Cells>,
     changed: Condvar,
+}
+
+/// Ranks reached one sequence number through different kinds of call.
+fn mismatch(key: u32) -> ! {
+    panic!(
+        "cell {key} was reached by both a memo and an agreement: the ranks are not at the \
+         same call site"
+    )
 }
 
 impl Memo {
@@ -47,7 +74,7 @@ impl Memo {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(Cell {
-                    value: None,
+                    slot: Slot::Memo(None),
                     remaining: nprocs,
                 });
                 true
@@ -60,7 +87,7 @@ impl Memo {
     pub(crate) fn publish(&self, key: u32, value: MemoValue) {
         let mut cells = lock_unpoisoned(&self.cells);
         let cell = cells.get_mut(&key).expect("publish follows claim");
-        cell.value = Some(value);
+        cell.slot = Slot::Memo(Some(value));
         Self::release_one(&mut cells, key);
         self.changed.notify_all();
     }
@@ -69,14 +96,63 @@ impl Memo {
     /// `None` once `aborted` reports that the world is being torn down
     /// (the computing rank panicked, so the value will never come).
     pub(crate) fn take(&self, key: u32, aborted: impl Fn() -> bool) -> Option<MemoValue> {
+        let cells = lock_unpoisoned(&self.cells);
+        self.wait(cells, key, aborted, |slot| match slot {
+            Slot::Memo(value) => value.clone(),
+            Slot::Max { .. } => mismatch(key),
+        })
+    }
+
+    /// Contributes `t` to the agreement at cell `key` of a `nprocs`-rank
+    /// world and blocks until every rank has contributed; returns the
+    /// maximum, or `None` once `aborted` reports that the world is being
+    /// torn down (a rank panicked, so its contribution will never come).
+    pub(crate) fn agree_max(
+        &self,
+        key: u32,
+        nprocs: usize,
+        t: SimTime,
+        aborted: impl Fn() -> bool,
+    ) -> Option<SimTime> {
         let mut cells = lock_unpoisoned(&self.cells);
+        let cell = cells.entry(key).or_insert(Cell {
+            slot: Slot::Max {
+                max: SimTime::ZERO,
+                owed: nprocs,
+            },
+            remaining: nprocs,
+        });
+        let Slot::Max { max, owed } = &mut cell.slot else {
+            mismatch(key)
+        };
+        *max = (*max).max(t);
+        *owed -= 1;
+        if *owed == 0 {
+            self.changed.notify_all();
+        }
+        self.wait(cells, key, aborted, |slot| match *slot {
+            Slot::Max { max, owed: 0 } => Some(max),
+            Slot::Max { .. } => None,
+            Slot::Memo(_) => mismatch(key),
+        })
+    }
+
+    /// Parks on the table until `ready` reads a value from cell `key`,
+    /// then counts the caller's take; `None` once `aborted` holds.
+    fn wait<R>(
+        &self,
+        mut cells: MutexGuard<'_, Cells>,
+        key: u32,
+        aborted: impl Fn() -> bool,
+        ready: impl Fn(&Slot) -> Option<R>,
+    ) -> Option<R> {
         loop {
             // Checked under the lock `wake_all` takes, so an abort raised
             // after this check cannot slip its wakeup past the wait below.
             if aborted() {
                 return None;
             }
-            if let Some(value) = cells.get(&key).and_then(|c| c.value.clone()) {
+            if let Some(value) = cells.get(&key).and_then(|c| ready(&c.slot)) {
                 Self::release_one(&mut cells, key);
                 return Some(value);
             }
@@ -88,7 +164,7 @@ impl Memo {
     }
 
     /// Counts one rank's take; the last one drops the cell.
-    fn release_one(cells: &mut HashMap<u32, Cell>, key: u32) {
+    fn release_one(cells: &mut Cells, key: u32) {
         let cell = cells.get_mut(&key).expect("cell outlives its takers");
         cell.remaining -= 1;
         if cell.remaining == 0 {
@@ -96,8 +172,8 @@ impl Memo {
         }
     }
 
-    /// Wakes every rank parked in [`take`](Self::take) so it re-checks the
-    /// abort flag. Called by the run supervisor after it sets the flag.
+    /// Wakes every rank parked on a cell so it re-checks the abort flag.
+    /// Called by the run supervisor after it sets the flag.
     pub(crate) fn wake_all(&self) {
         let _cells = lock_unpoisoned(&self.cells);
         self.changed.notify_all();
@@ -116,7 +192,7 @@ mod tests {
     use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
 
-    use cc_model::ClusterModel;
+    use cc_model::{ClusterModel, SimTime};
 
     use crate::world::{panic_message, World};
 
@@ -254,6 +330,81 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(5),
             "abort took {elapsed:?}; a rank stayed parked on the cell"
+        );
+    }
+
+    #[test]
+    fn every_rank_agrees_on_the_max_of_all_contributions() {
+        // Rounds of agreements interleaved with memos on the same sequence
+        // counter; in each round a different rank holds the maximum.
+        for n in [1, 2, 5, 16] {
+            let agreed = World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
+                (0..10u64)
+                    .map(|round| {
+                        let mine = ((comm.rank() as u64 * 7 + round * 3) % 11) as f64 * 0.25;
+                        let max = comm.agree_max(SimTime::from_secs(mine));
+                        let _ = comm.memo(move || round);
+                        max
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let expected: Vec<SimTime> = (0..10u64)
+                .map(|round| {
+                    (0..n as u64)
+                        .map(|r| SimTime::from_secs(((r * 7 + round * 3) % 11) as f64 * 0.25))
+                        .max()
+                        .expect("at least one rank")
+                })
+                .collect();
+            for seen in agreed {
+                assert_eq!(seen, expected, "{n} ranks");
+            }
+        }
+    }
+
+    #[test]
+    fn agreement_costs_no_virtual_time_and_no_messages() {
+        let n = 6;
+        World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
+            comm.advance(SimTime::from_secs(comm.rank() as f64));
+            let (clock, stats) = (comm.clock(), comm.stats());
+            let max = comm.agree_max(clock);
+            assert_eq!(max, SimTime::from_secs((n - 1) as f64));
+            // Every counter, `msgs_sent` and `bytes_sent` among them.
+            assert_eq!(comm.clock(), clock);
+            assert_eq!(comm.stats(), stats);
+        });
+    }
+
+    #[test]
+    fn rank_panic_before_agreeing_unwinds_parked_peers_quickly() {
+        // Every rank but 3 parks in the agreement; rank 3 panics instead of
+        // contributing. As in `closure_panic_aborts_the_world_naming_the_
+        // computing_rank`, the watchdog sits far beyond the 5 s budget, so
+        // only the table's abort wakeup can free the peers.
+        let n = 6;
+        let model = ClusterModel::test_tiny(n).with_recv_watchdog(Duration::from_secs(600));
+        let world = World::new(n, model);
+        let t0 = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            world.run(|comm| {
+                if comm.rank() == 3 {
+                    // Give the peers time to park (either order passes).
+                    std::thread::sleep(Duration::from_millis(100));
+                    panic!("rank 3 never reaches the frontier");
+                }
+                comm.agree_max(comm.clock())
+            })
+        }));
+        let elapsed = t0.elapsed();
+        let msg = panic_message(result.expect_err("the world must abort").as_ref());
+        assert!(
+            msg.contains("rank 3 panicked: rank 3 never reaches the frontier"),
+            "abort must name the panicking rank, got: {msg}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "abort took {elapsed:?}; a rank stayed parked in the agreement"
         );
     }
 

@@ -69,6 +69,12 @@ impl BufferPool {
         self.free.push(buf);
     }
 
+    /// Drops every retained buffer; the counters keep running.
+    pub fn clear(&mut self) {
+        self.free.clear();
+        self.free_bytes = 0;
+    }
+
     /// `(buffers handed out, of which reused)` — for steady-state
     /// allocation checks.
     pub fn stats(&self) -> (u64, u64) {
@@ -99,6 +105,16 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr);
         assert_eq!(b.capacity(), cap);
         assert_eq!(pool.stats(), (2, 1));
+    }
+
+    #[test]
+    fn clear_drops_retained_buffers() {
+        let mut pool = BufferPool::new();
+        pool.put(Vec::with_capacity(64));
+        pool.put(Vec::with_capacity(32));
+        pool.clear();
+        assert_eq!(pool.eviction_stats(), (0, 0));
+        assert_eq!(pool.take().capacity(), 0, "a cleared pool hands out fresh buffers");
     }
 
     #[test]

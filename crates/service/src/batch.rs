@@ -26,7 +26,9 @@
 //!    [`SharedPlanCache`], so bins with translated-copy request shapes
 //!    (stencil waves marching through a staged file) amortize to one
 //!    compiled schedule; [`PlanCacheStats::fused_tasks`] records how many
-//!    tasks each compile served.
+//!    tasks each compile served. All sweeps of a batch run on one set of
+//!    rank threads; between bins the ranks agree on the frontier (the last
+//!    bin's end) without a message or a virtual-time charge.
 //! 5. **Result scatter** — each task's bytes are projected back out of
 //!    its rank's fused buffer and folded through its own kernel
 //!    ([`cc_core::fold_task_from_fused`]), bit-identical to a solo
@@ -45,8 +47,8 @@ use cc_core::{fold_task_bytes, fold_task_from_fused, MapKernel, Tolerance};
 use cc_model::{ClusterModel, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
-    collective_read_planned, fuse_extents, independent_read, Compression, Hints, OffsetList,
-    PlanCacheStats, PlanSource, SharedPlanCache,
+    collective_read_planned, fuse_extents, independent_read, Compression, FuseStats, Hints,
+    OffsetList, PlanCacheStats, PlanSource, SharedPlanCache,
 };
 use cc_pfs::Pfs;
 
@@ -412,6 +414,12 @@ impl TaskBatch {
     /// Runs every admitted task through fused collective sweeps: one
     /// two-phase collective per bin over the deduplicated union of the
     /// bin's task extents, results scattered back per task.
+    ///
+    /// Every sweep runs on one set of rank threads (one `World::run`).
+    /// Between sweeps the ranks agree on the bin's end with
+    /// [`Comm::agree_max`](cc_mpi::Comm::agree_max), which charges no
+    /// virtual time, and the next bin starts at that frontier or at its
+    /// own readiness, whichever is later.
     pub fn run_fused(self) -> BatchOutcome {
         let TaskBatch {
             model,
@@ -427,80 +435,105 @@ impl TaskBatch {
             model.topology.capacity()
         );
         let bins = plan_bins(&tasks, &policy);
+        let mut hints = policy.hints.clone();
+        if matches!(hints.compression, Compression::ErrorBounded(_)) {
+            // Per-task bit-identity with solo execution is the batch
+            // contract; lossy framing would break it for every class.
+            hints.compression = Compression::Lossless;
+        }
         let stats0 = pfs.stats();
         let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
-        let mut results: Vec<Option<TaskResult>> = (0..tasks.len()).map(|_| None).collect();
-        let mut bin_reports = Vec::with_capacity(bins.len());
-        let mut plan_stats = PlanCacheStats::default();
-        let mut frontier = SimTime::ZERO;
-        for (bin_id, bin) in bins.iter().enumerate() {
-            let t0 = frontier.max(bin.ready);
-            // Offset-ordered contiguous chunks: neighbouring regions land
-            // on the same rank, so within-rank fusion captures the
-            // overlap and the aggregators see long runs.
-            let mut order = bin.tasks.clone();
-            order.sort_by_key(|&t| (tasks[t].request.min_offset().unwrap_or(0), t));
-            let per_rank = even_chunks(&order, policy.nprocs);
-            let fused: Vec<(OffsetList, cc_mpiio::FuseStats)> = per_rank
-                .iter()
-                .map(|mine| fuse_extents(mine.iter().map(|&t| &tasks[t].request)))
-                .collect();
-            let mut hints = policy.hints.clone();
-            if matches!(hints.compression, Compression::ErrorBounded(_)) {
-                // Per-task bit-identity with solo execution is the batch
-                // contract; lossy framing would break it for every class.
-                hints.compression = Compression::Lossless;
-            }
-            let world = World::new(policy.nprocs, model.clone());
-            let outs = {
-                let tasks = &tasks;
-                let per_rank = &per_rank;
-                let fused = &fused;
-                let pfs = &*pfs;
-                let cache = &cache;
-                let hints = &hints;
-                let file_name = bin.file.as_str();
-                world.run(move |comm| {
-                    comm.advance_to(t0);
-                    let mine = &per_rank[comm.rank()];
-                    let fused_req = &fused[comm.rank()].0;
-                    let file = pfs.open(file_name).unwrap_or_else(|| {
-                        panic!(
-                            "rank {} bin {bin_id}: file {file_name:?} disappeared \
-                             before the fused sweep",
-                            comm.rank()
-                        )
-                    });
-                    let mut plans = PlanSource::shared(cache, bin_id as u64);
-                    let (bytes, report) =
-                        collective_read_planned(comm, pfs, &file, fused_req, hints, &mut plans);
-                    plans.note_fused_tasks(mine.len() as u64);
-                    let cpu = comm.model().cpu.clone();
-                    let mut scratch = Vec::new();
-                    let mut done = Vec::with_capacity(mine.len());
-                    for &t in mine {
-                        let task = &tasks[t];
-                        comm.advance(cpu.map_time(task.request.total_bytes() as usize));
-                        let partial = fold_task_from_fused(
-                            t as u64,
-                            &task.spec.var,
-                            &task.request,
-                            fused_req,
-                            &bytes,
-                            &*task.spec.kernel,
-                            &mut scratch,
+        let world = World::new(policy.nprocs, model);
+        let per_rank = {
+            let (tasks, bins, pfs, cache, hints) = (&tasks, &bins, &*pfs, &cache, &hints);
+            let nprocs = policy.nprocs;
+            world.run(move |comm| {
+                let mut frontier = SimTime::ZERO;
+                let mut sweeps = Vec::with_capacity(bins.len());
+                for (bin_id, bin) in bins.iter().enumerate() {
+                    let start = frontier.max(bin.ready);
+                    comm.advance_to(start);
+                    let mut sweep = {
+                        let chunks = comm.memo(|| fuse_bin(bin, tasks, nprocs));
+                        let (mine, fused_req, fuse) = &chunks[comm.rank()];
+                        let file = pfs.open(&bin.file).unwrap_or_else(|| {
+                            panic!(
+                                "rank {} bin {bin_id}: file {:?} disappeared before the fused \
+                                 sweep",
+                                comm.rank(),
+                                bin.file
+                            )
+                        });
+                        let mut plans = PlanSource::shared(cache, bin_id as u64);
+                        let (bytes, _) = collective_read_planned(
+                            comm, pfs, &file, fused_req, hints, &mut plans,
                         );
-                        done.push((t, task.spec.kernel.finalize(&partial), comm.clock()));
-                    }
-                    (done, report.end, plans.seen())
-                })
-            };
-            let mut end = t0;
-            for (done, read_end, seen) in outs {
-                end = end.max(read_end);
-                plan_stats = plan_stats.merge(&seen);
-                for (t, value, finished) in done {
-                    end = end.max(finished);
+                        plans.note_fused_tasks(mine.len() as u64);
+                        let cpu = comm.model().cpu.clone();
+                        let mut scratch = Vec::new();
+                        let mut done = Vec::with_capacity(mine.len());
+                        for &t in mine {
+                            let task = &tasks[t];
+                            comm.advance(cpu.map_time(task.request.total_bytes() as usize));
+                            let partial = fold_task_from_fused(
+                                t as u64,
+                                &task.spec.var,
+                                &task.request,
+                                fused_req,
+                                &bytes,
+                                &*task.spec.kernel,
+                                &mut scratch,
+                            );
+                            done.push((t, task.spec.kernel.finalize(&partial), comm.clock()));
+                        }
+                        Sweep {
+                            start,
+                            end: start,
+                            done,
+                            seen: plans.seen(),
+                            fuse: *fuse,
+                        }
+                    };
+                    // The read buffer and fold scratch are gone; the pooled
+                    // buffers go too, so no rank waits at the frontier
+                    // holding more than a rank that has exited. The clock
+                    // is the later of the read's end and the last fold, so
+                    // the agreed maximum is the bin's end.
+                    comm.drop_pooled_bufs();
+                    sweep.end = comm.agree_max(comm.clock());
+                    frontier = sweep.end;
+                    sweeps.push(sweep);
+                }
+                sweeps
+            })
+        };
+        let mut results: Vec<Option<TaskResult>> = (0..tasks.len()).map(|_| None).collect();
+        let mut bin_reports: Vec<BinReport> = bins
+            .iter()
+            .enumerate()
+            .map(|(id, bin)| BinReport {
+                bin: id,
+                file: bin.file.clone(),
+                tasks: bin.tasks.len(),
+                start: SimTime::ZERO,
+                end: SimTime::ZERO,
+                task_extents: 0,
+                fused_extents: 0,
+                task_bytes: 0,
+                fused_bytes: 0,
+            })
+            .collect();
+        let mut plan_stats = PlanCacheStats::default();
+        for sweeps in per_rank {
+            for (report, sweep) in bin_reports.iter_mut().zip(sweeps) {
+                report.start = sweep.start;
+                report.end = sweep.end;
+                report.task_extents += sweep.fuse.task_extents;
+                report.fused_extents += sweep.fuse.fused_extents;
+                report.task_bytes += sweep.fuse.task_bytes;
+                report.fused_bytes += sweep.fuse.fused_bytes;
+                plan_stats = plan_stats.merge(&sweep.seen);
+                for (t, value, finished) in sweep.done {
                     let task = &tasks[t];
                     results[t] = Some(TaskResult {
                         id: t as u64,
@@ -508,33 +541,10 @@ impl TaskBatch {
                         value,
                         submitted: task.spec.arrival,
                         finished,
-                        bin: Some(bin_id),
+                        bin: Some(report.bin),
                     });
                 }
             }
-            let fstats = fused
-                .iter()
-                .fold(cc_mpiio::FuseStats::default(), |acc, (_, s)| {
-                    cc_mpiio::FuseStats {
-                        tasks: acc.tasks + s.tasks,
-                        task_extents: acc.task_extents + s.task_extents,
-                        task_bytes: acc.task_bytes + s.task_bytes,
-                        fused_extents: acc.fused_extents + s.fused_extents,
-                        fused_bytes: acc.fused_bytes + s.fused_bytes,
-                    }
-                });
-            bin_reports.push(BinReport {
-                bin: bin_id,
-                file: bin.file.clone(),
-                tasks: bin.tasks.len(),
-                start: t0,
-                end,
-                task_extents: fstats.task_extents,
-                fused_extents: fstats.fused_extents,
-                task_bytes: fstats.task_bytes,
-                fused_bytes: fstats.fused_bytes,
-            });
-            frontier = end;
         }
         let tasks_out: Vec<TaskResult> = results
             .into_iter()
@@ -757,6 +767,41 @@ fn plan_bins(tasks: &[AdmittedTask], policy: &BatchPolicy) -> Vec<Bin> {
             .then(a.tasks[0].cmp(&b.tasks[0]))
     });
     closed
+}
+
+/// One rank's share of one bin's fused sweep.
+struct Sweep {
+    /// When the bin started; the same on every rank.
+    start: SimTime,
+    /// The bin's agreed end; the same on every rank.
+    end: SimTime,
+    /// `(task, finalized value, finish time)` for each of the rank's tasks.
+    done: Vec<(usize, Vec<f64>, SimTime)>,
+    /// The rank's plan-cache lookups for this bin.
+    seen: PlanCacheStats,
+    /// What fusing the rank's task requests saved.
+    fuse: FuseStats,
+}
+
+/// Deals a bin across `nprocs` ranks and fuses each rank's task requests:
+/// per rank, its tasks, their fused request and what fusion saved. Tasks
+/// are ordered by file offset and dealt in contiguous chunks, so
+/// neighbouring regions land on the same rank, within-rank fusion captures
+/// the overlap, and the aggregators see long runs.
+fn fuse_bin(
+    bin: &Bin,
+    tasks: &[AdmittedTask],
+    nprocs: usize,
+) -> Vec<(Vec<usize>, OffsetList, FuseStats)> {
+    let mut order = bin.tasks.clone();
+    order.sort_by_key(|&t| (tasks[t].request.min_offset().unwrap_or(0), t));
+    even_chunks(&order, nprocs)
+        .into_iter()
+        .map(|mine| {
+            let (fused, stats) = fuse_extents(mine.iter().map(|&t| &tasks[t].request));
+            (mine, fused, stats)
+        })
+        .collect()
 }
 
 /// Splits an ordered task list into `n` contiguous near-even chunks (the
@@ -1015,6 +1060,147 @@ mod tests {
         assert_eq!(out.bins.len(), 3);
         assert!(out.bins.iter().all(|b| b.tasks <= 5));
         assert_eq!(out.bins.iter().map(|b| b.tasks).sum::<usize>(), 12);
+    }
+
+    /// Three waves on one node, so one aggregator books every OST read
+    /// from one thread and every clock is deterministic. Wave 1 arrives
+    /// while bin 0 is still sweeping and must start at the frontier; wave
+    /// 2 arrives long after bin 1 ends and must start at its own arrival.
+    fn frontier_batch() -> TaskBatch {
+        let mut b = TaskBatch::new(cluster(1, 4), fs()).with_policy(BatchPolicy {
+            nprocs: 4,
+            fuse_window: SimTime::from_secs(1e-6),
+            ..BatchPolicy::default()
+        });
+        for (w, at) in [0.0, 2e-6, 10.0].into_iter().enumerate() {
+            for i in 0..6u64 {
+                b.submit(
+                    TaskSpec::new(
+                        format!("w{w}i{i}"),
+                        "f.nc",
+                        var(),
+                        vec![w as u64 * 16 + i * 2, (i % 2) * 8],
+                        vec![3, 16],
+                        Arc::new(SumKernel),
+                    )
+                    .arrival(SimTime::from_secs(at)),
+                )
+                .unwrap();
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn frontier_clocks_match_one_world_per_bin() {
+        let out = frontier_batch().run_fused();
+        // Recorded from commit 55d9810, which ran each bin in a world of
+        // its own and carried the frontier between worlds on the driver.
+        let bins: Vec<(f64, f64)> = out
+            .bins
+            .iter()
+            .map(|b| (b.start.secs(), b.end.secs()))
+            .collect();
+        assert_eq!(
+            bins,
+            [
+                (0.0, 0.002012807111111111),
+                (0.002012807111111111, 0.004025614222222222),
+                (10.0, 10.00201280711111),
+            ]
+        );
+        let finished: Vec<f64> = out.tasks.iter().map(|t| t.finished.secs()).collect();
+        assert_eq!(
+            finished,
+            [
+                0.0020113847111111107,
+                0.0020117687111111107,
+                0.002011514311111111,
+                0.002011898311111111,
+                0.002011984711111111,
+                0.002012807111111111,
+                0.004024191822222222,
+                0.004024575822222222,
+                0.004024321422222221,
+                0.004024705422222221,
+                0.0040247918222222215,
+                0.004025614222222222,
+                10.002011384711109,
+                10.002011768711109,
+                10.002011514311109,
+                10.002011898311109,
+                10.002011984711109,
+                10.00201280711111,
+            ]
+        );
+    }
+
+    /// An exact-class kernel whose fold panics.
+    struct FaultyKernel;
+
+    impl MapKernel for FaultyKernel {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+
+        fn identity(&self) -> cc_core::Partial {
+            cc_core::Partial::new(vec![0.0])
+        }
+
+        fn map(&self, _: &mut cc_core::Partial, _: u64, _: &[f64]) {
+            panic!("faulty kernel folded a region");
+        }
+
+        fn combine(&self, _: &mut cc_core::Partial, _: &cc_core::Partial) {}
+
+        fn finalize(&self, acc: &cc_core::Partial) -> Vec<f64> {
+            acc.values.clone()
+        }
+    }
+
+    #[test]
+    fn kernel_panic_in_a_later_bin_aborts_promptly_naming_its_rank() {
+        // Three waves, one exact-class bin each. In bin 2 the faulty task
+        // has the higher offset, so the offset-ordered deal gives it to
+        // rank 1 while rank 0 finishes and parks at the frontier.
+        let mut b = batch(2);
+        for w in 0..3u64 {
+            for i in 0..2u64 {
+                let kernel: Arc<dyn MapKernel> = if w == 2 && i == 1 {
+                    Arc::new(FaultyKernel)
+                } else {
+                    Arc::new(MinLocKernel)
+                };
+                b.submit(
+                    TaskSpec::new(
+                        format!("w{w}i{i}"),
+                        "f.nc",
+                        var(),
+                        vec![w * 8 + i * 4, 0],
+                        vec![2, 8],
+                        kernel,
+                    )
+                    .arrival(SimTime::from_secs(w as f64)),
+                )
+                .unwrap();
+            }
+        }
+        let t0 = std::time::Instant::now();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.run_fused()));
+        let elapsed = t0.elapsed();
+        let payload = result.expect_err("the faulty kernel must abort the batch");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("<non-string panic>");
+        assert!(
+            msg.contains("rank 1 panicked: faulty kernel folded a region"),
+            "the abort must name the faulty task's rank, got: {msg}"
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "abort took {elapsed:?}; a rank stayed parked at the frontier"
+        );
     }
 
     #[test]
