@@ -15,11 +15,11 @@
 //! the map rate scaled by the node's idle cores (see the crate docs).
 
 use cc_array::{construct_runs, Hyperslab, Variable};
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
 use cc_mpiio::exchange::exchange_requests;
-use cc_mpiio::{independent_read, Hints, PlanSchedule, PlanSource, Striping};
+use cc_mpiio::{independent_read, PlanSchedule, PlanSource, Staging, Striping};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -263,20 +263,17 @@ fn run_collective_computing(
     let results_tag = comm.next_engine_tag(TAG_RESULTS);
 
     // --- Phase 1 + map: the aggregator pipeline (paper Fig. 7). ---------
-    // One scratch arena serves the whole operation: chunk bytes, decoded
-    // values, and shuffle words all reuse their high-water allocations.
+    // One scratch arena serves the whole operation: decoded values and
+    // shuffle words reuse their high-water allocations.
     let mut scratch = Scratch::new();
     let mut inter = IntermediateSet::new();
     let mut agg_done = comm.clock();
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
+        let stage = Staging::new(pfs, file, &schedule, agg_idx, &hints);
         agg_done = run_map_pipeline(
             comm,
-            pfs,
-            file,
+            stage,
             var,
-            &schedule,
-            agg_idx,
-            &hints,
             kernel,
             &mut inter,
             &mut scratch,
@@ -329,17 +326,12 @@ type ReduceOutcome = (
     Option<Partial>,
 );
 
-/// Runs one aggregator's read→construct→map pipeline over its file domain.
+/// Runs one aggregator's read→construct→map pipeline over `stage`.
 /// Returns the time the last map completed.
-#[allow(clippy::too_many_arguments)]
 fn run_map_pipeline(
     comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
+    mut stage: Staging<'_>,
     var: &Variable,
-    schedule: &PlanSchedule,
-    agg_idx: usize,
-    hints: &Hints,
     kernel: &dyn MapKernel,
     inter: &mut IntermediateSet,
     scratch: &mut Scratch,
@@ -347,71 +339,24 @@ fn run_map_pipeline(
 ) -> SimTime {
     let cpu = comm.model().cpu.clone();
     let esize = var.dtype().size() as usize;
+    let (schedule, agg_idx) = (stage.schedule, stage.agg);
     // The map soaks up the node's idle cores (see crate docs): each
     // aggregator can draw on cores_per_node / aggregators_per_node workers.
     let workers =
-        (comm.model().topology.cores_per_node / hints.aggregators_per_node).max(1) as f64;
+        (comm.model().topology.cores_per_node / stage.hints.aggregators_per_node).max(1) as f64;
     let start = comm.clock();
     // The I/O lane models the paper's I/O thread; the map lane models the
-    // node-parallel map workers (Fig. 7). With unbounded `PipelineDepth`,
-    // reads are gated only by the I/O lane — the runtime is assumed to
-    // have enough staging buffers to keep the disk streaming, which also
-    // keeps every rank's file-system requests causally close in virtual
-    // time (the OST queues are shared state; see cc-pfs::ost). A bounded
-    // depth stages iterations through a [`BufferRing`] over that many
-    // scratch slots: the read of iteration `i` additionally waits for
-    // iteration `i - depth` to finish mapping out of its slot. Blocking
-    // mode is depth 1 — read and map strictly alternate.
+    // node-parallel map workers (Fig. 7), draining each staged chunk while
+    // later ones are read.
     let mut io_lane = Lane::free_from(start);
     let mut map_lane = Lane::free_from(start);
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
-    };
-    let mut ring = depth.map(BufferRing::new);
-    let iters = schedule.active_iterations(agg_idx);
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
-    scratch.ensure_slots(nslots);
-    // Per-iteration read bookkeeping (`(rlo, ready, read_done)`), filled
-    // at issue time and consumed at map time `depth` iterations later.
-    let mut reads: Vec<Option<(u64, SimTime, SimTime)>> = vec![None; iters.len()];
-    let mut issued = 0usize;
     let mut last = start;
 
     let mut blocks: Vec<(u64, u64)> = Vec::new();
-    for (pos, &iter) in iters.iter().enumerate() {
-        // Issue stage: software-pipelined read-ahead — book the OST
-        // extents of up to `depth` iterations while earlier ones map.
-        let horizon = match depth {
-            Some(d) => iters.len().min(pos + d),
-            None => pos + 1,
-        };
-        while issued < horizon {
-            let j = issued;
-            issued += 1;
-            let ranges = schedule.read_ranges(agg_idx, iters[j]);
-            let Some(&(rlo, _)) = ranges.first() else {
-                continue;
-            };
-            let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(j));
-            let ready = io_lane.free_at().max(floor);
-            let read_done =
-                pfs.read_multi(file, rlo, ranges, ready, &mut scratch.slots[j % nslots]);
-            io_lane.advance_to(read_done);
-            report.bytes_read += ranges.iter().map(|&(_, len)| len).sum::<u64>();
-            report
-                .segments
-                .push(Segment::new(ready, read_done, Activity::Wait));
-            reads[j] = Some((rlo, ready, read_done));
-        }
-        let Some((rlo, ready, read_done)) = reads[pos] else {
-            // Nothing was read for this iteration; carry the slot's
-            // previous drain time forward.
-            if let Some(r) = ring.as_mut() {
-                let t = r.available(pos);
-                r.drain(pos, t);
-            }
+    for pos in 0..stage.iters().len() {
+        let Some((iter, rlo, ready, read_done, chunk)) =
+            stage.next(pos, &mut io_lane, &mut report.segments)
+        else {
             continue;
         };
 
@@ -432,10 +377,8 @@ fn run_map_pipeline(
                     let len = run.len as usize * esize;
                     // Decode into the reused scratch slice: the kernel folds
                     // over `&[f64]` with no per-run allocation.
-                    var.dtype().decode_into(
-                        &scratch.slots[pos % nslots][off..off + len],
-                        &mut scratch.values,
-                    );
+                    var.dtype()
+                        .decode_into(&chunk[off..off + len], &mut scratch.values);
                     kernel.map(acc, run.start_elem, &scratch.values);
                     mapped_bytes += len;
                     entries += 1;
@@ -451,9 +394,7 @@ fn run_map_pipeline(
         let map_start = read_done.max(map_lane.free_at());
         let map_done = map_lane.acquire(read_done, map_cost);
         // The slot is reusable once the kernel has folded its last run.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, map_done);
-        }
+        stage.drain(pos, map_done);
         report
             .segments
             .push(Segment::new(map_start, map_done, Activity::User));
@@ -463,6 +404,7 @@ fn run_map_pipeline(
         });
         last = last.max(map_done);
     }
+    report.bytes_read += stage.bytes_read();
     last
 }
 

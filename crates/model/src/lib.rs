@@ -27,7 +27,7 @@ pub use cpu::CpuModel;
 pub use disk::DiskModel;
 pub use fault::FaultPlan;
 pub use net::NetModel;
-pub use pipeline::{BufferRing, Lane};
+pub use pipeline::Lane;
 pub use time::SimTime;
 pub use topology::Topology;
 

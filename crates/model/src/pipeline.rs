@@ -57,47 +57,6 @@ impl Default for Lane {
     }
 }
 
-/// Completion bookkeeping for a double-buffered pipeline stage: with `depth`
-/// buffers, iteration `i` may not restart its buffer until iteration
-/// `i - depth` has fully drained it.
-///
-/// The collective engines stage every collective-buffer iteration through
-/// a ring of this kind when the `PipelineDepth` hint bounds their
-/// staging: depth 1 degenerates to the strictly-sequential (blocking)
-/// protocol, depth 2 is the classic double buffer, and the unbounded
-/// hint skips the ring entirely (reads gated only by the I/O lane, the
-/// engines' historical behavior). Drain times are rank-local lane
-/// completions, so bounding the ring never couples one rank's clock to
-/// another's through shared OST state.
-#[derive(Debug, Clone)]
-pub struct BufferRing {
-    drained_at: Vec<SimTime>,
-}
-
-impl BufferRing {
-    /// A ring of `depth` buffers, all free at time zero.
-    ///
-    /// # Panics
-    /// Panics if `depth == 0`.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth > 0, "buffer ring needs at least one buffer");
-        Self {
-            drained_at: vec![SimTime::ZERO; depth],
-        }
-    }
-
-    /// When the buffer used by iteration `iter` becomes reusable.
-    pub fn available(&self, iter: usize) -> SimTime {
-        self.drained_at[iter % self.drained_at.len()]
-    }
-
-    /// Records that iteration `iter` finished draining its buffer at `t`.
-    pub fn drain(&mut self, iter: usize, t: SimTime) {
-        let len = self.drained_at.len();
-        self.drained_at[iter % len] = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,17 +105,6 @@ mod tests {
             last = lane.acquire(a_done, t(2.0));
         }
         assert_eq!(last, t(30.0));
-    }
-
-    #[test]
-    fn buffer_ring_limits_lookahead() {
-        // Depth-2 ring: iteration 2 cannot start before iteration 0 drains.
-        let mut ring = BufferRing::new(2);
-        assert_eq!(ring.available(0), SimTime::ZERO);
-        assert_eq!(ring.available(1), SimTime::ZERO);
-        ring.drain(0, t(5.0));
-        assert_eq!(ring.available(2), t(5.0));
-        assert_eq!(ring.available(3), SimTime::ZERO);
     }
 
     #[test]

@@ -29,17 +29,14 @@ pub enum DomainPartition {
 /// How many collective-buffer slots each aggregator cycles through — the
 /// depth of the software pipeline across collective-buffer iterations.
 ///
-/// The engines stage every iteration through a buffer slot; with `d`
-/// slots, iteration `i`'s read may not begin until iteration `i - d` has
-/// fully drained its slot (shuffled, mapped, or written it out). Depth 1
-/// is therefore strictly sequential — read, drain, repeat, exactly the
-/// blocking two-phase protocol — and depth 2 is the classic double
-/// buffer: the read of `i + 1` overlaps the drain of `i`.
+/// The engines stage every iteration through a buffer slot
+/// ([`crate::stage::Staging`]); with `d` slots, iteration `i`'s read may
+/// not begin until iteration `i - d` has fully drained its slot (shuffled,
+/// mapped, or written it out). Depth 2 is the classic double buffer: the
+/// read of `i + 1` overlaps the drain of `i`. One slot — read, drain,
+/// repeat — is blocking mode (`nonblocking: false`), not a depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PipelineDepth {
-    /// One buffer: each iteration's read waits for the previous iteration
-    /// to drain. Bit-identical in timing to blocking mode.
-    Sequential,
     /// A bounded ring of `n >= 2` buffers (2 = double buffering).
     Depth(usize),
     /// Unlimited staging buffers: reads are gated only by the I/O lane.
@@ -49,17 +46,8 @@ pub enum PipelineDepth {
 }
 
 impl PipelineDepth {
-    /// The ring size this depth imposes, or `None` for unbounded staging.
-    pub fn bound(&self) -> Option<usize> {
-        match self {
-            Self::Sequential => Some(1),
-            Self::Depth(n) => Some(*n),
-            Self::Unbounded => None,
-        }
-    }
-
     /// Validates the invariant that a bounded ring holds at least two
-    /// buffers (one buffer *is* [`Sequential`](Self::Sequential)).
+    /// buffers (one buffer is blocking mode).
     ///
     /// # Panics
     /// Panics on `Depth(0)` or `Depth(1)`.
@@ -68,7 +56,7 @@ impl PipelineDepth {
             assert!(
                 *n >= 2,
                 "PipelineDepth::Depth needs at least two buffers (got {n}); \
-                 use PipelineDepth::Sequential for a single buffer"
+                 use `nonblocking: false` for a single buffer"
             );
         }
     }
@@ -178,6 +166,17 @@ impl Hints {
                 b.abs > 0.0 || b.rel > 0.0,
                 "error-bounded compression needs a positive bound"
             );
+        }
+    }
+
+    /// How many staging slots each aggregator cycles through, or `None` for
+    /// unbounded staging: one in blocking mode, otherwise
+    /// [`pipeline_depth`](Self::pipeline_depth)'s ring.
+    pub(crate) fn staging_depth(&self) -> Option<usize> {
+        match (self.nonblocking, self.pipeline_depth) {
+            (false, _) => Some(1),
+            (true, PipelineDepth::Depth(n)) => Some(n),
+            (true, PipelineDepth::Unbounded) => None,
         }
     }
 
@@ -320,10 +319,19 @@ mod tests {
 
     #[test]
     fn pipeline_depth_bounds_and_validation() {
-        assert_eq!(PipelineDepth::Sequential.bound(), Some(1));
-        assert_eq!(PipelineDepth::Depth(2).bound(), Some(2));
-        assert_eq!(PipelineDepth::Depth(3).bound(), Some(3));
-        assert_eq!(PipelineDepth::Unbounded.bound(), None);
+        let depth = |nonblocking, pipeline_depth| {
+            Hints {
+                nonblocking,
+                pipeline_depth,
+                ..Hints::default()
+            }
+            .staging_depth()
+        };
+        assert_eq!(depth(false, PipelineDepth::Unbounded), Some(1));
+        assert_eq!(depth(false, PipelineDepth::Depth(3)), Some(1));
+        assert_eq!(depth(true, PipelineDepth::Depth(2)), Some(2));
+        assert_eq!(depth(true, PipelineDepth::Depth(3)), Some(3));
+        assert_eq!(depth(true, PipelineDepth::Unbounded), None);
         assert_eq!(PipelineDepth::default(), PipelineDepth::Unbounded);
         Hints {
             pipeline_depth: PipelineDepth::Depth(2),

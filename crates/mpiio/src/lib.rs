@@ -13,8 +13,8 @@
 //!    chunks, reading large contiguous extents (phase 1) and scattering the
 //!    pieces to the requesting ranks (phase 2, the shuffle);
 //! 4. in non-blocking mode the shuffle of iteration *i* overlaps the read
-//!    of iteration *i+1* using double buffering, as profiled in the paper's
-//!    Fig. 1.
+//!    of iteration *i+1* through a ring of staging buffers ([`stage`]), as
+//!    profiled in the paper's Fig. 1.
 //!
 //! [`independent`] implements the non-collective baseline (per-rank reads,
 //! optionally with data sieving) used for the paper's Fig. 3 comparison.
@@ -29,6 +29,7 @@ pub mod hints;
 pub mod independent;
 pub mod plan;
 pub mod schedule;
+pub mod stage;
 pub mod twophase;
 pub mod write;
 
@@ -43,5 +44,6 @@ pub use plan::{CollectivePlan, FileDomain};
 pub use schedule::{
     CacheOutcome, PlanCache, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache,
 };
+pub use stage::Staging;
 pub use twophase::{collective_read, collective_read_planned, IterationTiming, TwoPhaseReport};
 pub use write::{collective_write, collective_write_planned, WriteReport};

@@ -6,17 +6,17 @@
 //! pieces of the chunk to the ranks that requested them. In non-blocking
 //! mode (the default, and the configuration profiled in the paper's Fig. 1)
 //! the shuffle of iteration `i` overlaps the read of iteration `i+1`, with
-//! the [`crate::hints::PipelineDepth`] hint bounding how many staging
-//! buffers the software pipeline may keep in flight (depth 2 is the
-//! classic double buffer); in blocking mode the two phases strictly
-//! alternate.
+//! the [`PipelineDepth`](crate::hints::PipelineDepth) hint bounding how
+//! many staging buffers the read-ahead loop of [`Staging`] may keep in
+//! flight (depth 2 is the classic double buffer); in blocking mode the two
+//! phases strictly alternate.
 //!
 //! Real bytes flow: the returned buffer contains exactly the requested
 //! bytes in request order. Virtual time flows through two [`Lane`]s per
 //! aggregator (the paper's "I/O thread" and "shuffle thread" of Fig. 7)
 //! plus the OST queues inside [`Pfs`].
 
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
 use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
@@ -26,36 +26,78 @@ use crate::exchange::exchange_requests;
 use crate::extent::OffsetList;
 use crate::hints::{Compression, Hints, Striping};
 use crate::schedule::{PlanSchedule, PlanSource};
+use crate::stage::Staging;
 
-/// Encodes `payload` for the wire when `mode` compresses this lane
-/// (inter-node only — intra-node and self traffic always travels raw).
-/// Returns the bytes to post plus the logical length to record; the
-/// original buffer is recycled when a frame replaces it. The frame is
-/// self-describing, so the receiver needs only the same `(mode,
-/// same_node)` pair — both deterministic on both ends — to know to decode.
-pub(crate) fn encode_for_wire(
-    comm: &mut Comm,
-    mode: &Compression,
-    same_node: bool,
-    payload: Vec<u8>,
-) -> (Vec<u8>, usize, bool) {
-    let logical_len = payload.len();
-    if !mode.is_on() || same_node {
-        return (payload, logical_len, false);
-    }
-    let mut wire = comm.take_buf();
-    cc_compress::encode_into(mode, &payload, &mut wire);
-    comm.recycle_buf(payload);
-    (wire, logical_len, true)
+/// One shuffle leg's wire: the tag its messages travel on, and the codec
+/// that compresses them when they cross the interconnect (intra-node and
+/// self traffic always travels raw). Frames are self-describing and both
+/// ends apply the same deterministic `(codec, same node)` test, so the
+/// receiver knows to decode without a header.
+#[derive(Clone, Copy)]
+pub(crate) struct Wire<'h> {
+    tag: TagValue,
+    compression: &'h Compression,
 }
 
-/// Decodes a received wire frame back into logical bytes (recycling the
-/// wire buffer); returns the logical payload and its length.
-pub(crate) fn decode_from_wire(comm: &mut Comm, wire: Vec<u8>) -> (Vec<u8>, usize) {
-    let mut logical = comm.take_buf();
-    let n = cc_compress::decode_into(&wire, &mut logical);
-    comm.recycle_buf(wire);
-    (logical, n)
+impl<'h> Wire<'h> {
+    /// The wire of `tag` under `hints`' codec.
+    pub(crate) fn new(tag: TagValue, hints: &'h Hints) -> Self {
+        let compression = &hints.compression;
+        Self { tag, compression }
+    }
+
+    /// Packs and posts one shuffle message to `dst`. Encodes `payload` when
+    /// it crosses the interconnect, then holds `lane` from `ready` for the
+    /// memcpy, the codec, one scatter per piece (non-contiguous runs are
+    /// packed one by one, like a derived-datatype scatter — what makes the
+    /// shuffle of a finely-fragmented request approach the read cost,
+    /// Fig. 1), the NIC serialization of the wire bytes (a node's egress
+    /// is a serially-reused resource) and the per-message posting
+    /// overhead. Returns the departure time and the logical bytes posted.
+    pub(crate) fn post(
+        self,
+        comm: &mut Comm,
+        lane: &mut Lane,
+        ready: SimTime,
+        dst: usize,
+        payload: Vec<u8>,
+        pieces: usize,
+    ) -> (SimTime, u64) {
+        let same_node = comm.model().topology.same_node(comm.rank(), dst);
+        let logical_len = payload.len();
+        let (wire, codec) = if self.compression.is_on() && !same_node {
+            let mut wire = comm.take_buf();
+            cc_compress::encode_into(self.compression, &payload, &mut wire);
+            comm.recycle_buf(payload);
+            (wire, comm.model().cpu.compress_time(logical_len))
+        } else {
+            (payload, SimTime::ZERO)
+        };
+        let net = &comm.model().net;
+        let cost = comm.model().cpu.memcpy_time(logical_len)
+            + codec
+            + net.scatter_cost().scale(pieces as f64)
+            + net.wire_time(wire.len(), same_node)
+            + net.msg_cost(same_node);
+        let depart = lane.acquire(ready, cost);
+        comm.post_framed_bytes_at(dst, self.tag, wire, depart, logical_len);
+        (depart, logical_len as u64)
+    }
+
+    /// Receives the next message from `src` on this wire, decoding it (and
+    /// recycling the wire buffer) when it crossed the interconnect
+    /// compressed. Returns the logical payload, its arrival, and the decode
+    /// CPU time (zero for a raw message).
+    pub(crate) fn recv(self, comm: &mut Comm, src: usize) -> (Vec<u8>, SimTime, SimTime) {
+        let (wire, info) = comm.recv_bytes_no_clock(src, self.tag);
+        if !self.compression.is_on() || comm.model().topology.same_node(src, comm.rank()) {
+            return (wire, info.arrival, SimTime::ZERO);
+        }
+        let mut logical = comm.take_buf();
+        let n = cc_compress::decode_into(&wire, &mut logical);
+        comm.recycle_buf(wire);
+        (logical, info.arrival, comm.model().cpu.decompress_time(n))
+    }
 }
 
 /// Tag base for read-shuffle messages (outside the user and collective
@@ -202,18 +244,8 @@ pub fn collective_read_planned(
     // --- Aggregator role: read chunks and scatter pieces. --------------
     let mut agg_done = comm.clock();
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
-        agg_done = run_aggregator(
-            comm,
-            pfs,
-            file,
-            &schedule,
-            agg_idx,
-            tag,
-            hints,
-            hier.as_ref(),
-            &mut report,
-            &mut buf,
-        );
+        let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
+        agg_done = run_aggregator(comm, stage, tag, hier.as_ref(), &mut report, &mut buf);
     }
 
     // --- Leader role: relay coalesced frames to the node's members. ----
@@ -270,18 +302,9 @@ fn receive_pieces(
             Some(view) if view.node_of(agg_rank) != view.node => (view.leader, relay_tag),
             _ => (agg_rank, tag),
         };
-        let (payload, info) = comm.recv_bytes_no_clock(src, src_tag);
-        // Direct sends from a remote-node aggregator arrive as compressed
-        // frames when the hints say so (relays and same-node sends are
-        // always raw) — the same deterministic test the sender applied.
-        let compressed =
-            hints.compression.is_on() && !comm.model().topology.same_node(src, comm.rank());
-        let (payload, decode) = if compressed {
-            let (logical, n) = decode_from_wire(comm, payload);
-            (logical, cpu.decompress_time(n))
-        } else {
-            (payload, SimTime::ZERO)
-        };
+        // Direct sends from a remote-node aggregator arrive compressed when
+        // the hints say so; relays and same-node sends are always raw.
+        let (payload, arrival, decode) = Wire::new(src_tag, hints).recv(comm, src);
         let mut cursor = 0usize;
         for p in pieces {
             let len = p.extent.len as usize;
@@ -296,109 +319,50 @@ fn receive_pieces(
              (aggregator {a}, iteration {iter}, tag {src_tag:#x})",
             comm.rank(),
         );
-        let unpacked = info.arrival + decode + cpu.memcpy_time(payload.len());
+        let unpacked = arrival + decode + cpu.memcpy_time(payload.len());
         comm.recycle_buf(payload);
         done = done.max(unpacked);
     }
     done
 }
 
-/// Runs the aggregator loop for `agg_idx`; returns the time the last
+/// Runs the aggregator loop over `stage`; returns the time the last
 /// shuffle completed. Fills `report` and places this rank's own pieces
 /// directly into `buf`.
-#[allow(clippy::too_many_arguments)]
 fn run_aggregator(
     comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    schedule: &PlanSchedule,
-    agg_idx: usize,
+    mut stage: Staging<'_>,
     tag: TagValue,
-    hints: &Hints,
     hier: Option<&NodeView>,
     report: &mut TwoPhaseReport,
     buf: &mut [u8],
 ) -> SimTime {
     let cpu = comm.model().cpu.clone();
     let start = comm.clock();
-    // Non-blocking mode: independent read and shuffle lanes overlap the
-    // phases, and the `PipelineDepth` hint bounds how many iterations'
-    // staging buffers may be in flight at once. Unbounded depth gates
-    // reads only by the I/O lane (the engine is assumed to have enough
-    // staging buffers to keep the disk streaming, which also keeps all
-    // ranks' file-system requests causally close in virtual time);
-    // bounded depth stages through a [`BufferRing`], so the read of
-    // iteration `i` waits for iteration `i - depth` to finish draining
-    // its slot. Blocking mode is depth 1: one slot, strictly alternating
-    // phases — the ring recurrence degenerates to the single-lane
-    // schedule (the next read starts at the previous shuffle's end).
+    let (pfs, file, hints) = (stage.pfs, stage.file, stage.hints);
+    let (schedule, agg_idx) = (stage.schedule, stage.agg);
+    let direct = Wire::new(tag, hints);
+    let framed = Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints);
+    // The paper's I/O and shuffle threads (Fig. 7): reading ahead books the
+    // OST extents of iteration pos+1 (and effectively pre-posts its
+    // receives — destinations are known from the compiled schedule) while
+    // pos is still packing.
     let mut io_lane = Lane::free_from(start);
     let mut shuffle_lane = Lane::free_from(start);
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
-    };
-    let mut ring = depth.map(BufferRing::new);
-    let iters = schedule.active_iterations(agg_idx);
-    // One staging slot per in-flight iteration — reads land in place, and
-    // a slot is reissued only after its previous occupant drained.
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
-    let mut slots: Vec<Vec<u8>> = (0..nslots).map(|_| Vec::new()).collect();
-    // Per-iteration read bookkeeping (`(rlo, ready, read_done, queue)`),
-    // filled at issue time and consumed at drain time — the two walk the
-    // iteration list `depth` apart.
-    let mut reads: Vec<Option<(u64, SimTime, SimTime, SimTime)>> = vec![None; iters.len()];
-    let mut issued = 0usize;
     let mut last = start;
 
-    for (pos, &iter) in iters.iter().enumerate() {
-        // Issue stage: read ahead up to `depth` iterations before draining
-        // iteration `pos`, so the OST extents of iteration pos+1 are booked
-        // (and its receives effectively pre-posted — destinations are known
-        // from the compiled schedule) while pos is still packing.
-        let horizon = match depth {
-            Some(d) => iters.len().min(pos + d),
-            None => pos + 1,
-        };
-        while issued < horizon {
-            let j = issued;
-            issued += 1;
-            let ranges = schedule.read_ranges(agg_idx, iters[j]);
-            let Some(&(rlo, _)) = ranges.first() else {
-                continue;
-            };
-            // Phase 1: read all of the iteration's covering extents (one
-            // per covered block) in a single vectorized call — one booking
-            // lock per OST, object-contiguous runs across blocks charged
-            // one seek. A single covering range times identically to
-            // `read_at`.
-            let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(j));
-            let ready = io_lane.free_at().max(floor);
-            let read_done = pfs.read_multi(file, rlo, ranges, ready, &mut slots[j % nslots]);
-            io_lane.advance_to(read_done);
-            report.bytes_read += ranges.iter().map(|&(_, len)| len).sum::<u64>();
-            let read_dur = read_done.saturating_since(ready);
-            let ideal: SimTime = ranges
-                .iter()
-                .map(|&(lo, len)| pfs.ideal_read_time(file, lo, len))
-                .sum();
-            report
-                .segments
-                .push(Segment::new(ready, read_done, Activity::Wait));
-            reads[j] = Some((rlo, ready, read_done, read_dur.saturating_since(ideal)));
-        }
-        let Some((rlo, ready, read_done, queue_dur)) = reads[pos] else {
-            // Nothing was read for this iteration, so nothing occupies its
-            // slot: carry the previous occupant's drain time forward.
-            if let Some(r) = ring.as_mut() {
-                let t = r.available(pos);
-                r.drain(pos, t);
-            }
+    for pos in 0..stage.iters().len() {
+        let Some((iter, rlo, ready, read_done, chunk)) =
+            stage.next(pos, &mut io_lane, &mut report.segments)
+        else {
             continue;
         };
-        let chunk = &slots[pos % nslots];
         let read_dur = read_done.saturating_since(ready);
+        let ideal: SimTime = schedule
+            .read_ranges(agg_idx, iter)
+            .iter()
+            .map(|&(lo, len)| pfs.ideal_read_time(file, lo, len))
+            .sum();
 
         // Phase 2: pack and post pieces per destination. With hierarchical
         // paths active, only same-node destinations are served directly;
@@ -428,31 +392,15 @@ fn run_aggregator(
                 let src = (p.extent.offset - rlo) as usize;
                 payload.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
             }
-            // The shuffle lane is held for the memcpy, the per-piece
-            // pack/post cost (non-contiguous runs are packed one by one,
-            // like a derived-datatype scatter), the NIC serialization
-            // of the payload (a node's egress is a serially-reused
-            // resource), and the per-message posting overhead. Per-piece
-            // cost is what makes the shuffle of a finely-fragmented
-            // request approach the read cost (Fig. 1). Inter-node
-            // payloads may be compressed: the codec CPU joins the lane
-            // hold and the NIC serializes only the wire bytes.
-            let same_node = comm.model().topology.same_node(comm.rank(), dst);
-            let (wire, logical_len, compressed) =
-                encode_for_wire(comm, &hints.compression, same_node, payload);
-            let codec = if compressed {
-                cpu.compress_time(logical_len)
-            } else {
-                SimTime::ZERO
-            };
-            let pack_and_post = cpu.memcpy_time(logical_len)
-                + codec
-                + comm.model().net.scatter_cost().scale(pieces.len() as f64)
-                + comm.model().net.wire_time(wire.len(), same_node)
-                + comm.model().net.msg_cost(same_node);
-            let depart = shuffle_lane.acquire(read_done, pack_and_post);
-            report.bytes_shuffled += logical_len as u64;
-            comm.post_framed_bytes_at(dst, tag, wire, depart, logical_len);
+            let (depart, sent) = direct.post(
+                comm,
+                &mut shuffle_lane,
+                read_done,
+                dst,
+                payload,
+                pieces.len(),
+            );
+            report.bytes_shuffled += sent;
             shuffle_end = shuffle_end.max(depart);
         }
         if let Some(view) = hier {
@@ -462,7 +410,6 @@ fn run_aggregator(
             // shared schedule, so no framing metadata crosses the wire.
             // Coalescing pays the inter-node posting overhead once per
             // node instead of once per destination rank.
-            let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
             for node in 0..view.nodes_used {
                 if node == view.node {
                     continue;
@@ -490,44 +437,32 @@ fn run_aggregator(
                 // Node-pair frames always cross the interconnect, so they
                 // are the prime compression target: one codec pass per
                 // frame, wire time on the compressed bytes.
-                let (wire, logical_len, compressed) =
-                    encode_for_wire(comm, &hints.compression, false, frame);
-                let codec = if compressed {
-                    cpu.compress_time(logical_len)
-                } else {
-                    SimTime::ZERO
-                };
-                let pack_and_post = cpu.memcpy_time(logical_len)
-                    + codec
-                    + comm.model().net.scatter_cost().scale(frame_pieces as f64)
-                    + comm.model().net.wire_time(wire.len(), false)
-                    + comm.model().net.msg_cost(false);
-                let depart = shuffle_lane.acquire(read_done, pack_and_post);
-                report.bytes_shuffled += logical_len as u64;
-                comm.post_framed_bytes_at(
-                    view.leader_of_node(node),
-                    frame_tag,
-                    wire,
-                    depart,
-                    logical_len,
+                let leader = view.leader_of_node(node);
+                let (depart, sent) = framed.post(
+                    comm,
+                    &mut shuffle_lane,
+                    read_done,
+                    leader,
+                    frame,
+                    frame_pieces,
                 );
+                report.bytes_shuffled += sent;
                 shuffle_end = shuffle_end.max(depart);
             }
         }
         // The slot is reusable once the last piece was packed out of it.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, shuffle_end);
-        }
+        stage.drain(pos, shuffle_end);
         report
             .segments
             .push(Segment::new(shuffle_start, shuffle_end, Activity::Sys));
         report.iterations.push(IterationTiming {
             read: read_dur,
-            queue: queue_dur,
+            queue: read_dur.saturating_since(ideal),
             shuffle: shuffle_end.saturating_since(shuffle_start),
         });
         last = last.max(shuffle_end);
     }
+    report.bytes_read += stage.bytes_read();
     last
 }
 
@@ -547,7 +482,7 @@ fn relay_read_frames(
     report: &mut TwoPhaseReport,
 ) -> SimTime {
     let cpu = comm.model().cpu.clone();
-    let frame_tag = TAG_SHUFFLE_FRAME | (tag & SEQ_MASK);
+    let frames = Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints);
     let relay_tag = TAG_SHUFFLE_RELAY | (tag & SEQ_MASK);
     let start = comm.clock();
     let mut relay_lane = Lane::free_from(start);
@@ -568,17 +503,12 @@ fn relay_read_frames(
         {
             continue; // no frame was sent for this chunk
         }
-        let (frame, info) = comm.recv_bytes_no_clock(agg_rank, frame_tag);
         // Frames from remote aggregators arrive compressed when the
         // hints say so; the leader decodes once (occupying the relay
-        // lane) and relays raw sections intra-node.
-        let frame = if hints.compression.is_on() {
-            let (logical, n) = decode_from_wire(comm, frame);
-            relay_lane.acquire(info.arrival, cpu.decompress_time(n));
-            logical
-        } else {
-            frame
-        };
+        // lane — a raw frame takes no time) and relays raw sections
+        // intra-node.
+        let (frame, arrival, decode) = frames.recv(comm, agg_rank);
+        relay_lane.acquire(arrival, decode);
         let mut pos = 0usize;
         for (dst, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
             let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
@@ -595,7 +525,7 @@ fn relay_read_frames(
                     + comm.model().net.wire_time(len, true)
                     + comm.model().net.msg_cost(true)
             };
-            let depart = relay_lane.acquire(info.arrival, cost);
+            let depart = relay_lane.acquire(arrival, cost);
             if dst != comm.rank() {
                 report.bytes_shuffled += len as u64;
             }
@@ -606,8 +536,9 @@ fn relay_read_frames(
             pos,
             frame.len(),
             "rank {}: shuffle frame length mismatch from rank {agg_rank} \
-             (aggregator {a}, iteration {iter}, tag {frame_tag:#x})",
+             (aggregator {a}, iteration {iter}, tag {:#x})",
             comm.rank(),
+            frames.tag,
         );
         comm.recycle_buf(frame);
     }

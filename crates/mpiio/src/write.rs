@@ -9,7 +9,7 @@
 //! because requests never overlap within one offset list and overlapping
 //! writes *across* ranks are application bugs MPI-IO leaves undefined.
 
-use cc_model::{BufferRing, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
 use cc_mpi::{Comm, NodeView};
 use cc_pfs::{FileHandle, Pfs};
@@ -19,7 +19,8 @@ use crate::exchange::exchange_requests;
 use crate::extent::{Extent, OffsetList};
 use crate::hints::{Hints, Striping};
 use crate::schedule::{PlanSchedule, PlanSource};
-use crate::twophase::{decode_from_wire, encode_for_wire};
+use crate::stage::Staging;
+use crate::twophase::Wire;
 
 /// Tag base for write-shuffle messages; each collective stamps its
 /// sequence number into the low bits (see `Comm::next_engine_tag`).
@@ -152,14 +153,11 @@ pub fn collective_write_planned(
 
     // --- Aggregator role: assemble chunks and write. --------------------
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
+        let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
         done = done.max(run_write_aggregator(
             comm,
-            pfs,
-            file,
-            &schedule,
-            agg_idx,
+            stage,
             tag,
-            hints,
             hier.as_ref(),
             data,
             my_request,
@@ -189,6 +187,7 @@ fn send_pieces(
     report: &mut WriteReport,
 ) -> SimTime {
     let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
+    let direct = Wire::new(tag, hints);
     let cpu = comm.model().cpu.clone();
     let mut send_lane = Lane::free_from(comm.clock());
     for (a, _, pieces) in schedule.sources_with_pieces(comm.rank()) {
@@ -221,22 +220,9 @@ fn send_pieces(
         }
         // Direct sends that cross the interconnect may travel compressed;
         // intra-node sends always stay raw (cheap lane, nothing to save).
-        let same_node = comm.model().topology.same_node(comm.rank(), agg_rank);
-        let (wire, logical_len, compressed) =
-            encode_for_wire(comm, &hints.compression, same_node, payload);
-        let codec = if compressed {
-            cpu.compress_time(logical_len)
-        } else {
-            SimTime::ZERO
-        };
-        let cost = cpu.memcpy_time(logical_len)
-            + codec
-            + comm.model().net.scatter_cost().scale(pieces.len() as f64)
-            + comm.model().net.wire_time(wire.len(), same_node)
-            + comm.model().net.msg_cost(same_node);
-        let depart = send_lane.acquire(comm.clock(), cost);
-        report.bytes_shuffled += logical_len as u64;
-        comm.post_framed_bytes_at(agg_rank, tag, wire, depart, logical_len);
+        let ready = comm.clock();
+        let (_, sent) = direct.post(comm, &mut send_lane, ready, agg_rank, payload, pieces.len());
+        report.bytes_shuffled += sent;
     }
     send_lane.free_at().max(comm.clock())
 }
@@ -257,9 +243,8 @@ fn coalesce_write_frames(
     hints: &Hints,
     report: &mut WriteReport,
 ) -> SimTime {
-    let cpu = comm.model().cpu.clone();
     let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
-    let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
+    let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
     let start = comm.clock();
     let mut frame_lane = Lane::free_from(start);
     let mut last = start;
@@ -299,23 +284,11 @@ fn coalesce_write_frames(
             comm.recycle_buf(payload);
         }
         // Concatenating contiguous payloads is a plain copy — the
-        // per-piece scatter cost was already paid by the members.
-        // The coalesced frame always crosses the interconnect, so it
-        // is compressed whenever the hints ask for it.
-        let (wire, logical_len, compressed) =
-            encode_for_wire(comm, &hints.compression, false, frame);
-        let codec = if compressed {
-            cpu.compress_time(logical_len)
-        } else {
-            SimTime::ZERO
-        };
-        let cost = cpu.memcpy_time(logical_len)
-            + codec
-            + comm.model().net.wire_time(wire.len(), false)
-            + comm.model().net.msg_cost(false);
-        let depart = frame_lane.acquire(arrival, cost);
-        report.bytes_shuffled += logical_len as u64;
-        comm.post_framed_bytes_at(agg_rank, frame_tag, wire, depart, logical_len);
+        // per-piece scatter cost was already paid by the members, so the
+        // frame packs zero pieces. It always crosses the interconnect, so
+        // it is compressed whenever the hints ask for it.
+        let (depart, sent) = frames.post(comm, &mut frame_lane, arrival, agg_rank, frame, 0);
+        report.bytes_shuffled += sent;
         last = last.max(depart);
     }
     if last > start {
@@ -326,147 +299,93 @@ fn coalesce_write_frames(
     last
 }
 
-/// Assembles and writes every chunk of one aggregator's file domain;
-/// returns the time the last write completed.
-#[allow(clippy::too_many_arguments)]
+/// Assembles and writes every chunk of `stage`'s aggregator; returns the
+/// time the last write completed.
 fn run_write_aggregator(
     comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    schedule: &PlanSchedule,
-    agg_idx: usize,
+    mut stage: Staging<'_>,
     tag: TagValue,
-    hints: &Hints,
     hier: Option<&NodeView>,
     my_data: &[u8],
     my_request: &OffsetList,
     report: &mut WriteReport,
 ) -> SimTime {
     let cpu = comm.model().cpu.clone();
+    let (pfs, file, hints) = (stage.pfs, stage.file, stage.hints);
+    let (schedule, agg_idx) = (stage.schedule, stage.agg);
     let mut recv_done = comm.clock();
     let mut io_lane = Lane::free_from(comm.clock());
-    // Mirror of the read engine's staging discipline: bounded
-    // `PipelineDepth` rotates through that many assembly slots, so
-    // iteration `i`'s receives are floored at the write that frees slot
-    // `i - depth`; unbounded depth lets receives overlap writes freely
-    // (the engine's historical non-blocking behavior); blocking mode is
-    // depth 1 — the next chunk's receives cannot overlap the write.
-    let depth = if hints.nonblocking {
-        hints.pipeline_depth.bound()
-    } else {
-        Some(1)
-    };
-    let mut ring = depth.map(BufferRing::new);
-    let iters = schedule.active_iterations(agg_idx);
-    let nslots = depth.unwrap_or(1).min(iters.len()).max(1);
-    // Assembly slots reused (re-zeroed) round-robin across iterations.
-    let mut slots: Vec<Vec<u8>> = (0..nslots).map(|_| Vec::new()).collect();
+    // Mirror of the read engine's staging discipline: assembly slots are
+    // reused (re-zeroed) round-robin, and iteration `i`'s receives are
+    // floored at the write that frees its slot. Blocking mode is depth 1
+    // — the next chunk's receives cannot overlap the write.
     let mut last = comm.clock();
 
-    let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
-    for (pos, &iter) in iters.iter().enumerate() {
+    let direct = Wire::new(tag, hints);
+    let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
+    for (pos, &iter) in stage.iters().iter().enumerate() {
         let (clo, chi) = schedule.chunk(agg_idx, iter);
-        let chunk = &mut slots[pos % nslots];
+        let mut arrival = recv_done.max(stage.floor(pos));
+        let chunk = stage.slot_mut(pos);
         chunk.clear();
         chunk.resize((chi - clo) as usize, 0);
         let mut extents: Vec<Extent> = Vec::new();
-        let floor = ring.as_ref().map_or(SimTime::ZERO, |r| r.available(pos));
-        let mut arrival = recv_done.max(floor);
-        // Pending coalesced frame from one remote node's leader: sources
-        // ascend, so each node's contributors form one contiguous run and
-        // the frame is drained exactly once, then flushed on the node
-        // boundary.
-        let mut frame: Option<(usize, usize, Vec<u8>)> = None; // (node, cursor, bytes)
+        // The message the current sender's pieces are unpacked from, as
+        // `(sender, cursor, bytes)`. Sources ascend, so a remote node's
+        // contributors form one contiguous run, carried by one coalesced
+        // frame from its leader; every other source sends its own payload.
+        let mut held: Option<(usize, usize, Vec<u8>)> = None;
+        let release = |comm: &mut Comm, (sender, cursor, bytes): (usize, usize, Vec<u8>)| {
+            assert_eq!(
+                cursor,
+                bytes.len(),
+                "rank {}: write payload length mismatch from rank {sender} \
+                 (aggregator {agg_idx}, iteration {iter}, tag {tag:#x})",
+                comm.rank(),
+            );
+            comm.recycle_buf(bytes);
+        };
         for (src, pieces) in schedule.dests_with_pieces(agg_idx, iter) {
-            if let Some(view) = hier.filter(|v| v.node_of(src) != v.node) {
-                let src_node = view.node_of(src);
-                if frame.as_ref().map(|f| f.0) != Some(src_node) {
-                    if let Some((node, cursor, bytes)) = frame.take() {
-                        assert_eq!(
-                            cursor,
-                            bytes.len(),
-                            "rank {}: write frame length mismatch from node {node} \
-                             (aggregator {agg_idx}, iteration {iter}, tag {frame_tag:#x})",
-                            comm.rank(),
-                        );
-                        comm.recycle_buf(bytes);
-                    }
-                    let (bytes, info) =
-                        comm.recv_bytes_no_clock(view.leader_of_node(src_node), frame_tag);
-                    // Leader frames always cross the interconnect, so they
-                    // arrive compressed exactly when the hints ask for it.
-                    let (bytes, decode) = if hints.compression.is_on() {
-                        let (logical, n) = decode_from_wire(comm, bytes);
-                        (logical, cpu.decompress_time(n))
-                    } else {
-                        (bytes, SimTime::ZERO)
-                    };
-                    arrival = arrival.max(info.arrival + decode);
-                    frame = Some((src_node, 0, bytes));
-                }
-                let (_, cursor, bytes) = frame.as_mut().expect("frame just installed");
+            if src == comm.rank() {
+                // Offsets of my own pieces come from my own request.
+                debug_assert_eq!(
+                    my_request.bytes_in(clo, chi),
+                    pieces.iter().map(|p| p.extent.len).sum::<u64>(),
+                    "own piece extraction mismatch"
+                );
                 for p in pieces {
                     let off = (p.extent.offset - clo) as usize;
-                    let len = p.extent.len as usize;
-                    chunk[off..off + len].copy_from_slice(&bytes[*cursor..*cursor + len]);
-                    *cursor += len;
+                    let (lo, len) = (p.buf_offset as usize, p.extent.len as usize);
+                    chunk[off..off + len].copy_from_slice(&my_data[lo..lo + len]);
                     extents.push(p.extent);
                 }
                 continue;
             }
-            let payload: Vec<u8>;
-            if src == comm.rank() {
-                let mut own = comm.take_buf();
-                for p in pieces {
-                    let lo = p.buf_offset as usize;
-                    own.extend_from_slice(&my_data[lo..lo + p.extent.len as usize]);
+            // Leader frames always cross the interconnect, so they arrive
+            // compressed exactly when the hints ask for it.
+            let (sender, wire) = match hier.filter(|v| v.node_of(src) != v.node) {
+                Some(view) => (view.leader_of(src), frames),
+                None => (src, direct),
+            };
+            if held.as_ref().map(|h| h.0) != Some(sender) {
+                if let Some(h) = held.take() {
+                    release(comm, h);
                 }
-                // Offsets of my own pieces come from my own request.
-                debug_assert_eq!(
-                    my_request.bytes_in(clo, chi),
-                    own.len() as u64,
-                    "own piece extraction mismatch"
-                );
-                payload = own;
-            } else {
-                let (bytes, info) = comm.recv_bytes_no_clock(src, tag);
-                let compressed = hints.compression.is_on()
-                    && !comm.model().topology.same_node(src, comm.rank());
-                if compressed {
-                    let (logical, n) = decode_from_wire(comm, bytes);
-                    arrival = arrival.max(info.arrival + cpu.decompress_time(n));
-                    payload = logical;
-                } else {
-                    arrival = arrival.max(info.arrival);
-                    payload = bytes;
-                }
+                let (bytes, at, decode) = wire.recv(comm, sender);
+                arrival = arrival.max(at + decode);
+                held = Some((sender, 0, bytes));
             }
-            let mut cursor = 0usize;
+            let (_, cursor, bytes) = held.as_mut().expect("payload just received");
             for p in pieces {
                 let off = (p.extent.offset - clo) as usize;
                 let len = p.extent.len as usize;
-                chunk[off..off + len].copy_from_slice(&payload[cursor..cursor + len]);
-                cursor += len;
+                chunk[off..off + len].copy_from_slice(&bytes[*cursor..*cursor + len]);
+                *cursor += len;
                 extents.push(p.extent);
             }
-            assert_eq!(
-                cursor,
-                payload.len(),
-                "rank {}: write payload length mismatch from rank {src} \
-                 (aggregator {agg_idx}, iteration {iter}, tag {tag:#x})",
-                comm.rank(),
-            );
-            comm.recycle_buf(payload);
         }
-        if let Some((node, cursor, bytes)) = frame.take() {
-            assert_eq!(
-                cursor,
-                bytes.len(),
-                "rank {}: write frame length mismatch from node {node} \
-                 (aggregator {agg_idx}, iteration {iter}, tag {frame_tag:#x})",
-                comm.rank(),
-            );
-            comm.recycle_buf(bytes);
+        if let Some(h) = held.take() {
+            release(comm, h);
         }
         recv_done = arrival;
         // Merge the received extents and write the whole chunk as one
@@ -517,9 +436,7 @@ fn run_write_aggregator(
         }
         io_lane.advance_to(write_done);
         // The slot is free for iteration pos + depth once its write lands.
-        if let Some(r) = ring.as_mut() {
-            r.drain(pos, write_done);
-        }
+        stage.drain(pos, write_done);
         report
             .segments
             .push(Segment::new(ready, write_done, Activity::Wait));

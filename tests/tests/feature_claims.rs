@@ -209,18 +209,22 @@ fn double_buffering_overlaps_read_and_shuffle() {
     let data: Vec<u8> = (0..32 * 512 * 160u64)
         .map(|o| (o.wrapping_mul(179) ^ (o >> 9)) as u8)
         .collect();
-    let run = |pipeline_depth| {
+    let run = |nonblocking, pipeline_depth| {
         let fs = striped_fs(16, DiskModel::lustre_like(), 8 << 10, data.clone());
         let hints = Hints {
             cb_buffer_size: 32 << 10,
             aggregators_per_node: 1,
+            nonblocking,
             pipeline_depth,
             domain_partition: DomainPartition::GroupCyclic,
             ..Hints::default()
         };
         read_all(&fs, ClusterModel::hopper_like(8, 4), &requests, &hints).1
     };
-    let (sequential, double) = (run(PipelineDepth::Sequential), run(PipelineDepth::Depth(2)));
+    let (sequential, double) = (
+        run(false, PipelineDepth::Unbounded),
+        run(true, PipelineDepth::Depth(2)),
+    );
     let speedup = sequential.secs() / double.secs();
     assert!(speedup >= 1.5, "double buffering only {speedup:.2}x faster");
 }

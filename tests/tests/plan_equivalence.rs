@@ -524,11 +524,10 @@ proptest! {
 type KernelGlobals = (Option<Vec<f64>>, Option<Vec<f64>>);
 
 /// The staging-depth variants every engine must agree across: blocking
-/// mode, and nonblocking mode at ring depths 1 (sequential), 2 (double
-/// buffer), 3, and unbounded (the historical engine behavior).
-const DEPTHS: [(&str, bool, PipelineDepth); 5] = [
+/// mode (a one-buffer ring), and nonblocking mode at ring depths 2
+/// (double buffer), 3, and unbounded (the historical engine behavior).
+const DEPTHS: [(&str, bool, PipelineDepth); 4] = [
     ("blocking", false, PipelineDepth::Unbounded),
-    ("sequential", true, PipelineDepth::Sequential),
     ("depth-2", true, PipelineDepth::Depth(2)),
     ("depth-3", true, PipelineDepth::Depth(3)),
     ("unbounded", true, PipelineDepth::Unbounded),
@@ -703,7 +702,7 @@ proptest! {
         for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
             for compression in [Compression::Off, Compression::Lossless] {
                 for (_, nonblocking, depth) in
-                    [DEPTHS[0], DEPTHS[2], DEPTHS[4]]
+                    [DEPTHS[0], DEPTHS[1], DEPTHS[3]]
                 {
                     let fs = Pfs::new(4, DiskModel::lustre_like());
                     fs.create(
@@ -880,33 +879,189 @@ fn single_aggregator_sweep(
     })
 }
 
-/// Depth-1 equivalence, encoded as a test: a one-buffer nonblocking ring
-/// must reproduce blocking mode's virtual clock *exactly* — same start,
-/// same end, on every rank — because its only staging buffer cannot be
-/// refilled before the previous iteration's shuffle drains it.
+/// The aggregator engines whose staging loops the goldens below pin.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Read,
+    Write,
+    Cc,
+}
+
+/// Runs one `engine` call on every rank of a fresh world and returns every
+/// clock it reports, in rank order: the rank's `end`, then its
+/// per-iteration timings (empty off the aggregators) and its activity
+/// segments. The flat shape is one node of 4 ranks, each owning an
+/// 8 KiB row of a `[4, 1024]` f64 variable, staged through 2 KiB buffers:
+/// one aggregator, 16 iterations. The hierarchical shape is 8 nodes of 4
+/// ranks on the Hopper-like model, each rank owning a 20-column band of a
+/// `[128, 640]` variable, so 160-byte pieces interleave across every rank
+/// and the relay and frame paths carry the shuffle; group-cyclic domains
+/// over 16 OSTs give each node's aggregator private OSTs. In both shapes
+/// no two threads race for an OST, so every clock repeats exactly.
+fn engine_clocks(
+    hierarchical: bool,
+    engine: Engine,
+    nonblocking: bool,
+    depth: PipelineDepth,
+) -> Vec<SimTime> {
+    let (nodes, rows, cols, cb, osts, stripe) = match hierarchical {
+        false => (1, 4, 1024, 2 << 10, 4, 1 << 9),
+        true => (8, 128, 640, 16 << 10, 16, 8 << 10),
+    };
+    let nprocs = nodes * 4;
+    let shape = Shape::new(vec![rows, cols]);
+    let (fs, var) = build_var_fs(&shape, stripe, osts, osts);
+    fs.create(
+        "out.nc",
+        StripeLayout::round_robin(stripe, osts, 0, osts),
+        Box::new(MemBackend::zeroed((rows * cols * 8) as usize)),
+    );
+    let (model, partition) = match hierarchical {
+        false => (test_model(1, 4), DomainPartition::Even),
+        true => (
+            cc_model::ClusterModel::hopper_like(nodes, 4),
+            DomainPartition::GroupCyclic,
+        ),
+    };
+    let hints = with_depth(
+        &Hints {
+            cb_buffer_size: cb,
+            domain_partition: partition,
+            ..Hints::default()
+        },
+        nonblocking,
+        depth,
+    );
+    let band = cols / nprocs as u64;
+    let (fs, var, hints) = (&fs, &var, &hints);
+    let per_rank = World::new(nprocs, model).run(move |comm| {
+        let (start, count) = match hierarchical {
+            false => (vec![comm.rank() as u64, 0], vec![1, cols]),
+            true => (vec![0, comm.rank() as u64 * band], vec![rows, band]),
+        };
+        let request = var.byte_extents(&Hyperslab::new(start.clone(), count.clone()));
+        let mut clocks = Vec::new();
+        let segments = match engine {
+            Engine::Read => {
+                let file = fs.open("t.nc").expect("exists");
+                let (_, report) = collective_read(comm, fs, &file, &request, hints);
+                clocks.push(report.end);
+                for i in &report.iterations {
+                    clocks.extend([i.read, i.queue, i.shuffle]);
+                }
+                report.segments
+            }
+            Engine::Write => {
+                let file = fs.open("out.nc").expect("exists");
+                let data = vec![comm.rank() as u8; request.total_bytes() as usize];
+                let report = collective_write(comm, fs, &file, &request, &data, hints);
+                clocks.push(report.end);
+                report.segments
+            }
+            Engine::Cc => {
+                let file = fs.open("t.nc").expect("exists");
+                let io = ObjectIo::new(start, count).hints(hints.clone());
+                let report = object_get_vara(comm, fs, &file, var, &io, &SumKernel).report;
+                clocks.push(report.end);
+                for i in &report.iterations {
+                    clocks.extend([i.read, i.map]);
+                }
+                report.segments
+            }
+        };
+        for s in segments {
+            clocks.extend([s.start, s.end]);
+        }
+        clocks
+    });
+    per_rank.into_iter().flatten().collect()
+}
+
+/// Word-wise FNV-1a over the clocks' bit patterns: one number that moves
+/// when any clock, or the number or order of clocks, does.
+fn clock_digest(clocks: &[SimTime]) -> u64 {
+    clocks.iter().fold(0xcbf2_9ce4_8422_2325, |h, t| {
+        (h ^ t.secs().to_bits()).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden clocks for the three aggregator loops at every staging depth,
+/// flat and hierarchical: every rank's `end` and every aggregator's
+/// per-iteration timings and segments must equal the values recorded at
+/// commit 500aa01, before the three loops shared one staging driver. Each
+/// row is the latest `end` in seconds and the digest of every clock; a
+/// mismatch prints the whole table so it can be diffed row by row. The
+/// write rows agree across depths: the write engine's ring floor never
+/// binds (DESIGN §11).
 #[test]
-fn sequential_ring_matches_blocking_clock_exactly() {
-    let blocking = single_aggregator_sweep(false, PipelineDepth::Unbounded, None);
-    let sequential = single_aggregator_sweep(true, PipelineDepth::Sequential, None);
-    assert_eq!(blocking, sequential, "depth-1 ring diverged from blocking");
+fn staging_clocks_match_recorded_goldens() {
+    #[rustfmt::skip]
+    const GOLDEN: [(&str, f64, u64); 24] = [
+        ("flat Read blocking", 0.032073229488888876, 0x418ffa456cf74fe5),
+        ("flat Read depth-2", 0.032045429488888874, 0x9c3dfbcaa5cfdd0d),
+        ("flat Read depth-3", 0.032045429488888874, 0xabe5967c5ad142bd),
+        ("flat Read unbounded", 0.032045429488888874, 0x44a548f457083439),
+        ("flat Write blocking", 0.032043000688888885, 0xfc4929d7d035d1c8),
+        ("flat Write depth-2", 0.032043000688888885, 0xfc4929d7d035d1c8),
+        ("flat Write depth-3", 0.032043000688888885, 0xfc4929d7d035d1c8),
+        ("flat Write unbounded", 0.032043000688888885, 0xfc4929d7d035d1c8),
+        ("flat Cc blocking", 0.03204952388888888, 0x2b64cb0eb7ed85a7),
+        ("flat Cc depth-2", 0.03204034388888888, 0x24de5e0394562931),
+        ("flat Cc depth-3", 0.03204034388888888, 0xda9b93b87fa53fc1),
+        ("flat Cc unbounded", 0.03204034388888888, 0xdc21e2bbd649fa09),
+        ("hier Read blocking", 0.01557625102777778, 0xd8a259b077478338),
+        ("hier Read depth-2", 0.011294360627777784, 0x8841109afefeed96),
+        ("hier Read depth-3", 0.011294360627777784, 0xeabb07ca71eb70ba),
+        ("hier Read unbounded", 0.011294360627777784, 0x54561673f516df7e),
+        ("hier Write blocking", 0.010502831944444447, 0x7f76b20fdc61e7aa),
+        ("hier Write depth-2", 0.010502831944444447, 0x7f76b20fdc61e7aa),
+        ("hier Write depth-3", 0.010502831944444447, 0x7f76b20fdc61e7aa),
+        ("hier Write unbounded", 0.010502831944444447, 0x7f76b20fdc61e7aa),
+        ("hier Cc blocking", 0.010305905494444446, 0x122598bdd0b662d6),
+        ("hier Cc depth-2", 0.010219209494444447, 0xa502182464f27148),
+        ("hier Cc depth-3", 0.010219209494444447, 0x4efb7b6f53dca310),
+        ("hier Cc unbounded", 0.010219209494444447, 0xfdf5fd218b1a5548),
+    ];
+    let mut got = Vec::new();
+    for hierarchical in [false, true] {
+        for engine in [Engine::Read, Engine::Write, Engine::Cc] {
+            for (label, nonblocking, depth) in DEPTHS {
+                let clocks = engine_clocks(hierarchical, engine, nonblocking, depth);
+                let end = clocks.iter().copied().fold(SimTime::ZERO, SimTime::max);
+                let shape = if hierarchical { "hier" } else { "flat" };
+                let row = format!("{shape} {engine:?} {label}");
+                got.push((row, end.secs(), clock_digest(&clocks)));
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(row, end, digest)| format!("    ({row:?}, {end:?}, {digest:#018x}),\n"))
+        .collect();
+    let golden: Vec<_> = GOLDEN
+        .iter()
+        .map(|&(r, e, d)| (r.to_string(), e, d))
+        .collect();
+    assert_eq!(got, golden, "staging clocks moved; now:\n{table}");
 }
 
 /// Double buffering overlaps iteration i+1's read with iteration i's
 /// shuffle, so on a read-dominated multi-iteration sweep the collective
-/// must finish strictly earlier than sequential staging — and relaxing
-/// the ring further (depth 3, unbounded) can only help, never hurt.
+/// must finish strictly earlier than one-buffer (blocking) staging — and
+/// relaxing the ring further (depth 3, unbounded) can only help, never
+/// hurt.
 #[test]
 fn deeper_staging_rings_monotonically_speed_up_reads() {
-    let end_at = |depth: PipelineDepth| {
-        let per_rank = single_aggregator_sweep(true, depth, None);
+    let end_at = |nonblocking: bool, depth: PipelineDepth| {
+        let per_rank = single_aggregator_sweep(nonblocking, depth, None);
         let end = per_rank.iter().map(|(_, _, e)| *e).max().expect("ranks");
         let bytes: Vec<&Vec<u8>> = per_rank.iter().map(|(b, _, _)| b).collect();
         (end, bytes.iter().map(|b| b.len()).sum::<usize>())
     };
-    let (seq, n1) = end_at(PipelineDepth::Sequential);
-    let (two, n2) = end_at(PipelineDepth::Depth(2));
-    let (three, n3) = end_at(PipelineDepth::Depth(3));
-    let (unbounded, n4) = end_at(PipelineDepth::Unbounded);
+    let (seq, n1) = end_at(false, PipelineDepth::Unbounded);
+    let (two, n2) = end_at(true, PipelineDepth::Depth(2));
+    let (three, n3) = end_at(true, PipelineDepth::Depth(3));
+    let (unbounded, n4) = end_at(true, PipelineDepth::Unbounded);
     assert_eq!(n1, n2);
     assert_eq!(n1, n3);
     assert_eq!(n1, n4);
