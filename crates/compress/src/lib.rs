@@ -99,7 +99,7 @@ impl Hash for ErrorBound {
 
 /// How data-movement frames are compressed.
 ///
-/// Carried by `cc_mpiio::Hints`, so it enters the `PlanCache` key: plans
+/// Carried by `cc_mpiio::Hints`, so it enters the plan-cache key: plans
 /// compiled under different compression settings never alias. `Off` keeps
 /// every engine on its original code path, byte- and clock-identical to a
 /// build without this crate.

@@ -116,11 +116,11 @@ pub fn object_get_vara(
 }
 
 /// [`object_get_vara`] drawing its compiled schedule from an explicit
-/// [`PlanSource`]: fresh compiles, a per-run cache, or the multi-job
-/// service's process-wide shared cache (which tags each lookup with the
-/// job id so cross-job reuse is counted). Every rank must pass an
-/// equivalent source; the source only matters on the collective
-/// non-blocking path — blocking and independent modes ignore it.
+/// [`PlanSource`]: a fresh compile, or a cache shared across collectives
+/// and jobs (which tags each lookup with the job id so cross-job reuse is
+/// counted). Every rank must pass an equivalent source; the source only
+/// matters on the collective non-blocking path — blocking and independent
+/// modes ignore it.
 pub fn object_get_vara_planned(
     comm: &mut Comm,
     pfs: &Pfs,

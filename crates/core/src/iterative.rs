@@ -9,7 +9,7 @@
 
 use cc_array::Variable;
 use cc_mpi::{Comm, CommStats};
-use cc_mpiio::{PlanCache, PlanCacheStats, PlanSource};
+use cc_mpiio::{PlanCacheStats, PlanSource, SharedPlanCache};
 use cc_pfs::{FileHandle, OstBalance, Pfs};
 
 use crate::engine::{object_get_vara_planned, CcOutcome};
@@ -25,8 +25,9 @@ pub struct IterativeOutcome {
     pub per_step: Option<Vec<Vec<f64>>>,
     /// Every step's full outcome (reports etc.), in step order.
     pub steps: Vec<CcOutcome>,
-    /// How the sweep's plan cache was exercised: the canonical timestep
-    /// sweep compiles step 0 and hits or translates every later step.
+    /// How the sweep's plan cache was exercised, one lookup per step (the
+    /// same on every rank): a step that repeats an earlier step's requests
+    /// hits, any other step compiles.
     pub plan_cache: PlanCacheStats,
     /// Cumulative per-OST load balance of the file system after the sweep
     /// (busiest/mean busy-seconds): how evenly the chosen domain-partition
@@ -51,13 +52,21 @@ pub fn iterative_get_vara(
     steps: &[(&Variable, ObjectIo)],
     kernel: &dyn MapKernel,
 ) -> IterativeOutcome {
-    // One plan cache spans the sweep: steps that repeat (or merely shift)
-    // the access shape reuse the compiled schedule instead of replanning.
-    let mut plans = PlanCache::new();
-    iterative_get_vara_planned(comm, pfs, file, steps, kernel, &mut PlanSource::Local(&mut plans))
+    // One plan cache per world spans the sweep: a step that repeats an
+    // earlier step's requests reuses its compiled schedule.
+    let plans = comm.memo(SharedPlanCache::new);
+    iterative_get_vara_planned(
+        comm,
+        pfs,
+        file,
+        steps,
+        kernel,
+        &mut PlanSource::shared(&plans, 0),
+    )
 }
 
-/// The common sweep body over an explicit [`PlanSource`].
+/// The common sweep body over an explicit [`PlanSource`]; the outcome's
+/// `plan_cache` is what the source observed, one lookup per step.
 pub fn iterative_get_vara_planned(
     comm: &mut Comm,
     pfs: &Pfs,

@@ -52,12 +52,19 @@ impl PipelineDepth {
     /// # Panics
     /// Panics on `Depth(0)` or `Depth(1)`.
     pub fn validate(&self) {
-        if let Self::Depth(n) = self {
-            assert!(
-                *n >= 2,
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// [`validate`](Self::validate) as a value: the violated invariant.
+    fn check(&self) -> Result<(), String> {
+        match self {
+            Self::Depth(n) if *n < 2 => Err(format!(
                 "PipelineDepth::Depth needs at least two buffers (got {n}); \
                  use `nonblocking: false` for a single buffer"
-            );
+            )),
+            _ => Ok(()),
         }
     }
 }
@@ -93,7 +100,7 @@ impl From<&cc_pfs::StripeLayout> for Striping {
 /// Tuning knobs of the two-phase engine.
 ///
 /// `Eq`/`Hash` let hints participate in plan-cache keys
-/// (`cc_mpiio::schedule::PlanCache`): any hint change must miss the cache,
+/// (`cc_mpiio::SharedPlanCache`): any hint change must miss the cache,
 /// since every field affects the compiled schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Hints {
@@ -146,26 +153,39 @@ impl Hints {
     /// Validates invariants (positive buffer, positive aggregator count).
     ///
     /// # Panics
-    /// Panics on a zero buffer size or zero aggregators per node.
+    /// Panics with [`check`](Self::check)'s message on invalid hints.
     pub fn validate(&self) {
-        assert!(self.cb_buffer_size > 0, "cb_buffer_size must be positive");
-        assert!(
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The first invariant these hints violate, if any: a zero buffer
+    /// size, aggregator count, alignment or striping field, a one-buffer
+    /// pipeline ring, or an error bound that bounds nothing. Lets callers
+    /// refuse bad hints up front instead of panicking mid-collective.
+    pub fn check(&self) -> Result<(), String> {
+        let fail = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+        fail(self.cb_buffer_size > 0, "cb_buffer_size must be positive")?;
+        fail(
             self.aggregators_per_node > 0,
-            "need at least one aggregator per node"
-        );
-        if let Some(a) = self.align_domains_to {
-            assert!(a > 0, "alignment must be positive");
-        }
+            "need at least one aggregator per node",
+        )?;
+        fail(
+            self.align_domains_to != Some(0),
+            "alignment must be positive",
+        )?;
         if let Some(s) = self.striping {
-            assert!(s.unit > 0, "striping unit must be positive");
-            assert!(s.factor > 0, "striping factor must be positive");
+            fail(s.unit > 0, "striping unit must be positive")?;
+            fail(s.factor > 0, "striping factor must be positive")?;
         }
-        self.pipeline_depth.validate();
-        if let Compression::ErrorBounded(b) = self.compression {
-            assert!(
+        self.pipeline_depth.check()?;
+        match self.compression {
+            Compression::ErrorBounded(b) => fail(
                 b.abs > 0.0 || b.rel > 0.0,
-                "error-bounded compression needs a positive bound"
-            );
+                "error-bounded compression needs a positive bound",
+            ),
+            _ => Ok(()),
         }
     }
 
@@ -184,9 +204,8 @@ impl Hints {
     /// fallback chain: stripe-aware strategies degrade to even splitting
     /// without striping, and group-cyclic degrades to stripe-aligned-even
     /// when the stripe size is not a multiple of the alignment (a
-    /// group-cyclic chunk would split an alignment unit). Mirrors
-    /// `CollectivePlan::domains_for` and must stay in lockstep with it —
-    /// the plan cache's translation gate keys off the effective strategy.
+    /// group-cyclic chunk would split an alignment unit).
+    /// `CollectivePlan::build` partitions by it.
     pub fn effective_partition(&self) -> DomainPartition {
         let align = self.align_domains_to.unwrap_or(1);
         match (self.domain_partition, self.striping) {
@@ -195,28 +214,6 @@ impl Hints {
                 DomainPartition::StripeAligned
             }
             (p, Some(_)) => p,
-        }
-    }
-
-    /// The period under which the partition is translation-equivariant:
-    /// shifting every request by a multiple of this value shifts the
-    /// compiled schedule rigidly, which is what lets the plan cache reuse
-    /// a schedule for a translated request set. Even domains repeat at the
-    /// alignment; stripe-aligned at `lcm(align, stripe)`; group-cyclic at
-    /// `lcm(align, stripe_count × stripe)` (the full round-robin period).
-    /// Computed from the [*effective*](Self::effective_partition) strategy:
-    /// when group-cyclic falls back to stripe-aligned-even (stripe not a
-    /// multiple of the alignment, e.g. stripe 10 with alignment 4), the
-    /// partition repeats at `lcm(align, stripe)` already — gating on the
-    /// full round-robin period would reject translatable shifts, and
-    /// gating on a period the fallback does not honor would corrupt
-    /// translated schedules.
-    pub fn translation_period(&self) -> u64 {
-        let align = self.align_domains_to.unwrap_or(1);
-        match (self.effective_partition(), self.striping) {
-            (DomainPartition::Even, _) | (_, None) => align,
-            (DomainPartition::StripeAligned, Some(s)) => lcm(align, s.unit),
-            (DomainPartition::GroupCyclic, Some(s)) => lcm(align, s.period()),
         }
     }
 }
@@ -258,34 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn translation_period_per_strategy() {
-        let striped = Some(Striping { unit: 64, factor: 4 });
-        let h = |p, s, a| Hints {
-            domain_partition: p,
-            striping: s,
-            align_domains_to: a,
+    fn check_reports_what_validate_panics_on() {
+        assert_eq!(Hints::default().check(), Ok(()));
+        let zero = Hints {
+            cb_buffer_size: 0,
             ..Hints::default()
         };
-        assert_eq!(h(DomainPartition::Even, striped, Some(48)).translation_period(), 48);
-        assert_eq!(h(DomainPartition::StripeAligned, None, Some(48)).translation_period(), 48);
-        // lcm(48, 64) = 192.
         assert_eq!(
-            h(DomainPartition::StripeAligned, striped, Some(48)).translation_period(),
-            192
+            zero.check(),
+            Err("cb_buffer_size must be positive".to_string())
         );
-        // Stripe 64 is not a multiple of alignment 48, so group-cyclic
-        // falls back to stripe-aligned-even: the effective period is
-        // lcm(48, 64) = 192, not the full round-robin lcm(48, 256) = 768.
-        assert_eq!(
-            h(DomainPartition::GroupCyclic, striped, Some(48)).translation_period(),
-            192
-        );
-        // Aligned stripe (64 % 16 == 0): genuine group-cyclic, full period.
-        assert_eq!(
-            h(DomainPartition::GroupCyclic, striped, Some(16)).translation_period(),
-            256
-        );
-        assert_eq!(h(DomainPartition::GroupCyclic, striped, None).translation_period(), 256);
+        let one_slot = Hints {
+            pipeline_depth: PipelineDepth::Depth(1),
+            ..Hints::default()
+        };
+        assert!(one_slot
+            .check()
+            .unwrap_err()
+            .contains("at least two buffers"));
     }
 
     #[test]
@@ -306,15 +293,12 @@ mod tests {
             assert_eq!(h(p, None, Some(4)).effective_partition(), DomainPartition::Even);
         }
         // Stripe 10 with alignment 4 (the plan.rs fallback case): the
-        // planner degrades group-cyclic to stripe-aligned-even, and the
-        // translation period follows — lcm(4, 10) = 20, not lcm(4, 40).
+        // planner degrades group-cyclic to stripe-aligned-even.
         let fallback = h(DomainPartition::GroupCyclic, striped, Some(4));
         assert_eq!(fallback.effective_partition(), DomainPartition::StripeAligned);
-        assert_eq!(fallback.translation_period(), 20);
-        // Aligned stripe: group-cyclic stands, full round-robin period.
+        // Aligned stripe: group-cyclic stands.
         let aligned = h(DomainPartition::GroupCyclic, striped, Some(2));
         assert_eq!(aligned.effective_partition(), DomainPartition::GroupCyclic);
-        assert_eq!(aligned.translation_period(), 40);
     }
 
     #[test]

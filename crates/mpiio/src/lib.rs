@@ -41,9 +41,7 @@ pub use independent::{
     independent_read, independent_write, sieving_read, sieving_write, IndependentReport,
 };
 pub use plan::{CollectivePlan, FileDomain};
-pub use schedule::{
-    CacheOutcome, PlanCache, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache,
-};
+pub use schedule::{CacheOutcome, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache};
 pub use stage::Staging;
 pub use twophase::{collective_read, collective_read_planned, IterationTiming, TwoPhaseReport};
-pub use write::{collective_write, collective_write_planned, WriteReport};
+pub use write::{collective_write, WriteReport};

@@ -166,14 +166,6 @@ impl FileDomain {
             }
         }
     }
-
-    /// Shifts the whole domain by `delta` bytes (for plan translation).
-    pub fn shifted(&self, delta: i64) -> Self {
-        Self {
-            start: (self.start as i64 + delta) as u64,
-            ..*self
-        }
-    }
 }
 
 /// The shared schedule of one collective operation.
@@ -221,11 +213,12 @@ impl CollectivePlan {
         }
     }
 
-    /// Partitions `[lo, hi)` among `n` aggregators per the hinted strategy.
-    /// Stripe-aware strategies degrade gracefully: without striping both
-    /// fall back to even; group-cyclic falls back to stripe-aligned when
-    /// the stripe size is not a multiple of the requested alignment (a
-    /// group-cyclic chunk would split an alignment unit mid-element).
+    /// Partitions `[lo, hi)` among `n` aggregators per the hinted strategy
+    /// after its fallbacks ([`Hints::effective_partition`]): without
+    /// striping both stripe-aware strategies split evenly; group-cyclic
+    /// splits stripe-aligned when the stripe size is not a multiple of the
+    /// requested alignment (a group-cyclic chunk would split an alignment
+    /// unit mid-element).
     fn domains_for(lo: u64, hi: u64, n: usize, hints: &Hints) -> Vec<FileDomain> {
         let align = hints.align_domains_to;
         let even = |a: Option<u64>| {
@@ -234,18 +227,12 @@ impl CollectivePlan {
                 .map(|(s, e)| FileDomain::contiguous(s, e))
                 .collect()
         };
-        match (hints.domain_partition, hints.striping) {
+        match (hints.effective_partition(), hints.striping) {
             (DomainPartition::Even, _) | (_, None) => even(align),
             (DomainPartition::StripeAligned, Some(s)) => {
                 even(Some(lcm(align.unwrap_or(1), s.unit)))
             }
-            (DomainPartition::GroupCyclic, Some(s)) => {
-                if s.unit % align.unwrap_or(1) == 0 {
-                    Self::partition_group_cyclic(lo, hi, n, s)
-                } else {
-                    even(Some(lcm(align.unwrap_or(1), s.unit)))
-                }
-            }
+            (DomainPartition::GroupCyclic, Some(s)) => Self::partition_group_cyclic(lo, hi, n, s),
         }
     }
 
@@ -290,7 +277,7 @@ impl CollectivePlan {
         assert!(n > 0, "need at least one aggregator");
         let unit = s.unit;
         let k = s.factor as u64;
-        let period = unit * k;
+        let period = s.period();
         if hi <= lo {
             return vec![FileDomain::empty_at(lo); n];
         }
@@ -869,13 +856,13 @@ mod tests {
     #[test]
     fn all_strategies_agree() {
         // Query API, a fresh compile and a cache resolve every step of an
-        // interleaved sweep identically; the cache compiles step 0 only
-        // and translates every later (constant-shifted) step.
-        use crate::schedule::{PlanCache, PlanSchedule};
+        // interleaved sweep identically; every (constant-shifted) step is
+        // its own cache entry, and looking it up again hits.
+        use crate::schedule::{PlanSchedule, SharedPlanCache};
         let (nprocs, extents, len, steps) = (6u64, 40u64, 16u64, 4u64);
         let topo = Topology::new(3, 2);
         let h = hints(512);
-        let mut cache = PlanCache::new();
+        let cache = SharedPlanCache::new();
         for step in 0..steps {
             let base = step * nprocs * extents * len;
             let reqs: Arc<Vec<OffsetList>> = Arc::new(
@@ -891,12 +878,14 @@ mod tests {
             assert!(!query.sends.is_empty());
             let fresh = walk_compiled(&PlanSchedule::compile(plan));
             assert_eq!(query, fresh, "fresh step {step}");
-            let (cached, _, _) = cache.get_or_compile(reqs, &topo, nprocs as usize, &h, 0);
-            assert_eq!(query, walk_compiled(&cached), "cached step {step}");
+            for _ in 0..2 {
+                let (cached, _, _) =
+                    cache.get_or_compile(Arc::clone(&reqs), &topo, nprocs as usize, &h, 0);
+                assert_eq!(query, walk_compiled(&cached), "cached step {step}");
+            }
         }
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "only step 0 should compile");
-        assert_eq!(stats.translations, steps - 1);
+        assert_eq!((stats.misses, stats.hits), (steps, steps), "{stats:?}");
     }
 
     fn partition_from(idx: usize) -> DomainPartition {

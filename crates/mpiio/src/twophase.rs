@@ -207,9 +207,9 @@ pub fn collective_read(
 }
 
 /// [`collective_read`] drawing its compiled schedule from an explicit
-/// [`PlanSource`] — fresh compile, per-run cache, or the multi-job
-/// service's process-wide shared cache. Every rank must pass an equivalent
-/// source (the schedule decision must stay symmetric).
+/// [`PlanSource`] — a fresh compile, or a cache shared across collectives
+/// and jobs. Every rank must pass an equivalent source (the schedule
+/// decision must stay symmetric).
 pub fn collective_read_planned(
     comm: &mut Comm,
     pfs: &Pfs,

@@ -75,30 +75,6 @@ pub fn collective_write(
     data: &[u8],
     hints: &Hints,
 ) -> WriteReport {
-    collective_write_planned(
-        comm,
-        pfs,
-        file,
-        my_request,
-        data,
-        hints,
-        &mut PlanSource::Fresh,
-    )
-}
-
-/// [`collective_write`] drawing its compiled schedule from an explicit
-/// [`PlanSource`] (see
-/// [`collective_read_planned`](crate::twophase::collective_read_planned)
-/// for the symmetry requirement).
-pub fn collective_write_planned(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    data: &[u8],
-    hints: &Hints,
-    plans: &mut PlanSource<'_>,
-) -> WriteReport {
     assert_eq!(
         data.len() as u64,
         my_request.total_bytes(),
@@ -112,7 +88,7 @@ pub fn collective_write_planned(
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
     let requests = exchange_requests(comm, my_request);
-    let schedule = plans.get(comm, requests, hints);
+    let schedule = PlanSource::Fresh.get(comm, requests, hints);
     // All ranks passed through the request exchange, so the counter is
     // symmetric and this collective's shuffle tag is unique to it.
     let tag = comm.next_engine_tag(TAG_WRITE_SHUFFLE);

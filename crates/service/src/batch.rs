@@ -23,10 +23,10 @@
 //!    are read once.
 //! 4. **One collective sweep per bin** — the fused per-rank requests go
 //!    through [`cc_mpiio::collective_read_planned`] with the batch's
-//!    [`SharedPlanCache`], so bins with translated-copy request shapes
-//!    (stencil waves marching through a staged file) amortize to one
-//!    compiled schedule; [`PlanCacheStats::fused_tasks`] records how many
-//!    tasks each compile served. All sweeps of a batch run on one set of
+//!    [`SharedPlanCache`], one plan lookup per bin, so a bin that repeats
+//!    an earlier bin's requests reuses its compiled schedule;
+//!    [`PlanCacheStats::fused_tasks`] records how many tasks each compile
+//!    served. All sweeps of a batch run on one set of
 //!    rank threads; between bins the ranks agree on the frontier (the last
 //!    bin's end) without a message or a virtual-time charge.
 //! 5. **Result scatter** — each task's bytes are projected back out of
@@ -464,10 +464,9 @@ impl TaskBatch {
                                 bin.file
                             )
                         });
-                        let mut plans = PlanSource::shared(cache, bin_id as u64);
-                        let (bytes, _) = collective_read_planned(
-                            comm, pfs, &file, fused_req, hints, &mut plans,
-                        );
+                        let plans = &mut PlanSource::shared(cache, bin_id as u64);
+                        let (bytes, _) =
+                            collective_read_planned(comm, pfs, &file, fused_req, hints, plans);
                         plans.note_fused_tasks(mine.len() as u64);
                         let cpu = comm.model().cpu.clone();
                         let mut scratch = Vec::new();
@@ -490,7 +489,6 @@ impl TaskBatch {
                             start,
                             end: start,
                             done,
-                            seen: plans.seen(),
                             fuse: *fuse,
                         }
                     };
@@ -523,7 +521,6 @@ impl TaskBatch {
                 fused_bytes: 0,
             })
             .collect();
-        let mut plan_stats = PlanCacheStats::default();
         for sweeps in per_rank {
             for (report, sweep) in bin_reports.iter_mut().zip(sweeps) {
                 report.start = sweep.start;
@@ -532,7 +529,6 @@ impl TaskBatch {
                 report.fused_extents += sweep.fuse.fused_extents;
                 report.task_bytes += sweep.fuse.task_bytes;
                 report.fused_bytes += sweep.fuse.fused_bytes;
-                plan_stats = plan_stats.merge(&sweep.seen);
                 for (t, value, finished) in sweep.done {
                     let task = &tasks[t];
                     results[t] = Some(TaskResult {
@@ -555,7 +551,7 @@ impl TaskBatch {
                 })
             })
             .collect();
-        assemble_outcome(tasks_out, bin_reports, &pfs, stats0, busy0, plan_stats)
+        assemble_outcome(tasks_out, bin_reports, &pfs, stats0, busy0, cache.stats())
     }
 
     /// The thrash baseline: every task reads its own extents directly
@@ -777,8 +773,6 @@ struct Sweep {
     end: SimTime,
     /// `(task, finalized value, finish time)` for each of the rank's tasks.
     done: Vec<(usize, Vec<f64>, SimTime)>,
-    /// The rank's plan-cache lookups for this bin.
-    seen: PlanCacheStats,
     /// What fusing the rank's task requests saved.
     fuse: FuseStats,
 }

@@ -176,6 +176,9 @@ pub enum AdmissionError {
     },
     /// The fair-share weight was not a positive finite number.
     BadWeight(f64),
+    /// The engine hints violate an invariant (see
+    /// [`Hints::check`](cc_mpiio::Hints::check)).
+    BadHints(String),
 }
 
 impl fmt::Display for AdmissionError {
@@ -198,6 +201,7 @@ impl fmt::Display for AdmissionError {
                 "step {step} has {rows} rows, fewer than the job's {nprocs} ranks"
             ),
             AdmissionError::BadWeight(w) => write!(f, "fair-share weight {w} is not positive"),
+            AdmissionError::BadHints(why) => write!(f, "bad hints: {why}"),
         }
     }
 }
@@ -233,7 +237,7 @@ pub struct JobResult {
     pub per_step: Option<Vec<Vec<f64>>>,
     /// Steps executed.
     pub steps: usize,
-    /// Plan-cache counters summed over the job's ranks and steps; in a
+    /// Plan-cache counters of the job, one lookup per step; in a
     /// shared-cache run the `cross_job_*` fields say how often this job
     /// rode on schedules other jobs compiled.
     pub plan_cache: PlanCacheStats,

@@ -17,9 +17,10 @@
 //!   backbone bandwidth exactly where their demand windows overlap, while
 //!   the bytes each job moves stay untouched: every job's result is
 //!   bit-identical to its solo run under every policy.
-//! * **Cross-job plan reuse** — jobs issuing the same hyperslab shapes hit
-//!   one compiled schedule in the shared cache; per-job and cross-job
-//!   counters ride in each [`JobResult`].
+//! * **Cross-job plan reuse** — jobs issuing the same hyperslabs, on any
+//!   identically striped file, hit one compiled schedule in the shared
+//!   cache, one lookup per job step; per-job and cross-job counters ride
+//!   in each [`JobResult`].
 //! * **Fairness and QoS** — [`ServicePolicy::QosWfq`] steps interactive
 //!   jobs first and weighted-fair-queues batch jobs over attributed OST
 //!   busy-time; FIFO and round-robin are the baselines.

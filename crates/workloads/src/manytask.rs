@@ -21,9 +21,9 @@
 //! * **Arrival waves** — tasks arrive in `waves` bursts spaced
 //!   `wave_spacing` apart (incremental staging); with a fuse window
 //!   smaller than the spacing, each wave becomes its own bin.
-//! * **Stencil translation** — wave `w`'s pattern is wave 0's shifted by
-//!   `w * stencil_shift` rows, so later bins hit the shared plan cache's
-//!   translation path instead of recompiling.
+//! * **Stencil shift** — wave `w`'s pattern is wave 0's shifted by
+//!   `w * stencil_shift` rows: every bin has the same shape at a new
+//!   offset, and compiles its own schedule once.
 //! * **Mixed kernel classes** — the first three quarters of each wave
 //!   fold a [`SumKernel`] (bounded-error class), the rest a [`MaxKernel`]
 //!   (exact class), so each wave splits into one bin per class and both
@@ -63,8 +63,7 @@ pub struct ManyTask {
     /// Row stride between consecutive tasks of a class (overlap when
     /// smaller than `task_rows`).
     pub row_stride: u64,
-    /// Rows wave `w`'s pattern is shifted relative to wave 0 — the
-    /// plan-cache translation opportunity.
+    /// Rows wave `w`'s pattern is shifted relative to wave 0.
     pub stencil_shift: u64,
     /// Every `duplicate_every`-th task of a wave repeats its predecessor
     /// exactly (region and kernel). Zero disables duplicates.
@@ -310,7 +309,7 @@ mod tests {
         // Duplicates repeat their predecessor's region exactly.
         assert_eq!(t.region(4), t.region(3));
         assert_eq!(t.kernel(4).name(), t.kernel(3).name());
-        // Waves are translated copies: same within-wave deltas.
+        // Waves are shifted copies: same within-wave deltas.
         let per = t.tasks_per_wave();
         let (r0, _) = t.region(0);
         let (r1, _) = t.region(per);
@@ -339,11 +338,11 @@ mod tests {
         assert_eq!(fused.bins.len(), t.waves * 2);
         // Every task rode a fused sweep.
         assert_eq!(fused.plan_cache.fused_tasks, 96);
-        // Translated waves reuse compiled schedules across bins.
-        assert!(
-            fused.plan_cache.cross_job_hits + fused.plan_cache.cross_job_translations > 0,
-            "stencil waves should hit the plan cache: {:?}",
-            fused.plan_cache
+        // One plan lookup per bin; shifted waves compile their own.
+        let plans = fused.plan_cache;
+        assert_eq!(
+            (plans.lookups(), plans.misses),
+            (fused.bins.len() as u64, fused.bins.len() as u64)
         );
     }
 }

@@ -7,8 +7,8 @@
 //! domains — every engine that consumes a schedule (two-phase read,
 //! collective write, the cc engine, the traditional baseline, and fused
 //! kernels) must produce identical *results* whether the schedule is
-//! compiled fresh each step or reused through the plan cache's
-//! hit/translation fast paths, and those results must match a
+//! compiled fresh each step or resolved through a plan cache shared
+//! across the sweep, and those results must match a
 //! planner-free oracle.
 
 use std::sync::Arc;
@@ -22,8 +22,8 @@ use cc_integration::{build_var_fs, oracle_min_loc, oracle_sum, test_model, test_
 use cc_model::{CollectiveMode, DiskModel, FaultPlan, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
-    collective_read, collective_read_planned, collective_write, collective_write_planned,
-    DomainPartition, Extent, Hints, OffsetList, PipelineDepth, PlanCache, PlanSource,
+    collective_read, collective_read_planned, collective_write, independent_write, DomainPartition,
+    Extent, Hints, OffsetList, PipelineDepth, PlanSource, SharedPlanCache,
 };
 use cc_pfs::backend::ElemKind;
 use cc_pfs::{MemBackend, Pfs, StripeLayout, SyntheticBackend};
@@ -55,7 +55,7 @@ impl ReqSweep {
     }
 
     /// Shift between consecutive steps — a multiple of the domain
-    /// alignment, so the cache's translation fast path stays valid.
+    /// alignment, so every step partitions alike.
     fn step_delta(&self) -> u64 {
         257 * self.align.unwrap_or(1)
     }
@@ -151,13 +151,13 @@ proptest! {
             let file = fs.open("t.nc").expect("exists");
             let hints = sweep_ref.hints();
             let oracle = SyntheticBackend::new(elems, ElemKind::F64, test_value);
-            let mut cache = PlanCache::new();
+            let cache = comm.memo(SharedPlanCache::new);
             let mut all_match = true;
             for step in 0..sweep_ref.steps {
                 let req = sweep_ref.request(comm.rank(), step);
                 let (fresh, _) = collective_read(comm, fs, &file, &req, &hints);
                 let (cached, _) = collective_read_planned(
-                    comm, fs, &file, &req, &hints, &mut PlanSource::Local(&mut cache),
+                    comm, fs, &file, &req, &hints, &mut PlanSource::shared(&cache, 0),
                 );
                 all_match &= fresh == cached;
                 // Planner-free oracle: the backend's bytes, extent by extent.
@@ -170,22 +170,24 @@ proptest! {
                 }
                 all_match &= at == fresh.len();
             }
-            all_match &= cache.stats().misses <= 1;
+            // The world's cache saw one lookup per step, not one per rank.
+            all_match &= cache.stats().lookups() == sweep_ref.steps as u64;
             all_match
         });
         prop_assert!(ok.into_iter().all(|b| b), "read sweep diverged");
     }
 
-    /// Collective write: a sweep written through the plan cache lands the
-    /// byte-identical file as one written with fresh per-step schedules,
-    /// and both match the expected overwrite of the zeroed file.
+    /// Collective write: a sweep written collectively lands the
+    /// byte-identical file as the same sweep written independently (every
+    /// rank its own extents, no planner), and both match the expected
+    /// overwrite of the zeroed file.
     #[test]
-    fn prop_write_cached_sweep_equals_fresh_and_expected(sweep in arb_sweep()) {
+    fn prop_write_sweep_equals_independent_and_expected(sweep in arb_sweep()) {
         let nprocs = sweep.nprocs();
         let size = sweep.file_size() + nprocs as u64 * ReqSweep::REGION;
         let value_at = |o: u64| (o.wrapping_mul(131) ^ (o >> 5)) as u8;
         let fs = Pfs::new(4, DiskModel::lustre_like());
-        for name in ["fresh.nc", "cached.nc"] {
+        for name in ["collective.nc", "independent.nc"] {
             fs.create(
                 name,
                 StripeLayout::round_robin(1 << 9, 4, 0, 4),
@@ -198,10 +200,9 @@ proptest! {
             let fs = &fs;
             let sweep_ref = &sweep;
             world.run(move |comm| {
-                let fresh_file = fs.open("fresh.nc").expect("exists");
-                let cached_file = fs.open("cached.nc").expect("exists");
+                let collective_file = fs.open("collective.nc").expect("exists");
+                let independent_file = fs.open("independent.nc").expect("exists");
                 let hints = sweep_ref.hints();
-                let mut cache = PlanCache::new();
                 for step in 0..sweep_ref.steps {
                     let req = sweep_ref.request_disjoint(comm.rank(), step);
                     let data: Vec<u8> = req
@@ -209,24 +210,16 @@ proptest! {
                         .iter()
                         .flat_map(|e| (e.offset..e.end()).map(value_at))
                         .collect();
-                    collective_write(comm, fs, &fresh_file, &req, &data, &hints);
-                    collective_write_planned(
-                        comm,
-                        fs,
-                        &cached_file,
-                        &req,
-                        &data,
-                        &hints,
-                        &mut PlanSource::Local(&mut cache),
-                    );
+                    collective_write(comm, fs, &collective_file, &req, &data, &hints);
+                    independent_write(comm, fs, &independent_file, &req, &data);
                 }
             });
         }
-        let fresh_file = fs.open("fresh.nc").expect("exists");
-        let cached_file = fs.open("cached.nc").expect("exists");
-        let (fresh_bytes, _) = fs.read_at(&fresh_file, 0, size, SimTime::ZERO);
-        let (cached_bytes, _) = fs.read_at(&cached_file, 0, size, SimTime::ZERO);
-        prop_assert_eq!(&fresh_bytes, &cached_bytes, "cached write sweep diverged");
+        let collective_file = fs.open("collective.nc").expect("exists");
+        let independent_file = fs.open("independent.nc").expect("exists");
+        let (fresh_bytes, _) = fs.read_at(&collective_file, 0, size, SimTime::ZERO);
+        let (independent_bytes, _) = fs.read_at(&independent_file, 0, size, SimTime::ZERO);
+        prop_assert_eq!(&fresh_bytes, &independent_bytes, "collective write sweep diverged");
         // Planner-free oracle: zeros, overwritten wherever any rank wrote.
         let mut expect = vec![0u8; size as usize];
         for r in 0..nprocs {
@@ -306,8 +299,8 @@ proptest! {
     /// Domain-partition strategies only redistribute *which aggregator*
     /// serves which bytes: on a random sweep over a randomly-striped file,
     /// Even, StripeAligned, and GroupCyclic must return bit-identical read
-    /// buffers and land bit-identical written files — through the plan
-    /// cache's hit/translation paths included.
+    /// buffers and land bit-identical written files — reads through the
+    /// plan cache's paths included.
     #[test]
     fn prop_partition_strategies_agree_bitwise(
         sweep in arb_sweep(),
@@ -351,12 +344,12 @@ proptest! {
                         domain_partition: partition,
                         ..sweep_ref.hints()
                     };
-                    let mut cache = PlanCache::new();
+                    let cache = comm.memo(SharedPlanCache::new);
                     let mut got = Vec::new();
                     for step in 0..sweep_ref.steps {
                         let req = sweep_ref.request(comm.rank(), step);
                         let (bytes, _) = collective_read_planned(
-                            comm, fs, &file, &req, &hints, &mut PlanSource::Local(&mut cache),
+                            comm, fs, &file, &req, &hints, &mut PlanSource::shared(&cache, 0),
                         );
                         let wreq = sweep_ref.request_disjoint(comm.rank(), step);
                         let data: Vec<u8> = wreq
@@ -364,10 +357,7 @@ proptest! {
                             .iter()
                             .flat_map(|e| (e.offset..e.end()).map(value_at))
                             .collect();
-                        collective_write_planned(
-                            comm, fs, &out, &wreq, &data, &hints,
-                            &mut PlanSource::Local(&mut cache),
-                        );
+                        collective_write(comm, fs, &out, &wreq, &data, &hints);
                         got.push(bytes);
                     }
                     got
@@ -419,7 +409,7 @@ proptest! {
     /// The cc engine, the traditional baseline, and a fused kernel must
     /// all agree with the planner-free oracle — and the cc engine must
     /// return identical partials whether each step compiles fresh or the
-    /// steps share one plan cache (step 1 is a translation of step 0).
+    /// steps share one plan cache (step 1 is step 0 shifted).
     #[test]
     fn prop_engines_equal_oracle_fresh_and_cached(cfg in arb_kernel_config()) {
         let (fs, var) = build_var_fs(&cfg.shape, 512, 4, 8);
@@ -443,14 +433,14 @@ proptest! {
                 })
             };
             let fused = FusedKernel::new(vec![&SumKernel, &MinLocKernel]);
-            let mut cache = PlanCache::new();
+            let cache = comm.memo(SharedPlanCache::new);
             let mut sums = Vec::new();
             let mut fused_ok = true;
             for step in 0..2u64 {
                 let io = io_for(step);
                 let fresh = object_get_vara(comm, fs, &file, var, &io, &SumKernel);
                 let cached = object_get_vara_planned(
-                    comm, fs, &file, var, &io, &SumKernel, &mut PlanSource::Local(&mut cache),
+                    comm, fs, &file, var, &io, &SumKernel, &mut PlanSource::shared(&cache, 0),
                 );
                 assert_eq!(
                     fresh.global_partial, cached.global_partial,
@@ -464,7 +454,7 @@ proptest! {
                 // Fused kernel through the cached path: its split
                 // components must equal the dedicated kernels' answers.
                 let fused_out = object_get_vara_planned(
-                    comm, fs, &file, var, &io, &fused, &mut PlanSource::Local(&mut cache),
+                    comm, fs, &file, var, &io, &fused, &mut PlanSource::shared(&cache, 0),
                 );
                 let minloc = object_get_vara(comm, fs, &file, var, &io, &MinLocKernel);
                 if let (Some(fp), Some(sp), Some(mp)) = (
@@ -508,11 +498,10 @@ proptest! {
             prop_assert!(fused_root, "fused global missing");
         }
         prop_assert!(results.iter().all(|(_, ok, _)| *ok), "fused split diverged");
-        // The sweep's second step must have reused the compiled schedule:
-        // at most one compile for the sum kernel's shape (the fused pass
-        // shares it too — same selection, same hints).
+        // One compile per step for the sum kernel's selection, which the
+        // fused pass then hits — same selection, same hints.
         let stats = results[0].2;
-        prop_assert!(stats.misses <= 1, "cache recompiled: {stats:?}");
+        prop_assert_eq!((stats.misses, stats.hits), (2, 2), "cache: {:?}", stats);
         // Sanity: oracle_min_loc agrees with the dedicated kernel's own
         // tests elsewhere; here it pins the fused component semantics.
         let _ = oracle_min_loc(&cfg.shape, &Hyperslab::whole(&cfg.shape));
@@ -1266,16 +1255,15 @@ proptest! {
         prop_assert_eq!(folded, conc.cache);
         // Serial execution with private caches can never cross jobs.
         prop_assert_eq!(ser.cache.cross_job_hits, 0);
-        prop_assert_eq!(ser.cache.cross_job_translations, 0);
     }
 }
 
 /// Shared-plan-cache regression under true concurrent access: two jobs
-/// with translated-copy-compatible shapes (same per-rank extents, shifted
-/// file offsets) run in separate worlds on separate OS threads against
-/// one `SharedPlanCache`. Exactly one lookup anywhere may compile; every
-/// other lookup must hit or translate that entry, and the non-compiling
-/// job's lookups must all be counted as cross-job.
+/// sweeping overlapping steps (job 8's first step is job 7's second, on
+/// another file) run in separate worlds on separate OS threads against
+/// one `SharedPlanCache`. Each collective looks up once, each distinct
+/// request set compiles once however the worlds race, and the set both
+/// jobs issue is a cross-job hit for whichever job reaches it second.
 #[test]
 fn shared_plan_cache_concurrent_jobs_share_and_count() {
     use cc_core::{iterative_get_vara_planned, SumKernel};
@@ -1326,14 +1314,12 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
                 let plans = &mut PlanSource::shared(cache, job);
                 iterative_get_vara_planned(comm, fs, &file, &steps, &SumKernel, plans)
             });
-            // Sum per-rank stats: each rank made STEPS lookups.
-            outs.iter().fold(cc_mpiio::PlanCacheStats::default(), |acc, o| {
-                acc.merge(&o.plan_cache)
-            })
+            // Every rank reports the job's STEPS lookups.
+            assert!(outs.iter().all(|o| o.plan_cache == outs[0].plan_cache));
+            outs[0].plan_cache
         })
     };
-    // Job 7 starts at row 0, job 8 at a translated-copy-compatible shift
-    // (same shape, ROWS further into the variable).
+    // Job 7 starts at row 0, job 8 one step (ROWS) further in.
     let ja = run_job("a.nc", 7, 0);
     let jb = run_job("b.nc", 8, ROWS);
     let sa = ja.join().expect("job 7 completes");
@@ -1341,26 +1327,20 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
     let total = sa.merge(&sb);
     let shared = cache.stats();
     assert_eq!(total, shared, "per-job stats must partition the shared totals");
-    // 2 jobs x 2 ranks x 2 steps = 8 lookups; the compile happens under
-    // the cache lock, so exactly one lookup misses no matter how the
-    // worlds' threads interleave — everyone else hits or translates.
-    assert_eq!(shared.lookups(), 8);
-    assert_eq!(shared.misses, 1, "racing jobs recompiled: {shared:?}");
-    assert_eq!(shared.hits + shared.translations, 7);
-    // The job that did not compile made 4 lookups, all against the other
-    // job's entry.
+    // 2 jobs x 2 steps = 4 collectives, one lookup each, over 3 distinct
+    // request sets; the compile happens under the cache lock, so each set
+    // misses once no matter how the worlds' threads interleave.
+    assert_eq!(shared.lookups(), 4);
+    assert_eq!(shared.misses, 3, "racing jobs recompiled: {shared:?}");
+    assert_eq!(shared.hits, 1);
     assert_eq!(
-        shared.cross_job_hits + shared.cross_job_translations,
-        4,
+        shared.cross_job_hits, 1,
         "cross-job accounting wrong: {shared:?}"
     );
-    let crosses = [
-        sa.cross_job_hits + sa.cross_job_translations,
-        sb.cross_job_hits + sb.cross_job_translations,
-    ];
+    let crosses = [sa.cross_job_hits, sb.cross_job_hits];
     assert!(
-        crosses == [0, 4] || crosses == [4, 0],
-        "one job compiles, the other rides: {crosses:?}"
+        crosses == [0, 1] || crosses == [1, 0],
+        "the shared step rides on the other job: {crosses:?}"
     );
 }
 
@@ -1400,16 +1380,14 @@ fn fresh_schedules_on_different_ranks_share_tables() {
     }
 }
 
-/// Sharing compiles between ranks leaves every rank's cache accounting
-/// alone. On the shapes of the shared-cache regression above — two ranks,
-/// a two-step sweep, a second job shifted by one step — each rank still
-/// makes its own lookups and counts exactly what it counted when it also
-/// compiled for itself: with a private cache, one miss and one
-/// translation per rank; with the shared cache, one miss for whichever
-/// rank of the first job got there first and a hit for the other, then
-/// nothing but cross-job reuse for every rank of the second job.
+/// A sweep's cache accounting is per collective and the same on every
+/// rank. On the shapes of the shared-cache regression above — two ranks,
+/// a two-step sweep, a second job shifted by one step — every rank
+/// reports the job's lookups: with a private cache, two misses; with the
+/// shared cache, the same for the first job, then a cross-job hit on the
+/// step the jobs share and a miss on the new one.
 #[test]
-fn per_rank_plan_cache_stats_are_unchanged_by_shared_compiles() {
+fn every_rank_reports_one_plan_lookup_per_sweep_step() {
     use cc_core::{iterative_get_vara, iterative_get_vara_planned};
     use cc_mpiio::{PlanCacheStats, SharedPlanCache};
 
@@ -1452,21 +1430,146 @@ fn per_rank_plan_cache_stats_are_unchanged_by_shared_compiles() {
             .plan_cache
         })
     };
-    let counts = |s: &PlanCacheStats| {
-        (s.misses, s.hits, s.translations, s.cross_job_hits, s.cross_job_translations)
-    };
+    let counts = |s: &PlanCacheStats| (s.misses, s.hits, s.cross_job_hits);
 
     for stats in sweep(None, 0) {
-        assert_eq!(counts(&stats), (1, 0, 1, 0, 0), "private cache: {stats:?}");
+        assert_eq!(counts(&stats), (2, 0, 0), "private cache: {stats:?}");
     }
-
-    let mut first: Vec<_> = sweep(Some(7), 0).iter().map(counts).collect();
-    first.sort_unstable();
-    assert_eq!(first, [(0, 1, 1, 0, 0), (1, 0, 1, 0, 0)], "shared cache, compiling job");
+    for stats in sweep(Some(7), 0) {
+        assert_eq!(
+            counts(&stats),
+            (2, 0, 0),
+            "shared cache, first job: {stats:?}"
+        );
+    }
     for stats in sweep(Some(8), ROWS) {
-        assert_eq!(counts(&stats), (0, 0, 2, 0, 2), "shared cache, riding job: {stats:?}");
+        assert_eq!(
+            counts(&stats),
+            (1, 1, 1),
+            "shared cache, shifted job: {stats:?}"
+        );
     }
-    assert_eq!(counts(&cache.stats()), (1, 1, 6, 0, 4));
+    assert_eq!(counts(&cache.stats()), (3, 1, 1));
+}
+
+/// The plan-cache lookup runs once per collective, not once per rank: a
+/// 16-rank world sweeping four shifted steps, flat and hierarchical, with
+/// the sweep's own per-world cache and with a `SharedPlanCache`, counts
+/// exactly one lookup per step, and every rank's schedule is rank 0's
+/// tables. A second world under another job id rides the first one's
+/// entries, so every lookup it makes is cross-job.
+#[test]
+fn one_lookup_per_collective() {
+    use cc_core::{iterative_get_vara, iterative_get_vara_planned};
+    use cc_mpiio::exchange::exchange_requests;
+
+    const NPROCS: usize = 16;
+    const STEPS: u64 = 4;
+    const COLS: u64 = 32;
+    let rows = NPROCS as u64;
+    let var = cc_array::Variable::new(
+        "v",
+        Shape::new(vec![STEPS * rows, COLS]),
+        cc_array::DType::F64,
+        0,
+    );
+    let fs = Pfs::new(4, DiskModel::lustre_like());
+    fs.create(
+        "a.nc",
+        StripeLayout::round_robin(1 << 9, 4, 0, 4),
+        Box::new(SyntheticBackend::new(
+            STEPS * rows * COLS,
+            ElemKind::F64,
+            test_value,
+        )),
+    );
+    let hints = Hints {
+        cb_buffer_size: 1 << 10,
+        ..Hints::default()
+    };
+    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        let world = || World::new(NPROCS, test_model(4, 4).with_collectives(mode));
+        let shared = SharedPlanCache::new();
+        // Rank `r` reads row `r` of every step; step `s` is step 0 shifted
+        // by `s` rows.
+        let sweep = |comm: &mut cc_mpi::Comm, plans: Option<&mut PlanSource<'_>>| {
+            let file = fs.open("a.nc").expect("exists");
+            let steps: Vec<_> = (0..STEPS)
+                .map(|s| {
+                    let start = vec![s * rows + comm.rank() as u64, 0];
+                    (
+                        &var,
+                        ObjectIo::new(start, vec![1, COLS]).hints(hints.clone()),
+                    )
+                })
+                .collect();
+            match plans {
+                None => iterative_get_vara(comm, &fs, &file, &steps, &SumKernel),
+                Some(plans) => {
+                    iterative_get_vara_planned(comm, &fs, &file, &steps, &SumKernel, plans)
+                }
+            }
+            .plan_cache
+        };
+        // The same steps' schedules, resolved directly through `plans`.
+        let schedules = |comm: &mut cc_mpi::Comm, plans: &mut PlanSource<'_>| {
+            (0..STEPS)
+                .map(|s| {
+                    let start = vec![s * rows + comm.rank() as u64, 0];
+                    let mine = var.byte_extents(&Hyperslab::new(start, vec![1, COLS]));
+                    let requests = exchange_requests(comm, &mine);
+                    plans.get(comm, requests, &hints)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let per_rank = world().run(|comm| {
+            let own = sweep(comm, None);
+            let world_cache = comm.memo(SharedPlanCache::new);
+            let direct = schedules(comm, &mut PlanSource::shared(&world_cache, 0));
+            let direct_lookups = world_cache.stats().lookups();
+            let job = &mut PlanSource::shared(&shared, 1);
+            let tagged = sweep(comm, Some(job));
+            (own, direct, direct_lookups, tagged)
+        });
+        let rank0 = &per_rank[0].1;
+        for (rank, (own, direct, direct_lookups, tagged)) in per_rank.iter().enumerate() {
+            assert_eq!(
+                own.lookups(),
+                STEPS,
+                "{mode:?} rank {rank}: per-world cache {own:?}"
+            );
+            assert_eq!(
+                *direct_lookups, STEPS,
+                "{mode:?} rank {rank}: direct lookups"
+            );
+            assert_eq!(
+                tagged,
+                &shared.stats(),
+                "{mode:?} rank {rank}: shared cache"
+            );
+            for (s, (mine, first)) in direct.iter().zip(rank0).enumerate() {
+                assert!(
+                    mine.shares_index_with(first),
+                    "{mode:?} rank {rank} step {s}"
+                );
+            }
+        }
+        assert_eq!(
+            shared.stats().lookups(),
+            STEPS,
+            "{mode:?}: {:?}",
+            shared.stats()
+        );
+
+        // A second job on the same shapes: every lookup reuses job 1's work.
+        let riding = world().run(|comm| sweep(comm, Some(&mut PlanSource::shared(&shared, 2))));
+        for stats in &riding {
+            assert_eq!(stats.lookups(), STEPS, "{mode:?}: {stats:?}");
+            assert_eq!(stats.cross_job_hits, STEPS, "{mode:?}: {stats:?}");
+        }
+        assert_eq!(shared.stats().lookups(), 2 * STEPS, "{mode:?}");
+    }
 }
 
 /// Fault sweep: under slow OSTs and straggler ranks, every staging depth
