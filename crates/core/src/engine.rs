@@ -436,7 +436,7 @@ fn reduce_all_to_one(
         report.result_words_shuffled += scratch.words.len() as u64;
         let depart =
             agg_done + cpu.memcpy_time(scratch.words.len() * 8) + comm.model().net.send_cost();
-        let mut bytes = comm.take_buf();
+        let mut bytes = comm.take_buf(scratch.words.len() * 8);
         cc_mpi::elem::encode_slice_into(&scratch.words, &mut bytes);
         comm.post_bytes_at(root, tag, bytes, depart);
         done = done.max(depart);
@@ -525,7 +525,7 @@ fn reduce_all_to_all(
             + comm.model().net.wire_time(scratch.words.len() * 8, same_node)
             + comm.model().net.msg_cost(same_node);
         let depart = shuffle_lane.acquire(agg_done, cost);
-        let mut bytes = comm.take_buf();
+        let mut bytes = comm.take_buf(scratch.words.len() * 8);
         cc_mpi::elem::encode_slice_into(&scratch.words, &mut bytes);
         comm.post_bytes_at(owner, tag, bytes, depart);
     }

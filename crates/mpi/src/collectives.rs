@@ -18,7 +18,7 @@ use cc_model::SimTime;
 
 use crate::comm::{Comm, TagValue, COLLECTIVE_TAG_BASE};
 use crate::elem::Elem;
-use crate::hier::{frame_sections, push_section};
+use crate::hier::{frame_sections, framed_len, push_section};
 use crate::ops::ReduceOp;
 
 impl Comm {
@@ -92,7 +92,7 @@ impl Comm {
         // Send to the largest subtree first (standard order); each copy
         // rides a pooled buffer.
         for child in children {
-            let mut buf = self.take_buf();
+            let mut buf = self.take_buf(payload.len());
             buf.extend_from_slice(&payload);
             self.send_bytes(child, tag, buf);
         }
@@ -143,7 +143,7 @@ impl Comm {
     /// ranks' contributions, indexed by rank. Ring algorithm when flat;
     /// hierarchical gather-to-zero plus frame broadcast otherwise.
     pub fn allgatherv<T: Elem>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
-        let mut own = self.take_buf();
+        let mut own = self.take_buf(mine.len() * T::SIZE);
         crate::elem::encode_slice_into(mine, &mut own);
         let frame = self.allgatherv_frame(own);
         let out = frame_sections(&frame).map(crate::elem::decode_vec).collect();
@@ -177,12 +177,12 @@ impl Comm {
         for step in 0..p - 1 {
             let send_block = (rank + p - step) % p;
             let recv_block = (rank + p - step - 1) % p;
-            let mut copy = self.take_buf();
+            let mut copy = self.take_buf(blocks[send_block].len());
             copy.extend_from_slice(&blocks[send_block]);
             self.send_bytes(right, tag, copy);
             blocks[recv_block] = self.recv_bytes(left, tag).0;
         }
-        let mut frame = self.take_buf();
+        let mut frame = self.take_buf(framed_len(&blocks));
         for block in blocks {
             push_section(&mut frame, &block);
             self.recycle_buf(block);
@@ -222,7 +222,7 @@ impl Comm {
         let bytes = sends
             .iter()
             .map(|v| {
-                let mut buf = self.take_buf();
+                let mut buf = self.take_buf(v.len() * T::SIZE);
                 crate::elem::encode_slice_into(v, &mut buf);
                 buf
             })

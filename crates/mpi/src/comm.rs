@@ -11,6 +11,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,12 +76,53 @@ pub struct RecvInfo {
     pub arrival: SimTime,
 }
 
+/// A message body: a buffer handed over whole, or a slice of a buffer that
+/// several receivers share. A relay that splits one received frame among
+/// its node's members posts each member a [`Payload::Shared`] slice of it:
+/// no copy and no allocation per section, and the frame is freed when the
+/// last receiver drops its slice.
+#[derive(Debug)]
+pub enum Payload {
+    /// A buffer the receiver now owns.
+    Owned(Vec<u8>),
+    /// The bytes `range` of a buffer shared with other receivers.
+    Shared(Arc<Vec<u8>>, Range<usize>),
+}
+
+impl Payload {
+    /// The bytes as a buffer the caller owns: an owned payload as is, a
+    /// shared slice copied out.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(buf) => buf,
+            Payload::Shared(frame, range) => frame[range].to_vec(),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(buf) => buf,
+            Payload::Shared(frame, range) => &frame[range.clone()],
+        }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(buf: Vec<u8>) -> Self {
+        Payload::Owned(buf)
+    }
+}
+
 #[derive(Debug)]
 struct Envelope {
     src: usize,
     tag: TagValue,
     arrival: SimTime,
-    payload: Vec<u8>,
+    payload: Payload,
 }
 
 impl Envelope {
@@ -267,17 +309,23 @@ impl Comm {
         }
     }
 
-    /// An empty byte buffer from this rank's recycle pool. Fill it and hand
-    /// it to [`send_bytes`](Self::send_bytes)/
+    /// An empty byte buffer for the `len` bytes the caller will fill, from
+    /// this rank's recycle pool when it holds one that fits (see
+    /// [`BufferPool::take`]). Fill it and hand it to
+    /// [`send_bytes`](Self::send_bytes)/
     /// [`post_bytes_at`](Self::post_bytes_at); the receiving rank recycles
     /// it after decoding.
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        self.pool.take()
+    pub fn take_buf(&mut self, len: usize) -> Vec<u8> {
+        self.pool.take(len)
     }
 
-    /// Returns a finished payload buffer to this rank's recycle pool.
-    pub fn recycle_buf(&mut self, buf: Vec<u8>) {
-        self.pool.put(buf);
+    /// Returns a finished payload to this rank's recycle pool. An owned
+    /// buffer is pooled; a shared slice is dropped, and the last receiver
+    /// to drop one frees the frame.
+    pub fn recycle_buf(&mut self, payload: impl Into<Payload>) {
+        if let Payload::Owned(buf) = payload.into() {
+            self.pool.put(buf);
+        }
     }
 
     /// Drops every buffer this rank's recycle pool retains, leaving it as
@@ -450,9 +498,10 @@ impl Comm {
         &mut self,
         dst: usize,
         tag: TagValue,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
         depart: SimTime,
     ) -> SimTime {
+        let payload = payload.into();
         let logical_len = payload.len();
         self.post_framed_bytes_at(dst, tag, payload, depart, logical_len)
     }
@@ -467,10 +516,11 @@ impl Comm {
         &mut self,
         dst: usize,
         tag: TagValue,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
         depart: SimTime,
         logical_len: usize,
     ) -> SimTime {
+        let payload = payload.into();
         assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
         if dst == self.rank {
             // Self-send short-circuit: the payload never leaves this thread,
@@ -522,7 +572,7 @@ impl Comm {
     /// Pops the first queued self-delivery matching `src`/`tag`, if any.
     /// Self-deliveries are not network messages, so the receive counters
     /// stay untouched (the send side already counted it as a self message).
-    fn take_self(&mut self, src: Source, tag: TagValue) -> Option<(Vec<u8>, RecvInfo)> {
+    fn take_self(&mut self, src: Source, tag: TagValue) -> Option<(Payload, RecvInfo)> {
         let pos = self.self_queue.iter().position(|e| e.matches(src, tag))?;
         let env = self.self_queue.remove(pos).expect("position is in range");
         let info = RecvInfo {
@@ -543,7 +593,20 @@ impl Comm {
 
     /// Receives like [`recv_bytes`](Self::recv_bytes) but leaves the clock
     /// untouched — for engines that account arrival times into their own
-    /// lane structures.
+    /// lane structures. A shared payload is copied out; see
+    /// [`recv_payload_no_clock`](Self::recv_payload_no_clock).
+    pub fn recv_bytes_no_clock(
+        &mut self,
+        src: impl Into<Source>,
+        tag: TagValue,
+    ) -> (Vec<u8>, RecvInfo) {
+        let (payload, info) = self.recv_payload_no_clock(src, tag);
+        (payload.into_vec(), info)
+    }
+
+    /// [`recv_bytes_no_clock`](Self::recv_bytes_no_clock) returning the
+    /// payload as posted, so a shared slice is read in place. Hand it back
+    /// to [`recycle_buf`](Self::recycle_buf) when done.
     ///
     /// Blocked receives are supervised: if any rank panics, the supervisor
     /// sets the world's abort flag and wakes every mailbox condvar, and
@@ -557,11 +620,11 @@ impl Comm {
     /// after the whole world has been silent for a full `recv_watchdog`
     /// window. The deadline is absolute, so spurious condvar wakeups near
     /// the deadline never double-count elapsed time.
-    pub fn recv_bytes_no_clock(
+    pub fn recv_payload_no_clock(
         &mut self,
         src: impl Into<Source>,
         tag: TagValue,
-    ) -> (Vec<u8>, RecvInfo) {
+    ) -> (Payload, RecvInfo) {
         let src = src.into();
         // Self-sends never enter the shared mailbox; they can only already
         // be queued locally (this thread cannot send while blocked here),
@@ -633,7 +696,7 @@ impl Comm {
         let src = src.into();
         if let Some((payload, info)) = self.take_self(src, tag) {
             self.set_clock(self.clock.max(info.arrival));
-            return Some((payload, info));
+            return Some((payload.into_vec(), info));
         }
         let mailbox = &self.shared.mailboxes[self.rank];
         let mut queue = lock_unpoisoned(&mailbox.queue);
@@ -649,14 +712,14 @@ impl Comm {
             tag: env.tag,
             arrival: env.arrival,
         };
-        Some((env.payload, info))
+        Some((env.payload.into_vec(), info))
     }
 
     /// Typed send: encodes `data` into a pooled buffer and sends it. Sends
     /// are always eager and buffered, so this is also the non-blocking
     /// `MPI_Isend`.
     pub fn send<T: Elem>(&mut self, dst: usize, tag: TagValue, data: &[T]) {
-        let mut buf = self.pool.take();
+        let mut buf = self.pool.take(data.len() * T::SIZE);
         encode_slice_into(data, &mut buf);
         self.send_bytes(dst, tag, buf);
     }

@@ -105,6 +105,11 @@ pub(crate) fn push_section(frame: &mut Vec<u8>, bytes: &[u8]) {
     frame.extend_from_slice(bytes);
 }
 
+/// The length of a frame holding `blocks` as length-prefixed sections.
+pub(crate) fn framed_len<B: AsRef<[u8]>>(blocks: &[B]) -> usize {
+    blocks.iter().map(|b| 8 + b.as_ref().len()).sum()
+}
+
 /// Reads the length-prefixed section at `*pos`, advancing the cursor.
 fn read_section<'f>(frame: &'f [u8], pos: &mut usize) -> &'f [u8] {
     let len = u64::from_le_bytes(frame[*pos..*pos + 8].try_into().expect("section header"));
@@ -168,7 +173,7 @@ impl Comm {
             return;
         }
         let logical_len = frame.len();
-        let mut wire = self.take_buf();
+        let mut wire = self.take_buf(logical_len);
         cc_compress::encode_into(&cc_compress::Compression::Lossless, &frame, &mut wire);
         self.recycle_buf(frame);
         let overhead =
@@ -186,7 +191,7 @@ impl Comm {
         if !self.model().compress_collective_frames {
             return wire;
         }
-        let mut frame = self.take_buf();
+        let mut frame = self.take_buf(cc_compress::decoded_len(&wire));
         let n = cc_compress::decode_into(&wire, &mut frame);
         self.recycle_buf(wire);
         let decode = self.model().cpu.decompress_time(n);
@@ -224,7 +229,7 @@ impl Comm {
 
         // Leg 1: the root hands the payload to its node's leader.
         if rank == root && !am_leader {
-            let mut buf = self.take_buf();
+            let mut buf = self.take_buf(payload.len());
             buf.extend_from_slice(&payload);
             self.send_bytes(view.leader, t_intra, buf);
         }
@@ -252,7 +257,7 @@ impl Comm {
                 let child_v = vnode | bit;
                 if child_v < n && child_v != vnode {
                     let child = view.leader_of_node((child_v + root_node) % n);
-                    let mut buf = self.take_buf();
+                    let mut buf = self.take_buf(payload.len());
                     buf.extend_from_slice(&payload);
                     self.send_inter_frame(child, t_inter, buf);
                 }
@@ -262,7 +267,7 @@ impl Comm {
             // already holds the payload and posts no receive.
             for dst in view.node_lo..view.node_hi {
                 if dst != rank && dst != root {
-                    let mut buf = self.take_buf();
+                    let mut buf = self.take_buf(payload.len());
                     buf.extend_from_slice(&payload);
                     self.send_bytes(dst, t_intra, buf);
                 }
@@ -322,12 +327,14 @@ impl Comm {
             return None;
         }
         if rank == view.leader {
-            let mut frame = self.take_buf();
             // Sections in ascending rank order; the leader is the node's
             // lowest rank, so its own block comes first.
+            let members: Vec<Vec<u8>> = (view.node_lo + 1..view.node_hi)
+                .map(|src| self.recv_bytes(src, t_intra).0)
+                .collect();
+            let mut frame = self.take_buf(8 + mine.len() + framed_len(&members));
             push_section(&mut frame, mine);
-            for src in view.node_lo + 1..view.node_hi {
-                let (bytes, _) = self.recv_bytes(src, t_intra);
+            for bytes in members {
                 push_section(&mut frame, &bytes);
                 self.recycle_buf(bytes);
             }
@@ -349,7 +356,7 @@ impl Comm {
     ) -> Vec<u8> {
         let table = self.hier_gatherv_bytes(view, 0, mine, tag);
         let frame = table.map(|blocks| {
-            let mut frame = self.take_buf();
+            let mut frame = self.take_buf(framed_len(&blocks));
             for block in &blocks {
                 push_section(&mut frame, block);
             }
@@ -455,7 +462,7 @@ impl Comm {
                 continue;
             }
             let (lo, hi) = view.node_range(node);
-            let mut frame = self.take_buf();
+            let mut frame = self.take_buf(framed_len(&sends[lo..hi]));
             #[allow(clippy::needless_range_loop)] // dst is the peer rank
             for dst in lo..hi {
                 push_section(&mut frame, &sends[dst]);
@@ -474,9 +481,11 @@ impl Comm {
                 if node == view.node {
                     continue;
                 }
-                let mut frame = self.take_buf();
-                for src in view.node_lo..view.node_hi {
-                    let (up, _) = self.recv_bytes(src, t_up);
+                let ups: Vec<Vec<u8>> = (view.node_lo..view.node_hi)
+                    .map(|src| self.recv_bytes(src, t_up).0)
+                    .collect();
+                let mut frame = self.take_buf(ups.iter().map(Vec::len).sum());
+                for up in ups {
                     frame.extend_from_slice(&up);
                     self.recycle_buf(up);
                 }
@@ -493,10 +502,17 @@ impl Comm {
                 let frame = self.recv_inter_frame(view.leader_of_node(node), t_inter);
                 let (lo, hi) = view.node_range(node);
                 let members = view.node_hi - view.node_lo;
-                let mut relays: Vec<Vec<u8>> = Vec::with_capacity(members);
-                for _ in 0..members {
-                    relays.push(self.take_buf());
+                // Size each member's relay from the frame's section headers
+                // before packing any of them.
+                let mut lens = vec![0usize; members];
+                let mut pos = 0;
+                for _src in lo..hi {
+                    for len in lens.iter_mut() {
+                        *len += 8 + read_section(&frame, &mut pos).len();
+                    }
                 }
+                let mut relays: Vec<Vec<u8>> =
+                    lens.into_iter().map(|len| self.take_buf(len)).collect();
                 let mut pos = 0;
                 for _src in lo..hi {
                     for relay in relays.iter_mut() {

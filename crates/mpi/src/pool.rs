@@ -8,6 +8,12 @@
 //! capacity across recycling, so after warm-up the messaging layer stops
 //! touching the allocator.
 //!
+//! A take names the length its caller will fill and gets the smallest
+//! retained buffer that holds it without being more than [`MAX_OVERSIZE`]
+//! times larger, or a fresh buffer of exactly that length. A small payload
+//! therefore never rides a recycled frame-sized allocation to a receiver
+//! that would park it in its own pool.
+//!
 //! Retention is capped both by buffer *count* and by total retained
 //! *bytes*: a one-off giant shuffle (one huge coalesced frame per node,
 //! say) would otherwise park multi-megabyte allocations in the freelist
@@ -32,23 +38,37 @@ const MAX_POOLED: usize = 64;
 /// giant message doesn't pin its allocation for the rest of the run.
 const MAX_POOLED_BYTES: usize = 64 << 20;
 
+/// A retained buffer serves a take of `len` bytes only if its capacity is
+/// at most this many times `len`.
+pub const MAX_OVERSIZE: usize = 4;
+
 impl BufferPool {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty buffer, reusing a recycled allocation when available.
-    pub fn take(&mut self) -> Vec<u8> {
+    /// An empty buffer for `len` bytes: the smallest retained allocation
+    /// of capacity `len..=MAX_OVERSIZE * len`, or else a fresh one of
+    /// capacity exactly `len` (none at all for `len == 0`).
+    pub fn take(&mut self, len: usize) -> Vec<u8> {
         self.taken += 1;
-        match self.free.pop() {
-            Some(mut buf) => {
+        let fit = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| (len..=len.saturating_mul(MAX_OVERSIZE)).contains(&b.capacity()))
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        match fit {
+            Some(i) => {
+                let mut buf = self.free.swap_remove(i);
                 self.reused += 1;
                 self.free_bytes -= buf.capacity();
                 buf.clear();
                 buf
             }
-            None => Vec::new(),
+            None => Vec::with_capacity(len),
         }
     }
 
@@ -95,16 +115,46 @@ mod tests {
     #[test]
     fn take_reuses_recycled_allocation() {
         let mut pool = BufferPool::new();
-        let mut a = pool.take();
+        let mut a = pool.take(4);
+        assert_eq!(a.capacity(), 4, "a fresh take is exactly the asked length");
         a.extend_from_slice(&[1, 2, 3, 4]);
         let ptr = a.as_ptr();
         let cap = a.capacity();
         pool.put(a);
-        let b = pool.take();
+        let b = pool.take(3);
         assert!(b.is_empty());
         assert_eq!(b.as_ptr(), ptr);
         assert_eq!(b.capacity(), cap);
         assert_eq!(pool.stats(), (2, 1));
+    }
+
+    #[test]
+    fn take_picks_the_smallest_fit() {
+        let mut pool = BufferPool::new();
+        for cap in [400, 100, 250, 90, 120] {
+            pool.put(Vec::with_capacity(cap));
+        }
+        // 90 is too small; 100 is the smallest buffer that holds 95 bytes.
+        assert_eq!(pool.take(95).capacity(), 100);
+        assert_eq!(pool.take(95).capacity(), 120);
+        assert_eq!(pool.take(95).capacity(), 250);
+        assert_eq!(pool.eviction_stats(), (0, 400 + 90));
+        assert_eq!(pool.stats(), (3, 3));
+    }
+
+    #[test]
+    fn take_refuses_a_buffer_more_than_four_times_oversize() {
+        let mut pool = BufferPool::new();
+        pool.put(Vec::with_capacity(4 * 1024 + 1));
+        let small = pool.take(1024);
+        assert_eq!(small.capacity(), 1024, "fresh, exact-size buffer");
+        assert_eq!(pool.stats(), (1, 0));
+        // Exactly four times oversize still fits.
+        pool.put(Vec::with_capacity(4 * 1024));
+        assert_eq!(pool.take(1024).capacity(), 4 * 1024);
+        // An empty take allocates nothing and reuses nothing.
+        assert_eq!(pool.take(0).capacity(), 0);
+        assert_eq!(pool.stats(), (3, 1));
     }
 
     #[test]
@@ -114,14 +164,19 @@ mod tests {
         pool.put(Vec::with_capacity(32));
         pool.clear();
         assert_eq!(pool.eviction_stats(), (0, 0));
-        assert_eq!(pool.take().capacity(), 0, "a cleared pool hands out fresh buffers");
+        assert_eq!(
+            pool.take(16).capacity(),
+            16,
+            "a cleared pool hands out fresh buffers"
+        );
+        assert_eq!(pool.stats(), (1, 0));
     }
 
     #[test]
     fn capacityless_buffers_are_not_pooled() {
         let mut pool = BufferPool::new();
         pool.put(Vec::new());
-        let _ = pool.take();
+        let _ = pool.take(0);
         assert_eq!(pool.stats(), (1, 0));
         // Dropping a capacityless buffer is not an eviction.
         assert_eq!(pool.eviction_stats(), (0, 0));
@@ -159,7 +214,7 @@ mod tests {
         assert!(pool.free.len() < MAX_POOLED);
         // Taking a buffer frees its share of the budget, letting returns
         // through again.
-        let _ = pool.take();
+        let _ = pool.take(half);
         pool.put(Vec::with_capacity(4096));
         assert_eq!(pool.eviction_stats(), (2, half + 4096));
     }

@@ -30,7 +30,7 @@ use crate::extent::OffsetList;
 /// indexed by rank — one table per collective, shared by all ranks. Must be
 /// called collectively.
 pub fn exchange_requests(comm: &mut Comm, mine: &OffsetList) -> Arc<Vec<OffsetList>> {
-    let mut own = comm.take_buf();
+    let mut own = comm.take_buf(mine.encoded_len());
     mine.encode_into(&mut own);
     let frame = comm.allgatherv_frame(own);
     let table = comm.memo(|| {

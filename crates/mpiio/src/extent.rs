@@ -151,8 +151,8 @@ impl OffsetList {
         self.locate(lo, hi).iter().map(|p| p.extent.len).sum()
     }
 
-    /// Appends the list's wire form to `out`, reserving its exact size
-    /// first so a fresh buffer is allocated once.
+    /// Appends the list's wire form to `out`, which callers size with
+    /// [`encoded_len`](Self::encoded_len) so it is allocated once.
     ///
     /// The list travels as strided runs `(gap, len, repeat)`, each field an
     /// unsigned LEB128 varint: `gap` is the distance from the previous
@@ -163,16 +163,18 @@ impl OffsetList {
     /// the rest share `stride - len`); an irregular list still costs only
     /// the varints of its gaps and lengths. The empty list is zero bytes.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let size = self
-            .runs()
-            .map(|(gap, len, repeat)| varint_len(gap) + varint_len(len) + varint_len(repeat))
-            .sum();
-        out.reserve(size);
         for (gap, len, repeat) in self.runs() {
             push_varint(out, gap);
             push_varint(out, len);
             push_varint(out, repeat);
         }
+    }
+
+    /// The length [`encode_into`](Self::encode_into) appends.
+    pub fn encoded_len(&self) -> usize {
+        self.runs()
+            .map(|(gap, len, repeat)| varint_len(gap) + varint_len(len) + varint_len(repeat))
+            .sum()
     }
 
     /// The list as maximal runs `(gap, len, repeat)`, found greedily.
@@ -331,7 +333,7 @@ mod tests {
 
     impl OffsetList {
         pub(crate) fn encode(&self) -> Vec<u8> {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(self.encoded_len());
             self.encode_into(&mut out);
             out
         }

@@ -15,15 +15,23 @@
 //! bytes in request order. Virtual time flows through two [`Lane`]s per
 //! aggregator (the paper's "I/O thread" and "shuffle thread" of Fig. 7)
 //! plus the OST queues inside [`Pfs`].
+//!
+//! With hierarchical paths active, a node leader relays the coalesced
+//! frames remote aggregators send its node (`ReadRelay`): each member
+//! gets a shared slice of the frame, not a copy, and a leader that also
+//! aggregates relays in step with its own loop, so the host holds about
+//! one round of frames at a time instead of the whole collective's.
 
-use cc_model::{Lane, SimTime};
+use std::sync::Arc;
+
+use cc_model::{CpuModel, Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
-use cc_mpi::{Comm, NodeView};
+use cc_mpi::{Comm, NodeView, Payload};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
 use crate::exchange::exchange_requests;
-use crate::extent::OffsetList;
+use crate::extent::{OffsetList, Piece};
 use crate::hints::{Compression, Hints, Striping};
 use crate::schedule::{PlanSchedule, PlanSource};
 use crate::stage::Staging;
@@ -66,7 +74,7 @@ impl<'h> Wire<'h> {
         let same_node = comm.model().topology.same_node(comm.rank(), dst);
         let logical_len = payload.len();
         let (wire, codec) = if self.compression.is_on() && !same_node {
-            let mut wire = comm.take_buf();
+            let mut wire = comm.take_buf(logical_len);
             cc_compress::encode_into(self.compression, &payload, &mut wire);
             comm.recycle_buf(payload);
             (wire, comm.model().cpu.compress_time(logical_len))
@@ -86,17 +94,22 @@ impl<'h> Wire<'h> {
 
     /// Receives the next message from `src` on this wire, decoding it (and
     /// recycling the wire buffer) when it crossed the interconnect
-    /// compressed. Returns the logical payload, its arrival, and the decode
-    /// CPU time (zero for a raw message).
-    pub(crate) fn recv(self, comm: &mut Comm, src: usize) -> (Vec<u8>, SimTime, SimTime) {
-        let (wire, info) = comm.recv_bytes_no_clock(src, self.tag);
+    /// compressed. Returns the logical payload, read in place when it is a
+    /// shared slice, its arrival, and the decode CPU time (zero for a raw
+    /// message).
+    pub(crate) fn recv(self, comm: &mut Comm, src: usize) -> (Payload, SimTime, SimTime) {
+        let (wire, info) = comm.recv_payload_no_clock(src, self.tag);
         if !self.compression.is_on() || comm.model().topology.same_node(src, comm.rank()) {
             return (wire, info.arrival, SimTime::ZERO);
         }
-        let mut logical = comm.take_buf();
+        let mut logical = comm.take_buf(cc_compress::decoded_len(&wire));
         let n = cc_compress::decode_into(&wire, &mut logical);
         comm.recycle_buf(wire);
-        (logical, info.arrival, comm.model().cpu.decompress_time(n))
+        (
+            logical.into(),
+            info.arrival,
+            comm.model().cpu.decompress_time(n),
+        )
     }
 }
 
@@ -114,8 +127,7 @@ pub(crate) const TAG_SHUFFLE_FRAME: TagValue = 0x1000_0000;
 
 /// Tag base for the intra-node relay leg: the node leader splits a
 /// received frame into its members' sections and forwards each as one
-/// cheap intra-node message (its own section rides the self-send short
-/// circuit).
+/// cheap intra-node message (its own section it unpacks in place).
 pub(crate) const TAG_SHUFFLE_RELAY: TagValue = 0x2000_0000;
 
 /// Durations of one aggregator iteration.
@@ -241,16 +253,32 @@ pub fn collective_read_planned(
     let hier = comm.hier_view();
     let mut buf = vec![0u8; my_request.total_bytes() as usize];
 
+    // --- Leader role: relay coalesced frames to the node's members, in
+    // step with this rank's aggregator loop when it has one. -------------
+    let mut relay = hier
+        .as_ref()
+        .filter(|v| v.is_leader(comm.rank()))
+        .map(|view| ReadRelay::new(comm, &schedule, view, tag, hints));
+
     // --- Aggregator role: read chunks and scatter pieces. --------------
     let mut agg_done = comm.clock();
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
         let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
-        agg_done = run_aggregator(comm, stage, tag, hier.as_ref(), &mut report, &mut buf);
+        agg_done = run_aggregator(
+            comm,
+            stage,
+            tag,
+            hier.as_ref(),
+            relay.as_mut(),
+            &mut report,
+            &mut buf,
+        );
     }
-
-    // --- Leader role: relay coalesced frames to the node's members. ----
-    if let Some(view) = hier.as_ref().filter(|v| v.is_leader(comm.rank())) {
-        agg_done = agg_done.max(relay_read_frames(comm, &schedule, view, tag, hints, &mut report));
+    let mut recv_start = agg_done;
+    if let Some(relay) = relay {
+        let (last, own) = relay.finish(comm, &mut buf, &mut report);
+        agg_done = agg_done.max(last);
+        recv_start = agg_done.max(own);
     }
 
     // --- Receiver role: collect pieces from every sending chunk. -------
@@ -261,7 +289,7 @@ pub fn collective_read_planned(
         tag,
         hints,
         &mut buf,
-        agg_done,
+        recv_start,
     );
     if done > agg_done {
         report
@@ -276,9 +304,10 @@ pub fn collective_read_planned(
 /// The member receive loop: collects this rank's pieces of every chunk it
 /// sources into `buf`, walking its sources in round order — the order the
 /// node leader relays in. Remote-node chunks arrive through the leader's
-/// relay, same-node chunks straight from their aggregator, and this rank's
-/// own chunks were placed by its aggregator loop. Returns the time the last
-/// piece was unpacked, no earlier than `start`.
+/// relay (a leader unpacked its own sections while relaying), same-node
+/// chunks straight from their aggregator, and this rank's own chunks were
+/// placed by its aggregator loop. Returns the time the last piece was
+/// unpacked, no earlier than `start`.
 fn receive_pieces(
     comm: &mut Comm,
     schedule: &PlanSchedule,
@@ -299,19 +328,18 @@ fn receive_pieces(
         // Remote-node chunks arrive re-shuffled through the node leader;
         // same-node chunks come straight from the aggregator.
         let (src, src_tag) = match hier {
-            Some(view) if view.node_of(agg_rank) != view.node => (view.leader, relay_tag),
+            Some(view) if view.node_of(agg_rank) != view.node => {
+                if view.leader == comm.rank() {
+                    continue; // unpacked by this rank's relay
+                }
+                (view.leader, relay_tag)
+            }
             _ => (agg_rank, tag),
         };
         // Direct sends from a remote-node aggregator arrive compressed when
         // the hints say so; relays and same-node sends are always raw.
         let (payload, arrival, decode) = Wire::new(src_tag, hints).recv(comm, src);
-        let mut cursor = 0usize;
-        for p in pieces {
-            let len = p.extent.len as usize;
-            buf[p.buf_offset as usize..p.buf_offset as usize + len]
-                .copy_from_slice(&payload[cursor..cursor + len]);
-            cursor += len;
-        }
+        let cursor = unpack(pieces, &payload, buf);
         assert_eq!(
             cursor,
             payload.len(),
@@ -320,20 +348,37 @@ fn receive_pieces(
             comm.rank(),
         );
         let unpacked = arrival + decode + cpu.memcpy_time(payload.len());
-        comm.recycle_buf(payload);
+        // Freed, not pooled: a member never sends a buffer of its pieces'
+        // size class, so a pooled payload would sit idle until the world
+        // ends.
+        drop(payload);
         done = done.max(unpacked);
     }
     done
 }
 
+/// Copies `pieces`, packed back to back at the start of `packed`, to their
+/// places in `buf`. Returns the bytes consumed.
+fn unpack(pieces: &[Piece], packed: &[u8], buf: &mut [u8]) -> usize {
+    let mut cursor = 0usize;
+    for p in pieces {
+        let (at, len) = (p.buf_offset as usize, p.extent.len as usize);
+        buf[at..at + len].copy_from_slice(&packed[cursor..cursor + len]);
+        cursor += len;
+    }
+    cursor
+}
+
 /// Runs the aggregator loop over `stage`; returns the time the last
 /// shuffle completed. Fills `report` and places this rank's own pieces
-/// directly into `buf`.
+/// directly into `buf`. On a node leader, advances `relay` through each
+/// round once the round's frames are posted.
 fn run_aggregator(
     comm: &mut Comm,
     mut stage: Staging<'_>,
     tag: TagValue,
     hier: Option<&NodeView>,
+    mut relay: Option<&mut ReadRelay<'_>>,
     report: &mut TwoPhaseReport,
     buf: &mut [u8],
 ) -> SimTime {
@@ -386,8 +431,7 @@ fn run_aggregator(
                 shuffle_end = shuffle_end.max(t);
                 continue;
             }
-            let mut payload = comm.take_buf();
-            payload.reserve(piece_bytes);
+            let mut payload = comm.take_buf(piece_bytes);
             for p in pieces {
                 let src = (p.extent.offset - rlo) as usize;
                 payload.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
@@ -424,8 +468,7 @@ fn run_aggregator(
                 if frame_bytes == 0 {
                     continue;
                 }
-                let mut frame = comm.take_buf();
-                frame.reserve(frame_bytes);
+                let mut frame = comm.take_buf(frame_bytes);
                 let mut frame_pieces = 0usize;
                 for (_, pieces) in schedule.dests_with_pieces_in(agg_idx, iter, lo, hi) {
                     for p in pieces {
@@ -461,76 +504,134 @@ fn run_aggregator(
             shuffle: shuffle_end.saturating_since(shuffle_start),
         });
         last = last.max(shuffle_end);
+        // This round's frames are posted: relay every round up to it
+        // before reading further ahead.
+        if let Some(relay) = relay.as_deref_mut() {
+            relay.advance(comm, buf, Some((agg_idx, iter)));
+        }
     }
     report.bytes_read += stage.bytes_read();
     last
 }
 
-/// The node leader's relay loop: for every chunk whose aggregator lives on
-/// a *remote* node and that holds pieces for this node, in round order,
-/// receives the aggregator's coalesced frame and forwards each member's
-/// sections as one intra-node message. The leader's own sections travel through the
-/// self-send short circuit, so the receiver loop stays uniform. Frames are
-/// header-less — section boundaries are recomputed from the shared
-/// schedule. Returns the time the last relay departed.
-fn relay_read_frames(
-    comm: &mut Comm,
-    schedule: &PlanSchedule,
-    view: &NodeView,
-    tag: TagValue,
-    hints: &Hints,
-    report: &mut TwoPhaseReport,
-) -> SimTime {
-    let cpu = comm.model().cpu.clone();
-    let frames = Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints);
-    let relay_tag = TAG_SHUFFLE_RELAY | (tag & SEQ_MASK);
-    let start = comm.clock();
-    let mut relay_lane = Lane::free_from(start);
-    let mut last = start;
-    // Slots are walked in round order — the order in which every member
-    // drains its relay stream (its sources follow the same order) — so
-    // FIFO matching pairs them up. Restricted to one aggregator the order
-    // ascends by iteration, which is how the aggregator posts its frames.
-    for &(a, iter) in schedule.rounds() {
+/// The node leader's relay, resumable: for every chunk whose aggregator
+/// lives on a *remote* node and that holds pieces for this node, in round
+/// order, receives the aggregator's coalesced frame and posts each member
+/// its section as a shared slice of the frame — no copy, no allocation per
+/// section. The leader unpacks its own sections straight into its buffer.
+/// Frames are header-less: section boundaries are recomputed from the
+/// shared schedule.
+///
+/// A leader that also aggregates advances the relay from its aggregator
+/// loop, through each round it has just posted, so a frame waits for its
+/// leader about one round instead of the whole collective. No relay can
+/// wait forever: every aggregator posts round `r` before it relays round
+/// `r`, so the earliest unposted round's aggregator never waits on it.
+/// Clocks do not depend on when the host relays: the relay lane starts at
+/// the collective's entry and every departure is stamped from arrivals.
+struct ReadRelay<'s> {
+    schedule: &'s PlanSchedule,
+    view: &'s NodeView,
+    frames: Wire<'s>,
+    relay_tag: TagValue,
+    cpu: CpuModel,
+    lane: Lane,
+    start: SimTime,
+    /// When the last section departed.
+    last: SimTime,
+    /// When the leader's own last section was unpacked.
+    own: SimTime,
+    bytes_shuffled: u64,
+    /// The next position in [`PlanSchedule::rounds`].
+    next: usize,
+}
+
+impl<'s> ReadRelay<'s> {
+    fn new(
+        comm: &Comm,
+        schedule: &'s PlanSchedule,
+        view: &'s NodeView,
+        tag: TagValue,
+        hints: &'s Hints,
+    ) -> Self {
+        let start = comm.clock();
+        Self {
+            schedule,
+            view,
+            frames: Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints),
+            relay_tag: TAG_SHUFFLE_RELAY | (tag & SEQ_MASK),
+            cpu: comm.model().cpu.clone(),
+            lane: Lane::free_from(start),
+            start,
+            last: start,
+            own: SimTime::ZERO,
+            bytes_shuffled: 0,
+            next: 0,
+        }
+    }
+
+    /// Relays the rounds after the last one relayed, through round
+    /// `through` (every remaining round when `None`). Slots are walked in
+    /// round order — the order in which every member drains its relay
+    /// stream (its sources follow the same order) — so FIFO matching pairs
+    /// them up. Restricted to one aggregator the order ascends by
+    /// iteration, which is how the aggregator posts its frames.
+    fn advance(&mut self, comm: &mut Comm, buf: &mut [u8], through: Option<(usize, usize)>) {
+        let rounds = self.schedule.rounds();
+        while let Some(&(a, iter)) = rounds.get(self.next) {
+            self.next += 1;
+            self.relay(comm, buf, a, iter);
+            if through == Some((a, iter)) {
+                break;
+            }
+        }
+    }
+
+    /// Relays chunk `(a, iter)`'s frame, if it has one for this node.
+    fn relay(&mut self, comm: &mut Comm, buf: &mut [u8], a: usize, iter: usize) {
+        let (schedule, view) = (self.schedule, self.view);
         let agg_rank = schedule.aggregator_rank(a);
         if view.node_of(agg_rank) == view.node {
-            continue; // same-node chunks are shuffled directly
+            return; // same-node chunks are shuffled directly
         }
-        if schedule
+        let mut sections = schedule
             .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            .next()
-            .is_none()
-        {
-            continue; // no frame was sent for this chunk
+            .peekable();
+        if sections.peek().is_none() {
+            return; // no frame was sent for this chunk
         }
-        // Frames from remote aggregators arrive compressed when the
-        // hints say so; the leader decodes once (occupying the relay
-        // lane — a raw frame takes no time) and relays raw sections
-        // intra-node.
-        let (frame, arrival, decode) = frames.recv(comm, agg_rank);
-        relay_lane.acquire(arrival, decode);
+        // Frames from remote aggregators arrive compressed when the hints
+        // say so; the leader decodes once (occupying the relay lane — a raw
+        // frame takes no time) and relays raw sections intra-node.
+        let (frame, arrival, decode) = self.frames.recv(comm, agg_rank);
+        self.lane.acquire(arrival, decode);
+        let frame = Arc::new(frame.into_vec());
+        let cpu = &self.cpu;
         let mut pos = 0usize;
-        for (dst, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
+        for (dst, pieces) in sections {
             let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-            let mut payload = comm.take_buf();
-            payload.extend_from_slice(&frame[pos..pos + len]);
-            pos += len;
-            // Splitting a contiguous section is a plain copy — the
-            // per-piece scatter cost was already paid by the
+            // Splitting a contiguous section is priced as a plain copy —
+            // the per-piece scatter cost was already paid by the
             // aggregator when it packed the frame.
+            let net = &comm.model().net;
             let cost = if dst == comm.rank() {
                 cpu.memcpy_time(len)
             } else {
-                cpu.memcpy_time(len)
-                    + comm.model().net.wire_time(len, true)
-                    + comm.model().net.msg_cost(true)
+                cpu.memcpy_time(len) + net.wire_time(len, true) + net.msg_cost(true)
             };
-            let depart = relay_lane.acquire(arrival, cost);
-            if dst != comm.rank() {
-                report.bytes_shuffled += len as u64;
+            let depart = self.lane.acquire(arrival, cost);
+            self.last = self.last.max(depart);
+            if dst == comm.rank() {
+                // One host copy, charged as the split plus the unpack the
+                // section would pay as a self-send.
+                unpack(pieces, &frame[pos..pos + len], buf);
+                self.own = self.own.max(depart + cpu.memcpy_time(len));
+            } else {
+                self.bytes_shuffled += len as u64;
+                let section = Payload::Shared(Arc::clone(&frame), pos..pos + len);
+                comm.post_bytes_at(dst, self.relay_tag, section, depart);
             }
-            comm.post_bytes_at(dst, relay_tag, payload, depart);
-            last = last.max(depart);
+            pos += len;
         }
         assert_eq!(
             pos,
@@ -538,16 +639,28 @@ fn relay_read_frames(
             "rank {}: shuffle frame length mismatch from rank {agg_rank} \
              (aggregator {a}, iteration {iter}, tag {:#x})",
             comm.rank(),
-            frames.tag,
+            self.frames.tag,
         );
-        comm.recycle_buf(frame);
     }
-    if last > start {
-        report
-            .segments
-            .push(Segment::new(start, last, Activity::Sys));
+
+    /// Relays every remaining round, then books the relay's `Sys` segment
+    /// and shuffled bytes into `report`. Returns when the last section
+    /// departed and when the leader's own last section was unpacked.
+    fn finish(
+        mut self,
+        comm: &mut Comm,
+        buf: &mut [u8],
+        report: &mut TwoPhaseReport,
+    ) -> (SimTime, SimTime) {
+        self.advance(comm, buf, None);
+        report.bytes_shuffled += self.bytes_shuffled;
+        if self.last > self.start {
+            report
+                .segments
+                .push(Segment::new(self.start, self.last, Activity::Sys));
+        }
+        (self.last, self.own)
     }
-    last
 }
 
 /// The shape of the relay lane tests of both engines: two nodes of two
@@ -1064,14 +1177,15 @@ mod tests {
                 }
                 return None;
             }
-            let mut report = TwoPhaseReport::default();
-            let mut relayed = SimTime::ZERO;
-            if view.is_leader(comm.rank()) {
-                relayed = relay_read_frames(comm, schedule, &view, tag, &hints, &mut report);
-            }
             let request = &schedule.plan().requests[comm.rank()];
             let mut buf = vec![0u8; request.total_bytes() as usize];
-            let done = receive_pieces(comm, schedule, Some(&view), tag, &hints, &mut buf, relayed);
+            let (mut relayed, mut own) = (SimTime::ZERO, SimTime::ZERO);
+            if view.is_leader(comm.rank()) {
+                let relay = ReadRelay::new(comm, schedule, &view, tag, &hints);
+                (relayed, own) = relay.finish(comm, &mut buf, &mut TwoPhaseReport::default());
+            }
+            let start = relayed.max(own);
+            let done = receive_pieces(comm, schedule, Some(&view), tag, &hints, &mut buf, start);
             let expect: Vec<u8> = request
                 .extents()
                 .iter()

@@ -11,7 +11,7 @@
 
 use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
-use cc_mpi::{Comm, NodeView};
+use cc_mpi::{Comm, NodeView, Payload};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -173,8 +173,7 @@ fn send_pieces(
             continue;
         }
         let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-        let mut payload = comm.take_buf();
-        payload.reserve(piece_bytes);
+        let mut payload = comm.take_buf(piece_bytes);
         for p in pieces {
             let lo = p.buf_offset as usize;
             payload.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
@@ -242,8 +241,7 @@ fn coalesce_write_frames(
         if frame_bytes == 0 {
             continue; // this node contributes nothing to the chunk
         }
-        let mut frame = comm.take_buf();
-        frame.reserve(frame_bytes);
+        let mut frame = comm.take_buf(frame_bytes);
         let mut arrival = start;
         for (src, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
             let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
@@ -310,8 +308,8 @@ fn run_write_aggregator(
         // `(sender, cursor, bytes)`. Sources ascend, so a remote node's
         // contributors form one contiguous run, carried by one coalesced
         // frame from its leader; every other source sends its own payload.
-        let mut held: Option<(usize, usize, Vec<u8>)> = None;
-        let release = |comm: &mut Comm, (sender, cursor, bytes): (usize, usize, Vec<u8>)| {
+        let mut held: Option<(usize, usize, Payload)> = None;
+        let release = |comm: &mut Comm, (sender, cursor, bytes): (usize, usize, Payload)| {
             assert_eq!(
                 cursor,
                 bytes.len(),
@@ -381,16 +379,17 @@ fn run_write_aggregator(
                 // (bit-exact under `Lossless`, within the error bound
                 // otherwise) and the disk charge scales with the
                 // compressed size while offsets stay logical.
-                let mut logical = comm.take_buf();
+                let n = merged.total_bytes() as usize;
+                let mut logical = comm.take_buf(n);
                 for &(off, len) in &ranges {
                     let lo = (off - clo) as usize;
                     logical.extend_from_slice(&chunk[lo..lo + len as usize]);
                 }
-                let mut wire = comm.take_buf();
+                let mut wire = comm.take_buf(n);
                 cc_compress::encode_into(&hints.compression, &logical, &mut wire);
-                let mut recon = comm.take_buf();
-                let n = cc_compress::decode_into(&wire, &mut recon);
-                debug_assert_eq!(n, logical.len());
+                let mut recon = comm.take_buf(n);
+                let decoded = cc_compress::decode_into(&wire, &mut recon);
+                debug_assert_eq!(decoded, n);
                 let mut cursor = 0usize;
                 for &(off, len) in &ranges {
                     let lo = (off - clo) as usize;

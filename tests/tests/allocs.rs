@@ -10,25 +10,35 @@
 //!   sweep runs on the same rank threads, and each rank empties its buffer
 //!   pool at every bin boundary. Rank threads allocate too, so live bytes
 //!   are counted process-wide, and the tests take turns.
+//! - The hierarchical two-phase read holds about one round of shuffle
+//!   buffers beside its output, and its node leaders relay each frame to
+//!   their members as shared slices, allocating nothing per section.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cc_compress::{decode_into, encode_into, Compression, ErrorBound};
 use cc_core::SumKernel;
-use cc_model::ClusterModel;
+use cc_integration::test_model;
+use cc_model::{ClusterModel, DiskModel};
+use cc_mpi::World;
+use cc_mpiio::{collective_read, Extent, Hints, OffsetList};
+use cc_pfs::{MemBackend, Pfs, StripeLayout};
 use cc_service::{TaskBatch, TaskSpec};
 use cc_workloads::ManyTask;
 
-/// `System`, counting every allocation and reallocation made by the
-/// calling thread, and the bytes live across all threads.
+/// `System`, counting every allocation and reallocation, by the calling
+/// thread and by all threads, and the bytes live across all threads.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Allocations and reallocations made by every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Bytes allocated and not yet freed, by every thread.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -40,6 +50,7 @@ fn count() {
     // allocator cannot recurse into itself; `try_with` skips allocations
     // made while the thread's locals are being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 fn grow(bytes: usize) {
@@ -96,6 +107,14 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let start = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - start
+}
+
+/// Allocations made by every thread while `f` ran; meaningful only while
+/// the caller holds [`one_at_a_time`].
+fn world_allocs_during(f: impl FnOnce()) -> u64 {
+    let start = ALL_ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALL_ALLOCS.load(Ordering::Relaxed) - start
 }
 
 /// The most bytes `f` held live at once, beyond what was live before it.
@@ -165,5 +184,119 @@ fn fused_batch_heap_does_not_grow_with_bins() {
     assert!(
         eight as f64 <= 1.25 * one as f64,
         "8 bins peaked at {eight} B against {one} B for 1 bin"
+    );
+}
+
+/// The read shape of the shuffle-memory tests: 4 nodes of 6 ranks, one
+/// aggregator per node, a `4 * ROUNDS * CB`-byte file, so each aggregator
+/// stages `ROUNDS` chunks of `CB` bytes.
+const NODES: usize = 4;
+const CORES: usize = 6;
+const ROUNDS: usize = 16;
+const CB: usize = 256 << 10;
+const BLOCK: u64 = 4 << 10;
+
+/// The read shape's file system: one file of `NODES * ROUNDS * CB` bytes
+/// whose byte `i` is `i % 251`.
+fn read_shape_fs() -> Arc<Pfs> {
+    let size = NODES * ROUNDS * CB;
+    let fs = Pfs::new(4, DiskModel::lustre_like());
+    fs.create(
+        "f",
+        StripeLayout::round_robin(1 << 20, 4, 0, 4),
+        Box::new(MemBackend::from_bytes(
+            (0..size).map(|i| (i % 251) as u8).collect(),
+        )),
+    );
+    Arc::new(fs)
+}
+
+/// Block `k` of the file (`BLOCK` bytes) goes to rank `owner(k)`, or to
+/// nobody when `owner` returns `None`.
+fn read_shape_requests(owner: impl Fn(u64) -> Option<usize>) -> Vec<OffsetList> {
+    let blocks = (NODES * ROUNDS * CB) as u64 / BLOCK;
+    (0..NODES * CORES)
+        .map(|r| {
+            let mine = (0..blocks).filter(|&k| owner(k) == Some(r));
+            OffsetList::new(
+                mine.map(|k| Extent {
+                    offset: k * BLOCK,
+                    len: BLOCK,
+                })
+                .collect(),
+            )
+        })
+        .collect()
+}
+
+/// Runs one collective read of `requests` on the read shape and checks
+/// every rank's bytes and the aggregators' round count.
+fn read_shape_run(fs: &Arc<Pfs>, requests: &[OffsetList]) {
+    let hints = Hints {
+        cb_buffer_size: CB as u64,
+        aggregators_per_node: 1,
+        ..Hints::default()
+    };
+    let out = World::new(NODES * CORES, test_model(NODES, CORES)).run(|comm| {
+        let file = fs.open("f").expect("created above");
+        let (bytes, report) = collective_read(comm, fs, &file, &requests[comm.rank()], &hints);
+        let want = requests[comm.rank()]
+            .extents()
+            .iter()
+            .flat_map(|e| (e.offset..e.end()).map(|i| (i % 251) as u8));
+        assert!(bytes.iter().copied().eq(want), "rank {} bytes", comm.rank());
+        report.iterations.len()
+    });
+    for node in 0..NODES {
+        assert_eq!(out[node * CORES], ROUNDS, "node {node}'s aggregator rounds");
+    }
+}
+
+/// With every rank requesting every 24th block, each aggregator sends one
+/// frame per remote node per round. A leader that relayed only after its
+/// whole aggregator loop held every round's frames at once (about
+/// `3/4 * NODES * ROUNDS * CB` bytes; the serial relay read about 22x
+/// `NODES * CB` here). Paced and zero-copy, the shuffle holds per node its
+/// staging chunk, a round of frames and direct pieces, up to a round more
+/// while the leaders wait for the slowest aggregator, and the frames whose
+/// slices a late-scheduled member has not read yet: 3.4-4.2x in practice,
+/// bounded here at 6x whatever the round count.
+#[test]
+fn two_phase_read_peak_is_output_plus_a_round() {
+    let _turn = one_at_a_time();
+    let fs = read_shape_fs();
+    let ranks = NODES * CORES;
+    let requests = read_shape_requests(|k| Some(k as usize % ranks));
+    let output = NODES * ROUNDS * CB;
+    let peak = peak_heap_during(|| read_shape_run(&fs, &requests));
+    let shuffle = peak.saturating_sub(output);
+    assert!(
+        shuffle <= NODES * CB * 6,
+        "the read held {shuffle} B beside its {output} B output, over {} B",
+        NODES * CB * 6
+    );
+}
+
+/// The same bytes read twice: once by the four node leaders only, once by
+/// all 24 ranks. Each extra member costs the world its direct piece of
+/// each same-node chunk (`ROUNDS`) and about ten allocations of setup, but
+/// nothing for the sections relayed to it: those are slices of the
+/// leader's frame. A relay that allocated a buffer per section adds
+/// another `3 * ROUNDS` per member (about 78 in all).
+#[test]
+fn relaying_a_frame_allocates_nothing_per_member_section() {
+    let _turn = one_at_a_time();
+    let fs = read_shape_fs();
+    let ranks = NODES * CORES;
+    let leaders = read_shape_requests(|k| Some(CORES * (k as usize % NODES)));
+    let everyone = read_shape_requests(|k| Some(k as usize % ranks));
+    let members = (ranks - NODES) as u64;
+    let base = world_allocs_during(|| read_shape_run(&fs, &leaders));
+    let all = world_allocs_during(|| read_shape_run(&fs, &everyone));
+    let per_member = all.saturating_sub(base) as f64 / members as f64;
+    assert!(
+        per_member < (2 * ROUNDS) as f64,
+        "each member cost {per_member:.1} allocations ({base} with leaders only, {all} with \
+         everyone); its direct pieces are {ROUNDS}"
     );
 }
