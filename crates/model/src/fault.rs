@@ -135,17 +135,24 @@ impl FaultPlan {
             .fold(SimTime::ZERO, SimTime::max)
     }
 
+    /// The fixed delay on the directed link `src -> dst`: its per-link
+    /// delays plus the all-link delay, without jitter.
+    pub fn link_delay(&self, src: usize, dst: usize) -> SimTime {
+        SimTime::from_secs(
+            self.link_delay_all
+                + self
+                    .link_delays
+                    .iter()
+                    .filter(|(s, d, _)| *s == src && *d == dst)
+                    .map(|(_, _, secs)| secs)
+                    .sum::<f64>(),
+        )
+    }
+
     /// The extra delay injected into message number `msg_index` on the
     /// directed link `src -> dst`: fixed per-link and all-link delays plus
     /// deterministic jitter.
     pub fn link_extra(&self, src: usize, dst: usize, msg_index: u64) -> SimTime {
-        let fixed: f64 = self.link_delay_all
-            + self
-                .link_delays
-                .iter()
-                .filter(|(s, d, _)| *s == src && *d == dst)
-                .map(|(_, _, secs)| secs)
-                .sum::<f64>();
         let jitter = if self.jitter_amplitude > 0.0 {
             let h = splitmix64(
                 self.jitter_seed
@@ -157,7 +164,7 @@ impl FaultPlan {
         } else {
             0.0
         };
-        SimTime::from_secs(fixed + jitter)
+        self.link_delay(src, dst) + SimTime::from_secs(jitter)
     }
 
     /// The local-work multiplier for `rank` (1.0 if not a straggler).

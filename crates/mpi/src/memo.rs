@@ -19,8 +19,16 @@
 //! no message, no virtual time, a prompt unwind when a peer panics, and the
 //! run's "every cell was taken" check.
 //!
+//! The third kind of cell is a *publication* ([`Comm::publish`]): one rank
+//! hands a value to a declared number of readers, which may be any ranks,
+//! itself included. It is keyed by the collective's sequence number *and*
+//! its owner, since every rank of a collective may publish; a reader that
+//! arrives first parks until the owner publishes, and the last declared
+//! reader drops the cell.
+//!
 //! [`Comm::memo`]: crate::Comm::memo
 //! [`Comm::agree_max`]: crate::Comm::agree_max
+//! [`Comm::publish`]: crate::Comm::publish
 
 use std::any::Any;
 use std::collections::hash_map::{Entry, HashMap};
@@ -40,6 +48,8 @@ enum Slot {
     /// An agreement: the maximum so far, and how many ranks have yet to
     /// contribute. Ready once `owed` reaches zero.
     Max { max: SimTime, owed: usize },
+    /// A publication: ready from the moment its owner inserts it.
+    Published(MemoValue),
 }
 
 struct Cell {
@@ -48,7 +58,11 @@ struct Cell {
     remaining: usize,
 }
 
-type Cells = HashMap<u32, Cell>;
+/// A cell's address: the collective sequence number of its call site and,
+/// for a publication, the rank that owns it.
+type Key = (u32, Option<usize>);
+
+type Cells = HashMap<Key, Cell>;
 
 /// The memo table of one run.
 #[derive(Default)]
@@ -58,19 +72,19 @@ pub(crate) struct Memo {
 }
 
 /// Ranks reached one sequence number through different kinds of call.
-fn mismatch(key: u32) -> ! {
+fn mismatch((seq, _): Key) -> ! {
     panic!(
-        "cell {key} was reached by both a memo and an agreement: the ranks are not at the \
+        "cell {seq} was reached by both a memo and an agreement: the ranks are not at the \
          same call site"
     )
 }
 
 impl Memo {
-    /// Registers the caller at cell `key` of a `nprocs`-rank world. True
+    /// Registers the caller at cell `seq` of a `nprocs`-rank world. True
     /// for the first rank to arrive, which must compute and
     /// [`publish`](Self::publish); everyone else [`take`](Self::take)s.
-    pub(crate) fn claim(&self, key: u32, nprocs: usize) -> bool {
-        match lock_unpoisoned(&self.cells).entry(key) {
+    pub(crate) fn claim(&self, seq: u32, nprocs: usize) -> bool {
+        match lock_unpoisoned(&self.cells).entry((seq, None)) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
                 slot.insert(Cell {
@@ -84,7 +98,8 @@ impl Memo {
 
     /// Stores the computing rank's value (which keeps its own handle, so
     /// this also counts as its take) and wakes the waiting ranks.
-    pub(crate) fn publish(&self, key: u32, value: MemoValue) {
+    pub(crate) fn publish(&self, seq: u32, value: MemoValue) {
+        let key = (seq, None);
         let mut cells = lock_unpoisoned(&self.cells);
         let cell = cells.get_mut(&key).expect("publish follows claim");
         cell.slot = Slot::Memo(Some(value));
@@ -92,28 +107,71 @@ impl Memo {
         self.changed.notify_all();
     }
 
-    /// Blocks until cell `key` is published and returns its value, or
+    /// Blocks until cell `seq` is published and returns its value, or
     /// `None` once `aborted` reports that the world is being torn down
     /// (the computing rank panicked, so the value will never come).
-    pub(crate) fn take(&self, key: u32, aborted: impl Fn() -> bool) -> Option<MemoValue> {
+    pub(crate) fn take(&self, seq: u32, aborted: impl Fn() -> bool) -> Option<MemoValue> {
         let cells = lock_unpoisoned(&self.cells);
+        let key = (seq, None);
         self.wait(cells, key, aborted, |slot| match slot {
             Slot::Memo(value) => value.clone(),
-            Slot::Max { .. } => mismatch(key),
+            _ => mismatch(key),
         })
     }
 
-    /// Contributes `t` to the agreement at cell `key` of a `nprocs`-rank
+    /// Stores `owner`'s publication in collective `seq` for `readers`
+    /// takes and wakes the ranks parked on it. With no reader the value is
+    /// simply dropped.
+    ///
+    /// # Panics
+    /// Panics if `owner` already has a live publication in `seq`.
+    pub(crate) fn publish_for(&self, seq: u32, owner: usize, value: MemoValue, readers: usize) {
+        if readers == 0 {
+            return;
+        }
+        let cell = Cell {
+            slot: Slot::Published(value),
+            remaining: readers,
+        };
+        let mut cells = lock_unpoisoned(&self.cells);
+        let before = cells.insert((seq, Some(owner)), cell);
+        assert!(
+            before.is_none(),
+            "rank {owner} published twice in collective {seq}"
+        );
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `owner` has published in collective `seq` and returns
+    /// the value, counting one of its declared readers; `None` once
+    /// `aborted` reports that the world is being torn down (the owner
+    /// panicked, so the value will never come).
+    pub(crate) fn take_published(
+        &self,
+        seq: u32,
+        owner: usize,
+        aborted: impl Fn() -> bool,
+    ) -> Option<MemoValue> {
+        let cells = lock_unpoisoned(&self.cells);
+        let key = (seq, Some(owner));
+        self.wait(cells, key, aborted, |slot| match slot {
+            Slot::Published(value) => Some(value.clone()),
+            _ => mismatch(key),
+        })
+    }
+
+    /// Contributes `t` to the agreement at cell `seq` of a `nprocs`-rank
     /// world and blocks until every rank has contributed; returns the
     /// maximum, or `None` once `aborted` reports that the world is being
     /// torn down (a rank panicked, so its contribution will never come).
     pub(crate) fn agree_max(
         &self,
-        key: u32,
+        seq: u32,
         nprocs: usize,
         t: SimTime,
         aborted: impl Fn() -> bool,
     ) -> Option<SimTime> {
+        let key = (seq, None);
         let mut cells = lock_unpoisoned(&self.cells);
         let cell = cells.entry(key).or_insert(Cell {
             slot: Slot::Max {
@@ -133,7 +191,7 @@ impl Memo {
         self.wait(cells, key, aborted, |slot| match *slot {
             Slot::Max { max, owed: 0 } => Some(max),
             Slot::Max { .. } => None,
-            Slot::Memo(_) => mismatch(key),
+            _ => mismatch(key),
         })
     }
 
@@ -142,7 +200,7 @@ impl Memo {
     fn wait<R>(
         &self,
         mut cells: MutexGuard<'_, Cells>,
-        key: u32,
+        key: Key,
         aborted: impl Fn() -> bool,
         ready: impl Fn(&Slot) -> Option<R>,
     ) -> Option<R> {
@@ -164,7 +222,7 @@ impl Memo {
     }
 
     /// Counts one rank's take; the last one drops the cell.
-    fn release_one(cells: &mut Cells, key: u32) {
+    fn release_one(cells: &mut Cells, key: Key) {
         let cell = cells.get_mut(&key).expect("cell outlives its takers");
         cell.remaining -= 1;
         if cell.remaining == 0 {
@@ -406,6 +464,112 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "abort took {elapsed:?}; a rank stayed parked in the agreement"
         );
+    }
+
+    /// An engine tag base for the publication tests.
+    const TAG: u32 = 0x5000_0000;
+
+    #[test]
+    fn a_reader_on_another_rank_gets_the_published_arc() {
+        // Every rank publishes to both neighbours; each reader must see the
+        // owner's own allocation, not a copy.
+        for n in [2, 3, 8] {
+            let out = World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
+                let tag = comm.next_engine_tag(TAG);
+                let mine = Arc::new(vec![comm.rank() as u64; 3]);
+                comm.publish(tag, Arc::clone(&mine), 2);
+                let (left, right) = ((comm.rank() + n - 1) % n, (comm.rank() + 1) % n);
+                let got = [
+                    comm.published::<Vec<u64>>(tag, left),
+                    comm.published::<Vec<u64>>(tag, right),
+                ];
+                (mine, got)
+            });
+            for (r, (_, [left, right])) in out.iter().enumerate() {
+                let (l, rr) = ((r + n - 1) % n, (r + 1) % n);
+                assert!(Arc::ptr_eq(left, &out[l].0), "{n} ranks: rank {r} from {l}");
+                assert!(
+                    Arc::ptr_eq(right, &out[rr].0),
+                    "{n} ranks: rank {r} from {rr}"
+                );
+                assert_eq!(**left, vec![l as u64; 3]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_publication_leaves_the_table_with_its_last_declared_reader() {
+        // Rank 0 publishes for three readers, itself among them, and keeps
+        // only a weak handle: once all three have taken and dropped the
+        // value, nothing may hold it, so the table dropped its entry.
+        // `World::run` then checks that the table is empty.
+        let n = 4;
+        let gone = World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
+            let tag = comm.next_engine_tag(TAG);
+            let mut weak = None;
+            if comm.rank() == 0 {
+                let value = Arc::new([7u8; 16]);
+                weak = Some(Arc::downgrade(&value));
+                comm.publish(tag, value, 3);
+            }
+            if comm.rank() < 3 {
+                assert_eq!(*comm.published::<[u8; 16]>(tag, 0), [7u8; 16]);
+            }
+            comm.barrier();
+            weak.map(|w| w.upgrade().is_none())
+        });
+        assert_eq!(gone[0], Some(true), "the table still held the value");
+    }
+
+    #[test]
+    fn owner_panic_before_publishing_unwinds_parked_readers_quickly() {
+        // Every rank but 1 parks on rank 1's publication, which never comes.
+        // As in the memo and agreement tests, the watchdog sits far beyond
+        // the 5 s budget, so only the table's abort wakeup can free them.
+        let n = 5;
+        let model = ClusterModel::test_tiny(n).with_recv_watchdog(Duration::from_secs(600));
+        let world = World::new(n, model);
+        let t0 = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            world.run(|comm| {
+                let tag = comm.next_engine_tag(TAG);
+                if comm.rank() == 1 {
+                    // Give the readers time to park (either order passes).
+                    std::thread::sleep(Duration::from_millis(100));
+                    panic!("rank 1 never packs its window");
+                }
+                *comm.published::<u32>(tag, 1)
+            })
+        }));
+        let elapsed = t0.elapsed();
+        let msg = panic_message(result.expect_err("the world must abort").as_ref());
+        assert!(
+            msg.contains("rank 1 panicked: rank 1 never packs its window"),
+            "abort must name the owner, got: {msg}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "abort took {elapsed:?}; a reader stayed parked on the publication"
+        );
+    }
+
+    #[test]
+    fn an_unread_publication_is_reported_when_the_run_ends() {
+        let world = World::new(3, ClusterModel::test_tiny(3));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            world.run(|comm| {
+                let tag = comm.next_engine_tag(TAG);
+                // Two readers declared, one shows up.
+                if comm.rank() == 2 {
+                    comm.publish(tag, Arc::new(1u8), 2);
+                }
+                if comm.rank() == 0 {
+                    let _ = comm.published::<u8>(tag, 2);
+                }
+            })
+        }));
+        let msg = panic_message(result.expect_err("leak must be reported").as_ref());
+        assert!(msg.contains("outlived the run"), "got: {msg}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every rank closure runs under a panic guard. The first rank to panic
 //! records itself as the abort cause and wakes every mailbox condvar (and
-//! the memo's), so peers blocked in `recv` or parked on a memo or agreement
-//! cell unwind immediately (well under the watchdog) instead of timing out.
-//! [`World::run`] then re-raises a single panic
+//! the memo's), so peers blocked in `recv` or parked on a memo, agreement
+//! or publication cell unwind immediately (well under the watchdog)
+//! instead of timing out. [`World::run`] then re-raises a single panic
 //! naming the *originating* rank and its message, plus a per-rank
 //! diagnostic snapshot (virtual clock, collectives entered, pending
 //! envelopes).
@@ -113,12 +113,12 @@ impl World {
             .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect();
         // Every rank returned, so every rank passed every collective: a
-        // memo or agreement cell still waiting for a taker means some rank
-        // skipped one.
+        // memo, agreement or publication cell still waiting for a taker
+        // means some rank skipped one.
         assert!(
             shared.memo.is_empty(),
             "memo entries outlived the run: the ranks did not all make the same memo and \
-             agreement calls"
+             agreement calls, or a publication had fewer readers than it declared"
         );
         results
     }

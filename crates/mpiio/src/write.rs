@@ -8,6 +8,16 @@
 //! chunk are skipped rather than read-modify-written, which is sufficient
 //! because requests never overlap within one offset list and overlapping
 //! writes *across* ranks are application bugs MPI-IO leaves undefined.
+//!
+//! With hierarchical paths active, the intra-node leg sends no message:
+//! each rank packs every piece it sends to another aggregator once, into
+//! one `Window` it publishes to its readers — its node leader and the
+//! same-node aggregators it sources — which copy straight out of it. Only
+//! the node leaders' coalesced frames (`WriteRelay`) cross the
+//! interconnect.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
@@ -16,7 +26,7 @@ use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
 use crate::exchange::exchange_requests;
-use crate::extent::{Extent, OffsetList};
+use crate::extent::{Extent, OffsetList, Piece};
 use crate::hints::{Hints, Striping};
 use crate::schedule::{PlanSchedule, PlanSource};
 use crate::stage::Staging;
@@ -26,14 +36,8 @@ use crate::twophase::Wire;
 /// sequence number into the low bits (see `Comm::next_engine_tag`).
 pub(crate) const TAG_WRITE_SHUFFLE: TagValue = 0x6000_0000;
 
-/// Tag base for member -> node-leader up-messages: when hierarchical
-/// paths are active, pieces bound for a *remote-node* aggregator are
-/// handed to the local node leader instead of crossing the interconnect
-/// individually.
-pub(crate) const TAG_WRITE_UP: TagValue = 0x3000_0000;
-
 /// Tag base for coalesced write-shuffle frames: the node leader
-/// concatenates its members' up-messages for one chunk into a single
+/// concatenates its members' window slots for one chunk into a single
 /// frame and sends it to the owning aggregator — one inter-node message
 /// per (chunk, source node) pair.
 pub(crate) const TAG_WRITE_FRAME: TagValue = 0x7000_0000;
@@ -97,7 +101,7 @@ pub fn collective_write(
         ..WriteReport::default()
     };
 
-    // --- Sender role: scatter my pieces to the owning aggregators. -----
+    // --- Sender role: pack my pieces for the owning aggregators. -------
     let hier = comm.hier_view();
     let sends_done = send_pieces(
         comm,
@@ -114,45 +118,126 @@ pub fn collective_write(
             .push(Segment::new(report.start, sends_done, Activity::Sys));
     }
 
-    // --- Leader role: coalesce members' up-messages into frames. --------
-    let mut done = sends_done;
-    if let Some(view) = hier.as_ref().filter(|v| v.is_leader(comm.rank())) {
-        done = done.max(coalesce_write_frames(
-            comm,
-            &schedule,
-            view,
-            tag,
-            hints,
-            &mut report,
-        ));
-    }
+    // --- Leader role: coalesce members' window slots into frames, in
+    // step with this rank's aggregator loop when it has one. ------------
+    let mut relay = hier
+        .as_ref()
+        .filter(|v| v.is_leader(comm.rank()))
+        .map(|view| WriteRelay::new(comm, &schedule, view, tag, hints));
+    let relay_segment_at = report.segments.len();
 
     // --- Aggregator role: assemble chunks and write. --------------------
+    let mut done = sends_done;
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
         let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
         done = done.max(run_write_aggregator(
             comm,
             stage,
             tag,
-            hier.as_ref(),
+            relay.as_mut(),
             data,
             my_request,
             &mut report,
         ));
+    }
+    if let Some(relay) = relay {
+        done = done.max(relay.finish(comm, &mut report, relay_segment_at));
     }
     comm.advance_to(done);
     report.end = comm.clock();
     report
 }
 
+/// One rank's write window: every piece it sends to another aggregator,
+/// packed once, in round order, into one buffer that the rank publishes
+/// for its readers — its node leader when it holds pieces for remote-node
+/// aggregators, and each same-node aggregator it sources. Readers copy
+/// straight out of it; the last one to drop its handle frees it.
+struct Window {
+    bytes: Vec<u8>,
+    /// One per `(aggregator, iteration)` slot, in round order.
+    slots: Vec<WindowSlot>,
+}
+
+/// Where one chunk's pieces sit in a [`Window`], and when they count as
+/// arrived at their reader: when an intra-node message of the same bytes
+/// would arrive. Readers stamp their clocks from it, so the hand-off
+/// prices exactly like that message.
+struct WindowSlot {
+    chunk: (usize, usize),
+    range: Range<usize>,
+    arrival: SimTime,
+}
+
+/// A reader's handle on one rank's window. Every reader visits the
+/// window's slots in round order, so a forward cursor finds each one.
+struct WindowReader {
+    window: Arc<Window>,
+    next: usize,
+}
+
+impl WindowReader {
+    /// Takes `owner`'s window in `tag`'s collective, blocking until it is
+    /// published; counts as one of its declared readers.
+    fn take(comm: &Comm, tag: TagValue, owner: usize) -> Self {
+        Self {
+            window: comm.published(tag, owner),
+            next: 0,
+        }
+    }
+
+    /// The bytes and arrival of slot `(a, iter)`, which must come after
+    /// the slot read last.
+    fn slot(&mut self, a: usize, iter: usize) -> (&[u8], SimTime) {
+        let slots = &self.window.slots;
+        let k = self.next
+            + slots[self.next..]
+                .iter()
+                .position(|s| s.chunk == (a, iter))
+                .unwrap_or_else(|| panic!("no window slot for aggregator {a}, iteration {iter}"));
+        self.next = k + 1;
+        let slot = &slots[k];
+        (&self.window.bytes[slot.range.clone()], slot.arrival)
+    }
+}
+
+/// Copies `pieces`, packed back to back at the start of `packed`, to
+/// their places in the chunk starting at file offset `clo`, and records
+/// their extents. Returns the bytes consumed.
+fn unpack(
+    pieces: &[Piece],
+    packed: &[u8],
+    clo: u64,
+    chunk: &mut [u8],
+    extents: &mut Vec<Extent>,
+) -> usize {
+    let mut cursor = 0usize;
+    for p in pieces {
+        let off = (p.extent.offset - clo) as usize;
+        let len = p.extent.len as usize;
+        chunk[off..off + len].copy_from_slice(&packed[cursor..cursor + len]);
+        cursor += len;
+        extents.push(p.extent);
+    }
+    cursor
+}
+
+/// Bytes of `pieces` in total.
+fn piece_bytes(pieces: &[Piece]) -> usize {
+    pieces.iter().map(|p| p.extent.len as usize).sum()
+}
+
 /// The member send loop: packs this rank's pieces of every chunk it
-/// sources and posts them, walking its sources in round order — the order
-/// the node leader coalesces in. With hierarchical paths active, pieces
-/// bound for a remote-node aggregator go to the local node leader (one
-/// cheap intra-node hop) instead of crossing the interconnect one message
-/// per rank; same-node pieces go straight to their aggregator, and this
-/// rank's own chunks are handed over in its aggregator loop. Returns the
-/// time the send lane is free.
+/// sources, walking its sources in round order — the order the node
+/// leader coalesces in. With hierarchical paths active every piece for
+/// another aggregator goes into this rank's [`Window`]: pieces bound for a
+/// remote-node aggregator are read by the local node leader (one cheap
+/// intra-node hop) instead of crossing the interconnect one message per
+/// rank, same-node pieces by their aggregator. Each slot is priced on the
+/// send lane as the intra-node message it replaces; without hierarchy
+/// every piece travels as its own message. This rank's own chunks are
+/// handed over in its aggregator loop. Returns the time the send lane is
+/// free.
 fn send_pieces(
     comm: &mut Comm,
     schedule: &PlanSchedule,
@@ -162,124 +247,213 @@ fn send_pieces(
     data: &[u8],
     report: &mut WriteReport,
 ) -> SimTime {
-    let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
-    let direct = Wire::new(tag, hints);
-    let cpu = comm.model().cpu.clone();
+    let rank = comm.rank();
     let mut send_lane = Lane::free_from(comm.clock());
-    for (a, _, pieces) in schedule.sources_with_pieces(comm.rank()) {
-        let agg_rank = schedule.aggregator_rank(a);
-        if agg_rank == comm.rank() {
-            // Own pieces are handed over locally in the aggregator loop.
-            continue;
-        }
-        let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-        let mut payload = comm.take_buf(piece_bytes);
+    let others = || {
+        schedule
+            .sources_with_pieces(rank)
+            .filter(|&(a, _, _)| schedule.aggregator_rank(a) != rank)
+    };
+    let pack = |buf: &mut Vec<u8>, pieces: &[Piece]| {
         for p in pieces {
             let lo = p.buf_offset as usize;
-            payload.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
+            buf.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
         }
-        if let Some(view) = hier.filter(|v| v.node_of(agg_rank) != v.node) {
-            // The leader's own contribution rides the self-send short
-            // circuit: no wire or posting cost, just the pack.
-            let mut cost = cpu.memcpy_time(payload.len())
-                + comm.model().net.scatter_cost().scale(pieces.len() as f64);
-            if comm.rank() != view.leader {
-                cost = cost
-                    + comm.model().net.wire_time(payload.len(), true)
-                    + comm.model().net.msg_cost(true);
+    };
+    let Some(view) = hier else {
+        // Direct sends that cross the interconnect may travel compressed.
+        let direct = Wire::new(tag, hints);
+        for (a, _, pieces) in others() {
+            let mut payload = comm.take_buf(piece_bytes(pieces));
+            pack(&mut payload, pieces);
+            let ready = comm.clock();
+            let agg_rank = schedule.aggregator_rank(a);
+            let (_, sent) =
+                direct.post(comm, &mut send_lane, ready, agg_rank, payload, pieces.len());
+            report.bytes_shuffled += sent;
+        }
+        return send_lane.free_at().max(comm.clock());
+    };
+    let (count, total) = others().fold((0, 0), |(n, b), (_, _, ps)| (n + 1, b + piece_bytes(ps)));
+    let mut bytes = comm.take_buf(total);
+    let mut slots = Vec::with_capacity(count);
+    // Same-node aggregators this rank sources: one reader each.
+    let mut aggregators: Vec<usize> = Vec::new();
+    let mut leader_reads = false;
+    let (cpu, net) = (&comm.model().cpu, &comm.model().net);
+    for (a, iter, pieces) in others() {
+        let lo = bytes.len();
+        pack(&mut bytes, pieces);
+        let len = bytes.len() - lo;
+        let agg_rank = schedule.aggregator_rank(a);
+        let reader = if view.node_of(agg_rank) == view.node {
+            if !aggregators.contains(&agg_rank) {
+                aggregators.push(agg_rank);
             }
-            let depart = send_lane.acquire(comm.clock(), cost);
-            report.bytes_shuffled += payload.len() as u64;
-            comm.post_bytes_at(view.leader, up_tag, payload, depart);
-            continue;
+            agg_rank
+        } else {
+            leader_reads = true;
+            view.leader
+        };
+        // Intra-node legs never travel compressed. The leader's own
+        // pieces skip the wire and the posting overhead: just the pack.
+        let mut cost = cpu.memcpy_time(len) + net.scatter_cost().scale(pieces.len() as f64);
+        if reader != rank {
+            cost = cost + net.wire_time(len, true) + net.msg_cost(true);
         }
-        // Direct sends that cross the interconnect may travel compressed;
-        // intra-node sends always stay raw (cheap lane, nothing to save).
-        let ready = comm.clock();
-        let (_, sent) = direct.post(comm, &mut send_lane, ready, agg_rank, payload, pieces.len());
-        report.bytes_shuffled += sent;
+        let depart = send_lane.acquire(comm.clock(), cost);
+        let arrival = if reader == rank {
+            depart
+        } else {
+            comm.handoff_arrival(reader, len, depart)
+        };
+        slots.push(WindowSlot {
+            chunk: (a, iter),
+            range: lo..bytes.len(),
+            arrival,
+        });
+        report.bytes_shuffled += len as u64;
     }
+    let readers = aggregators.len() + usize::from(leader_reads);
+    comm.publish(tag, Arc::new(Window { bytes, slots }), readers);
     send_lane.free_at().max(comm.clock())
 }
 
-/// The node leader's coalescing loop, the mirror of the read engine's
-/// relay: for every chunk owned by a *remote-node* aggregator that this
-/// node contributes to, in round order, receives each member's up-message
-/// (its own rides the self-send short circuit), concatenates them in
-/// ascending member order into one header-less frame, and sends it to the
-/// aggregator — paying the inter-node posting overhead once per (chunk,
-/// node) pair.
-/// Returns the time the last frame departed.
-fn coalesce_write_frames(
-    comm: &mut Comm,
-    schedule: &PlanSchedule,
-    view: &NodeView,
+/// The node leader's coalescing relay, resumable, the mirror of the read
+/// engine's: for every chunk owned by a *remote-node* aggregator that this
+/// node contributes to, in round order, concatenates its members' window
+/// slots (its own included) in ascending member order into one
+/// header-less frame, stamped at the latest slot arrival, and sends it to
+/// the aggregator — paying the inter-node posting overhead once per
+/// (chunk, node) pair.
+///
+/// A leader that also aggregates advances the relay from its aggregator
+/// loop through each round before receiving it, so the host holds about a
+/// round of frames at a time rather than the whole collective's. No
+/// aggregator can wait forever: every leader posts round `r` before it
+/// waits on round `r`, and windows are published before any relay runs.
+/// Clocks do not depend on when the host relays: the frame lane starts at
+/// the collective's entry and every departure is stamped from arrivals.
+struct WriteRelay<'s> {
+    schedule: &'s PlanSchedule,
+    view: &'s NodeView,
     tag: TagValue,
-    hints: &Hints,
-    report: &mut WriteReport,
-) -> SimTime {
-    let up_tag = TAG_WRITE_UP | (tag & SEQ_MASK);
-    let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
-    let start = comm.clock();
-    let mut frame_lane = Lane::free_from(start);
-    let mut last = start;
-    // Slots are walked in round order — the order in which every member
-    // posts its up-messages (its sources follow the same order) — so FIFO
-    // matching pairs them up. Restricted to one aggregator the order
-    // ascends by iteration, which is how the aggregator drains its frames.
-    for &(a, iter) in schedule.rounds() {
+    frames: Wire<'s>,
+    lane: Lane,
+    start: SimTime,
+    /// When the last frame departed.
+    last: SimTime,
+    bytes_shuffled: u64,
+    /// The next position in [`PlanSchedule::rounds`].
+    next: usize,
+    /// Each member's window, taken at its first remote-node slot.
+    windows: Vec<Option<WindowReader>>,
+}
+
+impl<'s> WriteRelay<'s> {
+    fn new(
+        comm: &Comm,
+        schedule: &'s PlanSchedule,
+        view: &'s NodeView,
+        tag: TagValue,
+        hints: &'s Hints,
+    ) -> Self {
+        let start = comm.clock();
+        Self {
+            schedule,
+            view,
+            tag,
+            frames: Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints),
+            lane: Lane::free_from(start),
+            start,
+            last: start,
+            bytes_shuffled: 0,
+            next: 0,
+            windows: (view.node_lo..view.node_hi).map(|_| None).collect(),
+        }
+    }
+
+    /// Relays the rounds after the last one relayed, through round
+    /// `through` (every remaining round when `None`). Restricted to one
+    /// aggregator the round order ascends by iteration, which is how the
+    /// aggregator drains its frames.
+    fn advance(&mut self, comm: &mut Comm, through: Option<(usize, usize)>) {
+        let rounds = self.schedule.rounds();
+        while let Some(&(a, iter)) = rounds.get(self.next) {
+            self.next += 1;
+            self.relay(comm, a, iter);
+            if through == Some((a, iter)) {
+                break;
+            }
+        }
+    }
+
+    /// Sends chunk `(a, iter)`'s frame, if this node contributes to it.
+    fn relay(&mut self, comm: &mut Comm, a: usize, iter: usize) {
+        let (schedule, view) = (self.schedule, self.view);
         let agg_rank = schedule.aggregator_rank(a);
         if view.node_of(agg_rank) == view.node {
-            continue; // same-node chunks are shuffled directly
+            return; // same-node aggregators read the windows themselves
         }
         // Pre-size the frame from the schedule's piece tables so
         // coalescing never reallocates mid-concatenation.
         let frame_bytes: usize = schedule
             .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
+            .map(|(_, ps)| piece_bytes(ps))
             .sum();
         if frame_bytes == 0 {
-            continue; // this node contributes nothing to the chunk
+            return; // this node contributes nothing to the chunk
         }
         let mut frame = comm.take_buf(frame_bytes);
-        let mut arrival = start;
+        let mut arrival = self.start;
         for (src, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
-            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-            let (payload, info) = comm.recv_bytes_no_clock(src, up_tag);
+            let window = self.windows[src - view.node_lo]
+                .get_or_insert_with(|| WindowReader::take(comm, self.tag, src));
+            let (bytes, at) = window.slot(a, iter);
             assert_eq!(
-                payload.len(),
-                len,
-                "rank {}: write up-message length mismatch from rank {src} \
-                 (aggregator {a}, iteration {iter}, tag {up_tag:#x})",
+                bytes.len(),
+                piece_bytes(pieces),
+                "rank {}: write window slot length mismatch from rank {src} \
+                 (aggregator {a}, iteration {iter})",
                 comm.rank(),
             );
-            arrival = arrival.max(info.arrival);
-            frame.extend_from_slice(&payload);
-            comm.recycle_buf(payload);
+            arrival = arrival.max(at);
+            frame.extend_from_slice(bytes);
         }
-        // Concatenating contiguous payloads is a plain copy — the
-        // per-piece scatter cost was already paid by the members, so the
-        // frame packs zero pieces. It always crosses the interconnect, so
-        // it is compressed whenever the hints ask for it.
-        let (depart, sent) = frames.post(comm, &mut frame_lane, arrival, agg_rank, frame, 0);
-        report.bytes_shuffled += sent;
-        last = last.max(depart);
+        // Concatenating contiguous slots is a plain copy — the per-piece
+        // scatter cost was already paid by the members, so the frame
+        // packs zero pieces. It always crosses the interconnect, so it is
+        // compressed whenever the hints ask for it.
+        let (depart, sent) = self
+            .frames
+            .post(comm, &mut self.lane, arrival, agg_rank, frame, 0);
+        self.bytes_shuffled += sent;
+        self.last = self.last.max(depart);
     }
-    if last > start {
-        report
-            .segments
-            .push(Segment::new(start, last, Activity::Sys));
+
+    /// Relays every remaining round, then books the relay's shuffled bytes
+    /// and its `Sys` segment — at index `segment_at` of the report's
+    /// segments, where a relay that ran before the aggregator loop would
+    /// have pushed it. Returns when the last frame departed.
+    fn finish(mut self, comm: &mut Comm, report: &mut WriteReport, segment_at: usize) -> SimTime {
+        self.advance(comm, None);
+        report.bytes_shuffled += self.bytes_shuffled;
+        if self.last > self.start {
+            let segment = Segment::new(self.start, self.last, Activity::Sys);
+            report.segments.insert(segment_at, segment);
+        }
+        self.last
     }
-    last
 }
 
 /// Assembles and writes every chunk of `stage`'s aggregator; returns the
-/// time the last write completed.
+/// time the last write completed. On a node leader, advances `relay`
+/// through each round before receiving it.
 fn run_write_aggregator(
     comm: &mut Comm,
     mut stage: Staging<'_>,
     tag: TagValue,
-    hier: Option<&NodeView>,
+    mut relay: Option<&mut WriteRelay<'_>>,
     my_data: &[u8],
     my_request: &OffsetList,
     report: &mut WriteReport,
@@ -295,19 +469,32 @@ fn run_write_aggregator(
     // — the next chunk's receives cannot overlap the write.
     let mut last = comm.clock();
 
+    let hier = comm.hier_view();
     let direct = Wire::new(tag, hints);
     let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
+    // Same-node sources' windows, each taken at its first slot and held
+    // for the whole loop.
+    let mut windows: Vec<Option<WindowReader>> = match hier {
+        Some(view) => (view.node_lo..view.node_hi).map(|_| None).collect(),
+        None => Vec::new(),
+    };
+    let mut extents: Vec<Extent> = Vec::new();
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
     for (pos, &iter) in stage.iters().iter().enumerate() {
+        if let Some(relay) = relay.as_deref_mut() {
+            relay.advance(comm, Some((agg_idx, iter)));
+        }
         let (clo, chi) = schedule.chunk(agg_idx, iter);
         let mut arrival = recv_done.max(stage.floor(pos));
         let chunk = stage.slot_mut(pos);
         chunk.clear();
         chunk.resize((chi - clo) as usize, 0);
-        let mut extents: Vec<Extent> = Vec::new();
+        extents.clear();
         // The message the current sender's pieces are unpacked from, as
         // `(sender, cursor, bytes)`. Sources ascend, so a remote node's
         // contributors form one contiguous run, carried by one coalesced
-        // frame from its leader; every other source sends its own payload.
+        // frame from its leader; without hierarchy every other source
+        // sends its own payload.
         let mut held: Option<(usize, usize, Payload)> = None;
         let release = |comm: &mut Comm, (sender, cursor, bytes): (usize, usize, Payload)| {
             assert_eq!(
@@ -337,7 +524,22 @@ fn run_write_aggregator(
             }
             // Leader frames always cross the interconnect, so they arrive
             // compressed exactly when the hints ask for it.
-            let (sender, wire) = match hier.filter(|v| v.node_of(src) != v.node) {
+            let (sender, wire) = match hier {
+                Some(view) if view.node_of(src) == view.node => {
+                    let window = windows[src - view.node_lo]
+                        .get_or_insert_with(|| WindowReader::take(comm, tag, src));
+                    let (bytes, at) = window.slot(agg_idx, iter);
+                    arrival = arrival.max(at);
+                    let used = unpack(pieces, bytes, clo, chunk, &mut extents);
+                    assert_eq!(
+                        used,
+                        bytes.len(),
+                        "rank {}: write window slot length mismatch from rank {src} \
+                         (aggregator {agg_idx}, iteration {iter})",
+                        comm.rank(),
+                    );
+                    continue;
+                }
                 Some(view) => (view.leader_of(src), frames),
                 None => (src, direct),
             };
@@ -350,13 +552,7 @@ fn run_write_aggregator(
                 held = Some((sender, 0, bytes));
             }
             let (_, cursor, bytes) = held.as_mut().expect("payload just received");
-            for p in pieces {
-                let off = (p.extent.offset - clo) as usize;
-                let len = p.extent.len as usize;
-                chunk[off..off + len].copy_from_slice(&bytes[*cursor..*cursor + len]);
-                *cursor += len;
-                extents.push(p.extent);
-            }
+            *cursor += unpack(pieces, &bytes[*cursor..], clo, chunk, &mut extents);
         }
         if let Some(h) = held.take() {
             release(comm, h);
@@ -366,20 +562,33 @@ fn run_write_aggregator(
         // vectorized call: the file system groups the runs per OST, merges
         // object-contiguous pieces, and books each OST once — one seek per
         // merged run instead of one write call per file-contiguous run.
-        let merged = OffsetList::new(extents);
-        let assemble = cpu.memcpy_time(merged.total_bytes() as usize);
+        extents.sort_unstable_by_key(|e| e.offset);
+        ranges.clear();
+        for e in &extents {
+            match ranges.last_mut() {
+                Some((off, len)) if e.offset <= *off + *len => {
+                    assert_eq!(
+                        e.offset,
+                        *off + *len,
+                        "overlapping writes at byte {}",
+                        e.offset
+                    );
+                    *len += e.len;
+                }
+                _ => ranges.push((e.offset, e.len)),
+            }
+        }
+        let n: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
+        let assemble = cpu.memcpy_time(n);
         let ready = arrival.max(io_lane.free_at()) + assemble;
         let mut write_done = ready;
-        if merged.total_bytes() > 0 {
-            let ranges: Vec<(u64, u64)> =
-                merged.extents().iter().map(|e| (e.offset, e.len)).collect();
+        if n > 0 {
             write_done = if hints.compression.is_on() {
                 // The write-back travels to the file system compressed:
                 // the stored bytes are the codec's reconstruction
                 // (bit-exact under `Lossless`, within the error bound
                 // otherwise) and the disk charge scales with the
                 // compressed size while offsets stay logical.
-                let n = merged.total_bytes() as usize;
                 let mut logical = comm.take_buf(n);
                 for &(off, len) in &ranges {
                     let lo = (off - clo) as usize;
@@ -406,7 +615,7 @@ fn run_write_aggregator(
             } else {
                 pfs.write_multi(file, clo, chunk, &ranges, ready)
             };
-            report.bytes_written += merged.total_bytes();
+            report.bytes_written += n as u64;
             report.writes_issued += 1;
         }
         io_lane.advance_to(write_done);
@@ -562,7 +771,7 @@ mod tests {
     fn hierarchical_write_matches_flat_bitwise() {
         use cc_model::CollectiveMode;
         // 2 nodes x 3 cores, interleaved pieces: every chunk receives
-        // contributions from both nodes, so up-messages and coalesced
+        // contributions from both nodes, so window slots and coalesced
         // frames carry the whole shuffle. File contents must be
         // byte-identical to the flat path's.
         let n = 6;
@@ -835,14 +1044,8 @@ mod tests {
                 &mut report,
             )];
             if view.is_leader(comm.rank()) {
-                times.push(coalesce_write_frames(
-                    comm,
-                    schedule,
-                    &view,
-                    tag,
-                    &hints,
-                    &mut report,
-                ));
+                let relay = WriteRelay::new(comm, schedule, &view, tag, &hints);
+                times.push(relay.finish(comm, &mut report, 0));
             }
             times
         });

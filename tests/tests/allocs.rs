@@ -13,6 +13,10 @@
 //! - The hierarchical two-phase read holds about one round of shuffle
 //!   buffers beside its output, and its node leaders relay each frame to
 //!   their members as shared slices, allocating nothing per section.
+//! - The hierarchical two-phase write packs each rank's pieces once, into
+//!   one window its leader and same-node aggregators read in place: it
+//!   allocates per rank and per frame, not per piece, and holds the
+//!   windows and about a round of frames beside its data and file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +28,7 @@ use cc_core::SumKernel;
 use cc_integration::test_model;
 use cc_model::{ClusterModel, DiskModel};
 use cc_mpi::World;
-use cc_mpiio::{collective_read, Extent, Hints, OffsetList};
+use cc_mpiio::{collective_read, collective_write, Extent, Hints, OffsetList};
 use cc_pfs::{MemBackend, Pfs, StripeLayout};
 use cc_service::{TaskBatch, TaskSpec};
 use cc_workloads::ManyTask;
@@ -298,5 +302,96 @@ fn relaying_a_frame_allocates_nothing_per_member_section() {
         per_member < (2 * ROUNDS) as f64,
         "each member cost {per_member:.1} allocations ({base} with leaders only, {all} with \
          everyone); its direct pieces are {ROUNDS}"
+    );
+}
+
+/// The write shape: the read shape's file, zero-filled, written by every
+/// rank with every 24th block, so each rank sources every chunk of every
+/// aggregator and each aggregator gets one frame per remote node a round.
+fn write_shape() -> (Arc<Pfs>, Vec<OffsetList>, Vec<Vec<u8>>) {
+    let fs = Pfs::new(4, DiskModel::lustre_like());
+    fs.create(
+        "f",
+        StripeLayout::round_robin(1 << 20, 4, 0, 4),
+        Box::new(MemBackend::zeroed(NODES * ROUNDS * CB)),
+    );
+    let ranks = NODES * CORES;
+    let requests = read_shape_requests(|k| Some(k as usize % ranks));
+    let data = requests
+        .iter()
+        .map(|req| {
+            req.extents()
+                .iter()
+                .flat_map(|e| (e.offset..e.end()).map(|i| (i % 251) as u8))
+                .collect()
+        })
+        .collect();
+    (Arc::new(fs), requests, data)
+}
+
+/// Writes `data` collectively on the write shape.
+fn write_shape_run(fs: &Arc<Pfs>, requests: &[OffsetList], data: &[Vec<u8>]) {
+    let hints = Hints {
+        cb_buffer_size: CB as u64,
+        aggregators_per_node: 1,
+        ..Hints::default()
+    };
+    World::new(NODES * CORES, test_model(NODES, CORES)).run(|comm| {
+        let file = fs.open("f").expect("created above");
+        let rank = comm.rank();
+        collective_write(comm, fs, &file, &requests[rank], &data[rank], &hints);
+    });
+}
+
+/// Checks that the file holds byte `i % 251` at every offset `i`.
+fn check_written(fs: &Pfs) {
+    let file = fs.open("f").expect("created above");
+    let size = (NODES * ROUNDS * CB) as u64;
+    let (bytes, _) = fs.read_at(&file, 0, size, cc_model::SimTime::ZERO);
+    assert!(bytes.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
+}
+
+/// Each rank sources all 64 chunks, so a write that sends every rank's
+/// pieces of a chunk as one message allocates at least 1,536 payloads
+/// here (24 ranks x 4 aggregators x 16 rounds; that path counted about
+/// 2,900 allocations in all). With windows the world allocates a bounded
+/// amount per rank — exchange, plan, window, slot table, reader tables:
+/// about 25 — plus one buffer per leader frame, about 780 in all.
+#[test]
+fn collective_write_allocates_per_rank_not_per_piece() {
+    let _turn = one_at_a_time();
+    let (fs, requests, data) = write_shape();
+    let ranks = NODES * CORES;
+    let frames = NODES * ROUNDS * (NODES - 1);
+    let allocs = world_allocs_during(|| write_shape_run(&fs, &requests, &data));
+    check_written(&fs);
+    let bound = (40 * ranks + frames) as u64;
+    assert!(
+        allocs <= bound,
+        "one write allocated {allocs} times, over {bound} (40 per rank + {frames} frames)"
+    );
+}
+
+/// Beside its data and the file, the write holds every rank's window —
+/// at most the rank's data, less what it aggregates itself — and, per
+/// node, its aggregator's two staging chunks and about a round of frames:
+/// the leaders relay in step with their own aggregator loops, and windows
+/// are freed as their last reader finishes. That peaks near
+/// `data + 1.3 * NODES * CB` here. A leader that relays every round
+/// before aggregating holds all of them at once and reads
+/// `data + 12.7 * NODES * CB`; per-slot messages read `data + 2.6 *
+/// NODES * CB`.
+#[test]
+fn collective_write_peak_is_windows_plus_a_round() {
+    let _turn = one_at_a_time();
+    let (fs, requests, data) = write_shape();
+    let windows: usize = data.iter().map(Vec::len).sum();
+    let peak = peak_heap_during(|| write_shape_run(&fs, &requests, &data));
+    check_written(&fs);
+    let bound = windows + NODES * CB * 2;
+    assert!(
+        peak <= bound,
+        "the write held {peak} B, over {bound} B: {windows} B of data plus {} B",
+        NODES * CB * 2
     );
 }
