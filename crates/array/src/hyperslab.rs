@@ -6,6 +6,8 @@
 //! dimension — the unit both the flattening (logical → bytes) and the
 //! construction (bytes → logical) directions work in.
 
+use std::fmt;
+
 use crate::shape::Shape;
 
 /// An axis-aligned box selection: `start[d] .. start[d] + count[d]` in each
@@ -59,22 +61,41 @@ impl Hyperslab {
     /// Validates the selection against `shape`.
     ///
     /// # Panics
-    /// Panics if the box exceeds the shape in any dimension.
+    /// Panics if the ranks differ or the box exceeds the shape in any
+    /// dimension, with [`SelectionError`]'s message for the latter.
     pub fn validate(&self, shape: &Shape) {
         assert_eq!(self.rank(), shape.rank(), "selection rank mismatch");
-        for (d, ((&s, &c), &n)) in self
+        if let Err(e) = self.check(shape) {
+            panic!("{e}");
+        }
+    }
+
+    /// Why the selection does not fit `shape`, if it does not: a rank
+    /// mismatch, or the first dimension the box runs past.
+    pub(crate) fn check(&self, shape: &Shape) -> Result<(), SelectionError> {
+        if self.rank() != shape.rank() {
+            return Err(SelectionError::RankMismatch {
+                selection: self.rank(),
+                shape: shape.rank(),
+            });
+        }
+        for (dim, ((&start, &c), &extent)) in self
             .start
             .iter()
             .zip(&self.count)
             .zip(shape.dims())
             .enumerate()
         {
-            assert!(
-                s + c <= n,
-                "selection [{s}, {}) exceeds dim {d} extent {n}",
-                s + c
-            );
+            if start + c > extent {
+                return Err(SelectionError::OutOfRange {
+                    dim,
+                    start,
+                    end: start + c,
+                    extent,
+                });
+            }
         }
+        Ok(())
     }
 
     /// Whether `coords` lies inside the selection.
@@ -114,6 +135,51 @@ impl Hyperslab {
         }
     }
 }
+
+/// Why a selection does not fit a shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SelectionError {
+    /// The selection and the shape have different numbers of dimensions.
+    RankMismatch {
+        /// Dimensions of the selection.
+        selection: usize,
+        /// Dimensions of the shape.
+        shape: usize,
+    },
+    /// The selection runs past the shape in dimension `dim`.
+    OutOfRange {
+        /// The offending dimension.
+        dim: usize,
+        /// `start[dim]`.
+        start: u64,
+        /// `start[dim] + count[dim]`.
+        end: u64,
+        /// The shape's extent in that dimension.
+        extent: u64,
+    },
+}
+
+impl fmt::Display for SelectionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelectionError::RankMismatch { selection, shape } => write!(
+                f,
+                "selection rank mismatch: {selection} dims against a rank-{shape} shape"
+            ),
+            SelectionError::OutOfRange {
+                dim,
+                start,
+                end,
+                extent,
+            } => write!(
+                f,
+                "selection [{start}, {end}) exceeds dim {dim} extent {extent}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SelectionError {}
 
 /// A strided selection: `count[d]` points along dimension `d`, starting at
 /// `start[d]`, every `stride[d]`-th index — the `ncmpi_get_vars` access

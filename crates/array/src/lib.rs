@@ -19,7 +19,7 @@ pub mod variable;
 
 pub use dataset::{get_vara_all, put_vara_all, Dataset};
 pub use dtype::DType;
-pub use hyperslab::{Hyperslab, StridedSlab};
+pub use hyperslab::{Hyperslab, SelectionError, StridedSlab};
 pub use logical::{construct_runs, LogicalRun};
 pub use shape::Shape;
 pub use variable::Variable;

@@ -3,7 +3,7 @@
 use cc_mpiio::{Extent, OffsetList};
 
 use crate::dtype::DType;
-use crate::hyperslab::{Hyperslab, StridedSlab};
+use crate::hyperslab::{Hyperslab, SelectionError, StridedSlab};
 use crate::shape::Shape;
 
 /// A named variable: shape, element type, and the byte offset of element 0
@@ -80,8 +80,24 @@ impl Variable {
     /// Flattens a hyperslab selection into the byte offset list the MPI-IO
     /// layer consumes — the logical→physical direction of the paper's
     /// Fig. 8. Runs that fuse across full trailing dimensions stay fused.
+    ///
+    /// # Panics
+    /// Panics as [`Hyperslab::validate`] if the selection does not fit the
+    /// variable; [`try_byte_extents`](Self::try_byte_extents) returns the
+    /// error instead.
     pub fn byte_extents(&self, slab: &Hyperslab) -> OffsetList {
         slab.validate(&self.shape);
+        self.runs_to_extents(slab)
+    }
+
+    /// [`byte_extents`](Self::byte_extents), or why the selection does not
+    /// fit the variable.
+    pub fn try_byte_extents(&self, slab: &Hyperslab) -> Result<OffsetList, SelectionError> {
+        slab.check(&self.shape)?;
+        Ok(self.runs_to_extents(slab))
+    }
+
+    fn runs_to_extents(&self, slab: &Hyperslab) -> OffsetList {
         let esize = self.dtype.size();
         OffsetList::new(
             slab.runs(&self.shape)
@@ -157,6 +173,39 @@ mod tests {
         assert_eq!(l.extents()[0].offset, 100);
         assert_eq!(l.extents()[1].offset, 100 + 16);
         assert_eq!(l.total_bytes(), 48);
+    }
+
+    #[test]
+    fn try_byte_extents_reports_what_byte_extents_panics_on() {
+        let v = var();
+        let slab = Hyperslab::new(vec![1, 1], vec![2, 2]);
+        assert_eq!(v.try_byte_extents(&slab), Ok(v.byte_extents(&slab)));
+        assert_eq!(
+            v.try_byte_extents(&Hyperslab::new(vec![2, 0], vec![1, 5])),
+            Err(SelectionError::OutOfRange {
+                dim: 1,
+                start: 0,
+                end: 5,
+                extent: 4
+            })
+        );
+        let e = v
+            .try_byte_extents(&Hyperslab::new(vec![0], vec![3]))
+            .unwrap_err();
+        assert_eq!(
+            e,
+            SelectionError::RankMismatch {
+                selection: 1,
+                shape: 2
+            }
+        );
+        assert!(e.to_string().starts_with("selection rank mismatch"));
+    }
+
+    #[test]
+    #[should_panic(expected = "selection [3, 4) exceeds dim 0 extent 3")]
+    fn byte_extents_panics_with_the_error_message() {
+        let _ = var().byte_extents(&Hyperslab::new(vec![3, 0], vec![1, 4]));
     }
 
     #[test]

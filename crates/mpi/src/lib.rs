@@ -40,4 +40,4 @@ pub use elem::Elem;
 pub use ops::ReduceOp;
 pub use pool::BufferPool;
 pub use stats::CommStats;
-pub use world::World;
+pub use world::{World, WorldError};

@@ -9,6 +9,7 @@
 //! diagnostic snapshot (virtual clock, collectives entered, pending
 //! envelopes).
 
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -27,6 +28,33 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Why a [`World`] cannot be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WorldError {
+    /// No ranks were asked for.
+    Empty,
+    /// More ranks than the topology has cores.
+    Oversubscribed {
+        /// Ranks asked for.
+        nprocs: usize,
+        /// Cores in the topology.
+        cores: usize,
+    },
+}
+
+impl fmt::Display for WorldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorldError::Empty => write!(f, "need at least one rank"),
+            WorldError::Oversubscribed { nprocs, cores } => {
+                write!(f, "{nprocs} ranks exceed the topology's {cores} cores")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WorldError {}
+
 /// A simulated MPI world: `nprocs` ranks placed on the model's topology.
 ///
 /// `run` may be called repeatedly; each call is an independent job with
@@ -40,16 +68,23 @@ impl World {
     /// Creates a world of `nprocs` ranks.
     ///
     /// # Panics
-    /// Panics if `nprocs` is zero or exceeds the topology's core count —
-    /// the model assumes at most one rank per core.
+    /// Panics with [`try_new`](Self::try_new)'s error if `nprocs` is zero
+    /// or exceeds the topology's core count.
     pub fn new(nprocs: usize, model: ClusterModel) -> Self {
-        assert!(nprocs > 0, "need at least one rank");
-        assert!(
-            nprocs <= model.capacity(),
-            "{nprocs} ranks exceed the topology's {} cores",
-            model.capacity()
-        );
-        Self { nprocs, model }
+        Self::try_new(nprocs, model).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a world of `nprocs` ranks, or says why it cannot: the model
+    /// assumes at least one rank and at most one rank per core.
+    pub fn try_new(nprocs: usize, model: ClusterModel) -> Result<Self, WorldError> {
+        if nprocs == 0 {
+            return Err(WorldError::Empty);
+        }
+        let cores = model.capacity();
+        if nprocs > cores {
+            return Err(WorldError::Oversubscribed { nprocs, cores });
+        }
+        Ok(Self { nprocs, model })
     }
 
     /// Number of ranks.
@@ -212,14 +247,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "10 ranks exceed the topology's 4 cores")]
     fn oversubscription_panics() {
         let _ = World::new(10, ClusterModel::test_tiny(4));
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "need at least one rank")]
     fn zero_ranks_panics() {
         let _ = World::new(0, ClusterModel::test_tiny(4));
+    }
+
+    #[test]
+    fn try_new_returns_what_new_panics_on() {
+        let model = ClusterModel::test_tiny(4);
+        assert_eq!(
+            World::try_new(0, model.clone()).err(),
+            Some(WorldError::Empty)
+        );
+        assert_eq!(
+            World::try_new(5, model.clone()).err(),
+            Some(WorldError::Oversubscribed {
+                nprocs: 5,
+                cores: 4
+            })
+        );
+        assert_eq!(World::try_new(4, model).map(|w| w.nprocs()), Ok(4));
     }
 }

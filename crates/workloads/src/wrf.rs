@@ -23,6 +23,14 @@ use cc_pfs::{Pfs, StripeLayout};
 /// is about `5.7e-14`. There the full formula rounds to exactly 1010.0.
 const SLP_AMBIENT_D2: f64 = 2000.0;
 
+/// Squared distance from the storm center beyond which the eyewall term is
+/// below half an ulp of the 15 kt calm for every depth: at `d2 = 512`,
+/// `90 * exp(-(sqrt(512) - 4)^2 / 8)` is about `1e-17`, half an ulp of 15
+/// is about `8.9e-16`. With glibc's `exp` the term rounds away for every
+/// depth from `d2 = 471`; 512 leaves a margin. There the full formula
+/// rounds to exactly 15.0.
+const WIND_CALM_D2: f64 = 512.0;
+
 /// The WRF grid: `times x south_north x west_east`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrfGrid {
@@ -46,22 +54,12 @@ impl WrfGrid {
         ((self.sn / 4 + t).min(self.sn - 1), (self.we / 4 + t).min(self.we - 1))
     }
 
-    /// Squared distance from the storm center at time `t`.
-    fn d2(&self, t: u64, y: u64, x: u64) -> f64 {
-        let (cy, cx) = self.center(t);
-        let dy = y as f64 - cy as f64;
-        let dx = x as f64 - cx as f64;
-        dy * dy + dx * dx
-    }
-
-    /// Decomposes a flat element index into `(t, y, x)`, with one
-    /// division per level.
+    /// Decomposes a flat element index into `(t, y, x)`, row first: the
+    /// grid row `t * sn + y` and its column, then the row's time step.
     pub fn coords(&self, i: u64) -> (u64, u64, u64) {
-        let plane = self.sn * self.we;
-        let t = i / plane;
-        let r = i - t * plane;
-        let y = r / self.we;
-        (t, y, r - y * self.we)
+        let row = i / self.we;
+        let t = row / self.sn;
+        (t, row - t * self.sn, i - row * self.we)
     }
 
     /// Storm depth (hPa below ambient) at time `t`: deepens by 1 hPa per
@@ -70,26 +68,44 @@ impl WrfGrid {
         40.0 + (t as f64).min(35.0)
     }
 
+    /// The row stage of [`near`](Self::near): grid row `row`'s time step,
+    /// south-north offset from the storm center and the center's column,
+    /// or `None` when the row alone is at least `sqrt(far_d2)` from the
+    /// center, so every element of it is too.
+    fn near_row(&self, row: u64, far_d2: f64) -> Option<(u64, f64, u64)> {
+        let t = row / self.sn;
+        let (cy, cx) = self.center(t);
+        let dy = offset(row - t * self.sn, cy);
+        (dy * dy < far_d2).then_some((t, dy, cx))
+    }
+
+    /// Time step and squared distance from the storm center of flat
+    /// element `i`, or `None` when it lies at least `sqrt(far_d2)` away.
+    /// The row is ruled out before its column is split off.
+    fn near(&self, i: u64, far_d2: f64) -> Option<(u64, f64)> {
+        let row = i / self.we;
+        let (t, dy, cx) = self.near_row(row, far_d2)?;
+        let dx = offset(i - row * self.we, cx);
+        let d2 = dy * dy + dx * dx;
+        (d2 < far_d2).then_some((t, d2))
+    }
+
     /// Sea-level pressure (hPa) at flat element index `i`: ambient 1010
     /// minus a Gaussian depression around the storm center. Far from the
     /// center the depression rounds away, so the `exp` is skipped there;
     /// the result is bit-identical either way.
     pub fn slp(&self, i: u64) -> f64 {
-        let (t, y, x) = self.coords(i);
-        let d2 = self.d2(t, y, x);
-        if d2 >= SLP_AMBIENT_D2 {
-            return 1010.0;
-        }
-        slp_at(self.depth(t), d2)
+        self.near(i, SLP_AMBIENT_D2)
+            .map_or(1010.0, |(t, d2)| slp_at(self.depth(t), d2))
     }
 
     /// 10 m wind speed (knots) at flat element index `i`: calm background
-    /// plus an eyewall ring of radius 4 cells around the center.
+    /// plus an eyewall ring of radius 4 cells around the center. Far from
+    /// the center the ring rounds away, so the `sqrt` and `exp` are
+    /// skipped there; the result is bit-identical either way.
     pub fn wind10(&self, i: u64) -> f64 {
-        let (t, y, x) = self.coords(i);
-        let d = self.d2(t, y, x).sqrt();
-        let ring = d - 4.0;
-        15.0 + (1.2 * self.depth(t)) * (-(ring * ring) / 8.0).exp()
+        self.near(i, WIND_CALM_D2)
+            .map_or(15.0, |(t, d2)| wind_at(self.depth(t), d2))
     }
 
     /// The analytically known global SLP minimum: the storm center at the
@@ -103,10 +119,23 @@ impl WrfGrid {
     }
 }
 
+/// Grid coordinate `a`'s offset from `c` as an `f64`: exact below 2^53,
+/// so equal to `a as f64 - c as f64`, with one conversion.
+fn offset(a: u64, c: u64) -> f64 {
+    (a as i64 - c as i64) as f64
+}
+
 /// Sea level pressure at storm depth `depth` and squared distance `d2` from
 /// the storm center.
 fn slp_at(depth: f64, d2: f64) -> f64 {
     1010.0 - depth * (-d2 / 50.0).exp()
+}
+
+/// 10 m wind speed at storm depth `depth` and squared distance `d2` from
+/// the storm center.
+fn wind_at(depth: f64, d2: f64) -> f64 {
+    let ring = d2.sqrt() - 4.0;
+    15.0 + (1.2 * depth) * (-(ring * ring) / 8.0).exp()
 }
 
 /// The WRF workload: a dataset with `slp` and `wind10` variables and a
@@ -252,12 +281,154 @@ impl WrfWorkload {
 mod tests {
     use super::*;
 
+    /// The generator's closed forms as they read before the row-first
+    /// rewrite, with no shortcut: the references the fast paths must match
+    /// bit for bit.
+    impl WrfGrid {
+        /// Squared distance from the storm center at time `t`.
+        fn d2(&self, t: u64, y: u64, x: u64) -> f64 {
+            let (cy, cx) = self.center(t);
+            let dy = y as f64 - cy as f64;
+            let dx = x as f64 - cx as f64;
+            dy * dy + dx * dx
+        }
+
+        /// `(t, y, x)` of flat index `i`, split plane first.
+        fn coords_plane_first(&self, i: u64) -> (u64, u64, u64) {
+            let plane = self.sn * self.we;
+            let t = i / plane;
+            let r = i - t * plane;
+            let y = r / self.we;
+            (t, y, r - y * self.we)
+        }
+
+        fn slp_reference(&self, i: u64) -> f64 {
+            let (t, y, x) = self.coords_plane_first(i);
+            1010.0 - self.depth(t) * (-self.d2(t, y, x) / 50.0).exp()
+        }
+
+        fn wind10_reference(&self, i: u64) -> f64 {
+            let (t, y, x) = self.coords_plane_first(i);
+            let ring = self.d2(t, y, x).sqrt() - 4.0;
+            15.0 + (1.2 * self.depth(t)) * (-(ring * ring) / 8.0).exp()
+        }
+    }
+
     fn grid() -> WrfGrid {
         WrfGrid {
             times: 4,
             sn: 32,
             we: 32,
         }
+    }
+
+    /// The grid `wrf_minslp_400g` reads: 400 x 256 x 512, 52,428,800
+    /// elements per variable.
+    fn benchmark_grid() -> WrfGrid {
+        WrfGrid {
+            times: 400,
+            sn: 256,
+            we: 512,
+        }
+    }
+
+    /// Asserts both fields equal their references, bit for bit, on every
+    /// element of `g`.
+    fn assert_matches_references(g: WrfGrid) {
+        for i in 0..g.elements() {
+            assert_eq!(
+                g.slp(i).to_bits(),
+                g.slp_reference(i).to_bits(),
+                "{g:?} slp {i}"
+            );
+            assert_eq!(
+                g.wind10(i).to_bits(),
+                g.wind10_reference(i).to_bits(),
+                "{g:?} wind10 {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn fields_are_bit_identical_to_the_closed_forms_on_small_grids() {
+        let grids = [
+            grid(),
+            // Neither sn nor we a power of two; rows up to 67 cells from
+            // the center, so both row shortcuts fire.
+            WrfGrid {
+                times: 5,
+                sn: 90,
+                we: 75,
+            },
+            // The center clamps at the grid's corner from t = 18, and the
+            // depth saturates from t = 35.
+            WrfGrid {
+                times: 40,
+                sn: 24,
+                we: 20,
+            },
+            WrfGrid {
+                times: 3,
+                sn: 1,
+                we: 1,
+            },
+        ];
+        for g in grids {
+            assert_matches_references(g);
+        }
+    }
+
+    #[test]
+    #[ignore = "52 M elements per field; run in release"]
+    fn fields_are_bit_identical_to_the_closed_forms_on_the_benchmark_grid() {
+        assert_matches_references(benchmark_grid());
+    }
+
+    #[test]
+    fn wind_calm_shortcut_is_bit_identical_on_the_benchmark_grid() {
+        // As the SLP test below: every depth the grid reaches, and every
+        // squared offset |dy| < sn, |dx| < we can produce.
+        let g = benchmark_grid();
+        let mut depths: Vec<f64> = (0..g.times).map(|t| g.depth(t)).collect();
+        depths.dedup();
+        assert_eq!(depths.len(), 36);
+        let mut checked = 0u64;
+        for &depth in &depths {
+            for dy in 0..g.sn {
+                for dx in 0..g.we {
+                    let d2 = (dy * dy + dx * dx) as f64;
+                    if d2 >= WIND_CALM_D2 {
+                        assert_eq!(
+                            wind_at(depth, d2).to_bits(),
+                            15.0f64.to_bits(),
+                            "depth {depth} d2 {d2}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 36 * 130_000);
+        // Inside the cutoff the eyewall still shows: the shortcut is not
+        // vacuous.
+        assert!(wind_at(75.0, WIND_CALM_D2 - 200.0) > 15.0);
+    }
+
+    #[test]
+    fn row_shortcut_rules_out_most_benchmark_rows() {
+        // 75 % of the benchmark grid's rows lie at least 45 rows from the
+        // storm center, and 87 % at least 23 rows; dropping the row stage
+        // would make every element pay for its column.
+        let g = benchmark_grid();
+        let rows = g.times * g.sn;
+        let far = |far_d2| {
+            (0..rows)
+                .filter(|&r| g.near_row(r, far_d2).is_none())
+                .count() as f64
+        };
+        let (slp, wind) = (far(SLP_AMBIENT_D2), far(WIND_CALM_D2));
+        assert!(slp >= 0.70 * rows as f64, "slp rows {slp}");
+        assert!(wind >= 0.70 * rows as f64, "wind rows {wind}");
     }
 
     #[test]
