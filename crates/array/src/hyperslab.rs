@@ -86,13 +86,16 @@ impl Hyperslab {
             .zip(shape.dims())
             .enumerate()
         {
-            if start + c > extent {
-                return Err(SelectionError::OutOfRange {
-                    dim,
-                    start,
-                    end: start + c,
-                    extent,
-                });
+            match start.checked_add(c) {
+                Some(end) if end <= extent => {}
+                end => {
+                    return Err(SelectionError::OutOfRange {
+                        dim,
+                        start,
+                        end: end.unwrap_or(u64::MAX),
+                        extent,
+                    })
+                }
             }
         }
         Ok(())
@@ -131,7 +134,8 @@ impl Hyperslab {
             shape,
             fused,
             run_len,
-            outer: Some(self.start[..fused].to_vec()),
+            coords: self.start.clone(),
+            remaining: self.count[..fused].iter().product(),
         }
     }
 }
@@ -152,7 +156,7 @@ pub enum SelectionError {
         dim: usize,
         /// `start[dim]`.
         start: u64,
-        /// `start[dim] + count[dim]`.
+        /// `start[dim] + count[dim]`, or `u64::MAX` where that overflows.
         end: u64,
         /// The shape's extent in that dimension.
         extent: u64,
@@ -274,35 +278,23 @@ impl StridedSlab {
         let fast_contig = self.stride[rank - 1] == 1;
         let run_len = if fast_contig { self.count[rank - 1] } else { 1 };
         // Iterate the outer lattice (all dims except the fastest when it
-        // is contiguous; all dims otherwise) odometer style.
+        // is contiguous; all dims otherwise) odometer style, advancing
+        // one full-rank coordinate buffer in place.
         let outer_rank = if fast_contig { rank - 1 } else { rank };
-        let mut odo = vec![0u64; outer_rank];
-        let mut out = Vec::new();
-        loop {
-            if fast_contig {
-                let mut coords: Vec<u64> = (0..outer_rank)
-                    .map(|d| self.index(d, odo[d]))
-                    .collect();
-                coords.push(self.start[rank - 1]);
-                out.push((shape.linear_index(&coords), run_len));
-            } else {
-                let coords: Vec<u64> = (0..rank).map(|d| self.index(d, odo[d])).collect();
-                out.push((shape.linear_index(&coords), 1));
-            }
-            // Advance the odometer.
-            let mut d = outer_rank;
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                odo[d] += 1;
-                if odo[d] < self.count[d] {
+        let n = self.count[..outer_rank].iter().product::<u64>() as usize;
+        let mut out = Vec::with_capacity(n);
+        let mut coords = self.start.clone();
+        for _ in 0..n {
+            out.push((shape.linear_index(&coords), run_len));
+            for d in (0..outer_rank).rev() {
+                if coords[d] < self.index(d, self.count[d] - 1) {
+                    coords[d] += self.stride[d];
                     break;
                 }
-                odo[d] = 0;
+                coords[d] = self.start[d];
             }
         }
+        out
     }
 }
 
@@ -317,15 +309,20 @@ impl From<Hyperslab> for StridedSlab {
     }
 }
 
-/// Iterator over the contiguous element runs of a hyperslab.
+/// Iterator over the contiguous element runs of a hyperslab. It owns one
+/// coordinate buffer and advances it in place, so a selection costs one
+/// allocation however many runs it has.
 pub struct RunIter<'a> {
     slab: &'a Hyperslab,
     shape: &'a Shape,
     /// Dimensions `fused..rank` are contiguous within one run.
     fused: usize,
     run_len: u64,
-    /// Coordinates of the next run in dims `0..fused`; `None` when done.
-    outer: Option<Vec<u64>>,
+    /// Full-rank coordinates of the next run's first element; dims
+    /// `fused..rank` stay at the selection's start.
+    coords: Vec<u64>,
+    /// Runs not yet yielded.
+    remaining: u64,
 }
 
 impl Iterator for RunIter<'_> {
@@ -333,25 +330,26 @@ impl Iterator for RunIter<'_> {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let outer = self.outer.as_mut()?;
-        let mut coords = outer.clone();
-        coords.extend_from_slice(&self.slab.start[self.fused..]);
-        let start = self.shape.linear_index(&coords);
-        // Advance `outer` odometer-style within the selection box.
-        let mut d = self.fused;
-        loop {
-            if d == 0 {
-                self.outer = None;
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let start = self.shape.linear_index(&self.coords);
+        // Advance dims `0..fused` odometer-style within the selection box;
+        // after the last run every digit wraps back to the start.
+        for d in (0..self.fused).rev() {
+            self.coords[d] += 1;
+            if self.coords[d] < self.slab.start[d] + self.slab.count[d] {
                 break;
             }
-            d -= 1;
-            outer[d] += 1;
-            if outer[d] < self.slab.start[d] + self.slab.count[d] {
-                break;
-            }
-            outer[d] = self.slab.start[d];
+            self.coords[d] = self.slab.start[d];
         }
         Some((start, self.run_len))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::try_from(self.remaining).ok();
+        (n.unwrap_or(usize::MAX), n)
     }
 }
 

@@ -43,35 +43,38 @@ impl LogicalRun {
 }
 
 /// Reconstructs the logical runs of `request` (a requester's byte-level
-/// offset list over `var`) that fall inside the chunk `[lo, hi)`.
+/// offset list over `var`) that fall inside the chunk `[lo, hi)`, in
+/// buffer order. The runs are computed as they are consumed, so the map
+/// loop allocates nothing per run.
 ///
 /// # Panics
 /// Panics if the intersection splits an element — callers must align chunk
 /// boundaries to the element size (the collective-computing engine plans
 /// element-aligned domains for exactly this reason).
-pub fn construct_runs(var: &Variable, request: &OffsetList, lo: u64, hi: u64) -> Vec<LogicalRun> {
+pub fn construct_runs<'a>(
+    var: &'a Variable,
+    request: &'a OffsetList,
+    lo: u64,
+    hi: u64,
+) -> impl Iterator<Item = LogicalRun> + 'a {
     let esize = var.dtype().size();
-    request
-        .locate(lo, hi)
-        .into_iter()
-        .map(|p| {
-            assert!(
-                (p.extent.offset - var.base_offset()).is_multiple_of(esize) && p.extent.len % esize == 0,
-                "chunk boundary splits a {esize}-byte element of '{}' at byte {}",
-                var.name(),
-                p.extent.offset
-            );
-            assert!(
-                p.buf_offset % esize == 0,
-                "buffer position splits an element"
-            );
-            LogicalRun {
-                start_elem: var.elem_of_byte(p.extent.offset),
-                len: p.extent.len / esize,
-                buf_elem_offset: p.buf_offset / esize,
-            }
-        })
-        .collect()
+    request.locate(lo, hi).map(move |p| {
+        assert!(
+            (p.extent.offset - var.base_offset()).is_multiple_of(esize) && p.extent.len % esize == 0,
+            "chunk boundary splits a {esize}-byte element of '{}' at byte {}",
+            var.name(),
+            p.extent.offset
+        );
+        assert!(
+            p.buf_offset % esize == 0,
+            "buffer position splits an element"
+        );
+        LogicalRun {
+            start_elem: var.elem_of_byte(p.extent.offset),
+            len: p.extent.len / esize,
+            buf_elem_offset: p.buf_offset / esize,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -91,7 +94,7 @@ mod tests {
         let v = var();
         let slab = Hyperslab::new(vec![1, 2], vec![2, 3]);
         let req = v.byte_extents(&slab);
-        let runs = construct_runs(&v, &req, 0, 1 << 20);
+        let runs: Vec<_> = construct_runs(&v, &req, 0, 1 << 20).collect();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].start_coords(&v), vec![1, 2]);
         assert_eq!(runs[0].len, 3);
@@ -106,8 +109,8 @@ mod tests {
         let slab = Hyperslab::new(vec![0, 0], vec![1, 6]); // row 0: 48 bytes at 64
         let req = v.byte_extents(&slab);
         // Split the row at byte 88 (element-aligned: 64 + 3*8).
-        let first = construct_runs(&v, &req, 0, 88);
-        let second = construct_runs(&v, &req, 88, 1 << 20);
+        let first: Vec<_> = construct_runs(&v, &req, 0, 88).collect();
+        let second: Vec<_> = construct_runs(&v, &req, 88, 1 << 20).collect();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].len, 3);
         assert_eq!(second[0].len, 3);
@@ -120,14 +123,14 @@ mod tests {
     fn unaligned_chunk_panics() {
         let v = var();
         let req = v.byte_extents(&Hyperslab::whole(v.shape()));
-        let _ = construct_runs(&v, &req, 0, 67); // splits an element
+        let _ = construct_runs(&v, &req, 0, 67).count(); // splits an element
     }
 
     #[test]
     fn empty_intersection_is_empty() {
         let v = var();
         let req = v.byte_extents(&Hyperslab::new(vec![0, 0], vec![1, 2]));
-        assert!(construct_runs(&v, &req, 1 << 10, 1 << 11).is_empty());
+        assert_eq!(construct_runs(&v, &req, 1 << 10, 1 << 11).next(), None);
     }
 
     #[test]
@@ -172,6 +175,56 @@ mod tests {
                 .filter(|&i| slab.contains(&v.shape().coords_of(i)))
                 .collect();
             prop_assert_eq!(elems, expected);
+        }
+
+        #[test]
+        fn prop_runs_reassemble_a_random_slab_once(
+            dims in proptest::collection::vec(1u64..6, 1..4),
+            seed in any::<u64>(),
+            split_points in proptest::collection::vec(0u64..1000, 0..8),
+        ) {
+            // A random in-bounds box over a random shape, its byte span
+            // chopped at random element-aligned points: every selected
+            // element lands exactly once, at its row-major buffer slot.
+            let shape = Shape::new(dims.clone());
+            let mut x = seed;
+            let mut next = |m: u64| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) % m
+            };
+            let (mut start, mut count) = (Vec::new(), Vec::new());
+            for &d in &dims {
+                let st = next(d);
+                start.push(st);
+                count.push(1 + next(d - st));
+            }
+            let slab = Hyperslab::new(start, count);
+            let v = Variable::new("r", shape, DType::F32, 40);
+            let req = v.byte_extents(&slab);
+            let elems = v.shape().num_elements();
+            let mut cuts: Vec<u64> = split_points
+                .into_iter()
+                .map(|c| v.byte_of_elem(c % elems))
+                .collect();
+            cuts.push(v.base_offset());
+            cuts.push(v.end_offset());
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut buf = vec![None; slab.num_elements() as usize];
+            for w in cuts.windows(2) {
+                for r in construct_runs(&v, &req, w[0], w[1]) {
+                    for k in 0..r.len {
+                        let slot = &mut buf[(r.buf_elem_offset + k) as usize];
+                        prop_assert_eq!(*slot, None);
+                        *slot = Some(r.start_elem + k);
+                    }
+                }
+            }
+            let expected: Vec<Option<u64>> = (0..elems)
+                .filter(|&i| slab.contains(&v.shape().coords_of(i)))
+                .map(Some)
+                .collect();
+            prop_assert_eq!(buf, expected);
         }
     }
 }

@@ -203,6 +203,32 @@ mod tests {
     }
 
     #[test]
+    fn try_byte_extents_reports_bounds_that_overflow() {
+        let v = Variable::new("w", Shape::new(vec![4, 6]), DType::F64, 0);
+        for start in [u64::MAX, u64::MAX - 1] {
+            assert_eq!(
+                v.try_byte_extents(&Hyperslab::new(vec![start, 0], vec![2, 6])),
+                Err(SelectionError::OutOfRange {
+                    dim: 0,
+                    start,
+                    end: u64::MAX,
+                    extent: 4
+                })
+            );
+        }
+        // The last dimension overflows too, after a first one that fits.
+        assert_eq!(
+            v.try_byte_extents(&Hyperslab::new(vec![1, u64::MAX - 1], vec![1, 1])),
+            Err(SelectionError::OutOfRange {
+                dim: 1,
+                start: u64::MAX - 1,
+                end: u64::MAX,
+                extent: 6
+            })
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "selection [3, 4) exceeds dim 0 extent 3")]
     fn byte_extents_panics_with_the_error_message() {
         let _ = var().byte_extents(&Hyperslab::new(vec![3, 0], vec![1, 4]));

@@ -371,8 +371,7 @@ fn run_map_pipeline(
         for &dst in schedule.destinations(agg_idx, iter) {
             let acc = inter.partial_mut(dst, kernel);
             for &(blo, bhi) in &blocks {
-                let runs = construct_runs(var, &schedule.plan().requests[dst], blo, bhi);
-                for run in &runs {
+                for run in construct_runs(var, &schedule.plan().requests[dst], blo, bhi) {
                     let off = (var.byte_of_elem(run.start_elem) - rlo) as usize;
                     let len = run.len as usize * esize;
                     // Decode into the reused scratch slice: the kernel folds
@@ -445,18 +444,21 @@ fn reduce_all_to_one(
     // Root side: construct and reduce.
     if comm.rank() == root {
         let mut per_owner: Vec<Option<Partial>> = vec![None; comm.nprocs()];
-        let mut absorb = |pairs: Vec<(usize, Partial)>, inter_set: &mut u64| {
-            for (owner, p) in pairs {
-                *inter_set += 1;
-                match &mut per_owner[owner] {
-                    Some(acc) => kernel.combine(acc, &p),
-                    slot => *slot = Some(p),
-                }
+        let mut combines = 0u64;
+        // An owner's slot copies the first partial it sees and folds in
+        // the rest; every message decodes into the one `incoming` partial.
+        let mut absorb = |owner: usize, p: &Partial| {
+            combines += 1;
+            match &mut per_owner[owner] {
+                Some(acc) => kernel.combine(acc, p),
+                slot => *slot = Some(p.clone()),
             }
         };
-        let mut combines = 0u64;
-        inter.encode_all_into(&mut scratch.words);
-        absorb(IntermediateSet::decode(&scratch.words), &mut combines);
+        // The root's own set first, in owner order, as its message would be.
+        for (owner, p) in inter.iter() {
+            absorb(owner, p);
+        }
+        let mut incoming = kernel.identity();
         for &agg in &active {
             if agg == root {
                 continue;
@@ -464,7 +466,7 @@ fn reduce_all_to_one(
             let (bytes, info) = comm.recv_bytes_no_clock(agg, tag);
             cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
             comm.recycle_buf(bytes);
-            absorb(IntermediateSet::decode(&scratch.words), &mut combines);
+            IntermediateSet::decode(&scratch.words, &mut incoming, &mut absorb);
             done = done.max(info.arrival);
         }
         let reduce_start = done;
@@ -546,25 +548,25 @@ fn reduce_all_to_all(
     my_aggs.sort_unstable();
     my_aggs.dedup();
     let mut combines = 0usize;
+    let me = comm.rank();
+    let mut incoming = kernel.identity();
     for a in my_aggs {
         let src = schedule.aggregator_rank(a);
-        if src == comm.rank() {
+        if src == me {
             continue;
         }
         let (bytes, info) = comm.recv_bytes_no_clock(src, tag);
         cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
         comm.recycle_buf(bytes);
-        for (owner, p) in IntermediateSet::decode(&scratch.words) {
+        IntermediateSet::decode(&scratch.words, &mut incoming, |owner, p| {
             assert_eq!(
-                owner,
-                comm.rank(),
-                "rank {}: misrouted intermediate result from rank {src} \
+                owner, me,
+                "rank {me}: misrouted intermediate result from rank {src} \
                  (owner {owner}, tag {tag:#x})",
-                comm.rank(),
             );
-            kernel.combine(&mut mine, &p);
+            kernel.combine(&mut mine, p);
             combines += 1;
-        }
+        });
         done = done.max(info.arrival);
     }
     let local_cost = cpu.reduce_time(combines);

@@ -47,6 +47,12 @@ impl IntermediateSet {
         self.by_owner.keys().copied()
     }
 
+    /// The (owner, partial) pairs, owners ascending: the order
+    /// [`encode_all`](Self::encode_all) writes them in.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Partial)> + '_ {
+        self.by_owner.iter().map(|(&owner, p)| (owner, p))
+    }
+
     /// The partial for `owner`, if any.
     pub fn get(&self, owner: usize) -> Option<&Partial> {
         self.by_owner.get(&owner)
@@ -107,26 +113,25 @@ impl IntermediateSet {
     }
 
     /// Decodes [`encode_all`](Self::encode_all)/
-    /// [`encode_owner`](Self::encode_owner) output into (owner, partial)
-    /// pairs.
+    /// [`encode_owner`](Self::encode_owner) output, calling `visit` with
+    /// each (owner, partial) pair in message order. Every partial is read
+    /// into `partial`, which the caller owns and reuses across messages,
+    /// so decoding allocates nothing once its slots fit.
     ///
     /// # Panics
     /// Panics on a malformed buffer.
-    pub fn decode(words: &[u64]) -> Vec<(usize, Partial)> {
+    pub fn decode(words: &[u64], partial: &mut Partial, mut visit: impl FnMut(usize, &Partial)) {
         assert!(!words.is_empty(), "empty intermediate message");
         let n = words[0] as usize;
-        let mut out = Vec::with_capacity(n);
         let mut pos = 1;
         for _ in 0..n {
             assert!(pos < words.len(), "truncated intermediate message");
             let owner = words[pos] as usize;
             pos += 1;
-            let (p, used) = Partial::from_words(&words[pos..]);
-            pos += used;
-            out.push((owner, p));
+            pos += partial.read_words(&words[pos..]);
+            visit(owner, partial);
         }
         assert_eq!(pos, words.len(), "trailing bytes in intermediate message");
-        out
     }
 }
 
@@ -148,18 +153,28 @@ mod tests {
         assert_eq!(set.owners().collect::<Vec<_>>(), vec![0, 2]);
     }
 
+    /// The decoded (owner, partial) pairs of `words`, collected.
+    fn decoded(words: &[u64]) -> Vec<(usize, Partial)> {
+        let mut out = Vec::new();
+        let mut scratch = Partial::new(Vec::new());
+        IntermediateSet::decode(words, &mut scratch, |owner, p| out.push((owner, p.clone())));
+        out
+    }
+
     #[test]
     fn encode_all_roundtrip() {
         let mut set = IntermediateSet::new();
         let k = SumKernel;
         k.map(set.partial_mut(1, &k), 0, &[4.0]);
         k.map(set.partial_mut(3, &k), 0, &[5.0, 6.0]);
-        let pairs = IntermediateSet::decode(&set.encode_all());
+        let pairs = decoded(&set.encode_all());
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].0, 1);
         assert_eq!(pairs[0].1.values[0], 4.0);
         assert_eq!(pairs[1].0, 3);
         assert_eq!(pairs[1].1.count, 2);
+        let direct: Vec<_> = set.iter().map(|(o, p)| (o, p.clone())).collect();
+        assert_eq!(pairs, direct);
     }
 
     #[test]
@@ -167,11 +182,32 @@ mod tests {
         let mut set = IntermediateSet::new();
         let k = SumKernel;
         k.map(set.partial_mut(7, &k), 0, &[1.0]);
-        let present = IntermediateSet::decode(&set.encode_owner(7));
+        let present = decoded(&set.encode_owner(7));
         assert_eq!(present.len(), 1);
         assert_eq!(present[0].0, 7);
-        let absent = IntermediateSet::decode(&set.encode_owner(4));
+        let absent = decoded(&set.encode_owner(4));
         assert!(absent.is_empty());
+    }
+
+    #[test]
+    fn decode_reuses_one_partial_across_messages() {
+        let mut set = IntermediateSet::new();
+        let k = SumKernel;
+        for owner in 0..4 {
+            k.map(set.partial_mut(owner, &k), 0, &[owner as f64]);
+        }
+        let words = set.encode_all();
+        let mut scratch = k.identity();
+        let slots = scratch.values.as_ptr();
+        let mut sum = 0.0;
+        IntermediateSet::decode(&words, &mut scratch, |_, p| sum += p.values[0]);
+        IntermediateSet::decode(&words, &mut scratch, |_, p| sum += p.values[0]);
+        assert_eq!(sum, 12.0);
+        assert_eq!(
+            scratch.values.as_ptr(),
+            slots,
+            "decode reallocated the partial"
+        );
     }
 
     #[test]
@@ -188,6 +224,6 @@ mod tests {
     fn trailing_garbage_panics() {
         let mut words = vec![0u64];
         words.push(99);
-        let _ = IntermediateSet::decode(&words);
+        IntermediateSet::decode(&words, &mut Partial::new(Vec::new()), |_, _| {});
     }
 }

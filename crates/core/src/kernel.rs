@@ -57,12 +57,27 @@ impl Partial {
     /// # Panics
     /// Panics on a truncated buffer.
     pub fn from_words(words: &[u64]) -> (Self, usize) {
+        let mut p = Self::new(Vec::new());
+        let used = p.read_words(words);
+        (p, used)
+    }
+
+    /// Overwrites `self` with the [`to_words`](Self::to_words) output at
+    /// the head of `words`, reusing `values`' allocation, and returns the
+    /// words consumed. A receiver that decodes many partials into one
+    /// allocates once.
+    ///
+    /// # Panics
+    /// Panics on a truncated buffer.
+    pub fn read_words(&mut self, words: &[u64]) -> usize {
         assert!(words.len() >= 2, "truncated partial");
-        let count = words[0];
         let n = words[1] as usize;
-        assert!(words.len() >= 2 + n, "truncated partial values");
-        let values = words[2..2 + n].iter().map(|&b| f64::from_bits(b)).collect();
-        (Self { values, count }, 2 + n)
+        assert!(words.len() - 2 >= n, "truncated partial values");
+        self.count = words[0];
+        self.values.clear();
+        self.values
+            .extend(words[2..2 + n].iter().map(|&b| f64::from_bits(b)));
+        2 + n
     }
 }
 

@@ -56,22 +56,24 @@ impl OffsetList {
     pub fn new(mut raw: Vec<Extent>) -> Self {
         raw.retain(|e| e.len > 0);
         raw.sort_unstable_by_key(|e| e.offset);
-        let mut extents: Vec<Extent> = Vec::with_capacity(raw.len());
-        for e in raw {
-            match extents.last_mut() {
-                Some(last) if e.offset < last.end() => {
-                    panic!(
-                        "overlapping extents: [{}, {}) and [{}, {})",
-                        last.offset,
-                        last.end(),
-                        e.offset,
-                        e.end()
-                    );
-                }
-                Some(last) if e.offset == last.end() => last.len += e.len,
-                _ => extents.push(e),
+        // Coalesce in place: `raw`'s allocation becomes the extent table.
+        raw.dedup_by(|e, last| {
+            if e.offset < last.end() {
+                panic!(
+                    "overlapping extents: [{}, {}) and [{}, {})",
+                    last.offset,
+                    last.end(),
+                    e.offset,
+                    e.end()
+                );
             }
-        }
+            let adjacent = e.offset == last.end();
+            if adjacent {
+                last.len += e.len;
+            }
+            adjacent
+        });
+        let extents = raw;
         let mut prefix = Vec::with_capacity(extents.len() + 1);
         let mut acc = 0u64;
         prefix.push(0);
@@ -117,38 +119,39 @@ impl OffsetList {
         self.extents.last().map(|e| e.end())
     }
 
-    /// Intersects the request with the file range `[lo, hi)` and returns
+    /// Intersects the request with the file range `[lo, hi)` and yields
     /// the pieces that fall inside, each with its position in the request
-    /// buffer. Pieces come back in file (and therefore buffer) order.
-    pub fn locate(&self, lo: u64, hi: u64) -> Vec<Piece> {
-        if lo >= hi || self.extents.is_empty() {
-            return Vec::new();
-        }
-        // First extent that ends after lo.
-        let start = self.extents.partition_point(|e| e.end() <= lo);
-        let mut pieces = Vec::new();
-        for (i, e) in self.extents.iter().enumerate().skip(start) {
-            if e.offset >= hi {
-                break;
-            }
-            let clip_lo = e.offset.max(lo);
-            let clip_hi = e.end().min(hi);
-            if clip_lo < clip_hi {
-                pieces.push(Piece {
+    /// buffer. Pieces come in file (and therefore buffer) order, and the
+    /// walk allocates nothing; callers that keep the pieces collect them.
+    pub fn locate(&self, lo: u64, hi: u64) -> impl Iterator<Item = Piece> + '_ {
+        // First extent that ends after lo; none at all for an empty range.
+        let start = if lo < hi {
+            self.extents.partition_point(|e| e.end() <= lo)
+        } else {
+            self.extents.len()
+        };
+        // Every extent from `start` on ends after `lo`, so each one that
+        // starts before `hi` clips to a non-empty piece.
+        self.extents[start..]
+            .iter()
+            .zip(&self.prefix[start..])
+            .take_while(move |(e, _)| e.offset < hi)
+            .map(move |(e, &before)| {
+                let clip_lo = e.offset.max(lo);
+                let clip_hi = e.end().min(hi);
+                Piece {
                     extent: Extent {
                         offset: clip_lo,
                         len: clip_hi - clip_lo,
                     },
-                    buf_offset: self.prefix[i] + (clip_lo - e.offset),
-                });
-            }
-        }
-        pieces
+                    buf_offset: before + (clip_lo - e.offset),
+                }
+            })
     }
 
     /// Bytes of the request inside `[lo, hi)`.
     pub fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
-        self.locate(lo, hi).iter().map(|p| p.extent.len).sum()
+        self.locate(lo, hi).map(|p| p.extent.len).sum()
     }
 
     /// Appends the list's wire form to `out`, which callers size with
@@ -364,7 +367,7 @@ mod tests {
     fn locate_clips_and_positions() {
         // Buffer order: extent [0,6) at buf 0..6, extent [10,20) at buf 6..16.
         let l = OffsetList::new(vec![ext(0, 6), ext(10, 10)]);
-        let pieces = l.locate(4, 13);
+        let pieces: Vec<_> = l.locate(4, 13).collect();
         assert_eq!(pieces.len(), 2);
         assert_eq!(pieces[0].extent, ext(4, 2));
         assert_eq!(pieces[0].buf_offset, 4);
@@ -375,9 +378,9 @@ mod tests {
     #[test]
     fn locate_outside_is_empty() {
         let l = OffsetList::new(vec![ext(10, 10)]);
-        assert!(l.locate(0, 10).is_empty());
-        assert!(l.locate(20, 30).is_empty());
-        assert!(l.locate(15, 15).is_empty());
+        assert_eq!(l.locate(0, 10).next(), None);
+        assert_eq!(l.locate(20, 30).next(), None);
+        assert_eq!(l.locate(15, 15).next(), None);
     }
 
     #[test]
@@ -405,7 +408,10 @@ mod tests {
         let decoded = OffsetList::decode(&bytes);
         assert_eq!(decoded, OffsetList::new(pairs));
         assert_eq!(decoded.extents(), &[ext(3, 6), ext(100, 51), ext(200, 8)]);
-        assert_eq!(decoded.locate(150, 204)[1].buf_offset, 57);
+        assert_eq!(
+            decoded.locate(150, 204).nth(1).map(|p| p.buf_offset),
+            Some(57)
+        );
         // A repeated zero-gap run is one range, at the list's start or not.
         assert_eq!(
             OffsetList::decode(&[0, 5, 2]),
@@ -557,8 +563,8 @@ mod tests {
         #[test]
         fn prop_locate_partitions_buffer(l in arb_list(), split in 0u64..2000) {
             // locate(0, split) and locate(split, inf) partition the buffer.
-            let left = l.locate(0, split);
-            let right = l.locate(split, u64::MAX);
+            let left: Vec<_> = l.locate(0, split).collect();
+            let right: Vec<_> = l.locate(split, u64::MAX).collect();
             let total: u64 = left.iter().chain(&right).map(|p| p.extent.len).sum();
             prop_assert_eq!(total, l.total_bytes());
             // Buffer offsets tile [0, total) without gaps.
@@ -569,6 +575,43 @@ mod tests {
                 prop_assert_eq!(p.buf_offset, expect);
                 expect += p.extent.len;
             }
+        }
+
+        #[test]
+        fn prop_locate_matches_byte_membership(
+            l in arb_list(),
+            lo in 0u64..2500,
+            width in 0u64..600,
+            backwards in any::<bool>(),
+        ) {
+            // Windows run past the list's end (which is below 2000), and
+            // `backwards` swaps the bounds into an empty `lo >= hi` range.
+            let (lo, hi) = if backwards { (lo + width, lo) } else { (lo, lo + width) };
+            let pieces: Vec<_> = l.locate(lo, hi).collect();
+            // Brute force: walk every requested byte in buffer order and
+            // cut a piece wherever the file offset jumps or leaves the
+            // window.
+            let mut expect: Vec<Piece> = Vec::new();
+            let mut buf = 0u64;
+            for e in l.extents() {
+                for off in e.offset..e.end() {
+                    if lo <= off && off < hi {
+                        match expect.last_mut() {
+                            Some(p) if p.extent.end() == off => p.extent.len += 1,
+                            _ => expect.push(Piece {
+                                extent: Extent { offset: off, len: 1 },
+                                buf_offset: buf,
+                            }),
+                        }
+                    }
+                    buf += 1;
+                }
+            }
+            prop_assert_eq!(&pieces, &expect);
+            prop_assert_eq!(
+                l.bytes_in(lo, hi),
+                expect.iter().map(|p| p.extent.len).sum::<u64>()
+            );
         }
 
         #[test]

@@ -102,19 +102,24 @@ where
 /// built by [`fuse_extents`] over a set containing this extent, so a trip
 /// means the caller projected against the wrong bin's pattern.
 pub fn project_extent(task_id: u64, extent: Extent, fused: &OffsetList) -> Piece {
-    let pieces = fused.locate(extent.offset, extent.end());
-    let covered: u64 = pieces.iter().map(|p| p.extent.len).sum();
-    assert!(
-        pieces.len() == 1 && covered == extent.len,
-        "task {task_id}: extent [{}, {}) maps to {} fused piece(s) covering {} of {} bytes — \
-         task projected against a fused pattern that does not contain it",
-        extent.offset,
-        extent.end(),
-        pieces.len(),
-        covered,
-        extent.len,
-    );
-    pieces[0]
+    let mut pieces = fused.locate(extent.offset, extent.end());
+    let first = pieces.next();
+    let (count, covered) = first
+        .into_iter()
+        .chain(pieces)
+        .fold((0usize, 0u64), |(n, bytes), p| {
+            (n + 1, bytes + p.extent.len)
+        });
+    match first {
+        Some(piece) if count == 1 && covered == extent.len => piece,
+        _ => panic!(
+            "task {task_id}: extent [{}, {}) maps to {count} fused piece(s) covering {covered} \
+             of {} bytes — task projected against a fused pattern that does not contain it",
+            extent.offset,
+            extent.end(),
+            extent.len,
+        ),
+    }
 }
 
 /// Projects a whole task request out of the fused buffer: one

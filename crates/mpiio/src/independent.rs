@@ -88,7 +88,7 @@ pub fn sieving_read(
     let mut pos = lo;
     while pos < hi {
         let chunk_hi = (pos + sieve_buffer).min(hi);
-        let pieces = my_request.locate(pos, chunk_hi);
+        let pieces: Vec<_> = my_request.locate(pos, chunk_hi).collect();
         if !pieces.is_empty() {
             // Read the covering range of the needed bytes in this chunk.
             let rlo = pieces.first().expect("nonempty").extent.offset;
@@ -196,7 +196,7 @@ pub fn sieving_write(
     let mut pos = lo;
     while pos < hi {
         let chunk_hi = (pos + sieve_buffer).min(hi);
-        let pieces = my_request.locate(pos, chunk_hi);
+        let pieces: Vec<_> = my_request.locate(pos, chunk_hi).collect();
         if !pieces.is_empty() {
             let rlo = pieces.first().expect("nonempty").extent.offset;
             let rhi = pieces.last().expect("nonempty").extent.end();

@@ -42,7 +42,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cc_array::{Hyperslab, Variable};
+use cc_array::{Hyperslab, SelectionError, Variable};
 use cc_core::{fold_task_bytes, fold_task_from_fused, MapKernel, Tolerance};
 use cc_model::{ClusterModel, SimTime};
 use cc_mpi::World;
@@ -139,7 +139,7 @@ pub enum BatchAdmissionError {
         task: String,
         /// The offending dimension.
         dim: usize,
-        /// `start[dim] + count[dim]`.
+        /// `start[dim] + count[dim]`, or `u64::MAX` where that overflows.
         end: u64,
         /// The variable's extent in that dimension.
         extent: u64,
@@ -392,19 +392,25 @@ impl TaskBatch {
         if spec.count.contains(&0) {
             return Err(BatchAdmissionError::EmptySelection { task: spec.name });
         }
-        for (d, (&s, &c)) in spec.start.iter().zip(&spec.count).enumerate() {
-            if s + c > dims[d] {
+        let slab = Hyperslab::new(spec.start.clone(), spec.count.clone());
+        let request = match spec.var.try_byte_extents(&slab) {
+            Ok(request) => request,
+            Err(SelectionError::OutOfRange { dim, end, extent, .. }) => {
                 return Err(BatchAdmissionError::OutOfBounds {
                     task: spec.name,
-                    dim: d,
-                    end: s + c,
-                    extent: dims[d],
-                });
+                    dim,
+                    end,
+                    extent,
+                })
             }
-        }
-        let request = spec
-            .var
-            .byte_extents(&Hyperslab::new(spec.start.clone(), spec.count.clone()));
+            Err(SelectionError::RankMismatch { selection, shape }) => {
+                return Err(BatchAdmissionError::RankMismatch {
+                    task: spec.name,
+                    got: selection,
+                    var_rank: shape,
+                })
+            }
+        };
         let exact = spec.kernel.tolerance() == Tolerance::Exact;
         let id = self.tasks.len() as u64;
         self.tasks.push(AdmittedTask { spec, request, exact });
@@ -938,6 +944,24 @@ mod tests {
                 extent: ROWS
             })
         );
+        assert_eq!(b.submit(ok), Ok(0));
+    }
+
+    #[test]
+    fn admission_refuses_bounds_that_overflow() {
+        let mut b = batch(2);
+        let ok = TaskSpec::new("ok", "f.nc", var(), vec![0, 0], vec![2, 8], Arc::new(SumKernel));
+        for start in [u64::MAX, u64::MAX - 1] {
+            assert_eq!(
+                b.submit(TaskSpec { start: vec![start, 0], ..ok.clone() }),
+                Err(BatchAdmissionError::OutOfBounds {
+                    task: "ok".into(),
+                    dim: 0,
+                    end: u64::MAX,
+                    extent: ROWS
+                })
+            );
+        }
         assert_eq!(b.submit(ok), Ok(0));
     }
 
