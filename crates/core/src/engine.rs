@@ -19,7 +19,7 @@ use cc_model::{Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
 use cc_mpiio::exchange::exchange_requests;
-use cc_mpiio::{independent_read, PlanSchedule, PlanSource, Staging, Striping};
+use cc_mpiio::{independent_read, PlanSchedule, Staging, Striping};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -103,7 +103,9 @@ pub struct CcOutcome {
 
 /// The paper's `ncmpi_object_get_vara` (Fig. 6, line 11): performs the
 /// object I/O described by `io`, running `kernel` inside the collective.
-/// Must be called by all ranks.
+/// Must be called by all ranks. The collective path takes its schedule
+/// from the world's [`PlanScope`](cc_mpiio::PlanScope) when it has one
+/// (see [`PlanSchedule::resolve`]).
 pub fn object_get_vara(
     comm: &mut Comm,
     pfs: &Pfs,
@@ -111,24 +113,6 @@ pub fn object_get_vara(
     var: &Variable,
     io: &ObjectIo,
     kernel: &dyn MapKernel,
-) -> CcOutcome {
-    object_get_vara_planned(comm, pfs, file, var, io, kernel, &mut PlanSource::Fresh)
-}
-
-/// [`object_get_vara`] drawing its compiled schedule from an explicit
-/// [`PlanSource`]: a fresh compile, or a cache shared across collectives
-/// and jobs (which tags each lookup with the job id so cross-job reuse is
-/// counted). Every rank must pass an equivalent source; the source only
-/// matters on the collective non-blocking path — blocking and independent
-/// modes ignore it.
-pub fn object_get_vara_planned(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    var: &Variable,
-    io: &ObjectIo,
-    kernel: &dyn MapKernel,
-    plans: &mut PlanSource<'_>,
 ) -> CcOutcome {
     let slab = Hyperslab::new(io.start.clone(), io.count.clone());
     if io.blocking {
@@ -138,9 +122,7 @@ pub fn object_get_vara_planned(
     }
     match io.mode {
         IoMode::Independent => run_independent(comm, pfs, file, var, &slab, io, kernel),
-        IoMode::Collective => {
-            run_collective_computing(comm, pfs, file, var, &slab, io, kernel, plans)
-        }
+        IoMode::Collective => run_collective_computing(comm, pfs, file, var, &slab, io, kernel),
     }
 }
 
@@ -219,7 +201,6 @@ fn run_independent(
 }
 
 /// The collective-computing path proper.
-#[allow(clippy::too_many_arguments)]
 fn run_collective_computing(
     comm: &mut Comm,
     pfs: &Pfs,
@@ -228,7 +209,6 @@ fn run_collective_computing(
     slab: &Hyperslab,
     io: &ObjectIo,
     kernel: &dyn MapKernel,
-    plans: &mut PlanSource<'_>,
 ) -> CcOutcome {
     let mut report = CcReport {
         start: comm.clock(),
@@ -257,7 +237,7 @@ fn run_collective_computing(
 
     let request = var.byte_extents(slab);
     let requests = exchange_requests(comm, &request);
-    let schedule = plans.get(comm, requests, &hints);
+    let schedule = PlanSchedule::resolve(comm, requests, &hints);
     // The request exchange is collective, so the tag counter is symmetric
     // across ranks here and this operation's result tag is unique to it.
     let results_tag = comm.next_engine_tag(TAG_RESULTS);

@@ -9,10 +9,9 @@
 
 use cc_array::Variable;
 use cc_mpi::{Comm, CommStats};
-use cc_mpiio::{PlanCacheStats, PlanSource, SharedPlanCache};
 use cc_pfs::{FileHandle, OstBalance, Pfs};
 
-use crate::engine::{object_get_vara_planned, CcOutcome};
+use crate::engine::{object_get_vara, CcOutcome};
 use crate::kernel::{MapKernel, Partial};
 use crate::object::ObjectIo;
 
@@ -25,10 +24,6 @@ pub struct IterativeOutcome {
     pub per_step: Option<Vec<Vec<f64>>>,
     /// Every step's full outcome (reports etc.), in step order.
     pub steps: Vec<CcOutcome>,
-    /// How the sweep's plan cache was exercised, one lookup per step (the
-    /// same on every rank): a step that repeats an earlier step's requests
-    /// hits, any other step compiles.
-    pub plan_cache: PlanCacheStats,
     /// Cumulative per-OST load balance of the file system after the sweep
     /// (busiest/mean busy-seconds): how evenly the chosen domain-partition
     /// strategy spread the sweep's reads over the OSTs.
@@ -44,36 +39,16 @@ pub struct IterativeOutcome {
 /// Runs `kernel` over a sequence of `(variable, selection)` steps and
 /// folds the per-step partials into one running global. Must be called by
 /// all ranks with identical step sequences; each rank supplies its own
-/// selections inside the [`ObjectIo`]s.
+/// selections inside the [`ObjectIo`]s. A step reuses an earlier step's
+/// compiled schedule only in a world with a
+/// [`PlanScope`](cc_mpiio::PlanScope) attached, which also counts the
+/// sweep's lookups.
 pub fn iterative_get_vara(
     comm: &mut Comm,
     pfs: &Pfs,
     file: &FileHandle,
     steps: &[(&Variable, ObjectIo)],
     kernel: &dyn MapKernel,
-) -> IterativeOutcome {
-    // One plan cache per world spans the sweep: a step that repeats an
-    // earlier step's requests reuses its compiled schedule.
-    let plans = comm.memo(SharedPlanCache::new);
-    iterative_get_vara_planned(
-        comm,
-        pfs,
-        file,
-        steps,
-        kernel,
-        &mut PlanSource::shared(&plans, 0),
-    )
-}
-
-/// The common sweep body over an explicit [`PlanSource`]; the outcome's
-/// `plan_cache` is what the source observed, one lookup per step.
-pub fn iterative_get_vara_planned(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    steps: &[(&Variable, ObjectIo)],
-    kernel: &dyn MapKernel,
-    plans: &mut PlanSource<'_>,
 ) -> IterativeOutcome {
     assert!(!steps.is_empty(), "iterative sweep needs at least one step");
     let comm_since = comm.stats();
@@ -82,7 +57,7 @@ pub fn iterative_get_vara_planned(
     let mut per_step: Vec<Vec<f64>> = Vec::new();
     let mut at_root = false;
     for (step_idx, (var, io)) in steps.iter().enumerate() {
-        let out = object_get_vara_planned(comm, pfs, file, var, io, kernel, plans);
+        let out = object_get_vara(comm, pfs, file, var, io, kernel);
         if let Some(p) = &out.global_partial {
             at_root = true;
             let Some(global) = out.global.clone() else {
@@ -120,7 +95,6 @@ pub fn iterative_get_vara_planned(
         }),
         per_step: at_root.then_some(per_step),
         steps: outcomes,
-        plan_cache: plans.seen(),
         ost_balance: pfs.ost_balance(),
         comm: comm.stats().delta(&comm_since),
     }

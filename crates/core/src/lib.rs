@@ -36,8 +36,8 @@ pub mod scatter;
 pub mod scratch;
 
 pub use baseline::{traditional_get_vara, traditional_get_vara_partial, BaselineReport};
-pub use iterative::{iterative_get_vara, iterative_get_vara_planned, IterativeOutcome};
-pub use engine::{object_get_vara, object_get_vara_planned, CcOutcome, CcReport};
+pub use iterative::{iterative_get_vara, IterativeOutcome};
+pub use engine::{object_get_vara, CcOutcome, CcReport};
 pub use fused::FusedKernel;
 pub use intermediate::IntermediateSet;
 pub use cc_compress::Tolerance;

@@ -187,11 +187,26 @@ pub(crate) struct Shared {
     /// Values computed once per collective call site and shared by every
     /// rank (see [`Comm::memo`]).
     pub(crate) memo: Memo,
+    /// The world's attachment, if any (see [`Comm::attached`]).
+    attachment: Option<Attachment>,
+}
+
+/// A value attached to a [`World`](crate::World) with the name of its type,
+/// for the mismatch report of [`Comm::attached`].
+#[derive(Clone)]
+pub(crate) struct Attachment {
+    pub(crate) value: Arc<dyn Any + Send + Sync>,
+    pub(crate) type_name: &'static str,
 }
 
 impl Shared {
-    pub(crate) fn new(nprocs: usize, model: ClusterModel) -> Arc<Self> {
+    pub(crate) fn new(
+        nprocs: usize,
+        model: ClusterModel,
+        attachment: Option<Attachment>,
+    ) -> Arc<Self> {
         Arc::new(Self {
+            attachment,
             model,
             mailboxes: (0..nprocs).map(|_| Mailbox::default()).collect(),
             aborted: AtomicBool::new(false),
@@ -355,6 +370,26 @@ impl Comm {
     /// The shared cluster cost model.
     pub fn model(&self) -> &ClusterModel {
         &self.shared.model
+    }
+
+    /// The value [`World::attach`](crate::World::attach) gave this rank's
+    /// world, the same `Arc` on every rank and in every run of the world;
+    /// `None` when nothing is attached.
+    ///
+    /// # Panics
+    /// Panics, naming both types, if the attachment is not a `T`: the
+    /// caller and the world's owner disagree on what the world carries.
+    pub fn attached<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        let a = self.shared.attachment.as_ref()?;
+        let value = Arc::clone(&a.value).downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "rank {} asked for a {} attachment, but the world carries a {}",
+                self.rank,
+                std::any::type_name::<T>(),
+                a.type_name
+            )
+        });
+        Some(value)
     }
 
     /// This rank's virtual clock.

@@ -9,13 +9,14 @@
 //! diagnostic snapshot (virtual clock, collectives entered, pending
 //! envelopes).
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use cc_model::ClusterModel;
 
-use crate::comm::{Comm, Shared, WorldAborted};
+use crate::comm::{Attachment, Comm, Shared, WorldAborted};
 
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -58,10 +59,12 @@ impl std::error::Error for WorldError {}
 /// A simulated MPI world: `nprocs` ranks placed on the model's topology.
 ///
 /// `run` may be called repeatedly; each call is an independent job with
-/// fresh mailboxes and clocks (like separate `mpiexec` invocations).
+/// fresh mailboxes and clocks (like separate `mpiexec` invocations). Only
+/// the world's [attachment](Self::attach) carries over from run to run.
 pub struct World {
     nprocs: usize,
     model: ClusterModel,
+    attachment: Option<Attachment>,
 }
 
 impl World {
@@ -84,7 +87,34 @@ impl World {
         if nprocs > cores {
             return Err(WorldError::Oversubscribed { nprocs, cores });
         }
-        Ok(Self { nprocs, model })
+        Ok(Self {
+            nprocs,
+            model,
+            attachment: None,
+        })
+    }
+
+    /// Attaches `value` to the world: every rank of every later
+    /// [`run`](Self::run) finds the same `Arc` through
+    /// [`Comm::attached`]. It is how state that belongs to a job rather
+    /// than to one call (a plan cache, say) reaches the plain entry
+    /// points. One slot, not a type map; the value lives as long as the
+    /// world.
+    ///
+    /// # Panics
+    /// Panics if the world already has an attachment.
+    pub fn attach<T: Any + Send + Sync>(mut self, value: Arc<T>) -> Self {
+        if let Some(a) = &self.attachment {
+            panic!(
+                "world already carries a {} attachment; it has one slot",
+                a.type_name
+            );
+        }
+        self.attachment = Some(Attachment {
+            value,
+            type_name: std::any::type_name::<T>(),
+        });
+        self
     }
 
     /// Number of ranks.
@@ -110,7 +140,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        let shared = Shared::new(self.nprocs, self.model.clone());
+        let shared = Shared::new(self.nprocs, self.model.clone(), self.attachment.clone());
         let f = &f;
         let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.nprocs)
@@ -256,6 +286,46 @@ mod tests {
     #[should_panic(expected = "need at least one rank")]
     fn zero_ranks_panics() {
         let _ = World::new(0, ClusterModel::test_tiny(4));
+    }
+
+    #[test]
+    fn attachment_reaches_every_rank_in_every_run() {
+        let world = World::new(4, ClusterModel::test_tiny(4)).attach(Arc::new(41u64));
+        for _ in 0..2 {
+            let seen = world.run(|comm| *comm.attached::<u64>().expect("attached") + 1);
+            assert_eq!(seen, vec![42; 4]);
+        }
+        // One value, not a copy per rank or per run.
+        let ptrs = world.run(|comm| Arc::as_ptr(&comm.attached::<u64>().unwrap()) as usize);
+        assert!(ptrs.iter().all(|&p| p == ptrs[0]));
+    }
+
+    #[test]
+    fn nothing_is_attached_by_default() {
+        let world = World::new(2, ClusterModel::test_tiny(2));
+        assert_eq!(world.run(|comm| comm.attached::<u64>().is_none()), vec![true; 2]);
+    }
+
+    #[test]
+    fn attachment_type_mismatch_names_both_types() {
+        let world = World::new(2, ClusterModel::test_tiny(2)).attach(Arc::new(7u64));
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            world.run(|comm| comm.attached::<String>().is_some())
+        }))
+        .expect_err("a mismatched type must panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(
+            msg.contains("alloc::string::String") && msg.contains("u64"),
+            "message must name both types, got: {msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "world already carries a u64 attachment")]
+    fn second_attach_panics() {
+        let _ = World::new(2, ClusterModel::test_tiny(2))
+            .attach(Arc::new(1u64))
+            .attach(Arc::new(2u32));
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod auto;
 pub mod exchange;
 pub mod extent;
 pub mod fuse;
@@ -33,7 +32,6 @@ pub mod stage;
 pub mod twophase;
 pub mod write;
 
-pub use auto::{collective_read_auto, ranges_interleave, AutoReport};
 pub use extent::{Extent, OffsetList, Piece};
 pub use fuse::{fuse_extents, project_extent, project_task, FuseStats};
 pub use hints::{Compression, DomainPartition, ErrorBound, Hints, PipelineDepth, Striping};
@@ -41,7 +39,7 @@ pub use independent::{
     independent_read, independent_write, sieving_read, sieving_write, IndependentReport,
 };
 pub use plan::{CollectivePlan, FileDomain};
-pub use schedule::{CacheOutcome, PlanCacheStats, PlanSchedule, PlanSource, SharedPlanCache};
+pub use schedule::{CacheOutcome, PlanCacheStats, PlanSchedule, PlanScope, SharedPlanCache};
 pub use stage::Staging;
-pub use twophase::{collective_read, collective_read_planned, IterationTiming, TwoPhaseReport};
+pub use twophase::{collective_read, IterationTiming, TwoPhaseReport};
 pub use write::{collective_write, WriteReport};

@@ -611,7 +611,7 @@ pub enum CacheOutcome {
 }
 
 /// Counters of one cache's lifetime, one lookup per collective (or, when
-/// read through a [`PlanSource`], of one job's share of that lifetime).
+/// read from a [`PlanScope`], of one world's share of that lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Exact reuses (identical requests).
@@ -824,22 +824,32 @@ impl SharedPlanCache {
     }
 }
 
-/// Where an engine run gets its compiled schedules from: no cache, or a
-/// [`SharedPlanCache`] with the lookups tagged by job.
-pub enum PlanSource<'a> {
-    /// No cache: each collective compiles its schedule once.
-    Fresh,
-    /// A cache that outlives the collective, shared with other collectives
-    /// and other jobs.
-    Shared {
-        /// The cache.
-        cache: &'a SharedPlanCache,
-        /// The id lookups are tagged with.
-        job: u64,
-        /// What this job observed, one lookup per collective: its own hits
-        /// and misses, with the cross-job subset filled in.
-        seen: PlanCacheStats,
-    },
+/// A world's plan cache: attached with [`World::attach`](cc_mpi::World::attach),
+/// it makes every collective of every run of that world resolve its
+/// schedule through `cache`, tagged with `job` (see
+/// [`PlanSchedule::resolve`]).
+pub struct PlanScope {
+    cache: Arc<SharedPlanCache>,
+    job: u64,
+    /// What this scope's world observed, one lookup per collective: its
+    /// own hits and misses, with the cross-job subset filled in.
+    seen: Mutex<PlanCacheStats>,
+}
+
+impl PlanScope {
+    /// A scope drawing on `cache` for job `job`, with zeroed counters.
+    pub fn new(cache: Arc<SharedPlanCache>, job: u64) -> Self {
+        Self {
+            cache,
+            job,
+            seen: Mutex::default(),
+        }
+    }
+
+    /// The lookups this scope's world made, one per collective.
+    pub fn stats(&self) -> PlanCacheStats {
+        *self.seen.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Builds and compiles the plan of `requests`.
@@ -852,31 +862,20 @@ fn compile(
     PlanSchedule::compile(CollectivePlan::build(requests, topology, nprocs, hints))
 }
 
-impl<'a> PlanSource<'a> {
-    /// A source for a job tagged `job` drawing on `cache`, with zeroed
-    /// per-job counters.
-    pub fn shared(cache: &'a SharedPlanCache, job: u64) -> Self {
-        PlanSource::Shared {
-            cache,
-            job,
-            seen: PlanCacheStats::default(),
-        }
-    }
-
+impl PlanSchedule {
     /// Returns the compiled schedule for `requests` — every rank's, as
     /// [`exchange_requests`](crate::exchange::exchange_requests) returns
     /// them — planned for `comm`'s world. A collective: every rank of the
     /// world calls it with equal `requests` and `hints`.
     ///
-    /// However many ranks ask, a collective resolves its schedule once.
-    /// The schedule is a pure function of inputs all ranks share and
-    /// resolving it is charged to no clock, so one rank compiles (`Fresh`)
-    /// or makes the cache lookup (`Shared`) inside [`Comm::memo`], and
-    /// every rank takes the same schedule. Every rank counts the
-    /// collective's outcome in its own [`seen`](Self::seen), so any one
-    /// rank's counters are the job's.
-    pub fn get(
-        &mut self,
+    /// A world with a [`PlanScope`] attached caches every collective's
+    /// schedule in it, and a world without one compiles fresh. Either way
+    /// the schedule is a pure function of inputs all ranks share and
+    /// resolving it is charged to no clock, so one rank compiles or makes
+    /// the cache lookup inside [`Comm::memo`], and every rank takes the
+    /// same schedule. That rank also counts the lookup in the scope's
+    /// [`stats`](PlanScope::stats), so a collective counts once.
+    pub fn resolve(
         comm: &mut Comm,
         requests: impl Into<Arc<Vec<OffsetList>>>,
         hints: &Hints,
@@ -884,36 +883,19 @@ impl<'a> PlanSource<'a> {
         let requests = requests.into();
         let topology = comm.model().topology.clone();
         let nprocs = comm.nprocs();
-        match self {
-            PlanSource::Fresh => comm.memo(|| compile(requests, &topology, nprocs, hints)),
-            PlanSource::Shared { cache, job, seen } => {
-                let (cache, job) = (&**cache, *job);
-                let found =
-                    comm.memo(|| cache.get_or_compile(requests, &topology, nprocs, hints, job));
-                let (schedule, outcome, cross) = &*found;
-                seen.count(*outcome, *cross);
-                Arc::clone(schedule)
+        match comm.attached::<PlanScope>() {
+            None => comm.memo(|| compile(requests, &topology, nprocs, hints)),
+            Some(scope) => {
+                let PlanScope { cache, job, seen } = &*scope;
+                let found = comm.memo(|| {
+                    let (schedule, outcome, cross) =
+                        cache.get_or_compile(requests, &topology, nprocs, hints, *job);
+                    let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
+                    seen.count(outcome, cross);
+                    schedule
+                });
+                Arc::clone(&found)
             }
-        }
-    }
-
-    /// Credits `tasks` fused tasks served through this source's schedules:
-    /// `Shared` bumps both the job's `seen` counters and the cache's
-    /// totals (so folded per-job stats still partition the cache's), `Fresh`
-    /// is a no-op (nothing was amortized).
-    pub fn note_fused_tasks(&mut self, tasks: u64) {
-        if let PlanSource::Shared { cache, seen, .. } = self {
-            seen.fused_tasks += tasks;
-            cache.note_fused_tasks(tasks);
-        }
-    }
-
-    /// The counters this job observed: the `seen` counters for `Shared`,
-    /// zeros for `Fresh`.
-    pub fn seen(&self) -> PlanCacheStats {
-        match self {
-            PlanSource::Fresh => PlanCacheStats::default(),
-            PlanSource::Shared { seen, .. } => *seen,
         }
     }
 }
@@ -1226,38 +1208,43 @@ mod tests {
         assert!((stats.cross_job_rate() - 0.25).abs() < 1e-12);
     }
 
-    /// A one-rank world: `PlanSource::get` plans for its caller's world.
-    fn solo<R: Send>(f: impl Fn(&mut Comm) -> R + Send + Sync) -> R {
-        let world = cc_mpi::World::new(1, cc_model::ClusterModel::test_tiny(1));
-        world.run(f).pop().expect("one rank")
+    /// A world of `n` test ranks, scoped to `scope` when one is given.
+    fn world(n: usize, scope: Option<&Arc<PlanScope>>) -> cc_mpi::World {
+        let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
+        match scope {
+            Some(scope) => world.attach(Arc::clone(scope)),
+            None => world,
+        }
+    }
+
+    /// A scope on `cache` for job `job`.
+    fn scope(cache: &Arc<SharedPlanCache>, job: u64) -> Arc<PlanScope> {
+        Arc::new(PlanScope::new(Arc::clone(cache), job))
     }
 
     #[test]
     fn plan_source_tracks_per_holder_stats() {
         let n = 4;
         let reqs = Arc::new(interleaved(n, 8, 16));
-        let shared = SharedPlanCache::new();
-        let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
-        let per_rank = world.run(|comm| {
-            let mut job_a = PlanSource::shared(&shared, 7);
-            let mut job_b = PlanSource::shared(&shared, 8);
-            let sa = job_a.get(comm, Arc::clone(&reqs), &hints(64));
-            let sb = job_b.get(comm, Arc::clone(&reqs), &hints(64));
-            assert!(sa.shares_index_with(&sb));
-            // Fresh sources cache nothing and see nothing.
-            let mut fresh = PlanSource::Fresh;
-            let sf = fresh.get(comm, Arc::clone(&reqs), &hints(64));
-            assert!(!sf.shares_index_with(&sa), "fresh compile shares nothing");
-            assert_eq!(fresh.seen(), PlanCacheStats::default());
-            (job_a.seen(), job_b.seen())
-        });
-        // Every rank saw each job's one lookup: job a compiled, job b rode.
-        for (a, b) in &per_rank {
-            assert_eq!((a.misses, a.hits, a.cross_job_hits), (1, 0, 0));
-            assert_eq!((b.misses, b.hits, b.cross_job_hits), (0, 1, 1));
-            // The cache counted collectives, so one rank's view is its total.
-            assert_eq!(shared.stats(), a.merge(b));
+        let shared = Arc::new(SharedPlanCache::new());
+        let (job_a, job_b) = (scope(&shared, 7), scope(&shared, 8));
+        let resolve = |w: cc_mpi::World| {
+            w.run(|comm| PlanSchedule::resolve(comm, Arc::clone(&reqs), &hints(64)))
+        };
+        let sa = resolve(world(n, Some(&job_a)));
+        let sb = resolve(world(n, Some(&job_b)));
+        // An unscoped world caches nothing and counts nothing.
+        let sf = resolve(world(n, None));
+        for rank in 0..n {
+            assert!(sa[rank].shares_index_with(&sb[rank]));
+            assert!(!sf[rank].shares_index_with(&sa[rank]), "fresh compile shares nothing");
         }
+        // Each world counted its one lookup: job a compiled, job b rode.
+        let (a, b) = (job_a.stats(), job_b.stats());
+        assert_eq!((a.misses, a.hits, a.cross_job_hits), (1, 0, 0));
+        assert_eq!((b.misses, b.hits, b.cross_job_hits), (0, 1, 1));
+        // The cache counted collectives, so the scopes partition its total.
+        assert_eq!(shared.stats(), a.merge(&b));
     }
 
     /// A lookup that panics under the cache's lock — here a compile
@@ -1267,10 +1254,10 @@ mod tests {
     fn a_cache_outlives_a_world_that_panicked_under_its_lock() {
         let n = 2;
         let reqs = Arc::new(interleaved(n, 8, 16));
-        let shared = SharedPlanCache::new();
+        let shared = Arc::new(SharedPlanCache::new());
+        let scope = scope(&shared, 1);
         let run = |h: Hints| {
-            let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
-            world.run(|comm| PlanSource::shared(&shared, 1).get(comm, Arc::clone(&reqs), &h))
+            world(n, Some(&scope)).run(|comm| PlanSchedule::resolve(comm, Arc::clone(&reqs), &h))
         };
         let bad = Hints {
             aggregators_per_node: 0,
@@ -1285,22 +1272,19 @@ mod tests {
         let schedules = run(hints(64));
         assert!(schedules[1].shares_index_with(&schedules[0]));
         assert_eq!((shared.stats().misses, shared.stats().lookups()), (1, 1));
+        assert_eq!(scope.stats(), shared.stats());
     }
 
     #[test]
     fn fused_task_credits_partition_and_amortize() {
         let reqs = interleaved(1, 8, 16);
-        let shared = SharedPlanCache::new();
-        solo(|comm| {
-            let mut job_a = PlanSource::shared(&shared, 1);
-            let mut job_b = PlanSource::shared(&shared, 2);
-            let _ = job_a.get(comm, reqs.clone(), &hints(64));
-            job_a.note_fused_tasks(600);
-            let _ = job_b.get(comm, reqs.clone(), &hints(64));
-            job_b.note_fused_tasks(400);
-            // Per-holder credits partition the shared totals (Eq over stats).
-            assert_eq!(shared.stats(), job_a.seen().merge(&job_b.seen()));
-        });
+        let shared = Arc::new(SharedPlanCache::new());
+        for (job, tasks) in [(1, 600), (2, 400)] {
+            world(1, Some(&scope(&shared, job))).run(|comm| {
+                let _ = PlanSchedule::resolve(comm, reqs.clone(), &hints(64));
+                shared.note_fused_tasks(tasks);
+            });
+        }
         assert_eq!(shared.stats().fused_tasks, 1000);
         // One compile served every task: amortization is tasks/compile.
         assert!((shared.stats().amortization() - 1000.0).abs() < 1e-12);
@@ -1316,75 +1300,74 @@ mod tests {
         // all returned schedules share the one compiled index.
         let n = 3;
         let reqs = Arc::new(interleaved(n, 8, 16));
-        let shared = SharedPlanCache::new();
-        let results: Vec<_> = std::thread::scope(|scope| {
+        let shared = Arc::new(SharedPlanCache::new());
+        let results: Vec<_> = std::thread::scope(|threads| {
             let handles: Vec<_> = (0..8u64)
                 .map(|job| {
                     let (shared, reqs) = (&shared, &reqs);
-                    scope.spawn(move || {
-                        let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
-                        world.run(|comm| {
-                            let mut src = PlanSource::shared(shared, job);
-                            (src.get(comm, Arc::clone(reqs), &hints(64)), src.seen())
-                        })
+                    threads.spawn(move || {
+                        let scope = scope(shared, job);
+                        let schedules = world(n, Some(&scope))
+                            .run(|comm| PlanSchedule::resolve(comm, Arc::clone(reqs), &hints(64)));
+                        (schedules, scope.stats())
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let first = &results[0][0].0;
+        let first = &results[0].0[0];
         assert!(results
             .iter()
-            .flatten()
-            .all(|(s, _)| s.shares_index_with(first)));
-        // One rank per job speaks for the job.
+            .flat_map(|(s, _)| s)
+            .all(|s| s.shares_index_with(first)));
+        // Each job's scope speaks for the job.
         let folded = results
             .iter()
-            .fold(PlanCacheStats::default(), |acc, job| acc.merge(&job[0].1));
+            .fold(PlanCacheStats::default(), |acc, job| acc.merge(&job.1));
         assert_eq!(folded, shared.stats());
         assert_eq!((folded.lookups(), folded.misses), (8, 1));
         assert_eq!((folded.hits, folded.cross_job_hits), (7, 7));
     }
 
-    /// One resolution per collective, however many ranks ask: a `Fresh`
+    /// One resolution per collective, however many ranks ask: a fresh
     /// compile and a cache lookup each hand every rank the resolving
     /// rank's tables, back-to-back collectives keep their own, and the
-    /// world's cache counts collectives, not ranks.
+    /// world's scope counts collectives, not ranks.
     #[test]
     fn a_collective_compiles_once_and_the_ranks_share_the_tables() {
         let n = 6;
         let reqs = Arc::new(interleaved(n, 8, 16));
         let other = Arc::new(interleaved(n, 5, 32));
-        let world = cc_mpi::World::new(n, cc_model::ClusterModel::test_tiny(n));
-        let per_rank = world.run(|comm| {
-            let fresh_a = PlanSource::Fresh.get(comm, Arc::clone(&reqs), &hints(64));
-            let fresh_b = PlanSource::Fresh.get(comm, Arc::clone(&other), &hints(64));
-            let cache = comm.memo(SharedPlanCache::new);
-            let mut cached = PlanSource::shared(&cache, 0);
-            let miss = cached.get(comm, Arc::clone(&reqs), &hints(64));
-            let hit = cached.get(comm, Arc::clone(&reqs), &hints(64));
+        let fresh = world(n, None).run(|comm| {
+            let a = PlanSchedule::resolve(comm, Arc::clone(&reqs), &hints(64));
+            let b = PlanSchedule::resolve(comm, Arc::clone(&other), &hints(64));
+            (a, b)
+        });
+        let cache = Arc::new(SharedPlanCache::new());
+        let scope = scope(&cache, 0);
+        let cached = world(n, Some(&scope)).run(|comm| {
+            let miss = PlanSchedule::resolve(comm, Arc::clone(&reqs), &hints(64));
+            let hit = PlanSchedule::resolve(comm, Arc::clone(&reqs), &hints(64));
             assert!(hit.shares_index_with(&miss));
-            (fresh_a, fresh_b, miss, cached.seen(), cache.stats())
+            miss
         });
         let oracle = compile(Arc::clone(&reqs), &Topology::new(1, n), n, &hints(64));
-        let (a0, b0, m0, _, _) = &per_rank[0];
+        let ((a0, b0), m0) = (&fresh[0], &cached[0]);
         assert!(!a0.shares_index_with(b0), "collectives must not share entries");
         assert!(!a0.shares_index_with(m0), "each collective compiles for itself");
-        for (rank, (a, b, miss, seen, total)) in per_rank.iter().enumerate() {
-            assert!(a.shares_index_with(a0), "rank {rank} compiled its own Fresh plan");
+        for (rank, ((a, b), miss)) in fresh.iter().zip(&cached).enumerate() {
+            assert!(a.shares_index_with(a0), "rank {rank} compiled its own fresh plan");
             assert!(b.shares_index_with(b0));
             assert!(
                 miss.shares_index_with(m0),
                 "rank {rank} compiled its own cache miss"
             );
-            assert_eq!((seen.misses, seen.hits, seen.translations), (1, 1, 0));
-            assert_eq!(
-                total, seen,
-                "rank {rank}: the world's cache counts collectives"
-            );
             assert_eq!(a.tables, oracle.tables);
             assert_eq!(miss.tables, oracle.tables);
         }
+        let seen = scope.stats();
+        assert_eq!((seen.misses, seen.hits, seen.translations), (1, 1, 0));
+        assert_eq!(cache.stats(), seen, "the world's cache counts collectives");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use cc_profile::{Activity, Segment};
 use crate::exchange::exchange_requests;
 use crate::extent::{OffsetList, Piece};
 use crate::hints::{Compression, Hints, Striping};
-use crate::schedule::{PlanSchedule, PlanSource};
+use crate::schedule::PlanSchedule;
 use crate::stage::Staging;
 
 /// One shuffle leg's wire: the tag its messages travel on, and the codec
@@ -207,28 +207,15 @@ impl TwoPhaseReport {
 
 /// Collectively reads every rank's `my_request` from `file`. Returns the
 /// requested bytes (in request-buffer order) and this rank's report.
-/// Must be called by all ranks of the communicator.
+/// Must be called by all ranks of the communicator. The schedule comes
+/// from the world's [`PlanScope`](crate::PlanScope) when it has one (see
+/// [`PlanSchedule::resolve`]).
 pub fn collective_read(
     comm: &mut Comm,
     pfs: &Pfs,
     file: &FileHandle,
     my_request: &OffsetList,
     hints: &Hints,
-) -> (Vec<u8>, TwoPhaseReport) {
-    collective_read_planned(comm, pfs, file, my_request, hints, &mut PlanSource::Fresh)
-}
-
-/// [`collective_read`] drawing its compiled schedule from an explicit
-/// [`PlanSource`] — a fresh compile, or a cache shared across collectives
-/// and jobs. Every rank must pass an equivalent source (the schedule
-/// decision must stay symmetric).
-pub fn collective_read_planned(
-    comm: &mut Comm,
-    pfs: &Pfs,
-    file: &FileHandle,
-    my_request: &OffsetList,
-    hints: &Hints,
-    plans: &mut PlanSource<'_>,
 ) -> (Vec<u8>, TwoPhaseReport) {
     // Entry time is captured before the request exchange: the exchange is
     // itself a collective that synchronizes clocks, so capturing it later
@@ -245,7 +232,7 @@ pub fn collective_read_planned(
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
     let requests = exchange_requests(comm, my_request);
-    let schedule = plans.get(comm, requests, hints);
+    let schedule = PlanSchedule::resolve(comm, requests, hints);
     // Every rank passed through the request exchange above, so the engine
     // tag counter is identical on all ranks: this collective's shuffle
     // traffic gets a unique tag, distinct from the previous and next calls.

@@ -28,7 +28,7 @@ use cc_profile::{Activity, Segment};
 use crate::exchange::exchange_requests;
 use crate::extent::{Extent, OffsetList, Piece};
 use crate::hints::{Hints, Striping};
-use crate::schedule::{PlanSchedule, PlanSource};
+use crate::schedule::PlanSchedule;
 use crate::stage::Staging;
 use crate::twophase::Wire;
 
@@ -92,7 +92,7 @@ pub fn collective_write(
     hints.striping = Some(Striping::from(file.layout()));
     let hints = &hints;
     let requests = exchange_requests(comm, my_request);
-    let schedule = PlanSource::Fresh.get(comm, requests, hints);
+    let schedule = PlanSchedule::resolve(comm, requests, hints);
     // All ranks passed through the request exchange, so the counter is
     // symmetric and this collective's shuffle tag is unique to it.
     let tag = comm.next_engine_tag(TAG_WRITE_SHUFFLE);

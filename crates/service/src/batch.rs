@@ -22,9 +22,10 @@
 //!    ([`cc_mpiio::fuse_extents`]); duplicate and overlapping regions
 //!    are read once.
 //! 4. **One collective sweep per bin** — the fused per-rank requests go
-//!    through [`cc_mpiio::collective_read_planned`] with the batch's
-//!    [`SharedPlanCache`], one plan lookup per bin, so a bin that repeats
-//!    an earlier bin's requests reuses its compiled schedule;
+//!    through [`cc_mpiio::collective_read`] in a world whose
+//!    [`PlanScope`] holds the batch's [`SharedPlanCache`], one plan lookup
+//!    per bin, so a bin that repeats an earlier bin's requests reuses its
+//!    compiled schedule;
 //!    [`PlanCacheStats::fused_tasks`] records how many tasks each compile
 //!    served. All sweeps of a batch run on one set of
 //!    rank threads; between bins the ranks agree on the frontier (the last
@@ -47,8 +48,8 @@ use cc_core::{fold_task_bytes, fold_task_from_fused, MapKernel, Tolerance};
 use cc_model::{ClusterModel, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
-    collective_read_planned, fuse_extents, independent_read, Compression, FuseStats, Hints,
-    OffsetList, PlanCacheStats, PlanSource, SharedPlanCache,
+    collective_read, fuse_extents, independent_read, Compression, FuseStats, Hints, OffsetList,
+    PlanCacheStats, PlanScope, SharedPlanCache,
 };
 use cc_pfs::Pfs;
 
@@ -345,7 +346,6 @@ pub struct TaskBatch {
     model: ClusterModel,
     pfs: Arc<Pfs>,
     policy: BatchPolicy,
-    cache: SharedPlanCache,
     tasks: Vec<AdmittedTask>,
 }
 
@@ -357,7 +357,6 @@ impl TaskBatch {
             model,
             pfs,
             policy: BatchPolicy::default(),
-            cache: SharedPlanCache::new(),
             tasks: Vec::new(),
         }
     }
@@ -431,7 +430,6 @@ impl TaskBatch {
             model,
             pfs,
             policy,
-            cache,
             tasks,
         } = self;
         assert!(
@@ -449,7 +447,10 @@ impl TaskBatch {
         }
         let stats0 = pfs.stats();
         let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
-        let world = World::new(policy.nprocs, model);
+        // Bins are not jobs: every bin's lookup is tagged job 0.
+        let cache = Arc::new(SharedPlanCache::new());
+        let scope = Arc::new(PlanScope::new(Arc::clone(&cache), 0));
+        let world = World::new(policy.nprocs, model).attach(scope);
         let per_rank = {
             let (tasks, bins, pfs, cache, hints) = (&tasks, &bins, &*pfs, &cache, &hints);
             let nprocs = policy.nprocs;
@@ -470,10 +471,8 @@ impl TaskBatch {
                                 bin.file
                             )
                         });
-                        let plans = &mut PlanSource::shared(cache, bin_id as u64);
-                        let (bytes, _) =
-                            collective_read_planned(comm, pfs, &file, fused_req, hints, plans);
-                        plans.note_fused_tasks(mine.len() as u64);
+                        let (bytes, _) = collective_read(comm, pfs, &file, fused_req, hints);
+                        cache.note_fused_tasks(mine.len() as u64);
                         let cpu = comm.model().cpu.clone();
                         let mut scratch = Vec::new();
                         let mut done = Vec::with_capacity(mine.len());

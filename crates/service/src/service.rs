@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use cc_core::{iterative_get_vara, object_get_vara_planned, Partial};
+use cc_core::{iterative_get_vara, object_get_vara, Partial};
 use cc_model::{ClusterModel, LaneStats, SharedLane, SimTime, Topology};
 use cc_mpi::World;
-use cc_mpiio::{PlanCacheStats, PlanSource, SharedPlanCache};
+use cc_mpiio::{PlanCacheStats, PlanScope, SharedPlanCache};
 use cc_pfs::{OstSnapshot, Pfs};
 
 use crate::job::{AdmissionError, JobHandle, JobResult, JobSpec, QosClass};
@@ -35,7 +35,9 @@ struct Job {
     nodes: Vec<usize>,
     /// Order of admission (for FIFO).
     admit_seq: usize,
-    world: Option<World>,
+    /// The job's world while it is active, and the plan scope attached to
+    /// it.
+    world: Option<(World, Arc<PlanScope>)>,
     started: SimTime,
     /// Virtual time the job's last completed step ended (= `started`
     /// before the first step).
@@ -130,7 +132,7 @@ pub fn percentile_time(mut times: Vec<SimTime>, p: f64) -> SimTime {
 pub struct Service {
     model: ClusterModel,
     pfs: Arc<Pfs>,
-    cache: SharedPlanCache,
+    cache: Arc<SharedPlanCache>,
     lane: Option<SharedLane>,
     policy: ServicePolicy,
     jobs: Vec<Job>,
@@ -144,7 +146,7 @@ impl Service {
         Self {
             model,
             pfs,
-            cache: SharedPlanCache::new(),
+            cache: Arc::default(),
             lane: None,
             policy: ServicePolicy::default(),
             jobs: Vec::new(),
@@ -298,22 +300,27 @@ impl Service {
                 // The job's world spans exactly its carved-out nodes; jobs
                 // of equal width get identical sub-topologies, which is
                 // what lets their plan-cache keys collide (by design).
+                // Every step of the job resolves its schedule through the
+                // scope attached to its world.
                 let mut m = model.clone();
                 m.topology = Topology::new(needed, cores);
-                job.world = Some(World::new(job.spec.nprocs, m));
+                let scope = Arc::new(PlanScope::new(Arc::clone(&cache), job.id));
+                let world = World::new(job.spec.nprocs, m).attach(Arc::clone(&scope));
+                job.world = Some((world, scope));
                 active.push(idx);
                 queued.remove(i);
             }
             let pos = pick(policy, &jobs, &active, &mut rr);
             let idx = active[pos];
-            step_job(&mut jobs[idx], &pfs, &cache, lane.as_ref());
+            step_job(&mut jobs[idx], &pfs, lane.as_ref());
             if jobs[idx].finished() {
-                let fin = jobs[idx].clock;
-                for &k in &jobs[idx].nodes {
+                let job = &mut jobs[idx];
+                for &k in &job.nodes {
                     held[k] = false;
-                    free_at[k] = fin;
+                    free_at[k] = job.clock;
                 }
-                jobs[idx].world = None;
+                let (_, scope) = job.world.take().expect("active job has a world");
+                job.plan_stats = scope.stats();
                 active.remove(pos);
                 remaining -= 1;
             }
@@ -350,7 +357,8 @@ impl Service {
             let needed = job.spec.nprocs.div_ceil(cores);
             let mut m = model.clone();
             m.topology = Topology::new(needed, cores);
-            let world = World::new(job.spec.nprocs, m);
+            let scope = Arc::new(PlanScope::new(Arc::default(), job.id));
+            let world = World::new(job.spec.nprocs, m).attach(Arc::clone(&scope));
             let start = job.spec.arrival.max(prev_end);
             job.started = start;
             let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
@@ -377,8 +385,7 @@ impl Service {
                 }
                 inter += o.comm.bytes_inter as u64;
             }
-            // Every rank reports the sweep's one lookup per step.
-            job.plan_stats = outs[0].plan_cache;
+            job.plan_stats = scope.stats();
             if let Some(lane) = lane.as_ref() {
                 if inter > 0 {
                     end = end.max(lane.book_bytes(start, inter));
@@ -454,13 +461,13 @@ fn pick(policy: ServicePolicy, jobs: &[Job], active: &[usize], rr: &mut usize) -
 }
 
 /// Runs one engine step of `job` against the shared resources.
-fn step_job(job: &mut Job, pfs: &Pfs, cache: &SharedPlanCache, lane: Option<&SharedLane>) {
+fn step_job(job: &mut Job, pfs: &Pfs, lane: Option<&SharedLane>) {
     let t0 = job.clock;
     let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
     let spec = &job.spec;
     let step = &spec.steps[job.next_step];
     let jid = job.id;
-    let world = job.world.as_ref().expect("active job has a world");
+    let (world, _) = job.world.as_ref().expect("active job has a world");
     let results = world.run(move |comm| {
         // Per-rank clocks start at zero in every World::run; advancing to
         // the job's frontier places this step at its virtual time, so OST
@@ -470,19 +477,16 @@ fn step_job(job: &mut Job, pfs: &Pfs, cache: &SharedPlanCache, lane: Option<&Sha
             panic!("job {jid} ({:?}): file {:?} disappeared", spec.name, spec.file)
         });
         let io = spec.rank_io(step, comm.rank(), comm.nprocs());
-        let mut plans = PlanSource::shared(cache, jid);
-        let out = object_get_vara_planned(comm, pfs, &file, &spec.var, &io, &*spec.kernel, &mut plans);
-        (out, plans.seen(), comm.stats())
+        let out = object_get_vara(comm, pfs, &file, &spec.var, &io, &*spec.kernel);
+        (out, comm.stats())
     });
     let busy_after: f64 = pfs.per_ost_busy_secs().iter().sum();
     let mut end = t0;
     let mut inter = 0u64;
-    for (out, _, stats) in &results {
+    for (out, stats) in &results {
         end = end.max(out.report.end);
         inter += stats.bytes_inter as u64;
     }
-    // Every rank saw the step's one lookup.
-    job.plan_stats = job.plan_stats.merge(&results[0].1);
     if let Some(lane) = lane {
         if inter > 0 {
             end = end.max(lane.book_bytes(t0, inter));

@@ -1,6 +1,6 @@
 //! Integration tests for the extensions beyond the paper's core: the
-//! collective write path, kernel fusion, automatic strategy selection,
-//! and iterative sweeps — all exercised across crates.
+//! collective write path, kernel fusion, and iterative sweeps — all
+//! exercised across crates.
 
 use cc_array::{get_vara_all, put_vara_all, Hyperslab, Shape};
 use cc_core::{
@@ -9,7 +9,7 @@ use cc_core::{
 };
 use cc_integration::{assert_close, build_var_fs, test_model, test_value};
 use cc_mpi::World;
-use cc_mpiio::{collective_read_auto, AutoReport, Hints};
+use cc_mpiio::Hints;
 
 #[test]
 fn fused_kernel_through_the_full_engine() {
@@ -119,30 +119,6 @@ fn collective_write_through_array_layer_and_read_back_via_cc() {
         expect,
         "CC over written data",
     );
-}
-
-#[test]
-fn auto_mode_and_manual_modes_agree_on_data() {
-    let shape = Shape::new(vec![8, 16]);
-    let (fs, var) = build_var_fs(&shape, 512, 4, 8);
-    let world = World::new(4, test_model(2, 2));
-    let fs = &fs;
-    let var = &var;
-    let results = world.run(move |comm| {
-        let file = fs.open("t.nc").expect("exists");
-        // Disjoint row blocks: the heuristic should go independent.
-        let slab = Hyperslab::new(vec![2 * comm.rank() as u64, 0], vec![2, 16]);
-        let request = var.byte_extents(&slab);
-        let (auto_bytes, rep) =
-            collective_read_auto(comm, fs, &file, &request, &Hints::default());
-        let (manual, _) = cc_mpiio::collective_read(comm, fs, &file, &request, &Hints::default());
-        (
-            auto_bytes == manual,
-            matches!(rep, AutoReport::Independent(_)),
-        )
-    });
-    assert!(results.iter().all(|r| r.0), "auto data mismatch");
-    assert!(results.iter().all(|r| r.1), "disjoint should be independent");
 }
 
 #[test]

@@ -15,19 +15,25 @@ use std::sync::Arc;
 
 use cc_array::{Hyperslab, Shape};
 use cc_core::{
-    object_get_vara, object_get_vara_planned, traditional_get_vara, FusedKernel, MinLocKernel,
-    ObjectIo, SumKernel,
+    object_get_vara, traditional_get_vara, FusedKernel, MinLocKernel, ObjectIo, SumKernel,
 };
 use cc_integration::{build_var_fs, oracle_min_loc, oracle_sum, test_model, test_value};
 use cc_model::{CollectiveMode, DiskModel, FaultPlan, SimTime};
 use cc_mpi::World;
 use cc_mpiio::{
-    collective_read, collective_read_planned, collective_write, independent_write, DomainPartition,
-    Extent, Hints, OffsetList, PipelineDepth, PlanSource, SharedPlanCache,
+    collective_read, collective_write, independent_write, DomainPartition, Extent, Hints,
+    OffsetList, PipelineDepth, PlanSchedule, PlanScope, SharedPlanCache,
 };
 use cc_pfs::backend::ElemKind;
 use cc_pfs::{MemBackend, Pfs, StripeLayout, SyntheticBackend};
 use proptest::prelude::*;
+
+/// `world` with a [`PlanScope`] on `cache` for job `job` attached, and the
+/// scope, whose counters are the world's lookups.
+fn scoped(world: World, cache: &Arc<SharedPlanCache>, job: u64) -> (World, Arc<PlanScope>) {
+    let scope = Arc::new(PlanScope::new(Arc::clone(cache), job));
+    (world.attach(Arc::clone(&scope)), scope)
+}
 
 /// A random multi-rank, multi-step request workload: per rank a sparse
 /// `(gap, len)` walk (possibly empty), swept over `steps` timesteps each
@@ -144,37 +150,39 @@ proptest! {
             Box::new(SyntheticBackend::new(elems, ElemKind::F64, test_value)),
         );
         let fs = Arc::new(fs);
-        let world = World::new(nprocs, test_model(sweep.nodes, nprocs.div_ceil(sweep.nodes)));
-        let fs = &fs;
-        let sweep_ref = &sweep;
-        let ok = world.run(move |comm| {
+        let world = || World::new(nprocs, test_model(sweep.nodes, nprocs.div_ceil(sweep.nodes)));
+        let read_sweep = |comm: &mut cc_mpi::Comm| -> Vec<Vec<u8>> {
             let file = fs.open("t.nc").expect("exists");
-            let hints = sweep_ref.hints();
-            let oracle = SyntheticBackend::new(elems, ElemKind::F64, test_value);
-            let cache = comm.memo(SharedPlanCache::new);
-            let mut all_match = true;
-            for step in 0..sweep_ref.steps {
-                let req = sweep_ref.request(comm.rank(), step);
-                let (fresh, _) = collective_read(comm, fs, &file, &req, &hints);
-                let (cached, _) = collective_read_planned(
-                    comm, fs, &file, &req, &hints, &mut PlanSource::shared(&cache, 0),
-                );
-                all_match &= fresh == cached;
+            let hints = sweep.hints();
+            (0..sweep.steps)
+                .map(|step| {
+                    let req = sweep.request(comm.rank(), step);
+                    collective_read(comm, &fs, &file, &req, &hints).0
+                })
+                .collect()
+        };
+        let fresh = world().run(read_sweep);
+        let (cached_world, scope) = scoped(world(), &Arc::default(), 0);
+        let cached = cached_world.run(read_sweep);
+        let oracle = SyntheticBackend::new(elems, ElemKind::F64, test_value);
+        let mut all_match = fresh == cached;
+        for (rank, steps) in fresh.iter().enumerate() {
+            for (step, bytes) in steps.iter().enumerate() {
                 // Planner-free oracle: the backend's bytes, extent by extent.
+                let req = sweep.request(rank, step);
                 let mut at = 0usize;
                 for e in req.extents() {
                     let mut expect = vec![0u8; e.len as usize];
                     oracle.fill_range(e.offset, &mut expect);
-                    all_match &= fresh[at..at + e.len as usize] == expect[..];
+                    all_match &= bytes[at..at + e.len as usize] == expect[..];
                     at += e.len as usize;
                 }
-                all_match &= at == fresh.len();
+                all_match &= at == bytes.len();
             }
-            // The world's cache saw one lookup per step, not one per rank.
-            all_match &= cache.stats().lookups() == sweep_ref.steps as u64;
-            all_match
-        });
-        prop_assert!(ok.into_iter().all(|b| b), "read sweep diverged");
+        }
+        // The world's scope saw one lookup per step, not one per rank.
+        all_match &= scope.stats().lookups() == sweep.steps as u64;
+        prop_assert!(all_match, "read sweep diverged");
     }
 
     /// Collective write: a sweep written collectively lands the
@@ -334,6 +342,7 @@ proptest! {
             let fs = Arc::new(fs);
             let world =
                 World::new(nprocs, test_model(sweep.nodes, nprocs.div_ceil(sweep.nodes)));
+            let (world, _) = scoped(world, &Arc::default(), 0);
             let per_rank = {
                 let fs = &fs;
                 let sweep_ref = &sweep;
@@ -344,13 +353,10 @@ proptest! {
                         domain_partition: partition,
                         ..sweep_ref.hints()
                     };
-                    let cache = comm.memo(SharedPlanCache::new);
                     let mut got = Vec::new();
                     for step in 0..sweep_ref.steps {
                         let req = sweep_ref.request(comm.rank(), step);
-                        let (bytes, _) = collective_read_planned(
-                            comm, fs, &file, &req, &hints, &mut PlanSource::shared(&cache, 0),
-                        );
+                        let (bytes, _) = collective_read(comm, fs, &file, &req, &hints);
                         let wreq = sweep_ref.request_disjoint(comm.rank(), step);
                         let data: Vec<u8> = wreq
                             .extents()
@@ -413,66 +419,74 @@ proptest! {
     #[test]
     fn prop_engines_equal_oracle_fresh_and_cached(cfg in arb_kernel_config()) {
         let (fs, var) = build_var_fs(&cfg.shape, 512, 4, 8);
-        let world = World::new(cfg.nprocs, test_model(1, cfg.nprocs));
-        let fs = &fs;
-        let var = &var;
-        let cfg_ref = &cfg;
-        let results = world.run(move |comm| {
+        let world = || World::new(cfg.nprocs, test_model(1, cfg.nprocs));
+        let (fs, var) = (&fs, &var);
+        let band = cfg.shape.dims()[0] / 2;
+        let per = band / cfg.nprocs as u64;
+        let io_for = |rank: usize, step: u64| {
+            let mut start = vec![0; cfg.shape.rank()];
+            let mut count = cfg.shape.dims().to_vec();
+            start[0] = step * band + rank as u64 * per;
+            count[0] = per;
+            ObjectIo::new(start, count).hints(Hints {
+                cb_buffer_size: cfg.cb,
+                ..Hints::default()
+            })
+        };
+        let fused = FusedKernel::new(vec![&SumKernel, &MinLocKernel]);
+        // Unscoped: each step compiles fresh for the sum, the baseline
+        // (reduced at root 0) and the min-location kernel.
+        let fresh = world().run(|comm| {
             let file = fs.open("t.nc").expect("exists");
-            let band = cfg_ref.shape.dims()[0] / 2;
-            let per = band / cfg_ref.nprocs as u64;
-            let my_rank = comm.rank() as u64;
-            let io_for = move |step: u64| {
-                let mut start = vec![0; cfg_ref.shape.rank()];
-                let mut count = cfg_ref.shape.dims().to_vec();
-                start[0] = step * band + my_rank * per;
-                count[0] = per;
-                ObjectIo::new(start, count).hints(Hints {
-                    cb_buffer_size: cfg_ref.cb,
-                    ..Hints::default()
+            (0..2u64)
+                .map(|step| {
+                    let io = io_for(comm.rank(), step);
+                    let sum = object_get_vara(comm, fs, &file, var, &io, &SumKernel);
+                    let slab = Hyperslab::new(io.start.clone(), io.count.clone());
+                    let (base_global, _, _) = traditional_get_vara(
+                        comm, fs, &file, var, &slab, &io.hints, &SumKernel, 0,
+                    );
+                    let minloc = object_get_vara(comm, fs, &file, var, &io, &MinLocKernel);
+                    (sum.global_partial, base_global, minloc.global_partial)
                 })
-            };
-            let fused = FusedKernel::new(vec![&SumKernel, &MinLocKernel]);
-            let cache = comm.memo(SharedPlanCache::new);
+                .collect::<Vec<_>>()
+        });
+        // Scoped: the same sums, and the fused kernel, through one cache.
+        let (cached_world, scope) = scoped(world(), &Arc::default(), 0);
+        let cached = cached_world.run(|comm| {
+            let file = fs.open("t.nc").expect("exists");
+            (0..2u64)
+                .map(|step| {
+                    let io = io_for(comm.rank(), step);
+                    let sum = object_get_vara(comm, fs, &file, var, &io, &SumKernel);
+                    let fused_out = object_get_vara(comm, fs, &file, var, &io, &fused);
+                    (sum, fused_out.global_partial)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut results = Vec::new();
+        for (fresh, cached) in fresh.iter().zip(&cached) {
             let mut sums = Vec::new();
             let mut fused_ok = true;
-            for step in 0..2u64 {
-                let io = io_for(step);
-                let fresh = object_get_vara(comm, fs, &file, var, &io, &SumKernel);
-                let cached = object_get_vara_planned(
-                    comm, fs, &file, var, &io, &SumKernel, &mut PlanSource::shared(&cache, 0),
-                );
-                assert_eq!(
-                    fresh.global_partial, cached.global_partial,
+            for ((sum_fresh, base_global, minloc), (sum, fused_partial)) in fresh.iter().zip(cached) {
+                prop_assert_eq!(
+                    sum_fresh, &sum.global_partial,
                     "cached cc partial diverged from fresh"
-                );
-                // Baseline over the same selection, reduced at root 0.
-                let slab = Hyperslab::new(io.start.clone(), io.count.clone());
-                let (base_global, _, _) = traditional_get_vara(
-                    comm, fs, &file, var, &slab, &io.hints, &SumKernel, 0,
                 );
                 // Fused kernel through the cached path: its split
                 // components must equal the dedicated kernels' answers.
-                let fused_out = object_get_vara_planned(
-                    comm, fs, &file, var, &io, &fused, &mut PlanSource::shared(&cache, 0),
-                );
-                let minloc = object_get_vara(comm, fs, &file, var, &io, &MinLocKernel);
-                if let (Some(fp), Some(sp), Some(mp)) = (
-                    &fused_out.global_partial,
-                    &cached.global_partial,
-                    &minloc.global_partial,
-                ) {
+                if let (Some(fp), Some(sp), Some(mp)) = (fused_partial, &sum.global_partial, minloc) {
                     let parts = fused.split(fp);
                     fused_ok &= parts == vec![sp.clone(), mp.clone()];
                 }
                 sums.push((
-                    cached.global.map(|g| g[0]),
-                    base_global.map(|g| g[0]),
-                    fused_out.global_partial.is_some(),
+                    sum.global.as_ref().map(|g| g[0]),
+                    base_global.as_ref().map(|g| g[0]),
+                    fused_partial.is_some(),
                 ));
             }
-            (sums, fused_ok, cache.stats())
-        });
+            results.push((sums, fused_ok));
+        }
         // Root-side checks: each step's sum equals the oracle, from every
         // engine; the fused split matched on whichever rank held a global.
         let band = cfg.shape.dims()[0] / 2;
@@ -485,7 +499,7 @@ proptest! {
             let expect = oracle_sum(&cfg.shape, &slab);
             let (cc, base, fused_root) = results
                 .iter()
-                .find_map(|(sums, _, _)| {
+                .find_map(|(sums, _)| {
                     let s = &sums[step as usize];
                     s.0.map(|cc| (cc, s.1, s.2))
                 })
@@ -497,10 +511,10 @@ proptest! {
                 "baseline {base} != oracle {expect}");
             prop_assert!(fused_root, "fused global missing");
         }
-        prop_assert!(results.iter().all(|(_, ok, _)| *ok), "fused split diverged");
+        prop_assert!(results.iter().all(|(_, ok)| *ok), "fused split diverged");
         // One compile per step for the sum kernel's selection, which the
         // fused pass then hits — same selection, same hints.
-        let stats = results[0].2;
+        let stats = scope.stats();
         prop_assert_eq!((stats.misses, stats.hits), (2, 2), "cache: {:?}", stats);
         // Sanity: oracle_min_loc agrees with the dedicated kernel's own
         // tests elsewhere; here it pins the fused component semantics.
@@ -1266,8 +1280,7 @@ proptest! {
 /// jobs issue is a cross-job hit for whichever job reaches it second.
 #[test]
 fn shared_plan_cache_concurrent_jobs_share_and_count() {
-    use cc_core::{iterative_get_vara_planned, SumKernel};
-    use cc_mpiio::SharedPlanCache;
+    use cc_core::{iterative_get_vara, SumKernel};
 
     const NPROCS: usize = 2;
     const STEPS: u64 = 2;
@@ -1297,11 +1310,10 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
                 cc_array::DType::F64,
                 0,
             );
-            let world = World::new(NPROCS, test_model(1, NPROCS));
+            let (world, scope) = scoped(World::new(NPROCS, test_model(1, NPROCS)), &cache, job);
             let fs = &fs;
-            let cache = &cache;
             let var = &var;
-            let outs = world.run(move |comm| {
+            world.run(move |comm| {
                 let file = fs.open(file).expect("exists");
                 let per = ROWS / NPROCS as u64;
                 let ios: Vec<_> = (0..STEPS)
@@ -1311,12 +1323,12 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
                     })
                     .collect();
                 let steps: Vec<_> = ios.iter().map(|io| (var, io.clone())).collect();
-                let plans = &mut PlanSource::shared(cache, job);
-                iterative_get_vara_planned(comm, fs, &file, &steps, &SumKernel, plans)
+                iterative_get_vara(comm, fs, &file, &steps, &SumKernel)
             });
-            // Every rank reports the job's STEPS lookups.
-            assert!(outs.iter().all(|o| o.plan_cache == outs[0].plan_cache));
-            outs[0].plan_cache
+            // The job's world counted its STEPS lookups.
+            let stats = scope.stats();
+            assert_eq!(stats.lookups(), STEPS);
+            stats
         })
     };
     // Job 7 starts at row 0, job 8 one step (ROWS) further in.
@@ -1344,7 +1356,7 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
     );
 }
 
-/// One compile per collective: after a real request exchange, the `Fresh`
+/// One compile per collective: after a real request exchange, the fresh
 /// schedules of all ranks are one set of tables, not `nprocs` equal ones —
 /// on a flat and on a hierarchical world, and separately for each of two
 /// back-to-back collectives.
@@ -1367,7 +1379,7 @@ fn fresh_schedules_on_different_ranks_share_tables() {
                         (0..6).map(|k| Extent { offset: (k * NPROCS as u64 + r) * len, len }).collect(),
                     );
                     let requests = exchange_requests(comm, &mine);
-                    PlanSource::Fresh.get(comm, requests, &hints)
+                    PlanSchedule::resolve(comm, requests, &hints)
                 })
         });
         let [first0, second0] = &schedules[0];
@@ -1380,16 +1392,16 @@ fn fresh_schedules_on_different_ranks_share_tables() {
     }
 }
 
-/// A sweep's cache accounting is per collective and the same on every
-/// rank. On the shapes of the shared-cache regression above — two ranks,
-/// a two-step sweep, a second job shifted by one step — every rank
-/// reports the job's lookups: with a private cache, two misses; with the
-/// shared cache, the same for the first job, then a cross-job hit on the
-/// step the jobs share and a miss on the new one.
+/// A sweep's cache accounting is per collective, counted once for the
+/// whole world. On the shapes of the shared-cache regression above — two
+/// ranks, a two-step sweep, a second job shifted by one step — each
+/// world's scope reports the job's lookups: with a private cache, two
+/// misses; with the shared cache, the same for the first job, then a
+/// cross-job hit on the step the jobs share and a miss on the new one.
 #[test]
 fn every_rank_reports_one_plan_lookup_per_sweep_step() {
-    use cc_core::{iterative_get_vara, iterative_get_vara_planned};
-    use cc_mpiio::{PlanCacheStats, SharedPlanCache};
+    use cc_core::iterative_get_vara;
+    use cc_mpiio::PlanCacheStats;
 
     const NPROCS: usize = 2;
     const STEPS: u64 = 2;
@@ -1407,11 +1419,16 @@ fn every_rank_reports_one_plan_lookup_per_sweep_step() {
         cc_array::DType::F64,
         0,
     );
-    let cache = SharedPlanCache::new();
-    // Per-rank stats of one sweep starting at `row0`, from a private cache
-    // (`job` = None) or from the shared one.
-    let sweep = |job: Option<u64>, row0: u64| -> Vec<PlanCacheStats> {
-        World::new(NPROCS, test_model(1, NPROCS)).run(|comm| {
+    let cache = Arc::new(SharedPlanCache::new());
+    // The world's stats of one sweep starting at `row0`, from a private
+    // cache (`job` = None) or from the shared one.
+    let sweep = |job: Option<u64>, row0: u64| -> PlanCacheStats {
+        let world = World::new(NPROCS, test_model(1, NPROCS));
+        let (world, scope) = match job {
+            None => scoped(world, &Arc::default(), 0),
+            Some(job) => scoped(world, &cache, job),
+        };
+        world.run(|comm| {
             let file = fs.open("a.nc").expect("exists");
             let per = ROWS / NPROCS as u64;
             let steps: Vec<_> = (0..STEPS)
@@ -1420,47 +1437,38 @@ fn every_rank_reports_one_plan_lookup_per_sweep_step() {
                     (&var, ObjectIo::new(start, vec![per, COLS]))
                 })
                 .collect();
-            match job {
-                None => iterative_get_vara(comm, &fs, &file, &steps, &SumKernel),
-                Some(job) => {
-                    let plans = &mut PlanSource::shared(&cache, job);
-                    iterative_get_vara_planned(comm, &fs, &file, &steps, &SumKernel, plans)
-                }
-            }
-            .plan_cache
-        })
+            iterative_get_vara(comm, &fs, &file, &steps, &SumKernel);
+        });
+        scope.stats()
     };
     let counts = |s: &PlanCacheStats| (s.misses, s.hits, s.cross_job_hits);
 
-    for stats in sweep(None, 0) {
-        assert_eq!(counts(&stats), (2, 0, 0), "private cache: {stats:?}");
-    }
-    for stats in sweep(Some(7), 0) {
-        assert_eq!(
-            counts(&stats),
-            (2, 0, 0),
-            "shared cache, first job: {stats:?}"
-        );
-    }
-    for stats in sweep(Some(8), ROWS) {
-        assert_eq!(
-            counts(&stats),
-            (1, 1, 1),
-            "shared cache, shifted job: {stats:?}"
-        );
-    }
+    let stats = sweep(None, 0);
+    assert_eq!(counts(&stats), (2, 0, 0), "private cache: {stats:?}");
+    let stats = sweep(Some(7), 0);
+    assert_eq!(
+        counts(&stats),
+        (2, 0, 0),
+        "shared cache, first job: {stats:?}"
+    );
+    let stats = sweep(Some(8), ROWS);
+    assert_eq!(
+        counts(&stats),
+        (1, 1, 1),
+        "shared cache, shifted job: {stats:?}"
+    );
     assert_eq!(counts(&cache.stats()), (3, 1, 1));
 }
 
 /// The plan-cache lookup runs once per collective, not once per rank: a
 /// 16-rank world sweeping four shifted steps, flat and hierarchical, with
-/// the sweep's own per-world cache and with a `SharedPlanCache`, counts
-/// exactly one lookup per step, and every rank's schedule is rank 0's
-/// tables. A second world under another job id rides the first one's
-/// entries, so every lookup it makes is cross-job.
+/// a private scope and with a scope on a shared cache, counts exactly one
+/// lookup per step, and every rank's schedule is rank 0's tables. A
+/// second world under another job id rides the first one's entries, so
+/// every lookup it makes is cross-job.
 #[test]
 fn one_lookup_per_collective() {
-    use cc_core::{iterative_get_vara, iterative_get_vara_planned};
+    use cc_core::iterative_get_vara;
     use cc_mpiio::exchange::exchange_requests;
 
     const NPROCS: usize = 16;
@@ -1489,10 +1497,10 @@ fn one_lookup_per_collective() {
     };
     for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
         let world = || World::new(NPROCS, test_model(4, 4).with_collectives(mode));
-        let shared = SharedPlanCache::new();
+        let shared = Arc::new(SharedPlanCache::new());
         // Rank `r` reads row `r` of every step; step `s` is step 0 shifted
         // by `s` rows.
-        let sweep = |comm: &mut cc_mpi::Comm, plans: Option<&mut PlanSource<'_>>| {
+        let sweep = |comm: &mut cc_mpi::Comm| {
             let file = fs.open("a.nc").expect("exists");
             let steps: Vec<_> = (0..STEPS)
                 .map(|s| {
@@ -1503,51 +1511,33 @@ fn one_lookup_per_collective() {
                     )
                 })
                 .collect();
-            match plans {
-                None => iterative_get_vara(comm, &fs, &file, &steps, &SumKernel),
-                Some(plans) => {
-                    iterative_get_vara_planned(comm, &fs, &file, &steps, &SumKernel, plans)
-                }
-            }
-            .plan_cache
+            iterative_get_vara(comm, &fs, &file, &steps, &SumKernel);
         };
-        // The same steps' schedules, resolved directly through `plans`.
-        let schedules = |comm: &mut cc_mpi::Comm, plans: &mut PlanSource<'_>| {
+        // The same steps' schedules, resolved directly.
+        let schedules = |comm: &mut cc_mpi::Comm| {
             (0..STEPS)
                 .map(|s| {
                     let start = vec![s * rows + comm.rank() as u64, 0];
                     let mine = var.byte_extents(&Hyperslab::new(start, vec![1, COLS]));
                     let requests = exchange_requests(comm, &mine);
-                    plans.get(comm, requests, &hints)
+                    PlanSchedule::resolve(comm, requests, &hints)
                 })
                 .collect::<Vec<_>>()
         };
 
-        let per_rank = world().run(|comm| {
-            let own = sweep(comm, None);
-            let world_cache = comm.memo(SharedPlanCache::new);
-            let direct = schedules(comm, &mut PlanSource::shared(&world_cache, 0));
-            let direct_lookups = world_cache.stats().lookups();
-            let job = &mut PlanSource::shared(&shared, 1);
-            let tagged = sweep(comm, Some(job));
-            (own, direct, direct_lookups, tagged)
-        });
-        let rank0 = &per_rank[0].1;
-        for (rank, (own, direct, direct_lookups, tagged)) in per_rank.iter().enumerate() {
-            assert_eq!(
-                own.lookups(),
-                STEPS,
-                "{mode:?} rank {rank}: per-world cache {own:?}"
-            );
-            assert_eq!(
-                *direct_lookups, STEPS,
-                "{mode:?} rank {rank}: direct lookups"
-            );
-            assert_eq!(
-                tagged,
-                &shared.stats(),
-                "{mode:?} rank {rank}: shared cache"
-            );
+        let (own_world, own) = scoped(world(), &Arc::default(), 0);
+        own_world.run(sweep);
+        assert_eq!(
+            own.stats().lookups(),
+            STEPS,
+            "{mode:?}: private scope {:?}",
+            own.stats()
+        );
+        let (direct_world, direct_scope) = scoped(world(), &Arc::default(), 0);
+        let direct = direct_world.run(schedules);
+        assert_eq!(direct_scope.stats().lookups(), STEPS, "{mode:?}: direct lookups");
+        let rank0 = &direct[0];
+        for (rank, direct) in direct.iter().enumerate() {
             for (s, (mine, first)) in direct.iter().zip(rank0).enumerate() {
                 assert!(
                     mine.shares_index_with(first),
@@ -1555,6 +1545,9 @@ fn one_lookup_per_collective() {
                 );
             }
         }
+        let (tagged_world, tagged) = scoped(world(), &shared, 1);
+        tagged_world.run(sweep);
+        assert_eq!(tagged.stats(), shared.stats(), "{mode:?}: shared cache");
         assert_eq!(
             shared.stats().lookups(),
             STEPS,
@@ -1563,13 +1556,80 @@ fn one_lookup_per_collective() {
         );
 
         // A second job on the same shapes: every lookup reuses job 1's work.
-        let riding = world().run(|comm| sweep(comm, Some(&mut PlanSource::shared(&shared, 2))));
-        for stats in &riding {
-            assert_eq!(stats.lookups(), STEPS, "{mode:?}: {stats:?}");
-            assert_eq!(stats.cross_job_hits, STEPS, "{mode:?}: {stats:?}");
-        }
+        let (riding_world, riding) = scoped(world(), &shared, 2);
+        riding_world.run(sweep);
+        let stats = riding.stats();
+        assert_eq!(stats.lookups(), STEPS, "{mode:?}: {stats:?}");
+        assert_eq!(stats.cross_job_hits, STEPS, "{mode:?}: {stats:?}");
         assert_eq!(shared.stats().lookups(), 2 * STEPS, "{mode:?}");
     }
+}
+
+/// The one rule of plan caching: a world with a [`PlanScope`] caches
+/// every collective's schedule in it, and a world without one compiles
+/// fresh. Two resolutions of identical requests compile twice unscoped
+/// and hit in a scoped world, whether they come through the resolver or
+/// through two `collective_read`s; two job worlds whose scopes share one
+/// cache count the second job's hit as cross-job.
+#[test]
+fn a_world_scope_is_the_only_plan_cache() {
+    use cc_mpiio::exchange::exchange_requests;
+
+    const NPROCS: usize = 4;
+    let fs = Pfs::new(4, DiskModel::lustre_like());
+    fs.create(
+        "a.nc",
+        StripeLayout::round_robin(1 << 9, 4, 0, 4),
+        Box::new(SyntheticBackend::new(NPROCS as u64 * 64, ElemKind::F64, test_value)),
+    );
+    let hints = Hints {
+        cb_buffer_size: 256,
+        ..Hints::default()
+    };
+    let world = || World::new(NPROCS, test_model(2, 2));
+    let request = |rank: usize| {
+        let r = rank as u64;
+        OffsetList::new((0..4).map(|k| Extent { offset: (k * NPROCS as u64 + r) * 128, len: 128 }).collect())
+    };
+    // Two resolutions of one request set, on every rank.
+    let twice = |comm: &mut cc_mpi::Comm| {
+        let mine = request(comm.rank());
+        [(); 2].map(|_| {
+            let requests = exchange_requests(comm, &mine);
+            PlanSchedule::resolve(comm, requests, &hints)
+        })
+    };
+    let counts = |s: cc_mpiio::PlanCacheStats| (s.misses, s.hits, s.cross_job_hits);
+
+    for [first, second] in world().run(twice) {
+        assert!(!first.shares_index_with(&second), "an unscoped world compiled once");
+    }
+    let (scoped_world, scope) = scoped(world(), &Arc::default(), 0);
+    for [first, second] in scoped_world.run(twice) {
+        assert!(first.shares_index_with(&second), "a scoped world compiled twice");
+    }
+    assert_eq!(counts(scope.stats()), (1, 1, 0));
+
+    // The same rule under the plain read entry point.
+    let reads = |comm: &mut cc_mpi::Comm| {
+        let file = fs.open("a.nc").expect("exists");
+        let mine = request(comm.rank());
+        [(); 2].map(|_| collective_read(comm, &fs, &file, &mine, &hints).0)
+    };
+    let fresh = world().run(reads);
+    let (read_world, read_scope) = scoped(world(), &Arc::default(), 0);
+    assert_eq!(read_world.run(reads), fresh, "a scope changed the bytes");
+    assert_eq!(counts(read_scope.stats()), (1, 1, 0));
+
+    // Two job worlds on one shared cache: the second job's hit is cross-job.
+    let shared = Arc::new(SharedPlanCache::new());
+    let (job_a, scope_a) = scoped(world(), &shared, 1);
+    let (job_b, scope_b) = scoped(world(), &shared, 2);
+    job_a.run(reads);
+    job_b.run(reads);
+    assert_eq!(counts(scope_a.stats()), (1, 1, 0));
+    assert_eq!(counts(scope_b.stats()), (0, 2, 2));
+    assert_eq!(shared.stats(), scope_a.stats().merge(&scope_b.stats()));
 }
 
 /// Fault sweep: under slow OSTs and straggler ranks, every staging depth
