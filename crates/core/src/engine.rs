@@ -246,7 +246,7 @@ fn run_collective_computing(
     // One scratch arena serves the whole operation: decoded values and
     // shuffle words reuse their high-water allocations.
     let mut scratch = Scratch::new();
-    let mut inter = IntermediateSet::new();
+    let mut inter = IntermediateSet::new(comm.nprocs());
     let mut agg_done = comm.clock();
     if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
         let stage = Staging::new(pfs, file, &schedule, agg_idx, &hints);
@@ -349,21 +349,25 @@ fn run_map_pipeline(
         let mut entries = 0u64;
         let mut meta_bytes = 0u64;
         for &dst in schedule.destinations(agg_idx, iter) {
-            let acc = inter.partial_mut(dst, kernel);
-            for &(blo, bhi) in &blocks {
-                for run in construct_runs(var, &schedule.plan().requests[dst], blo, bhi) {
-                    let off = (var.byte_of_elem(run.start_elem) - rlo) as usize;
-                    let len = run.len as usize * esize;
-                    // Decode into the reused scratch slice: the kernel folds
-                    // over `&[f64]` with no per-run allocation.
-                    var.dtype()
-                        .decode_into(&chunk[off..off + len], &mut scratch.values);
-                    kernel.map(acc, run.start_elem, &scratch.values);
-                    mapped_bytes += len;
-                    entries += 1;
-                    meta_bytes += run.metadata_bytes(var);
+            // One fold per (chunk, owner): the owner's arena slot is copied
+            // into the set's working partial, every run maps into it, and
+            // it is copied back.
+            inter.fold(dst, kernel, |acc| {
+                for &(blo, bhi) in &blocks {
+                    for run in construct_runs(var, &schedule.plan().requests[dst], blo, bhi) {
+                        let off = (var.byte_of_elem(run.start_elem) - rlo) as usize;
+                        let len = run.len as usize * esize;
+                        // Decode into the reused scratch slice: the kernel
+                        // folds over `&[f64]` with no per-run allocation.
+                        var.dtype()
+                            .decode_into(&chunk[off..off + len], &mut scratch.values);
+                        kernel.map(acc, run.start_elem, &scratch.values);
+                        mapped_bytes += len;
+                        entries += 1;
+                        meta_bytes += run.metadata_bytes(var);
+                    }
                 }
-            }
+            });
         }
         inter.note_metadata(entries, meta_bytes);
 
@@ -423,22 +427,17 @@ fn reduce_all_to_one(
 
     // Root side: construct and reduce.
     if comm.rank() == root {
-        let mut per_owner: Vec<Option<Partial>> = vec![None; comm.nprocs()];
+        // The per-owner merge is an arena like the aggregators' own: an
+        // owner's slot copies the first partial it sees and folds in the
+        // rest, and every partial passes through the one `incoming`.
+        let mut per_owner = IntermediateSet::new(comm.nprocs());
         let mut combines = 0u64;
-        // An owner's slot copies the first partial it sees and folds in
-        // the rest; every message decodes into the one `incoming` partial.
-        let mut absorb = |owner: usize, p: &Partial| {
-            combines += 1;
-            match &mut per_owner[owner] {
-                Some(acc) => kernel.combine(acc, p),
-                slot => *slot = Some(p.clone()),
-            }
-        };
-        // The root's own set first, in owner order, as its message would be.
-        for (owner, p) in inter.iter() {
-            absorb(owner, p);
-        }
         let mut incoming = kernel.identity();
+        // The root's own set first, in owner order, as its message would be.
+        inter.for_each(&mut incoming, |owner, p| {
+            per_owner.absorb(owner, p, kernel);
+            combines += 1;
+        });
         for &agg in &active {
             if agg == root {
                 continue;
@@ -446,16 +445,17 @@ fn reduce_all_to_one(
             let (bytes, info) = comm.recv_bytes_no_clock(agg, tag);
             cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
             comm.recycle_buf(bytes);
-            IntermediateSet::decode(&scratch.words, &mut incoming, &mut absorb);
+            combines += per_owner.absorb_encoded(&scratch.words, &mut incoming, kernel, agg, tag);
             done = done.max(info.arrival);
         }
         let reduce_start = done;
         let mut global = kernel.identity();
-        let mut any = false;
-        for p in per_owner.iter().flatten() {
+        let mut per_rank: Vec<Option<Vec<f64>>> = vec![None; comm.nprocs()];
+        per_owner.for_each(&mut incoming, |owner, p| {
             kernel.combine(&mut global, p);
-            any = true;
-        }
+            per_rank[owner] = Some(kernel.finalize(p));
+        });
+        let any = !per_owner.is_empty();
         let reduce_cost = cpu.reduce_time(combines as usize + comm.nprocs());
         done += reduce_cost;
         report.local_reduction += reduce_cost;
@@ -463,10 +463,6 @@ fn reduce_all_to_one(
             .segments
             .push(Segment::new(reduce_start, done, Activity::User));
         comm.advance_to(done);
-        let per_rank: Vec<Option<Vec<f64>>> = per_owner
-            .iter()
-            .map(|p| p.as_ref().map(|p| kernel.finalize(p)))
-            .collect();
         let my = per_rank[root].clone();
         return (my, Some(per_rank), any.then_some(global));
     }
@@ -494,8 +490,7 @@ fn reduce_all_to_all(
     // Sender side: one small message per owner with data in my domain,
     // serialized through the scratch words and a pooled wire buffer.
     let mut shuffle_lane = Lane::free_from(agg_done);
-    let owners: Vec<usize> = inter.owners().collect();
-    for owner in owners {
+    for owner in inter.owners() {
         if owner == comm.rank() {
             continue;
         }
@@ -517,8 +512,9 @@ fn reduce_all_to_all(
     // holds any of my bytes — exactly the aggregators appearing in my
     // (round-ordered) source list, combined in aggregator order.
     let mut mine = kernel.identity();
-    if let Some(p) = inter.get(comm.rank()) {
-        kernel.combine(&mut mine, p);
+    let mut incoming = kernel.identity();
+    if inter.load(comm.rank(), &mut incoming) {
+        kernel.combine(&mut mine, &incoming);
     }
     let mut my_aggs: Vec<usize> = schedule
         .sources_for(comm.rank())
@@ -529,7 +525,6 @@ fn reduce_all_to_all(
     my_aggs.dedup();
     let mut combines = 0usize;
     let me = comm.rank();
-    let mut incoming = kernel.identity();
     for a in my_aggs {
         let src = schedule.aggregator_rank(a);
         if src == me {

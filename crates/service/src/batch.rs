@@ -198,10 +198,15 @@ impl Default for BatchPolicy {
     }
 }
 
-/// An admitted task: the spec plus its flattened byte request and kernel
-/// tolerance class (the binning key component).
+/// An admitted task: the fields of its spec the sweeps read, plus its
+/// flattened byte request and kernel tolerance class (the binning key
+/// component). The selection itself is consumed by flattening.
 struct AdmittedTask {
-    spec: TaskSpec,
+    name: String,
+    file: String,
+    var: Variable,
+    kernel: Arc<dyn MapKernel>,
+    arrival: SimTime,
     request: OffsetList,
     exact: bool,
 }
@@ -377,26 +382,34 @@ impl TaskBatch {
     /// enqueues the task. Returns the task's id (its index in every
     /// outcome's result list).
     pub fn submit(&mut self, spec: TaskSpec) -> Result<u64, BatchAdmissionError> {
-        if self.pfs.open(&spec.file).is_none() {
-            return Err(BatchAdmissionError::UnknownFile(spec.file));
+        let TaskSpec {
+            name,
+            file,
+            var,
+            start,
+            count,
+            kernel,
+            arrival,
+        } = spec;
+        if self.pfs.open(&file).is_none() {
+            return Err(BatchAdmissionError::UnknownFile(file));
         }
-        let dims = spec.var.shape().dims();
-        if spec.start.len() != dims.len() || spec.count.len() != dims.len() {
+        let dims = var.shape().dims();
+        if start.len() != dims.len() || count.len() != dims.len() {
             return Err(BatchAdmissionError::RankMismatch {
-                task: spec.name,
-                got: spec.start.len().max(spec.count.len()),
+                task: name,
+                got: start.len().max(count.len()),
                 var_rank: dims.len(),
             });
         }
-        if spec.count.contains(&0) {
-            return Err(BatchAdmissionError::EmptySelection { task: spec.name });
+        if count.contains(&0) {
+            return Err(BatchAdmissionError::EmptySelection { task: name });
         }
-        let slab = Hyperslab::new(spec.start.clone(), spec.count.clone());
-        let request = match spec.var.try_byte_extents(&slab) {
+        let request = match var.try_byte_extents(&Hyperslab::new(start, count)) {
             Ok(request) => request,
             Err(SelectionError::OutOfRange { dim, end, extent, .. }) => {
                 return Err(BatchAdmissionError::OutOfBounds {
-                    task: spec.name,
+                    task: name,
                     dim,
                     end,
                     extent,
@@ -404,15 +417,23 @@ impl TaskBatch {
             }
             Err(SelectionError::RankMismatch { selection, shape }) => {
                 return Err(BatchAdmissionError::RankMismatch {
-                    task: spec.name,
+                    task: name,
                     got: selection,
                     var_rank: shape,
                 })
             }
         };
-        let exact = spec.kernel.tolerance() == Tolerance::Exact;
+        let exact = kernel.tolerance() == Tolerance::Exact;
         let id = self.tasks.len() as u64;
-        self.tasks.push(AdmittedTask { spec, request, exact });
+        self.tasks.push(AdmittedTask {
+            name,
+            file,
+            var,
+            kernel,
+            arrival,
+            request,
+            exact,
+        });
         Ok(id)
     }
 
@@ -430,7 +451,7 @@ impl TaskBatch {
             model,
             pfs,
             policy,
-            tasks,
+            mut tasks,
         } = self;
         assert!(
             policy.nprocs <= model.topology.capacity(),
@@ -481,14 +502,14 @@ impl TaskBatch {
                             comm.advance(cpu.map_time(task.request.total_bytes() as usize));
                             let partial = fold_task_from_fused(
                                 t as u64,
-                                &task.spec.var,
+                                &task.var,
                                 &task.request,
                                 fused_req,
                                 &bytes,
-                                &*task.spec.kernel,
+                                &*task.kernel,
                                 &mut scratch,
                             );
-                            done.push((t, task.spec.kernel.finalize(&partial), comm.clock()));
+                            done.push((t, task.kernel.finalize(&partial), comm.clock()));
                         }
                         Sweep {
                             start,
@@ -535,12 +556,12 @@ impl TaskBatch {
                 report.task_bytes += sweep.fuse.task_bytes;
                 report.fused_bytes += sweep.fuse.fused_bytes;
                 for (t, value, finished) in sweep.done {
-                    let task = &tasks[t];
+                    let task = &mut tasks[t];
                     results[t] = Some(TaskResult {
                         id: t as u64,
-                        name: task.spec.name.clone(),
+                        name: std::mem::take(&mut task.name),
                         value,
-                        submitted: task.spec.arrival,
+                        submitted: task.arrival,
                         finished,
                         bin: Some(report.bin),
                     });
@@ -568,7 +589,7 @@ impl TaskBatch {
             model,
             pfs,
             policy,
-            tasks,
+            mut tasks,
             ..
         } = self;
         assert!(
@@ -578,13 +599,7 @@ impl TaskBatch {
             model.topology.capacity()
         );
         let mut order: Vec<usize> = (0..tasks.len()).collect();
-        order.sort_by(|&a, &b| {
-            tasks[a]
-                .spec
-                .arrival
-                .cmp(&tasks[b].spec.arrival)
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| tasks[a].arrival.cmp(&tasks[b].arrival).then(a.cmp(&b)));
         let stats0 = pfs.stats();
         let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
         let world = World::new(policy.nprocs, model.clone());
@@ -602,27 +617,27 @@ impl TaskBatch {
                         continue;
                     }
                     let task = &tasks[t];
-                    comm.advance_to(comm.clock().max(task.spec.arrival));
-                    let file = pfs.open(&task.spec.file).unwrap_or_else(|| {
+                    comm.advance_to(comm.clock().max(task.arrival));
+                    let file = pfs.open(&task.file).unwrap_or_else(|| {
                         panic!(
                             "rank {} task {t} ({:?}): file {:?} disappeared before \
                              its independent read",
                             comm.rank(),
-                            task.spec.name,
-                            task.spec.file
+                            task.name,
+                            task.file
                         )
                     });
                     let (bytes, _) = independent_read(comm, pfs, &file, &task.request);
                     comm.advance(cpu.map_time(task.request.total_bytes() as usize));
                     let partial = fold_task_bytes(
                         t as u64,
-                        &task.spec.var,
+                        &task.var,
                         &task.request,
                         &bytes,
-                        &*task.spec.kernel,
+                        &*task.kernel,
                         &mut scratch,
                     );
-                    done.push((t, task.spec.kernel.finalize(&partial), comm.clock()));
+                    done.push((t, task.kernel.finalize(&partial), comm.clock()));
                 }
                 done
             })
@@ -630,12 +645,12 @@ impl TaskBatch {
         let mut results: Vec<Option<TaskResult>> = (0..tasks.len()).map(|_| None).collect();
         for done in outs {
             for (t, value, finished) in done {
-                let task = &tasks[t];
+                let task = &mut tasks[t];
                 results[t] = Some(TaskResult {
                     id: t as u64,
-                    name: task.spec.name.clone(),
+                    name: std::mem::take(&mut task.name),
                     value,
-                    submitted: task.spec.arrival,
+                    submitted: task.arrival,
                     finished,
                     bin: None,
                 });
@@ -670,39 +685,39 @@ impl TaskBatch {
         let stats0 = pfs.stats();
         let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
         let mut tasks_out = Vec::with_capacity(tasks.len());
-        for (t, task) in tasks.iter().enumerate() {
+        for (t, task) in tasks.into_iter().enumerate() {
             let world = World::new(1, model.clone());
-            let pfs_ref = &*pfs;
+            let (pfs_ref, solo) = (&*pfs, &task);
             let mut outs = world.run(move |comm| {
-                comm.advance_to(task.spec.arrival);
-                let file = pfs_ref.open(&task.spec.file).unwrap_or_else(|| {
+                comm.advance_to(solo.arrival);
+                let file = pfs_ref.open(&solo.file).unwrap_or_else(|| {
                     panic!(
                         "solo task {t} ({:?}): file {:?} disappeared",
-                        task.spec.name, task.spec.file
+                        solo.name, solo.file
                     )
                 });
-                let (bytes, _) = independent_read(comm, pfs_ref, &file, &task.request);
+                let (bytes, _) = independent_read(comm, pfs_ref, &file, &solo.request);
                 let cpu = comm.model().cpu.clone();
-                comm.advance(cpu.map_time(task.request.total_bytes() as usize));
+                comm.advance(cpu.map_time(solo.request.total_bytes() as usize));
                 let mut scratch = Vec::new();
                 let partial = fold_task_bytes(
                     t as u64,
-                    &task.spec.var,
-                    &task.request,
+                    &solo.var,
+                    &solo.request,
                     &bytes,
-                    &*task.spec.kernel,
+                    &*solo.kernel,
                     &mut scratch,
                 );
-                (task.spec.kernel.finalize(&partial), comm.clock())
+                (solo.kernel.finalize(&partial), comm.clock())
             });
             let (value, finished) = outs.pop().unwrap_or_else(|| {
-                panic!("solo task {t} ({:?}): world returned no result", task.spec.name)
+                panic!("solo task {t} ({:?}): world returned no result", task.name)
             });
             tasks_out.push(TaskResult {
                 id: t as u64,
-                name: task.spec.name.clone(),
+                name: task.name,
                 value,
-                submitted: task.spec.arrival,
+                submitted: task.arrival,
                 finished,
                 bin: None,
             });
@@ -724,19 +739,13 @@ impl TaskBatch {
 /// ready order (a bin is ready when its last member has arrived).
 fn plan_bins(tasks: &[AdmittedTask], policy: &BatchPolicy) -> Vec<Bin> {
     let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| {
-        tasks[a]
-            .spec
-            .arrival
-            .cmp(&tasks[b].spec.arrival)
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| tasks[a].arrival.cmp(&tasks[b].arrival).then(a.cmp(&b)));
     let mut open: Vec<Bin> = Vec::new();
     let mut closed: Vec<Bin> = Vec::new();
     for t in order {
         let task = &tasks[t];
-        let arrival = task.spec.arrival;
-        let key = (task.spec.file.as_str(), task.exact);
+        let arrival = task.arrival;
+        let key = (task.file.as_str(), task.exact);
         if let Some(pos) = open
             .iter()
             .position(|b| (b.file.as_str(), b.exact) == key)
@@ -753,7 +762,7 @@ fn plan_bins(tasks: &[AdmittedTask], policy: &BatchPolicy) -> Vec<Bin> {
             closed.push(open.remove(pos));
         }
         open.push(Bin {
-            file: task.spec.file.clone(),
+            file: task.file.clone(),
             exact: task.exact,
             tasks: vec![t],
             ready: arrival,

@@ -18,6 +18,12 @@
 //!   the engine's logical map and partial absorption walk iterators into
 //!   reused buffers, so a more fragmented selection of the same bytes
 //!   costs the world no more allocations.
+//! - An aggregator keeps its per-owner partials in one arena: a read
+//!   that leaves every aggregator a partial for every rank costs each
+//!   added aggregator a bounded number of allocations, not one per owner.
+//! - A fused task batch costs a few allocations per task: admission moves
+//!   the selection into flattening and the run moves each task's name
+//!   into its result.
 //! - The hierarchical two-phase write packs each rank's pieces once, into
 //!   one window its leader and same-node aggregators read in place: it
 //!   allocates per rank and per frame, not per piece, and holds the
@@ -209,7 +215,7 @@ fn object_read_allocs(runs: u64) -> u64 {
 }
 
 /// The same bytes per rank as 32 and then as 128 runs: the world's
-/// allocations do not grow with the run count (about 590 either way).
+/// allocations do not grow with the run count (about 535 either way).
 /// Allocating per run and per piece — the flattening odometer, a piece
 /// list and a run list per (chunk, owner), a pair list and a partial per
 /// received message — counted 1,985 with 32 runs and 5,340 with 128:
@@ -469,5 +475,95 @@ fn collective_write_peak_is_windows_plus_a_round() {
         peak <= bound,
         "the write held {peak} B, over {bound} B: {windows} B of data plus {} B",
         NODES * CB * 2
+    );
+}
+
+/// World allocations of one all-to-one `object_get_vara` sum on 2 nodes of
+/// 32 ranks with `aggs_per_node` aggregators a node. Rank `r` reads column
+/// `r` of a 64 x 64 variable, so every aggregator's file domain holds a
+/// run of every rank and every aggregator keeps a partial for all 64.
+fn interleaved_read_allocs(aggs_per_node: usize) -> u64 {
+    const SIDE: u64 = 64;
+    let shape = Shape::new(vec![SIDE, SIDE]);
+    let (fs, var) = build_var_fs(&shape, 1 << 10, 4, 4);
+    let world = World::new(SIDE as usize, test_model(2, SIDE as usize / 2));
+    let hints = Hints {
+        cb_buffer_size: 1 << 20,
+        aggregators_per_node: aggs_per_node,
+        ..Hints::default()
+    };
+    let mut global = None;
+    let allocs = world_allocs_during(|| {
+        let out = world.run(|comm| {
+            let file = fs.open("t.nc").expect("created by build_var_fs");
+            let io = ObjectIo::new(vec![0, comm.rank() as u64], vec![SIDE, 1])
+                .hints(hints.clone())
+                .reduce(ReduceMode::AllToOne { root: 0 });
+            object_get_vara(comm, &fs, &file, &var, &io, &SumKernel).global
+        });
+        global = out.into_iter().find_map(|g| g);
+    });
+    let expect: f64 = (0..shape.num_elements()).map(test_value).sum();
+    assert_close(global.expect("the root's result")[0], expect, "global sum");
+    allocs
+}
+
+/// The same read with 2 and then 8 aggregators: each added aggregator
+/// costs the world a bounded number of allocations (about 38: its staging
+/// buffer, its message to the root, and the handful of arena buffers its
+/// 64 partials live in, grown geometrically). A partial per owner in a
+/// B-tree cost about 99 each, 64 partials and their nodes included, so
+/// 1,000 owners would cost over a thousand per aggregator.
+#[test]
+fn interleaved_read_allocations_grow_per_aggregator_not_per_owner() {
+    let _turn = one_at_a_time();
+    let two = interleaved_read_allocs(1);
+    let eight = interleaved_read_allocs(4);
+    let per_agg = eight.saturating_sub(two) as f64 / 6.0;
+    assert!(
+        per_agg < 48.0,
+        "each added aggregator cost {per_agg:.1} allocations ({two} with 2 aggregators, \
+         {eight} with 8); the bound is 48"
+    );
+}
+
+/// Allocations of admitting and then running a fused `ManyTask::quick`
+/// batch of `tasks` tasks (8 bins on 16 ranks whatever the count).
+fn fused_batch_allocs(tasks: usize) -> (u64, u64) {
+    let tasks = ManyTask::quick(tasks);
+    let model = ClusterModel::hopper_like(4, 4);
+    let mut batch = TaskBatch::new(model.clone(), tasks.build_fs(model.disk.clone()))
+        .with_policy(tasks.policy());
+    let specs = tasks.specs();
+    let admit = world_allocs_during(|| {
+        for spec in specs {
+            batch.submit(spec).expect("many-task specs admit");
+        }
+    });
+    let run = world_allocs_during(|| {
+        let out = batch.run_fused();
+        assert_eq!(out.bins.len(), 8);
+    });
+    (admit, run)
+}
+
+/// A fused batch of 1,024 tasks against one of 256 in the same 8 bins:
+/// each added task costs admission 3 allocations (the flattening's
+/// coordinate buffer, extent table and prefix sums) and the run about 2.4,
+/// its finalized value among them. Cloning the selection into a hyperslab
+/// read 5 at admission, and cloning each task's name into its result read
+/// 3.45 in the run.
+#[test]
+fn fused_batch_allocations_per_task() {
+    let _turn = one_at_a_time();
+    let (admit_few, run_few) = fused_batch_allocs(256);
+    let (admit_many, run_many) = fused_batch_allocs(1024);
+    let admit = admit_many.saturating_sub(admit_few) as f64 / 768.0;
+    let run = run_many.saturating_sub(run_few) as f64 / 768.0;
+    assert!(
+        admit <= 3.25 && run <= 2.75,
+        "each added task cost {admit:.2} allocations to admit ({admit_few} for 256 tasks, \
+         {admit_many} for 1,024; the bound is 3.25) and {run:.2} to run ({run_few}, \
+         {run_many}; the bound is 2.75)"
     );
 }
