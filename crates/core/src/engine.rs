@@ -18,8 +18,8 @@ use cc_array::{construct_runs, Hyperslab, Variable};
 use cc_model::{Lane, SimTime};
 use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
-use cc_mpiio::exchange::exchange_requests;
-use cc_mpiio::{independent_read, PlanSchedule, Staging, Striping};
+use cc_mpiio::schedule::prologue;
+use cc_mpiio::{independent_read, PlanSchedule, Staging};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -229,18 +229,11 @@ fn run_collective_computing(
         Some(a) => lcm(a.max(1), esize),
         None => esize,
     });
-    // Striping rides the hints (ROMIO's striping_unit/striping_factor), so
-    // stripe-aware partition strategies and the plan-cache key see the
-    // open file's layout. If the stripe size is not element-aligned the
-    // planner falls back to stripe-aligned-even partitioning on its own.
-    hints.striping = Some(Striping::from(file.layout()));
-
+    // The prologue adds the file's striping; if the stripe size is not
+    // element-aligned the planner falls back to stripe-aligned-even
+    // partitioning on its own.
     let request = var.byte_extents(slab);
-    let requests = exchange_requests(comm, &request);
-    let schedule = PlanSchedule::resolve(comm, requests, &hints);
-    // The request exchange is collective, so the tag counter is symmetric
-    // across ranks here and this operation's result tag is unique to it.
-    let results_tag = comm.next_engine_tag(TAG_RESULTS);
+    let (hints, schedule, results_tag) = prologue(comm, file, &request, hints, TAG_RESULTS);
 
     // --- Phase 1 + map: the aggregator pipeline (paper Fig. 7). ---------
     // One scratch arena serves the whole operation: decoded values and

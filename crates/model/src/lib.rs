@@ -41,10 +41,6 @@ pub enum CollectiveMode {
     /// Always the topology-oblivious flat algorithms (one message per rank
     /// pair / binomial over ranks).
     Flat,
-    /// Request node-leader hierarchical algorithms; the runtime still falls
-    /// back to flat when `cores_per_node == 1` or only one node is in use,
-    /// since there is nothing to coalesce.
-    Hierarchical,
 }
 
 /// The complete cost model for a simulated cluster: topology plus network,

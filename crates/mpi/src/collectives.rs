@@ -2,9 +2,8 @@
 //!
 //! Algorithms follow the MPICH defaults the paper ran on: dissemination
 //! barrier, binomial-tree broadcast and reduce, ring allgather, pairwise
-//! (eager) alltoallv, flat gather/scatter (flat gather is also exactly how
-//! ROMIO exchanges offset lists), and a linear-chain scan. Because they
-//! are built on the timed p2p layer,
+//! (eager) alltoallv and flat gather. Because they are built on the timed
+//! p2p layer,
 //! their virtual cost — latency terms growing with `log P` or `P`,
 //! bandwidth terms growing with volume — emerges from the model rather than
 //! being asserted.
@@ -126,12 +125,18 @@ impl Comm {
             });
         }
         if self.rank() == root {
-            let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-            out[root] = mine.to_vec();
-            for _ in 0..p - 1 {
-                let (data, info) = self.recv::<T>(crate::comm::Source::Any, tag);
-                out[info.src] = data;
-            }
+            // In rank order: the root's clock ends at the latest arrival
+            // whatever the order, and naming each source keeps the match
+            // independent of which sender's thread posted first.
+            let out = (0..p)
+                .map(|src| {
+                    if src == root {
+                        mine.to_vec()
+                    } else {
+                        self.recv::<T>(src, tag).0
+                    }
+                })
+                .collect();
             Some(out)
         } else {
             self.send(root, tag, mine);
@@ -296,50 +301,6 @@ impl Comm {
     pub fn allreduce<T: Elem>(&mut self, data: &[T], op: &dyn ReduceOp<T>) -> Vec<T> {
         let reduced = self.reduce(0, data, op);
         self.bcast(0, reduced.as_deref())
-    }
-
-    /// Flat scatter of variable-length blocks from `root`: the root passes
-    /// one block per rank, every rank returns its block.
-    ///
-    /// # Panics
-    /// Panics if the root's block count differs from the world size.
-    pub fn scatterv<T: Elem>(&mut self, root: usize, blocks: Option<Vec<Vec<T>>>) -> Vec<T> {
-        let tag = self.next_collective_tag();
-        let p = self.nprocs();
-        assert!(root < p, "scatter root {root} out of range");
-        if self.rank() == root {
-            let mut blocks = blocks.expect("root must supply the scatter blocks");
-            assert_eq!(blocks.len(), p, "scatter needs one block per rank");
-            for (dst, block) in blocks.iter().enumerate() {
-                if dst != root {
-                    self.send(dst, tag, block);
-                }
-            }
-            std::mem::take(&mut blocks[root])
-        } else {
-            self.recv::<T>(root, tag).0
-        }
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`): rank `r` returns the
-    /// element-wise reduction of ranks `0..=r`'s contributions. Linear
-    /// chain algorithm; the op need not be commutative.
-    pub fn scan<T: Elem>(&mut self, data: &[T], op: &dyn ReduceOp<T>) -> Vec<T> {
-        let tag = self.next_collective_tag();
-        let rank = self.rank();
-        let mut acc = data.to_vec();
-        if rank > 0 {
-            let (prefix, _) = self.recv::<T>(rank - 1, tag);
-            // acc = prefix op mine, preserving rank order for
-            // non-commutative ops: fold mine into the prefix.
-            let mut folded = prefix;
-            op.combine(&mut folded, &acc);
-            acc = folded;
-        }
-        if rank + 1 < self.nprocs() {
-            self.send(rank + 1, tag, &acc);
-        }
-        acc
     }
 }
 
@@ -521,44 +482,6 @@ mod tests {
             comm.allreduce(&mine, &MaxOp)[0]
         });
         assert_eq!(maxs, vec![2; n]);
-    }
-
-    #[test]
-    fn scatterv_distributes_blocks() {
-        for root in [0, 2] {
-            let results = run_n(4, move |comm| {
-                let blocks = (comm.rank() == root).then(|| {
-                    (0..4u64).map(|d| vec![d * 10, d * 10 + 1]).collect::<Vec<_>>()
-                });
-                comm.scatterv(root, blocks)
-            });
-            for (r, b) in results.iter().enumerate() {
-                assert_eq!(b, &vec![r as u64 * 10, r as u64 * 10 + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn scan_computes_inclusive_prefixes() {
-        let results = run_n(5, |comm| {
-            comm.scan(&[comm.rank() as i64 + 1], &SumOp)[0]
-        });
-        // Prefix sums of 1,2,3,4,5.
-        assert_eq!(results, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn scan_respects_rank_order_for_noncommutative_ops() {
-        use crate::ops::FnOp;
-        // "Last writer wins" keeps the highest-rank value seen so far:
-        // associative but order-sensitive if misimplemented.
-        let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
-            acc.copy_from_slice(inc);
-        });
-        let results = run_n(4, move |comm| {
-            comm.scan(&[comm.rank() as u64 * 7], &take_right)[0]
-        });
-        assert_eq!(results, vec![0, 7, 14, 21]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Point-to-point messaging and per-rank virtual clocks.
 //!
 //! Sends are eager and buffered (they never block), receives block until a
-//! matching envelope arrives. Matching follows MPI semantics: by source and
-//! tag, with wildcards, FIFO per (source, tag) pair. Every operation moves
+//! matching envelope arrives. Every receive names its source and tag, and
+//! matching is FIFO per (source, tag) pair, so which message a receive
+//! takes never depends on the order in which threads post. Every operation moves
 //! real bytes *and* advances the rank's virtual clock: a send charges the
 //! sender-side overhead, and a receive completes at
 //! `max(local clock, message arrival time)` where the arrival time was
@@ -33,9 +34,6 @@ use crate::world::panic_message;
 /// [`Comm::next_engine_tag`].
 pub type TagValue = u32;
 
-/// Wildcard tag: matches any tag.
-pub const ANY_TAG: TagValue = TagValue::MAX;
-
 /// Base of the tag space reserved for collective operations.
 pub(crate) const COLLECTIVE_TAG_BASE: TagValue = 0x8000_0000;
 
@@ -48,21 +46,6 @@ pub const SEQ_MASK: TagValue = 0x0fff_ffff;
 /// "poisoned" panics.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Message source selector for receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// Match only messages from this rank.
-    Rank(usize),
-    /// Match messages from any rank.
-    Any,
-}
-
-impl From<usize> for Source {
-    fn from(rank: usize) -> Self {
-        Source::Rank(rank)
-    }
 }
 
 /// Metadata of a received message.
@@ -126,12 +109,8 @@ struct Envelope {
 }
 
 impl Envelope {
-    fn matches(&self, src: Source, tag: TagValue) -> bool {
-        let src_ok = match src {
-            Source::Rank(r) => self.src == r,
-            Source::Any => true,
-        };
-        src_ok && (tag == ANY_TAG || self.tag == tag)
+    fn matches(&self, src: usize, tag: TagValue) -> bool {
+        self.src == src && self.tag == tag
     }
 }
 
@@ -350,11 +329,6 @@ impl Comm {
     /// between phases.
     pub fn drop_pooled_bufs(&mut self) {
         self.pool.clear();
-    }
-
-    /// `(buffers handed out, of which reused)` from this rank's pool.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.pool.stats()
     }
 
     /// This rank's id in `0..nprocs`.
@@ -659,7 +633,7 @@ impl Comm {
     /// Pops the first queued self-delivery matching `src`/`tag`, if any.
     /// Self-deliveries are not network messages, so the receive counters
     /// stay untouched (the send side already counted it as a self message).
-    fn take_self(&mut self, src: Source, tag: TagValue) -> Option<(Payload, RecvInfo)> {
+    fn take_self(&mut self, src: usize, tag: TagValue) -> Option<(Payload, RecvInfo)> {
         let pos = self.self_queue.iter().position(|e| e.matches(src, tag))?;
         let env = self.self_queue.remove(pos).expect("position is in range");
         let info = RecvInfo {
@@ -672,7 +646,7 @@ impl Comm {
 
     /// Receives one message matching `src`/`tag`, blocking until it arrives.
     /// Advances the clock to the message's arrival time.
-    pub fn recv_bytes(&mut self, src: impl Into<Source>, tag: TagValue) -> (Vec<u8>, RecvInfo) {
+    pub fn recv_bytes(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, RecvInfo) {
         let (payload, info) = self.recv_bytes_no_clock(src, tag);
         self.set_clock(self.clock.max(info.arrival));
         (payload, info)
@@ -682,11 +656,7 @@ impl Comm {
     /// untouched — for engines that account arrival times into their own
     /// lane structures. A shared payload is copied out; see
     /// [`recv_payload_no_clock`](Self::recv_payload_no_clock).
-    pub fn recv_bytes_no_clock(
-        &mut self,
-        src: impl Into<Source>,
-        tag: TagValue,
-    ) -> (Vec<u8>, RecvInfo) {
+    pub fn recv_bytes_no_clock(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, RecvInfo) {
         let (payload, info) = self.recv_payload_no_clock(src, tag);
         (payload.into_vec(), info)
     }
@@ -707,12 +677,7 @@ impl Comm {
     /// after the whole world has been silent for a full `recv_watchdog`
     /// window. The deadline is absolute, so spurious condvar wakeups near
     /// the deadline never double-count elapsed time.
-    pub fn recv_payload_no_clock(
-        &mut self,
-        src: impl Into<Source>,
-        tag: TagValue,
-    ) -> (Payload, RecvInfo) {
-        let src = src.into();
+    pub fn recv_payload_no_clock(&mut self, src: usize, tag: TagValue) -> (Payload, RecvInfo) {
         // Self-sends never enter the shared mailbox; they can only already
         // be queued locally (this thread cannot send while blocked here),
         // so one check up front suffices.
@@ -756,7 +721,7 @@ impl Comm {
                     let pending = queue.len();
                     drop(queue);
                     panic!(
-                        "rank {} deadlocked waiting for src={src:?} tag={tag:#x} \
+                        "rank {} deadlocked waiting for src={src} tag={tag:#x} \
                          ({pending} messages pending, none match; no mailbox \
                          progress anywhere for {watchdog:?})\n{}",
                         self.rank,
@@ -773,35 +738,6 @@ impl Comm {
         }
     }
 
-    /// Non-blocking receive: returns the first matching message if one is
-    /// already queued.
-    pub fn try_recv_bytes(
-        &mut self,
-        src: impl Into<Source>,
-        tag: TagValue,
-    ) -> Option<(Vec<u8>, RecvInfo)> {
-        let src = src.into();
-        if let Some((payload, info)) = self.take_self(src, tag) {
-            self.set_clock(self.clock.max(info.arrival));
-            return Some((payload.into_vec(), info));
-        }
-        let mailbox = &self.shared.mailboxes[self.rank];
-        let mut queue = lock_unpoisoned(&mailbox.queue);
-        let pos = queue.iter().position(|e| e.matches(src, tag))?;
-        let env = queue.remove(pos).expect("position is in range");
-        drop(queue);
-        self.shared.note_progress();
-        self.stats.msgs_recv += 1;
-        self.stats.bytes_recv += env.payload.len();
-        self.set_clock(self.clock.max(env.arrival));
-        let info = RecvInfo {
-            src: env.src,
-            tag: env.tag,
-            arrival: env.arrival,
-        };
-        Some((env.payload.into_vec(), info))
-    }
-
     /// Typed send: encodes `data` into a pooled buffer and sends it. Sends
     /// are always eager and buffered, so this is also the non-blocking
     /// `MPI_Isend`.
@@ -811,50 +747,13 @@ impl Comm {
         self.send_bytes(dst, tag, buf);
     }
 
-    /// Posts a non-blocking receive. The returned request completes via
-    /// [`RecvRequest::test`] or [`RecvRequest::wait`].
-    pub fn irecv(&self, src: impl Into<Source>, tag: TagValue) -> RecvRequest {
-        RecvRequest {
-            src: src.into(),
-            tag,
-        }
-    }
-
     /// Typed receive: blocks for a matching message, decodes it, and
     /// recycles the payload buffer into this rank's pool.
-    pub fn recv<T: Elem>(&mut self, src: impl Into<Source>, tag: TagValue) -> (Vec<T>, RecvInfo) {
+    pub fn recv<T: Elem>(&mut self, src: usize, tag: TagValue) -> (Vec<T>, RecvInfo) {
         let (bytes, info) = self.recv_bytes(src, tag);
         let data = decode_vec(&bytes);
         self.pool.put(bytes);
         (data, info)
-    }
-}
-
-/// A pending non-blocking receive (`MPI_Irecv` analogue). Matching only
-/// happens at `test`/`wait`; posting the request costs nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct RecvRequest {
-    src: Source,
-    tag: TagValue,
-}
-
-impl RecvRequest {
-    /// Completes the receive, blocking until a matching message arrives.
-    pub fn wait<T: Elem>(self, comm: &mut Comm) -> (Vec<T>, RecvInfo) {
-        comm.recv(self.src, self.tag)
-    }
-
-    /// Attempts to complete the receive without blocking; returns the
-    /// request back if no matching message is queued yet.
-    pub fn test<T: Elem>(self, comm: &mut Comm) -> Result<(Vec<T>, RecvInfo), RecvRequest> {
-        match comm.try_recv_bytes(self.src, self.tag) {
-            Some((bytes, info)) => {
-                let data = decode_vec(&bytes);
-                comm.recycle_buf(bytes);
-                Ok((data, info))
-            }
-            None => Err(self),
-        }
     }
 }
 
@@ -911,25 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_source_and_tag() {
-        let results = tiny(3).run(|comm| {
-            if comm.rank() == 2 {
-                let mut got = Vec::new();
-                for _ in 0..2 {
-                    let (v, info) = comm.recv::<u64>(Source::Any, ANY_TAG);
-                    got.push((info.src, v[0]));
-                }
-                got.sort_unstable();
-                got
-            } else {
-                comm.send(2, comm.rank() as TagValue, &[comm.rank() as u64 * 100]);
-                vec![]
-            }
-        });
-        assert_eq!(results[2], vec![(0, 0), (1, 100)]);
-    }
-
-    #[test]
     fn fifo_per_source_and_tag() {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
@@ -942,36 +822,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn irecv_test_and_wait() {
-        tiny(2).run(|comm| {
-            if comm.rank() == 0 {
-                // Nothing queued yet: test fails and returns the request.
-                let req = comm.irecv(1, 3);
-                let req = match req.test::<u32>(comm) {
-                    Err(r) => r,
-                    Ok(_) => panic!("nothing was sent yet"),
-                };
-                comm.send(1, 2, &[1u8]); // release the peer
-                let (data, info) = req.wait::<u32>(comm);
-                assert_eq!(data, vec![77]);
-                assert_eq!(info.src, 1);
-            } else {
-                let _ = comm.recv::<u8>(0, 2);
-                comm.send(0, 3, &[77u32]);
-            }
-        });
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        tiny(2).run(|comm| {
-            if comm.rank() == 0 {
-                assert!(comm.try_recv_bytes(1, 9).is_none());
-            }
-        });
     }
 
     #[test]
@@ -1025,7 +875,7 @@ mod tests {
                 // only the sender-side overhead of the two posts.
                 let send_cost = comm.model().net.send_cost();
                 assert_eq!(info.arrival, before + send_cost);
-                let (b, _) = comm.recv::<f64>(Source::Any, 42);
+                let (b, _) = comm.recv::<f64>(0, 42);
                 assert_eq!(b, vec![9.0]);
             }
             comm.stats()

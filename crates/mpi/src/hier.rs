@@ -575,7 +575,7 @@ mod tests {
         R: PartialEq + std::fmt::Debug + Send,
     {
         let flat = World::new(nprocs, model(nodes, cores, CollectiveMode::Flat)).run(&f);
-        let hier = World::new(nprocs, model(nodes, cores, CollectiveMode::Hierarchical)).run(&f);
+        let hier = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto)).run(&f);
         assert_eq!(
             flat, hier,
             "hier diverged from flat ({nodes} nodes x {cores} cores, {nprocs} ranks)"
@@ -626,13 +626,13 @@ mod tests {
     fn reduce_preserves_rank_order_across_node_boundaries() {
         for (nodes, cores, nprocs) in [(3, 4, 12), (3, 4, 9), (4, 2, 7)] {
             for root in [0, 1, nprocs - 1] {
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Hierarchical))
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
                     .run(move |comm| {
                         let take_left = FnOp(|_acc: &mut [u64], _inc: &[u64]| {});
                         comm.reduce(root, &[comm.rank() as u64 + 100], &take_left)
                     });
                 assert_eq!(results[root].as_ref().unwrap(), &vec![100]);
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Hierarchical))
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
                     .run(move |comm| {
                         let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
                             acc.copy_from_slice(inc);
@@ -660,7 +660,7 @@ mod tests {
             (total, runs.into_iter().flat_map(|(_, r)| r).collect())
         };
         let (flat_inter, flat_data) = count_inter(CollectiveMode::Flat);
-        let (hier_inter, hier_data) = count_inter(CollectiveMode::Hierarchical);
+        let (hier_inter, hier_data) = count_inter(CollectiveMode::Auto);
         assert_eq!(flat_data, hier_data, "payloads must be bit-identical");
         // Flat: every rank messages all 12 remote ranks => 192 inter
         // messages. Hierarchical: one frame per ordered node pair => 12.
@@ -675,7 +675,7 @@ mod tests {
         let cores = 4;
         let nprocs = nodes * cores;
         let run = |compress: bool| {
-            let model = model(nodes, cores, CollectiveMode::Hierarchical)
+            let model = model(nodes, cores, CollectiveMode::Auto)
                 .with_compressed_collective_frames(compress);
             World::new(nprocs, model).run(move |comm| {
                 let rank = comm.rank();
@@ -710,7 +710,7 @@ mod tests {
     fn collectives_compose_across_modes_with_p2p() {
         // Interleaved p2p and hierarchical collectives: tag spaces stay
         // disjoint and sequence numbers stay symmetric.
-        let results = World::new(6, model(3, 2, CollectiveMode::Hierarchical)).run(|comm| {
+        let results = World::new(6, model(3, 2, CollectiveMode::Auto)).run(|comm| {
             let next = (comm.rank() + 1) % 6;
             let prev = (comm.rank() + 5) % 6;
             comm.send(next, 17, &[comm.rank() as u32]);

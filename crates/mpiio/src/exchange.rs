@@ -71,7 +71,7 @@ mod tests {
             )
         };
         let arrive = |rank: usize| SimTime::from_secs(((rank * 7) % 5) as f64 * 1e-6);
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
             let world = World::new(n, ClusterModel::hopper_like(3, 4).with_collectives(mode));
             let plain = world.run(|comm| {
                 comm.advance(arrive(comm.rank()));

@@ -38,6 +38,11 @@ pub struct Piece {
     pub buf_offset: u64,
 }
 
+/// Bytes of `pieces` in total.
+pub(crate) fn piece_bytes(pieces: &[Piece]) -> usize {
+    pieces.iter().map(|p| p.extent.len as usize).sum()
+}
+
 /// A sorted, non-overlapping, coalesced list of extents.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OffsetList {

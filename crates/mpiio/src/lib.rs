@@ -28,6 +28,7 @@ pub mod hints;
 pub mod independent;
 pub mod plan;
 pub mod schedule;
+mod shuffle;
 pub mod stage;
 pub mod twophase;
 pub mod write;

@@ -27,10 +27,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cc_model::Topology;
+use cc_mpi::comm::TagValue;
 use cc_mpi::Comm;
+use cc_pfs::FileHandle;
 
-use crate::extent::{Extent, OffsetList, Piece};
-use crate::hints::Hints;
+use crate::exchange::exchange_requests;
+use crate::extent::{piece_bytes, Extent, OffsetList, Piece};
+use crate::hints::{Hints, Striping};
 use crate::plan::CollectivePlan;
 
 /// The flat tables of one compiled schedule.
@@ -569,6 +572,14 @@ impl PlanSchedule {
         })
     }
 
+    /// The bytes chunk `(agg_idx, iter)` holds for the ranks in `[lo, hi)`
+    /// — for a node's range, the size of the node's coalesced frame.
+    pub fn bytes_in(&self, agg_idx: usize, iter: usize, lo: usize, hi: usize) -> usize {
+        self.dests_with_pieces_in(agg_idx, iter, lo, hi)
+            .map(|(_, p)| piece_bytes(p))
+            .sum()
+    }
+
     /// Every active chunk `(agg_idx, iter)` in ROMIO's round order: each
     /// aggregator's `k`-th active iteration, in aggregator order, before
     /// any aggregator's `k + 1`-th. Restricted to one aggregator the list
@@ -864,7 +875,7 @@ fn compile(
 
 impl PlanSchedule {
     /// Returns the compiled schedule for `requests` — every rank's, as
-    /// [`exchange_requests`](crate::exchange::exchange_requests) returns
+    /// [`exchange_requests`] returns
     /// them — planned for `comm`'s world. A collective: every rank of the
     /// world calls it with equal `requests` and `hints`.
     ///
@@ -898,6 +909,27 @@ impl PlanSchedule {
             }
         }
     }
+}
+
+/// The prologue of every collective engine, called by every rank with
+/// equal `hints`. Injects `file`'s striping into `hints` (ROMIO's
+/// striping_unit/striping_factor: one shared handle, so symmetric), so
+/// stripe-aware partitions and the plan-cache key see it; exchanges
+/// `request`; resolves the schedule ([`PlanSchedule::resolve`]); and
+/// stamps `tag_base` with the sequence number, symmetric because every
+/// rank passed the exchange. Returns the planned hints, schedule and tag.
+pub fn prologue(
+    comm: &mut Comm,
+    file: &FileHandle,
+    request: &OffsetList,
+    mut hints: Hints,
+    tag_base: TagValue,
+) -> (Hints, Arc<PlanSchedule>, TagValue) {
+    hints.striping = Some(Striping::from(file.layout()));
+    let requests = exchange_requests(comm, request);
+    let schedule = PlanSchedule::resolve(comm, requests, &hints);
+    let tag = comm.next_engine_tag(tag_base);
+    (hints, schedule, tag)
 }
 
 /// Hashes every rank's extents; equal request sets fingerprint equally.

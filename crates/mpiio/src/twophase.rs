@@ -17,101 +17,25 @@
 //! plus the OST queues inside [`Pfs`].
 //!
 //! With hierarchical paths active, a node leader relays the coalesced
-//! frames remote aggregators send its node (`ReadRelay`): each member
-//! gets a shared slice of the frame, not a copy, and a leader that also
-//! aggregates relays in step with its own loop, so the host holds about
-//! one round of frames at a time instead of the whole collective's.
+//! frames remote aggregators send its node through the `Relay` both
+//! shuffle directions share: this engine's step posts each member a
+//! shared slice of the frame, not a copy, and a leader that also
+//! aggregates relays each round once it has posted it, so the host holds
+//! about one round of frames at a time instead of the whole collective's.
 
 use std::sync::Arc;
 
-use cc_model::{CpuModel, Lane, SimTime};
+use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
 use cc_mpi::{Comm, NodeView, Payload};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
-use crate::exchange::exchange_requests;
-use crate::extent::{OffsetList, Piece};
-use crate::hints::{Compression, Hints, Striping};
-use crate::schedule::PlanSchedule;
+use crate::extent::{piece_bytes, OffsetList, Piece};
+use crate::hints::Hints;
+use crate::schedule::{prologue, PlanSchedule};
+use crate::shuffle::{Leg, Relay, Wire};
 use crate::stage::Staging;
-
-/// One shuffle leg's wire: the tag its messages travel on, and the codec
-/// that compresses them when they cross the interconnect (intra-node and
-/// self traffic always travels raw). Frames are self-describing and both
-/// ends apply the same deterministic `(codec, same node)` test, so the
-/// receiver knows to decode without a header.
-#[derive(Clone, Copy)]
-pub(crate) struct Wire<'h> {
-    tag: TagValue,
-    compression: &'h Compression,
-}
-
-impl<'h> Wire<'h> {
-    /// The wire of `tag` under `hints`' codec.
-    pub(crate) fn new(tag: TagValue, hints: &'h Hints) -> Self {
-        let compression = &hints.compression;
-        Self { tag, compression }
-    }
-
-    /// Packs and posts one shuffle message to `dst`. Encodes `payload` when
-    /// it crosses the interconnect, then holds `lane` from `ready` for the
-    /// memcpy, the codec, one scatter per piece (non-contiguous runs are
-    /// packed one by one, like a derived-datatype scatter — what makes the
-    /// shuffle of a finely-fragmented request approach the read cost,
-    /// Fig. 1), the NIC serialization of the wire bytes (a node's egress
-    /// is a serially-reused resource) and the per-message posting
-    /// overhead. Returns the departure time and the logical bytes posted.
-    pub(crate) fn post(
-        self,
-        comm: &mut Comm,
-        lane: &mut Lane,
-        ready: SimTime,
-        dst: usize,
-        payload: Vec<u8>,
-        pieces: usize,
-    ) -> (SimTime, u64) {
-        let same_node = comm.model().topology.same_node(comm.rank(), dst);
-        let logical_len = payload.len();
-        let (wire, codec) = if self.compression.is_on() && !same_node {
-            let mut wire = comm.take_buf(logical_len);
-            cc_compress::encode_into(self.compression, &payload, &mut wire);
-            comm.recycle_buf(payload);
-            (wire, comm.model().cpu.compress_time(logical_len))
-        } else {
-            (payload, SimTime::ZERO)
-        };
-        let net = &comm.model().net;
-        let cost = comm.model().cpu.memcpy_time(logical_len)
-            + codec
-            + net.scatter_cost().scale(pieces as f64)
-            + net.wire_time(wire.len(), same_node)
-            + net.msg_cost(same_node);
-        let depart = lane.acquire(ready, cost);
-        comm.post_framed_bytes_at(dst, self.tag, wire, depart, logical_len);
-        (depart, logical_len as u64)
-    }
-
-    /// Receives the next message from `src` on this wire, decoding it (and
-    /// recycling the wire buffer) when it crossed the interconnect
-    /// compressed. Returns the logical payload, read in place when it is a
-    /// shared slice, its arrival, and the decode CPU time (zero for a raw
-    /// message).
-    pub(crate) fn recv(self, comm: &mut Comm, src: usize) -> (Payload, SimTime, SimTime) {
-        let (wire, info) = comm.recv_payload_no_clock(src, self.tag);
-        if !self.compression.is_on() || comm.model().topology.same_node(src, comm.rank()) {
-            return (wire, info.arrival, SimTime::ZERO);
-        }
-        let mut logical = comm.take_buf(cc_compress::decoded_len(&wire));
-        let n = cc_compress::decode_into(&wire, &mut logical);
-        comm.recycle_buf(wire);
-        (
-            logical.into(),
-            info.arrival,
-            comm.model().cpu.decompress_time(n),
-        )
-    }
-}
 
 /// Tag base for read-shuffle messages (outside the user and collective
 /// spaces). Each collective stamps its sequence number into the low bits
@@ -224,19 +148,8 @@ pub fn collective_read(
         start: comm.clock(),
         ..TwoPhaseReport::default()
     };
-    // Striping travels as a hint (ROMIO's striping_unit/striping_factor):
-    // every rank injects it from the shared file handle, so the value is
-    // symmetric and stripe-aware partition strategies — and the plan-cache
-    // key — see it without separate plumbing.
-    let mut hints = hints.clone();
-    hints.striping = Some(Striping::from(file.layout()));
+    let (hints, schedule, tag) = prologue(comm, file, my_request, hints.clone(), TAG_SHUFFLE);
     let hints = &hints;
-    let requests = exchange_requests(comm, my_request);
-    let schedule = PlanSchedule::resolve(comm, requests, hints);
-    // Every rank passed through the request exchange above, so the engine
-    // tag counter is identical on all ranks: this collective's shuffle
-    // traffic gets a unique tag, distinct from the previous and next calls.
-    let tag = comm.next_engine_tag(TAG_SHUFFLE);
     let hier = comm.hier_view();
     let mut buf = vec![0u8; my_request.total_bytes() as usize];
 
@@ -245,7 +158,15 @@ pub fn collective_read(
     let mut relay = hier
         .as_ref()
         .filter(|v| v.is_leader(comm.rank()))
-        .map(|view| ReadRelay::new(comm, &schedule, view, tag, hints));
+        .map(|view| {
+            let frames = Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints);
+            let sections = Wire::new(TAG_SHUFFLE_RELAY | (tag & SEQ_MASK), hints);
+            let leg = ReadLeg {
+                sections,
+                own: SimTime::ZERO,
+            };
+            Relay::new(comm, &schedule, view, frames, leg)
+        });
 
     // --- Aggregator role: read chunks and scatter pieces. --------------
     let mut agg_done = comm.clock();
@@ -263,9 +184,11 @@ pub fn collective_read(
     }
     let mut recv_start = agg_done;
     if let Some(relay) = relay {
-        let (last, own) = relay.finish(comm, &mut buf, &mut report);
+        let at = report.segments.len();
+        let (last, shuffled, leg) = relay.finish(comm, &mut buf, &mut report.segments, at);
+        report.bytes_shuffled += shuffled;
         agg_done = agg_done.max(last);
-        recv_start = agg_done.max(own);
+        recv_start = agg_done.max(leg.own);
     }
 
     // --- Receiver role: collect pieces from every sending chunk. -------
@@ -360,12 +283,12 @@ fn unpack(pieces: &[Piece], packed: &[u8], buf: &mut [u8]) -> usize {
 /// shuffle completed. Fills `report` and places this rank's own pieces
 /// directly into `buf`. On a node leader, advances `relay` through each
 /// round once the round's frames are posted.
-fn run_aggregator(
+fn run_aggregator<'s>(
     comm: &mut Comm,
     mut stage: Staging<'_>,
     tag: TagValue,
     hier: Option<&NodeView>,
-    mut relay: Option<&mut ReadRelay<'_>>,
+    mut relay: Option<&mut Relay<'s, ReadLeg<'s>>>,
     report: &mut TwoPhaseReport,
     buf: &mut [u8],
 ) -> SimTime {
@@ -390,6 +313,13 @@ fn run_aggregator(
             continue;
         };
         let read_dur = read_done.saturating_since(ready);
+        // Appends the staged bytes of `pieces` to a payload or frame.
+        let pack = |out: &mut Vec<u8>, pieces: &[Piece]| {
+            for p in pieces {
+                let src = (p.extent.offset - rlo) as usize;
+                out.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
+            }
+        };
         let ideal: SimTime = schedule
             .read_ranges(agg_idx, iter)
             .iter()
@@ -406,10 +336,10 @@ fn run_aggregator(
             None => (0, comm.nprocs()),
         };
         for (dst, pieces) in schedule.dests_with_pieces_in(agg_idx, iter, direct_lo, direct_hi) {
-            let piece_bytes: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
+            let len = piece_bytes(pieces);
             if dst == comm.rank() {
                 // Local placement: just a copy, no message.
-                let t = shuffle_lane.acquire(read_done, cpu.memcpy_time(piece_bytes));
+                let t = shuffle_lane.acquire(read_done, cpu.memcpy_time(len));
                 for p in pieces {
                     let src = (p.extent.offset - rlo) as usize;
                     buf[p.buf_offset as usize..p.buf_offset as usize + p.extent.len as usize]
@@ -418,11 +348,8 @@ fn run_aggregator(
                 shuffle_end = shuffle_end.max(t);
                 continue;
             }
-            let mut payload = comm.take_buf(piece_bytes);
-            for p in pieces {
-                let src = (p.extent.offset - rlo) as usize;
-                payload.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
-            }
+            let mut payload = comm.take_buf(len);
+            pack(&mut payload, pieces);
             let (depart, sent) = direct.post(
                 comm,
                 &mut shuffle_lane,
@@ -448,20 +375,14 @@ fn run_aggregator(
                 let (lo, hi) = view.node_range(node);
                 // Pre-size the frame from the schedule's piece tables so
                 // coalescing never reallocates mid-pack.
-                let frame_bytes: usize = schedule
-                    .dests_with_pieces_in(agg_idx, iter, lo, hi)
-                    .map(|(_, ps)| ps.iter().map(|p| p.extent.len as usize).sum::<usize>())
-                    .sum();
+                let frame_bytes = schedule.bytes_in(agg_idx, iter, lo, hi);
                 if frame_bytes == 0 {
                     continue;
                 }
                 let mut frame = comm.take_buf(frame_bytes);
                 let mut frame_pieces = 0usize;
                 for (_, pieces) in schedule.dests_with_pieces_in(agg_idx, iter, lo, hi) {
-                    for p in pieces {
-                        let src = (p.extent.offset - rlo) as usize;
-                        frame.extend_from_slice(&chunk[src..src + p.extent.len as usize]);
-                    }
+                    pack(&mut frame, pieces);
                     frame_pieces += pieces.len();
                 }
                 // Node-pair frames always cross the interconnect, so they
@@ -501,152 +422,69 @@ fn run_aggregator(
     last
 }
 
-/// The node leader's relay, resumable: for every chunk whose aggregator
-/// lives on a *remote* node and that holds pieces for this node, in round
-/// order, receives the aggregator's coalesced frame and posts each member
-/// its section as a shared slice of the frame — no copy, no allocation per
-/// section. The leader unpacks its own sections straight into its buffer.
-/// Frames are header-less: section boundaries are recomputed from the
-/// shared schedule.
-///
-/// A leader that also aggregates advances the relay from its aggregator
-/// loop, through each round it has just posted, so a frame waits for its
-/// leader about one round instead of the whole collective. No relay can
-/// wait forever: every aggregator posts round `r` before it relays round
-/// `r`, so the earliest unposted round's aggregator never waits on it.
-/// Clocks do not depend on when the host relays: the relay lane starts at
-/// the collective's entry and every departure is stamped from arrivals.
-struct ReadRelay<'s> {
-    schedule: &'s PlanSchedule,
-    view: &'s NodeView,
-    frames: Wire<'s>,
-    relay_tag: TagValue,
-    cpu: CpuModel,
-    lane: Lane,
-    start: SimTime,
-    /// When the last section departed.
-    last: SimTime,
+/// The read leader's step: receives the aggregator's coalesced frame for
+/// this node and posts each member its section as a shared slice of the
+/// frame — no copy, no allocation per section — unpacking its own section
+/// straight into its buffer. Frames are header-less: section boundaries
+/// are recomputed from the shared schedule.
+struct ReadLeg<'s> {
+    /// The leader → member relay wire.
+    sections: Wire<'s>,
     /// When the leader's own last section was unpacked.
     own: SimTime,
-    bytes_shuffled: u64,
-    /// The next position in [`PlanSchedule::rounds`].
-    next: usize,
 }
 
-impl<'s> ReadRelay<'s> {
-    fn new(
-        comm: &Comm,
-        schedule: &'s PlanSchedule,
-        view: &'s NodeView,
-        tag: TagValue,
-        hints: &'s Hints,
-    ) -> Self {
-        let start = comm.clock();
-        Self {
-            schedule,
-            view,
-            frames: Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), hints),
-            relay_tag: TAG_SHUFFLE_RELAY | (tag & SEQ_MASK),
-            cpu: comm.model().cpu.clone(),
-            lane: Lane::free_from(start),
-            start,
-            last: start,
-            own: SimTime::ZERO,
-            bytes_shuffled: 0,
-            next: 0,
-        }
-    }
+impl<'s> Leg<'s> for ReadLeg<'s> {
+    type Out = [u8];
 
-    /// Relays the rounds after the last one relayed, through round
-    /// `through` (every remaining round when `None`). Slots are walked in
-    /// round order — the order in which every member drains its relay
-    /// stream (its sources follow the same order) — so FIFO matching pairs
-    /// them up. Restricted to one aggregator the order ascends by
-    /// iteration, which is how the aggregator posts its frames.
-    fn advance(&mut self, comm: &mut Comm, buf: &mut [u8], through: Option<(usize, usize)>) {
-        let rounds = self.schedule.rounds();
-        while let Some(&(a, iter)) = rounds.get(self.next) {
-            self.next += 1;
-            self.relay(comm, buf, a, iter);
-            if through == Some((a, iter)) {
-                break;
-            }
-        }
-    }
-
-    /// Relays chunk `(a, iter)`'s frame, if it has one for this node.
-    fn relay(&mut self, comm: &mut Comm, buf: &mut [u8], a: usize, iter: usize) {
-        let (schedule, view) = (self.schedule, self.view);
-        let agg_rank = schedule.aggregator_rank(a);
-        if view.node_of(agg_rank) == view.node {
-            return; // same-node chunks are shuffled directly
-        }
-        let mut sections = schedule
-            .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            .peekable();
-        if sections.peek().is_none() {
-            return; // no frame was sent for this chunk
-        }
+    fn step(
+        relay: &mut Relay<'s, Self>,
+        comm: &mut Comm,
+        buf: &mut [u8],
+        chunk: (usize, usize),
+        bytes: usize,
+    ) {
+        let (a, iter) = chunk;
+        let agg_rank = relay.schedule.aggregator_rank(a);
         // Frames from remote aggregators arrive compressed when the hints
         // say so; the leader decodes once (occupying the relay lane — a raw
         // frame takes no time) and relays raw sections intra-node.
-        let (frame, arrival, decode) = self.frames.recv(comm, agg_rank);
-        self.lane.acquire(arrival, decode);
-        let frame = Arc::new(frame.into_vec());
-        let cpu = &self.cpu;
-        let mut pos = 0usize;
-        for (dst, pieces) in sections {
-            let len: usize = pieces.iter().map(|p| p.extent.len as usize).sum();
-            // Splitting a contiguous section is priced as a plain copy —
-            // the per-piece scatter cost was already paid by the
-            // aggregator when it packed the frame.
-            let net = &comm.model().net;
-            let cost = if dst == comm.rank() {
-                cpu.memcpy_time(len)
-            } else {
-                cpu.memcpy_time(len) + net.wire_time(len, true) + net.msg_cost(true)
-            };
-            let depart = self.lane.acquire(arrival, cost);
-            self.last = self.last.max(depart);
-            if dst == comm.rank() {
-                // One host copy, charged as the split plus the unpack the
-                // section would pay as a self-send.
-                unpack(pieces, &frame[pos..pos + len], buf);
-                self.own = self.own.max(depart + cpu.memcpy_time(len));
-            } else {
-                self.bytes_shuffled += len as u64;
-                let section = Payload::Shared(Arc::clone(&frame), pos..pos + len);
-                comm.post_bytes_at(dst, self.relay_tag, section, depart);
-            }
-            pos += len;
-        }
+        let (frame, arrival, decode) = relay.frames.recv(comm, agg_rank);
+        relay.lane.acquire(arrival, decode);
         assert_eq!(
-            pos,
+            bytes,
             frame.len(),
             "rank {}: shuffle frame length mismatch from rank {agg_rank} \
              (aggregator {a}, iteration {iter}, tag {:#x})",
             comm.rank(),
-            self.frames.tag,
+            relay.frames.tag,
         );
-    }
-
-    /// Relays every remaining round, then books the relay's `Sys` segment
-    /// and shuffled bytes into `report`. Returns when the last section
-    /// departed and when the leader's own last section was unpacked.
-    fn finish(
-        mut self,
-        comm: &mut Comm,
-        buf: &mut [u8],
-        report: &mut TwoPhaseReport,
-    ) -> (SimTime, SimTime) {
-        self.advance(comm, buf, None);
-        report.bytes_shuffled += self.bytes_shuffled;
-        if self.last > self.start {
-            report
-                .segments
-                .push(Segment::new(self.start, self.last, Activity::Sys));
+        let frame = Arc::new(frame.into_vec());
+        let (lo, hi) = (relay.view.node_lo, relay.view.node_hi);
+        let mut pos = 0usize;
+        for (dst, pieces) in relay.schedule.dests_with_pieces_in(a, iter, lo, hi) {
+            let len = piece_bytes(pieces);
+            // Splitting a contiguous section is priced as a plain copy —
+            // the per-piece scatter cost was already paid by the
+            // aggregator when it packed the frame.
+            let depart = if dst == comm.rank() {
+                // One host copy, charged as the split plus the unpack the
+                // section would pay as a self-send.
+                let copy = comm.model().cpu.memcpy_time(len);
+                let depart = relay.lane.acquire(arrival, copy);
+                unpack(pieces, &frame[pos..pos + len], buf);
+                relay.leg.own = relay.leg.own.max(depart + copy);
+                depart
+            } else {
+                let section = Payload::Shared(Arc::clone(&frame), pos..pos + len);
+                let sections = relay.leg.sections;
+                let (depart, sent) = sections.post(comm, &mut relay.lane, arrival, dst, section, 0);
+                relay.bytes_shuffled += sent;
+                depart
+            };
+            relay.last = relay.last.max(depart);
+            pos += len;
         }
-        (self.last, self.own)
     }
 }
 
@@ -663,7 +501,7 @@ pub(crate) fn two_remote_aggregators() -> (cc_model::ClusterModel, PlanSchedule,
     use crate::plan::{CollectivePlan, FileDomain};
     let u = 1.0 / 1024.0;
     let mut model = cc_model::ClusterModel::test_tiny(4)
-        .with_collectives(cc_model::CollectiveMode::Hierarchical);
+        .with_collectives(cc_model::CollectiveMode::Auto);
     model.topology = cc_model::Topology::new(2, 2);
     model.net.latency_intra = 0.0;
     model.net.latency_inter = 0.0;
@@ -1119,7 +957,7 @@ mod tests {
             })
         };
         let flat = run_mode(CollectiveMode::Flat);
-        let hier = run_mode(CollectiveMode::Hierarchical);
+        let hier = run_mode(CollectiveMode::Auto);
         for (r, (f, h)) in flat.iter().zip(&hier).enumerate() {
             assert_eq!(f.0, h.0, "rank {r} data differs between modes");
             assert_eq!(h.0, expected_bytes(&requests[r]), "rank {r} data");
@@ -1168,8 +1006,15 @@ mod tests {
             let mut buf = vec![0u8; request.total_bytes() as usize];
             let (mut relayed, mut own) = (SimTime::ZERO, SimTime::ZERO);
             if view.is_leader(comm.rank()) {
-                let relay = ReadRelay::new(comm, schedule, &view, tag, &hints);
-                (relayed, own) = relay.finish(comm, &mut buf, &mut TwoPhaseReport::default());
+                let frames = Wire::new(TAG_SHUFFLE_FRAME | (tag & SEQ_MASK), &hints);
+                let sections = Wire::new(TAG_SHUFFLE_RELAY | (tag & SEQ_MASK), &hints);
+                let leg = ReadLeg {
+                    sections,
+                    own: SimTime::ZERO,
+                };
+                let relay = Relay::new(comm, schedule, &view, frames, leg);
+                let (last, _, leg) = relay.finish(comm, &mut buf, &mut Vec::new(), 0);
+                (relayed, own) = (last, leg.own);
             }
             let start = relayed.max(own);
             let done = receive_pieces(comm, schedule, Some(&view), tag, &hints, &mut buf, start);

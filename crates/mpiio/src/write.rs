@@ -13,8 +13,9 @@
 //! each rank packs every piece it sends to another aggregator once, into
 //! one `Window` it publishes to its readers — its node leader and the
 //! same-node aggregators it sources — which copy straight out of it. Only
-//! the node leaders' coalesced frames (`WriteRelay`) cross the
-//! interconnect.
+//! the node leaders' coalesced frames cross the interconnect, posted by
+//! the `Relay` both shuffle directions share: this engine's step
+//! gathers a chunk's window slots into one frame.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -25,12 +26,11 @@ use cc_mpi::{Comm, NodeView, Payload};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
-use crate::exchange::exchange_requests;
-use crate::extent::{Extent, OffsetList, Piece};
-use crate::hints::{Hints, Striping};
-use crate::schedule::PlanSchedule;
+use crate::extent::{piece_bytes, Extent, OffsetList, Piece};
+use crate::hints::Hints;
+use crate::schedule::{prologue, PlanSchedule};
+use crate::shuffle::{Leg, Relay, Wire};
 use crate::stage::Staging;
-use crate::twophase::Wire;
 
 /// Tag base for write-shuffle messages; each collective stamps its
 /// sequence number into the low bits (see `Comm::next_engine_tag`).
@@ -85,17 +85,8 @@ pub fn collective_write(
         "rank {}: write buffer does not match the request size",
         comm.rank(),
     );
-    // Inject striping from the shared file handle (symmetric across
-    // ranks), mirroring the read engine: stripe-aware strategies and the
-    // plan-cache key see the layout as ordinary hints.
-    let mut hints = hints.clone();
-    hints.striping = Some(Striping::from(file.layout()));
+    let (hints, schedule, tag) = prologue(comm, file, my_request, hints.clone(), TAG_WRITE_SHUFFLE);
     let hints = &hints;
-    let requests = exchange_requests(comm, my_request);
-    let schedule = PlanSchedule::resolve(comm, requests, hints);
-    // All ranks passed through the request exchange, so the counter is
-    // symmetric and this collective's shuffle tag is unique to it.
-    let tag = comm.next_engine_tag(TAG_WRITE_SHUFFLE);
     let mut report = WriteReport {
         start: comm.clock(),
         ..WriteReport::default()
@@ -123,7 +114,11 @@ pub fn collective_write(
     let mut relay = hier
         .as_ref()
         .filter(|v| v.is_leader(comm.rank()))
-        .map(|view| WriteRelay::new(comm, &schedule, view, tag, hints));
+        .map(|view| {
+            let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
+            let windows = NodeWindows::new(tag, view.node_lo..view.node_hi);
+            Relay::new(comm, &schedule, view, frames, windows)
+        });
     let relay_segment_at = report.segments.len();
 
     // --- Aggregator role: assemble chunks and write. --------------------
@@ -141,7 +136,10 @@ pub fn collective_write(
         ));
     }
     if let Some(relay) = relay {
-        done = done.max(relay.finish(comm, &mut report, relay_segment_at));
+        let (last, shuffled, _) =
+            relay.finish(comm, &mut (), &mut report.segments, relay_segment_at);
+        report.bytes_shuffled += shuffled;
+        done = done.max(last);
     }
     comm.advance_to(done);
     report.end = comm.clock();
@@ -169,35 +167,57 @@ struct WindowSlot {
     arrival: SimTime,
 }
 
-/// A reader's handle on one rank's window. Every reader visits the
-/// window's slots in round order, so a forward cursor finds each one.
-struct WindowReader {
-    window: Arc<Window>,
-    next: usize,
+/// A reader's handles on the windows of its node's members, each taken at
+/// its first slot and held until the reader is done. Every reader visits
+/// a window's slots in round order, so a forward cursor finds each one.
+struct NodeWindows {
+    tag: TagValue,
+    lo: usize,
+    /// Per member from `lo`: its window, once taken, and the next slot.
+    taken: Vec<Option<(Arc<Window>, usize)>>,
 }
 
-impl WindowReader {
-    /// Takes `owner`'s window in `tag`'s collective, blocking until it is
-    /// published; counts as one of its declared readers.
-    fn take(comm: &Comm, tag: TagValue, owner: usize) -> Self {
+impl NodeWindows {
+    /// Handles on the windows of ranks `members` in `tag`'s collective.
+    fn new(tag: TagValue, members: Range<usize>) -> Self {
+        let taken = members.clone().map(|_| None).collect();
         Self {
-            window: comm.published(tag, owner),
-            next: 0,
+            tag,
+            lo: members.start,
+            taken,
         }
     }
 
-    /// The bytes and arrival of slot `(a, iter)`, which must come after
-    /// the slot read last.
-    fn slot(&mut self, a: usize, iter: usize) -> (&[u8], SimTime) {
-        let slots = &self.window.slots;
-        let k = self.next
-            + slots[self.next..]
+    /// The bytes and arrival of `src`'s slot for chunk `(a, iter)`, which
+    /// must come after the slot of `src`'s read last and hold `pieces`.
+    /// The first slot takes the window, blocking until `src` publishes it;
+    /// the take counts as one of `src`'s declared readers.
+    fn slot(
+        &mut self,
+        comm: &Comm,
+        src: usize,
+        (a, iter): (usize, usize),
+        pieces: &[Piece],
+    ) -> (&[u8], SimTime) {
+        let tag = self.tag;
+        let (window, next) =
+            self.taken[src - self.lo].get_or_insert_with(|| (comm.published(tag, src), 0));
+        let k = *next
+            + window.slots[*next..]
                 .iter()
                 .position(|s| s.chunk == (a, iter))
                 .unwrap_or_else(|| panic!("no window slot for aggregator {a}, iteration {iter}"));
-        self.next = k + 1;
-        let slot = &slots[k];
-        (&self.window.bytes[slot.range.clone()], slot.arrival)
+        *next = k + 1;
+        let slot = &window.slots[k];
+        let bytes = &window.bytes[slot.range.clone()];
+        assert_eq!(
+            bytes.len(),
+            piece_bytes(pieces),
+            "rank {}: write window slot length mismatch from rank {src} \
+             (aggregator {a}, iteration {iter})",
+            comm.rank(),
+        );
+        (bytes, slot.arrival)
     }
 }
 
@@ -220,11 +240,6 @@ fn unpack(
         extents.push(p.extent);
     }
     cursor
-}
-
-/// Bytes of `pieces` in total.
-fn piece_bytes(pieces: &[Piece]) -> usize {
-    pieces.iter().map(|p| p.extent.len as usize).sum()
 }
 
 /// The member send loop: packs this rank's pieces of every chunk it
@@ -319,130 +334,42 @@ fn send_pieces(
     send_lane.free_at().max(comm.clock())
 }
 
-/// The node leader's coalescing relay, resumable, the mirror of the read
-/// engine's: for every chunk owned by a *remote-node* aggregator that this
-/// node contributes to, in round order, concatenates its members' window
-/// slots (its own included) in ascending member order into one
-/// header-less frame, stamped at the latest slot arrival, and sends it to
-/// the aggregator — paying the inter-node posting overhead once per
-/// (chunk, node) pair.
-///
-/// A leader that also aggregates advances the relay from its aggregator
-/// loop through each round before receiving it, so the host holds about a
-/// round of frames at a time rather than the whole collective's. No
-/// aggregator can wait forever: every leader posts round `r` before it
-/// waits on round `r`, and windows are published before any relay runs.
-/// Clocks do not depend on when the host relays: the frame lane starts at
-/// the collective's entry and every departure is stamped from arrivals.
-struct WriteRelay<'s> {
-    schedule: &'s PlanSchedule,
-    view: &'s NodeView,
-    tag: TagValue,
-    frames: Wire<'s>,
-    lane: Lane,
-    start: SimTime,
-    /// When the last frame departed.
-    last: SimTime,
-    bytes_shuffled: u64,
-    /// The next position in [`PlanSchedule::rounds`].
-    next: usize,
-    /// Each member's window, taken at its first remote-node slot.
-    windows: Vec<Option<WindowReader>>,
-}
+/// The write leader's step: concatenates its members' window slots for
+/// the chunk (its own included), in ascending member order, into one
+/// header-less frame, stamped at the latest slot arrival, and posts it to
+/// the aggregator.
+impl<'s> Leg<'s> for NodeWindows {
+    type Out = ();
 
-impl<'s> WriteRelay<'s> {
-    fn new(
-        comm: &Comm,
-        schedule: &'s PlanSchedule,
-        view: &'s NodeView,
-        tag: TagValue,
-        hints: &'s Hints,
-    ) -> Self {
-        let start = comm.clock();
-        Self {
-            schedule,
-            view,
-            tag,
-            frames: Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints),
-            lane: Lane::free_from(start),
-            start,
-            last: start,
-            bytes_shuffled: 0,
-            next: 0,
-            windows: (view.node_lo..view.node_hi).map(|_| None).collect(),
-        }
-    }
-
-    /// Relays the rounds after the last one relayed, through round
-    /// `through` (every remaining round when `None`). Restricted to one
-    /// aggregator the round order ascends by iteration, which is how the
-    /// aggregator drains its frames.
-    fn advance(&mut self, comm: &mut Comm, through: Option<(usize, usize)>) {
-        let rounds = self.schedule.rounds();
-        while let Some(&(a, iter)) = rounds.get(self.next) {
-            self.next += 1;
-            self.relay(comm, a, iter);
-            if through == Some((a, iter)) {
-                break;
-            }
-        }
-    }
-
-    /// Sends chunk `(a, iter)`'s frame, if this node contributes to it.
-    fn relay(&mut self, comm: &mut Comm, a: usize, iter: usize) {
-        let (schedule, view) = (self.schedule, self.view);
-        let agg_rank = schedule.aggregator_rank(a);
-        if view.node_of(agg_rank) == view.node {
-            return; // same-node aggregators read the windows themselves
-        }
-        // Pre-size the frame from the schedule's piece tables so
-        // coalescing never reallocates mid-concatenation.
-        let frame_bytes: usize = schedule
-            .dests_with_pieces_in(a, iter, view.node_lo, view.node_hi)
-            .map(|(_, ps)| piece_bytes(ps))
-            .sum();
-        if frame_bytes == 0 {
-            return; // this node contributes nothing to the chunk
-        }
-        let mut frame = comm.take_buf(frame_bytes);
-        let mut arrival = self.start;
-        for (src, pieces) in schedule.dests_with_pieces_in(a, iter, view.node_lo, view.node_hi) {
-            let window = self.windows[src - view.node_lo]
-                .get_or_insert_with(|| WindowReader::take(comm, self.tag, src));
-            let (bytes, at) = window.slot(a, iter);
-            assert_eq!(
-                bytes.len(),
-                piece_bytes(pieces),
-                "rank {}: write window slot length mismatch from rank {src} \
-                 (aggregator {a}, iteration {iter})",
-                comm.rank(),
-            );
+    fn step(
+        relay: &mut Relay<'s, Self>,
+        comm: &mut Comm,
+        _: &mut (),
+        chunk: (usize, usize),
+        bytes: usize,
+    ) {
+        let (schedule, view) = (relay.schedule, relay.view);
+        // Pre-sized from the schedule's piece tables, so coalescing never
+        // reallocates mid-concatenation.
+        let mut frame = comm.take_buf(bytes);
+        let mut arrival = relay.start;
+        for (src, pieces) in
+            schedule.dests_with_pieces_in(chunk.0, chunk.1, view.node_lo, view.node_hi)
+        {
+            let (slot, at) = relay.leg.slot(comm, src, chunk, pieces);
             arrival = arrival.max(at);
-            frame.extend_from_slice(bytes);
+            frame.extend_from_slice(slot);
         }
         // Concatenating contiguous slots is a plain copy — the per-piece
         // scatter cost was already paid by the members, so the frame
         // packs zero pieces. It always crosses the interconnect, so it is
         // compressed whenever the hints ask for it.
-        let (depart, sent) = self
+        let agg_rank = schedule.aggregator_rank(chunk.0);
+        let (depart, sent) = relay
             .frames
-            .post(comm, &mut self.lane, arrival, agg_rank, frame, 0);
-        self.bytes_shuffled += sent;
-        self.last = self.last.max(depart);
-    }
-
-    /// Relays every remaining round, then books the relay's shuffled bytes
-    /// and its `Sys` segment — at index `segment_at` of the report's
-    /// segments, where a relay that ran before the aggregator loop would
-    /// have pushed it. Returns when the last frame departed.
-    fn finish(mut self, comm: &mut Comm, report: &mut WriteReport, segment_at: usize) -> SimTime {
-        self.advance(comm, None);
-        report.bytes_shuffled += self.bytes_shuffled;
-        if self.last > self.start {
-            let segment = Segment::new(self.start, self.last, Activity::Sys);
-            report.segments.insert(segment_at, segment);
-        }
-        self.last
+            .post(comm, &mut relay.lane, arrival, agg_rank, frame, 0);
+        relay.bytes_shuffled += sent;
+        relay.last = relay.last.max(depart);
     }
 }
 
@@ -453,7 +380,7 @@ fn run_write_aggregator(
     comm: &mut Comm,
     mut stage: Staging<'_>,
     tag: TagValue,
-    mut relay: Option<&mut WriteRelay<'_>>,
+    mut relay: Option<&mut Relay<'_, NodeWindows>>,
     my_data: &[u8],
     my_request: &OffsetList,
     report: &mut WriteReport,
@@ -472,17 +399,13 @@ fn run_write_aggregator(
     let hier = comm.hier_view();
     let direct = Wire::new(tag, hints);
     let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
-    // Same-node sources' windows, each taken at its first slot and held
-    // for the whole loop.
-    let mut windows: Vec<Option<WindowReader>> = match hier {
-        Some(view) => (view.node_lo..view.node_hi).map(|_| None).collect(),
-        None => Vec::new(),
-    };
+    // Same-node sources' windows, held for the whole loop.
+    let mut windows = NodeWindows::new(tag, hier.map_or(0..0, |v| v.node_lo..v.node_hi));
     let mut extents: Vec<Extent> = Vec::new();
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for (pos, &iter) in stage.iters().iter().enumerate() {
         if let Some(relay) = relay.as_deref_mut() {
-            relay.advance(comm, Some((agg_idx, iter)));
+            relay.advance(comm, &mut (), Some((agg_idx, iter)));
         }
         let (clo, chi) = schedule.chunk(agg_idx, iter);
         let mut arrival = recv_done.max(stage.floor(pos));
@@ -526,18 +449,9 @@ fn run_write_aggregator(
             // compressed exactly when the hints ask for it.
             let (sender, wire) = match hier {
                 Some(view) if view.node_of(src) == view.node => {
-                    let window = windows[src - view.node_lo]
-                        .get_or_insert_with(|| WindowReader::take(comm, tag, src));
-                    let (bytes, at) = window.slot(agg_idx, iter);
+                    let (bytes, at) = windows.slot(comm, src, (agg_idx, iter), pieces);
                     arrival = arrival.max(at);
-                    let used = unpack(pieces, bytes, clo, chunk, &mut extents);
-                    assert_eq!(
-                        used,
-                        bytes.len(),
-                        "rank {}: write window slot length mismatch from rank {src} \
-                         (aggregator {agg_idx}, iteration {iter})",
-                        comm.rank(),
-                    );
+                    unpack(pieces, bytes, clo, chunk, &mut extents);
                     continue;
                 }
                 Some(view) => (view.leader_of(src), frames),
@@ -821,7 +735,7 @@ mod tests {
             (bytes, stats)
         };
         let (flat_file, flat_stats) = run_mode(CollectiveMode::Flat);
-        let (hier_file, hier_stats) = run_mode(CollectiveMode::Hierarchical);
+        let (hier_file, hier_stats) = run_mode(CollectiveMode::Auto);
         assert_eq!(flat_file, hier_file, "file contents differ between modes");
         let mut expect = vec![0u8; 900];
         for req in &requests {
@@ -926,7 +840,7 @@ mod tests {
             let (bytes, _) = fs.read_at(&file, 0, 900, SimTime::ZERO);
             bytes
         };
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
             let off = run_one(mode, Compression::Off);
             let lossless = run_one(mode, Compression::Lossless);
             assert_eq!(off, lossless, "lossless write changed bytes ({mode:?})");
@@ -965,7 +879,7 @@ mod tests {
             })
             .collect();
         let fs = empty_fs((n as u64 * per_rank) as usize);
-        let mut model = ClusterModel::test_tiny(n).with_collectives(CollectiveMode::Hierarchical);
+        let mut model = ClusterModel::test_tiny(n).with_collectives(CollectiveMode::Auto);
         model.topology = Topology::new(2, 3);
         let world = World::new(n, model);
         let stats = {
@@ -1044,8 +958,10 @@ mod tests {
                 &mut report,
             )];
             if view.is_leader(comm.rank()) {
-                let relay = WriteRelay::new(comm, schedule, &view, tag, &hints);
-                times.push(relay.finish(comm, &mut report, 0));
+                let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), &hints);
+                let windows = NodeWindows::new(tag, view.node_lo..view.node_hi);
+                let relay = Relay::new(comm, schedule, &view, frames, windows);
+                times.push(relay.finish(comm, &mut (), &mut report.segments, 0).0);
             }
             times
         });

@@ -197,7 +197,7 @@ impl Pfs {
         buf.clear();
         buf.resize(len as usize, 0);
         file.backend.read_into(offset, buf);
-        let done = self.charge_io(file, offset, len, now);
+        let done = self.charge_io("read", file, offset, len, now);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_read.fetch_add(len, Ordering::Relaxed);
         done
@@ -237,7 +237,7 @@ impl Pfs {
             let dst = (off - base) as usize;
             file.backend.read_into(off, &mut buf[dst..dst + len as usize]);
         }
-        let done = self.charge_io_multi(file, ranges, now);
+        let done = self.charge_io_multi("read", file, ranges, now, 1.0);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_read.fetch_add(total, Ordering::Relaxed);
         done
@@ -255,18 +255,8 @@ impl Pfs {
         ranges: &[(u64, u64)],
         now: SimTime,
     ) -> SimTime {
-        let total = self.check_ranges(file, base, ranges, "write_multi");
-        for &(off, len) in ranges {
-            if len == 0 {
-                continue;
-            }
-            let src = (off - base) as usize;
-            file.backend.write_at(off, &data[src..src + len as usize]);
-        }
-        let done = self.charge_io_multi(file, ranges, now);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
-        done
+        let logical = ranges.iter().map(|&(_, len)| len).sum();
+        self.write_multi_scaled(file, base, data, ranges, now, logical)
     }
 
     /// [`write_multi`](Self::write_multi) for data that reached the file
@@ -275,7 +265,8 @@ impl Pfs {
     /// but the disk charge is scaled to `wire_bytes` — the compressed size
     /// actually streamed to the OSTs. Each merged per-OST run is shortened
     /// by `wire_bytes / total_logical_bytes` (floored at one byte), so the
-    /// seek count is unchanged and only streaming time shrinks.
+    /// seek count is unchanged and only streaming time shrinks. With
+    /// `wire_bytes` equal to the logical total the scale is exactly 1.
     pub fn write_multi_scaled(
         &self,
         file: &FileHandle,
@@ -285,7 +276,7 @@ impl Pfs {
         now: SimTime,
         wire_bytes: u64,
     ) -> SimTime {
-        let total = self.check_ranges(file, base, ranges, "write_multi_scaled");
+        let total = self.check_ranges(file, base, ranges, "write_multi");
         for &(off, len) in ranges {
             if len == 0 {
                 continue;
@@ -298,7 +289,7 @@ impl Pfs {
         } else {
             wire_bytes as f64 / total as f64
         };
-        let done = self.charge_io_multi_scaled(file, ranges, now, scale);
+        let done = self.charge_io_multi("write", file, ranges, now, scale);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
         done
@@ -331,7 +322,7 @@ impl Pfs {
     /// the completion time.
     pub fn write_at(&self, file: &FileHandle, offset: u64, data: &[u8], now: SimTime) -> SimTime {
         file.backend.write_at(offset, data);
-        let done = self.charge_io(file, offset, data.len() as u64, now);
+        let done = self.charge_io("write", file, offset, data.len() as u64, now);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_written
@@ -358,10 +349,14 @@ impl Pfs {
         worst
     }
 
-    /// Charges the timing of one I/O call: transient-fault retries, then one
-    /// positioning op plus streaming per discontiguous object extent, with
-    /// OSTs in parallel and per-OST queueing.
-    fn charge_io(&self, file: &FileHandle, offset: u64, len: u64, now: SimTime) -> SimTime {
+    /// When an I/O call that `op` names ("read" or "write") and issued at
+    /// `now` gets past its transient faults: the plan's penalty per failed
+    /// attempt later.
+    ///
+    /// # Panics
+    /// Panics, naming the operation and the file, after more failed
+    /// attempts in a row than the plan retries.
+    fn retry_transients(&self, op: &str, file: &FileHandle, now: SimTime) -> SimTime {
         let mut start = now;
         if let Some(plan) = &self.fault {
             let mut tries = 0;
@@ -369,7 +364,7 @@ impl Pfs {
                 tries += 1;
                 assert!(
                     tries <= plan.max_retries,
-                    "read of '{}' failed permanently after {} retries",
+                    "{op} of '{}' failed permanently after {} retries",
                     file.name,
                     plan.max_retries
                 );
@@ -377,6 +372,21 @@ impl Pfs {
                 start += plan.retry_penalty;
             }
         }
+        start
+    }
+
+    /// Charges the timing of one `op` call: transient-fault retries, then
+    /// one positioning op plus streaming per discontiguous object extent,
+    /// with OSTs in parallel and per-OST queueing.
+    fn charge_io(
+        &self,
+        op: &str,
+        file: &FileHandle,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> SimTime {
+        let start = self.retry_transients(op, file, now);
         if len == 0 {
             return start;
         }
@@ -392,41 +402,23 @@ impl Pfs {
         done
     }
 
-    /// Charges the timing of one vectorized I/O call: transient-fault
+    /// Charges the timing of one vectorized `op` call: transient-fault
     /// retries once for the batch, then the object extents of *all* ranges
     /// grouped per OST, sorted by object offset, merged into contiguous
     /// runs, and booked on each OST under a single lock acquisition. OSTs
-    /// proceed in parallel; runs on one OST queue.
-    fn charge_io_multi(&self, file: &FileHandle, ranges: &[(u64, u64)], now: SimTime) -> SimTime {
-        self.charge_io_multi_scaled(file, ranges, now, 1.0)
-    }
-
-    /// `charge_io_multi` with each merged run's *streamed* length scaled by
-    /// `scale` (compressed write-back charges the wire bytes, not the
-    /// logical bytes). Runs keep their identity — one seek each — and never
-    /// shrink below one byte.
-    fn charge_io_multi_scaled(
+    /// proceed in parallel; runs on one OST queue. Each merged run's
+    /// *streamed* length is scaled by `scale` (compressed write-back
+    /// charges the wire bytes, not the logical bytes); runs keep their
+    /// identity — one seek each — and never shrink below one byte.
+    fn charge_io_multi(
         &self,
+        op: &str,
         file: &FileHandle,
         ranges: &[(u64, u64)],
         now: SimTime,
         scale: f64,
     ) -> SimTime {
-        let mut start = now;
-        if let Some(plan) = &self.fault {
-            let mut tries = 0;
-            while plan.attempt_fails() {
-                tries += 1;
-                assert!(
-                    tries <= plan.max_retries,
-                    "I/O on '{}' failed permanently after {} retries",
-                    file.name,
-                    plan.max_retries
-                );
-                plan.note_retry();
-                start += plan.retry_penalty;
-            }
-        }
+        let start = self.retry_transients(op, file, now);
         // (object_offset, len) pieces grouped per OST across all ranges.
         let mut per_ost: Vec<(usize, Vec<(u64, u64)>)> = Vec::new();
         for &(off, len) in ranges {
@@ -641,6 +633,16 @@ mod tests {
         assert_eq!(d1, d2);
         assert!(t2 > t1 + SimTime::from_secs(9.0), "retry penalty missing");
         assert_eq!(fs.retry_plan().unwrap().retries(), 1);
+    }
+
+    /// Every attempt fails, so the write gives up, and its panic names
+    /// the operation that failed.
+    #[test]
+    #[should_panic(expected = "write of 'f' failed permanently after 2 retries")]
+    fn a_permanently_failing_write_is_reported_as_a_write() {
+        let fs = test_fs(1).with_retries(RetryPlan::every(1, SimTime::from_secs(1.0), 2));
+        let f = mem_file(&fs, 100, 64, 1);
+        fs.write_at(&f, 0, &[7u8; 10], SimTime::ZERO);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn hierarchical_read_shuffle_cuts_inter_node_messages() {
         read_all(&fs, model, &requests, &hints)
     };
     let (flat_bytes, flat_end, flat) = run(CollectiveMode::Flat);
-    let (hier_bytes, hier_end, hier) = run(CollectiveMode::Hierarchical);
+    let (hier_bytes, hier_end, hier) = run(CollectiveMode::Auto);
     assert_eq!(flat_bytes, hier_bytes, "shuffle data diverged");
     let (flat_msgs, hier_msgs) = (flat.msgs_inter, hier.msgs_inter);
     assert!(hier_msgs * 4 <= flat_msgs, "{flat_msgs} -> {hier_msgs}");

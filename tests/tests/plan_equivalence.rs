@@ -244,7 +244,7 @@ proptest! {
 
     /// Hierarchical comm variant: the same random sweep, read *and*
     /// written under [`CollectiveMode::Flat`] and
-    /// [`CollectiveMode::Hierarchical`], must move bit-identical bytes.
+    /// [`CollectiveMode::Auto`], must move bit-identical bytes.
     /// The topology is forced multi-node so leader relay/coalesce paths
     /// actually engage (single-node worlds fall back to flat).
     #[test]
@@ -255,7 +255,7 @@ proptest! {
         let value_at = |o: u64| (o.wrapping_mul(193) ^ (o >> 3)) as u8;
         let mut reads: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut files: Vec<Vec<u8>> = Vec::new();
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
             let fs = Pfs::new(4, DiskModel::lustre_like());
             fs.create(
                 "t.nc",
@@ -558,7 +558,7 @@ proptest! {
         let size = sweep.file_size() + nprocs as u64 * ReqSweep::REGION;
         let value_at = |o: u64| (o.wrapping_mul(211) ^ (o >> 6)) as u8;
         let mut baseline: Option<(Vec<Vec<u8>>, Vec<u8>)> = None;
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
             for (label, nonblocking, depth) in DEPTHS {
                 let fs = Pfs::new(4, DiskModel::lustre_like());
                 fs.create(
@@ -702,7 +702,7 @@ proptest! {
         let size = sweep.file_size() + nprocs as u64 * ReqSweep::REGION;
         let value_at = |o: u64| (o.wrapping_mul(227) ^ (o >> 5)) as u8;
         let mut baseline: Option<(Vec<Vec<u8>>, Vec<u8>)> = None;
-        for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+        for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
             for compression in [Compression::Off, Compression::Lossless] {
                 for (_, nonblocking, depth) in
                     [DEPTHS[0], DEPTHS[1], DEPTHS[3]]
@@ -789,7 +789,7 @@ fn error_bounded_hints_never_flip_selection_winners() {
     let value = |i: u64| 500.0 - i as f64 * 1e-7;
     let nprocs = 4;
     let bytes: Vec<u8> = (0..N).flat_map(|i| value(i).to_le_bytes()).collect();
-    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+    for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
         for blocking in [false, true] {
             let fs = Pfs::new(4, DiskModel::lustre_like());
             fs.create(
@@ -1369,7 +1369,7 @@ fn fresh_schedules_on_different_ranks_share_tables() {
         cb_buffer_size: 256,
         ..Hints::default()
     };
-    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+    for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
         let world = World::new(NPROCS, test_model(2, 4).with_collectives(mode));
         let schedules = world.run(|comm| {
             let r = comm.rank() as u64;
@@ -1495,7 +1495,7 @@ fn one_lookup_per_collective() {
         cb_buffer_size: 1 << 10,
         ..Hints::default()
     };
-    for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
+    for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
         let world = || World::new(NPROCS, test_model(4, 4).with_collectives(mode));
         let shared = Arc::new(SharedPlanCache::new());
         // Rank `r` reads row `r` of every step; step `s` is step 0 shifted
