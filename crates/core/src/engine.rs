@@ -435,11 +435,11 @@ fn reduce_all_to_one(
             if agg == root {
                 continue;
             }
-            let (bytes, info) = comm.recv_bytes_no_clock(agg, tag);
+            let (bytes, arrival) = comm.recv_bytes_no_clock(agg, tag);
             cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
             comm.recycle_buf(bytes);
             combines += per_owner.absorb_encoded(&scratch.words, &mut incoming, kernel, agg, tag);
-            done = done.max(info.arrival);
+            done = done.max(arrival);
         }
         let reduce_start = done;
         let mut global = kernel.identity();
@@ -523,7 +523,7 @@ fn reduce_all_to_all(
         if src == me {
             continue;
         }
-        let (bytes, info) = comm.recv_bytes_no_clock(src, tag);
+        let (bytes, arrival) = comm.recv_bytes_no_clock(src, tag);
         cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
         comm.recycle_buf(bytes);
         IntermediateSet::decode(&scratch.words, &mut incoming, |owner, p| {
@@ -535,7 +535,7 @@ fn reduce_all_to_all(
             kernel.combine(&mut mine, p);
             combines += 1;
         });
-        done = done.max(info.arrival);
+        done = done.max(arrival);
     }
     let local_cost = cpu.reduce_time(combines);
     done += local_cost;

@@ -7,7 +7,7 @@
 //! in a single collective, with the partials of each component traveling
 //! side by side. The I/O cost is paid once.
 
-use crate::kernel::{MapKernel, Partial};
+use crate::kernel::{with_staging, MapKernel, Partial};
 
 /// A compound kernel: applies every component kernel to each run and
 /// carries their partials concatenated (`[n, len_0, values_0..., count_0,
@@ -69,6 +69,44 @@ impl<'a> FusedKernel<'a> {
         }
         Partial { values, count }
     }
+
+    /// Runs `step` on each component and its slot of `acc`, staged through
+    /// one of the thread's staging partials, and writes the slots back:
+    /// the accumulator is walked in place instead of split and repacked.
+    /// `step` also gets the slot's position in the layout. The fused count
+    /// is the largest component count.
+    fn for_each_slot(
+        &self,
+        acc: &mut Partial,
+        mut step: impl FnMut(&dyn MapKernel, &mut Partial, usize),
+    ) {
+        with_staging(|slot| {
+            let mut pos = 0usize;
+            let mut max_count = 0u64;
+            for &k in &self.components {
+                let len = stage(slot, &acc.values, pos);
+                step(k, slot, pos);
+                assert_eq!(slot.values.len(), len, "component changed partial shape");
+                acc.values[pos + 1] = slot.count as f64;
+                acc.values[pos + 2..pos + 2 + len].copy_from_slice(&slot.values);
+                max_count = max_count.max(slot.count);
+                pos += 2 + len;
+            }
+            assert_eq!(pos, acc.values.len(), "fused partial shape mismatch");
+            acc.count = max_count;
+        });
+    }
+}
+
+/// Copies the component slot at `pos` of a fused layout into `into` and
+/// returns its value count.
+fn stage(into: &mut Partial, layout: &[f64], pos: usize) -> usize {
+    let len = layout[pos] as usize;
+    into.count = layout[pos + 1] as u64;
+    into.values.clear();
+    into.values
+        .extend_from_slice(&layout[pos + 2..pos + 2 + len]);
+    len
 }
 
 impl MapKernel for FusedKernel<'_> {
@@ -82,56 +120,17 @@ impl MapKernel for FusedKernel<'_> {
     }
 
     fn map(&self, acc: &mut Partial, start_elem: u64, values: &[f64]) {
-        // Walk the fused layout in place: each component's slot is staged
-        // through one reused scratch partial instead of splitting and
-        // repacking the whole accumulator per call.
-        let mut tmp = Partial::new(Vec::new());
-        let mut pos = 0usize;
-        let mut max_count = 0u64;
-        for k in &self.components {
-            let len = acc.values[pos] as usize;
-            tmp.count = acc.values[pos + 1] as u64;
-            tmp.values.clear();
-            tmp.values.extend_from_slice(&acc.values[pos + 2..pos + 2 + len]);
-            k.map(&mut tmp, start_elem, values);
-            assert_eq!(tmp.values.len(), len, "component changed partial shape");
-            acc.values[pos + 1] = tmp.count as f64;
-            acc.values[pos + 2..pos + 2 + len].copy_from_slice(&tmp.values);
-            max_count = max_count.max(tmp.count);
-            pos += 2 + len;
-        }
-        assert_eq!(pos, acc.values.len(), "fused partial shape mismatch");
-        acc.count = max_count;
+        self.for_each_slot(acc, |k, slot, _| k.map(slot, start_elem, values));
     }
 
     fn combine(&self, acc: &mut Partial, other: &Partial) {
-        let mut tmp = Partial::new(Vec::new());
-        let mut tmp_other = Partial::new(Vec::new());
-        let mut pos = 0usize;
-        let mut max_count = 0u64;
-        for k in &self.components {
-            let len = acc.values[pos] as usize;
-            assert_eq!(
-                len, other.values[pos] as usize,
-                "fused partial shape mismatch"
-            );
-            tmp.count = acc.values[pos + 1] as u64;
-            tmp.values.clear();
-            tmp.values.extend_from_slice(&acc.values[pos + 2..pos + 2 + len]);
-            tmp_other.count = other.values[pos + 1] as u64;
-            tmp_other.values.clear();
-            tmp_other
-                .values
-                .extend_from_slice(&other.values[pos + 2..pos + 2 + len]);
-            k.combine(&mut tmp, &tmp_other);
-            assert_eq!(tmp.values.len(), len, "component changed partial shape");
-            acc.values[pos + 1] = tmp.count as f64;
-            acc.values[pos + 2..pos + 2 + len].copy_from_slice(&tmp.values);
-            max_count = max_count.max(tmp.count);
-            pos += 2 + len;
-        }
-        assert_eq!(pos, acc.values.len(), "fused partial shape mismatch");
-        acc.count = max_count;
+        with_staging(|theirs| {
+            self.for_each_slot(acc, |k, mine, pos| {
+                let len = stage(theirs, &other.values, pos);
+                assert_eq!(len, mine.values.len(), "fused partial shape mismatch");
+                k.combine(mine, theirs);
+            });
+        });
     }
 
     fn finalize(&self, acc: &Partial) -> Vec<f64> {

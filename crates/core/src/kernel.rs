@@ -8,6 +8,18 @@
 //! apples-to-apples. Kernels receive the linear element index of each run's
 //! first value, so positional analyses (the WRF "where is the pressure
 //! minimum" task) work even though the data arrives as anonymous runs.
+//!
+//! The built-in folds split each run into four independent
+//! accumulators, so a run is not one serial dependency chain (DESIGN §16).
+//! Sums combine their lanes in one fixed order, `(l0 + l1) + (l2 + l3)`,
+//! then add the tail in order: they differ from a sequential fold only in
+//! rounding, deterministically per run, and not at all wherever the
+//! sequential fold is exact (integer-valued data, say). Selections (min,
+//! max and their located variants) are bit-identical to the sequential
+//! fold: the lanes only find the winning value, and the accumulator takes
+//! the run's first element that compares equal to it.
+
+use std::cell::RefCell;
 
 use cc_compress::Tolerance;
 use cc_mpi::ops::ReduceOp;
@@ -81,6 +93,25 @@ impl Partial {
     }
 }
 
+thread_local! {
+    /// Partials that combines and fused folds stage operands through,
+    /// kept for the thread's next call: a stack, so a kernel staging
+    /// inside another's staging (a fused kernel under the reduce op) takes
+    /// its own.
+    static STAGING: RefCell<Vec<Partial>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on one of this thread's staging partials, holding whatever
+/// it last held. After a thread's first few calls this allocates nothing.
+pub(crate) fn with_staging<R>(f: impl FnOnce(&mut Partial) -> R) -> R {
+    let mut p = STAGING
+        .with_borrow_mut(Vec::pop)
+        .unwrap_or_else(|| Partial::new(Vec::new()));
+    let out = f(&mut p);
+    STAGING.with_borrow_mut(|stack| stack.push(p));
+    out
+}
+
 /// A user computation pushed into the collective (the paper's object-I/O
 /// operator, `MPI_Op_create` analogue).
 ///
@@ -117,6 +148,103 @@ pub trait MapKernel: Send + Sync {
     }
 }
 
+/// Independent accumulators a built-in fold keeps per run. The combine
+/// orders below are written out for four.
+const LANES: usize = 4;
+
+/// Sum of `values`, and of their squares when `squares` is set: element
+/// `j` of each whole group of [`LANES`] goes to lane `j`, the lanes combine
+/// as `(l0 + l1) + (l2 + l3)`, then the tail adds in order. Lanes start at
+/// `-0.0`, the additive identity, so an empty run adds nothing, not even a
+/// zero's sign.
+fn lane_sums(values: &[f64], squares: bool) -> (f64, f64) {
+    let (groups, tail) = values.as_chunks::<LANES>();
+    let mut sum = [-0.0; LANES];
+    let mut sumsq = [-0.0; LANES];
+    for group in groups {
+        for j in 0..LANES {
+            sum[j] += group[j];
+            if squares {
+                sumsq[j] += group[j] * group[j];
+            }
+        }
+    }
+    let mut s = (sum[0] + sum[1]) + (sum[2] + sum[3]);
+    let mut sq = (sumsq[0] + sumsq[1]) + (sumsq[2] + sumsq[3]);
+    for &v in tail {
+        s += v;
+        if squares {
+            sq += v * v;
+        }
+    }
+    (s, sq)
+}
+
+/// The element a sequential selection fold over `values` would keep, as
+/// `(position, value)`, if it beats or ties `best`; `None` otherwise.
+/// `beats` is a strict order under which NaN never wins (`<` for minima,
+/// `>` for maxima) and `worst` is its bottom. The lanes find the winning
+/// value; the result is the run's first element that compares equal to it,
+/// so of equal values the first is kept and a zero keeps its sign.
+fn run_winner(
+    values: &[f64],
+    best: f64,
+    worst: f64,
+    beats: impl Fn(f64, f64) -> bool,
+) -> Option<(usize, f64)> {
+    let (groups, tail) = values.as_chunks::<LANES>();
+    let mut lane = [worst; LANES];
+    for group in groups {
+        for j in 0..LANES {
+            if beats(group[j], lane[j]) {
+                lane[j] = group[j];
+            }
+        }
+    }
+    let pick = |a: f64, b: f64| if beats(b, a) { b } else { a };
+    let mut w = pick(pick(lane[0], lane[1]), pick(lane[2], lane[3]));
+    for &v in tail {
+        w = pick(w, v);
+    }
+    if !(beats(w, best) || w == best) {
+        return None;
+    }
+    let i = values.iter().position(|&v| v == w)?;
+    Some((i, values[i]))
+}
+
+/// Folds a run into a min or max accumulator (`acc.values[0]`).
+fn select_map(acc: &mut Partial, values: &[f64], worst: f64, beats: impl Fn(f64, f64) -> bool) {
+    let best = acc.values[0];
+    if let Some((_, v)) = run_winner(values, best, worst, &beats) {
+        if beats(v, best) {
+            acc.values[0] = v;
+        }
+    }
+    acc.count += values.len() as u64;
+}
+
+/// Folds a run starting at element `start_elem` into a located min or max
+/// accumulator (`[value, index]`): a tie with the accumulator goes to the
+/// lower index. Indices are exact below 2^53.
+fn select_loc_map(
+    acc: &mut Partial,
+    start_elem: u64,
+    values: &[f64],
+    worst: f64,
+    beats: impl Fn(f64, f64) -> bool,
+) {
+    let best = acc.values[0];
+    if let Some((i, v)) = run_winner(values, best, worst, &beats) {
+        let idx = (start_elem + i as u64) as f64;
+        if beats(v, best) || idx < acc.values[1] {
+            acc.values[0] = v;
+            acc.values[1] = idx;
+        }
+    }
+    acc.count += values.len() as u64;
+}
+
 /// Sum of all elements.
 pub struct SumKernel;
 
@@ -130,7 +258,7 @@ impl MapKernel for SumKernel {
     }
 
     fn map(&self, acc: &mut Partial, _start_elem: u64, values: &[f64]) {
-        acc.values[0] += values.iter().sum::<f64>();
+        acc.values[0] += lane_sums(values, false).0;
         acc.count += values.len() as u64;
     }
 
@@ -161,15 +289,7 @@ impl MapKernel for MinKernel {
     }
 
     fn map(&self, acc: &mut Partial, _start_elem: u64, values: &[f64]) {
-        // Fold in a register, not through the Vec: one store per run.
-        let mut best = acc.values[0];
-        for &v in values {
-            if v < best {
-                best = v;
-            }
-        }
-        acc.values[0] = best;
-        acc.count += values.len() as u64;
+        select_map(acc, values, f64::INFINITY, |a, b| a < b);
     }
 
     fn combine(&self, acc: &mut Partial, other: &Partial) {
@@ -197,14 +317,7 @@ impl MapKernel for MaxKernel {
     }
 
     fn map(&self, acc: &mut Partial, _start_elem: u64, values: &[f64]) {
-        let mut best = acc.values[0];
-        for &v in values {
-            if v > best {
-                best = v;
-            }
-        }
-        acc.values[0] = best;
-        acc.count += values.len() as u64;
+        select_map(acc, values, f64::NEG_INFINITY, |a, b| a > b);
     }
 
     fn combine(&self, acc: &mut Partial, other: &Partial) {
@@ -232,7 +345,7 @@ impl MapKernel for MeanKernel {
     }
 
     fn map(&self, acc: &mut Partial, _start_elem: u64, values: &[f64]) {
-        acc.values[0] += values.iter().sum::<f64>();
+        acc.values[0] += lane_sums(values, false).0;
         acc.count += values.len() as u64;
     }
 
@@ -298,21 +411,7 @@ impl MapKernel for MinLocKernel {
     }
 
     fn map(&self, acc: &mut Partial, start_elem: u64, values: &[f64]) {
-        // A running f64 index replaces per-element integer→float
-        // conversion; exact for indices below 2^53, same as the cast.
-        let mut best = acc.values[0];
-        let mut best_idx = acc.values[1];
-        let mut idx = start_elem as f64;
-        for &v in values {
-            if v < best || (v == best && idx < best_idx) {
-                best = v;
-                best_idx = idx;
-            }
-            idx += 1.0;
-        }
-        acc.values[0] = best;
-        acc.values[1] = best_idx;
-        acc.count += values.len() as u64;
+        select_loc_map(acc, start_elem, values, f64::INFINITY, |a, b| a < b);
     }
 
     fn combine(&self, acc: &mut Partial, other: &Partial) {
@@ -346,19 +445,7 @@ impl MapKernel for MaxLocKernel {
     }
 
     fn map(&self, acc: &mut Partial, start_elem: u64, values: &[f64]) {
-        let mut best = acc.values[0];
-        let mut best_idx = acc.values[1];
-        let mut idx = start_elem as f64;
-        for &v in values {
-            if v > best || (v == best && idx < best_idx) {
-                best = v;
-                best_idx = idx;
-            }
-            idx += 1.0;
-        }
-        acc.values[0] = best;
-        acc.values[1] = best_idx;
-        acc.count += values.len() as u64;
+        select_loc_map(acc, start_elem, values, f64::NEG_INFINITY, |a, b| a > b);
     }
 
     fn combine(&self, acc: &mut Partial, other: &Partial) {
@@ -391,14 +478,9 @@ impl MapKernel for SumSqKernel {
     }
 
     fn map(&self, acc: &mut Partial, _start_elem: u64, values: &[f64]) {
-        let mut sum = acc.values[0];
-        let mut sumsq = acc.values[1];
-        for &v in values {
-            sum += v;
-            sumsq += v * v;
-        }
-        acc.values[0] = sum;
-        acc.values[1] = sumsq;
+        let (sum, sumsq) = lane_sums(values, true);
+        acc.values[0] += sum;
+        acc.values[1] += sumsq;
         acc.count += values.len() as u64;
     }
 
@@ -424,22 +506,29 @@ impl MapKernel for SumSqKernel {
 }
 
 /// Adapter letting word-encoded partials ride the MPI reduce collectives:
-/// the traditional baseline's `MPI_Reduce` with a user op (Fig. 5, line 8).
+/// the traditional baseline's `MPI_Reduce` with a user op (Fig. 5, line 8),
+/// and the engine's final reduce. Both operands decode into the thread's
+/// staging partials, so a tree of combines allocates nothing per combine.
 pub struct PartialReduceOp<'a>(pub &'a dyn MapKernel);
 
 impl ReduceOp<u64> for PartialReduceOp<'_> {
     fn combine(&self, acc: &mut [u64], incoming: &[u64]) {
-        let (mut a, used_a) = Partial::from_words(acc);
-        let (b, used_b) = Partial::from_words(incoming);
-        assert_eq!(used_a, acc.len(), "partial word length mismatch");
-        assert_eq!(used_b, incoming.len(), "partial word length mismatch");
-        self.0.combine(&mut a, &b);
-        assert_eq!(a.words_len(), acc.len(), "combine changed partial shape");
-        acc[0] = a.count;
-        acc[1] = a.values.len() as u64;
-        for (slot, v) in acc[2..].iter_mut().zip(&a.values) {
-            *slot = v.to_bits();
-        }
+        with_staging(|a| {
+            with_staging(|b| {
+                assert_eq!(a.read_words(acc), acc.len(), "partial word length mismatch");
+                assert_eq!(
+                    b.read_words(incoming),
+                    incoming.len(),
+                    "partial word length mismatch"
+                );
+                self.0.combine(a, b);
+            });
+            assert_eq!(a.words_len(), acc.len(), "combine changed partial shape");
+            acc[0] = a.count;
+            for (slot, v) in acc[2..].iter_mut().zip(&a.values) {
+                *slot = v.to_bits();
+            }
+        });
     }
 }
 
@@ -521,6 +610,238 @@ mod tests {
         let (c, _) = Partial::from_words(&words);
         assert_eq!(c.values[0], 15.0);
         assert_eq!(c.count, 5);
+    }
+
+    /// The sequential folds the lane folds replaced, one element at a
+    /// time: selections must match them bit for bit on any run, sums
+    /// wherever the sequential sum is exact.
+    mod reference {
+        use super::Partial;
+
+        pub fn sum(acc: &mut Partial, _start_elem: u64, values: &[f64]) {
+            acc.values[0] += values.iter().sum::<f64>();
+            acc.count += values.len() as u64;
+        }
+
+        pub fn sumsq(acc: &mut Partial, _start_elem: u64, values: &[f64]) {
+            let mut sum = acc.values[0];
+            let mut sumsq = acc.values[1];
+            for &v in values {
+                sum += v;
+                sumsq += v * v;
+            }
+            acc.values[0] = sum;
+            acc.values[1] = sumsq;
+            acc.count += values.len() as u64;
+        }
+
+        pub fn min(acc: &mut Partial, _start_elem: u64, values: &[f64]) {
+            let mut best = acc.values[0];
+            for &v in values {
+                if v < best {
+                    best = v;
+                }
+            }
+            acc.values[0] = best;
+            acc.count += values.len() as u64;
+        }
+
+        pub fn max(acc: &mut Partial, _start_elem: u64, values: &[f64]) {
+            let mut best = acc.values[0];
+            for &v in values {
+                if v > best {
+                    best = v;
+                }
+            }
+            acc.values[0] = best;
+            acc.count += values.len() as u64;
+        }
+
+        pub fn minloc(acc: &mut Partial, start_elem: u64, values: &[f64]) {
+            let mut best = acc.values[0];
+            let mut best_idx = acc.values[1];
+            let mut idx = start_elem as f64;
+            for &v in values {
+                if v < best || (v == best && idx < best_idx) {
+                    best = v;
+                    best_idx = idx;
+                }
+                idx += 1.0;
+            }
+            acc.values[0] = best;
+            acc.values[1] = best_idx;
+            acc.count += values.len() as u64;
+        }
+
+        pub fn maxloc(acc: &mut Partial, start_elem: u64, values: &[f64]) {
+            let mut best = acc.values[0];
+            let mut best_idx = acc.values[1];
+            let mut idx = start_elem as f64;
+            for &v in values {
+                if v > best || (v == best && idx < best_idx) {
+                    best = v;
+                    best_idx = idx;
+                }
+                idx += 1.0;
+            }
+            acc.values[0] = best;
+            acc.values[1] = best_idx;
+            acc.count += values.len() as u64;
+        }
+    }
+
+    type Fold = fn(&mut Partial, u64, &[f64]);
+
+    fn selections() -> [(&'static dyn MapKernel, Fold); 4] {
+        [
+            (&MinKernel, reference::min),
+            (&MaxKernel, reference::max),
+            (&MinLocKernel, reference::minloc),
+            (&MaxLocKernel, reference::maxloc),
+        ]
+    }
+
+    fn sums() -> [(&'static dyn MapKernel, Fold); 3] {
+        [
+            (&SumKernel, reference::sum),
+            (&MeanKernel, reference::sum),
+            (&SumSqKernel, reference::sumsq),
+        ]
+    }
+
+    fn bits(p: &Partial) -> (u64, Vec<u64>) {
+        (p.count, p.values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// The values selection runs are drawn from: both zeros, NaN, both
+    /// infinities, and few finite values.
+    const SPECIALS: [f64; 9] = [
+        0.0,
+        1.0,
+        -0.0,
+        -1.0,
+        f64::NAN,
+        2.0,
+        -2.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// Prior accumulator indices: the identity's `-1`, indices before,
+    /// inside and after the runs (which start at 0..20), and NaN.
+    const PRIOR_INDICES: [f64; 6] = [-1.0, 0.0, 7.0, 19.0, 100.0, f64::NAN];
+
+    /// Runs over the first `k` of [`SPECIALS`], negated or not: short
+    /// palettes make repeats, and ties between zeros of both signs behind
+    /// a larger first value, common for minima and maxima alike.
+    fn special_run() -> impl Strategy<Value = Vec<f64>> {
+        (
+            1..SPECIALS.len() + 1,
+            0..2usize,
+            prop::collection::vec(0..SPECIALS.len(), 0..41),
+        )
+            .prop_map(|(k, negate, ix)| {
+                let sign = if negate == 1 { -1.0 } else { 1.0 };
+                ix.into_iter().map(|i| sign * SPECIALS[i % k]).collect()
+            })
+    }
+
+    #[test]
+    fn selections_keep_the_first_of_equal_values() {
+        // +0.0 first at element 12 (lane 2), -0.0 later at element 14
+        // (lane 0): the lanes' winner is the -0.0, the sequential fold
+        // keeps the +0.0. Negated, the same holds for maxima.
+        let run = [1.0, 1.0, 0.0, 1.0, -0.0, 1.0, 1.0, 1.0];
+        let negated = run.map(|v: f64| -v);
+        let cases: [(&dyn MapKernel, &[f64]); 4] = [
+            (&MinKernel, &run),
+            (&MinLocKernel, &run),
+            (&MaxKernel, &negated),
+            (&MaxLocKernel, &negated),
+        ];
+        for (k, values) in cases {
+            let mut acc = k.identity();
+            k.map(&mut acc, 10, values);
+            assert_eq!(acc.values[0].to_bits(), values[2].to_bits(), "{}", k.name());
+            assert_eq!(
+                acc.values[1..],
+                [12.0][..acc.values.len() - 1],
+                "{}",
+                k.name()
+            );
+        }
+    }
+
+    #[test]
+    fn lane_sum_order_is_pinned() {
+        // Lanes (0.1+-1e8, 3.3+3.3, 1e-17+1e8, 0.001+0.1), combined as
+        // (l0+l1)+(l2+l3), then the tail 0.5, 0.7, 1.1 in order. The
+        // sequential fold reads ...4ccccc; (l0+l1+l2)+l3 reads ...3b645a.
+        let run = [0.1, 3.3, 1e-17, 0.001, -1e8, 3.3, 1e8, 0.1, 0.5, 0.7, 1.1];
+        let golden = 0x4022_33b6_4519_9999;
+        for (k, _) in sums() {
+            let mut acc = k.identity();
+            k.map(&mut acc, 0, &run);
+            assert_eq!(acc.values[0].to_bits(), golden, "{}", k.name());
+        }
+        let mut seq = SumKernel.identity();
+        reference::sum(&mut seq, 0, &run);
+        assert_ne!(
+            seq.values[0].to_bits(),
+            golden,
+            "the golden must pin the order"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn prop_selections_match_sequential_folds_bitwise(
+            run in special_run(),
+            start in 0u64..20,
+            prior in (0..SPECIALS.len(), 0..PRIOR_INDICES.len(), 0u64..4),
+            fresh in 0..2usize,
+        ) {
+            for (k, fold) in selections() {
+                // A fresh identity, or an arbitrary prior accumulator.
+                let mut acc = k.identity();
+                if fresh == 0 {
+                    acc.values[0] = SPECIALS[prior.0];
+                    if acc.values.len() > 1 {
+                        acc.values[1] = PRIOR_INDICES[prior.1];
+                    }
+                    acc.count = prior.2;
+                }
+                let mut want = acc.clone();
+                fold(&mut want, start, &run);
+                k.map(&mut acc, start, &run);
+                prop_assert_eq!(bits(&acc), bits(&want), "kernel {} on {:?}", k.name(), run);
+            }
+        }
+
+        #[test]
+        fn prop_sums_match_sequential_folds_on_integers(
+            ints in prop::collection::vec(-50i64..51, 0..41),
+            start in 0u64..20,
+            prior in (-50i64..51, -1000i64..1001, 0u64..4),
+        ) {
+            // -50 stands for -0.0, so runs and priors carry both zeros.
+            let value = |i: i64| if i == -50 { -0.0 } else { i as f64 };
+            let run: Vec<f64> = ints.iter().map(|&i| value(i)).collect();
+            for (k, fold) in sums() {
+                let mut acc = k.identity();
+                acc.values[0] = value(prior.0);
+                if acc.values.len() > 1 {
+                    acc.values[1] = prior.1 as f64;
+                }
+                acc.count = prior.2;
+                let mut want = acc.clone();
+                fold(&mut want, start, &run);
+                k.map(&mut acc, start, &run);
+                prop_assert_eq!(bits(&acc), bits(&want), "kernel {} on {:?}", k.name(), run);
+            }
+        }
     }
 
     /// All kernels under one roof for generic law tests.

@@ -265,6 +265,7 @@ impl Comm {
         }
         let rank = self.rank();
         let mut acc = data.to_vec();
+        let mut incoming = Vec::new();
         let mut bit = 1;
         let mut sent_up = false;
         while bit < p {
@@ -276,7 +277,7 @@ impl Comm {
             }
             let child = rank | bit;
             if child < p {
-                let (incoming, _) = self.recv::<T>(child, tag);
+                self.recv_into(child, tag, &mut incoming);
                 op.combine(&mut acc, &incoming);
             }
             bit <<= 1;

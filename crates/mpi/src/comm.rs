@@ -21,7 +21,7 @@ use std::time::Instant;
 use cc_model::{ClusterModel, SimTime};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::elem::{decode_vec, encode_slice_into, Elem};
+use crate::elem::{decode_into, encode_slice_into, Elem};
 use crate::memo::Memo;
 use crate::pool::BufferPool;
 use crate::stats::CommStats;
@@ -46,17 +46,6 @@ pub const SEQ_MASK: TagValue = 0x0fff_ffff;
 /// "poisoned" panics.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Metadata of a received message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvInfo {
-    /// Sending rank.
-    pub src: usize,
-    /// Message tag.
-    pub tag: TagValue,
-    /// Virtual time at which the message arrived at this rank.
-    pub arrival: SimTime,
 }
 
 /// A message body: a buffer handed over whole, or a slice of a buffer that
@@ -633,32 +622,27 @@ impl Comm {
     /// Pops the first queued self-delivery matching `src`/`tag`, if any.
     /// Self-deliveries are not network messages, so the receive counters
     /// stay untouched (the send side already counted it as a self message).
-    fn take_self(&mut self, src: usize, tag: TagValue) -> Option<(Payload, RecvInfo)> {
+    fn take_self(&mut self, src: usize, tag: TagValue) -> Option<(Payload, SimTime)> {
         let pos = self.self_queue.iter().position(|e| e.matches(src, tag))?;
         let env = self.self_queue.remove(pos).expect("position is in range");
-        let info = RecvInfo {
-            src: env.src,
-            tag: env.tag,
-            arrival: env.arrival,
-        };
-        Some((env.payload, info))
+        Some((env.payload, env.arrival))
     }
 
-    /// Receives one message matching `src`/`tag`, blocking until it arrives.
-    /// Advances the clock to the message's arrival time.
-    pub fn recv_bytes(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, RecvInfo) {
-        let (payload, info) = self.recv_bytes_no_clock(src, tag);
-        self.set_clock(self.clock.max(info.arrival));
-        (payload, info)
+    /// Receives one message matching `src`/`tag`, blocking until it arrives,
+    /// and returns it with its arrival. Advances the clock to the arrival.
+    pub fn recv_bytes(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, SimTime) {
+        let (payload, arrival) = self.recv_bytes_no_clock(src, tag);
+        self.set_clock(self.clock.max(arrival));
+        (payload, arrival)
     }
 
     /// Receives like [`recv_bytes`](Self::recv_bytes) but leaves the clock
     /// untouched — for engines that account arrival times into their own
     /// lane structures. A shared payload is copied out; see
     /// [`recv_payload_no_clock`](Self::recv_payload_no_clock).
-    pub fn recv_bytes_no_clock(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, RecvInfo) {
-        let (payload, info) = self.recv_payload_no_clock(src, tag);
-        (payload.into_vec(), info)
+    pub fn recv_bytes_no_clock(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, SimTime) {
+        let (payload, arrival) = self.recv_payload_no_clock(src, tag);
+        (payload.into_vec(), arrival)
     }
 
     /// [`recv_bytes_no_clock`](Self::recv_bytes_no_clock) returning the
@@ -677,7 +661,7 @@ impl Comm {
     /// after the whole world has been silent for a full `recv_watchdog`
     /// window. The deadline is absolute, so spurious condvar wakeups near
     /// the deadline never double-count elapsed time.
-    pub fn recv_payload_no_clock(&mut self, src: usize, tag: TagValue) -> (Payload, RecvInfo) {
+    pub fn recv_payload_no_clock(&mut self, src: usize, tag: TagValue) -> (Payload, SimTime) {
         // Self-sends never enter the shared mailbox; they can only already
         // be queued locally (this thread cannot send while blocked here),
         // so one check up front suffices.
@@ -702,12 +686,7 @@ impl Comm {
                 self.shared.note_progress();
                 self.stats.msgs_recv += 1;
                 self.stats.bytes_recv += env.payload.len();
-                let info = RecvInfo {
-                    src: env.src,
-                    tag: env.tag,
-                    arrival: env.arrival,
-                };
-                return (env.payload, info);
+                return (env.payload, env.arrival);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -749,11 +728,24 @@ impl Comm {
 
     /// Typed receive: blocks for a matching message, decodes it, and
     /// recycles the payload buffer into this rank's pool.
-    pub fn recv<T: Elem>(&mut self, src: usize, tag: TagValue) -> (Vec<T>, RecvInfo) {
-        let (bytes, info) = self.recv_bytes(src, tag);
-        let data = decode_vec(&bytes);
+    pub fn recv<T: Elem>(&mut self, src: usize, tag: TagValue) -> (Vec<T>, SimTime) {
+        let mut data = Vec::new();
+        let arrival = self.recv_into(src, tag, &mut data);
+        (data, arrival)
+    }
+
+    /// [`recv`](Self::recv) into a caller's buffer, cleared first, so a loop
+    /// of receives decodes through one allocation.
+    pub(crate) fn recv_into<T: Elem>(
+        &mut self,
+        src: usize,
+        tag: TagValue,
+        out: &mut Vec<T>,
+    ) -> SimTime {
+        let (bytes, arrival) = self.recv_bytes(src, tag);
+        decode_into(&bytes, out);
         self.pool.put(bytes);
-        (data, info)
+        arrival
     }
 }
 
@@ -771,8 +763,7 @@ mod tests {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, &[1.0f64, 2.0, 3.0]);
-                let (data, info) = comm.recv::<f64>(1, 8);
-                assert_eq!(info.src, 1);
+                let (data, _) = comm.recv::<f64>(1, 8);
                 (data, comm.clock())
             } else {
                 let (mut data, _) = comm.recv::<f64>(0, 7);
@@ -833,10 +824,10 @@ mod tests {
                 comm.send(1, 0, &[0u8]);
                 comm.clock()
             } else {
-                let (_, info) = comm.recv_bytes(0, 0);
+                let (_, arrival) = comm.recv_bytes(0, 0);
                 // Arrival is after sender's 5 seconds of work.
-                assert!(info.arrival > SimTime::from_secs(5.0));
-                assert_eq!(comm.clock(), info.arrival);
+                assert!(arrival > SimTime::from_secs(5.0));
+                assert_eq!(comm.clock(), arrival);
                 comm.clock()
             }
         });
@@ -868,13 +859,12 @@ mod tests {
                 comm.send(0, 42, &[7.0f64, 8.0]);
                 // FIFO with a second self message on the same tag.
                 comm.send(0, 42, &[9.0f64]);
-                let (a, info) = comm.recv::<f64>(0, 42);
+                let (a, arrival) = comm.recv::<f64>(0, 42);
                 assert_eq!(a, vec![7.0, 8.0]);
-                assert_eq!(info.src, 0);
                 // Arrival is the departure: no latency or transfer charged,
                 // only the sender-side overhead of the two posts.
                 let send_cost = comm.model().net.send_cost();
-                assert_eq!(info.arrival, before + send_cost);
+                assert_eq!(arrival, before + send_cost);
                 let (b, _) = comm.recv::<f64>(0, 42);
                 assert_eq!(b, vec![9.0]);
             }

@@ -386,8 +386,9 @@ impl Comm {
         if rank != view.leader {
             self.send(view.leader, t_intra, &acc);
         } else {
+            let mut incoming = Vec::new();
             for src in view.node_lo + 1..view.node_hi {
-                let (incoming, _) = self.recv::<T>(src, t_intra);
+                self.recv_into(src, t_intra, &mut incoming);
                 op.combine(&mut acc, &incoming);
             }
             // Binomial over node indices, *not* rotated: node n's partial
@@ -402,7 +403,7 @@ impl Comm {
                 }
                 let child = n | bit;
                 if child < view.nodes_used {
-                    let (incoming, _) = self.recv::<T>(view.leader_of_node(child), t_inter);
+                    self.recv_into(view.leader_of_node(child), t_inter, &mut incoming);
                     op.combine(&mut acc, &incoming);
                 }
                 bit <<= 1;

@@ -34,7 +34,7 @@ pub mod pool;
 pub mod stats;
 pub mod world;
 
-pub use comm::{Comm, Payload, RecvInfo};
+pub use comm::{Comm, Payload};
 pub use hier::{frame_sections, NodeView};
 pub use elem::Elem;
 pub use ops::ReduceOp;

@@ -24,9 +24,6 @@
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
     free_bytes: usize,
-    taken: u64,
-    reused: u64,
-    evicted: u64,
 }
 
 /// Buffers retained beyond this count are dropped instead of pooled, so a
@@ -52,7 +49,6 @@ impl BufferPool {
     /// of capacity `len..=MAX_OVERSIZE * len`, or else a fresh one of
     /// capacity exactly `len` (none at all for `len == 0`).
     pub fn take(&mut self, len: usize) -> Vec<u8> {
-        self.taken += 1;
         let fit = self
             .free
             .iter()
@@ -63,7 +59,6 @@ impl BufferPool {
         match fit {
             Some(i) => {
                 let mut buf = self.free.swap_remove(i);
-                self.reused += 1;
                 self.free_bytes -= buf.capacity();
                 buf.clear();
                 buf
@@ -76,35 +71,27 @@ impl BufferPool {
     /// the pool is at its count cap or retaining it would exceed the byte
     /// cap.
     pub fn put(&mut self, buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if self.free.len() >= MAX_POOLED
+        if buf.capacity() == 0
+            || self.free.len() >= MAX_POOLED
             || self.free_bytes + buf.capacity() > MAX_POOLED_BYTES
         {
-            self.evicted += 1;
             return;
         }
         self.free_bytes += buf.capacity();
         self.free.push(buf);
     }
 
-    /// Drops every retained buffer; the counters keep running.
+    /// Drops every retained buffer.
     pub fn clear(&mut self) {
         self.free.clear();
         self.free_bytes = 0;
     }
 
-    /// `(buffers handed out, of which reused)` — for steady-state
-    /// allocation checks.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.taken, self.reused)
-    }
-
-    /// `(buffers evicted at return time, bytes currently retained)` — for
-    /// memory-cap regression checks.
-    pub fn eviction_stats(&self) -> (u64, usize) {
-        (self.evicted, self.free_bytes)
+    /// `(buffers retained, bytes retained)`: a take that reused a buffer
+    /// removed one, a return that was evicted added none.
+    #[cfg(test)]
+    fn retained(&self) -> (usize, usize) {
+        (self.free.len(), self.free_bytes)
     }
 }
 
@@ -121,11 +108,12 @@ mod tests {
         let ptr = a.as_ptr();
         let cap = a.capacity();
         pool.put(a);
+        assert_eq!(pool.retained(), (1, cap));
         let b = pool.take(3);
         assert!(b.is_empty());
         assert_eq!(b.as_ptr(), ptr);
         assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.stats(), (2, 1));
+        assert_eq!(pool.retained(), (0, 0), "the second take reused the buffer");
     }
 
     #[test]
@@ -138,8 +126,8 @@ mod tests {
         assert_eq!(pool.take(95).capacity(), 100);
         assert_eq!(pool.take(95).capacity(), 120);
         assert_eq!(pool.take(95).capacity(), 250);
-        assert_eq!(pool.eviction_stats(), (0, 400 + 90));
-        assert_eq!(pool.stats(), (3, 3));
+        // Five returns retained, three takes reused, nothing evicted.
+        assert_eq!(pool.retained(), (2, 400 + 90));
     }
 
     #[test]
@@ -148,13 +136,13 @@ mod tests {
         pool.put(Vec::with_capacity(4 * 1024 + 1));
         let small = pool.take(1024);
         assert_eq!(small.capacity(), 1024, "fresh, exact-size buffer");
-        assert_eq!(pool.stats(), (1, 0));
+        assert_eq!(pool.retained(), (1, 4 * 1024 + 1), "nothing reused");
         // Exactly four times oversize still fits.
         pool.put(Vec::with_capacity(4 * 1024));
         assert_eq!(pool.take(1024).capacity(), 4 * 1024);
         // An empty take allocates nothing and reuses nothing.
         assert_eq!(pool.take(0).capacity(), 0);
-        assert_eq!(pool.stats(), (3, 1));
+        assert_eq!(pool.retained(), (1, 4 * 1024 + 1), "one take reused");
     }
 
     #[test]
@@ -163,23 +151,22 @@ mod tests {
         pool.put(Vec::with_capacity(64));
         pool.put(Vec::with_capacity(32));
         pool.clear();
-        assert_eq!(pool.eviction_stats(), (0, 0));
+        assert_eq!(pool.retained(), (0, 0));
         assert_eq!(
             pool.take(16).capacity(),
             16,
             "a cleared pool hands out fresh buffers"
         );
-        assert_eq!(pool.stats(), (1, 0));
+        assert_eq!(pool.retained(), (0, 0));
     }
 
     #[test]
     fn capacityless_buffers_are_not_pooled() {
         let mut pool = BufferPool::new();
         pool.put(Vec::new());
-        let _ = pool.take(0);
-        assert_eq!(pool.stats(), (1, 0));
-        // Dropping a capacityless buffer is not an eviction.
-        assert_eq!(pool.eviction_stats(), (0, 0));
+        assert_eq!(pool.retained(), (0, 0));
+        assert_eq!(pool.take(0).capacity(), 0, "nothing to reuse");
+        assert_eq!(pool.retained(), (0, 0));
     }
 
     #[test]
@@ -188,10 +175,8 @@ mod tests {
         for _ in 0..2 * MAX_POOLED {
             pool.put(Vec::with_capacity(8));
         }
-        assert_eq!(pool.free.len(), MAX_POOLED);
-        let (evicted, retained) = pool.eviction_stats();
-        assert_eq!(evicted, MAX_POOLED as u64);
-        assert_eq!(retained, MAX_POOLED * 8);
+        // The second half was evicted.
+        assert_eq!(pool.retained(), (MAX_POOLED, MAX_POOLED * 8));
     }
 
     #[test]
@@ -200,22 +185,19 @@ mod tests {
         // A giant buffer that alone exceeds the byte cap is never
         // retained...
         pool.put(Vec::with_capacity(MAX_POOLED_BYTES + 1));
-        assert_eq!(pool.eviction_stats(), (1, 0));
+        assert_eq!(pool.retained(), (0, 0));
         // ...and once retained capacity is at the cap, further returns are
         // evicted even though the count cap has headroom.
         let half = MAX_POOLED_BYTES / 2;
         pool.put(Vec::with_capacity(half));
         pool.put(Vec::with_capacity(half));
-        assert_eq!(pool.eviction_stats(), (1, MAX_POOLED_BYTES));
+        assert_eq!(pool.retained(), (2, MAX_POOLED_BYTES));
         pool.put(Vec::with_capacity(4096));
-        let (evicted, retained) = pool.eviction_stats();
-        assert_eq!(evicted, 2);
-        assert_eq!(retained, MAX_POOLED_BYTES);
-        assert!(pool.free.len() < MAX_POOLED);
+        assert_eq!(pool.retained(), (2, MAX_POOLED_BYTES));
         // Taking a buffer frees its share of the budget, letting returns
         // through again.
         let _ = pool.take(half);
         pool.put(Vec::with_capacity(4096));
-        assert_eq!(pool.eviction_stats(), (2, half + 4096));
+        assert_eq!(pool.retained(), (2, half + 4096));
     }
 }

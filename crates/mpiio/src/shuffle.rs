@@ -74,18 +74,14 @@ impl<'h> Wire<'h> {
     /// shared slice, its arrival, and the decode CPU time (zero for a raw
     /// message).
     pub(crate) fn recv(self, comm: &mut Comm, src: usize) -> (Payload, SimTime, SimTime) {
-        let (wire, info) = comm.recv_payload_no_clock(src, self.tag);
+        let (wire, arrival) = comm.recv_payload_no_clock(src, self.tag);
         if !self.compression.is_on() || comm.model().topology.same_node(src, comm.rank()) {
-            return (wire, info.arrival, SimTime::ZERO);
+            return (wire, arrival, SimTime::ZERO);
         }
         let mut logical = comm.take_buf(cc_compress::decoded_len(&wire));
         let n = cc_compress::decode_into(&wire, &mut logical);
         comm.recycle_buf(wire);
-        (
-            logical.into(),
-            info.arrival,
-            comm.model().cpu.decompress_time(n),
-        )
+        (logical.into(), arrival, comm.model().cpu.decompress_time(n))
     }
 }
 

@@ -943,7 +943,7 @@ mod tests {
                 let frame_tag = TAG_WRITE_FRAME | (tag & SEQ_MASK);
                 let frames = schedule.active_iterations(a).iter();
                 return frames
-                    .map(|_| comm.recv_bytes_no_clock(0, frame_tag).1.arrival)
+                    .map(|_| comm.recv_bytes_no_clock(0, frame_tag).1)
                     .collect();
             }
             let data = vec![comm.rank() as u8; 200];

@@ -36,7 +36,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cc_array::{DType, Hyperslab, Shape, Variable};
 use cc_compress::{decode_into, encode_into, Compression, ErrorBound};
-use cc_core::{object_get_vara, ObjectIo, ReduceMode, SumKernel};
+use cc_core::kernel::PartialReduceOp;
+use cc_core::{
+    object_get_vara, FusedKernel, MapKernel, MinLocKernel, ObjectIo, Partial, ReduceMode,
+    SumKernel, SumSqKernel,
+};
 use cc_integration::{assert_close, build_var_fs, test_model, test_value};
 use cc_model::{ClusterModel, DiskModel};
 use cc_mpi::World;
@@ -184,10 +188,11 @@ fn flattening_allocates_per_call_not_per_run() {
     );
 }
 
-/// World allocations of one all-to-one `object_get_vara` sum on 16 ranks,
-/// each rank reading 2,048 `f64`s as `runs` rows of one column block, in
-/// 16 KiB collective-buffer chunks.
-fn object_read_allocs(runs: u64) -> u64 {
+/// World allocations of one all-to-one `object_get_vara` with `kernel`,
+/// whose first result is the sum, on 16 ranks, each rank reading 2,048
+/// `f64`s as `runs` rows of one column block, in 16 KiB collective-buffer
+/// chunks.
+fn object_read_allocs(runs: u64, kernel: &dyn MapKernel) -> u64 {
     const RANKS: usize = 16;
     const PER_RANK: u64 = 2048;
     let width = PER_RANK / runs;
@@ -205,7 +210,7 @@ fn object_read_allocs(runs: u64) -> u64 {
             let io = ObjectIo::new(vec![0, comm.rank() as u64 * width], vec![runs, width])
                 .hints(hints.clone())
                 .reduce(ReduceMode::AllToOne { root: 0 });
-            object_get_vara(comm, &fs, &file, &var, &io, &SumKernel).global
+            object_get_vara(comm, &fs, &file, &var, &io, kernel).global
         });
         global = out.into_iter().find_map(|g| g);
     });
@@ -223,12 +228,83 @@ fn object_read_allocs(runs: u64) -> u64 {
 #[test]
 fn object_read_allocations_do_not_grow_with_runs() {
     let _turn = one_at_a_time();
-    let few = object_read_allocs(32);
-    let many = object_read_allocs(128);
+    let few = object_read_allocs(32, &SumKernel);
+    let many = object_read_allocs(128, &SumKernel);
     assert!(
         many < few + 16,
         "{few} allocations with 32 runs per rank, {many} with 128; the bound is {}",
         few + 16
+    );
+}
+
+/// The same reads with a fused sum, min-location and moments kernel: a
+/// fused fold stages each component's slot through its thread's staging
+/// partial, so the world's allocations still do not grow with the run
+/// count (about 735 either way). A scratch partial per `map` and two per
+/// `combine` counted 1,406 with 32 runs and 2,933 with 128.
+#[test]
+fn fused_object_read_allocations_do_not_grow_with_runs() {
+    let _turn = one_at_a_time();
+    let fused = FusedKernel::new(vec![&SumKernel, &MinLocKernel, &SumSqKernel]);
+    let few = object_read_allocs(32, &fused);
+    let many = object_read_allocs(128, &fused);
+    assert!(
+        many < few + 16,
+        "{few} allocations with 32 runs per rank, {many} with 128; the bound is {}",
+        few + 16
+    );
+}
+
+/// The root's allocations in the tree reduce that ends an all-to-all
+/// `object_get_vara` (the baseline's `MPI_Reduce` too): `ranks` ranks, 4
+/// to a node, each reducing a located-minimum partial to rank 0 through
+/// `PartialReduceOp`. The root makes the most combines; the other ranks'
+/// counts also carry their sends, which grow a receiver's mailbox queue
+/// whenever it holds more than four messages, depending on thread order.
+fn partial_reduce_root_allocs(ranks: usize) -> u64 {
+    let world = World::new(ranks, test_model(ranks / 4, 4));
+    let mut out = world.run(|comm| {
+        // Rank r maps [r + 1, ranks - r] at element 2r: the minimum 1.0 is
+        // at element 0 and at the last rank's element 2 * ranks - 1.
+        let r = comm.rank();
+        let mut partial = MinLocKernel.identity();
+        let run = [r as f64 + 1.0, (ranks - r) as f64];
+        MinLocKernel.map(&mut partial, 2 * r as u64, &run);
+        let words = partial.to_words();
+        let mut global = None;
+        let allocs = allocs_during(|| {
+            global = comm.reduce(0, &words, &PartialReduceOp(&MinLocKernel));
+        });
+        (allocs, global)
+    });
+    let (allocs, global) = out.swap_remove(0);
+    let (global, _) = Partial::from_words(&global.expect("the root's result"));
+    assert_eq!(
+        MinLocKernel.finalize(&global),
+        vec![1.0, 0.0],
+        "ties go to the lower index"
+    );
+    allocs
+}
+
+/// The reduce on 8 and on 64 ranks: the root combines 4 and then 7
+/// partials (3 from its node, then 1 and then 4 from other leaders), and
+/// its allocations do not grow with them: 6 and 7 (the partial it starts
+/// from, its receive buffer, two staging partials and their stack, and
+/// its buffer pool's freelist, which doubles once past 4 retained
+/// payloads). Decoding both operands of every combine into fresh
+/// partials and each received message into a fresh vector cost the root
+/// 3 allocations per combine: 14 and 24.
+#[test]
+fn partial_reduce_allocations_do_not_grow_with_ranks() {
+    let _turn = one_at_a_time();
+    let few = partial_reduce_root_allocs(8);
+    let many = partial_reduce_root_allocs(64);
+    assert!(
+        many <= few + 1,
+        "the root made {few} allocations reducing on 8 ranks, {many} on 64; \
+         the bound is {}",
+        few + 1
     );
 }
 
