@@ -120,15 +120,10 @@ impl Hyperslab {
         // covers completely (plus the next dimension partially).
         let rank = self.rank();
         let mut fused = rank - 1; // runs vary along dims `fused..rank`
-        while fused > 0
-            && self.start[fused] == 0
-            && self.count[fused] == shape.dims()[fused]
-        {
+        while fused > 0 && self.start[fused] == 0 && self.count[fused] == shape.dims()[fused] {
             fused -= 1;
         }
-        let run_len: u64 = (fused..rank)
-            .map(|d| self.count[d])
-            .product();
+        let run_len: u64 = (fused..rank).map(|d| self.count[d]).product();
         RunIter {
             slab: self,
             shape,
@@ -301,11 +296,7 @@ impl StridedSlab {
 impl From<Hyperslab> for StridedSlab {
     fn from(slab: Hyperslab) -> Self {
         let rank = slab.rank();
-        StridedSlab::new(
-            slab.start().to_vec(),
-            slab.count().to_vec(),
-            vec![1; rank],
-        )
+        StridedSlab::new(slab.start().to_vec(), slab.count().to_vec(), vec![1; rank])
     }
 }
 

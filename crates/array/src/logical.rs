@@ -60,7 +60,8 @@ pub fn construct_runs<'a>(
     let esize = var.dtype().size();
     request.locate(lo, hi).map(move |p| {
         assert!(
-            (p.extent.offset - var.base_offset()).is_multiple_of(esize) && p.extent.len % esize == 0,
+            (p.extent.offset - var.base_offset()).is_multiple_of(esize)
+                && p.extent.len % esize == 0,
             "chunk boundary splits a {esize}-byte element of '{}' at byte {}",
             var.name(),
             p.extent.offset

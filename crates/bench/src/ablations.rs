@@ -146,15 +146,15 @@ pub fn ablation_sieving(scale: Scale) -> Table {
             match strategy {
                 "independent" => independent_read(comm, fs, &file, &request).1.end,
                 "sieving" => sieving_read(comm, fs, &file, &request, 4 << 20).1.end,
-                _ => collective_read(comm, fs, &file, &request, &bench_hints()).1.end,
+                _ => {
+                    collective_read(comm, fs, &file, &request, &bench_hints())
+                        .1
+                        .end
+                }
             }
         });
         let end = results.into_iter().max().expect("nonempty");
-        t.row(&[
-            strategy.into(),
-            fmt_t(end),
-            fs.stats().reads.to_string(),
-        ]);
+        t.row(&[strategy.into(), fmt_t(end), fs.stats().reads.to_string()]);
     }
     t
 }
@@ -237,9 +237,7 @@ pub fn ablation_write(scale: Scale) -> Table {
             let data = vec![7u8; request.total_bytes() as usize];
             match strategy {
                 "independent" => independent_write(comm, fs_ref, &file, &request, &data).end,
-                "sieving" => {
-                    sieving_write(comm, fs_ref, &file, &request, &data, 4 << 20).end
-                }
+                "sieving" => sieving_write(comm, fs_ref, &file, &request, &data, 4 << 20).end,
                 _ => collective_write(comm, fs_ref, &file, &request, &data, &bench_hints()).end,
             }
         });
@@ -266,8 +264,7 @@ pub fn ablation_striping(scale: Scale) -> Table {
         &["stripe_kb", "t_s"],
     );
     for stripe_kb in [64u64, 256, 1024, 4096] {
-        let workload =
-            ClimateWorkload::interleaved_3d(nprocs, 64, 2, 256, stripe_kb << 10, 40);
+        let workload = ClimateWorkload::interleaved_3d(nprocs, 64, 2, 256, stripe_kb << 10, 40);
         let fs = workload.build_fs(156, model.disk.clone());
         let world = World::new(nprocs, model.clone());
         let fs = &fs;
@@ -277,7 +274,9 @@ pub fn ablation_striping(scale: Scale) -> Table {
             let request = workload_ref
                 .var()
                 .byte_extents(workload_ref.slab(comm.rank()));
-            collective_read(comm, fs, &file, &request, &bench_hints()).1.end
+            collective_read(comm, fs, &file, &request, &bench_hints())
+                .1
+                .end
         });
         t.row(&[
             stripe_kb.to_string(),

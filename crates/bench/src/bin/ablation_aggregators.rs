@@ -1,5 +1,8 @@
 //! Ablation study: aggregators. Pass --quick for a smaller run.
 fn main() {
     let scale = cc_bench::Scale::from_args();
-    cc_bench::emit(&cc_bench::ablation_aggregators(scale), "ablation_aggregators");
+    cc_bench::emit(
+        &cc_bench::ablation_aggregators(scale),
+        "ablation_aggregators",
+    );
 }

@@ -72,7 +72,9 @@ pub fn fig01(scale: Scale) -> Table {
     let hints_ref = &hints;
     let reports = world.run(move |comm| {
         let file = fs.open(ClimateWorkload::FILE).expect("created");
-        let request = workload_ref.var().byte_extents(workload_ref.slab(comm.rank()));
+        let request = workload_ref
+            .var()
+            .byte_extents(workload_ref.slab(comm.rank()));
         collective_read(comm, fs, &file, &request, hints_ref).1
     });
 
@@ -102,11 +104,7 @@ pub fn fig01(scale: Scale) -> Table {
         fmt_t(shuffle_total),
     ]);
     let overhead = 100.0 * shuffle_total.secs() / (read_total + shuffle_total).secs().max(1e-12);
-    t.row(&[
-        "shuffle_overhead_%".into(),
-        String::new(),
-        fmt(overhead),
-    ]);
+    t.row(&["shuffle_overhead_%".into(), String::new(), fmt(overhead)]);
     t
 }
 
@@ -118,12 +116,7 @@ fn cpu_profile_table(title: &str, segments: Vec<Segment>, horizon: SimTime) -> T
     let profile = CpuProfile::from_segments(segments, width, horizon);
     let mut t = Table::new(title, &["t_bin_s", "user_%", "sys_%", "wait_%"]);
     for (i, (u, s, w)) in profile.percentages().iter().enumerate() {
-        t.row(&[
-            fmt(width.secs() * i as f64),
-            fmt(*u),
-            fmt(*s),
-            fmt(*w),
-        ]);
+        t.row(&[fmt(width.secs() * i as f64), fmt(*u), fmt(*s), fmt(*w)]);
     }
     let (u, s, w) = profile.overall();
     t.row(&["OVERALL".into(), fmt(u), fmt(s), fmt(w)]);
@@ -140,7 +133,9 @@ pub fn fig02(scale: Scale) -> Table {
     let hints_ref = &hints;
     let reports = world.run(move |comm| {
         let file = fs.open(ClimateWorkload::FILE).expect("created");
-        let request = workload_ref.var().byte_extents(workload_ref.slab(comm.rank()));
+        let request = workload_ref
+            .var()
+            .byte_extents(workload_ref.slab(comm.rank()));
         collective_read(comm, fs, &file, &request, hints_ref).1
     });
     let horizon = reports.iter().map(|r| r.end).max().expect("nonempty");
@@ -161,7 +156,9 @@ pub fn fig03(scale: Scale) -> Table {
     let workload_ref = &workload;
     let reports = world.run(move |comm| {
         let file = fs.open(ClimateWorkload::FILE).expect("created");
-        let request = workload_ref.var().byte_extents(workload_ref.slab(comm.rank()));
+        let request = workload_ref
+            .var()
+            .byte_extents(workload_ref.slab(comm.rank()));
         independent_read(comm, fs, &file, &request).1
     });
     let horizon = reports.iter().map(|r| r.end).max().expect("nonempty");
@@ -230,8 +227,7 @@ pub fn fig09(scale: Scale) -> Table {
             fmt(c.speedup()),
         ]);
     }
-    let avg =
-        speedups.iter().map(|s| s.1).sum::<f64>() / speedups.len() as f64;
+    let avg = speedups.iter().map(|s| s.1).sum::<f64>() / speedups.len() as f64;
     let avg_compute_heavy = speedups
         .iter()
         .filter(|s| s.0 > 1.0)
@@ -411,7 +407,14 @@ pub fn fig13(scale: Scale) -> Table {
     let sizes_gb = [100u64, 200, 300, 400];
     let mut t = Table::new(
         "Fig. 13: WRF min sea-level pressure task (virtual GB; scaled real 1/1000)",
-        &["workload_gb", "t_mpi_s", "t_cc_s", "speedup", "min_slp_hpa", "oracle_ok"],
+        &[
+            "workload_gb",
+            "t_mpi_s",
+            "t_cc_s",
+            "speedup",
+            "min_slp_hpa",
+            "oracle_ok",
+        ],
     );
     for &gb in &sizes_gb {
         // Virtual GB -> real MB (scale 1000). The per-step grid is fixed
@@ -449,8 +452,7 @@ pub fn fig13(scale: Scale) -> Table {
                     .blocking(blocking)
                     .hints(hints_ref.clone())
                     .reduce(ReduceMode::AllToOne { root: 0 });
-                let out =
-                    object_get_vara(comm, fs, &file, wrf_ref.slp_var(), &io, &MinLocKernel);
+                let out = object_get_vara(comm, fs, &file, wrf_ref.slp_var(), &io, &MinLocKernel);
                 (out.report.end, out.global)
             });
             let end = results.iter().map(|r| r.0).max().expect("nonempty");

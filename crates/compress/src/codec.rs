@@ -148,7 +148,11 @@ fn encode_f64(bound: &ErrorBound, src: &[u8], dst: &mut Vec<u8>) {
             max = max.max(x);
         }
     }
-    let eb = if min <= max { bound.resolve(min, max) } else { 0.0 };
+    let eb = if min <= max {
+        bound.resolve(min, max)
+    } else {
+        0.0
+    };
     let twoeb = 2.0 * eb;
     dst.clear();
     write_header(dst, MODE_F64, src.len());
@@ -160,7 +164,11 @@ fn encode_f64(bound: &ErrorBound, src: &[u8], dst: &mut Vec<u8>) {
         // `x == pred` short-circuits to level 0 so an eb of zero (rel
         // bound on a constant field) still quantizes instead of hitting
         // 0/0 and escaping every element.
-        let qf = if x == pred { 0.0 } else { ((x - pred) / twoeb).round() };
+        let qf = if x == pred {
+            0.0
+        } else {
+            ((x - pred) / twoeb).round()
+        };
         let mut recon = x;
         if qf.is_finite() && qf.abs() < MAX_LEVEL {
             let q = qf as i64;
@@ -212,7 +220,11 @@ fn encode_f32(bound: &ErrorBound, src: &[u8], dst: &mut Vec<u8>) {
             max = max.max(x);
         }
     }
-    let eb = if min <= max { bound.resolve(min, max) } else { 0.0 };
+    let eb = if min <= max {
+        bound.resolve(min, max)
+    } else {
+        0.0
+    };
     let twoeb = 2.0 * eb;
     dst.clear();
     write_header(dst, MODE_F32, src.len());
@@ -222,7 +234,11 @@ fn encode_f32(bound: &ErrorBound, src: &[u8], dst: &mut Vec<u8>) {
         let x32 = f32::from_le_bytes(chunk.try_into().unwrap());
         let x = f64::from(x32);
         let pred = predict(count, p1, p2);
-        let qf = if x == pred { 0.0 } else { ((x - pred) / twoeb).round() };
+        let qf = if x == pred {
+            0.0
+        } else {
+            ((x - pred) / twoeb).round()
+        };
         let mut recon = x;
         if qf.is_finite() && qf.abs() < MAX_LEVEL {
             let q = qf as i64;
@@ -375,7 +391,9 @@ mod tests {
     #[test]
     fn lossless_is_bit_exact_on_arbitrary_bytes() {
         for len in [0usize, 1, 7, 8, 9, 63, 64, 1000] {
-            let src: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ 0x5a).collect();
+            let src: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(37) ^ 0x5a)
+                .collect();
             let (out, _) = roundtrip(&Compression::Lossless, &src);
             assert_eq!(out, src, "len {len}");
         }
@@ -390,7 +408,12 @@ mod tests {
             .collect();
         let mut wire = Vec::new();
         encode_into(&Compression::Lossless, &src, &mut wire);
-        assert!(wire.len() <= src.len() + 11, "{} > {}", wire.len(), src.len());
+        assert!(
+            wire.len() <= src.len() + 11,
+            "{} > {}",
+            wire.len(),
+            src.len()
+        );
         let mut out = Vec::new();
         decode_into(&wire, &mut out);
         assert_eq!(out, src);
@@ -401,7 +424,12 @@ mod tests {
         let src: Vec<u8> = (0..512u64).flat_map(|i| i.to_le_bytes()).collect();
         let mut wire = Vec::new();
         encode_into(&Compression::Lossless, &src, &mut wire);
-        assert!(wire.len() < src.len() / 2, "{} vs {}", wire.len(), src.len());
+        assert!(
+            wire.len() < src.len() / 2,
+            "{} vs {}",
+            wire.len(),
+            src.len()
+        );
     }
 
     #[test]
@@ -446,10 +474,7 @@ mod tests {
     fn lossy_escapes_non_finite_values_exactly() {
         let field = [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.0, 3.0];
         let src = f64_bytes(&field);
-        let (out, _) = roundtrip(
-            &Compression::ErrorBounded(ErrorBound::absolute(1e-6)),
-            &src,
-        );
+        let (out, _) = roundtrip(&Compression::ErrorBounded(ErrorBound::absolute(1e-6)), &src);
         let decoded: Vec<f64> = out
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
@@ -477,10 +502,7 @@ mod tests {
         let src: Vec<u8> = field.iter().flat_map(|v| v.to_le_bytes()).collect();
         // 4-byte aligned but not 8-byte aligned -> f32 framing.
         let src = &src[..src.len() - 4];
-        let (out, _) = roundtrip(
-            &Compression::ErrorBounded(ErrorBound::absolute(1e-2)),
-            src,
-        );
+        let (out, _) = roundtrip(&Compression::ErrorBounded(ErrorBound::absolute(1e-2)), src);
         for (ca, cb) in src.chunks_exact(4).zip(out.chunks_exact(4)) {
             let xa = f32::from_le_bytes(ca.try_into().unwrap());
             let xb = f32::from_le_bytes(cb.try_into().unwrap());
@@ -491,10 +513,7 @@ mod tests {
     #[test]
     fn lossy_misaligned_payload_falls_back_lossless() {
         let src: Vec<u8> = (0..101).map(|i| i as u8).collect();
-        let (out, _) = roundtrip(
-            &Compression::ErrorBounded(ErrorBound::default()),
-            &src,
-        );
+        let (out, _) = roundtrip(&Compression::ErrorBounded(ErrorBound::default()), &src);
         assert_eq!(out, src);
     }
 

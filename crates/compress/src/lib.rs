@@ -49,8 +49,14 @@ impl ErrorBound {
     /// A bound with both components; each must be finite and `>= 0`, and
     /// at least one must be positive.
     pub fn new(abs: f64, rel: f64) -> Self {
-        assert!(abs.is_finite() && abs >= 0.0, "abs bound must be finite and >= 0");
-        assert!(rel.is_finite() && rel >= 0.0, "rel bound must be finite and >= 0");
+        assert!(
+            abs.is_finite() && abs >= 0.0,
+            "abs bound must be finite and >= 0"
+        );
+        assert!(
+            rel.is_finite() && rel >= 0.0,
+            "rel bound must be finite and >= 0"
+        );
         assert!(abs > 0.0 || rel > 0.0, "error bound must be positive");
         Self { abs, rel }
     }
@@ -187,8 +193,14 @@ mod tests {
         let lossy = Compression::ErrorBounded(ErrorBound::default());
         assert_eq!(lossy.clamp_for(Tolerance::Exact), Compression::Lossless);
         assert_eq!(lossy.clamp_for(Tolerance::BoundedError), lossy);
-        assert_eq!(Compression::Lossless.clamp_for(Tolerance::Exact), Compression::Lossless);
-        assert_eq!(Compression::Off.clamp_for(Tolerance::Exact), Compression::Off);
+        assert_eq!(
+            Compression::Lossless.clamp_for(Tolerance::Exact),
+            Compression::Lossless
+        );
+        assert_eq!(
+            Compression::Off.clamp_for(Tolerance::Exact),
+            Compression::Off
+        );
     }
 
     #[test]

@@ -492,7 +492,10 @@ fn reduce_all_to_all(
         let same_node = comm.model().topology.same_node(comm.rank(), owner);
         let cost = cpu.memcpy_time(scratch.words.len() * 8)
             + comm.model().net.send_cost()
-            + comm.model().net.wire_time(scratch.words.len() * 8, same_node)
+            + comm
+                .model()
+                .net
+                .wire_time(scratch.words.len() * 8, same_node)
             + comm.model().net.msg_cost(same_node);
         let depart = shuffle_lane.acquire(agg_done, cost);
         let mut bytes = comm.take_buf(scratch.words.len() * 8);

@@ -142,10 +142,7 @@ mod tests {
             let steps: Vec<(&Variable, ObjectIo)> = (0..4u64)
                 .map(|step| {
                     // Within each step, rank r reads one of the two rows.
-                    let io = ObjectIo::new(
-                        vec![step * 2 + comm.rank() as u64, 0],
-                        vec![1, 32],
-                    );
+                    let io = ObjectIo::new(vec![step * 2 + comm.rank() as u64, 0], vec![1, 32]);
                     (var, io)
                 })
                 .collect();
@@ -183,11 +180,8 @@ mod tests {
             let file = fs.open("d").expect("exists");
             let steps: Vec<(&Variable, ObjectIo)> = (0..4u64)
                 .map(|step| {
-                    let io = ObjectIo::new(
-                        vec![step * 2 + comm.rank() as u64, 0],
-                        vec![1, 32],
-                    )
-                    .reduce(ReduceMode::AllToOne { root: 0 });
+                    let io = ObjectIo::new(vec![step * 2 + comm.rank() as u64, 0], vec![1, 32])
+                        .reduce(ReduceMode::AllToOne { root: 0 });
                     (var, io)
                 })
                 .collect();

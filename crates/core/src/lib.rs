@@ -36,14 +36,14 @@ pub mod scatter;
 pub mod scratch;
 
 pub use baseline::{traditional_get_vara, traditional_get_vara_partial, BaselineReport};
-pub use iterative::{iterative_get_vara, IterativeOutcome};
+pub use cc_compress::Tolerance;
 pub use engine::{object_get_vara, CcOutcome, CcReport};
 pub use fused::FusedKernel;
 pub use intermediate::IntermediateSet;
-pub use cc_compress::Tolerance;
+pub use iterative::{iterative_get_vara, IterativeOutcome};
 pub use kernel::{
-    CountKernel, MapKernel, MaxKernel, MaxLocKernel, MeanKernel, MinKernel, MinLocKernel,
-    Partial, SumKernel, SumSqKernel,
+    CountKernel, MapKernel, MaxKernel, MaxLocKernel, MeanKernel, MinKernel, MinLocKernel, Partial,
+    SumKernel, SumSqKernel,
 };
 pub use object::{IoMode, ObjectIo, ReduceMode};
 pub use scatter::{fold_task_bytes, fold_task_from_fused};

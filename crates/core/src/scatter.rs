@@ -41,7 +41,8 @@ pub fn fold_task_bytes(
     let mut cursor = 0usize;
     for e in request.extents() {
         let len = e.len as usize;
-        var.dtype().decode_into(&bytes[cursor..cursor + len], values);
+        var.dtype()
+            .decode_into(&bytes[cursor..cursor + len], values);
         kernel.map(&mut acc, var.elem_of_byte(e.offset), values);
         cursor += len;
     }
@@ -120,13 +121,28 @@ mod tests {
         // Three tasks: overlapping, disjoint, and an exact duplicate.
         let tasks = [
             OffsetList::new(vec![
-                cc_mpiio::Extent { offset: 40, len: 32 },
-                cc_mpiio::Extent { offset: 200, len: 48 },
+                cc_mpiio::Extent {
+                    offset: 40,
+                    len: 32,
+                },
+                cc_mpiio::Extent {
+                    offset: 200,
+                    len: 48,
+                },
             ]),
-            OffsetList::new(vec![cc_mpiio::Extent { offset: 56, len: 64 }]),
+            OffsetList::new(vec![cc_mpiio::Extent {
+                offset: 56,
+                len: 64,
+            }]),
             OffsetList::new(vec![
-                cc_mpiio::Extent { offset: 40, len: 32 },
-                cc_mpiio::Extent { offset: 200, len: 48 },
+                cc_mpiio::Extent {
+                    offset: 40,
+                    len: 32,
+                },
+                cc_mpiio::Extent {
+                    offset: 200,
+                    len: 48,
+                },
             ]),
         ];
         let (fused, _) = fuse_extents(tasks.iter());

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use cc_array::{DType, Hyperslab, Shape, Variable};
 use cc_core::{
-    object_get_vara, traditional_get_vara, CcOutcome, IoMode, MapKernel, MaxKernel,
-    MeanKernel, MinKernel, MinLocKernel, ObjectIo, ReduceMode, SumKernel,
+    object_get_vara, traditional_get_vara, CcOutcome, IoMode, MapKernel, MaxKernel, MeanKernel,
+    MinKernel, MinLocKernel, ObjectIo, ReduceMode, SumKernel,
 };
 use cc_model::{ClusterModel, SimTime, Topology};
 use cc_mpi::World;
@@ -75,10 +75,7 @@ fn oracle_sum(elems: u64) -> f64 {
 }
 
 fn approx(a: f64, b: f64) {
-    assert!(
-        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-        "{a} != {b}"
-    );
+    assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} != {b}");
 }
 
 #[test]
@@ -144,8 +141,7 @@ fn min_max_mean_match_baseline() {
             kernel,
             &ObjectIo::new(vec![], vec![]),
         );
-        let blocking =
-            ObjectIo::new(vec![], vec![]).blocking(true);
+        let blocking = ObjectIo::new(vec![], vec![]).blocking(true);
         let base = run_cc(4, Topology::new(2, 2), 8, 16, kernel, &blocking);
         let g_cc = cc[0].global.as_ref().expect("cc global");
         let g_b = base[0].global.as_ref().expect("baseline global");
@@ -161,10 +157,7 @@ fn independent_mode_matches_collective() {
         .mode(IoMode::Independent)
         .reduce(ReduceMode::AllToAll { root: 0 });
     let ind = run_cc(4, Topology::new(1, 4), 8, 16, &SumKernel, &io_ind);
-    approx(
-        ind[0].global.as_ref().expect("global")[0],
-        oracle_sum(128),
-    );
+    approx(ind[0].global.as_ref().expect("global")[0], oracle_sum(128));
     for (r, o) in ind.iter().enumerate() {
         let expect: f64 = (r as u64 * 32..(r as u64 + 1) * 32).map(value).sum();
         approx(o.my_result.as_ref().expect("own")[0], expect);
@@ -181,9 +174,7 @@ fn small_collective_buffer_multiplies_metadata() {
             ..Hints::default()
         });
         let outs = run_cc(4, Topology::new(2, 2), 8, 64, &SumKernel, &io);
-        outs.iter()
-            .map(|o| o.report.metadata_entries)
-            .sum::<u64>()
+        outs.iter().map(|o| o.report.metadata_entries).sum::<u64>()
     };
     let small = run_with_cb(256); // splits every 256 bytes
     let large = run_with_cb(1 << 20); // everything in one iteration

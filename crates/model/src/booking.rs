@@ -251,7 +251,10 @@ mod tests {
         assert_eq!(s.transfers, 2);
         assert_eq!(s.bytes, 400);
         assert!((s.busy_secs - 4.0).abs() < 1e-12);
-        assert!((s.waited_secs - 2.0).abs() < 1e-12, "second booking queued 2 s");
+        assert!(
+            (s.waited_secs - 2.0).abs() < 1e-12,
+            "second booking queued 2 s"
+        );
     }
 
     #[test]

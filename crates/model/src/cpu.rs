@@ -106,7 +106,7 @@ mod tests {
     fn ratio_knob_sets_relative_cost() {
         let c = CpuModel::magny_cours_like();
         let bw = 100e6; // bytes/s
-        // ratio 2:1 -> computing N bytes costs twice reading N bytes.
+                        // ratio 2:1 -> computing N bytes costs twice reading N bytes.
         let c2 = c.with_compute_io_ratio(2.0, bw);
         let n = 50_000_000usize;
         let compute = c2.map_time(n).secs();
@@ -132,6 +132,8 @@ mod tests {
         assert_eq!(c.compress_time(4096), c.compress_time(4089));
         assert!(c.compress_time(4097) > c.compress_time(4096));
         // Decode is charged at half the encode rate.
-        assert!((c.decompress_time(4096).secs() / c.compress_time(4096).secs() - 0.5).abs() < 1e-12);
+        assert!(
+            (c.decompress_time(4096).secs() / c.compress_time(4096).secs() - 0.5).abs() < 1e-12
+        );
     }
 }

@@ -60,7 +60,10 @@ impl FaultPlan {
     /// # Panics
     /// Panics unless `factor >= 1.0` (faults only slow things down).
     pub fn slow_ost(mut self, ost: usize, factor: f64) -> Self {
-        assert!(factor >= 1.0, "OST slowdown factor must be >= 1, got {factor}");
+        assert!(
+            factor >= 1.0,
+            "OST slowdown factor must be >= 1, got {factor}"
+        );
         self.slow_osts.push((ost, factor));
         self
     }
@@ -100,7 +103,10 @@ impl FaultPlan {
     /// # Panics
     /// Panics if `amplitude_secs` is negative or NaN.
     pub fn jitter(mut self, amplitude_secs: f64, seed: u64) -> Self {
-        assert!(amplitude_secs >= 0.0, "jitter amplitude must be non-negative");
+        assert!(
+            amplitude_secs >= 0.0,
+            "jitter amplitude must be non-negative"
+        );
         self.jitter_amplitude = amplitude_secs;
         self.jitter_seed = seed;
         self

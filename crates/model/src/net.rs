@@ -46,9 +46,9 @@ impl NetModel {
     /// Parameters loosely matching a Cray Gemini-class interconnect.
     pub fn gemini_like() -> Self {
         Self {
-            latency_intra: 5e-7,  // 0.5 us shared memory
+            latency_intra: 5e-7,   // 0.5 us shared memory
             latency_inter: 1.5e-6, // 1.5 us network
-            bw_intra: 8e9, // 8 GB/s memcpy-limited
+            bw_intra: 8e9,         // 8 GB/s memcpy-limited
             // Effective per-sender bandwidth under collective load, below
             // the 5+ GB/s point-to-point peak.
             bw_inter: 1.2e9,
@@ -83,7 +83,11 @@ impl NetModel {
     /// latency): what a sender-side lane is occupied for while the message
     /// drains.
     pub fn wire_time(&self, bytes: usize, same_node: bool) -> SimTime {
-        let bw = if same_node { self.bw_intra } else { self.bw_inter };
+        let bw = if same_node {
+            self.bw_intra
+        } else {
+            self.bw_inter
+        };
         SimTime::from_secs(bytes as f64 / bw)
     }
 
@@ -126,20 +130,14 @@ mod tests {
     #[test]
     fn zero_byte_message_costs_latency_only() {
         let m = NetModel::gemini_like();
-        assert_eq!(
-            m.transfer_time(0, false).secs(),
-            m.latency_inter
-        );
+        assert_eq!(m.transfer_time(0, false).secs(), m.latency_inter);
     }
 
     #[test]
     fn wire_time_excludes_latency() {
         let m = NetModel::gemini_like();
         let n = 1 << 20;
-        assert_eq!(
-            m.wire_time(n, false).secs(),
-            n as f64 / m.bw_inter
-        );
+        assert_eq!(m.wire_time(n, false).secs(), n as f64 / m.bw_inter);
         assert!(m.wire_time(n, true) < m.wire_time(n, false));
         assert_eq!(m.wire_time(0, false).secs(), 0.0);
     }

@@ -166,10 +166,7 @@ mod tests {
 
     #[test]
     fn sum_of_times() {
-        let total: SimTime = [1.0, 2.0, 3.0]
-            .iter()
-            .map(|&s| SimTime::from_secs(s))
-            .sum();
+        let total: SimTime = [1.0, 2.0, 3.0].iter().map(|&s| SimTime::from_secs(s)).sum();
         assert_eq!(total.secs(), 6.0);
     }
 

@@ -151,7 +151,9 @@ impl Comm {
         let mut own = self.take_buf(mine.len() * T::SIZE);
         crate::elem::encode_slice_into(mine, &mut own);
         let frame = self.allgatherv_frame(own);
-        let out = frame_sections(&frame).map(crate::elem::decode_vec).collect();
+        let out = frame_sections(&frame)
+            .map(crate::elem::decode_vec)
+            .collect();
         self.recycle_buf(frame);
         out
     }
@@ -381,9 +383,7 @@ mod tests {
         let n = 5;
         let results = run_n(n, |comm| {
             // Rank s sends [s*10 + d] to rank d.
-            let sends: Vec<Vec<u8>> = (0..n)
-                .map(|d| vec![(comm.rank() * 10 + d) as u8])
-                .collect();
+            let sends: Vec<Vec<u8>> = (0..n).map(|d| vec![(comm.rank() * 10 + d) as u8]).collect();
             comm.alltoallv_bytes(sends)
         });
         for (d, recvs) in results.iter().enumerate() {

@@ -589,7 +589,12 @@ impl Comm {
             return depart;
         }
         let same_node = self.shared.model.topology.same_node(self.rank, dst);
-        let mut arrival = depart + self.shared.model.net.transfer_time(payload.len(), same_node);
+        let mut arrival = depart
+            + self
+                .shared
+                .model
+                .net
+                .transfer_time(payload.len(), same_node);
         // Injected link degradation: fixed per-link delay plus deterministic
         // jitter, keyed by this sender's message count so repeats differ.
         if let Some(plan) = &self.shared.model.fault {
@@ -921,8 +926,7 @@ mod tests {
         // old per-wait timeout (re-armed only by deliveries to the waiting
         // rank) declared a false deadlock here; the quiet-window watchdog
         // must ride out the busy period and complete the receive.
-        let model =
-            ClusterModel::test_tiny(3).with_recv_watchdog(Duration::from_millis(150));
+        let model = ClusterModel::test_tiny(3).with_recv_watchdog(Duration::from_millis(150));
         let results = World::new(3, model).run(|comm| match comm.rank() {
             0 => comm.recv::<u32>(1, 1).0[0],
             1 => {
@@ -950,8 +954,7 @@ mod tests {
         use std::time::Duration;
         // A genuinely silent world must still trip the watchdog after one
         // full quiet window, with the diagnostic snapshot attached.
-        let model =
-            ClusterModel::test_tiny(2).with_recv_watchdog(Duration::from_millis(150));
+        let model = ClusterModel::test_tiny(2).with_recv_watchdog(Duration::from_millis(150));
         let t0 = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             World::new(2, model).run(|comm| {

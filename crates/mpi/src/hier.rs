@@ -176,8 +176,7 @@ impl Comm {
         let mut wire = self.take_buf(logical_len);
         cc_compress::encode_into(&cc_compress::Compression::Lossless, &frame, &mut wire);
         self.recycle_buf(frame);
-        let overhead =
-            self.model().cpu.compress_time(logical_len) + self.model().net.send_cost();
+        let overhead = self.model().cpu.compress_time(logical_len) + self.model().net.send_cost();
         self.advance(overhead);
         let depart = self.clock();
         self.post_framed_bytes_at(dst, tag, wire, depart, logical_len);
@@ -627,20 +626,25 @@ mod tests {
     fn reduce_preserves_rank_order_across_node_boundaries() {
         for (nodes, cores, nprocs) in [(3, 4, 12), (3, 4, 9), (4, 2, 7)] {
             for root in [0, 1, nprocs - 1] {
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
-                    .run(move |comm| {
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto)).run(
+                    move |comm| {
                         let take_left = FnOp(|_acc: &mut [u64], _inc: &[u64]| {});
                         comm.reduce(root, &[comm.rank() as u64 + 100], &take_left)
-                    });
+                    },
+                );
                 assert_eq!(results[root].as_ref().unwrap(), &vec![100]);
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
-                    .run(move |comm| {
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto)).run(
+                    move |comm| {
                         let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
                             acc.copy_from_slice(inc);
                         });
                         comm.reduce(root, &[comm.rank() as u64 + 100], &take_right)
-                    });
-                assert_eq!(results[root].as_ref().unwrap(), &vec![100 + nprocs as u64 - 1]);
+                    },
+                );
+                assert_eq!(
+                    results[root].as_ref().unwrap(),
+                    &vec![100 + nprocs as u64 - 1]
+                );
             }
         }
     }
@@ -652,8 +656,9 @@ mod tests {
         let nprocs = nodes * cores;
         let count_inter = |mode: CollectiveMode| -> (usize, Vec<Vec<u8>>) {
             let runs = World::new(nprocs, model(nodes, cores, mode)).run(move |comm| {
-                let sends: Vec<Vec<u8>> =
-                    (0..nprocs).map(|d| vec![comm.rank() as u8; d + 1]).collect();
+                let sends: Vec<Vec<u8>> = (0..nprocs)
+                    .map(|d| vec![comm.rank() as u8; d + 1])
+                    .collect();
                 let recvs = comm.alltoallv_bytes(sends);
                 (comm.stats().msgs_inter, recvs)
             });
@@ -704,7 +709,10 @@ mod tests {
             "compressed frames should shrink inter-node wire bytes: wire {wire} logical {logical}"
         );
         let raw_wire: usize = raw.iter().map(|(_, s)| s.bytes_inter).sum();
-        assert_eq!(raw_wire, logical, "logical bytes must match the raw run's wire bytes");
+        assert_eq!(
+            raw_wire, logical,
+            "logical bytes must match the raw run's wire bytes"
+        );
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub mod stats;
 pub mod world;
 
 pub use comm::{Comm, Payload};
-pub use hier::{frame_sections, NodeView};
 pub use elem::Elem;
+pub use hier::{frame_sections, NodeView};
 pub use ops::ReduceOp;
 pub use pool::BufferPool;
 pub use stats::CommStats;

@@ -197,10 +197,7 @@ mod tests {
     fn ranks_are_numbered_and_sized() {
         let world = World::new(6, ClusterModel::test_tiny(6));
         let ids = world.run(|comm| (comm.rank(), comm.nprocs()));
-        assert_eq!(
-            ids,
-            (0..6).map(|r| (r, 6)).collect::<Vec<_>>()
-        );
+        assert_eq!(ids, (0..6).map(|r| (r, 6)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -303,7 +300,10 @@ mod tests {
     #[test]
     fn nothing_is_attached_by_default() {
         let world = World::new(2, ClusterModel::test_tiny(2));
-        assert_eq!(world.run(|comm| comm.attached::<u64>().is_none()), vec![true; 2]);
+        assert_eq!(
+            world.run(|comm| comm.attached::<u64>().is_none()),
+            vec![true; 2]
+        );
     }
 
     #[test]

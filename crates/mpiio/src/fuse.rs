@@ -191,10 +191,28 @@ mod tests {
         assert_eq!(fused.extents(), &[ext(0, 15), ext(30, 10)]);
         let pa = project_task(0, &a, &fused);
         assert_eq!(pa.len(), 2);
-        assert_eq!(pa[0], Piece { extent: ext(0, 10), buf_offset: 0 });
-        assert_eq!(pa[1], Piece { extent: ext(30, 10), buf_offset: 15 });
+        assert_eq!(
+            pa[0],
+            Piece {
+                extent: ext(0, 10),
+                buf_offset: 0
+            }
+        );
+        assert_eq!(
+            pa[1],
+            Piece {
+                extent: ext(30, 10),
+                buf_offset: 15
+            }
+        );
         let pb = project_task(1, &b, &fused);
-        assert_eq!(pb, vec![Piece { extent: ext(5, 10), buf_offset: 5 }]);
+        assert_eq!(
+            pb,
+            vec![Piece {
+                extent: ext(5, 10),
+                buf_offset: 5
+            }]
+        );
     }
 
     #[test]

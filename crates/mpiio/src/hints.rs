@@ -277,7 +277,10 @@ mod tests {
 
     #[test]
     fn effective_partition_tracks_planner_fallbacks() {
-        let striped = Some(Striping { unit: 10, factor: 4 });
+        let striped = Some(Striping {
+            unit: 10,
+            factor: 4,
+        });
         let h = |p, s, a| Hints {
             domain_partition: p,
             striping: s,
@@ -290,12 +293,18 @@ mod tests {
             DomainPartition::StripeAligned,
             DomainPartition::GroupCyclic,
         ] {
-            assert_eq!(h(p, None, Some(4)).effective_partition(), DomainPartition::Even);
+            assert_eq!(
+                h(p, None, Some(4)).effective_partition(),
+                DomainPartition::Even
+            );
         }
         // Stripe 10 with alignment 4 (the plan.rs fallback case): the
         // planner degrades group-cyclic to stripe-aligned-even.
         let fallback = h(DomainPartition::GroupCyclic, striped, Some(4));
-        assert_eq!(fallback.effective_partition(), DomainPartition::StripeAligned);
+        assert_eq!(
+            fallback.effective_partition(),
+            DomainPartition::StripeAligned
+        );
         // Aligned stripe: group-cyclic stands.
         let aligned = h(DomainPartition::GroupCyclic, striped, Some(2));
         assert_eq!(aligned.effective_partition(), DomainPartition::GroupCyclic);

@@ -83,7 +83,10 @@ impl FileDomain {
         if self.is_empty() {
             (self.start, self.start)
         } else {
-            (self.start, self.start + (self.nblocks - 1) * self.stride + self.block)
+            (
+                self.start,
+                self.start + (self.nblocks - 1) * self.stride + self.block,
+            )
         }
     }
 
@@ -552,7 +555,10 @@ mod tests {
         assert_eq!(plan.aggregators, vec![0, 2]);
         assert_eq!(
             plan.domains,
-            vec![FileDomain::contiguous(0, 200), FileDomain::contiguous(200, 400)]
+            vec![
+                FileDomain::contiguous(0, 200),
+                FileDomain::contiguous(200, 400)
+            ]
         );
     }
 
@@ -567,7 +573,10 @@ mod tests {
         // Range [0, 200), even split at 100, aligned up to 128.
         assert_eq!(
             plan.domains,
-            vec![FileDomain::contiguous(0, 128), FileDomain::contiguous(128, 200)]
+            vec![
+                FileDomain::contiguous(0, 128),
+                FileDomain::contiguous(128, 200)
+            ]
         );
     }
 
@@ -584,7 +593,10 @@ mod tests {
         let plan = CollectivePlan::build(contiguous_per_rank(2, 150), &topo, 2, &h);
         assert_eq!(
             plan.domains,
-            vec![FileDomain::contiguous(0, 192), FileDomain::contiguous(192, 300)]
+            vec![
+                FileDomain::contiguous(0, 192),
+                FileDomain::contiguous(192, 300)
+            ]
         );
     }
 
@@ -598,7 +610,10 @@ mod tests {
         let plan = CollectivePlan::build(contiguous_per_rank(2, 100), &topo, 2, &h);
         assert_eq!(
             plan.domains,
-            vec![FileDomain::contiguous(0, 100), FileDomain::contiguous(100, 200)]
+            vec![
+                FileDomain::contiguous(0, 100),
+                FileDomain::contiguous(100, 200)
+            ]
         );
     }
 
@@ -612,8 +627,18 @@ mod tests {
         assert_eq!(
             plan.domains,
             vec![
-                FileDomain { start: 0, block: 20, stride: 40, nblocks: 3 },
-                FileDomain { start: 20, block: 20, stride: 40, nblocks: 3 },
+                FileDomain {
+                    start: 0,
+                    block: 20,
+                    stride: 40,
+                    nblocks: 3
+                },
+                FileDomain {
+                    start: 20,
+                    block: 20,
+                    stride: 40,
+                    nblocks: 3
+                },
             ]
         );
         // Chunks never straddle a block: iteration ranges are contiguous
@@ -629,7 +654,10 @@ mod tests {
     fn group_cyclic_each_aggregator_touches_few_osts() {
         // Acceptance: every aggregator touches ≤ ceil(OSTs/aggs)+1 OSTs.
         for (k, naggs) in [(64usize, 32usize), (64, 7), (16, 5), (8, 16), (156, 13)] {
-            let s = Striping { unit: 64, factor: k };
+            let s = Striping {
+                unit: 64,
+                factor: k,
+            };
             let domains =
                 CollectivePlan::partition_group_cyclic(0, (k as u64) * 64 * 5 + 17, naggs, s);
             let cap = k.div_ceil(naggs) + 1;
@@ -667,7 +695,15 @@ mod tests {
         let h = striped_hints(40, DomainPartition::GroupCyclic, 10, 4);
         let plan = CollectivePlan::build(contiguous_per_rank(4, 40), &topo, 4, &h);
         let d = plan.domains[0];
-        assert_eq!(d, FileDomain { start: 0, block: 20, stride: 40, nblocks: 4 });
+        assert_eq!(
+            d,
+            FileDomain {
+                start: 0,
+                block: 20,
+                stride: 40,
+                nblocks: 4
+            }
+        );
         assert_eq!(d.blocks_per_chunk(40), 2);
         assert_eq!(plan.n_iterations(0), 2);
         // Bounding range spans the gap; the block list skips it.
@@ -901,7 +937,10 @@ mod tests {
         let mut pos = 0u64;
         for (i, (gap, len)) in seed_lens.iter().enumerate() {
             pos += gap;
-            reqs[i % nprocs].push(Extent { offset: pos, len: *len });
+            reqs[i % nprocs].push(Extent {
+                offset: pos,
+                len: *len,
+            });
             pos += len;
         }
         reqs.into_iter().map(OffsetList::new).collect()

@@ -1013,14 +1013,22 @@ mod tests {
     fn assert_matches_oracle(plan: &CollectivePlan, sched: &PlanSchedule) {
         let naggs = plan.aggregators.len();
         for a in 0..naggs {
-            assert_eq!(sched.n_iterations(a), plan.n_iterations(a), "n_iterations({a})");
+            assert_eq!(
+                sched.n_iterations(a),
+                plan.n_iterations(a),
+                "n_iterations({a})"
+            );
             assert_eq!(
                 sched.active_iterations(a),
                 plan.active_iterations(a).as_slice(),
                 "active_iterations({a})"
             );
             for it in 0..plan.n_iterations(a) {
-                assert_eq!(sched.read_range(a, it), plan.read_range(a, it), "read_range({a},{it})");
+                assert_eq!(
+                    sched.read_range(a, it),
+                    plan.read_range(a, it),
+                    "read_range({a},{it})"
+                );
                 assert_eq!(
                     sched.read_ranges(a, it),
                     plan.read_ranges(a, it).as_slice(),
@@ -1057,7 +1065,10 @@ mod tests {
                             .filter(|(r, _)| (lo..hi).contains(r))
                             .cloned()
                             .collect();
-                        assert_eq!(windowed, expected, "dests_with_pieces_in({a},{it},{lo},{hi})");
+                        assert_eq!(
+                            windowed, expected,
+                            "dests_with_pieces_in({a},{it},{lo},{hi})"
+                        );
                     }
                 }
             }
@@ -1085,9 +1096,7 @@ mod tests {
             let with_pieces: Vec<(usize, usize, &[Piece])> =
                 sched.sources_with_pieces(rank).collect();
             assert_eq!(with_pieces.len(), sched.sources_for(rank).len());
-            for ((a, it, ps), &(oa, oit)) in
-                with_pieces.iter().zip(sched.sources_for(rank))
-            {
+            for ((a, it, ps), &(oa, oit)) in with_pieces.iter().zip(sched.sources_for(rank)) {
                 assert_eq!((*a, *it), (oa, oit));
                 assert_eq!(
                     *ps,
@@ -1129,10 +1138,16 @@ mod tests {
             OffsetList::empty(),
             OffsetList::new(vec![
                 Extent { offset: 10, len: 5 },
-                Extent { offset: 900, len: 30 },
+                Extent {
+                    offset: 900,
+                    len: 30,
+                },
             ]),
             OffsetList::empty(),
-            OffsetList::new(vec![Extent { offset: 500, len: 1 }]),
+            OffsetList::new(vec![Extent {
+                offset: 500,
+                len: 1,
+            }]),
         ];
         let plan = CollectivePlan::build(reqs, &topo, 4, &hints(100));
         let sched = PlanSchedule::compile(plan.clone());
@@ -1170,10 +1185,16 @@ mod tests {
             OffsetList::empty(),
             OffsetList::new(vec![
                 Extent { offset: 13, len: 5 },
-                Extent { offset: 900, len: 130 },
+                Extent {
+                    offset: 900,
+                    len: 130,
+                },
             ]),
             OffsetList::empty(),
-            OffsetList::new(vec![Extent { offset: 500, len: 1 }]),
+            OffsetList::new(vec![Extent {
+                offset: 500,
+                len: 1,
+            }]),
         ];
         let plan = CollectivePlan::build(reqs, &topo, 4, &group_cyclic_hints(32, 64, 3));
         let sched = PlanSchedule::compile(plan.clone());
@@ -1217,7 +1238,10 @@ mod tests {
         // Job 2 issuing the same shape reuses job 1's entry: a cross-job hit.
         let (s3, o3, c3) = shared.get_or_compile(reqs.clone(), &topo, 2, &hints(64), 2);
         assert_eq!((o3, c3), (CacheOutcome::Hit, true));
-        assert!(s1.shares_index_with(&s3), "cross-job hit must share one index");
+        assert!(
+            s1.shares_index_with(&s3),
+            "cross-job hit must share one index"
+        );
         // Job 3 issuing a shift of the shape compiles its own schedule.
         let (s4, o4, c4) = shared.get_or_compile(shift_by(&reqs, 4096), &topo, 2, &hints(64), 3);
         assert_eq!((o4, c4), (CacheOutcome::Miss, false));
@@ -1269,7 +1293,10 @@ mod tests {
         let sf = resolve(world(n, None));
         for rank in 0..n {
             assert!(sa[rank].shares_index_with(&sb[rank]));
-            assert!(!sf[rank].shares_index_with(&sa[rank]), "fresh compile shares nothing");
+            assert!(
+                !sf[rank].shares_index_with(&sa[rank]),
+                "fresh compile shares nothing"
+            );
         }
         // Each world counted its one lookup: job a compiled, job b rode.
         let (a, b) = (job_a.stats(), job_b.stats());
@@ -1385,10 +1412,19 @@ mod tests {
         });
         let oracle = compile(Arc::clone(&reqs), &Topology::new(1, n), n, &hints(64));
         let ((a0, b0), m0) = (&fresh[0], &cached[0]);
-        assert!(!a0.shares_index_with(b0), "collectives must not share entries");
-        assert!(!a0.shares_index_with(m0), "each collective compiles for itself");
+        assert!(
+            !a0.shares_index_with(b0),
+            "collectives must not share entries"
+        );
+        assert!(
+            !a0.shares_index_with(m0),
+            "each collective compiles for itself"
+        );
         for (rank, ((a, b), miss)) in fresh.iter().zip(&cached).enumerate() {
-            assert!(a.shares_index_with(a0), "rank {rank} compiled its own fresh plan");
+            assert!(
+                a.shares_index_with(a0),
+                "rank {rank} compiled its own fresh plan"
+            );
             assert!(b.shares_index_with(b0));
             assert!(
                 miss.shares_index_with(m0),
@@ -1502,7 +1538,10 @@ mod tests {
 
         let stripe_aligned = Hints {
             domain_partition: DomainPartition::StripeAligned,
-            striping: Some(Striping { unit: 10, factor: 4 }),
+            striping: Some(Striping {
+                unit: 10,
+                factor: 4,
+            }),
             align_domains_to: Some(4),
             ..hints(48)
         };

@@ -500,8 +500,8 @@ pub(crate) fn two_remote_aggregators() -> (cc_model::ClusterModel, PlanSchedule,
     use crate::extent::Extent;
     use crate::plan::{CollectivePlan, FileDomain};
     let u = 1.0 / 1024.0;
-    let mut model = cc_model::ClusterModel::test_tiny(4)
-        .with_collectives(cc_model::CollectiveMode::Auto);
+    let mut model =
+        cc_model::ClusterModel::test_tiny(4).with_collectives(cc_model::CollectiveMode::Auto);
     model.topology = cc_model::Topology::new(2, 2);
     model.net.latency_intra = 0.0;
     model.net.latency_inter = 0.0;
@@ -546,10 +546,13 @@ mod tests {
 
     /// A file whose byte at offset i is (i % 251), striped over `osts`.
     fn make_fs(osts: usize, size: usize, stripe: u64, count: usize) -> Arc<Pfs> {
-        let fs = Pfs::new(osts, cc_model::DiskModel {
-            seek: 1e-3,
-            ost_bandwidth: 1e8,
-        });
+        let fs = Pfs::new(
+            osts,
+            cc_model::DiskModel {
+                seek: 1e-3,
+                ost_bandwidth: 1e8,
+            },
+        );
         let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
         fs.create(
             "data",
@@ -592,13 +595,7 @@ mod tests {
         let requests: Vec<OffsetList> = (0..n as u64)
             .map(|r| OffsetList::contiguous(r * 1000, 1000))
             .collect();
-        let results = run_collective(
-            n,
-            Topology::new(2, 2),
-            &requests,
-            Hints::default(),
-            fs,
-        );
+        let results = run_collective(n, Topology::new(2, 2), &requests, Hints::default(), fs);
         for (r, (data, report)) in results.iter().enumerate() {
             assert_eq!(data, &expected_bytes(&requests[r]), "rank {r} data");
             assert!(report.end >= report.start);
@@ -644,13 +641,7 @@ mod tests {
         let fs = make_fs(1, 1000, 512, 1);
         let mut requests = vec![OffsetList::empty(); n];
         requests[1] = OffsetList::contiguous(100, 50);
-        let results = run_collective(
-            n,
-            Topology::new(1, 3),
-            &requests,
-            Hints::default(),
-            fs,
-        );
+        let results = run_collective(n, Topology::new(1, 3), &requests, Hints::default(), fs);
         assert!(results[0].0.is_empty());
         assert_eq!(results[1].0, expected_bytes(&requests[1]));
         assert!(results[2].0.is_empty());
@@ -855,9 +846,7 @@ mod tests {
         }
         // The degraded run is measurably slower, and the slowdown is
         // attributed to queueing, not to a changed ideal service time.
-        let end = |rs: &[(Vec<u8>, TwoPhaseReport)]| {
-            rs.iter().map(|(_, r)| r.end).max().unwrap()
-        };
+        let end = |rs: &[(Vec<u8>, TwoPhaseReport)]| rs.iter().map(|(_, r)| r.end).max().unwrap();
         assert!(
             end(&degraded) > end(&healthy).scale(2.0),
             "10x slow OST must visibly stretch the collective: healthy {} degraded {}",

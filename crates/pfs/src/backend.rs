@@ -244,7 +244,12 @@ impl<B: Backend> OverlayBackend<B> {
 
     /// Total bytes currently stored in the overlay.
     pub fn overlay_bytes(&self) -> u64 {
-        self.written.read().unwrap().values().map(|v| v.len() as u64).sum()
+        self.written
+            .read()
+            .unwrap()
+            .values()
+            .map(|v| v.len() as u64)
+            .sum()
     }
 }
 

@@ -152,7 +152,10 @@ impl Pfs {
             layout,
             backend,
         });
-        self.files.write().unwrap().insert(name.to_string(), Arc::clone(&handle));
+        self.files
+            .write()
+            .unwrap()
+            .insert(name.to_string(), Arc::clone(&handle));
         handle
     }
 
@@ -235,7 +238,8 @@ impl Pfs {
                 continue;
             }
             let dst = (off - base) as usize;
-            file.backend.read_into(off, &mut buf[dst..dst + len as usize]);
+            file.backend
+                .read_into(off, &mut buf[dst..dst + len as usize]);
         }
         let done = self.charge_io_multi("read", file, ranges, now, 1.0);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
@@ -452,7 +456,9 @@ impl Pfs {
                 }
             }
             let ost_done = self.pool.book_many(ost, start, &runs);
-            self.stats.extents_served.fetch_add(runs.len() as u64, Ordering::Relaxed);
+            self.stats
+                .extents_served
+                .fetch_add(runs.len() as u64, Ordering::Relaxed);
             done = done.max(ost_done);
         }
         done
@@ -547,10 +553,7 @@ mod tests {
         let fs1 = test_fs(4);
         let f1 = mem_file(&fs1, 8000, 1000, 1);
         let (_, t1) = fs1.read_at(&f1, 0, 8000, SimTime::ZERO);
-        assert!(
-            t4 < t1,
-            "striped read {t4} should beat single-OST {t1}"
-        );
+        assert!(t4 < t1, "striped read {t4} should beat single-OST {t1}");
     }
 
     #[test]
@@ -622,11 +625,7 @@ mod tests {
 
     #[test]
     fn fault_injection_delays_but_preserves_data() {
-        let fs = test_fs(1).with_retries(RetryPlan::every(
-            2,
-            SimTime::from_secs(10.0),
-            3,
-        ));
+        let fs = test_fs(1).with_retries(RetryPlan::every(2, SimTime::from_secs(10.0), 3));
         let f = mem_file(&fs, 100, 64, 1);
         let (d1, t1) = fs.read_at(&f, 0, 10, SimTime::ZERO); // attempt 1: ok
         let (d2, t2) = fs.read_at(&f, 0, 10, SimTime::ZERO); // attempt 2 fails, 3 ok

@@ -88,7 +88,9 @@ impl OstPool {
     pub fn new(count: usize, disk: DiskModel) -> Self {
         assert!(count > 0, "need at least one OST");
         Self {
-            osts: (0..count).map(|_| Mutex::new(OstState::default())).collect(),
+            osts: (0..count)
+                .map(|_| Mutex::new(OstState::default()))
+                .collect(),
             disk,
             slowdown: vec![1.0; count],
         }
@@ -129,7 +131,10 @@ impl OstPool {
     /// virtual time `now`. Returns the completion time.
     pub fn serve(&self, ost: usize, now: SimTime, bytes: u64) -> SimTime {
         let mut state = self.osts[ost].lock().unwrap();
-        let service = self.disk.service_time(bytes as usize).scale(self.slowdown[ost]);
+        let service = self
+            .disk
+            .service_time(bytes as usize)
+            .scale(self.slowdown[ost]);
         state.book(now, service, bytes)
     }
 
@@ -144,7 +149,10 @@ impl OstPool {
         let mut state = self.osts[ost].lock().unwrap();
         let mut done = now;
         for &bytes in byte_runs {
-            let service = self.disk.service_time(bytes as usize).scale(self.slowdown[ost]);
+            let service = self
+                .disk
+                .service_time(bytes as usize)
+                .scale(self.slowdown[ost]);
             done = state.book(done, service, bytes);
         }
         done
@@ -153,7 +161,10 @@ impl OstPool {
     /// Total service seconds booked per OST — the utilization profile of
     /// the pool, for diagnosing striping imbalance.
     pub fn per_ost_busy_secs(&self) -> Vec<f64> {
-        self.osts.iter().map(|o| o.lock().unwrap().busy_secs).collect()
+        self.osts
+            .iter()
+            .map(|o| o.lock().unwrap().busy_secs)
+            .collect()
     }
 
     /// Load imbalance: busiest OST's service time over the mean (1.0 =
@@ -270,8 +281,8 @@ mod tests {
         let p = pool();
         let _ = p.serve(0, t(3.0), 100); // [3, 5)
         let _ = p.serve(0, SimTime::ZERO, 100); // [0, 2) backfill
-        // Next request at t=1.5: gap [2, 3) is 1s, too small for 2s:
-        // lands after [3, 5).
+                                                // Next request at t=1.5: gap [2, 3) is 1s, too small for 2s:
+                                                // lands after [3, 5).
         let d = p.serve(0, t(1.5), 100);
         assert_eq!(d.secs(), 7.0);
     }

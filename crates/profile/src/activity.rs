@@ -64,6 +64,10 @@ mod tests {
     #[test]
     #[should_panic]
     fn backwards_segment_panics() {
-        let _ = Segment::new(SimTime::from_secs(2.0), SimTime::from_secs(1.0), Activity::Sys);
+        let _ = Segment::new(
+            SimTime::from_secs(2.0),
+            SimTime::from_secs(1.0),
+            Activity::Sys,
+        );
     }
 }

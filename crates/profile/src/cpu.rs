@@ -112,11 +112,7 @@ impl CpuProfile {
                 if t <= 0.0 {
                     (0.0, 0.0, 0.0)
                 } else {
-                    (
-                        100.0 * b.user / t,
-                        100.0 * b.sys / t,
-                        100.0 * b.wait / t,
-                    )
+                    (100.0 * b.user / t, 100.0 * b.sys / t, 100.0 * b.wait / t)
                 }
             })
             .collect()

@@ -18,7 +18,9 @@ pub mod test_runner;
 pub mod prelude {
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_compose, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_compose, proptest,
+    };
 
     /// Namespace alias mirroring `proptest::prelude::prop`.
     pub mod prop {

@@ -153,14 +153,23 @@ impl fmt::Display for BatchAdmissionError {
             BatchAdmissionError::UnknownFile(name) => {
                 write!(f, "file {name:?} does not exist in the batch file system")
             }
-            BatchAdmissionError::RankMismatch { task, got, var_rank } => write!(
+            BatchAdmissionError::RankMismatch {
+                task,
+                got,
+                var_rank,
+            } => write!(
                 f,
                 "task {task:?}: selection has {got} dims but the variable has {var_rank}"
             ),
             BatchAdmissionError::EmptySelection { task } => {
                 write!(f, "task {task:?}: selection is empty")
             }
-            BatchAdmissionError::OutOfBounds { task, dim, end, extent } => write!(
+            BatchAdmissionError::OutOfBounds {
+                task,
+                dim,
+                end,
+                extent,
+            } => write!(
                 f,
                 "task {task:?}: dim {dim} selects up to {end} but the variable holds {extent}"
             ),
@@ -407,7 +416,9 @@ impl TaskBatch {
         }
         let request = match var.try_byte_extents(&Hyperslab::new(start, count)) {
             Ok(request) => request,
-            Err(SelectionError::OutOfRange { dim, end, extent, .. }) => {
+            Err(SelectionError::OutOfRange {
+                dim, end, extent, ..
+            }) => {
                 return Err(BatchAdmissionError::OutOfBounds {
                     task: name,
                     dim,
@@ -746,13 +757,9 @@ fn plan_bins(tasks: &[AdmittedTask], policy: &BatchPolicy) -> Vec<Bin> {
         let task = &tasks[t];
         let arrival = task.arrival;
         let key = (task.file.as_str(), task.exact);
-        if let Some(pos) = open
-            .iter()
-            .position(|b| (b.file.as_str(), b.exact) == key)
-        {
+        if let Some(pos) = open.iter().position(|b| (b.file.as_str(), b.exact) == key) {
             let full = open[pos].tasks.len() >= policy.max_bin_tasks;
-            let late =
-                arrival.secs() > open[pos].first_arrival.secs() + policy.fuse_window.secs();
+            let late = arrival.secs() > open[pos].first_arrival.secs() + policy.fuse_window.secs();
             if !(full || late) {
                 let bin = &mut open[pos];
                 bin.tasks.push(t);
@@ -930,21 +937,44 @@ mod tests {
     #[test]
     fn admission_rejects_bad_selections() {
         let mut b = batch(2);
-        let ok = TaskSpec::new("ok", "f.nc", var(), vec![0, 0], vec![2, 8], Arc::new(SumKernel));
+        let ok = TaskSpec::new(
+            "ok",
+            "f.nc",
+            var(),
+            vec![0, 0],
+            vec![2, 8],
+            Arc::new(SumKernel),
+        );
         assert_eq!(
-            b.submit(TaskSpec { file: "nope".into(), ..ok.clone() }),
+            b.submit(TaskSpec {
+                file: "nope".into(),
+                ..ok.clone()
+            }),
             Err(BatchAdmissionError::UnknownFile("nope".into()))
         );
         assert_eq!(
-            b.submit(TaskSpec { start: vec![0], ..ok.clone() }),
-            Err(BatchAdmissionError::RankMismatch { task: "ok".into(), got: 2, var_rank: 2 })
+            b.submit(TaskSpec {
+                start: vec![0],
+                ..ok.clone()
+            }),
+            Err(BatchAdmissionError::RankMismatch {
+                task: "ok".into(),
+                got: 2,
+                var_rank: 2
+            })
         );
         assert_eq!(
-            b.submit(TaskSpec { count: vec![0, 8], ..ok.clone() }),
+            b.submit(TaskSpec {
+                count: vec![0, 8],
+                ..ok.clone()
+            }),
             Err(BatchAdmissionError::EmptySelection { task: "ok".into() })
         );
         assert_eq!(
-            b.submit(TaskSpec { start: vec![ROWS - 1, 0], ..ok.clone() }),
+            b.submit(TaskSpec {
+                start: vec![ROWS - 1, 0],
+                ..ok.clone()
+            }),
             Err(BatchAdmissionError::OutOfBounds {
                 task: "ok".into(),
                 dim: 0,
@@ -958,10 +988,20 @@ mod tests {
     #[test]
     fn admission_refuses_bounds_that_overflow() {
         let mut b = batch(2);
-        let ok = TaskSpec::new("ok", "f.nc", var(), vec![0, 0], vec![2, 8], Arc::new(SumKernel));
+        let ok = TaskSpec::new(
+            "ok",
+            "f.nc",
+            var(),
+            vec![0, 0],
+            vec![2, 8],
+            Arc::new(SumKernel),
+        );
         for start in [u64::MAX, u64::MAX - 1] {
             assert_eq!(
-                b.submit(TaskSpec { start: vec![start, 0], ..ok.clone() }),
+                b.submit(TaskSpec {
+                    start: vec![start, 0],
+                    ..ok.clone()
+                }),
                 Err(BatchAdmissionError::OutOfBounds {
                     task: "ok".into(),
                     dim: 0,
@@ -985,7 +1025,12 @@ mod tests {
         let solo = mk(40).run_solo();
         assert_eq!(fused.tasks.len(), 40);
         for ((f, i), s) in fused.tasks.iter().zip(&indep.tasks).zip(&solo.tasks) {
-            assert_eq!(f.checksum(), i.checksum(), "task {} fused != independent", f.name);
+            assert_eq!(
+                f.checksum(),
+                i.checksum(),
+                "task {} fused != independent",
+                f.name
+            );
             assert_eq!(f.checksum(), s.checksum(), "task {} fused != solo", f.name);
             assert!(f.bin.is_some());
             assert!(f.finished >= f.submitted);
@@ -1028,7 +1073,10 @@ mod tests {
             }
         }
         let got = out.tasks[0].value[0];
-        assert!((got - expect).abs() <= 1e-9 * expect.abs().max(1.0), "{got} != {expect}");
+        assert!(
+            (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+            "{got} != {expect}"
+        );
     }
 
     #[test]
@@ -1246,7 +1294,11 @@ mod tests {
         let out = b.run_fused();
         let bin = &out.bins[0];
         assert_eq!(bin.task_bytes, 8 * 2 * COLS * 8);
-        assert_eq!(bin.fused_bytes, 2 * COLS * 8, "duplicates must dedup to one copy");
+        assert_eq!(
+            bin.fused_bytes,
+            2 * COLS * 8,
+            "duplicates must dedup to one copy"
+        );
         // All 8 identical results.
         let first = out.tasks[0].checksum();
         assert!(out.tasks.iter().all(|t| t.checksum() == first));

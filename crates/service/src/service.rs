@@ -286,7 +286,11 @@ impl Service {
                 // job starts once it has arrived AND its last node is free.
                 free.sort_by_key(|&k| free_at[k]);
                 free.truncate(needed);
-                let nodes_ready = free.iter().map(|&k| free_at[k]).max().unwrap_or(SimTime::ZERO);
+                let nodes_ready = free
+                    .iter()
+                    .map(|&k| free_at[k])
+                    .max()
+                    .unwrap_or(SimTime::ZERO);
                 let start = jobs[idx].spec.arrival.max(nodes_ready);
                 for &k in &free {
                     held[k] = true;
@@ -474,7 +478,10 @@ fn step_job(job: &mut Job, pfs: &Pfs, lane: Option<&SharedLane>) {
         // and lane bookings land where the job actually is.
         comm.advance_to(t0);
         let file = pfs.open(&spec.file).unwrap_or_else(|| {
-            panic!("job {jid} ({:?}): file {:?} disappeared", spec.name, spec.file)
+            panic!(
+                "job {jid} ({:?}): file {:?} disappeared",
+                spec.name, spec.file
+            )
         });
         let io = spec.rank_io(step, comm.rank(), comm.nprocs());
         let out = object_get_vara(comm, pfs, &file, &spec.var, &io, &*spec.kernel);
@@ -583,7 +590,14 @@ mod tests {
     }
 
     /// A batch sweep over `file`: `nsteps` steps of `rows_per_step` rows.
-    fn sweep_job(name: &str, file: &str, nprocs: usize, nsteps: u64, rows_per_step: u64, cols: u64) -> JobSpec {
+    fn sweep_job(
+        name: &str,
+        file: &str,
+        nprocs: usize,
+        nsteps: u64,
+        rows_per_step: u64,
+        cols: u64,
+    ) -> JobSpec {
         let mut spec = JobSpec::new(
             name,
             file,
@@ -603,11 +617,17 @@ mod tests {
         let mut svc = Service::new(cluster(2, 2), fs);
         let ok = sweep_job("ok", "f", 2, 2, 32, 16);
         assert_eq!(
-            svc.submit(JobSpec { nprocs: 0, ..ok.clone() }),
+            svc.submit(JobSpec {
+                nprocs: 0,
+                ..ok.clone()
+            }),
             Err(AdmissionError::ZeroRanks)
         );
         assert_eq!(
-            svc.submit(JobSpec { steps: vec![], ..ok.clone() }),
+            svc.submit(JobSpec {
+                steps: vec![],
+                ..ok.clone()
+            }),
             Err(AdmissionError::NoSteps)
         );
         assert_eq!(
@@ -625,20 +645,36 @@ mod tests {
             ))
         );
         assert_eq!(
-            svc.submit(JobSpec { nprocs: 32, ..ok.clone() }),
-            Err(AdmissionError::TooLarge { needed_nodes: 16, cluster_nodes: 2 })
+            svc.submit(JobSpec {
+                nprocs: 32,
+                ..ok.clone()
+            }),
+            Err(AdmissionError::TooLarge {
+                needed_nodes: 16,
+                cluster_nodes: 2
+            })
         );
         assert_eq!(
-            svc.submit(JobSpec { file: "nope".into(), ..ok.clone() }),
+            svc.submit(JobSpec {
+                file: "nope".into(),
+                ..ok.clone()
+            }),
             Err(AdmissionError::UnknownFile("nope".into()))
         );
         let narrow = JobSpec {
-            steps: vec![StepSpec { start: vec![0, 0], count: vec![1, 16] }],
+            steps: vec![StepSpec {
+                start: vec![0, 0],
+                count: vec![1, 16],
+            }],
             ..ok.clone()
         };
         assert_eq!(
             svc.submit(narrow),
-            Err(AdmissionError::StepTooNarrow { step: 0, rows: 1, nprocs: 2 })
+            Err(AdmissionError::StepTooNarrow {
+                step: 0,
+                rows: 1,
+                nprocs: 2
+            })
         );
         assert!(svc.submit(ok).is_ok());
     }
@@ -660,12 +696,12 @@ mod tests {
             )
             .unwrap();
         };
-        let mut concurrent = Service::new(cluster(4, 2), fs_with(&["a", "b"], 64 * 64))
-            .with_backbone(5e8);
+        let mut concurrent =
+            Service::new(cluster(4, 2), fs_with(&["a", "b"], 64 * 64)).with_backbone(5e8);
         submit_all(&mut concurrent);
         let conc = concurrent.run();
-        let mut serial = Service::new(cluster(4, 2), fs_with(&["a", "b"], 64 * 64))
-            .with_backbone(5e8);
+        let mut serial =
+            Service::new(cluster(4, 2), fs_with(&["a", "b"], 64 * 64)).with_backbone(5e8);
         submit_all(&mut serial);
         let ser = serial.run_serial();
         assert_eq!(conc.jobs.len(), 3);
@@ -705,8 +741,10 @@ mod tests {
     fn shared_cache_exact_cross_job_hits() {
         let fs = fs_with(&["a", "b"], 32 * 32);
         let mut svc = Service::new(cluster(2, 1), fs);
-        svc.submit(sweep_job("a", "a", 1, 1, 16, 32).step(vec![0, 0], vec![16, 32])).unwrap();
-        svc.submit(sweep_job("b", "b", 1, 1, 16, 32).step(vec![0, 0], vec![16, 32])).unwrap();
+        svc.submit(sweep_job("a", "a", 1, 1, 16, 32).step(vec![0, 0], vec![16, 32]))
+            .unwrap();
+        svc.submit(sweep_job("b", "b", 1, 1, 16, 32).step(vec![0, 0], vec![16, 32]))
+            .unwrap();
         let out = svc.run();
         assert_eq!(out.cache.misses, 1);
         assert_eq!(out.cache.hits, 3);
@@ -720,8 +758,15 @@ mod tests {
         assert_eq!(folded, out.cache);
         // One job compiled (no cross lookups), the other rode entirely on
         // the neighbour's schedule.
-        let crosses: Vec<u64> = out.jobs.iter().map(|j| j.plan_cache.cross_job_hits).collect();
-        assert!(crosses == vec![0, 2] || crosses == vec![2, 0], "{crosses:?}");
+        let crosses: Vec<u64> = out
+            .jobs
+            .iter()
+            .map(|j| j.plan_cache.cross_job_hits)
+            .collect();
+        assert!(
+            crosses == vec![0, 2] || crosses == vec![2, 0],
+            "{crosses:?}"
+        );
     }
 
     /// Under QoS-WFQ an interactive job books shared capacity ahead of a
@@ -731,8 +776,7 @@ mod tests {
     #[test]
     fn qos_beats_fifo_for_interactive_latency() {
         let run_with = |policy: ServicePolicy| {
-            let mut svc = Service::new(cluster(4, 2), fs_with(&["f"], 64 * 64))
-                .with_policy(policy);
+            let mut svc = Service::new(cluster(4, 2), fs_with(&["f"], 64 * 64)).with_policy(policy);
             svc.submit(sweep_job("bg", "f", 2, 8, 8, 64)).unwrap();
             svc.submit(
                 sweep_job("roi", "f", 2, 1, 8, 64)
@@ -752,7 +796,12 @@ mod tests {
             f_roi.latency()
         );
         for (a, b) in fifo.jobs.iter().zip(&wfq.jobs) {
-            assert_eq!(a.checksum(), b.checksum(), "policy changed job {} data", a.name);
+            assert_eq!(
+                a.checksum(),
+                b.checksum(),
+                "policy changed job {} data",
+                a.name
+            );
         }
     }
 
@@ -765,8 +814,10 @@ mod tests {
     #[test]
     fn wfq_weights_order_batch_completion() {
         let mut svc = Service::new(cluster(4, 2), fs_striped(&["a", "b"], 64 * 64, 1));
-        svc.submit(sweep_job("light", "a", 2, 6, 8, 64).weight(1.0)).unwrap();
-        svc.submit(sweep_job("heavy", "b", 2, 6, 8, 64).weight(8.0)).unwrap();
+        svc.submit(sweep_job("light", "a", 2, 6, 8, 64).weight(1.0))
+            .unwrap();
+        svc.submit(sweep_job("heavy", "b", 2, 6, 8, 64).weight(8.0))
+            .unwrap();
         let out = svc.run();
         assert!(
             out.jobs[1].finished < out.jobs[0].finished,
@@ -813,7 +864,10 @@ mod tests {
         }
         // Nearest-rank percentile convention, pinned.
         let times: Vec<SimTime> = (1..=100).map(|i| SimTime::from_secs(i as f64)).collect();
-        assert_eq!(percentile_time(times.clone(), 50.0), SimTime::from_secs(50.0));
+        assert_eq!(
+            percentile_time(times.clone(), 50.0),
+            SimTime::from_secs(50.0)
+        );
         assert_eq!(percentile_time(times, 99.0), SimTime::from_secs(99.0));
         assert_eq!(percentile_time(Vec::new(), 50.0), SimTime::ZERO);
     }
@@ -831,7 +885,8 @@ mod tests {
     fn placement_queues_when_cluster_full() {
         let mut svc = Service::new(cluster(2, 2), fs_with(&["f"], 64 * 64));
         for i in 0..5 {
-            svc.submit(sweep_job(&format!("j{i}"), "f", 4, 2, 8, 64)).unwrap();
+            svc.submit(sweep_job(&format!("j{i}"), "f", 4, 2, 8, 64))
+                .unwrap();
         }
         let out = svc.run();
         assert_eq!(out.jobs.len(), 5);
@@ -839,7 +894,11 @@ mod tests {
         // Only two nodes: at least three jobs had to start strictly after
         // an earlier job finished.
         let first_finish = out.jobs.iter().map(|j| j.finished).min().unwrap();
-        let late_starters = out.jobs.iter().filter(|j| j.started >= first_finish).count();
+        let late_starters = out
+            .jobs
+            .iter()
+            .filter(|j| j.started >= first_finish)
+            .count();
         assert!(late_starters >= 3, "late starters: {late_starters}");
     }
 }

@@ -52,12 +52,7 @@ impl ClimateWorkload {
         );
         let per = sub[0] / nprocs as u64;
         let slabs = (0..nprocs as u64)
-            .map(|r| {
-                Hyperslab::new(
-                    vec![r * per, 0, 0, 0],
-                    vec![per, sub[1], sub[2], sub[3]],
-                )
-            })
+            .map(|r| Hyperslab::new(vec![r * per, 0, 0, 0], vec![per, sub[1], sub[2], sub[3]]))
             .collect();
         Self {
             dataset,
@@ -119,12 +114,7 @@ impl ClimateWorkload {
         let mut dataset = Dataset::new();
         dataset.add_var(Self::VAR, shape, DType::F64);
         let slabs = (0..nprocs as u64)
-            .map(|r| {
-                Hyperslab::new(
-                    vec![0, r * lat_per_rank, 0],
-                    vec![rows, lat_per_rank, lon],
-                )
-            })
+            .map(|r| Hyperslab::new(vec![0, r * lat_per_rank, 0], vec![rows, lat_per_rank, lon]))
             .collect();
         Self {
             dataset,
@@ -206,10 +196,7 @@ mod tests {
         assert_eq!(w.var().shape().dims(), &[1024, 100, 1024, 1024]);
         assert_eq!(w.var().dtype(), DType::F32);
         // 429 TB virtual file.
-        assert_eq!(
-            w.var().size_bytes(),
-            1024 * 100 * 1024 * 1024 * 4
-        );
+        assert_eq!(w.var().size_bytes(), 1024 * 100 * 1024 * 1024 * 4);
         // Each process: 10 x 10 x 100 x 100 elements (slowest-first).
         assert_eq!(w.slab(0).count(), &[10, 10, 100, 100]);
         assert_eq!(w.slab(71).start(), &[710, 0, 0, 0]);

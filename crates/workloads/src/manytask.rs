@@ -37,10 +37,10 @@ use std::sync::Arc;
 use cc_array::{DType, Shape, Variable};
 use cc_core::{MapKernel, MaxKernel, SumKernel};
 use cc_model::{DiskModel, SimTime};
+use cc_mpiio::Hints;
 use cc_pfs::backend::{default_climate_value, ElemKind, SyntheticBackend};
 use cc_pfs::{Pfs, StripeLayout};
 use cc_service::{BatchPolicy, TaskSpec};
-use cc_mpiio::Hints;
 
 /// Generator for a many-task population over one shared striped file.
 #[derive(Debug, Clone)]
@@ -138,7 +138,12 @@ impl ManyTask {
 
     /// The shared variable.
     pub fn variable(&self) -> Variable {
-        Variable::new(Self::VAR, Shape::new(vec![self.rows, self.cols]), DType::F64, 0)
+        Variable::new(
+            Self::VAR,
+            Shape::new(vec![self.rows, self.cols]),
+            DType::F64,
+            0,
+        )
     }
 
     /// Builds a fresh file system holding the shared file. Comparative
@@ -290,8 +295,8 @@ mod tests {
     }
 
     fn batch(t: &ManyTask) -> TaskBatch {
-        let mut b =
-            TaskBatch::new(model(4, 4), t.build_fs(DiskModel::lustre_like())).with_policy(t.policy());
+        let mut b = TaskBatch::new(model(4, 4), t.build_fs(DiskModel::lustre_like()))
+            .with_policy(t.policy());
         for spec in t.specs() {
             b.submit(spec).expect("many-task specs admit cleanly");
         }

@@ -129,7 +129,11 @@ impl MixedTraffic {
                     i % self.total_osts,
                     self.total_osts,
                 ),
-                Box::new(SyntheticBackend::new(elems, ElemKind::F64, default_climate_value)),
+                Box::new(SyntheticBackend::new(
+                    elems,
+                    ElemKind::F64,
+                    default_climate_value,
+                )),
             );
         }
         Arc::new(fs)
@@ -164,9 +168,7 @@ impl MixedTraffic {
             // Distinct per-job row offsets keep the queries honest: no
             // two interactive jobs read the same bytes.
             let offset = (i as u64 * self.roi_rows) % (self.file_rows() - self.roi_rows + 1);
-            let arrival = SimTime::from_secs(
-                self.interactive_spacing.secs() * (i + 1) as f64,
-            );
+            let arrival = SimTime::from_secs(self.interactive_spacing.secs() * (i + 1) as f64);
             jobs.push(
                 JobSpec::new(
                     format!("roi-{i}"),

@@ -51,7 +51,10 @@ impl WrfGrid {
     /// Storm-center coordinates at time `t`: enters at (sn/4, we/4) and
     /// drifts one cell per step diagonally, clamped inside the grid.
     pub fn center(&self, t: u64) -> (u64, u64) {
-        ((self.sn / 4 + t).min(self.sn - 1), (self.we / 4 + t).min(self.we - 1))
+        (
+            (self.sn / 4 + t).min(self.sn - 1),
+            (self.we / 4 + t).min(self.we - 1),
+        )
     }
 
     /// Decomposes a flat element index into `(t, y, x)`, row first: the
@@ -201,10 +204,7 @@ impl WrfWorkload {
             self.grid.times
         );
         let per = self.grid.times / self.nprocs as u64;
-        Hyperslab::new(
-            vec![rank as u64 * per, 0, 0],
-            vec![per, sub_sn, sub_we],
-        )
+        Hyperslab::new(vec![rank as u64 * per, 0, 0], vec![per, sub_sn, sub_we])
     }
 
     /// Rank `r`'s south-north band across *all* time steps — the spatial
@@ -523,10 +523,7 @@ mod tests {
     #[test]
     fn variables_do_not_overlap() {
         let w = WrfWorkload::new(grid(), 2, 1 << 16, 2);
-        assert_eq!(
-            w.slp_var().end_offset(),
-            w.wind_var().base_offset()
-        );
+        assert_eq!(w.slp_var().end_offset(), w.wind_var().base_offset());
     }
 
     #[test]
@@ -534,7 +531,12 @@ mod tests {
         let w = WrfWorkload::new(grid(), 2, 4096, 2);
         let fs = w.build_fs(2, cc_model::DiskModel::lustre_like());
         let file = fs.open(WrfWorkload::FILE).expect("created");
-        let (b, _) = fs.read_at(&file, w.slp_var().byte_of_elem(5), 8, cc_model::SimTime::ZERO);
+        let (b, _) = fs.read_at(
+            &file,
+            w.slp_var().byte_of_elem(5),
+            8,
+            cc_model::SimTime::ZERO,
+        );
         assert_eq!(
             f64::from_le_bytes(b[..8].try_into().unwrap()),
             grid().slp(5)

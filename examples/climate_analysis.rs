@@ -11,8 +11,7 @@
 //! ```
 
 use cc_core::{
-    object_get_vara, MapKernel, MaxKernel, MeanKernel, MinKernel, ObjectIo, ReduceMode,
-    SumSqKernel,
+    object_get_vara, MapKernel, MaxKernel, MeanKernel, MinKernel, ObjectIo, ReduceMode, SumSqKernel,
 };
 use cc_examples::banner;
 use cc_model::ClusterModel;

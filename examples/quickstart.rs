@@ -30,11 +30,8 @@ fn main() {
         // the paper's object I/O — and passes the computation (a kernel)
         // into the collective read.
         let per = rows / nprocs as u64;
-        let io = ObjectIo::new(
-            vec![comm.rank() as u64 * per, 0],
-            vec![per, cols],
-        )
-        .reduce(ReduceMode::AllToOne { root: 0 });
+        let io = ObjectIo::new(vec![comm.rank() as u64 * per, 0], vec![per, cols])
+            .reduce(ReduceMode::AllToOne { root: 0 });
         object_get_vara(comm, fs, &file, var, &io, &MeanKernel)
     });
 
@@ -52,7 +49,12 @@ fn main() {
     );
 
     // The same value computed directly, for comparison.
-    let expect: f64 =
-        (0..rows * cols).map(|i| 250.0 + (i % 100) as f64).sum::<f64>() / (rows * cols) as f64;
-    println!("direct computation agrees: {}", (mean - expect).abs() < 1e-9);
+    let expect: f64 = (0..rows * cols)
+        .map(|i| 250.0 + (i % 100) as f64)
+        .sum::<f64>()
+        / (rows * cols) as f64;
+    println!(
+        "direct computation agrees: {}",
+        (mean - expect).abs() < 1e-9
+    );
 }

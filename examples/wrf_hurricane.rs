@@ -79,7 +79,10 @@ fn main() {
         outcomes[0].global.clone().expect("root result")
     };
     let (t, y, x) = grid.coords(wind[1] as u64);
-    println!("max 10 m wind: {:.1} knots at t={t}, grid ({y}, {x})", wind[0]);
+    println!(
+        "max 10 m wind: {:.1} knots at t={t}, grid ({y}, {x})",
+        wind[0]
+    );
     let (expect_v, expect_i) = wrf.oracle_wind_max();
     assert_eq!(wind[0], expect_v, "wind oracle");
     assert_eq!(wind[1] as u64, expect_i, "wind location oracle");

@@ -341,7 +341,10 @@ fn fused_batch_heap_does_not_grow_with_bins() {
     // of it; so the 1-bin side is the worst of 8 runs. Each rank's pool
     // keeps the buffers it receives: without the reset at every bin
     // boundary the pools pile up across sweeps and 8 bins peak near 2.8x.
-    let one = (0..8).map(|_| fused_batch_peak(1)).max().expect("eight runs");
+    let one = (0..8)
+        .map(|_| fused_batch_peak(1))
+        .max()
+        .expect("eight runs");
     let eight = fused_batch_peak(8);
     assert!(
         eight as f64 <= 1.25 * one as f64,

@@ -45,7 +45,11 @@ fn tri_run(shape: &Shape, nprocs: usize, cb: u64) -> ([Vec<f64>; 3], SimTime, Si
                 .reduce(ReduceMode::AllToOne { root: 0 });
             object_get_vara(comm, fs, &file, var, &io, &SumSqKernel)
         });
-        let end = results.iter().map(|o| o.report.end).max().expect("nonempty");
+        let end = results
+            .iter()
+            .map(|o| o.report.end)
+            .max()
+            .expect("nonempty");
         if blocking {
             t_mpi = end;
         } else if mode == IoMode::Collective {
@@ -129,12 +133,10 @@ fn metadata_shrinks_then_flattens_with_buffer_size() {
             .run(move |comm| {
                 let file = fs.open(ClimateWorkload::FILE).expect("created");
                 let slab = workload.slab(comm.rank());
-                let io = ObjectIo::new(slab.start().to_vec(), slab.count().to_vec()).hints(
-                    Hints {
-                        cb_buffer_size: cb,
-                        ..Hints::default()
-                    },
-                );
+                let io = ObjectIo::new(slab.start().to_vec(), slab.count().to_vec()).hints(Hints {
+                    cb_buffer_size: cb,
+                    ..Hints::default()
+                });
                 object_get_vara(comm, fs, &file, workload.var(), &io, &SumKernel)
                     .report
                     .metadata_entries

@@ -36,9 +36,7 @@ fn fused_kernel_through_the_full_engine() {
         .map(|k| object_get_vara(comm, fs, &file, var, &io, *k).global)
         .collect();
         (
-            one_pass
-                .global_partial
-                .map(|p| fused.finalize_each(&p)),
+            one_pass.global_partial.map(|p| fused.finalize_each(&p)),
             seperate,
             one_pass.report.bytes_read,
         )
@@ -139,8 +137,7 @@ fn strided_selection_through_collective_read() {
         );
         let request = var.byte_extents_strided(&slab);
         let file = fs.open("t.nc").expect("exists");
-        let (bytes, _) =
-            cc_mpiio::collective_read(comm, fs, &file, &request, &Hints::default());
+        let (bytes, _) = cc_mpiio::collective_read(comm, fs, &file, &request, &Hints::default());
         let got = var.dtype().decode(&bytes);
         // Oracle: enumerate the lattice directly.
         let mut expect = Vec::new();

@@ -41,12 +41,10 @@ fn results_survive_transient_read_faults() {
     let var = &var;
     let results = world.run(move |comm| {
         let file = fs_ref.open("t.nc").expect("exists");
-        let io = ObjectIo::new(vec![comm.rank() as u64, 0], vec![1, 64]).hints(
-            cc_mpiio::Hints {
-                cb_buffer_size: 256, // several chunks -> several read attempts
-                ..cc_mpiio::Hints::default()
-            },
-        );
+        let io = ObjectIo::new(vec![comm.rank() as u64, 0], vec![1, 64]).hints(cc_mpiio::Hints {
+            cb_buffer_size: 256, // several chunks -> several read attempts
+            ..cc_mpiio::Hints::default()
+        });
         object_get_vara(comm, fs_ref, &file, var, &io, &SumKernel)
     });
     let expect: f64 = (0..256).map(test_value).sum();
@@ -201,7 +199,9 @@ fn link_delay_fault_slows_the_shuffle() {
         world.run(move |comm| {
             let file = fs.open("raw").expect("exists");
             let req = OffsetList::contiguous(comm.rank() as u64 * 4096, 4096);
-            collective_read(comm, fs, &file, &req, &Hints::default()).1.end
+            collective_read(comm, fs, &file, &req, &Hints::default())
+                .1
+                .end
         })
     };
     let healthy = run(test_model(2, 2));

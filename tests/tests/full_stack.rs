@@ -6,7 +6,9 @@ use cc_core::{
     object_get_vara, CountKernel, MapKernel, MaxKernel, MeanKernel, MinLocKernel, ObjectIo,
     ReduceMode, SumKernel,
 };
-use cc_integration::{assert_close, build_var_fs, oracle_min_loc, oracle_sum, test_model, test_value};
+use cc_integration::{
+    assert_close, build_var_fs, oracle_min_loc, oracle_sum, test_model, test_value,
+};
 use cc_mpi::World;
 use cc_mpiio::Hints;
 
@@ -99,17 +101,34 @@ fn minloc_and_count_and_mean_and_max() {
     assert_eq!(minloc[0], ev);
     assert_eq!(minloc[1], ei as f64);
 
-    let count = run_global(4, 1, &shape, &CountKernel, ReduceMode::AllToOne { root: 0 }, 512);
+    let count = run_global(
+        4,
+        1,
+        &shape,
+        &CountKernel,
+        ReduceMode::AllToOne { root: 0 },
+        512,
+    );
     assert_eq!(count[0], n as f64);
 
-    let mean = run_global(4, 1, &shape, &MeanKernel, ReduceMode::AllToAll { root: 2 }, 512);
-    assert_close(
-        mean[0],
-        oracle_sum(&shape, &slab) / n as f64,
-        "mean",
+    let mean = run_global(
+        4,
+        1,
+        &shape,
+        &MeanKernel,
+        ReduceMode::AllToAll { root: 2 },
+        512,
     );
+    assert_close(mean[0], oracle_sum(&shape, &slab) / n as f64, "mean");
 
-    let max = run_global(4, 1, &shape, &MaxKernel, ReduceMode::AllToOne { root: 0 }, 512);
+    let max = run_global(
+        4,
+        1,
+        &shape,
+        &MaxKernel,
+        ReduceMode::AllToOne { root: 0 },
+        512,
+    );
     let expect_max = (0..n).map(test_value).fold(f64::NEG_INFINITY, f64::max);
     assert_eq!(max[0], expect_max);
 }
@@ -136,7 +155,14 @@ fn uneven_rank_to_node_mappings() {
 fn single_rank_world_still_works() {
     let shape = Shape::new(vec![3, 17]);
     let expect: f64 = (0..51).map(test_value).sum();
-    let got = run_global(1, 1, &shape, &SumKernel, ReduceMode::AllToOne { root: 0 }, 64);
+    let got = run_global(
+        1,
+        1,
+        &shape,
+        &SumKernel,
+        ReduceMode::AllToOne { root: 0 },
+        64,
+    );
     assert_close(got[0], expect, "single rank");
 }
 
@@ -181,8 +207,7 @@ fn overlapping_requests_across_ranks() {
     let var = &var;
     let results = world.run(move |comm| {
         let file = fs.open("t.nc").expect("exists");
-        let io = ObjectIo::new(vec![0, 0], vec![4, 20])
-            .reduce(ReduceMode::AllToAll { root: 0 });
+        let io = ObjectIo::new(vec![0, 0], vec![4, 20]).reduce(ReduceMode::AllToAll { root: 0 });
         object_get_vara(comm, fs, &file, var, &io, &MaxKernel)
     });
     let expect = (0..80).map(test_value).fold(f64::NEG_INFINITY, f64::max);

@@ -114,10 +114,7 @@ impl ReqSweep {
 
 fn arb_sweep() -> impl Strategy<Value = ReqSweep> {
     (
-        proptest::collection::vec(
-            proptest::collection::vec((0u64..200, 0u64..40), 0..8),
-            1..5,
-        ),
+        proptest::collection::vec(proptest::collection::vec((0u64..200, 0u64..40), 0..8), 1..5),
         4u64..10,
         proptest::option::of(1u64..96),
         1usize..3,
@@ -822,15 +819,37 @@ fn error_bounded_hints_never_flip_selection_winners() {
             };
             let (minloc, maxloc, min) = results
                 .iter()
-                .find_map(|(a, b, c)| a.clone().map(|a| (a, b.clone().unwrap(), c.clone().unwrap())))
+                .find_map(|(a, b, c)| {
+                    a.clone()
+                        .map(|a| (a, b.clone().unwrap(), c.clone().unwrap()))
+                })
                 .expect("root holds the globals");
             // The ramp decreases: exact min is the last element, exact max
             // the first — value *and* index must be exact to the bit.
-            assert_eq!(minloc[0].to_bits(), value(N - 1).to_bits(), "minloc value ({mode:?}, blocking={blocking})");
-            assert_eq!(minloc[1], (N - 1) as f64, "minloc index ({mode:?}, blocking={blocking})");
-            assert_eq!(maxloc[0].to_bits(), value(0).to_bits(), "maxloc value ({mode:?}, blocking={blocking})");
-            assert_eq!(maxloc[1], 0.0, "maxloc index ({mode:?}, blocking={blocking})");
-            assert_eq!(min[0].to_bits(), value(N - 1).to_bits(), "min value ({mode:?}, blocking={blocking})");
+            assert_eq!(
+                minloc[0].to_bits(),
+                value(N - 1).to_bits(),
+                "minloc value ({mode:?}, blocking={blocking})"
+            );
+            assert_eq!(
+                minloc[1],
+                (N - 1) as f64,
+                "minloc index ({mode:?}, blocking={blocking})"
+            );
+            assert_eq!(
+                maxloc[0].to_bits(),
+                value(0).to_bits(),
+                "maxloc value ({mode:?}, blocking={blocking})"
+            );
+            assert_eq!(
+                maxloc[1], 0.0,
+                "maxloc index ({mode:?}, blocking={blocking})"
+            );
+            assert_eq!(
+                min[0].to_bits(),
+                value(N - 1).to_bits(),
+                "min value ({mode:?}, blocking={blocking})"
+            );
         }
     }
 }
@@ -1182,8 +1201,7 @@ impl ServiceMix {
                 Box::new(SyntheticBackend::new(elems, ElemKind::F64, test_value)),
             );
         }
-        let mut svc =
-            cc_service::Service::new(model, Arc::new(fs)).with_policy(self.policy());
+        let mut svc = cc_service::Service::new(model, Arc::new(fs)).with_policy(self.policy());
         // A modest shared backbone, so the lane booking path runs too.
         svc = svc.with_backbone(1e9);
         for (id, job) in self.jobs.iter().enumerate() {
@@ -1338,7 +1356,10 @@ fn shared_plan_cache_concurrent_jobs_share_and_count() {
     let sb = jb.join().expect("job 8 completes");
     let total = sa.merge(&sb);
     let shared = cache.stats();
-    assert_eq!(total, shared, "per-job stats must partition the shared totals");
+    assert_eq!(
+        total, shared,
+        "per-job stats must partition the shared totals"
+    );
     // 2 jobs x 2 steps = 4 collectives, one lookup each, over 3 distinct
     // request sets; the compile happens under the cache lock, so each set
     // misses once no matter how the worlds' threads interleave.
@@ -1373,20 +1394,33 @@ fn fresh_schedules_on_different_ranks_share_tables() {
         let world = World::new(NPROCS, test_model(2, 4).with_collectives(mode));
         let schedules = world.run(|comm| {
             let r = comm.rank() as u64;
-            [64u64, 96]
-                .map(|len| {
-                    let mine = OffsetList::new(
-                        (0..6).map(|k| Extent { offset: (k * NPROCS as u64 + r) * len, len }).collect(),
-                    );
-                    let requests = exchange_requests(comm, &mine);
-                    PlanSchedule::resolve(comm, requests, &hints)
-                })
+            [64u64, 96].map(|len| {
+                let mine = OffsetList::new(
+                    (0..6)
+                        .map(|k| Extent {
+                            offset: (k * NPROCS as u64 + r) * len,
+                            len,
+                        })
+                        .collect(),
+                );
+                let requests = exchange_requests(comm, &mine);
+                PlanSchedule::resolve(comm, requests, &hints)
+            })
         });
         let [first0, second0] = &schedules[0];
-        assert!(!first0.shares_index_with(second0), "{mode:?}: collectives shared an entry");
+        assert!(
+            !first0.shares_index_with(second0),
+            "{mode:?}: collectives shared an entry"
+        );
         for (rank, [first, second]) in schedules.iter().enumerate() {
-            assert!(first.shares_index_with(first0), "{mode:?}: rank {rank} compiled for itself");
-            assert!(second.shares_index_with(second0), "{mode:?}: rank {rank} compiled for itself");
+            assert!(
+                first.shares_index_with(first0),
+                "{mode:?}: rank {rank} compiled for itself"
+            );
+            assert!(
+                second.shares_index_with(second0),
+                "{mode:?}: rank {rank} compiled for itself"
+            );
             assert_eq!(first.sources_for(rank), first0.sources_for(rank));
         }
     }
@@ -1411,7 +1445,11 @@ fn every_rank_reports_one_plan_lookup_per_sweep_step() {
     fs.create(
         "a.nc",
         StripeLayout::round_robin(1 << 9, 4, 0, 4),
-        Box::new(SyntheticBackend::new(2 * STEPS * ROWS * COLS, ElemKind::F64, test_value)),
+        Box::new(SyntheticBackend::new(
+            2 * STEPS * ROWS * COLS,
+            ElemKind::F64,
+            test_value,
+        )),
     );
     let var = cc_array::Variable::new(
         "v",
@@ -1535,7 +1573,11 @@ fn one_lookup_per_collective() {
         );
         let (direct_world, direct_scope) = scoped(world(), &Arc::default(), 0);
         let direct = direct_world.run(schedules);
-        assert_eq!(direct_scope.stats().lookups(), STEPS, "{mode:?}: direct lookups");
+        assert_eq!(
+            direct_scope.stats().lookups(),
+            STEPS,
+            "{mode:?}: direct lookups"
+        );
         let rank0 = &direct[0];
         for (rank, direct) in direct.iter().enumerate() {
             for (s, (mine, first)) in direct.iter().zip(rank0).enumerate() {
@@ -1580,7 +1622,11 @@ fn a_world_scope_is_the_only_plan_cache() {
     fs.create(
         "a.nc",
         StripeLayout::round_robin(1 << 9, 4, 0, 4),
-        Box::new(SyntheticBackend::new(NPROCS as u64 * 64, ElemKind::F64, test_value)),
+        Box::new(SyntheticBackend::new(
+            NPROCS as u64 * 64,
+            ElemKind::F64,
+            test_value,
+        )),
     );
     let hints = Hints {
         cb_buffer_size: 256,
@@ -1589,7 +1635,14 @@ fn a_world_scope_is_the_only_plan_cache() {
     let world = || World::new(NPROCS, test_model(2, 2));
     let request = |rank: usize| {
         let r = rank as u64;
-        OffsetList::new((0..4).map(|k| Extent { offset: (k * NPROCS as u64 + r) * 128, len: 128 }).collect())
+        OffsetList::new(
+            (0..4)
+                .map(|k| Extent {
+                    offset: (k * NPROCS as u64 + r) * 128,
+                    len: 128,
+                })
+                .collect(),
+        )
     };
     // Two resolutions of one request set, on every rank.
     let twice = |comm: &mut cc_mpi::Comm| {
@@ -1602,11 +1655,17 @@ fn a_world_scope_is_the_only_plan_cache() {
     let counts = |s: cc_mpiio::PlanCacheStats| (s.misses, s.hits, s.cross_job_hits);
 
     for [first, second] in world().run(twice) {
-        assert!(!first.shares_index_with(&second), "an unscoped world compiled once");
+        assert!(
+            !first.shares_index_with(&second),
+            "an unscoped world compiled once"
+        );
     }
     let (scoped_world, scope) = scoped(world(), &Arc::default(), 0);
     for [first, second] in scoped_world.run(twice) {
-        assert!(first.shares_index_with(&second), "a scoped world compiled twice");
+        assert!(
+            first.shares_index_with(&second),
+            "a scoped world compiled twice"
+        );
     }
     assert_eq!(counts(scope.stats()), (1, 1, 0));
 
@@ -1723,13 +1782,12 @@ impl TaskMixCase {
             cc_array::DType::F64,
             0,
         );
-        let mut batch = cc_service::TaskBatch::new(model, Arc::new(fs)).with_policy(
-            cc_service::BatchPolicy {
+        let mut batch =
+            cc_service::TaskBatch::new(model, Arc::new(fs)).with_policy(cc_service::BatchPolicy {
                 nprocs: self.nprocs,
                 fuse_window: SimTime::from_secs(self.window_ms as f64 * 1e-3),
                 ..cc_service::BatchPolicy::default()
-            },
-        );
+            });
         for (i, ((start, count, kernel), &(.., arrival_us, _))) in
             self.resolved().into_iter().zip(&self.tasks).enumerate()
         {

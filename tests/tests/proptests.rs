@@ -21,11 +21,11 @@ struct Config {
 
 fn arb_config() -> impl Strategy<Value = Config> {
     (
-        1usize..5,                          // nprocs as divisor index
+        1usize..5,                                // nprocs as divisor index
         proptest::collection::vec(1u64..7, 1..3), // extra dims
-        6u64..12,                           // log2 stripe size
-        1usize..5,                          // stripe count
-        5u64..13,                           // log2 cb
+        6u64..12,                                 // log2 stripe size
+        1usize..5,                                // stripe count
+        5u64..13,                                 // log2 cb
     )
         .prop_map(|(np, extra, stripe_log, sc, cb_log)| {
             let nprocs = np; // 1..4
