@@ -11,12 +11,14 @@
 //!   class; [`Service::submit`] validates it and [`Service::run`] carves
 //!   whole nodes out of the cluster for each job (backfilled, so small
 //!   jobs slip past wide ones waiting for nodes).
-//! * **A virtual-time event loop** — jobs execute one collective iteration
-//!   at a time, each step placed at the job's own virtual frontier via
-//!   `Comm::advance_to`, so concurrent jobs contend for OST intervals and
-//!   backbone bandwidth exactly where their demand windows overlap, while
-//!   the bytes each job moves stay untouched: every job's result is
-//!   bit-identical to its solo run under every policy.
+//! * **A virtual-time event loop over resident job worlds** — each job
+//!   runs one `World::run` whose ranks park on the job's gate between
+//!   steps; the loop grants one collective iteration at a time, each step
+//!   placed at the job's own virtual frontier via `Comm::advance_to`, so
+//!   concurrent jobs contend for OST intervals and backbone bandwidth
+//!   exactly where their demand windows overlap, while the bytes each job
+//!   moves stay untouched: every job's result is bit-identical to its
+//!   solo run under every policy.
 //! * **Cross-job plan reuse** — jobs issuing the same hyperslabs, on any
 //!   identically striped file, hit one compiled schedule in the shared
 //!   cache, one lookup per job step; per-job and cross-job counters ride

@@ -1,11 +1,13 @@
 //! The multi-job scheduler: admission, placement, fair queueing, and the
-//! virtual-time event loop.
+//! virtual-time event loop over resident job worlds.
 
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
-use cc_core::{iterative_get_vara, object_get_vara, Partial};
+use cc_core::{iterative_get_vara, object_get_vara, CcOutcome, Partial};
 use cc_model::{ClusterModel, LaneStats, SharedLane, SimTime, Topology};
-use cc_mpi::World;
+use cc_mpi::{Comm, World};
 use cc_mpiio::{PlanCacheStats, PlanScope, SharedPlanCache};
 use cc_pfs::{OstSnapshot, Pfs};
 
@@ -27,17 +29,17 @@ pub enum ServicePolicy {
     RoundRobin,
 }
 
-/// One submitted job's live state inside the service.
+/// One submitted job's live state inside the service; its spec sits at the
+/// same index of the service's spec list.
+#[derive(Default)]
 struct Job {
     id: u64,
-    spec: JobSpec,
     /// Cluster nodes held while active (indices into the node pool).
     nodes: Vec<usize>,
     /// Order of admission (for FIFO).
     admit_seq: usize,
-    /// The job's world while it is active, and the plan scope attached to
-    /// it.
-    world: Option<(World, Arc<PlanScope>)>,
+    /// The plan scope attached to the job's world while it is active.
+    scope: Option<Arc<PlanScope>>,
     started: SimTime,
     /// Virtual time the job's last completed step ended (= `started`
     /// before the first step).
@@ -54,20 +56,23 @@ struct Job {
 }
 
 impl Job {
-    fn finished(&self) -> bool {
-        self.next_step >= self.spec.steps.len()
+    fn new(id: usize) -> Self {
+        Self {
+            id: id as u64,
+            ..Self::default()
+        }
     }
 
-    fn into_result(self) -> JobResult {
+    fn into_result(self, spec: JobSpec) -> JobResult {
         let global = self
             .serial_global
-            .or_else(|| self.folded.as_ref().map(|p| self.spec.kernel.finalize(p)));
+            .or_else(|| self.folded.as_ref().map(|p| spec.kernel.finalize(p)));
         let per_step = (!self.per_step.is_empty()).then_some(self.per_step);
         JobResult {
             id: self.id,
-            name: self.spec.name,
-            class: self.spec.class,
-            submitted: self.spec.arrival,
+            name: spec.name,
+            class: spec.class,
+            submitted: spec.arrival,
             started: self.started,
             finished: self.clock,
             global,
@@ -77,6 +82,159 @@ impl Job {
             ost_busy_secs: self.ost_busy,
             lane_bytes: self.lane_bytes,
         }
+    }
+}
+
+/// Where a resident job's ranks park between steps. The event loop grants
+/// one step at a time and waits for the step's last deposit; each job has
+/// its own pair of condvars, so a grant wakes that job's ranks only.
+#[derive(Default)]
+struct Gate {
+    slot: Mutex<Slot>,
+    /// The job's ranks wait here for their next grant.
+    granted: Condvar,
+    /// The event loop waits here for the granted step's last deposit.
+    done: Condvar,
+}
+
+/// A gate's state: the current grant and what the ranks deposited for it.
+#[derive(Default)]
+struct Slot {
+    /// Steps granted so far.
+    granted: usize,
+    /// Where the granted step starts: the job's virtual frontier.
+    t0: SimTime,
+    /// Ranks that have deposited the granted step.
+    arrived: usize,
+    /// The latest report end deposited (`t0` before any).
+    end: SimTime,
+    /// Inter-node bytes the ranks sent during the step.
+    inter: u64,
+    /// Rank 0's outcome: the step's global and its raw partial.
+    root: Option<CcOutcome>,
+    /// Set when the job's world unwinds or the event loop stops: parked
+    /// ranks leave their world, and nobody waits for a deposit.
+    aborted: bool,
+}
+
+impl Gate {
+    /// The slot, poisoned or not: every update under the lock leaves it
+    /// valid, and the abort path must not panic from a `Drop`.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks a rank until step `step` is granted and returns the step's
+    /// start, or `None` once the gate has aborted.
+    fn wait(&self, step: usize) -> Option<SimTime> {
+        let slot = self
+            .granted
+            .wait_while(self.lock(), |s| s.granted <= step && !s.aborted)
+            .unwrap_or_else(PoisonError::into_inner);
+        (!slot.aborted).then_some(slot.t0)
+    }
+
+    /// Records rank `rank`'s share of the granted step; the last of the
+    /// job's `nprocs` ranks wakes the event loop.
+    fn deposit(&self, rank: usize, nprocs: usize, out: CcOutcome, inter: u64) {
+        let mut slot = self.lock();
+        slot.end = slot.end.max(out.report.end);
+        slot.inter += inter;
+        if rank == 0 {
+            slot.root = Some(out);
+        }
+        slot.arrived += 1;
+        if slot.arrived == nprocs {
+            self.done.notify_one();
+        }
+    }
+
+    /// Grants step `step` from `t0` and waits for every rank's deposit:
+    /// the latest report end, the step's inter-node bytes and rank 0's
+    /// outcome, or `None` if the job's world unwound instead.
+    fn run_step(
+        &self,
+        step: usize,
+        t0: SimTime,
+        nprocs: usize,
+    ) -> Option<(SimTime, u64, CcOutcome)> {
+        let mut slot = self.lock();
+        slot.granted = step + 1;
+        slot.t0 = t0;
+        slot.arrived = 0;
+        slot.end = t0;
+        slot.inter = 0;
+        self.granted.notify_all();
+        let mut slot = self
+            .done
+            .wait_while(slot, |s| s.arrived < nprocs && !s.aborted)
+            .unwrap_or_else(PoisonError::into_inner);
+        if slot.aborted {
+            return None;
+        }
+        let root = slot.root.take().expect("rank 0 deposits every step");
+        Some((slot.end, slot.inter, root))
+    }
+
+    /// Sends every parked rank out of its world and stops the event loop's
+    /// wait.
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.granted.notify_all();
+        self.done.notify_all();
+    }
+}
+
+/// Aborts its gate when dropped during a panic: a rank that fails, or is
+/// unwound by its world's abort, frees the peers already parked for the
+/// next step and the event loop waiting for its deposit.
+struct AbortOnUnwind<'a>(&'a Gate);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.abort();
+        }
+    }
+}
+
+/// Aborts every gate when dropped, so no resident world outlives the event
+/// loop, whether it ends, stops at a failed step, or panics itself. Every
+/// job has finished by a normal end, so there the aborts free nobody.
+struct ReleaseAll<'a>(&'a [Gate]);
+
+impl Drop for ReleaseAll<'_> {
+    fn drop(&mut self) {
+        for gate in self.0 {
+            gate.abort();
+        }
+    }
+}
+
+/// A resident job's rank: parks on the job's gate between steps and runs
+/// each step it is granted.
+fn serve_steps(comm: &mut Comm, spec: &JobSpec, jid: u64, gate: &Gate, pfs: &Pfs) {
+    let _abort = AbortOnUnwind(gate);
+    let mut since = comm.stats();
+    for (k, step) in spec.steps.iter().enumerate() {
+        let Some(t0) = gate.wait(k) else { return };
+        // Advancing to the job's frontier places this step at its virtual
+        // time, so OST and lane bookings land where the job actually is.
+        // The frontier is at least every rank's previous report end, so
+        // the clock lands on it exactly, as a fresh rank's would.
+        comm.advance_to(t0);
+        let file = pfs.open(&spec.file).unwrap_or_else(|| {
+            panic!(
+                "job {jid} ({:?}): file {:?} disappeared",
+                spec.name, spec.file
+            )
+        });
+        let io = spec.rank_io(step, comm.rank(), comm.nprocs());
+        let out = object_get_vara(comm, pfs, &file, &spec.var, &io, &*spec.kernel);
+        let stats = comm.stats();
+        let inter = stats.delta(&since).bytes_inter as u64;
+        since = stats;
+        gate.deposit(comm.rank(), comm.nprocs(), out, inter);
     }
 }
 
@@ -123,19 +281,21 @@ pub fn percentile_time(mut times: Vec<SimTime>, p: f64) -> SimTime {
 /// [`SharedPlanCache`] (cross-job schedule reuse), and per-job rank pools
 /// carved from the cluster's nodes.
 ///
-/// Jobs execute one engine step (one collective iteration of their sweep)
-/// at a time; the [`ServicePolicy`] picks which admitted job steps next.
-/// Real bytes move inside each step exactly as in a solo run — scheduling
-/// changes *when* virtual-time demand lands on the shared resources, never
-/// what any job computes, so per-job results are bit-identical to solo
-/// runs under every policy and interleaving.
+/// Each admitted job's ranks are resident: one world per job, whose ranks
+/// park between steps. Jobs execute one engine step (one collective
+/// iteration of their sweep) at a time; the [`ServicePolicy`] picks which
+/// admitted job steps next. Real bytes move inside each step exactly as in
+/// a solo run — scheduling changes *when* virtual-time demand lands on the
+/// shared resources, never what any job computes, so per-job results are
+/// bit-identical to solo runs under every policy and interleaving.
 pub struct Service {
     model: ClusterModel,
     pfs: Arc<Pfs>,
     cache: Arc<SharedPlanCache>,
     lane: Option<SharedLane>,
     policy: ServicePolicy,
-    jobs: Vec<Job>,
+    /// Every submitted job's spec; a job's id is its index.
+    specs: Vec<JobSpec>,
 }
 
 impl Service {
@@ -149,7 +309,7 @@ impl Service {
             cache: Arc::default(),
             lane: None,
             policy: ServicePolicy::default(),
-            jobs: Vec::new(),
+            specs: Vec::new(),
         }
     }
 
@@ -212,28 +372,22 @@ impl Service {
                 });
             }
         }
-        let id = self.jobs.len() as u64;
-        self.jobs.push(Job {
-            id,
-            spec,
-            nodes: Vec::new(),
-            admit_seq: usize::MAX,
-            world: None,
-            started: SimTime::ZERO,
-            clock: SimTime::ZERO,
-            next_step: 0,
-            folded: None,
-            per_step: Vec::new(),
-            plan_stats: PlanCacheStats::default(),
-            ost_busy: 0.0,
-            lane_bytes: 0,
-            serial_global: None,
-        });
+        let id = self.specs.len() as u64;
+        self.specs.push(spec);
         Ok(JobHandle { id })
     }
 
     /// Runs every submitted job concurrently under the configured policy
     /// and returns the per-job results and shared-resource accounting.
+    ///
+    /// Admission starts one [`World::run`] per job on a scoped driver
+    /// thread; the job's ranks stay resident for its whole sweep, parked
+    /// on the job's gate between steps.
+    ///
+    /// # Panics
+    /// If a rank panics, every parked job is released and, once every
+    /// driver has returned, the failed world's panic (naming the rank and
+    /// its message) is raised here.
     pub fn run(self) -> ServiceOutcome {
         let Service {
             model,
@@ -241,95 +395,120 @@ impl Service {
             cache,
             lane,
             policy,
-            mut jobs,
+            specs,
         } = self;
+        let mut jobs: Vec<Job> = (0..specs.len()).map(Job::new).collect();
+        let gates: Vec<Gate> = specs.iter().map(|_| Gate::default()).collect();
         let cores = model.topology.cores_per_node;
         let total_nodes = model.topology.nodes;
         let mut free_at = vec![SimTime::ZERO; total_nodes];
         let mut held = vec![false; total_nodes];
         // Admission queue: arrival order, interactive before batch on
         // ties, submission order last.
-        let mut queued: Vec<usize> = (0..jobs.len()).collect();
+        let mut queued: Vec<usize> = (0..specs.len()).collect();
         queued.sort_by(|&a, &b| {
-            let (ja, jb) = (&jobs[a], &jobs[b]);
-            ja.spec
-                .arrival
-                .cmp(&jb.spec.arrival)
+            let (sa, sb) = (&specs[a], &specs[b]);
+            sa.arrival
+                .cmp(&sb.arrival)
                 .then_with(|| {
                     let rank = |c: QosClass| match c {
                         QosClass::Interactive => 0,
                         QosClass::Batch => 1,
                     };
-                    rank(ja.spec.class).cmp(&rank(jb.spec.class))
+                    rank(sa.class).cmp(&rank(sb.class))
                 })
                 .then(a.cmp(&b))
         });
-        let mut active: Vec<usize> = Vec::new();
-        let mut admit_seq = 0usize;
-        let mut rr = 0usize;
-        let mut remaining = jobs.len();
-        while remaining > 0 {
-            // Backfilling admission: walk the queue in order and place
-            // every job whose node demand fits the currently free nodes —
-            // a small interactive job is not stuck behind a wide batch
-            // job waiting for the cluster to drain.
-            let mut i = 0;
-            while i < queued.len() {
-                let idx = queued[i];
-                let needed = jobs[idx].spec.nprocs.div_ceil(cores);
-                let mut free: Vec<usize> = (0..total_nodes).filter(|&k| !held[k]).collect();
-                if free.len() < needed {
-                    i += 1;
-                    continue;
+        let failure = thread::scope(|s| {
+            let release = ReleaseAll(&gates);
+            let mut drivers = Vec::with_capacity(specs.len());
+            let mut active: Vec<usize> = Vec::new();
+            let mut admit_seq = 0usize;
+            let mut rr = 0usize;
+            let mut remaining = specs.len();
+            while remaining > 0 {
+                // Backfilling admission: walk the queue in order and place
+                // every job whose node demand fits the currently free nodes
+                // — a small interactive job is not stuck behind a wide
+                // batch job waiting for the cluster to drain.
+                let mut i = 0;
+                while i < queued.len() {
+                    let idx = queued[i];
+                    let spec = &specs[idx];
+                    let needed = spec.nprocs.div_ceil(cores);
+                    let mut free: Vec<usize> = (0..total_nodes).filter(|&k| !held[k]).collect();
+                    if free.len() < needed {
+                        i += 1;
+                        continue;
+                    }
+                    // Take the `needed` free nodes that free up earliest;
+                    // the job starts once it has arrived AND its last node
+                    // is free.
+                    free.sort_by_key(|&k| free_at[k]);
+                    free.truncate(needed);
+                    let nodes_ready = free
+                        .iter()
+                        .map(|&k| free_at[k])
+                        .max()
+                        .unwrap_or(SimTime::ZERO);
+                    let start = spec.arrival.max(nodes_ready);
+                    for &k in &free {
+                        held[k] = true;
+                    }
+                    let job = &mut jobs[idx];
+                    job.nodes = free;
+                    job.started = start;
+                    job.clock = start;
+                    job.admit_seq = admit_seq;
+                    admit_seq += 1;
+                    // The job's world spans exactly its carved-out nodes;
+                    // jobs of equal width get identical sub-topologies,
+                    // which is what lets their plan-cache keys collide (by
+                    // design). Every step of the job resolves its schedule
+                    // through the scope attached to its world.
+                    let mut m = model.clone();
+                    m.topology = Topology::new(needed, cores);
+                    let scope = Arc::new(PlanScope::new(Arc::clone(&cache), job.id));
+                    let world = World::new(spec.nprocs, m).attach(Arc::clone(&scope));
+                    job.scope = Some(scope);
+                    let (jid, gate, fs) = (job.id, &gates[idx], &*pfs);
+                    drivers.push(s.spawn(move || {
+                        world.run(|comm| serve_steps(comm, spec, jid, gate, fs));
+                    }));
+                    active.push(idx);
+                    queued.remove(i);
                 }
-                // Take the `needed` free nodes that free up earliest; the
-                // job starts once it has arrived AND its last node is free.
-                free.sort_by_key(|&k| free_at[k]);
-                free.truncate(needed);
-                let nodes_ready = free
-                    .iter()
-                    .map(|&k| free_at[k])
-                    .max()
-                    .unwrap_or(SimTime::ZERO);
-                let start = jobs[idx].spec.arrival.max(nodes_ready);
-                for &k in &free {
-                    held[k] = true;
+                let pos = pick(policy, &specs, &jobs, &active, &mut rr);
+                let idx = active[pos];
+                let (job, spec) = (&mut jobs[idx], &specs[idx]);
+                if !step_job(job, spec, &gates[idx], &pfs, lane.as_ref()) {
+                    break;
                 }
-                let job = &mut jobs[idx];
-                job.nodes = free;
-                job.started = start;
-                job.clock = start;
-                job.admit_seq = admit_seq;
-                admit_seq += 1;
-                // The job's world spans exactly its carved-out nodes; jobs
-                // of equal width get identical sub-topologies, which is
-                // what lets their plan-cache keys collide (by design).
-                // Every step of the job resolves its schedule through the
-                // scope attached to its world.
-                let mut m = model.clone();
-                m.topology = Topology::new(needed, cores);
-                let scope = Arc::new(PlanScope::new(Arc::clone(&cache), job.id));
-                let world = World::new(job.spec.nprocs, m).attach(Arc::clone(&scope));
-                job.world = Some((world, scope));
-                active.push(idx);
-                queued.remove(i);
+                if job.next_step == spec.steps.len() {
+                    for &k in &job.nodes {
+                        held[k] = false;
+                        free_at[k] = job.clock;
+                    }
+                    let scope = job.scope.take().expect("active job has a plan scope");
+                    job.plan_stats = scope.stats();
+                    active.remove(pos);
+                    remaining -= 1;
+                }
             }
-            let pos = pick(policy, &jobs, &active, &mut rr);
-            let idx = active[pos];
-            step_job(&mut jobs[idx], &pfs, lane.as_ref());
-            if jobs[idx].finished() {
-                let job = &mut jobs[idx];
-                for &k in &job.nodes {
-                    held[k] = false;
-                    free_at[k] = job.clock;
+            // Release parked ranks before joining their drivers.
+            drop(release);
+            let mut failure = None;
+            for driver in drivers {
+                if let Err(payload) = driver.join() {
+                    failure.get_or_insert(payload);
                 }
-                let (_, scope) = job.world.take().expect("active job has a world");
-                job.plan_stats = scope.stats();
-                active.remove(pos);
-                remaining -= 1;
             }
+            failure
+        });
+        if let Some(payload) = failure {
+            resume_unwind(payload);
         }
-        assemble(jobs, cache.stats(), &pfs, lane.as_ref())
+        assemble(specs, jobs, cache.stats(), &pfs, lane.as_ref())
     }
 
     /// Runs the same submitted jobs one after another (arrival order, ties
@@ -342,31 +521,25 @@ impl Service {
             model,
             pfs,
             lane,
-            mut jobs,
+            specs,
             ..
         } = self;
+        let mut jobs: Vec<Job> = (0..specs.len()).map(Job::new).collect();
         let cores = model.topology.cores_per_node;
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .cmp(&jobs[b].spec.arrival)
-                .then(a.cmp(&b))
-        });
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by(|&a, &b| specs[a].arrival.cmp(&specs[b].arrival).then(a.cmp(&b)));
         let mut prev_end = SimTime::ZERO;
         let mut cache_total = PlanCacheStats::default();
         for idx in order {
-            let job = &mut jobs[idx];
-            let needed = job.spec.nprocs.div_ceil(cores);
+            let (job, spec) = (&mut jobs[idx], &specs[idx]);
+            let needed = spec.nprocs.div_ceil(cores);
             let mut m = model.clone();
             m.topology = Topology::new(needed, cores);
             let scope = Arc::new(PlanScope::new(Arc::default(), job.id));
-            let world = World::new(job.spec.nprocs, m).attach(Arc::clone(&scope));
-            let start = job.spec.arrival.max(prev_end);
+            let world = World::new(spec.nprocs, m).attach(Arc::clone(&scope));
+            let start = spec.arrival.max(prev_end);
             job.started = start;
             let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
-            let spec = &job.spec;
             let pfs_ref = &*pfs;
             let outs = world.run(move |comm| {
                 comm.advance_to(start);
@@ -403,16 +576,22 @@ impl Service {
             job.serial_global = root.global.clone();
             job.ost_busy = busy_after - busy_before;
             job.clock = end;
-            job.next_step = job.spec.steps.len();
+            job.next_step = spec.steps.len();
             cache_total = cache_total.merge(&job.plan_stats);
             prev_end = end;
         }
-        assemble(jobs, cache_total, &pfs, lane.as_ref())
+        assemble(specs, jobs, cache_total, &pfs, lane.as_ref())
     }
 }
 
 /// Picks the position (within `active`) of the next job to step.
-fn pick(policy: ServicePolicy, jobs: &[Job], active: &[usize], rr: &mut usize) -> usize {
+fn pick(
+    policy: ServicePolicy,
+    specs: &[JobSpec],
+    jobs: &[Job],
+    active: &[usize],
+    rr: &mut usize,
+) -> usize {
     assert!(!active.is_empty(), "scheduler stepped with no active jobs");
     match policy {
         ServicePolicy::Fifo => active
@@ -433,7 +612,7 @@ fn pick(policy: ServicePolicy, jobs: &[Job], active: &[usize], rr: &mut usize) -
             let interactive = active
                 .iter()
                 .enumerate()
-                .filter(|(_, &idx)| jobs[idx].spec.class == QosClass::Interactive)
+                .filter(|(_, &idx)| specs[idx].class == QosClass::Interactive)
                 .min_by(|(_, &a), (_, &b)| {
                     jobs[a]
                         .clock
@@ -451,8 +630,8 @@ fn pick(policy: ServicePolicy, jobs: &[Job], active: &[usize], rr: &mut usize) -
                 .iter()
                 .enumerate()
                 .min_by(|(_, &a), (_, &b)| {
-                    let va = jobs[a].ost_busy / jobs[a].spec.weight;
-                    let vb = jobs[b].ost_busy / jobs[b].spec.weight;
+                    let va = jobs[a].ost_busy / specs[a].weight;
+                    let vb = jobs[b].ost_busy / specs[b].weight;
                     va.partial_cmp(&vb)
                         .unwrap()
                         .then(jobs[a].clock.cmp(&jobs[b].clock))
@@ -464,36 +643,21 @@ fn pick(policy: ServicePolicy, jobs: &[Job], active: &[usize], rr: &mut usize) -
     }
 }
 
-/// Runs one engine step of `job` against the shared resources.
-fn step_job(job: &mut Job, pfs: &Pfs, lane: Option<&SharedLane>) {
+/// Runs `job`'s next step on its resident ranks and books it against the
+/// shared resources; `false` if the job's world unwound instead.
+fn step_job(
+    job: &mut Job,
+    spec: &JobSpec,
+    gate: &Gate,
+    pfs: &Pfs,
+    lane: Option<&SharedLane>,
+) -> bool {
     let t0 = job.clock;
     let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
-    let spec = &job.spec;
-    let step = &spec.steps[job.next_step];
-    let jid = job.id;
-    let (world, _) = job.world.as_ref().expect("active job has a world");
-    let results = world.run(move |comm| {
-        // Per-rank clocks start at zero in every World::run; advancing to
-        // the job's frontier places this step at its virtual time, so OST
-        // and lane bookings land where the job actually is.
-        comm.advance_to(t0);
-        let file = pfs.open(&spec.file).unwrap_or_else(|| {
-            panic!(
-                "job {jid} ({:?}): file {:?} disappeared",
-                spec.name, spec.file
-            )
-        });
-        let io = spec.rank_io(step, comm.rank(), comm.nprocs());
-        let out = object_get_vara(comm, pfs, &file, &spec.var, &io, &*spec.kernel);
-        (out, comm.stats())
-    });
+    let Some((mut end, inter, root)) = gate.run_step(job.next_step, t0, spec.nprocs) else {
+        return false;
+    };
     let busy_after: f64 = pfs.per_ost_busy_secs().iter().sum();
-    let mut end = t0;
-    let mut inter = 0u64;
-    for (out, stats) in &results {
-        end = end.max(out.report.end);
-        inter += stats.bytes_inter as u64;
-    }
     if let Some(lane) = lane {
         if inter > 0 {
             end = end.max(lane.book_bytes(t0, inter));
@@ -502,16 +666,14 @@ fn step_job(job: &mut Job, pfs: &Pfs, lane: Option<&SharedLane>) {
     }
     // Fold the root's partial across steps, exactly as
     // `iterative_get_vara` does within a sweep.
-    let root_out = &results[0].0;
-    if let Some(p) = &root_out.global_partial {
-        let global = root_out
-            .global
-            .clone()
-            .unwrap_or_else(|| panic!("job {jid}: step produced a partial without its global"));
+    if let Some(p) = root.global_partial {
+        let global = root.global.unwrap_or_else(|| {
+            panic!("job {}: step produced a partial without its global", job.id)
+        });
         job.per_step.push(global);
         match &mut job.folded {
-            Some(acc) => spec.kernel.combine(acc, p),
-            acc => *acc = Some(p.clone()),
+            Some(acc) => spec.kernel.combine(acc, &p),
+            acc => *acc = Some(p),
         }
     }
     // Steps execute one at a time in real time, so the pool-wide busy
@@ -519,10 +681,12 @@ fn step_job(job: &mut Job, pfs: &Pfs, lane: Option<&SharedLane>) {
     job.ost_busy += busy_after - busy_before;
     job.clock = end;
     job.next_step += 1;
+    true
 }
 
 /// Builds the outcome from finished jobs (already in id order).
 fn assemble(
+    specs: Vec<JobSpec>,
     jobs: Vec<Job>,
     cache: PlanCacheStats,
     pfs: &Pfs,
@@ -531,7 +695,11 @@ fn assemble(
     let makespan = jobs.iter().map(|j| j.clock).max().unwrap_or(SimTime::ZERO);
     let ost = pfs.ost_snapshot(makespan);
     let lane = lane.map(|l| l.stats());
-    let jobs: Vec<JobResult> = jobs.into_iter().map(Job::into_result).collect();
+    let jobs: Vec<JobResult> = jobs
+        .into_iter()
+        .zip(specs)
+        .map(|(job, spec)| job.into_result(spec))
+        .collect();
     let latencies: Vec<SimTime> = jobs.iter().map(JobResult::latency).collect();
     let latency_p50 = percentile_time(latencies.clone(), 50.0);
     let latency_p99 = percentile_time(latencies, 99.0);
@@ -551,7 +719,7 @@ mod tests {
     use super::*;
     use crate::job::StepSpec;
     use cc_array::{DType, Shape, Variable};
-    use cc_core::SumKernel;
+    use cc_core::{MapKernel, SumKernel};
     use cc_model::DiskModel;
     use cc_mpiio::Hints;
     use cc_pfs::backend::{ElemKind, SyntheticBackend};
@@ -900,5 +1068,134 @@ mod tests {
             .filter(|j| j.started >= first_finish)
             .count();
         assert!(late_starters >= 3, "late starters: {late_starters}");
+    }
+
+    /// Two wide batch sweeps over two nodes each, and two interactive
+    /// queries that queue for the fifth node, under QoS-WFQ with a
+    /// backbone lane: one aggregator per node, each on its own stripes, so
+    /// every clock repeats exactly.
+    fn golden_mix() -> Service {
+        let mut svc = Service::new(cluster(5, 2), fs_with(&["a", "b"], 64 * 64)).with_backbone(5e8);
+        svc.submit(sweep_job("batch-a", "a", 4, 4, 16, 64)).unwrap();
+        svc.submit(sweep_job("batch-b", "b", 4, 3, 16, 64).weight(2.0))
+            .unwrap();
+        svc.submit(
+            sweep_job("roi-1", "a", 2, 1, 8, 64)
+                .class(QosClass::Interactive)
+                .arrival(SimTime::from_secs(1e-4)),
+        )
+        .unwrap();
+        svc.submit(
+            sweep_job("roi-2", "b", 2, 2, 8, 64)
+                .class(QosClass::Interactive)
+                .arrival(SimTime::from_secs(2e-4)),
+        )
+        .unwrap();
+        svc
+    }
+
+    /// Resident job worlds place every step where a world per step placed
+    /// it. Recorded from commit fe245af, which ran each job step in a
+    /// world of its own: `(started, finished)` as `f64` bits, the lane
+    /// bytes, and the result checksum of every job.
+    #[test]
+    fn resident_worlds_keep_every_clock() {
+        let out = golden_mix().run();
+        let got: Vec<(u64, u64, u64, u64)> = out
+            .jobs
+            .iter()
+            .map(|j| {
+                (
+                    j.started.secs().to_bits(),
+                    j.finished.secs().to_bits(),
+                    j.lane_bytes,
+                    j.checksum(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0x0, 0x3f90bf228f4068e0, 611, 0x92ab53dff40269e9),
+                (0x0, 0x3f89283e20237d0d, 455, 0xeaf13fa7334ab891),
+                (
+                    0x3f1a36e2eb1c432d,
+                    0x3f61613ca0a6a739,
+                    0,
+                    0x8b65e7c01da33514
+                ),
+                (
+                    0x3f61613ca0a6a739,
+                    0x3f794023d9a118bc,
+                    0,
+                    0x6d2f450e02150fe8
+                ),
+            ]
+        );
+    }
+
+    /// A sum kernel that panics on any element at or past `from`.
+    struct PanicsFrom {
+        from: u64,
+    }
+
+    impl MapKernel for PanicsFrom {
+        fn name(&self) -> &'static str {
+            "panics-from"
+        }
+
+        fn identity(&self) -> Partial {
+            SumKernel.identity()
+        }
+
+        fn map(&self, acc: &mut Partial, start_elem: u64, values: &[f64]) {
+            if start_elem + values.len() as u64 > self.from {
+                panic!("kernel reached element {}", self.from);
+            }
+            SumKernel.map(acc, start_elem, values);
+        }
+
+        fn combine(&self, acc: &mut Partial, other: &Partial) {
+            SumKernel.combine(acc, other);
+        }
+
+        fn finalize(&self, acc: &Partial) -> Vec<f64> {
+            SumKernel.finalize(acc)
+        }
+    }
+
+    /// A kernel panic in a job's third step, while the other jobs' ranks
+    /// are parked between steps, aborts the whole run promptly and names
+    /// the rank. Without the event loop releasing every parked job, the
+    /// parked worlds never return and the run hangs.
+    #[test]
+    fn rank_panic_releases_parked_jobs() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut svc = Service::new(cluster(3, 2), fs_with(&["a", "b"], 64 * 64))
+                .with_policy(ServicePolicy::RoundRobin);
+            svc.submit(sweep_job("a", "a", 2, 5, 8, 64)).unwrap();
+            // One node, one aggregator: rank 0 maps every step.
+            let faulty = JobSpec {
+                kernel: Arc::new(PanicsFrom { from: 2 * 8 * 64 }),
+                ..sweep_job("faulty", "b", 2, 5, 8, 64)
+            };
+            svc.submit(faulty).unwrap();
+            svc.submit(sweep_job("c", "b", 2, 5, 8, 64)).unwrap();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.run()));
+            let _ = tx.send(result.map(|_| ()));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("Service::run hung after a rank panic");
+        let payload = result.expect_err("the faulty kernel must abort the run");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or("<non-string panic>");
+        assert!(
+            msg.contains("rank 0 panicked: kernel reached element 1024"),
+            "the abort must name the rank and its message, got: {msg}"
+        );
     }
 }
