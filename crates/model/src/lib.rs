@@ -69,13 +69,6 @@ pub struct ClusterModel {
     /// Whether collectives and shuffles use the flat or the node-leader
     /// hierarchical algorithms (`Auto` decides per run from the topology).
     pub collectives: CollectiveMode,
-    /// Losslessly compress the inter-node (leader-to-leader) frames of
-    /// the hierarchical collectives. Lossless only — collectives carry
-    /// typed application data whose bit-exactness the flat/hierarchical
-    /// equivalence contract guarantees — and SPMD-consistent because every
-    /// rank reads the same model. Wire time is charged on the compressed
-    /// frame, plus codec CPU on both ends. Default off.
-    pub compress_collective_frames: bool,
 }
 
 impl ClusterModel {
@@ -92,7 +85,6 @@ impl ClusterModel {
             fault: None,
             recv_watchdog: Duration::from_secs(120),
             collectives: CollectiveMode::Auto,
-            compress_collective_frames: false,
         }
     }
 
@@ -127,7 +119,6 @@ impl ClusterModel {
             // a genuine deadlock, not a slow peer.
             recv_watchdog: Duration::from_secs(30),
             collectives: CollectiveMode::Auto,
-            compress_collective_frames: false,
         }
     }
 
@@ -146,13 +137,6 @@ impl ClusterModel {
     /// Overrides the blocked-receive watchdog duration.
     pub fn with_recv_watchdog(mut self, watchdog: Duration) -> Self {
         self.recv_watchdog = watchdog;
-        self
-    }
-
-    /// Enables lossless compression of inter-node hierarchical-collective
-    /// frames (see [`ClusterModel::compress_collective_frames`]).
-    pub fn with_compressed_collective_frames(mut self, on: bool) -> Self {
-        self.compress_collective_frames = on;
         self
     }
 

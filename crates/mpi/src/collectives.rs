@@ -1,12 +1,13 @@
 //! Collective operations built over point-to-point messages.
 //!
-//! Algorithms follow the MPICH defaults the paper ran on: dissemination
-//! barrier, binomial-tree broadcast and reduce, ring allgather, pairwise
-//! (eager) alltoallv and flat gather. Because they are built on the timed
-//! p2p layer,
-//! their virtual cost — latency terms growing with `log P` or `P`,
-//! bandwidth terms growing with volume — emerges from the model rather than
-//! being asserted.
+//! Four collectives, the ones the engines and the benchmark call:
+//! dissemination barrier, the allgather behind the offset-list exchange
+//! (ring when flat, node-leader gather and broadcast when hierarchical),
+//! pairwise (eager) alltoallv, and the binomial-tree reduce of partials —
+//! the MPICH defaults the paper ran on. Because they are built on the timed
+//! p2p layer, their virtual cost — latency terms growing with `log P` or
+//! `P`, bandwidth terms growing with volume — emerges from the model rather
+//! than being asserted.
 //!
 //! All collectives must be called by every rank of the world in the same
 //! order (SPMD), like MPI. A per-rank collective sequence number keeps the
@@ -17,7 +18,7 @@ use cc_model::SimTime;
 
 use crate::comm::{Comm, TagValue, COLLECTIVE_TAG_BASE};
 use crate::elem::Elem;
-use crate::hier::{frame_sections, framed_len, push_section};
+use crate::hier::{framed_len, push_section};
 use crate::ops::ReduceOp;
 
 impl Comm {
@@ -47,127 +48,15 @@ impl Comm {
         }
     }
 
-    /// Binomial-tree broadcast of a byte buffer from `root`. Every rank
-    /// returns the payload. Dispatches to the node-leader hierarchical
-    /// algorithm (see `hier.rs`) when the topology supports it.
-    pub fn bcast_bytes(&mut self, root: usize, data: Option<Vec<u8>>) -> Vec<u8> {
-        let tag = self.next_collective_tag();
-        assert!(root < self.nprocs(), "bcast root {root} out of range");
-        if let Some(view) = self.hier_view() {
-            return self.hier_bcast_bytes(&view, root, data, tag);
-        }
-        let p = self.nprocs();
-        assert!(root < p, "bcast root {root} out of range");
-        let vrank = (self.rank() + p - root) % p;
-        let mut payload = if vrank == 0 {
-            data.expect("root must supply the broadcast payload")
-        } else {
-            Vec::new()
-        };
-        // Receive from the parent: the classic MPICH binomial numbering,
-        // where a node's parent is its virtual rank with the lowest set
-        // bit cleared.
-        if vrank != 0 {
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % p;
-            let (bytes, _) = self.recv_bytes(parent, tag);
-            payload = bytes;
-        }
-        // Forward to children: set bits above the lowest set bit of vrank.
-        let lowest = if vrank == 0 {
-            p.next_power_of_two()
-        } else {
-            1 << vrank.trailing_zeros()
-        };
-        let mut bit = lowest >> 1;
-        let mut children = Vec::new();
-        while bit > 0 {
-            let child_v = vrank | bit;
-            if child_v < p && child_v != vrank {
-                children.push((child_v + root) % p);
-            }
-            bit >>= 1;
-        }
-        // Send to the largest subtree first (standard order); each copy
-        // rides a pooled buffer.
-        for child in children {
-            let mut buf = self.take_buf(payload.len());
-            buf.extend_from_slice(&payload);
-            self.send_bytes(child, tag, buf);
-        }
-        payload
-    }
-
-    /// Typed broadcast: `data` is ignored on non-roots.
-    pub fn bcast<T: Elem>(&mut self, root: usize, data: Option<&[T]>) -> Vec<T> {
-        let bytes = self.bcast_bytes(root, data.map(crate::elem::encode_slice));
-        let out = crate::elem::decode_vec(&bytes);
-        self.recycle_buf(bytes);
-        out
-    }
-
-    /// Gather of variable-length contributions to `root`. Returns
-    /// `Some(contributions_by_rank)` on the root, `None` elsewhere. Flat
-    /// (direct sends, exactly ROMIO's offset-list exchange) on a single
-    /// node; remote nodes coalesce through their leader otherwise.
-    pub fn gatherv<T: Elem>(&mut self, root: usize, mine: &[T]) -> Option<Vec<Vec<T>>> {
-        let tag = self.next_collective_tag();
-        let p = self.nprocs();
-        assert!(root < p, "gather root {root} out of range");
-        if let Some(view) = self.hier_view() {
-            let bytes = crate::elem::encode_slice(mine);
-            let out = self.hier_gatherv_bytes(&view, root, &bytes, tag);
-            return out.map(|blocks| {
-                blocks
-                    .into_iter()
-                    .map(|b| crate::elem::decode_vec(&b))
-                    .collect()
-            });
-        }
-        if self.rank() == root {
-            // In rank order: the root's clock ends at the latest arrival
-            // whatever the order, and naming each source keeps the match
-            // independent of which sender's thread posted first.
-            let out = (0..p)
-                .map(|src| {
-                    if src == root {
-                        mine.to_vec()
-                    } else {
-                        self.recv::<T>(src, tag).0
-                    }
-                })
-                .collect();
-            Some(out)
-        } else {
-            self.send(root, tag, mine);
-            None
-        }
-    }
-
-    /// Allgather of variable-length contributions: every rank returns all
-    /// ranks' contributions, indexed by rank. Ring algorithm when flat;
+    /// Allgather of variable-length byte contributions, in wire form at
+    /// both ends. `own` is this rank's contribution, already encoded into a
+    /// buffer the caller owns (ideally one from
+    /// [`take_buf`](Self::take_buf)); it becomes this rank's block without
+    /// a copy. The result is one pooled buffer holding every rank's
+    /// contribution as a length-prefixed section, in rank order — read it
+    /// with [`frame_sections`](crate::frame_sections) and hand it back to
+    /// [`recycle_buf`](Self::recycle_buf). Ring algorithm when flat;
     /// hierarchical gather-to-zero plus frame broadcast otherwise.
-    pub fn allgatherv<T: Elem>(&mut self, mine: &[T]) -> Vec<Vec<T>> {
-        let mut own = self.take_buf(mine.len() * T::SIZE);
-        crate::elem::encode_slice_into(mine, &mut own);
-        let frame = self.allgatherv_frame(own);
-        let out = frame_sections(&frame)
-            .map(crate::elem::decode_vec)
-            .collect();
-        self.recycle_buf(frame);
-        out
-    }
-
-    /// [`allgatherv`](Self::allgatherv) in wire form at both ends. `own` is
-    /// this rank's contribution, already encoded into a buffer the caller
-    /// owns (ideally one from [`take_buf`](Self::take_buf)); it becomes
-    /// this rank's block without a copy. The result is one pooled buffer
-    /// holding every rank's contribution as a length-prefixed section, in
-    /// rank order — read it with [`frame_sections`] and hand it back to
-    /// [`recycle_buf`](Self::recycle_buf). The messages are the typed
-    /// call's (it is built on this one); what the caller saves is the
-    /// split into `nprocs` vectors when it can decode the sections in
-    /// place, or — with [`memo`](Self::memo) — let one rank decode for all.
     pub fn allgatherv_frame(&mut self, own: Vec<u8>) -> Vec<u8> {
         let tag = self.next_collective_tag();
         if let Some(view) = self.hier_view() {
@@ -221,27 +110,6 @@ impl Comm {
             recvs[src] = data;
         }
         recvs
-    }
-
-    /// Typed all-to-all exchange. Wire buffers come from and return to the
-    /// per-rank pool.
-    pub fn alltoallv<T: Elem>(&mut self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let bytes = sends
-            .iter()
-            .map(|v| {
-                let mut buf = self.take_buf(v.len() * T::SIZE);
-                crate::elem::encode_slice_into(v, &mut buf);
-                buf
-            })
-            .collect();
-        self.alltoallv_bytes(bytes)
-            .into_iter()
-            .map(|b| {
-                let data = crate::elem::decode_vec(&b);
-                self.recycle_buf(b);
-                data
-            })
-            .collect()
     }
 
     /// Binomial-tree reduction to `root`. All ranks pass equal-length
@@ -298,19 +166,13 @@ impl Comm {
             None
         }
     }
-
-    /// Reduce-to-zero followed by broadcast: every rank returns the
-    /// element-wise reduction.
-    pub fn allreduce<T: Elem>(&mut self, data: &[T], op: &dyn ReduceOp<T>) -> Vec<T> {
-        let reduced = self.reduce(0, data, op);
-        self.bcast(0, reduced.as_deref())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{MaxOp, MinOp, SumOp};
+    use crate::hier::frame_sections;
+    use crate::ops::SumOp;
     use crate::world::World;
     use cc_model::ClusterModel;
 
@@ -335,44 +197,19 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_every_root() {
-        for n in [1, 2, 3, 4, 7, 9] {
-            for root in 0..n {
-                let payload = vec![root as f64, 42.0, -1.0];
-                let results = run_n(n, |comm| {
-                    let data = (comm.rank() == root).then(|| payload.clone());
-                    comm.bcast(root, data.as_deref())
-                });
-                for r in results {
-                    assert_eq!(r, payload);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gatherv_collects_ragged_contributions() {
-        let results = run_n(4, |comm| {
-            let mine: Vec<u32> = (0..comm.rank() as u32 + 1).collect();
-            comm.gatherv(2, &mine)
-        });
-        let gathered = results[2].as_ref().expect("root has the result");
-        assert_eq!(gathered[0], vec![0]);
-        assert_eq!(gathered[1], vec![0, 1]);
-        assert_eq!(gathered[2], vec![0, 1, 2]);
-        assert_eq!(gathered[3], vec![0, 1, 2, 3]);
-        assert!(results[0].is_none());
-    }
-
-    #[test]
     fn allgatherv_matches_gather_on_all_ranks() {
         for n in [1, 2, 3, 6] {
             let results = run_n(n, |comm| {
-                let mine = vec![comm.rank() as u64 * 10];
-                comm.allgatherv(&mine)
+                // Ragged: rank r contributes r + 1 bytes of value 10 r.
+                let mut own = comm.take_buf(comm.rank() + 1);
+                own.resize(comm.rank() + 1, comm.rank() as u8 * 10);
+                let frame = comm.allgatherv_frame(own);
+                frame_sections(&frame)
+                    .map(<[u8]>::to_vec)
+                    .collect::<Vec<_>>()
             });
+            let expected: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8 * 10; i + 1]).collect();
             for r in &results {
-                let expected: Vec<Vec<u64>> = (0..n as u64).map(|i| vec![i * 10]).collect();
                 assert_eq!(r, &expected);
             }
         }
@@ -471,34 +308,19 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_min_max() {
-        let n = 6;
-        let mins = run_n(n, |comm| {
-            let mine = [(comm.rank() as i64) - 3];
-            comm.allreduce(&mine, &MinOp)[0]
-        });
-        assert_eq!(mins, vec![-3; n]);
-        let maxs = run_n(n, |comm| {
-            let mine = [(comm.rank() as i64) - 3];
-            comm.allreduce(&mine, &MaxOp)[0]
-        });
-        assert_eq!(maxs, vec![2; n]);
-    }
-
-    #[test]
     fn collectives_compose_without_tag_collisions() {
         // Interleave user p2p with collectives; matching must stay clean.
         let results = run_n(3, |comm| {
             let next = (comm.rank() + 1) % 3;
             let prev = (comm.rank() + 2) % 3;
             comm.send(next, 17, &[comm.rank() as u32]);
-            let total = comm.allreduce(&[1.0f64], &SumOp)[0];
+            let total = comm.reduce(1, &[1.0f64], &SumOp).map(|v| v[0]);
             let (from_prev, _) = comm.recv::<u32>(prev, 17);
             comm.barrier();
             (total, from_prev[0])
         });
         for (r, (total, from)) in results.iter().enumerate() {
-            assert_eq!(*total, 3.0);
+            assert_eq!(*total, (r == 1).then_some(3.0));
             assert_eq!(*from as usize, (r + 2) % 3);
         }
     }

@@ -37,13 +37,6 @@ macro_rules! impl_elem {
 
 impl_elem!(f32, f64, u8, u16, u32, u64, i8, i16, i32, i64);
 
-/// Encodes a slice of elements into a fresh byte vector.
-pub fn encode_slice<T: Elem>(data: &[T]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_slice_into(data, &mut out);
-    out
-}
-
 /// Encodes into a caller-owned buffer, clearing it first. Hot paths pair
 /// this with a recycled buffer (see `pool::BufferPool`) so steady-state
 /// encoding does no allocation.
@@ -55,18 +48,8 @@ pub fn encode_slice_into<T: Elem>(data: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a byte buffer produced by [`encode_slice`].
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of the element size.
-pub fn decode_vec<T: Elem>(bytes: &[u8]) -> Vec<T> {
-    let mut out = Vec::new();
-    decode_into(bytes, &mut out);
-    out
-}
-
-/// Decodes into a caller-owned buffer, clearing it first — the scratch
-/// counterpart of [`encode_slice_into`].
+/// Decodes a byte buffer produced by [`encode_slice_into`] into a
+/// caller-owned buffer, clearing it first.
 ///
 /// # Panics
 /// Panics if `bytes.len()` is not a multiple of the element size.
@@ -87,39 +70,51 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn encode<T: Elem>(data: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_slice_into(data, &mut out);
+        out
+    }
+
+    fn decode<T: Elem>(bytes: &[u8]) -> Vec<T> {
+        let mut out = Vec::new();
+        decode_into(bytes, &mut out);
+        out
+    }
+
     #[test]
     fn f64_roundtrip() {
         let data = [1.5f64, -2.25, 0.0, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = encode_slice(&data);
+        let bytes = encode(&data);
         assert_eq!(bytes.len(), data.len() * 8);
-        assert_eq!(decode_vec::<f64>(&bytes), data);
+        assert_eq!(decode::<f64>(&bytes), data);
     }
 
     #[test]
     fn u8_is_identity() {
         let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(encode_slice(&data), data);
-        assert_eq!(decode_vec::<u8>(&data), data);
+        assert_eq!(encode(&data), data);
+        assert_eq!(decode::<u8>(&data), data);
     }
 
     #[test]
     fn empty_slice_roundtrip() {
         let empty: [u32; 0] = [];
-        let bytes = encode_slice(&empty);
+        let bytes = encode(&empty);
         assert!(bytes.is_empty());
-        assert!(decode_vec::<u32>(&bytes).is_empty());
+        assert!(decode::<u32>(&bytes).is_empty());
     }
 
     #[test]
     #[should_panic]
     fn ragged_decode_panics() {
-        let _ = decode_vec::<u32>(&[1, 2, 3]);
+        let _ = decode::<u32>(&[1, 2, 3]);
     }
 
     proptest! {
         #[test]
         fn prop_f32_roundtrip(data in proptest::collection::vec(any::<f32>(), 0..256)) {
-            let decoded = decode_vec::<f32>(&encode_slice(&data));
+            let decoded = decode::<f32>(&encode(&data));
             prop_assert_eq!(decoded.len(), data.len());
             for (a, b) in decoded.iter().zip(&data) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -128,12 +123,12 @@ mod tests {
 
         #[test]
         fn prop_i64_roundtrip(data in proptest::collection::vec(any::<i64>(), 0..256)) {
-            prop_assert_eq!(decode_vec::<i64>(&encode_slice(&data)), data);
+            prop_assert_eq!(decode::<i64>(&encode(&data)), data);
         }
 
         #[test]
         fn prop_u16_roundtrip(data in proptest::collection::vec(any::<u16>(), 0..256)) {
-            prop_assert_eq!(decode_vec::<u16>(&encode_slice(&data)), data);
+            prop_assert_eq!(decode::<u16>(&encode(&data)), data);
         }
     }
 }

@@ -1,4 +1,6 @@
-//! Topology-aware hierarchical collectives.
+//! Topology-aware hierarchical collectives: the node-leader forms of
+//! `allgatherv_frame` (a gather to rank 0, then a broadcast of the frame),
+//! `alltoallv_bytes` and `reduce`.
 //!
 //! Flat collectives send one message per rank pair even when
 //! `Topology::same_node` says the peers share memory. Following the
@@ -159,45 +161,6 @@ impl Comm {
         })
     }
 
-    /// Sends a leader-to-leader collective frame, losslessly compressed
-    /// when the model's `compress_collective_frames` switch is on. The
-    /// codec CPU joins the sender overhead on this rank's clock; the wire
-    /// is charged on the compressed frame while the `logical_*` stats
-    /// lanes keep the decoded length. Lossless only, so the flat/
-    /// hierarchical bit-identity contract is untouched. (The typed
-    /// `hier_reduce` leg stays raw: its per-hop payloads are already the
-    /// reduced partials, not coalesced frames.)
-    fn send_inter_frame(&mut self, dst: usize, tag: TagValue, frame: Vec<u8>) {
-        if !self.model().compress_collective_frames {
-            self.send_bytes(dst, tag, frame);
-            return;
-        }
-        let logical_len = frame.len();
-        let mut wire = self.take_buf(logical_len);
-        cc_compress::encode_into(&cc_compress::Compression::Lossless, &frame, &mut wire);
-        self.recycle_buf(frame);
-        let overhead = self.model().cpu.compress_time(logical_len) + self.model().net.send_cost();
-        self.advance(overhead);
-        let depart = self.clock();
-        self.post_framed_bytes_at(dst, tag, wire, depart, logical_len);
-    }
-
-    /// Receives a leader-to-leader frame sent by
-    /// [`send_inter_frame`](Self::send_inter_frame), decoding it (and
-    /// charging decode CPU) when the model compresses collective frames.
-    fn recv_inter_frame(&mut self, src: usize, tag: TagValue) -> Vec<u8> {
-        let (wire, _) = self.recv_bytes(src, tag);
-        if !self.model().compress_collective_frames {
-            return wire;
-        }
-        let mut frame = self.take_buf(cc_compress::decoded_len(&wire));
-        let n = cc_compress::decode_into(&wire, &mut frame);
-        self.recycle_buf(wire);
-        let decode = self.model().cpu.decompress_time(n);
-        self.advance(decode);
-        frame
-    }
-
     /// The per-leg tags of one hierarchical collective, all stamped with
     /// the sequence number already embedded in `tag` (the single bump the
     /// dispatcher performed).
@@ -206,108 +169,78 @@ impl Comm {
         (HIER_INTRA_BASE | seq, HIER_INTER_BASE | seq)
     }
 
-    /// Hierarchical binomial broadcast: root -> its node leader (intra),
-    /// rotated binomial over node leaders (inter), leaders -> members
-    /// (intra).
+    /// The broadcast leg of the hierarchical allgather: a binomial tree
+    /// over node leaders rooted at rank 0 (inter), then each leader fans
+    /// out to its node's members (intra). `data` is rank 0's payload and
+    /// is ignored elsewhere.
     pub(crate) fn hier_bcast_bytes(
         &mut self,
         view: &NodeView,
-        root: usize,
         data: Option<Vec<u8>>,
         tag: TagValue,
     ) -> Vec<u8> {
         let (t_intra, t_inter) = Self::hier_tags(tag);
         let rank = self.rank();
-        let root_node = view.node_of(root);
-        let am_leader = rank == view.leader;
-        let mut payload = if rank == root {
-            data.expect("root must supply the broadcast payload")
+        if rank != view.leader {
+            return self.recv_bytes(view.leader, t_intra).0;
+        }
+        // MPICH's binomial numbering over node indices: a node's parent is
+        // its index with the lowest set bit cleared, its children set the
+        // bits below that one, largest subtree first.
+        let node = view.node;
+        let payload = if node == 0 {
+            data.expect("rank 0 must supply the broadcast payload")
         } else {
-            Vec::new()
+            let parent = view.leader_of_node(node & (node - 1));
+            self.recv_bytes(parent, t_inter).0
         };
-
-        // Leg 1: the root hands the payload to its node's leader.
-        if rank == root && !am_leader {
-            let mut buf = self.take_buf(payload.len());
-            buf.extend_from_slice(&payload);
-            self.send_bytes(view.leader, t_intra, buf);
+        let lowest = if node == 0 {
+            view.nodes_used.next_power_of_two()
+        } else {
+            1 << node.trailing_zeros()
+        };
+        let mut bit = lowest >> 1;
+        while bit > 0 {
+            if node | bit < view.nodes_used {
+                let mut buf = self.take_buf(payload.len());
+                buf.extend_from_slice(&payload);
+                self.send_bytes(view.leader_of_node(node | bit), t_inter, buf);
+            }
+            bit >>= 1;
         }
-        if am_leader && view.node == root_node && rank != root {
-            payload = self.recv_bytes(root, t_intra).0;
-        }
-
-        // Leg 2: rotated binomial over node indices, leaders only (bcast
-        // has no combine order to preserve, so rotation is fine).
-        if am_leader {
-            let n = view.nodes_used;
-            let vnode = (view.node + n - root_node) % n;
-            if vnode != 0 {
-                let parent_v = vnode & (vnode - 1);
-                let parent = view.leader_of_node((parent_v + root_node) % n);
-                payload = self.recv_inter_frame(parent, t_inter);
+        for dst in view.node_lo..view.node_hi {
+            if dst != rank {
+                let mut buf = self.take_buf(payload.len());
+                buf.extend_from_slice(&payload);
+                self.send_bytes(dst, t_intra, buf);
             }
-            let lowest = if vnode == 0 {
-                n.next_power_of_two()
-            } else {
-                1 << vnode.trailing_zeros()
-            };
-            let mut bit = lowest >> 1;
-            while bit > 0 {
-                let child_v = vnode | bit;
-                if child_v < n && child_v != vnode {
-                    let child = view.leader_of_node((child_v + root_node) % n);
-                    let mut buf = self.take_buf(payload.len());
-                    buf.extend_from_slice(&payload);
-                    self.send_inter_frame(child, t_inter, buf);
-                }
-                bit >>= 1;
-            }
-            // Leg 3 (send side): fan out to the node's members. The root
-            // already holds the payload and posts no receive.
-            for dst in view.node_lo..view.node_hi {
-                if dst != rank && dst != root {
-                    let mut buf = self.take_buf(payload.len());
-                    buf.extend_from_slice(&payload);
-                    self.send_bytes(dst, t_intra, buf);
-                }
-            }
-        } else if rank != root {
-            // Leg 3 (receive side).
-            payload = self.recv_bytes(view.leader, t_intra).0;
         }
         payload
     }
 
-    /// Hierarchical gather of byte blocks to `root`: members of remote
+    /// The gather leg of the hierarchical allgather: members of remote
     /// nodes send to their leader (intra), each remote leader sends one
     /// frame of its node's blocks — ascending rank order, length-prefixed
-    /// — to the root (inter), and the root's own node sends directly
-    /// (intra). Returns `Some(blocks_by_rank)` on the root.
+    /// — to rank 0 (inter), and node 0's members send directly (intra).
+    /// Returns `Some(blocks_by_rank)` on rank 0.
     pub(crate) fn hier_gatherv_bytes(
         &mut self,
         view: &NodeView,
-        root: usize,
         mine: &[u8],
         tag: TagValue,
     ) -> Option<Vec<Vec<u8>>> {
         let (t_intra, t_inter) = Self::hier_tags(tag);
         let rank = self.rank();
-        let root_node = view.node_of(root);
 
-        if rank == root {
+        if rank == 0 {
             let mut out: Vec<Vec<u8>> = (0..self.nprocs()).map(|_| Vec::new()).collect();
-            out[root] = mine.to_vec();
+            out[0] = mine.to_vec();
             #[allow(clippy::needless_range_loop)] // src is the peer rank
-            for src in view.node_lo..view.node_hi {
-                if src != root {
-                    out[src] = self.recv_bytes(src, t_intra).0;
-                }
+            for src in 1..view.node_hi {
+                out[src] = self.recv_bytes(src, t_intra).0;
             }
-            for node in 0..view.nodes_used {
-                if node == root_node {
-                    continue;
-                }
-                let frame = self.recv_inter_frame(view.leader_of_node(node), t_inter);
+            for node in 1..view.nodes_used {
+                let (frame, _) = self.recv_bytes(view.leader_of_node(node), t_inter);
                 let (lo, hi) = view.node_range(node);
                 let mut pos = 0;
                 #[allow(clippy::needless_range_loop)] // src is the peer rank
@@ -319,10 +252,10 @@ impl Comm {
             return Some(out);
         }
 
-        if view.node == root_node {
-            // The root's own node needs no coalescing: its members reach
-            // the root over shared memory already.
-            self.send(root, t_intra, mine);
+        if view.node == 0 {
+            // Node 0 needs no coalescing: its members reach rank 0 over
+            // shared memory already.
+            self.send(0, t_intra, mine);
             return None;
         }
         if rank == view.leader {
@@ -337,7 +270,7 @@ impl Comm {
                 push_section(&mut frame, &bytes);
                 self.recycle_buf(bytes);
             }
-            self.send_inter_frame(root, t_inter, frame);
+            self.send_bytes(0, t_inter, frame);
         } else {
             self.send(view.leader, t_intra, mine);
         }
@@ -353,7 +286,7 @@ impl Comm {
         mine: &[u8],
         tag: TagValue,
     ) -> Vec<u8> {
-        let table = self.hier_gatherv_bytes(view, 0, mine, tag);
+        let table = self.hier_gatherv_bytes(view, mine, tag);
         let frame = table.map(|blocks| {
             let mut frame = self.take_buf(framed_len(&blocks));
             for block in &blocks {
@@ -361,7 +294,7 @@ impl Comm {
             }
             frame
         });
-        self.hier_bcast_bytes(view, 0, frame, tag)
+        self.hier_bcast_bytes(view, frame, tag)
     }
 
     /// Hierarchical rank-order reduce: members fold into their leader in
@@ -489,7 +422,7 @@ impl Comm {
                     frame.extend_from_slice(&up);
                     self.recycle_buf(up);
                 }
-                self.send_inter_frame(view.leader_of_node(node), t_inter, frame);
+                self.send_bytes(view.leader_of_node(node), t_inter, frame);
             }
             // Receive the node-pair frames and relay per-member slices:
             // frame layout is src-major (ascending src in the remote
@@ -499,7 +432,7 @@ impl Comm {
                 if node == view.node {
                     continue;
                 }
-                let frame = self.recv_inter_frame(view.leader_of_node(node), t_inter);
+                let (frame, _) = self.recv_bytes(view.leader_of_node(node), t_inter);
                 let (lo, hi) = view.node_range(node);
                 let members = view.node_hi - view.node_lo;
                 // Size each member's relay from the frame's section headers
@@ -582,6 +515,16 @@ mod tests {
         );
     }
 
+    /// Every rank's section of an `allgatherv_frame` of `mine`.
+    fn allgathered(comm: &mut Comm, mine: &[u8]) -> Vec<Vec<u8>> {
+        let mut own = comm.take_buf(mine.len());
+        own.extend_from_slice(mine);
+        let frame = comm.allgatherv_frame(own);
+        let sections = frame_sections(&frame).map(<[u8]>::to_vec).collect();
+        comm.recycle_buf(frame);
+        sections
+    }
+
     #[test]
     fn hier_view_gating() {
         // Multi-core multi-node: hierarchical.
@@ -606,18 +549,14 @@ mod tests {
             assert_modes_agree(nodes, cores, nprocs, move |comm| {
                 let rank = comm.rank();
                 let root = nprocs / 2;
-                let payload: Vec<u8> = (0..50).map(|i| (rank + i) as u8).collect();
-                let b = comm.bcast_bytes(root, (rank == root).then(|| payload.clone()));
-                let mine: Vec<u32> = (0..rank % 5).map(|i| (rank * 10 + i) as u32).collect();
-                let g = comm.gatherv(root, &mine);
-                let ag = comm.allgatherv(&mine);
+                let ag = allgathered(comm, &vec![rank as u8 * 3; rank % 5]);
                 let sends: Vec<Vec<u8>> = (0..nprocs)
                     .map(|d| vec![(rank * nprocs + d) as u8; (rank + d) % 4])
                     .collect();
                 let a2a = comm.alltoallv_bytes(sends);
                 let r = comm.reduce(root, &[rank as u64, 1], &SumOp);
-                let ar = comm.allreduce(&[rank as i64 - 3], &MinOp);
-                (b, g, ag, a2a, r, ar)
+                let mn = comm.reduce(0, &[rank as i64 - 3], &MinOp);
+                (ag, a2a, r, mn)
             });
         }
     }
@@ -676,46 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_collective_frames_agree_and_cut_wire_bytes() {
-        let nodes = 3;
-        let cores = 4;
-        let nprocs = nodes * cores;
-        let run = |compress: bool| {
-            let model = model(nodes, cores, CollectiveMode::Auto)
-                .with_compressed_collective_frames(compress);
-            World::new(nprocs, model).run(move |comm| {
-                let rank = comm.rank();
-                // Highly regular payloads so the lossless word coder has
-                // structure to exploit on the coalesced frames.
-                let sends: Vec<Vec<u8>> = (0..nprocs)
-                    .map(|d| vec![(rank % 7) as u8; 64 + d * 8])
-                    .collect();
-                let a2a = comm.alltoallv_bytes(sends);
-                let b = comm.bcast_bytes(0, (rank == 0).then(|| vec![42u8; 4096]));
-                let g = comm.gatherv(0, &vec![rank as u64; 32]);
-                let ag = comm.allgatherv(&[rank as u32; 16]);
-                ((a2a, b, g, ag), comm.stats())
-            })
-        };
-        let raw = run(false);
-        let compressed = run(true);
-        for ((r, _), (c, _)) in raw.iter().zip(&compressed) {
-            assert_eq!(r, c, "compressed collectives changed results");
-        }
-        let wire: usize = compressed.iter().map(|(_, s)| s.bytes_inter).sum();
-        let logical: usize = compressed.iter().map(|(_, s)| s.logical_inter).sum();
-        assert!(
-            wire < logical,
-            "compressed frames should shrink inter-node wire bytes: wire {wire} logical {logical}"
-        );
-        let raw_wire: usize = raw.iter().map(|(_, s)| s.bytes_inter).sum();
-        assert_eq!(
-            raw_wire, logical,
-            "logical bytes must match the raw run's wire bytes"
-        );
-    }
-
-    #[test]
     fn collectives_compose_across_modes_with_p2p() {
         // Interleaved p2p and hierarchical collectives: tag spaces stay
         // disjoint and sequence numbers stay symmetric.
@@ -723,16 +622,16 @@ mod tests {
             let next = (comm.rank() + 1) % 6;
             let prev = (comm.rank() + 5) % 6;
             comm.send(next, 17, &[comm.rank() as u32]);
-            let total = comm.allreduce(&[1.0f64], &SumOp)[0];
+            let total = comm.reduce(0, &[1.0f64], &SumOp).map(|v| v[0]);
             let (from_prev, _) = comm.recv::<u32>(prev, 17);
-            let maxed = comm.allreduce(&[comm.rank() as u64], &MaxOp)[0];
+            let maxed = comm.reduce(3, &[comm.rank() as u64], &MaxOp).map(|v| v[0]);
             comm.barrier();
             (total, from_prev[0], maxed)
         });
         for (r, (total, from, maxed)) in results.iter().enumerate() {
-            assert_eq!(*total, 6.0);
+            assert_eq!(*total, (r == 0).then_some(6.0));
             assert_eq!(*from as usize, (r + 5) % 6);
-            assert_eq!(*maxed, 5);
+            assert_eq!(*maxed, (r == 3).then_some(5));
         }
     }
 
@@ -753,22 +652,19 @@ mod tests {
         proptest! {
             #![proptest_config(proptest::test_runner::Config::with_cases(16))]
 
+            /// The allgather's frame, read section by section: flat it is
+            /// a ring, hierarchical it is the gather leg to rank 0 and the
+            /// broadcast leg back, so both legs must reproduce the ring's
+            /// sections byte for byte.
             #[test]
             fn prop_bcast_and_gather_agree(shape in shapes(), seed in any::<u32>()) {
                 let (nodes, cores, nprocs) = shape;
-                let root = seed as usize % nprocs;
                 assert_modes_agree(nodes, cores, nprocs, move |comm| {
                     let rank = comm.rank();
                     let len = (seed as usize + rank * 7) % 60;
-                    let payload: Vec<u8> =
-                        (0..len).map(|i| (seed as usize + i) as u8).collect();
-                    let b = comm.bcast_bytes(root, (rank == root).then(|| payload.clone()));
-                    let mine: Vec<u64> = (0..(rank + seed as usize) % 6)
-                        .map(|i| (rank * 1000 + i) as u64)
-                        .collect();
-                    let g = comm.gatherv(root, &mine);
-                    let ag = comm.allgatherv(&mine);
-                    (b, g, ag)
+                    let mine: Vec<u8> =
+                        (0..len).map(|i| (seed as usize + rank * 1000 + i) as u8).collect();
+                    allgathered(comm, &mine)
                 });
             }
 
@@ -810,8 +706,9 @@ mod tests {
                     ];
                     let s = comm.reduce(root, &mine, &wrapping_sum);
                     let r = comm.reduce(root, &mine, &take_right);
-                    let mn = comm.allreduce(&mine, &MinOp);
-                    let mx = comm.allreduce(&mine, &MaxOp);
+                    let mn = comm.reduce(0, &mine, &MinOp);
+                    comm.barrier();
+                    let mx = comm.reduce(nprocs - 1, &mine, &MaxOp);
                     (s, r, mn, mx)
                 });
             }

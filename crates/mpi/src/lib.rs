@@ -3,9 +3,10 @@
 //! This crate stands in for MPICH on the paper's Cray XE6: each rank is an
 //! OS thread, communicators deliver real bytes through mailboxes, and every
 //! operation advances a per-rank *virtual clock* according to the
-//! [`cc_model`] cost model. The collectives (barrier, bcast, gather,
-//! allgather, alltoallv, reduce, allreduce) are implemented over
-//! point-to-point messages with the standard tree/dissemination algorithms,
+//! [`cc_model`] cost model. The collectives the engines call (barrier, the
+//! allgather behind the offset-list exchange, alltoallv and reduce) are
+//! implemented over point-to-point messages with the standard
+//! tree/dissemination/ring algorithms, flat or node-leader hierarchical,
 //! so their virtual cost emerges from the same model as everything else.
 //!
 //! # Example
@@ -17,9 +18,10 @@
 //! let world = World::new(4, ClusterModel::test_tiny(4));
 //! let sums = world.run(|comm| {
 //!     let mine = (comm.rank() + 1) as f64;
-//!     comm.allreduce(&[mine], &ops::SumOp)[0]
+//!     comm.reduce(0, &[mine], &ops::SumOp)
 //! });
-//! assert_eq!(sums, vec![10.0; 4]);
+//! assert_eq!(sums[0], Some(vec![10.0]));
+//! assert!(sums[1..].iter().all(Option::is_none));
 //! ```
 
 #![warn(missing_docs)]

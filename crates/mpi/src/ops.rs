@@ -4,9 +4,9 @@
 //! `MPI_Op_create` (Fig. 6, line 10). [`ReduceOp`] is the Rust analogue: an
 //! element-wise combiner over equal-length slices, required to be
 //! associative (as MPI requires of user ops used with `MPI_Reduce`).
-//! Commutativity is *not* required: `reduce` and `allreduce` combine
-//! contributions in rank order, merging contiguous ascending rank blocks,
-//! matching MPI's defined ordering for non-commutative ops.
+//! Commutativity is *not* required: `reduce` combines contributions in
+//! rank order, merging contiguous ascending rank blocks, matching MPI's
+//! defined ordering for non-commutative ops.
 
 use crate::elem::Elem;
 

@@ -3,8 +3,8 @@
 //! Before the two-phase protocol can partition file domains, every process
 //! must know every other process's request. ROMIO does this with an
 //! allgather of flattened offset/length lists, and so do we: the exchange
-//! is a real (timed) collective, message for message what
-//! [`Comm::allgatherv`] sends, so its cost shows up in the totals.
+//! is a real (timed) collective, [`Comm::allgatherv_frame`], so its cost
+//! shows up in the totals.
 //!
 //! What each message carries is the list's compact encoding
 //! ([`OffsetList::encode_into`]): strided runs in varints, not raw
@@ -49,11 +49,11 @@ mod tests {
     use cc_model::{ClusterModel, CollectiveMode, SimTime};
     use cc_mpi::World;
 
-    /// The exchange's cost model is `allgatherv`'s, exactly: in a flat-ring
-    /// and in a hierarchical world, every rank leaves `exchange_requests`
-    /// with the clock and the counters it leaves a plain `allgatherv::<u8>`
-    /// of its encoded list with — and with the one shared table, equal to
-    /// what each rank would have decoded for itself.
+    /// The exchange's cost model is the allgather's, exactly: in a
+    /// flat-ring and in a hierarchical world, every rank leaves
+    /// `exchange_requests` with the clock and the counters it leaves a
+    /// plain `allgatherv_frame` of its encoded list with — and with the one
+    /// shared table, equal to what each rank would have decoded for itself.
     #[test]
     fn exchange_costs_exactly_an_allgatherv_and_shares_one_table() {
         let n = 10;
@@ -75,7 +75,11 @@ mod tests {
             let world = World::new(n, ClusterModel::hopper_like(3, 4).with_collectives(mode));
             let plain = world.run(|comm| {
                 comm.advance(arrive(comm.rank()));
-                let all = comm.allgatherv::<u8>(&request(comm.rank()).encode());
+                let encoded = request(comm.rank()).encode();
+                let mut own = comm.take_buf(encoded.len());
+                own.extend_from_slice(&encoded);
+                let frame = comm.allgatherv_frame(own);
+                let all: Vec<Vec<u8>> = frame_sections(&frame).map(<[u8]>::to_vec).collect();
                 (comm.clock(), comm.stats(), all)
             });
             let exchanged = world.run(|comm| {

@@ -93,28 +93,21 @@ impl PlanSchedule {
     /// lists. Cost is O(total extents + slots + pieces + ranks), after
     /// which every query is allocation-free.
     ///
-    /// The sweep is domain-major: one aggregator's file domain at a time,
-    /// walking each rank's extents from a persistent cursor (domains and
-    /// extents both ascend, so every extent is visited once, plus once per
-    /// domain boundary it spans). That keeps the counting-sort that groups
-    /// a slot's pieces by destination inside a per-domain scratch small
-    /// enough to stay cache-resident, and makes every global table a
+    /// The sweep is domain-major: one aggregator's file domain at a time.
+    /// Each rank's pieces in the domain's bounding box come from
+    /// [`OffsetList::locate`] and are clipped to the domain's blocks and
+    /// collective-buffer chunks — a contiguous domain is one block, a
+    /// strided (group-cyclic) one several. That yields a per-domain record
+    /// stream (rank-major, iteration-ascending within rank) which a
+    /// counting-sort groups by destination inside a per-domain scratch
+    /// small enough to stay cache-resident, and makes every global table a
     /// sequential append — slots are emitted in `(agg, iter)` order. The
     /// round order and the per-rank source lists are derived from those
     /// tables afterwards.
-    ///
-    /// Strided (group-cyclic) domains interleave across aggregators, so
-    /// the persistent-cursor sweep does not apply; those plans use a
-    /// per-domain `locate` walk instead, feeding the identical per-domain
-    /// record stream (rank-major, iteration-ascending within rank) into
-    /// the same counting-sort scatter.
     pub fn compile(plan: CollectivePlan) -> Self {
         let naggs = plan.aggregators.len();
         let nprocs = plan.requests.len();
         let cb = plan.cb;
-        // The persistent cursor requires ascending contiguous domains —
-        // true for even/stripe-aligned partitions, not for group-cyclic.
-        let contiguous_sweep = plan.domains.iter().all(|d| d.is_contiguous());
 
         // Slot layout: one slot per (aggregator, iteration).
         let mut iter_base = Vec::with_capacity(naggs + 1);
@@ -138,11 +131,6 @@ impl PlanSchedule {
         let mut dest_rank = Vec::new();
         let mut piece_base = Vec::new();
         let mut pieces: Vec<Piece> = Vec::new();
-
-        // Per-rank sweep cursor: index of the first extent not fully behind
-        // the domains processed so far, and its request-buffer offset.
-        let mut cursor = vec![0usize; nprocs];
-        let mut bufpos = vec![0u64; nprocs];
 
         // Per-domain scratch, reused across aggregators. Records are
         // rank-major and iteration-sorted within a rank (extents ascend).
@@ -179,130 +167,60 @@ impl PlanSchedule {
             piece_count.resize(n_it, 0);
             dest_count.clear();
             dest_count.resize(n_it, 0);
-            if contiguous_sweep {
-                for r in 0..nprocs {
-                    let exts = plan.requests[r].extents();
-                    let mut i = cursor[r];
-                    let mut buf = bufpos[r];
-                    while i < exts.len() && exts[i].end() <= dlo {
-                        buf += exts[i].len;
-                        i += 1;
-                    }
-                    let mut prev_it = usize::MAX;
-                    // Rolling chunk cursor: extents ascend, so the first
-                    // overlapped iteration only moves forward. The division is
-                    // needed only when an extent spans several chunks.
-                    let mut cur_it = 0usize;
-                    let mut cur_end = dlo + cb;
-                    while i < exts.len() {
-                        let e = exts[i];
-                        if e.offset >= dhi {
-                            break;
+            // Locate each rank's pieces in the bounding box, then clip them
+            // to the domain's blocks and chunks. The in-domain
+            // offset→iteration map is monotone in file offset, so the
+            // record stream keeps the invariants the scatter relies on
+            // (rank-major, iterations ascending within a rank, per-(it,
+            // rank) records contiguous).
+            let cpb = dom.chunks_per_block(cb);
+            let bpc = dom.blocks_per_chunk(cb);
+            for r in 0..nprocs {
+                let mut prev_it = usize::MAX;
+                for piece in plan.requests[r].locate(dlo, dhi) {
+                    let (plo, phi) = (piece.extent.offset, piece.extent.end());
+                    let first_b = (plo.max(dom.start) - dom.start) / dom.stride;
+                    let last_b = ((phi - 1 - dom.start) / dom.stride).min(dom.nblocks - 1);
+                    for b in first_b..=last_b {
+                        let bstart = dom.start + b * dom.stride;
+                        let bend = bstart + dom.block;
+                        let s = plo.max(bstart);
+                        let e = phi.min(bend);
+                        if s >= e {
+                            continue;
                         }
-                        let clip_lo = e.offset.max(dlo);
-                        let clip_hi = e.end().min(dhi);
-                        if clip_lo < clip_hi {
-                            while clip_lo >= cur_end {
-                                cur_it += 1;
-                                cur_end += cb;
-                            }
-                            let first = cur_it;
-                            let last = if clip_hi <= cur_end {
-                                cur_it
+                        let first_c = ((s - bstart) / cb) as usize;
+                        let last_c = ((e - 1 - bstart) / cb) as usize;
+                        for c in first_c..=last_c {
+                            let c_lo = bstart + cb * c as u64;
+                            let c_hi = (c_lo + cb).min(bend);
+                            let p_lo = s.max(c_lo);
+                            let p_hi = e.min(c_hi);
+                            debug_assert!(p_lo < p_hi);
+                            // Merged multi-block iterations (cpb == 1,
+                            // bpc > 1) map consecutive blocks onto one
+                            // slot; block order keeps the stream's
+                            // iteration-ascending invariant.
+                            let it = if cpb > 1 {
+                                b as usize * cpb + c
                             } else {
-                                ((clip_hi - 1 - dlo) / cb) as usize
+                                (b / bpc) as usize
                             };
-                            for it in first..=last {
-                                let c_lo = dlo + cb * it as u64;
-                                let c_hi = (c_lo + cb).min(dhi);
-                                let p_lo = clip_lo.max(c_lo);
-                                let p_hi = clip_hi.min(c_hi);
-                                debug_assert!(p_lo < p_hi);
-                                piece_count[it] += 1;
-                                recs.push((
-                                    it as u32,
-                                    r as u32,
-                                    Piece {
-                                        extent: Extent {
-                                            offset: p_lo,
-                                            len: p_hi - p_lo,
-                                        },
-                                        buf_offset: buf + (p_lo - e.offset),
+                            piece_count[it] += 1;
+                            recs.push((
+                                it as u32,
+                                r as u32,
+                                Piece {
+                                    extent: Extent {
+                                        offset: p_lo,
+                                        len: p_hi - p_lo,
                                     },
-                                ));
-                                if it != prev_it {
-                                    prev_it = it;
-                                    dest_count[it] += 1;
-                                }
-                            }
-                        }
-                        if e.end() <= dhi {
-                            buf += e.len;
-                            i += 1;
-                        } else {
-                            // Spans into the next domain: leave the cursor on it.
-                            break;
-                        }
-                    }
-                    cursor[r] = i;
-                    bufpos[r] = buf;
-                }
-            } else {
-                // Strided domain: locate each rank's pieces in the bounding
-                // box, then clip them to the domain's blocks and chunks. The
-                // in-domain offset→iteration map is monotone in file offset,
-                // so the record stream keeps the invariants the scatter
-                // relies on (rank-major, iterations ascending within a rank,
-                // per-(it, rank) records contiguous).
-                let cpb = dom.chunks_per_block(cb);
-                let bpc = dom.blocks_per_chunk(cb);
-                for r in 0..nprocs {
-                    let mut prev_it = usize::MAX;
-                    for piece in plan.requests[r].locate(dlo, dhi) {
-                        let (plo, phi) = (piece.extent.offset, piece.extent.end());
-                        let first_b = (plo.max(dom.start) - dom.start) / dom.stride;
-                        let last_b = ((phi - 1 - dom.start) / dom.stride).min(dom.nblocks - 1);
-                        for b in first_b..=last_b {
-                            let bstart = dom.start + b * dom.stride;
-                            let bend = bstart + dom.block;
-                            let s = plo.max(bstart);
-                            let e = phi.min(bend);
-                            if s >= e {
-                                continue;
-                            }
-                            let first_c = ((s - bstart) / cb) as usize;
-                            let last_c = ((e - 1 - bstart) / cb) as usize;
-                            for c in first_c..=last_c {
-                                let c_lo = bstart + cb * c as u64;
-                                let c_hi = (c_lo + cb).min(bend);
-                                let p_lo = s.max(c_lo);
-                                let p_hi = e.min(c_hi);
-                                debug_assert!(p_lo < p_hi);
-                                // Merged multi-block iterations (cpb == 1,
-                                // bpc > 1) map consecutive blocks onto one
-                                // slot; block order keeps the stream's
-                                // iteration-ascending invariant.
-                                let it = if cpb > 1 {
-                                    b as usize * cpb + c
-                                } else {
-                                    (b / bpc) as usize
-                                };
-                                piece_count[it] += 1;
-                                recs.push((
-                                    it as u32,
-                                    r as u32,
-                                    Piece {
-                                        extent: Extent {
-                                            offset: p_lo,
-                                            len: p_hi - p_lo,
-                                        },
-                                        buf_offset: piece.buf_offset + (p_lo - plo),
-                                    },
-                                ));
-                                if it != prev_it {
-                                    prev_it = it;
-                                    dest_count[it] += 1;
-                                }
+                                    buf_offset: piece.buf_offset + (p_lo - plo),
+                                },
+                            ));
+                            if it != prev_it {
+                                prev_it = it;
+                                dest_count[it] += 1;
                             }
                         }
                     }

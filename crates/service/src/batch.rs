@@ -284,18 +284,7 @@ impl TaskResult {
     /// every f64). Fused, independent, and solo executions of the same
     /// task must produce identical checksums.
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.value.len() as u64);
-        for v in &self.value {
-            eat(v.to_bits());
-        }
-        h
+        crate::fnv1a(crate::sized_words(&self.value))
     }
 }
 
@@ -331,14 +320,7 @@ impl BatchOutcome {
     /// FNV-1a fingerprint over every task's result, in task order — one
     /// number that must agree between fused, independent, and solo runs.
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for t in &self.tasks {
-            for b in t.checksum().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        crate::fnv1a(self.tasks.iter().map(TaskResult::checksum))
     }
 
     /// Tasks served per compiled schedule (see

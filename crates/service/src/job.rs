@@ -261,29 +261,12 @@ impl JobResult {
     /// solo, serial, or against any mix of concurrent neighbours — must
     /// produce identical checksums: scheduling changes timing, never data.
     pub fn checksum(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        if let Some(g) = &self.global {
-            eat(g.len() as u64);
-            for v in g {
-                eat(v.to_bits());
-            }
-        }
-        if let Some(steps) = &self.per_step {
-            eat(steps.len() as u64);
-            for s in steps {
-                eat(s.len() as u64);
-                for v in s {
-                    eat(v.to_bits());
-                }
-            }
-        }
-        h
+        let global = self.global.iter().flat_map(|g| crate::sized_words(g));
+        let steps = self.per_step.iter().flat_map(|steps| {
+            let each = steps.iter().flat_map(|s| crate::sized_words(s));
+            std::iter::once(steps.len() as u64).chain(each)
+        });
+        crate::fnv1a(global.chain(steps))
     }
 }
 

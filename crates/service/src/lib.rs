@@ -43,3 +43,19 @@ pub use batch::{
 };
 pub use job::{AdmissionError, JobHandle, JobResult, JobSpec, QosClass, StepSpec};
 pub use service::{percentile_time, Service, ServiceOutcome, ServicePolicy};
+
+/// FNV-1a over the little-endian bytes of `words`: the result fingerprint
+/// behind every `checksum` in this crate.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf29ce484222325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+}
+
+/// `values` as checksum words: its length, then each value's bits.
+fn sized_words(values: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    std::iter::once(values.len() as u64).chain(values.iter().map(|v| v.to_bits()))
+}

@@ -320,24 +320,29 @@ fn partial_reduce_allocations_do_not_grow_with_ranks() {
     );
 }
 
-/// Peak heap of a fused batch of `waves` identical waves on 16 ranks, each
-/// wave one bin of 16 full-width 32-row sum tasks, 8 rows apart
-/// (`ManyTask::quick`'s file otherwise).
+/// Peak heap of 256 `ManyTask::quick` sum tasks on 256 ranks (8 nodes of
+/// 32), fused in `waves` arrival waves, each one bin: wave `w` holds
+/// `(2w + 1) * 256 / waves²` tasks. So one wave is one bin of all 256,
+/// and eight are bins of 4, 12, ..., 60, each larger than the one before:
+/// the buffers an earlier bin left in the ranks' pools are too small for
+/// the later bins' takes.
 fn fused_batch_peak(waves: usize) -> usize {
-    let mut tasks = ManyTask::quick(16 * waves);
+    const TASKS: usize = 256;
+    let mut tasks = ManyTask::quick(TASKS * waves);
     tasks.waves = waves;
-    tasks.task_rows = 32;
-    tasks.row_stride = 8;
-    tasks.task_cols = tasks.cols;
-    let model = ClusterModel::hopper_like(4, 4);
+    tasks.nprocs = 256;
+    let model = ClusterModel::hopper_like(8, 32);
     let mut batch = TaskBatch::new(model.clone(), tasks.build_fs(model.disk.clone()))
         .with_policy(tasks.policy());
-    for spec in tasks.specs() {
-        let spec = TaskSpec {
-            kernel: Arc::new(SumKernel),
-            ..spec
-        };
-        batch.submit(spec).expect("many-task specs admit");
+    for (i, spec) in tasks.specs().into_iter().enumerate() {
+        let (wave, k) = (i / TASKS, i % TASKS);
+        if k < (2 * wave + 1) * TASKS / (waves * waves) {
+            let spec = TaskSpec {
+                kernel: Arc::new(SumKernel),
+                ..spec
+            };
+            batch.submit(spec).expect("many-task specs admit");
+        }
     }
     peak_heap_during(|| {
         let out = batch.run_fused();
@@ -348,14 +353,14 @@ fn fused_batch_peak(waves: usize) -> usize {
 #[test]
 fn fused_batch_heap_does_not_grow_with_bins() {
     let _turn = one_at_a_time();
-    // A sweep's peak depends on how many shuffle buffers happen to be in
-    // flight at once, which follows thread timing, and 8 bins take 8 draws
-    // of it; so the 1-bin side is the worst of 8 runs, and the 8-bin side
-    // the least of 3. Each rank empties its buffer pool at every bin
-    // boundary. Without that reset 8 bins once peaked near 2.8x; since
-    // pool takes are fitted, each bin reuses what the last one left, and
-    // a run without the reset reads about 1.0x here, so this bound no
-    // longer tells the two apart.
+    // A sweep's peak depends on how many buffers happen to be in flight at
+    // once, which follows thread timing, and 8 bins take 8 draws of it; so
+    // the 1-bin side is the worst of 8 runs, and the 8-bin side the least
+    // of 3. Each rank empties its buffer pool at every bin boundary, and 8
+    // bins peak at 0.36-0.45x of one. Receivers pool the buffers their
+    // senders allocated, and a pooled buffer smaller than a take serves
+    // none of it, so without the reset every bin's leftovers stay beside
+    // the next bin's: 8 bins then peak at 1.7-1.9x of one.
     let one = (0..8)
         .map(|_| fused_batch_peak(1))
         .max()
