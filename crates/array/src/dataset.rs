@@ -24,14 +24,6 @@ impl Dataset {
         Self::default()
     }
 
-    /// An empty dataset reserving `header_bytes` before the first variable.
-    pub fn with_header(header_bytes: u64) -> Self {
-        Self {
-            vars: Vec::new(),
-            header_bytes,
-        }
-    }
-
     /// Appends a variable after the existing ones; returns its index.
     ///
     /// # Panics
@@ -52,11 +44,6 @@ impl Dataset {
     /// Looks a variable up by name.
     pub fn var(&self, name: &str) -> Option<&Variable> {
         self.vars.iter().find(|v| v.name() == name)
-    }
-
-    /// All variables in file order.
-    pub fn vars(&self) -> &[Variable] {
-        &self.vars
     }
 
     /// Total file size in bytes (header plus all variables).
@@ -117,6 +104,16 @@ mod tests {
     use cc_pfs::backend::ElemKind;
     use cc_pfs::{StripeLayout, SyntheticBackend};
     use std::sync::Arc;
+
+    impl Dataset {
+        /// An empty dataset reserving `header_bytes` before the first variable.
+        fn with_header(header_bytes: u64) -> Self {
+            Self {
+                vars: Vec::new(),
+                header_bytes,
+            }
+        }
+    }
 
     #[test]
     fn variables_pack_back_to_back() {

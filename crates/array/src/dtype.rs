@@ -59,7 +59,7 @@ impl DType {
     }
 
     /// Encodes `f64` values into this type's little-endian bytes.
-    pub fn encode(self, values: &[f64]) -> Vec<u8> {
+    pub(crate) fn encode(self, values: &[f64]) -> Vec<u8> {
         match self {
             DType::F32 => values
                 .iter()

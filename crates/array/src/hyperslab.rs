@@ -49,7 +49,7 @@ impl Hyperslab {
     }
 
     /// Rank of the selection.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.start.len()
     }
 
@@ -63,7 +63,7 @@ impl Hyperslab {
     /// # Panics
     /// Panics if the ranks differ or the box exceeds the shape in any
     /// dimension, with [`SelectionError`]'s message for the latter.
-    pub fn validate(&self, shape: &Shape) {
+    pub(crate) fn validate(&self, shape: &Shape) {
         assert_eq!(self.rank(), shape.rank(), "selection rank mismatch");
         if let Err(e) = self.check(shape) {
             panic!("{e}");
@@ -99,15 +99,6 @@ impl Hyperslab {
             }
         }
         Ok(())
-    }
-
-    /// Whether `coords` lies inside the selection.
-    pub fn contains(&self, coords: &[u64]) -> bool {
-        coords.len() == self.rank()
-            && coords
-                .iter()
-                .zip(self.start.iter().zip(&self.count))
-                .all(|(&c, (&s, &n))| c >= s && c < s + n)
     }
 
     /// Iterates the selection's contiguous runs in row-major order: each
@@ -213,26 +204,6 @@ impl StridedSlab {
         }
     }
 
-    /// Per-dimension starts.
-    pub fn start(&self) -> &[u64] {
-        &self.start
-    }
-
-    /// Per-dimension counts.
-    pub fn count(&self) -> &[u64] {
-        &self.count
-    }
-
-    /// Per-dimension strides.
-    pub fn stride(&self) -> &[u64] {
-        &self.stride
-    }
-
-    /// Number of selected elements.
-    pub fn num_elements(&self) -> u64 {
-        self.count.iter().product()
-    }
-
     /// The index selected along dimension `d` at position `i`.
     fn index(&self, d: usize, i: u64) -> u64 {
         self.start[d] + i * self.stride[d]
@@ -242,7 +213,7 @@ impl StridedSlab {
     ///
     /// # Panics
     /// Panics if the last selected index exceeds the shape in any dimension.
-    pub fn validate(&self, shape: &Shape) {
+    pub(crate) fn validate(&self, shape: &Shape) {
         assert_eq!(self.start.len(), shape.rank(), "selection rank mismatch");
         for (d, &n) in shape.dims().iter().enumerate() {
             let last = self.index(d, self.count[d] - 1);
@@ -251,16 +222,6 @@ impl StridedSlab {
                 "strided selection reaches index {last} in dim {d} of extent {n}"
             );
         }
-    }
-
-    /// Whether `coords` lies on the strided lattice.
-    pub fn contains(&self, coords: &[u64]) -> bool {
-        coords.len() == self.start.len()
-            && coords.iter().enumerate().all(|(d, &c)| {
-                c >= self.start[d]
-                    && (c - self.start[d]).is_multiple_of(self.stride[d])
-                    && (c - self.start[d]) / self.stride[d] < self.count[d]
-            })
     }
 
     /// The contiguous element runs of the selection in row-major order.
@@ -348,6 +309,34 @@ impl Iterator for RunIter<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl StridedSlab {
+        /// Number of selected elements.
+        pub(crate) fn num_elements(&self) -> u64 {
+            self.count.iter().product()
+        }
+
+        /// Whether `coords` lies on the strided lattice.
+        pub(crate) fn contains(&self, coords: &[u64]) -> bool {
+            coords.len() == self.start.len()
+                && coords.iter().enumerate().all(|(d, &c)| {
+                    c >= self.start[d]
+                        && (c - self.start[d]).is_multiple_of(self.stride[d])
+                        && (c - self.start[d]) / self.stride[d] < self.count[d]
+                })
+        }
+    }
+
+    impl Hyperslab {
+        /// Whether `coords` lies inside the selection.
+        pub(crate) fn contains(&self, coords: &[u64]) -> bool {
+            coords.len() == self.rank()
+                && coords
+                    .iter()
+                    .zip(self.start.iter().zip(&self.count))
+                    .all(|(&c, (&s, &n))| c >= s && c < s + n)
+        }
+    }
 
     #[test]
     fn full_selection_is_one_run() {

@@ -23,16 +23,10 @@ pub struct LogicalRun {
     pub len: u64,
     /// Element offset of the run within the requester's flattened result
     /// buffer (for reassembly and for positional kernels).
-    pub buf_elem_offset: u64,
+    pub(crate) buf_elem_offset: u64,
 }
 
 impl LogicalRun {
-    /// The run's starting coordinates in `var`'s shape — the
-    /// `sequence = {(start0, len0, start1, len1), ...}` form of the paper.
-    pub fn start_coords(&self, var: &Variable) -> Vec<u64> {
-        var.shape().coords_of(self.start_elem)
-    }
-
     /// Size of this run's metadata record in bytes, as the paper's runtime
     /// would store it: owner rank + buffer position + one (start, length)
     /// pair per dimension boundary, dominated by the coordinate vector.
@@ -85,6 +79,14 @@ mod tests {
     use crate::hyperslab::Hyperslab;
     use crate::shape::Shape;
     use proptest::prelude::*;
+
+    impl LogicalRun {
+        /// The run's starting coordinates in `var`'s shape — the
+        /// `sequence = {(start0, len0, start1, len1), ...}` form of the paper.
+        fn start_coords(&self, var: &Variable) -> Vec<u64> {
+            var.shape().coords_of(self.start_elem)
+        }
+    }
 
     fn var() -> Variable {
         Variable::new("t", Shape::new(vec![4, 6]), DType::F64, 64)

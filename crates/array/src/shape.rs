@@ -40,21 +40,11 @@ impl Shape {
         self.dims.iter().product()
     }
 
-    /// Row-major strides in elements: `strides[d]` is the element distance
-    /// between consecutive indices along dimension `d`.
-    pub fn strides(&self) -> Vec<u64> {
-        let mut strides = vec![1u64; self.dims.len()];
-        for d in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * self.dims[d + 1];
-        }
-        strides
-    }
-
     /// The linear (flat, row-major) index of `coords`.
     ///
     /// # Panics
     /// Panics if `coords` has the wrong rank or is out of bounds.
-    pub fn linear_index(&self, coords: &[u64]) -> u64 {
+    pub(crate) fn linear_index(&self, coords: &[u64]) -> u64 {
         assert_eq!(coords.len(), self.rank(), "coordinate rank mismatch");
         let mut idx = 0u64;
         for (d, (&c, &n)) in coords.iter().zip(&self.dims).enumerate() {
@@ -63,31 +53,43 @@ impl Shape {
         }
         idx
     }
-
-    /// The coordinates of linear index `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn coords_of(&self, idx: u64) -> Vec<u64> {
-        assert!(
-            idx < self.num_elements(),
-            "linear index {idx} out of range {}",
-            self.num_elements()
-        );
-        let mut coords = vec![0u64; self.rank()];
-        let mut rem = idx;
-        for d in (0..self.rank()).rev() {
-            coords[d] = rem % self.dims[d];
-            rem /= self.dims[d];
-        }
-        coords
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Shape {
+        /// Row-major strides in elements: `strides[d]` is the element distance
+        /// between consecutive indices along dimension `d`.
+        pub(crate) fn strides(&self) -> Vec<u64> {
+            let mut strides = vec![1u64; self.dims.len()];
+            for d in (0..self.dims.len().saturating_sub(1)).rev() {
+                strides[d] = strides[d + 1] * self.dims[d + 1];
+            }
+            strides
+        }
+
+        /// The coordinates of linear index `idx`.
+        ///
+        /// # Panics
+        /// Panics if `idx` is out of range.
+        pub(crate) fn coords_of(&self, idx: u64) -> Vec<u64> {
+            assert!(
+                idx < self.num_elements(),
+                "linear index {idx} out of range {}",
+                self.num_elements()
+            );
+            let mut coords = vec![0u64; self.rank()];
+            let mut rem = idx;
+            for d in (0..self.rank()).rev() {
+                coords[d] = rem % self.dims[d];
+                rem /= self.dims[d];
+            }
+            coords
+        }
+    }
 
     #[test]
     fn strides_are_row_major() {

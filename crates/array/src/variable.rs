@@ -28,7 +28,7 @@ impl Variable {
     }
 
     /// The variable's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -82,7 +82,7 @@ impl Variable {
     /// Fig. 8. Runs that fuse across full trailing dimensions stay fused.
     ///
     /// # Panics
-    /// Panics as [`Hyperslab::validate`] if the selection does not fit the
+    /// Panics as `Hyperslab::validate` if the selection does not fit the
     /// variable; [`try_byte_extents`](Self::try_byte_extents) returns the
     /// error instead.
     pub fn byte_extents(&self, slab: &Hyperslab) -> OffsetList {

@@ -43,7 +43,7 @@ pub fn table1() -> Table {
 /// 6 aggregators per node reading an interleaved 4-D subset of the 429 TB
 /// (virtual) climate variable; the per-iteration read and shuffle times of
 /// the two-phase protocol are profiled.
-pub fn fig01_workload(scale: Scale) -> (ClimateWorkload, ClusterModel, Hints) {
+pub(crate) fn fig01_workload(scale: Scale) -> (ClimateWorkload, ClusterModel, Hints) {
     let (nprocs, shrink) = match scale {
         Scale::Quick => (24, 10),
         Scale::Full => (72, 2),

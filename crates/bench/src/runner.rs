@@ -10,17 +10,17 @@ use cc_workloads::ClimateWorkload;
 #[derive(Debug, Clone)]
 pub struct Comparison {
     /// Completion time (max over ranks) of collective computing.
-    pub t_cc: SimTime,
+    pub(crate) t_cc: SimTime,
     /// Completion time (max over ranks) of the traditional baseline.
-    pub t_mpi: SimTime,
+    pub(crate) t_mpi: SimTime,
     /// CC "local reduction" overhead (max over ranks) — Fig. 11's metric.
-    pub cc_local_reduction: SimTime,
+    pub(crate) cc_local_reduction: SimTime,
     /// Traditional reduction overhead (max over ranks).
-    pub mpi_local_reduction: SimTime,
+    pub(crate) mpi_local_reduction: SimTime,
     /// Total metadata entries CC created.
     pub metadata_entries: u64,
     /// Total metadata bytes CC created.
-    pub metadata_bytes: u64,
+    pub(crate) metadata_bytes: u64,
 }
 
 impl Comparison {
@@ -46,7 +46,7 @@ pub fn run_comparison(
 /// Like [`run_comparison`] but averages completion times over `trials`
 /// repetitions (the paper averages three runs per configuration — OST
 /// queueing makes single runs jittery, exactly like a real file system).
-pub fn run_comparison_trials(
+pub(crate) fn run_comparison_trials(
     workload: &ClimateWorkload,
     model: &ClusterModel,
     total_osts: usize,

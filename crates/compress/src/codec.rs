@@ -341,28 +341,28 @@ pub fn decode_into(frame: &[u8], dst: &mut Vec<u8>) -> usize {
     logical_len
 }
 
-/// The maximum absolute elementwise difference between two byte buffers
-/// viewed as little-endian f64 arrays (a test/bench helper for checking
-/// observed error against the configured bound). Positions where both
-/// sides are NaN count as zero error.
-pub fn max_f64_error(a: &[u8], b: &[u8]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let mut worst = 0.0f64;
-    for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let xa = f64::from_le_bytes(ca.try_into().unwrap());
-        let xb = f64::from_le_bytes(cb.try_into().unwrap());
-        if xa.is_nan() && xb.is_nan() {
-            continue;
-        }
-        worst = worst.max((xa - xb).abs());
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The maximum absolute elementwise difference between two byte buffers
+    /// viewed as little-endian f64 arrays (a test/bench helper for checking
+    /// observed error against the configured bound). Positions where both
+    /// sides are NaN count as zero error.
+    fn max_f64_error(a: &[u8], b: &[u8]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        let mut worst = 0.0f64;
+        for (ca, cb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+            let xa = f64::from_le_bytes(ca.try_into().unwrap());
+            let xb = f64::from_le_bytes(cb.try_into().unwrap());
+            if xa.is_nan() && xb.is_nan() {
+                continue;
+            }
+            worst = worst.max((xa - xb).abs());
+        }
+        worst
+    }
 
     fn f64_bytes(values: &[f64]) -> Vec<u8> {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()

@@ -25,7 +25,7 @@
 
 pub mod codec;
 
-pub use codec::{decode_into, decoded_len, encode_into, max_f64_error};
+pub use codec::{decode_into, decoded_len, encode_into};
 
 use std::hash::{Hash, Hasher};
 
@@ -48,7 +48,7 @@ pub struct ErrorBound {
 impl ErrorBound {
     /// A bound with both components; each must be finite and `>= 0`, and
     /// at least one must be positive.
-    pub fn new(abs: f64, rel: f64) -> Self {
+    pub(crate) fn new(abs: f64, rel: f64) -> Self {
         assert!(
             abs.is_finite() && abs >= 0.0,
             "abs bound must be finite and >= 0"
@@ -67,7 +67,7 @@ impl ErrorBound {
     }
 
     /// A purely range-relative bound.
-    pub fn relative(rel: f64) -> Self {
+    pub(crate) fn relative(rel: f64) -> Self {
         Self::new(0.0, rel)
     }
 

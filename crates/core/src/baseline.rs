@@ -19,11 +19,11 @@ use crate::kernel::{MapKernel, Partial, PartialReduceOp};
 #[derive(Debug, Clone, Default)]
 pub struct BaselineReport {
     /// Virtual time entering the operation.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Virtual time after the final reduce.
     pub end: SimTime,
     /// Duration of the collective read (both of its phases).
-    pub io_elapsed: SimTime,
+    pub(crate) io_elapsed: SimTime,
     /// Duration of the local computation.
     pub compute_elapsed: SimTime,
     /// Duration of the `MPI_Reduce`.
@@ -31,15 +31,10 @@ pub struct BaselineReport {
     /// The inner two-phase report (aggregator timings, bytes).
     pub two_phase: TwoPhaseReport,
     /// Activity segments for CPU profiling.
-    pub segments: Vec<Segment>,
+    pub(crate) segments: Vec<Segment>,
 }
 
-impl BaselineReport {
-    /// Total elapsed virtual time.
-    pub fn elapsed(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
-}
+impl BaselineReport {}
 
 /// Runs the traditional workflow: collective read of `slab`, local map over
 /// the received values, reduce of partials to `root`. Returns
@@ -117,7 +112,7 @@ pub fn traditional_get_vara_partial(
 
 /// Maps a fully assembled request buffer, run by run, preserving element
 /// positions so positional kernels work.
-pub fn map_buffer(
+pub(crate) fn map_buffer(
     var: &Variable,
     slab: &Hyperslab,
     kernel: &dyn MapKernel,

@@ -36,7 +36,7 @@ use crate::scratch::Scratch;
 const TAG_RESULTS: TagValue = 0x5000_0000;
 
 /// The default root rank for reductions.
-pub fn default_root() -> usize {
+pub(crate) fn default_root() -> usize {
     0
 }
 
@@ -74,12 +74,7 @@ pub struct CcReport {
     pub segments: Vec<Segment>,
 }
 
-impl CcReport {
-    /// Total elapsed virtual time.
-    pub fn elapsed(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
-}
+impl CcReport {}
 
 /// The results of one object-I/O call.
 #[derive(Debug, Clone)]
@@ -413,7 +408,7 @@ fn reduce_all_to_one(
         let depart =
             agg_done + cpu.memcpy_time(scratch.words.len() * 8) + comm.model().net.send_cost();
         let mut bytes = comm.take_buf(scratch.words.len() * 8);
-        cc_mpi::elem::encode_slice_into(&scratch.words, &mut bytes);
+        cc_mpi::words::encode_into(&scratch.words, &mut bytes);
         comm.post_bytes_at(root, tag, bytes, depart);
         done = done.max(depart);
     }
@@ -436,7 +431,7 @@ fn reduce_all_to_one(
                 continue;
             }
             let (bytes, arrival) = comm.recv_bytes_no_clock(agg, tag);
-            cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
+            cc_mpi::words::decode_into(&bytes, &mut scratch.words);
             comm.recycle_buf(bytes);
             combines += per_owner.absorb_encoded(&scratch.words, &mut incoming, kernel, agg, tag);
             done = done.max(arrival);
@@ -499,7 +494,7 @@ fn reduce_all_to_all(
             + comm.model().net.msg_cost(same_node);
         let depart = shuffle_lane.acquire(agg_done, cost);
         let mut bytes = comm.take_buf(scratch.words.len() * 8);
-        cc_mpi::elem::encode_slice_into(&scratch.words, &mut bytes);
+        cc_mpi::words::encode_into(&scratch.words, &mut bytes);
         comm.post_bytes_at(owner, tag, bytes, depart);
     }
     let mut done = agg_done.max(shuffle_lane.free_at());
@@ -527,7 +522,7 @@ fn reduce_all_to_all(
             continue;
         }
         let (bytes, arrival) = comm.recv_bytes_no_clock(src, tag);
-        cc_mpi::elem::decode_into(&bytes, &mut scratch.words);
+        cc_mpi::words::decode_into(&bytes, &mut scratch.words);
         comm.recycle_buf(bytes);
         IntermediateSet::decode(&scratch.words, &mut incoming, |owner, p| {
             assert_eq!(

@@ -26,11 +26,6 @@ impl<'a> FusedKernel<'a> {
         Self { components }
     }
 
-    /// The component kernels.
-    pub fn components(&self) -> &[&'a dyn MapKernel] {
-        &self.components
-    }
-
     /// Splits a fused partial back into per-component partials.
     ///
     /// # Panics

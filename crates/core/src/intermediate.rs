@@ -3,7 +3,7 @@
 //! After the map, an aggregator holds one [`Partial`] per requesting rank,
 //! tagged with the owner and accounting for the logical-run metadata the
 //! runtime had to carry (the storage overhead of the paper's Fig. 12).
-//! [`IntermediateSet`] is that store plus the wire codec used by both
+//! `IntermediateSet` is that store plus the wire codec used by both
 //! reduce topologies.
 //!
 //! The store is a dense arena, not a heap object per owner: an owner →
@@ -79,7 +79,7 @@ impl Slots {
 /// One aggregator's per-owner intermediate results, or the all-to-one
 /// root's per-owner merge of them.
 #[derive(Debug, Clone)]
-pub struct IntermediateSet {
+pub(crate) struct IntermediateSet {
     /// Ranks in the world: owners are `0..nprocs`.
     nprocs: usize,
     /// The per-owner partials. Walking owners in ascending order keeps
@@ -90,16 +90,16 @@ pub struct IntermediateSet {
     /// The partial every fold and combine runs through.
     work: Partial,
     /// Logical-run metadata entries created while mapping.
-    pub metadata_entries: u64,
+    pub(crate) metadata_entries: u64,
     /// Bytes those metadata entries occupy.
-    pub metadata_bytes: u64,
+    pub(crate) metadata_bytes: u64,
 }
 
 impl IntermediateSet {
     /// An empty set for a world of `nprocs` ranks. It allocates nothing
     /// until its first fold or absorb, so ranks that never aggregate pay
     /// nothing for it.
-    pub fn new(nprocs: usize) -> Self {
+    pub(crate) fn new(nprocs: usize) -> Self {
         Self {
             nprocs,
             slots: Slots::default(),
@@ -147,7 +147,12 @@ impl IntermediateSet {
     /// # Panics
     /// Panics if `owner` is outside the world, or if `fold` changes the
     /// partial's width (naming the kernel).
-    pub fn fold(&mut self, owner: usize, kernel: &dyn MapKernel, fold: impl FnOnce(&mut Partial)) {
+    pub(crate) fn fold(
+        &mut self,
+        owner: usize,
+        kernel: &dyn MapKernel,
+        fold: impl FnOnce(&mut Partial),
+    ) {
         self.touch(owner, kernel);
         match self.slots.get(owner) {
             Some(s) => self.slots.load(s, &mut self.work),
@@ -169,7 +174,7 @@ impl IntermediateSet {
     /// Panics if `owner` is outside the world, or if `p` or the kernel's
     /// `combine` has a width other than the identity's (naming the
     /// kernel).
-    pub fn absorb(&mut self, owner: usize, p: &Partial, kernel: &dyn MapKernel) {
+    pub(crate) fn absorb(&mut self, owner: usize, p: &Partial, kernel: &dyn MapKernel) {
         self.touch(owner, kernel);
         self.check_width(kernel, p, "an absorbed partial");
         match self.slots.get(owner) {
@@ -191,7 +196,7 @@ impl IntermediateSet {
     /// # Panics
     /// Panics on a malformed message, and on an owner outside the world,
     /// naming the source rank, the owner and the tag.
-    pub fn absorb_encoded(
+    pub(crate) fn absorb_encoded(
         &mut self,
         words: &[u64],
         incoming: &mut Partial,
@@ -214,19 +219,19 @@ impl IntermediateSet {
     }
 
     /// Records `entries` metadata records of `bytes` total.
-    pub fn note_metadata(&mut self, entries: u64, bytes: u64) {
+    pub(crate) fn note_metadata(&mut self, entries: u64, bytes: u64) {
         self.metadata_entries += entries;
         self.metadata_bytes += bytes;
     }
 
     /// Owners with results, ascending.
-    pub fn owners(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn owners(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots.iter().map(|(owner, _)| owner)
     }
 
     /// Loads `owner`'s partial into `into`, reusing its allocation;
     /// `false` (and `into` untouched) if the owner has none.
-    pub fn load(&self, owner: usize, into: &mut Partial) -> bool {
+    pub(crate) fn load(&self, owner: usize, into: &mut Partial) -> bool {
         match self.slots.get(owner) {
             Some(s) => {
                 self.slots.load(s, into);
@@ -240,7 +245,7 @@ impl IntermediateSet {
     /// the order [`encode_all_into`](Self::encode_all_into) writes them
     /// in. Every partial is loaded into `into`, which the caller owns and
     /// reuses.
-    pub fn for_each(&self, into: &mut Partial, mut visit: impl FnMut(usize, &Partial)) {
+    pub(crate) fn for_each(&self, into: &mut Partial, mut visit: impl FnMut(usize, &Partial)) {
         for (owner, s) in self.slots.iter() {
             self.slots.load(s, into);
             visit(owner, into);
@@ -248,12 +253,12 @@ impl IntermediateSet {
     }
 
     /// Number of owners with results.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.counts.len()
     }
 
     /// Whether no owner has results.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.counts.is_empty()
     }
 
@@ -273,7 +278,7 @@ impl IntermediateSet {
     /// Serializes all (owner, partial) pairs, `[n, owner, partial...]*`,
     /// into a caller-owned buffer, cleared and sized in one reservation,
     /// so the shuffle path serializes the whole set without reallocating.
-    pub fn encode_all_into(&self, out: &mut Vec<u64>) {
+    pub(crate) fn encode_all_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(1 + self.len() * (3 + self.slots.width));
         out.push(self.len() as u64);
@@ -285,7 +290,7 @@ impl IntermediateSet {
 
     /// Serializes just `owner`'s entry (for all-to-all shuffling) into a
     /// caller-owned buffer, cleared first: `[0]` if absent.
-    pub fn encode_owner_into(&self, owner: usize, out: &mut Vec<u64>) {
+    pub(crate) fn encode_owner_into(&self, owner: usize, out: &mut Vec<u64>) {
         out.clear();
         match self.slots.get(owner) {
             Some(s) => {
@@ -306,7 +311,11 @@ impl IntermediateSet {
     ///
     /// # Panics
     /// Panics on a malformed buffer.
-    pub fn decode(words: &[u64], partial: &mut Partial, mut visit: impl FnMut(usize, &Partial)) {
+    pub(crate) fn decode(
+        words: &[u64],
+        partial: &mut Partial,
+        mut visit: impl FnMut(usize, &Partial),
+    ) {
         assert!(!words.is_empty(), "empty intermediate message");
         let n = words[0] as usize;
         let mut pos = 1;

@@ -22,7 +22,7 @@
 use std::cell::RefCell;
 
 use cc_compress::Tolerance;
-use cc_mpi::ops::ReduceOp;
+use cc_mpi::ReduceOp;
 
 /// A small, fixed-shape accumulator: a handful of values plus an element
 /// count. All partials of one kernel have the same `values` length, which
@@ -32,7 +32,7 @@ pub struct Partial {
     /// Kernel-defined slots (a sum, a min and its location, ...).
     pub values: Vec<f64>,
     /// Elements folded into this partial.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 impl Partial {
@@ -49,14 +49,14 @@ impl Partial {
     }
 
     /// Words [`to_words`](Self::to_words) produces for this partial.
-    pub fn words_len(&self) -> usize {
+    pub(crate) fn words_len(&self) -> usize {
         self.values.len() + 2
     }
 
     /// Appends the wire encoding to `out` without clearing it, so callers
     /// batch many partials into one reused buffer. Identical output to
     /// [`to_words`](Self::to_words).
-    pub fn write_words_into(&self, out: &mut Vec<u64>) {
+    pub(crate) fn write_words_into(&self, out: &mut Vec<u64>) {
         out.reserve(self.words_len());
         out.push(self.count);
         out.push(self.values.len() as u64);
@@ -81,7 +81,7 @@ impl Partial {
     ///
     /// # Panics
     /// Panics on a truncated buffer.
-    pub fn read_words(&mut self, words: &[u64]) -> usize {
+    pub(crate) fn read_words(&mut self, words: &[u64]) -> usize {
         assert!(words.len() >= 2, "truncated partial");
         let n = words[1] as usize;
         assert!(words.len() - 2 >= n, "truncated partial values");
@@ -511,7 +511,7 @@ impl MapKernel for SumSqKernel {
 /// staging partials, so a tree of combines allocates nothing per combine.
 pub struct PartialReduceOp<'a>(pub &'a dyn MapKernel);
 
-impl ReduceOp<u64> for PartialReduceOp<'_> {
+impl ReduceOp for PartialReduceOp<'_> {
     fn combine(&self, acc: &mut [u64], incoming: &[u64]) {
         with_staging(|a| {
             with_staging(|b| {

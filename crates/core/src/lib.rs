@@ -39,7 +39,6 @@ pub use baseline::{traditional_get_vara, traditional_get_vara_partial, BaselineR
 pub use cc_compress::Tolerance;
 pub use engine::{object_get_vara, CcOutcome, CcReport};
 pub use fused::FusedKernel;
-pub use intermediate::IntermediateSet;
 pub use iterative::{iterative_get_vara, IterativeOutcome};
 pub use kernel::{
     CountKernel, MapKernel, MaxKernel, MaxLocKernel, MeanKernel, MinKernel, MinLocKernel, Partial,
@@ -47,4 +46,3 @@ pub use kernel::{
 };
 pub use object::{IoMode, ObjectIo, ReduceMode};
 pub use scatter::{fold_task_bytes, fold_task_from_fused};
-pub use scratch::Scratch;

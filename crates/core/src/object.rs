@@ -42,7 +42,7 @@ pub enum ReduceMode {
 
 impl ReduceMode {
     /// The rank that ends up with the global result.
-    pub fn root(&self) -> usize {
+    pub(crate) fn root(&self) -> usize {
         match *self {
             ReduceMode::AllToOne { root } | ReduceMode::AllToAll { root } => root,
         }

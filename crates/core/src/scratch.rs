@@ -4,24 +4,24 @@
 //! it maps: the decoded `f64` run values the kernel folds over, and the
 //! word buffers partials serialize into for the shuffle. Allocating them
 //! per run (the seed behavior) put the allocator squarely on the per-chunk
-//! path; a [`Scratch`] owns one of each and is threaded through one
+//! path; a `Scratch` owns one of each and is threaded through one
 //! engine call, so its steady state reuses the same two allocations. The
 //! chunk bytes themselves live in the aggregator's staging ring
 //! (`cc_mpiio::Staging`).
 
 /// One rank's reusable hot-path buffers for one engine call.
 #[derive(Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     /// Decoded run values handed to the kernel.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// Serialized partial/intermediate words bound for the wire.
-    pub words: Vec<u64>,
+    pub(crate) words: Vec<u64>,
 }
 
 impl Scratch {
     /// An empty scratch arena; buffers grow to their high-water marks on
     /// first use and stay there.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -30,7 +30,7 @@ pub struct BusyLedger {
 
 impl BusyLedger {
     /// An empty (fully idle) ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -111,26 +111,20 @@ impl BusyLedger {
             .map(|&(s, e)| (e - s.max(now)).secs())
             .sum()
     }
-
-    /// The end of the last booked interval (time zero when idle): the
-    /// virtual horizon up to which this resource's capacity is spoken for.
-    pub fn horizon(&self) -> SimTime {
-        self.busy.last().map_or(SimTime::ZERO, |&(_, e)| e)
-    }
 }
 
 /// Aggregate counters of one [`SharedLane`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneStats {
     /// Transfers booked.
-    pub transfers: u64,
+    pub(crate) transfers: u64,
     /// Bytes streamed.
     pub bytes: u64,
     /// Service seconds booked (independent of coalescing).
-    pub busy_secs: f64,
+    pub(crate) busy_secs: f64,
     /// Seconds transfers spent queued behind other bookings (booked start
     /// minus requested start, summed).
-    pub waited_secs: f64,
+    pub(crate) waited_secs: f64,
 }
 
 /// One capacity-shared network lane — the cluster's inter-node backbone as
@@ -165,11 +159,6 @@ impl SharedLane {
         }
     }
 
-    /// Aggregate capacity in bytes per second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Books a transfer of `bytes` requested at virtual time `now` and
     /// returns its completion time (`now` for an empty transfer). Backfill
     /// booking: an early-requested transfer takes the earliest free
@@ -193,18 +182,20 @@ impl SharedLane {
     pub fn stats(&self) -> LaneStats {
         self.state.lock().unwrap().1
     }
-
-    /// Seconds of booked service at or after `now` (see
-    /// [`BusyLedger::backlog_secs`]).
-    pub fn backlog_secs(&self, now: SimTime) -> f64 {
-        self.state.lock().unwrap().0.backlog_secs(now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BusyLedger {
+        /// The end of the last booked interval (time zero when idle): the
+        /// virtual horizon up to which this resource's capacity is spoken for.
+        fn horizon(&self) -> SimTime {
+            self.busy.last().map_or(SimTime::ZERO, |&(_, e)| e)
+        }
+    }
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)

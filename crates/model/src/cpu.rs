@@ -29,13 +29,13 @@ pub struct CpuModel {
     /// element, where an element is one predictor step: an f64/f32 value
     /// or a u64 word in lossless mode). Decoding replays only the
     /// reconstruction and is charged at half this rate.
-    pub compress_cost_per_element: f64,
+    pub(crate) compress_cost_per_element: f64,
 }
 
 impl CpuModel {
     /// Parameters loosely matching a 2.1 GHz AMD MagnyCours core: a simple
     /// streaming kernel (sum/min/max) sustains a few GB/s per core.
-    pub fn magny_cours_like() -> Self {
+    pub(crate) fn magny_cours_like() -> Self {
         Self {
             map_cost_per_byte: 2.5e-10, // ~4 GB/s streaming kernel
             reduce_cost_per_element: 5e-9,
@@ -77,22 +77,24 @@ impl CpuModel {
     pub fn decompress_time(&self, bytes: usize) -> SimTime {
         SimTime::from_secs(0.5 * self.compress_cost_per_element * bytes.div_ceil(8) as f64)
     }
-
-    /// Returns a copy whose `map_cost_per_byte` is scaled so that mapping a
-    /// byte costs `ratio` times reading a byte at `read_bw` bytes/s. This is
-    /// how benchmarks express the paper's "computation vs I/O" ratio knob.
-    pub fn with_compute_io_ratio(&self, ratio: f64, read_bw: f64) -> Self {
-        assert!(ratio > 0.0 && read_bw > 0.0);
-        Self {
-            map_cost_per_byte: ratio / read_bw,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CpuModel {
+        /// Returns a copy whose `map_cost_per_byte` is scaled so that mapping a
+        /// byte costs `ratio` times reading a byte at `read_bw` bytes/s. This is
+        /// how benchmarks express the paper's "computation vs I/O" ratio knob.
+        fn with_compute_io_ratio(&self, ratio: f64, read_bw: f64) -> Self {
+            assert!(ratio > 0.0 && read_bw > 0.0);
+            Self {
+                map_cost_per_byte: ratio / read_bw,
+                ..self.clone()
+            }
+        }
+    }
 
     #[test]
     fn map_time_is_linear() {

@@ -181,12 +181,6 @@ impl FaultPlan {
             .map(|(_, f)| f)
             .product()
     }
-
-    /// Whether the plan injects any network fault (fast-path check for the
-    /// messaging layer).
-    pub fn affects_links(&self) -> bool {
-        self.link_delay_all > 0.0 || !self.link_delays.is_empty() || self.jitter_amplitude > 0.0
-    }
 }
 
 /// SplitMix64: a tiny, high-quality bit mixer for deterministic jitter.
@@ -201,6 +195,14 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Whether the plan injects any network fault (fast-path check for the
+        /// messaging layer).
+        fn affects_links(&self) -> bool {
+            self.link_delay_all > 0.0 || !self.link_delays.is_empty() || self.jitter_amplitude > 0.0
+        }
+    }
 
     #[test]
     fn empty_plan_is_a_no_op() {

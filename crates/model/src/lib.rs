@@ -35,11 +35,16 @@ pub use topology::Topology;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectiveMode {
     /// Pick per run: hierarchical when the world spans multiple multi-core
-    /// nodes, flat otherwise (where hierarchy would only add hops).
+    /// nodes, flat otherwise (where hierarchy would only add hops). This is
+    /// how the flat algorithms run in production: on single-node and
+    /// one-core-per-node worlds.
     #[default]
     Auto,
     /// Always the topology-oblivious flat algorithms (one message per rank
-    /// pair / binomial over ranks).
+    /// pair / binomial over ranks), even where `Auto` would go
+    /// hierarchical. Nothing in production forces this: it is the oracle
+    /// of the flat-vs-hierarchical properties, which run one workload
+    /// under both modes and require identical results.
     Flat,
 }
 
@@ -122,7 +127,12 @@ impl ClusterModel {
         }
     }
 
-    /// Overrides the collective algorithm selection.
+    /// Overrides the collective algorithm selection. The switch exists for
+    /// tests: forcing [`CollectiveMode::Flat`] on a multi-node topology
+    /// gives the reference every hierarchical collective and shuffle must
+    /// reproduce bit for bit (`cc-mpi`'s `assert_modes_agree` and
+    /// `prop_bcast_and_gather_agree`, and the engines' flat-vs-hierarchical
+    /// equivalence tests). Production models keep the default `Auto`.
     pub fn with_collectives(mut self, mode: CollectiveMode) -> Self {
         self.collectives = mode;
         self

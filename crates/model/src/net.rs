@@ -44,7 +44,7 @@ pub struct NetModel {
 
 impl NetModel {
     /// Parameters loosely matching a Cray Gemini-class interconnect.
-    pub fn gemini_like() -> Self {
+    pub(crate) fn gemini_like() -> Self {
         Self {
             latency_intra: 5e-7,   // 0.5 us shared memory
             latency_inter: 1.5e-6, // 1.5 us network

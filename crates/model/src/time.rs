@@ -36,17 +36,8 @@ impl SimTime {
     }
 
     /// The later of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -129,6 +120,17 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// The earlier of two times.
+        fn min(self, other: SimTime) -> SimTime {
+            if self.0 <= other.0 {
+                self
+            } else {
+                other
+            }
+        }
+    }
 
     #[test]
     fn ordering_and_max() {

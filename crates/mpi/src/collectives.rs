@@ -17,7 +17,6 @@
 use cc_model::SimTime;
 
 use crate::comm::{Comm, TagValue, COLLECTIVE_TAG_BASE};
-use crate::elem::Elem;
 use crate::hier::{framed_len, push_section};
 use crate::ops::ReduceOp;
 
@@ -36,14 +35,15 @@ impl Comm {
             return;
         }
         let rank = self.rank();
+        let mut peer = Vec::new();
         let mut step = 1;
         while step < p {
             let to = (rank + step) % p;
             let from = (rank + p - step) % p;
-            self.send(to, tag, &[self.clock().secs()]);
-            let (peer, _) = self.recv::<f64>(from, tag);
+            self.send_words(to, tag, &[self.clock().secs().to_bits()]);
+            self.recv_words_into(from, tag, &mut peer);
             // The barrier completes no earlier than the peer's send time.
-            self.advance_to(SimTime::from_secs(peer[0]));
+            self.advance_to(SimTime::from_secs(f64::from_bits(peer[0])));
             step <<= 1;
         }
     }
@@ -73,9 +73,7 @@ impl Comm {
         for step in 0..p - 1 {
             let send_block = (rank + p - step) % p;
             let recv_block = (rank + p - step - 1) % p;
-            let mut copy = self.take_buf(blocks[send_block].len());
-            copy.extend_from_slice(&blocks[send_block]);
-            self.send_bytes(right, tag, copy);
+            self.send_copy(right, tag, &blocks[send_block]);
             blocks[recv_block] = self.recv_bytes(left, tag).0;
         }
         let mut frame = self.take_buf(framed_len(&blocks));
@@ -112,8 +110,9 @@ impl Comm {
         recvs
     }
 
-    /// Binomial-tree reduction to `root`. All ranks pass equal-length
-    /// slices; the root returns the element-wise reduction, others `None`.
+    /// Binomial-tree reduction to `root`. All ranks pass equal-length word
+    /// slices; the root returns their reduction under `op`, others `None`.
+    /// Every message is one pooled buffer of the whole partial.
     ///
     /// Contributions are always combined in *rank order* (MPI's guarantee
     /// for non-commutative ops): the binomial tree runs over the plain rank
@@ -121,12 +120,7 @@ impl Comm {
     /// and rank 0 forwards the finished result to a nonzero `root`, exactly
     /// as MPICH does rather than rotating the tree (which would rotate the
     /// combine order).
-    pub fn reduce<T: Elem>(
-        &mut self,
-        root: usize,
-        data: &[T],
-        op: &dyn ReduceOp<T>,
-    ) -> Option<Vec<T>> {
+    pub fn reduce(&mut self, root: usize, data: &[u64], op: &dyn ReduceOp) -> Option<Vec<u64>> {
         let tag = self.next_collective_tag();
         let p = self.nprocs();
         assert!(root < p, "reduce root {root} out of range");
@@ -141,13 +135,13 @@ impl Comm {
         while bit < p {
             if rank & bit != 0 {
                 // Send the partial up the tree and stop combining.
-                self.send(rank & !bit, tag, &acc);
+                self.send_words(rank & !bit, tag, &acc);
                 sent_up = true;
                 break;
             }
             let child = rank | bit;
             if child < p {
-                self.recv_into(child, tag, &mut incoming);
+                self.recv_words_into(child, tag, &mut incoming);
                 op.combine(&mut acc, &incoming);
             }
             bit <<= 1;
@@ -157,11 +151,12 @@ impl Comm {
         }
         // Forward the rank-ordered result from the tree root to `root`.
         if rank == 0 {
-            self.send(root, tag, &acc);
+            self.send_words(root, tag, &acc);
             None
         } else if rank == root {
             debug_assert!(sent_up || p == 1, "nonzero rank must have sent up");
-            Some(self.recv::<T>(0, tag).0)
+            self.recv_words_into(0, tag, &mut acc);
+            Some(acc)
         } else {
             None
         }
@@ -172,7 +167,7 @@ impl Comm {
 mod tests {
     use super::*;
     use crate::hier::frame_sections;
-    use crate::ops::SumOp;
+    use crate::ops::word_ops::{take_left, take_right, wrapping_sum};
     use crate::world::World;
     use cc_model::ClusterModel;
 
@@ -258,13 +253,13 @@ mod tests {
         for n in [1, 2, 3, 4, 5, 8, 13] {
             for root in [0, n - 1] {
                 let results = run_n(n, |comm| {
-                    let mine = [comm.rank() as f64, 1.0];
-                    comm.reduce(root, &mine, &SumOp)
+                    let mine = [comm.rank() as u64, 1];
+                    comm.reduce(root, &mine, &wrapping_sum)
                 });
-                let expect_sum = (n * (n - 1) / 2) as f64;
+                let expect_sum = (n * (n - 1) / 2) as u64;
                 for (r, res) in results.iter().enumerate() {
                     if r == root {
-                        assert_eq!(res.as_ref().unwrap(), &vec![expect_sum, n as f64]);
+                        assert_eq!(res.as_ref().unwrap(), &vec![expect_sum, n as u64]);
                     } else {
                         assert!(res.is_none());
                     }
@@ -275,16 +270,11 @@ mod tests {
 
     #[test]
     fn reduce_respects_rank_order_at_nonzero_root() {
-        use crate::ops::FnOp;
         // Two associative, non-commutative ops that expose the combine
         // order directly: "first writer wins" yields rank 0's value,
         // "last writer wins" yields rank (p-1)'s value — regardless of
         // which rank is the root. A rotated tree (the old bug) would
         // have returned the root's own and (root-1)'s values instead.
-        let take_left = FnOp(|_acc: &mut [u64], _inc: &[u64]| {});
-        let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
-            acc.copy_from_slice(inc);
-        });
         for n in [2, 3, 5, 8] {
             for root in 0..n {
                 let firsts = run_n(n, |comm| {
@@ -313,14 +303,14 @@ mod tests {
         let results = run_n(3, |comm| {
             let next = (comm.rank() + 1) % 3;
             let prev = (comm.rank() + 2) % 3;
-            comm.send(next, 17, &[comm.rank() as u32]);
-            let total = comm.reduce(1, &[1.0f64], &SumOp).map(|v| v[0]);
-            let (from_prev, _) = comm.recv::<u32>(prev, 17);
+            comm.send_copy(next, 17, &[comm.rank() as u8]);
+            let total = comm.reduce(1, &[1], &wrapping_sum).map(|v| v[0]);
+            let (from_prev, _) = comm.recv_bytes(prev, 17);
             comm.barrier();
             (total, from_prev[0])
         });
         for (r, (total, from)) in results.iter().enumerate() {
-            assert_eq!(*total, (r == 1).then_some(3.0));
+            assert_eq!(*total, (r == 1).then_some(3));
             assert_eq!(*from as usize, (r + 2) % 3);
         }
     }

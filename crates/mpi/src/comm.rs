@@ -21,10 +21,10 @@ use std::time::Instant;
 use cc_model::{ClusterModel, SimTime};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::elem::{decode_into, encode_slice_into, Elem};
 use crate::memo::Memo;
 use crate::pool::BufferPool;
 use crate::stats::CommStats;
+use crate::words;
 use crate::world::panic_message;
 
 /// Message tag. Values with the top *nibble* set are reserved: bit 31 for
@@ -294,8 +294,7 @@ impl Comm {
 
     /// An empty byte buffer for the `len` bytes the caller will fill, from
     /// this rank's recycle pool when it holds one that fits (see
-    /// [`BufferPool::take`]). Fill it and hand it to
-    /// [`send_bytes`](Self::send_bytes)/
+    /// `BufferPool::take`). Fill it and hand it to
     /// [`post_bytes_at`](Self::post_bytes_at); the receiving rank recycles
     /// it after decoding.
     pub fn take_buf(&mut self, len: usize) -> Vec<u8> {
@@ -534,7 +533,7 @@ impl Comm {
 
     /// Sends raw bytes to `dst` with `tag`, charging the sender overhead to
     /// this rank's clock. Never blocks (eager buffered send).
-    pub fn send_bytes(&mut self, dst: usize, tag: TagValue, payload: Vec<u8>) {
+    pub(crate) fn send_bytes(&mut self, dst: usize, tag: TagValue, payload: Vec<u8>) {
         self.set_clock(self.clock + self.shared.model.net.send_cost());
         let depart = self.clock;
         self.post_bytes_at(dst, tag, payload, depart);
@@ -635,13 +634,13 @@ impl Comm {
 
     /// Receives one message matching `src`/`tag`, blocking until it arrives,
     /// and returns it with its arrival. Advances the clock to the arrival.
-    pub fn recv_bytes(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, SimTime) {
+    pub(crate) fn recv_bytes(&mut self, src: usize, tag: TagValue) -> (Vec<u8>, SimTime) {
         let (payload, arrival) = self.recv_bytes_no_clock(src, tag);
         self.set_clock(self.clock.max(arrival));
         (payload, arrival)
     }
 
-    /// Receives like [`recv_bytes`](Self::recv_bytes) but leaves the clock
+    /// Receives like `recv_bytes` but leaves the clock
     /// untouched — for engines that account arrival times into their own
     /// lane structures. A shared payload is copied out; see
     /// [`recv_payload_no_clock`](Self::recv_payload_no_clock).
@@ -722,35 +721,27 @@ impl Comm {
         }
     }
 
-    /// Typed send: encodes `data` into a pooled buffer and sends it. Sends
-    /// are always eager and buffered, so this is also the non-blocking
-    /// `MPI_Isend`.
-    pub fn send<T: Elem>(&mut self, dst: usize, tag: TagValue, data: &[T]) {
-        let mut buf = self.pool.take(data.len() * T::SIZE);
-        encode_slice_into(data, &mut buf);
+    /// Sends a pooled copy of `bytes`, as [`send_bytes`](Self::send_bytes).
+    pub(crate) fn send_copy(&mut self, dst: usize, tag: TagValue, bytes: &[u8]) {
+        let mut buf = self.pool.take(bytes.len());
+        buf.extend_from_slice(bytes);
         self.send_bytes(dst, tag, buf);
     }
 
-    /// Typed receive: blocks for a matching message, decodes it, and
-    /// recycles the payload buffer into this rank's pool.
-    pub fn recv<T: Elem>(&mut self, src: usize, tag: TagValue) -> (Vec<T>, SimTime) {
-        let mut data = Vec::new();
-        let arrival = self.recv_into(src, tag, &mut data);
-        (data, arrival)
+    /// Encodes `words` into a pooled buffer and sends it.
+    pub(crate) fn send_words(&mut self, dst: usize, tag: TagValue, words: &[u64]) {
+        let mut buf = self.pool.take(words.len() * 8);
+        words::encode_into(words, &mut buf);
+        self.send_bytes(dst, tag, buf);
     }
 
-    /// [`recv`](Self::recv) into a caller's buffer, cleared first, so a loop
-    /// of receives decodes through one allocation.
-    pub(crate) fn recv_into<T: Elem>(
-        &mut self,
-        src: usize,
-        tag: TagValue,
-        out: &mut Vec<T>,
-    ) -> SimTime {
-        let (bytes, arrival) = self.recv_bytes(src, tag);
-        decode_into(&bytes, out);
+    /// Receives a message of words into `out`, cleared first, and recycles
+    /// the payload into this rank's pool, so a loop of receives decodes
+    /// through one allocation.
+    pub(crate) fn recv_words_into(&mut self, src: usize, tag: TagValue, out: &mut Vec<u64>) {
+        let (bytes, _) = self.recv_bytes(src, tag);
+        words::decode_into(&bytes, out);
         self.pool.put(bytes);
-        arrival
     }
 }
 
@@ -763,23 +754,31 @@ mod tests {
         World::new(n, ClusterModel::test_tiny(n))
     }
 
+    /// A message of words, decoded, with its arrival.
+    fn recv_words(comm: &mut Comm, src: usize, tag: TagValue) -> (Vec<u64>, SimTime) {
+        let mut out = Vec::new();
+        let (bytes, arrival) = comm.recv_bytes(src, tag);
+        words::decode_into(&bytes, &mut out);
+        (out, arrival)
+    }
+
     #[test]
     fn ping_pong_moves_data_and_time() {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, &[1.0f64, 2.0, 3.0]);
-                let (data, _) = comm.recv::<f64>(1, 8);
+                comm.send_words(1, 7, &[1, 2, 3]);
+                let (data, _) = recv_words(comm, 1, 8);
                 (data, comm.clock())
             } else {
-                let (mut data, _) = comm.recv::<f64>(0, 7);
+                let (mut data, _) = recv_words(comm, 0, 7);
                 for v in &mut data {
-                    *v *= 10.0;
+                    *v *= 10;
                 }
-                comm.send(0, 8, &data);
+                comm.send_words(0, 8, &data);
                 (data, comm.clock())
             }
         });
-        assert_eq!(results[0].0, vec![10.0, 20.0, 30.0]);
+        assert_eq!(results[0].0, vec![10, 20, 30]);
         // Rank 0's clock includes two message flights: strictly positive,
         // and the round trip ends after rank 1 posted its reply.
         assert!(results[0].1 > SimTime::ZERO);
@@ -790,15 +789,15 @@ mod tests {
     fn tag_matching_is_selective() {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, &[1u32]);
-                comm.send(1, 2, &[2u32]);
-                comm.send(1, 3, &[3u32]);
+                comm.send_words(1, 1, &[1]);
+                comm.send_words(1, 2, &[2]);
+                comm.send_words(1, 3, &[3]);
                 vec![]
             } else {
                 // Receive out of send order by tag.
-                let (c, _) = comm.recv::<u32>(0, 3);
-                let (a, _) = comm.recv::<u32>(0, 1);
-                let (b, _) = comm.recv::<u32>(0, 2);
+                let (c, _) = recv_words(comm, 0, 3);
+                let (a, _) = recv_words(comm, 0, 1);
+                let (b, _) = recv_words(comm, 0, 2);
                 vec![a[0], b[0], c[0]]
             }
         });
@@ -809,15 +808,15 @@ mod tests {
     fn fifo_per_source_and_tag() {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
-                for i in 0..100u32 {
-                    comm.send(1, 5, &[i]);
+                for i in 0..100 {
+                    comm.send_words(1, 5, &[i]);
                 }
                 vec![]
             } else {
-                (0..100).map(|_| comm.recv::<u32>(0, 5).0[0]).collect()
+                (0..100).map(|_| recv_words(comm, 0, 5).0[0]).collect()
             }
         });
-        assert_eq!(results[1], (0..100).collect::<Vec<u32>>());
+        assert_eq!(results[1], (0..100).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -826,7 +825,7 @@ mod tests {
             if comm.rank() == 0 {
                 // Do a lot of local "work" first so rank 1's message is old.
                 comm.advance(SimTime::from_secs(5.0));
-                comm.send(1, 0, &[0u8]);
+                comm.send_copy(1, 0, &[0]);
                 comm.clock()
             } else {
                 let (_, arrival) = comm.recv_bytes(0, 0);
@@ -843,10 +842,10 @@ mod tests {
     fn stats_count_messages_and_bytes() {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 0, &[1.0f64; 10]);
+                comm.send_words(1, 0, &[1; 10]);
                 comm.stats()
             } else {
-                let _ = comm.recv::<f64>(0, 0);
+                let _ = recv_words(comm, 0, 0);
                 comm.stats()
             }
         });
@@ -861,17 +860,17 @@ mod tests {
         let results = tiny(2).run(|comm| {
             if comm.rank() == 0 {
                 let before = comm.clock();
-                comm.send(0, 42, &[7.0f64, 8.0]);
+                comm.send_words(0, 42, &[7, 8]);
                 // FIFO with a second self message on the same tag.
-                comm.send(0, 42, &[9.0f64]);
-                let (a, arrival) = comm.recv::<f64>(0, 42);
-                assert_eq!(a, vec![7.0, 8.0]);
+                comm.send_words(0, 42, &[9]);
+                let (a, arrival) = recv_words(comm, 0, 42);
+                assert_eq!(a, vec![7, 8]);
                 // Arrival is the departure: no latency or transfer charged,
                 // only the sender-side overhead of the two posts.
                 let send_cost = comm.model().net.send_cost();
                 assert_eq!(arrival, before + send_cost);
-                let (b, _) = comm.recv::<f64>(0, 42);
-                assert_eq!(b, vec![9.0]);
+                let (b, _) = recv_words(comm, 0, 42);
+                assert_eq!(b, vec![9]);
             }
             comm.stats()
         });
@@ -891,10 +890,10 @@ mod tests {
         let model = ClusterModel::hopper_like(2, 2);
         let results = World::new(4, model).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, &[1u8; 10]);
-                comm.send(2, 1, &[1u8; 30]);
+                comm.send_copy(1, 1, &[1; 10]);
+                comm.send_copy(2, 1, &[1; 30]);
             } else if comm.rank() < 3 {
-                let _ = comm.recv::<u8>(0, 1);
+                let _ = comm.recv_bytes(0, 1);
             }
             comm.stats()
         });
@@ -911,7 +910,7 @@ mod tests {
     fn send_to_out_of_range_rank_panics() {
         tiny(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(5, 0, &[0u8]);
+                comm.send_copy(5, 0, &[0]);
             }
         });
     }
@@ -928,20 +927,20 @@ mod tests {
         // must ride out the busy period and complete the receive.
         let model = ClusterModel::test_tiny(3).with_recv_watchdog(Duration::from_millis(150));
         let results = World::new(3, model).run(|comm| match comm.rank() {
-            0 => comm.recv::<u32>(1, 1).0[0],
+            0 => recv_words(comm, 1, 1).0[0],
             1 => {
                 // Stay busy well past several watchdog windows, then
                 // release rank 0.
-                for i in 0..10u32 {
+                for i in 0..10 {
                     std::thread::sleep(Duration::from_millis(50));
-                    comm.send(2, 2, &[i]);
+                    comm.send_words(2, 2, &[i]);
                 }
-                comm.send(0, 1, &[42u32]);
+                comm.send_words(0, 1, &[42]);
                 0
             }
             _ => {
                 for _ in 0..10 {
-                    let _ = comm.recv::<u32>(1, 2);
+                    let _ = recv_words(comm, 1, 2);
                 }
                 0
             }
@@ -960,7 +959,7 @@ mod tests {
             World::new(2, model).run(|comm| {
                 if comm.rank() == 0 {
                     // Nobody ever sends tag 99.
-                    let _ = comm.recv::<u8>(1, 99);
+                    let _ = comm.recv_bytes(1, 99);
                 }
             })
         }));

@@ -39,7 +39,6 @@
 use cc_model::CollectiveMode;
 
 use crate::comm::{Comm, TagValue, SEQ_MASK};
-use crate::elem::Elem;
 use crate::ops::ReduceOp;
 
 /// Intra-node leg of a hierarchical collective (member <-> leader).
@@ -255,7 +254,7 @@ impl Comm {
         if view.node == 0 {
             // Node 0 needs no coalescing: its members reach rank 0 over
             // shared memory already.
-            self.send(0, t_intra, mine);
+            self.send_copy(0, t_intra, mine);
             return None;
         }
         if rank == view.leader {
@@ -272,7 +271,7 @@ impl Comm {
             }
             self.send_bytes(0, t_inter, frame);
         } else {
-            self.send(view.leader, t_intra, mine);
+            self.send_copy(view.leader, t_intra, mine);
         }
         None
     }
@@ -303,24 +302,24 @@ impl Comm {
     /// contiguous ascending rank blocks, and rank 0 — the tree's root —
     /// forwards the finished result to a nonzero `root`, exactly like the
     /// flat algorithm.
-    pub(crate) fn hier_reduce<T: Elem>(
+    pub(crate) fn hier_reduce(
         &mut self,
         view: &NodeView,
         root: usize,
-        data: &[T],
-        op: &dyn ReduceOp<T>,
+        data: &[u64],
+        op: &dyn ReduceOp,
         tag: TagValue,
-    ) -> Option<Vec<T>> {
+    ) -> Option<Vec<u64>> {
         let (t_intra, t_inter) = Self::hier_tags(tag);
         let rank = self.rank();
         let mut acc = data.to_vec();
 
         if rank != view.leader {
-            self.send(view.leader, t_intra, &acc);
+            self.send_words(view.leader, t_intra, &acc);
         } else {
             let mut incoming = Vec::new();
             for src in view.node_lo + 1..view.node_hi {
-                self.recv_into(src, t_intra, &mut incoming);
+                self.recv_words_into(src, t_intra, &mut incoming);
                 op.combine(&mut acc, &incoming);
             }
             // Binomial over node indices, *not* rotated: node n's partial
@@ -330,12 +329,12 @@ impl Comm {
             let mut bit = 1;
             while bit < view.nodes_used {
                 if n & bit != 0 {
-                    self.send(view.leader_of_node(n & !bit), t_inter, &acc);
+                    self.send_words(view.leader_of_node(n & !bit), t_inter, &acc);
                     break;
                 }
                 let child = n | bit;
                 if child < view.nodes_used {
-                    self.recv_into(view.leader_of_node(child), t_inter, &mut incoming);
+                    self.recv_words_into(view.leader_of_node(child), t_inter, &mut incoming);
                     op.combine(&mut acc, &incoming);
                 }
                 bit <<= 1;
@@ -346,10 +345,11 @@ impl Comm {
             return (rank == 0).then_some(acc);
         }
         if rank == 0 {
-            self.send(root, t_inter, &acc);
+            self.send_words(root, t_inter, &acc);
             None
         } else if rank == root {
-            Some(self.recv::<T>(0, t_inter).0)
+            self.recv_words_into(0, t_inter, &mut acc);
+            Some(acc)
         } else {
             None
         }
@@ -489,8 +489,9 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{FnOp, MaxOp, MinOp, SumOp};
+    use crate::ops::word_ops::{max, min, take_left, take_right, wrapping_sum};
     use crate::world::World;
+    use crate::CommStats;
     use cc_model::ClusterModel;
 
     fn model(nodes: usize, cores: usize, mode: CollectiveMode) -> ClusterModel {
@@ -525,6 +526,90 @@ mod tests {
         sections
     }
 
+    /// `reduce`'s wire format in closed form. Every message carries the
+    /// whole `n`-word partial, 8n bytes. Flat, each nonzero rank sends once
+    /// to its binomial parent: p - 1 sends. Hierarchical, each member sends
+    /// once to its node's leader, then each leader but rank 0's once up the
+    /// binomial over nodes. Either way rank 0 forwards the result once to
+    /// a nonzero root. Every rank's counters must match, lane by lane.
+    #[test]
+    fn reduce_wire_format_matches_closed_forms() {
+        for (nodes, cores, nprocs) in [(1, 4, 4), (4, 1, 4), (2, 4, 8), (3, 4, 10), (5, 3, 13)] {
+            for mode in [CollectiveMode::Flat, CollectiveMode::Auto] {
+                for n in [1usize, 3, 16] {
+                    for root in [0, 1, nprocs - 1] {
+                        let m = model(nodes, cores, mode);
+                        let topo = m.topology.clone();
+                        let runs = World::new(nprocs, m).run(move |comm| {
+                            let before = comm.stats();
+                            let mine = vec![comm.rank() as u64; n];
+                            comm.reduce(root, &mine, &wrapping_sum);
+                            (comm.hier_view().is_some(), comm.stats().delta(&before))
+                        });
+                        let hier = runs[0].0;
+                        let mut legs: Vec<(usize, usize)> = Vec::new();
+                        if hier {
+                            let used = topo.nodes_used(nprocs);
+                            legs.extend(
+                                (0..nprocs)
+                                    .filter(|&r| r != topo.leader_of(r))
+                                    .map(|r| (r, topo.leader_of(r))),
+                            );
+                            legs.extend((1..used).map(|node| {
+                                (
+                                    topo.leader_of_node(node),
+                                    topo.leader_of_node(node & (node - 1)),
+                                )
+                            }));
+                        } else {
+                            legs.extend((1..nprocs).map(|r| (r, r & (r - 1))));
+                        }
+                        if root != 0 {
+                            legs.push((0, root));
+                        }
+                        let mut expect = vec![CommStats::default(); nprocs];
+                        for &(src, dst) in &legs {
+                            let s = &mut expect[src];
+                            s.msgs_sent += 1;
+                            s.bytes_sent += 8 * n;
+                            if topo.same_node(src, dst) {
+                                s.msgs_intra += 1;
+                                s.bytes_intra += 8 * n;
+                                s.logical_intra += 8 * n;
+                            } else {
+                                s.msgs_inter += 1;
+                                s.bytes_inter += 8 * n;
+                                s.logical_inter += 8 * n;
+                            }
+                            expect[dst].msgs_recv += 1;
+                            expect[dst].bytes_recv += 8 * n;
+                        }
+                        let shape = format!(
+                            "{nodes} nodes x {cores} cores, {nprocs} ranks, {mode:?}, \
+                             {n} words, root {root}"
+                        );
+                        let mut total = CommStats::default();
+                        for (r, (_, got)) in runs.iter().enumerate() {
+                            assert_eq!(got, &expect[r], "rank {r}, {shape}");
+                            total.merge(got);
+                        }
+                        let sends = nprocs - 1 + usize::from(root != 0);
+                        assert_eq!(total.msgs_sent, sends, "{shape}");
+                        assert_eq!(total.bytes_sent, 8 * n * sends, "{shape}");
+                        if hier {
+                            let forward_inter = root != 0 && !topo.same_node(0, root);
+                            assert_eq!(
+                                total.msgs_inter,
+                                topo.nodes_used(nprocs) - 1 + usize::from(forward_inter),
+                                "{shape}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn hier_view_gating() {
         // Multi-core multi-node: hierarchical.
@@ -554,8 +639,8 @@ mod tests {
                     .map(|d| vec![(rank * nprocs + d) as u8; (rank + d) % 4])
                     .collect();
                 let a2a = comm.alltoallv_bytes(sends);
-                let r = comm.reduce(root, &[rank as u64, 1], &SumOp);
-                let mn = comm.reduce(0, &[rank as i64 - 3], &MinOp);
+                let r = comm.reduce(root, &[rank as u64, 1], &wrapping_sum);
+                let mn = comm.reduce(0, &[(rank as i64 - 3) as u64], &min);
                 (ag, a2a, r, mn)
             });
         }
@@ -565,21 +650,11 @@ mod tests {
     fn reduce_preserves_rank_order_across_node_boundaries() {
         for (nodes, cores, nprocs) in [(3, 4, 12), (3, 4, 9), (4, 2, 7)] {
             for root in [0, 1, nprocs - 1] {
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto)).run(
-                    move |comm| {
-                        let take_left = FnOp(|_acc: &mut [u64], _inc: &[u64]| {});
-                        comm.reduce(root, &[comm.rank() as u64 + 100], &take_left)
-                    },
-                );
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
+                    .run(move |comm| comm.reduce(root, &[comm.rank() as u64 + 100], &take_left));
                 assert_eq!(results[root].as_ref().unwrap(), &vec![100]);
-                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto)).run(
-                    move |comm| {
-                        let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
-                            acc.copy_from_slice(inc);
-                        });
-                        comm.reduce(root, &[comm.rank() as u64 + 100], &take_right)
-                    },
-                );
+                let results = World::new(nprocs, model(nodes, cores, CollectiveMode::Auto))
+                    .run(move |comm| comm.reduce(root, &[comm.rank() as u64 + 100], &take_right));
                 assert_eq!(
                     results[root].as_ref().unwrap(),
                     &vec![100 + nprocs as u64 - 1]
@@ -621,15 +696,15 @@ mod tests {
         let results = World::new(6, model(3, 2, CollectiveMode::Auto)).run(|comm| {
             let next = (comm.rank() + 1) % 6;
             let prev = (comm.rank() + 5) % 6;
-            comm.send(next, 17, &[comm.rank() as u32]);
-            let total = comm.reduce(0, &[1.0f64], &SumOp).map(|v| v[0]);
-            let (from_prev, _) = comm.recv::<u32>(prev, 17);
-            let maxed = comm.reduce(3, &[comm.rank() as u64], &MaxOp).map(|v| v[0]);
+            comm.send_copy(next, 17, &[comm.rank() as u8]);
+            let total = comm.reduce(0, &[1], &wrapping_sum).map(|v| v[0]);
+            let (from_prev, _) = comm.recv_bytes(prev, 17);
+            let maxed = comm.reduce(3, &[comm.rank() as u64], &max).map(|v| v[0]);
             comm.barrier();
             (total, from_prev[0], maxed)
         });
         for (r, (total, from, maxed)) in results.iter().enumerate() {
-            assert_eq!(*total, (r == 0).then_some(6.0));
+            assert_eq!(*total, (r == 0).then_some(6));
             assert_eq!(*from as usize, (r + 5) % 6);
             assert_eq!(*maxed, (r == 3).then_some(5));
         }
@@ -692,23 +767,15 @@ mod tests {
                     // and noncommutative first/last selection. Float
                     // parenthesization may legitimately differ between the
                     // trees.
-                    let wrapping_sum = FnOp(|acc: &mut [u64], inc: &[u64]| {
-                        for (a, b) in acc.iter_mut().zip(inc) {
-                            *a = a.wrapping_add(*b);
-                        }
-                    });
-                    let take_right = FnOp(|acc: &mut [u64], inc: &[u64]| {
-                        acc.copy_from_slice(inc);
-                    });
                     let mine = [
                         (comm.rank() as u64).wrapping_mul(seed as u64 | 1),
                         comm.rank() as u64,
                     ];
                     let s = comm.reduce(root, &mine, &wrapping_sum);
                     let r = comm.reduce(root, &mine, &take_right);
-                    let mn = comm.reduce(0, &mine, &MinOp);
+                    let mn = comm.reduce(0, &mine, &min);
                     comm.barrier();
-                    let mx = comm.reduce(nprocs - 1, &mine, &MaxOp);
+                    let mx = comm.reduce(nprocs - 1, &mine, &max);
                     (s, r, mn, mx)
                 });
             }

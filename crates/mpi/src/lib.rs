@@ -9,18 +9,24 @@
 //! tree/dissemination/ring algorithms, flat or node-leader hierarchical,
 //! so their virtual cost emerges from the same model as everything else.
 //!
+//! Point-to-point messages are bytes. The one typed payload is the reduce's:
+//! a slice of `u64` words (the wire form of every partial the engines
+//! reduce, see [`words`]), combined by a [`ReduceOp`] — the analogue of
+//! `MPI_Op_create` on a user function, which any
+//! `Fn(&mut [u64], &[u64])` closure satisfies.
+//!
 //! # Example
 //!
 //! ```
 //! use cc_model::ClusterModel;
-//! use cc_mpi::{ops, World};
+//! use cc_mpi::World;
 //!
 //! let world = World::new(4, ClusterModel::test_tiny(4));
 //! let sums = world.run(|comm| {
-//!     let mine = (comm.rank() + 1) as f64;
-//!     comm.reduce(0, &[mine], &ops::SumOp)
+//!     let mine = comm.rank() as u64 + 1;
+//!     comm.reduce(0, &[mine], &|acc: &mut [u64], inc: &[u64]| acc[0] += inc[0])
 //! });
-//! assert_eq!(sums[0], Some(vec![10.0]));
+//! assert_eq!(sums[0], Some(vec![10]));
 //! assert!(sums[1..].iter().all(Option::is_none));
 //! ```
 
@@ -28,18 +34,16 @@
 
 pub mod collectives;
 pub mod comm;
-pub mod elem;
 pub mod hier;
 mod memo;
 pub mod ops;
 pub mod pool;
 pub mod stats;
+pub mod words;
 pub mod world;
 
 pub use comm::{Comm, Payload};
-pub use elem::Elem;
 pub use hier::{frame_sections, NodeView};
 pub use ops::ReduceOp;
-pub use pool::BufferPool;
 pub use stats::CommStats;
-pub use world::{World, WorldError};
+pub use world::World;

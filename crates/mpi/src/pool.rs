@@ -2,14 +2,14 @@
 //!
 //! Every typed send encodes into a byte vector and every receive hands one
 //! back; at steady state a rank allocates and frees the same-sized buffers
-//! over and over. [`BufferPool`] is a small per-rank freelist that keeps
+//! over and over. `BufferPool` is a small per-rank freelist that keeps
 //! those allocations alive: senders draw cleared buffers from it, and
 //! receivers return payload buffers once decoded. Buffers keep their
 //! capacity across recycling, so after warm-up the messaging layer stops
 //! touching the allocator.
 //!
 //! A take names the length its caller will fill and gets the smallest
-//! retained buffer that holds it without being more than [`MAX_OVERSIZE`]
+//! retained buffer that holds it without being more than `MAX_OVERSIZE`
 //! times larger, or a fresh buffer of exactly that length. A small payload
 //! therefore never rides a recycled frame-sized allocation to a receiver
 //! that would park it in its own pool.
@@ -21,7 +21,7 @@
 
 /// A freelist of reusable `Vec<u8>` allocations.
 #[derive(Debug, Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: Vec<Vec<u8>>,
     free_bytes: usize,
 }
@@ -37,18 +37,18 @@ const MAX_POOLED_BYTES: usize = 64 << 20;
 
 /// A retained buffer serves a take of `len` bytes only if its capacity is
 /// at most this many times `len`.
-pub const MAX_OVERSIZE: usize = 4;
+pub(crate) const MAX_OVERSIZE: usize = 4;
 
 impl BufferPool {
     /// An empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// An empty buffer for `len` bytes: the smallest retained allocation
     /// of capacity `len..=MAX_OVERSIZE * len`, or else a fresh one of
     /// capacity exactly `len` (none at all for `len == 0`).
-    pub fn take(&mut self, len: usize) -> Vec<u8> {
+    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
         let fit = self
             .free
             .iter()
@@ -70,7 +70,7 @@ impl BufferPool {
     /// Returns a buffer's allocation to the pool, dropping it instead when
     /// the pool is at its count cap or retaining it would exceed the byte
     /// cap.
-    pub fn put(&mut self, buf: Vec<u8>) {
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
         if buf.capacity() == 0
             || self.free.len() >= MAX_POOLED
             || self.free_bytes + buf.capacity() > MAX_POOLED_BYTES
@@ -82,7 +82,7 @@ impl BufferPool {
     }
 
     /// Drops every retained buffer.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.free.clear();
         self.free_bytes = 0;
     }

@@ -16,9 +16,9 @@ pub struct CommStats {
     /// Payload bytes posted by this rank.
     pub bytes_sent: usize,
     /// Messages received by this rank.
-    pub msgs_recv: usize,
+    pub(crate) msgs_recv: usize,
     /// Payload bytes received by this rank.
-    pub bytes_recv: usize,
+    pub(crate) bytes_recv: usize,
     /// Of `msgs_sent`: messages to a rank on the same node.
     pub msgs_intra: usize,
     /// Of `bytes_sent`: bytes to a rank on the same node.
@@ -29,7 +29,7 @@ pub struct CommStats {
     pub bytes_inter: usize,
     /// Self-deliveries short-circuited past the mailbox. Not network
     /// messages; excluded from every other counter.
-    pub msgs_self: usize,
+    pub(crate) msgs_self: usize,
     /// Payload bytes of self-deliveries.
     pub bytes_self: usize,
     /// Pre-compression (logical) bytes behind `bytes_intra`. Equal to

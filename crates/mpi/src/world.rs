@@ -31,7 +31,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Why a [`World`] cannot be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorldError {
+pub(crate) enum WorldError {
     /// No ranks were asked for.
     Empty,
     /// More ranks than the topology has cores.
@@ -71,7 +71,7 @@ impl World {
     /// Creates a world of `nprocs` ranks.
     ///
     /// # Panics
-    /// Panics with [`try_new`](Self::try_new)'s error if `nprocs` is zero
+    /// Panics with `try_new`'s error if `nprocs` is zero
     /// or exceeds the topology's core count.
     pub fn new(nprocs: usize, model: ClusterModel) -> Self {
         Self::try_new(nprocs, model).unwrap_or_else(|e| panic!("{e}"))
@@ -79,7 +79,7 @@ impl World {
 
     /// Creates a world of `nprocs` ranks, or says why it cannot: the model
     /// assumes at least one rank and at most one rank per core.
-    pub fn try_new(nprocs: usize, model: ClusterModel) -> Result<Self, WorldError> {
+    pub(crate) fn try_new(nprocs: usize, model: ClusterModel) -> Result<Self, WorldError> {
         if nprocs == 0 {
             return Err(WorldError::Empty);
         }
@@ -115,16 +115,6 @@ impl World {
             type_name: std::any::type_name::<T>(),
         });
         self
-    }
-
-    /// Number of ranks.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// The cluster model used by this world.
-    pub fn model(&self) -> &ClusterModel {
-        &self.model
     }
 
     /// Runs `f` on every rank concurrently and returns the per-rank results
@@ -193,6 +183,13 @@ impl World {
 mod tests {
     use super::*;
 
+    impl World {
+        /// Number of ranks.
+        pub(crate) fn nprocs(&self) -> usize {
+            self.nprocs
+        }
+    }
+
     #[test]
     fn ranks_are_numbered_and_sized() {
         let world = World::new(6, ClusterModel::test_tiny(6));
@@ -206,10 +203,10 @@ mod tests {
         for _ in 0..3 {
             let sent = world.run(|comm| {
                 if comm.rank() == 0 {
-                    comm.send(1, 0, &[9u8]);
+                    comm.send_copy(1, 0, &[9]);
                     0
                 } else {
-                    comm.recv::<u8>(0, 0).0[0]
+                    comm.recv_bytes(0, 0).0[0]
                 }
             });
             assert_eq!(sent[1], 9);
@@ -230,7 +227,7 @@ mod tests {
                     panic!("injected failure on rank 1");
                 }
                 // Blocks forever: nobody sends tag 99.
-                let _ = comm.recv::<u8>(0, 99);
+                let _ = comm.recv_bytes(0, 99);
             })
         }));
         let elapsed = t0.elapsed();
@@ -258,16 +255,16 @@ mod tests {
                 if comm.rank() == 0 {
                     panic!("boom");
                 }
-                let _ = comm.recv::<u8>(0, 7);
+                let _ = comm.recv_bytes(0, 7);
             })
         }));
         // A fresh run on the same World works: state is per-run.
         let ok = world.run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, &[3u8]);
+                comm.send_copy(1, 7, &[3]);
                 3
             } else {
-                comm.recv::<u8>(0, 7).0[0]
+                comm.recv_bytes(0, 7).0[0]
             }
         });
         assert_eq!(ok, vec![3, 3]);

@@ -7,7 +7,7 @@
 //! shows up in the totals.
 //!
 //! What each message carries is the list's compact encoding
-//! ([`OffsetList::encode_into`]): strided runs in varints, not raw
+//! (`OffsetList::encode_into`): strided runs in varints, not raw
 //! offset/length pairs. A collective's tree multiplies whatever payload it
 //! is handed, and a hyperslab's list — equal extents at one stride — is two
 //! runs however many extents it has, so the table every rank receives

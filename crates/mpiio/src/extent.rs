@@ -9,7 +9,7 @@
 //! both the shuffle phase and the paper's "logical map" reconstruction.
 //!
 //! A list crosses rank boundaries (the offset-list exchange) in a compact
-//! wire form, [`OffsetList::encode_into`] / [`OffsetList::decode`]: strided
+//! wire form, `OffsetList::encode_into` / `OffsetList::decode`: strided
 //! runs `(gap, len, repeat)` in varints, so a hyperslab's equal extents at
 //! one stride cost a few bytes however many there are.
 
@@ -89,11 +89,6 @@ impl OffsetList {
         Self { extents, prefix }
     }
 
-    /// An empty request.
-    pub fn empty() -> Self {
-        Self::new(Vec::new())
-    }
-
     /// A single contiguous request.
     pub fn contiguous(offset: u64, len: u64) -> Self {
         Self::new(vec![Extent { offset, len }])
@@ -109,18 +104,13 @@ impl OffsetList {
         *self.prefix.last().expect("prefix always has a 0 entry")
     }
 
-    /// Whether the request is empty.
-    pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
-    }
-
     /// First requested byte, if any.
     pub fn min_offset(&self) -> Option<u64> {
         self.extents.first().map(|e| e.offset)
     }
 
     /// One-past the last requested byte, if any.
-    pub fn max_end(&self) -> Option<u64> {
+    pub(crate) fn max_end(&self) -> Option<u64> {
         self.extents.last().map(|e| e.end())
     }
 
@@ -155,7 +145,7 @@ impl OffsetList {
     }
 
     /// Bytes of the request inside `[lo, hi)`.
-    pub fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
         self.locate(lo, hi).map(|p| p.extent.len).sum()
     }
 
@@ -170,7 +160,7 @@ impl OffsetList {
     /// is two runs whatever `n` is (the first extent's gap is its offset,
     /// the rest share `stride - len`); an irregular list still costs only
     /// the varints of its gaps and lengths. The empty list is zero bytes.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         for (gap, len, repeat) in self.runs() {
             push_varint(out, gap);
             push_varint(out, len);
@@ -179,7 +169,7 @@ impl OffsetList {
     }
 
     /// The length [`encode_into`](Self::encode_into) appends.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         self.runs()
             .map(|(gap, len, repeat)| varint_len(gap) + varint_len(len) + varint_len(repeat))
             .sum()
@@ -218,7 +208,7 @@ impl OffsetList {
     /// Panics, before allocating anything, on bytes `encode_into` cannot
     /// have produced: a truncated varint, a varint wider than 64 bits, a
     /// zero `len`, or a run whose last extent would end past `u64::MAX`.
-    pub fn decode(bytes: &[u8]) -> Self {
+    pub(crate) fn decode(bytes: &[u8]) -> Self {
         let mut n = 0u64;
         for (gap, _, repeat) in decode_runs(bytes) {
             n += if gap > 0 {
@@ -334,6 +324,18 @@ fn decode_runs(bytes: &[u8]) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl OffsetList {
+        /// An empty request.
+        pub(crate) fn empty() -> Self {
+            Self::new(Vec::new())
+        }
+
+        /// Whether the request is empty.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.extents.is_empty()
+        }
+    }
 
     fn ext(offset: u64, len: u64) -> Extent {
         Extent { offset, len }

@@ -24,7 +24,7 @@ use crate::extent::{Extent, OffsetList, Piece};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuseStats {
     /// Tasks folded into the fused pattern.
-    pub tasks: u64,
+    pub(crate) tasks: u64,
     /// Extents across all task requests (what independent I/O would issue).
     pub task_extents: u64,
     /// Bytes across all task requests, duplicates counted per task.
@@ -35,27 +35,7 @@ pub struct FuseStats {
     pub fused_bytes: u64,
 }
 
-impl FuseStats {
-    /// Requested-to-unique byte ratio (1.0 = no overlap anywhere, ≥ 1.0
-    /// always; 0.0 for an empty batch).
-    pub fn dedup_factor(&self) -> f64 {
-        if self.fused_bytes == 0 {
-            0.0
-        } else {
-            self.task_bytes as f64 / self.fused_bytes as f64
-        }
-    }
-
-    /// Task-extent-to-fused-extent ratio: how many independent requests
-    /// each fused run replaces (0.0 for an empty batch).
-    pub fn extent_factor(&self) -> f64 {
-        if self.fused_extents == 0 {
-            0.0
-        } else {
-            self.task_extents as f64 / self.fused_extents as f64
-        }
-    }
-}
+impl FuseStats {}
 
 /// Merges many per-task requests into one deduplicated [`OffsetList`]:
 /// the union of all task extents, overlaps and exact duplicates collapsed,
@@ -140,6 +120,28 @@ pub fn project_task(task_id: u64, task: &OffsetList, fused: &OffsetList) -> Vec<
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl FuseStats {
+        /// Requested-to-unique byte ratio (1.0 = no overlap anywhere, ≥ 1.0
+        /// always; 0.0 for an empty batch).
+        fn dedup_factor(&self) -> f64 {
+            if self.fused_bytes == 0 {
+                0.0
+            } else {
+                self.task_bytes as f64 / self.fused_bytes as f64
+            }
+        }
+
+        /// Task-extent-to-fused-extent ratio: how many independent requests
+        /// each fused run replaces (0.0 for an empty batch).
+        fn extent_factor(&self) -> f64 {
+            if self.fused_extents == 0 {
+                0.0
+            } else {
+                self.task_extents as f64 / self.fused_extents as f64
+            }
+        }
+    }
 
     fn ext(offset: u64, len: u64) -> Extent {
         Extent { offset, len }

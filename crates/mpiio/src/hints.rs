@@ -46,17 +46,6 @@ pub enum PipelineDepth {
 }
 
 impl PipelineDepth {
-    /// Validates the invariant that a bounded ring holds at least two
-    /// buffers (one buffer is blocking mode).
-    ///
-    /// # Panics
-    /// Panics on `Depth(0)` or `Depth(1)`.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
-
     /// [`validate`](Self::validate) as a value: the violated invariant.
     fn check(&self) -> Result<(), String> {
         match self {
@@ -83,7 +72,7 @@ pub struct Striping {
 
 impl Striping {
     /// One full round-robin period: `factor × unit` bytes.
-    pub fn period(&self) -> u64 {
+    pub(crate) fn period(&self) -> u64 {
         self.unit * self.factor as u64
     }
 }
@@ -154,7 +143,7 @@ impl Hints {
     ///
     /// # Panics
     /// Panics with [`check`](Self::check)'s message on invalid hints.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("{e}");
         }
@@ -206,7 +195,7 @@ impl Hints {
     /// when the stripe size is not a multiple of the alignment (a
     /// group-cyclic chunk would split an alignment unit).
     /// `CollectivePlan::build` partitions by it.
-    pub fn effective_partition(&self) -> DomainPartition {
+    pub(crate) fn effective_partition(&self) -> DomainPartition {
         let align = self.align_domains_to.unwrap_or(1);
         match (self.domain_partition, self.striping) {
             (_, None) => DomainPartition::Even,
@@ -235,6 +224,19 @@ pub(crate) fn lcm(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PipelineDepth {
+        /// Validates the invariant that a bounded ring holds at least two
+        /// buffers (one buffer is blocking mode).
+        ///
+        /// # Panics
+        /// Panics on `Depth(0)` or `Depth(1)`.
+        pub(crate) fn validate(&self) {
+            if let Err(e) = self.check() {
+                panic!("{e}");
+            }
+        }
+    }
 
     #[test]
     fn default_matches_romio() {

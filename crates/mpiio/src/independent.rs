@@ -31,13 +31,6 @@ pub struct IndependentReport {
     pub segments: Vec<Segment>,
 }
 
-impl IndependentReport {
-    /// Elapsed virtual time.
-    pub fn elapsed(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
-}
-
 /// Reads `my_request` directly, one file-system request per extent.
 pub fn independent_read(
     comm: &mut Comm,
@@ -235,6 +228,13 @@ mod tests {
     use cc_mpi::World;
     use cc_pfs::{MemBackend, StripeLayout};
     use std::sync::Arc;
+
+    impl IndependentReport {
+        /// Elapsed virtual time.
+        fn elapsed(&self) -> SimTime {
+            self.end.saturating_since(self.start)
+        }
+    }
 
     fn make_fs(size: usize) -> Arc<Pfs> {
         let fs = Pfs::new(

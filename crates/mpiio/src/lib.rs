@@ -39,8 +39,8 @@ pub use hints::{Compression, DomainPartition, ErrorBound, Hints, PipelineDepth, 
 pub use independent::{
     independent_read, independent_write, sieving_read, sieving_write, IndependentReport,
 };
-pub use plan::{CollectivePlan, FileDomain};
-pub use schedule::{CacheOutcome, PlanCacheStats, PlanSchedule, PlanScope, SharedPlanCache};
+pub use plan::CollectivePlan;
+pub use schedule::{PlanCacheStats, PlanSchedule, PlanScope, SharedPlanCache};
 pub use stage::Staging;
 pub use twophase::{collective_read, IterationTiming, TwoPhaseReport};
 pub use write::{collective_write, WriteReport};

@@ -14,7 +14,7 @@
 //! group-cyclic strategy (Liao/Choudhary, as in Lustre-aware ROMIO) gives
 //! each aggregator a *periodic strided* domain: the stripes of a disjoint
 //! subset of OSTs in every round-robin period, so each OST is served by
-//! (ideally) one aggregator. [`FileDomain`] represents both: collective-
+//! (ideally) one aggregator. `FileDomain` represents both: collective-
 //! buffer chunks never straddle a block boundary, so a chunk is always a
 //! contiguous byte range and everything downstream of `chunk()` is
 //! strategy-agnostic.
@@ -31,20 +31,20 @@ use crate::hints::{lcm, DomainPartition, Hints, Striping};
 /// special case `nblocks == 1` (stride irrelevant); an empty domain has
 /// `block == 0` or `nblocks == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileDomain {
+pub(crate) struct FileDomain {
     /// First byte of the first block.
-    pub start: u64,
+    pub(crate) start: u64,
     /// Bytes per block.
-    pub block: u64,
+    pub(crate) block: u64,
     /// Distance between consecutive block starts (`>= block`).
-    pub stride: u64,
+    pub(crate) stride: u64,
     /// Number of blocks.
-    pub nblocks: u64,
+    pub(crate) nblocks: u64,
 }
 
 impl FileDomain {
     /// A contiguous domain `[lo, hi)`.
-    pub fn contiguous(lo: u64, hi: u64) -> Self {
+    pub(crate) fn contiguous(lo: u64, hi: u64) -> Self {
         Self {
             start: lo,
             block: hi.saturating_sub(lo),
@@ -54,7 +54,7 @@ impl FileDomain {
     }
 
     /// An empty domain anchored at `at`.
-    pub fn empty_at(at: u64) -> Self {
+    pub(crate) fn empty_at(at: u64) -> Self {
         Self {
             start: at,
             block: 0,
@@ -64,22 +64,12 @@ impl FileDomain {
     }
 
     /// True if the domain owns no bytes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.block == 0 || self.nblocks == 0
     }
 
-    /// True if the domain is a single contiguous range.
-    pub fn is_contiguous(&self) -> bool {
-        self.nblocks <= 1
-    }
-
-    /// Total bytes owned.
-    pub fn len(&self) -> u64 {
-        self.block * self.nblocks
-    }
-
     /// Bounding byte range `[lo, hi)` (equal bounds when empty).
-    pub fn bounds(&self) -> (u64, u64) {
+    pub(crate) fn bounds(&self) -> (u64, u64) {
         if self.is_empty() {
             (self.start, self.start)
         } else {
@@ -91,7 +81,7 @@ impl FileDomain {
     }
 
     /// Collective-buffer chunks per block (chunks never straddle blocks).
-    pub fn chunks_per_block(&self, cb: u64) -> usize {
+    pub(crate) fn chunks_per_block(&self, cb: u64) -> usize {
         self.block.div_ceil(cb) as usize
     }
 
@@ -101,7 +91,7 @@ impl FileDomain {
     /// several consecutive periods), so the active bytes of an iteration
     /// never exceed `cb`. Exactly one of `chunks_per_block` and
     /// `blocks_per_chunk` exceeds 1.
-    pub fn blocks_per_chunk(&self, cb: u64) -> u64 {
+    pub(crate) fn blocks_per_chunk(&self, cb: u64) -> u64 {
         if self.block == 0 || self.block > cb {
             1
         } else {
@@ -110,7 +100,7 @@ impl FileDomain {
     }
 
     /// Total iteration count at collective buffer size `cb`.
-    pub fn n_iterations(&self, cb: u64) -> usize {
+    pub(crate) fn n_iterations(&self, cb: u64) -> usize {
         if self.is_empty() {
             0
         } else if self.block > cb {
@@ -125,7 +115,7 @@ impl FileDomain {
     /// iteration's range spans the stride gaps between its blocks; the
     /// bytes in those gaps belong to other aggregators — block-precise
     /// consumers use [`chunk_blocks`](Self::chunk_blocks).
-    pub fn chunk(&self, iter: usize, cb: u64) -> (u64, u64) {
+    pub(crate) fn chunk(&self, iter: usize, cb: u64) -> (u64, u64) {
         if iter >= self.n_iterations(cb) {
             let (_, hi) = self.bounds();
             return (hi, hi);
@@ -152,7 +142,7 @@ impl FileDomain {
     /// covered block, ascending). For split iterations this is the single
     /// [`chunk`](Self::chunk) range; for merged multi-block iterations it
     /// enumerates the whole blocks, skipping the stride gaps.
-    pub fn chunk_blocks(&self, iter: usize, cb: u64, mut f: impl FnMut(u64, u64)) {
+    pub(crate) fn chunk_blocks(&self, iter: usize, cb: u64, mut f: impl FnMut(u64, u64)) {
         if iter >= self.n_iterations(cb) {
             return;
         }
@@ -177,9 +167,9 @@ pub struct CollectivePlan {
     /// Aggregator rank ids, ascending.
     pub aggregators: Vec<usize>,
     /// File domain per aggregator (parallel to `aggregators`).
-    pub domains: Vec<FileDomain>,
+    pub(crate) domains: Vec<FileDomain>,
     /// Collective buffer size (bytes per iteration).
-    pub cb: u64,
+    pub(crate) cb: u64,
     /// Every rank's request, indexed by rank. Shared rather than owned so
     /// plans (and the engines layered on them) never deep-copy the offset
     /// lists — cloning a plan is O(1) in request bytes.
@@ -307,18 +297,18 @@ impl CollectivePlan {
     }
 
     /// The index in `aggregators` of rank `r`, if it is an aggregator.
-    pub fn aggregator_index(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn aggregator_index(&self, rank: usize) -> Option<usize> {
         self.aggregators.binary_search(&rank).ok()
     }
 
     /// Number of collective-buffer iterations aggregator `agg_idx` performs.
-    pub fn n_iterations(&self, agg_idx: usize) -> usize {
+    pub(crate) fn n_iterations(&self, agg_idx: usize) -> usize {
         self.domains[agg_idx].n_iterations(self.cb)
     }
 
     /// Calls `f` with the in-domain sub-ranges of iteration `iter` of
     /// `agg_idx`, one per covered block, ascending.
-    pub fn chunk_blocks(&self, agg_idx: usize, iter: usize, f: impl FnMut(u64, u64)) {
+    pub(crate) fn chunk_blocks(&self, agg_idx: usize, iter: usize, f: impl FnMut(u64, u64)) {
         self.domains[agg_idx].chunk_blocks(iter, self.cb, f)
     }
 }
@@ -523,6 +513,13 @@ mod tests {
     use super::*;
     use crate::extent::Extent;
     use proptest::prelude::*;
+
+    impl FileDomain {
+        /// True if the domain is a single contiguous range.
+        pub(crate) fn is_contiguous(&self) -> bool {
+            self.nblocks <= 1
+        }
+    }
 
     fn hints(cb: u64) -> Hints {
         Hints {

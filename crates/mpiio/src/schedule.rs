@@ -398,13 +398,8 @@ impl PlanSchedule {
         self.plan.aggregators[agg_idx]
     }
 
-    /// Number of collective-buffer iterations of aggregator `agg_idx`.
-    pub fn n_iterations(&self, agg_idx: usize) -> usize {
-        self.tables.iter_base[agg_idx + 1] - self.tables.iter_base[agg_idx]
-    }
-
     /// The file range `[lo, hi)` of iteration `iter` of `agg_idx`.
-    pub fn chunk(&self, agg_idx: usize, iter: usize) -> (u64, u64) {
+    pub(crate) fn chunk(&self, agg_idx: usize, iter: usize) -> (u64, u64) {
         self.plan.domains[agg_idx].chunk(iter, self.plan.cb)
     }
 
@@ -448,7 +443,7 @@ impl PlanSchedule {
     /// Every destination of chunk `(agg_idx, iter)` with its piece slice,
     /// in ascending rank order — the aggregator hot loop, with no lookup
     /// at all.
-    pub fn dests_with_pieces(
+    pub(crate) fn dests_with_pieces(
         &self,
         agg_idx: usize,
         iter: usize,
@@ -469,7 +464,7 @@ impl PlanSchedule {
     /// binary-searched sub-slice, not a filter: node leaders pre-size
     /// coalescing frames and enumerate their members' sections without
     /// touching the destinations outside their node.
-    pub fn dests_with_pieces_in(
+    pub(crate) fn dests_with_pieces_in(
         &self,
         agg_idx: usize,
         iter: usize,
@@ -492,7 +487,7 @@ impl PlanSchedule {
 
     /// The bytes chunk `(agg_idx, iter)` holds for the ranks in `[lo, hi)`
     /// — for a node's range, the size of the node's coalesced frame.
-    pub fn bytes_in(&self, agg_idx: usize, iter: usize, lo: usize, hi: usize) -> usize {
+    pub(crate) fn bytes_in(&self, agg_idx: usize, iter: usize, lo: usize, hi: usize) -> usize {
         self.dests_with_pieces_in(agg_idx, iter, lo, hi)
             .map(|(_, p)| piece_bytes(p))
             .sum()
@@ -503,12 +498,12 @@ impl PlanSchedule {
     /// any aggregator's `k + 1`-th. Restricted to one aggregator the list
     /// ascends in iteration order, so a relay loop walking it pairs FIFO
     /// with that aggregator's own ascending stream.
-    pub fn rounds(&self) -> &[(usize, usize)] {
+    pub(crate) fn rounds(&self) -> &[(usize, usize)] {
         &self.tables.rounds
     }
 
     /// All `(agg_idx, iter)` chunks holding bytes for `rank`, in round
-    /// order (the order of [`Self::rounds`]).
+    /// order (the order of `Self::rounds`).
     pub fn sources_for(&self, rank: usize) -> &[(usize, usize)] {
         let t = &self.tables;
         &t.sources[t.src_base[rank]..t.src_base[rank + 1]]
@@ -517,7 +512,7 @@ impl PlanSchedule {
     /// [`Self::sources_for`] with each source's piece slice attached — the
     /// receiver hot loop. Reads the destination index recorded at compile
     /// time instead of searching each source's destination list.
-    pub fn sources_with_pieces(
+    pub(crate) fn sources_with_pieces(
         &self,
         rank: usize,
     ) -> impl Iterator<Item = (usize, usize, &[Piece])> {
@@ -532,7 +527,7 @@ impl PlanSchedule {
 
 /// How a [`SharedPlanCache`] lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// Requests were bitwise identical to a cached step: schedule shared.
     Hit,
     /// No reusable entry: compiled from scratch.
@@ -730,7 +725,7 @@ impl SharedPlanCache {
     /// of an entry compiled by a *different* job additionally bumps the
     /// cross-job counter, and the third return is true exactly for such
     /// cross-job reuses.
-    pub fn get_or_compile(
+    pub(crate) fn get_or_compile(
         &self,
         requests: impl Into<Arc<Vec<OffsetList>>>,
         topology: &Topology,
@@ -900,6 +895,13 @@ mod tests {
     use proptest::prelude::*;
 
     use crate::hints::{DomainPartition, Striping};
+
+    impl PlanSchedule {
+        /// Number of collective-buffer iterations of aggregator `agg_idx`.
+        pub(crate) fn n_iterations(&self, agg_idx: usize) -> usize {
+            self.tables.iter_base[agg_idx + 1] - self.tables.iter_base[agg_idx]
+        }
+    }
 
     fn hints(cb: u64) -> Hints {
         Hints {

@@ -9,7 +9,7 @@
 //! buffers enough to keep the disk streaming, which also keeps every rank's
 //! requests to the shared OST queues causally close in virtual time.
 //!
-//! The write engine calls [`Staging::floor`], [`Staging::slot_mut`] and
+//! The write engine calls `Staging::floor`, `Staging::slot_mut` and
 //! [`Staging::drain`]; the read and cc engines call [`Staging::next`],
 //! which reads ahead up to the depth horizon. Drain times are rank-local
 //! lane completions, so the ring never couples one rank's clock to
@@ -35,9 +35,9 @@ struct Slot {
 /// aggregator reads or writes.
 pub struct Staging<'a> {
     /// The file system.
-    pub pfs: &'a Pfs,
+    pub(crate) pfs: &'a Pfs,
     /// The file read or written.
-    pub file: &'a FileHandle,
+    pub(crate) file: &'a FileHandle,
     /// The collective's compiled schedule.
     pub schedule: &'a PlanSchedule,
     /// This aggregator's index in the schedule.
@@ -88,12 +88,12 @@ impl<'a> Staging<'a> {
 
     /// When position `pos` may refill its slot: when the slot's previous
     /// occupant drained (zero when unbounded).
-    pub fn floor(&self, pos: usize) -> SimTime {
+    pub(crate) fn floor(&self, pos: usize) -> SimTime {
         self.slots[pos % self.slots.len()].drained_at
     }
 
     /// Position `pos`'s staging buffer.
-    pub fn slot_mut(&mut self, pos: usize) -> &mut Vec<u8> {
+    pub(crate) fn slot_mut(&mut self, pos: usize) -> &mut Vec<u8> {
         let n = self.slots.len();
         &mut self.slots[pos % n].buf
     }

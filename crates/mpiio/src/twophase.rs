@@ -86,11 +86,6 @@ pub struct TwoPhaseReport {
 }
 
 impl TwoPhaseReport {
-    /// Total time this rank spent in the collective.
-    pub fn elapsed(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
-
     /// Sum of per-iteration read durations (aggregators only).
     pub fn read_total(&self) -> SimTime {
         self.iterations.iter().map(|i| i.read).sum()
@@ -105,27 +100,6 @@ impl TwoPhaseReport {
     /// of the read phase attributable to OST contention or degradation.
     pub fn queue_total(&self) -> SimTime {
         self.iterations.iter().map(|i| i.queue).sum()
-    }
-
-    /// Ranks that entered the collective more than `factor` times later
-    /// than the median entry time, given every rank's report in rank
-    /// order. Late entry — not long residence — is the straggler signal:
-    /// a slow rank arrives at a later virtual clock, while its *peers*
-    /// are the ones whose residence inflates waiting for its pieces.
-    /// Returns an empty list for an empty slice.
-    pub fn stragglers(reports: &[TwoPhaseReport], factor: f64) -> Vec<usize> {
-        if reports.is_empty() {
-            return Vec::new();
-        }
-        let mut starts: Vec<SimTime> = reports.iter().map(|r| r.start).collect();
-        starts.sort();
-        let median = starts[starts.len() / 2];
-        reports
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.start > median.scale(factor))
-            .map(|(rank, _)| rank)
-            .collect()
     }
 }
 
@@ -543,6 +517,29 @@ mod tests {
     use cc_mpi::World;
     use cc_pfs::{MemBackend, StripeLayout};
     use std::sync::Arc;
+
+    impl TwoPhaseReport {
+        /// Ranks that entered the collective more than `factor` times later
+        /// than the median entry time, given every rank's report in rank
+        /// order. Late entry — not long residence — is the straggler signal:
+        /// a slow rank arrives at a later virtual clock, while its *peers*
+        /// are the ones whose residence inflates waiting for its pieces.
+        /// Returns an empty list for an empty slice.
+        fn stragglers(reports: &[TwoPhaseReport], factor: f64) -> Vec<usize> {
+            if reports.is_empty() {
+                return Vec::new();
+            }
+            let mut starts: Vec<SimTime> = reports.iter().map(|r| r.start).collect();
+            starts.sort();
+            let median = starts[starts.len() / 2];
+            reports
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.start > median.scale(factor))
+                .map(|(rank, _)| rank)
+                .collect()
+        }
+    }
 
     /// A file whose byte at offset i is (i % 251), striped over `osts`.
     fn make_fs(osts: usize, size: usize, stripe: u64, count: usize) -> Arc<Pfs> {

@@ -46,25 +46,20 @@ pub(crate) const TAG_WRITE_FRAME: TagValue = 0x7000_0000;
 #[derive(Debug, Clone, Default)]
 pub struct WriteReport {
     /// Bytes this rank wrote to the file system (aggregator role).
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     /// Bytes this rank sent during the shuffle.
     pub bytes_shuffled: u64,
     /// File-system write calls issued by this rank.
     pub writes_issued: u64,
     /// Virtual time entering the collective.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Virtual time when this rank's role completed.
     pub end: SimTime,
     /// Activity segments for CPU profiling.
     pub segments: Vec<Segment>,
 }
 
-impl WriteReport {
-    /// Elapsed virtual time.
-    pub fn elapsed(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
-}
+impl WriteReport {}
 
 /// Collectively writes `data` (the bytes of `my_request`, in request-buffer
 /// order) to `file`. Must be called by all ranks.

@@ -104,7 +104,7 @@ pub enum ElemKind {
 
 impl ElemKind {
     /// Bytes per element.
-    pub fn size(self) -> u64 {
+    pub(crate) fn size(self) -> u64 {
         match self {
             ElemKind::F32 => 4,
             ElemKind::F64 => 8,
@@ -133,11 +133,6 @@ impl<V: ValueFn> SyntheticBackend<V> {
         }
     }
 
-    /// The generator's value for element `index` (for test oracles).
-    pub fn value(&self, index: u64) -> f64 {
-        self.value_fn.value(index)
-    }
-
     fn elem_bytes(&self, index: u64) -> [u8; 8] {
         let v = self.value_fn.value(index);
         let mut out = [0u8; 8];
@@ -154,7 +149,7 @@ impl<V: ValueFn> SyntheticBackend<V> {
     /// into `buf` via `chunks_exact_mut` with no per-element offset
     /// arithmetic or temporaries, and an unaligned tail element.
     ///
-    /// Bit-identical to generating each element with [`Self::value`] and
+    /// Bit-identical to generating each element with the value function and
     /// slicing its little-endian encoding.
     ///
     /// # Panics
@@ -240,16 +235,6 @@ impl<B: Backend> OverlayBackend<B> {
             base,
             written: RwLock::new(BTreeMap::new()),
         }
-    }
-
-    /// Total bytes currently stored in the overlay.
-    pub fn overlay_bytes(&self) -> u64 {
-        self.written
-            .read()
-            .unwrap()
-            .values()
-            .map(|v| v.len() as u64)
-            .sum()
     }
 }
 
@@ -341,6 +326,25 @@ pub fn default_climate_value(index: u64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl<V: ValueFn> SyntheticBackend<V> {
+        /// The generator's value for element `index` (for test oracles).
+        fn value(&self, index: u64) -> f64 {
+            self.value_fn.value(index)
+        }
+    }
+
+    impl<B: Backend> OverlayBackend<B> {
+        /// Total bytes currently stored in the overlay.
+        fn overlay_bytes(&self) -> u64 {
+            self.written
+                .read()
+                .unwrap()
+                .values()
+                .map(|v| v.len() as u64)
+                .sum()
+        }
+    }
 
     #[test]
     fn mem_backend_roundtrip() {

@@ -20,11 +20,11 @@ use cc_model::SimTime;
 #[derive(Debug)]
 pub struct RetryPlan {
     /// Every `fail_every`-th read attempt fails (1-based counting).
-    pub fail_every: u64,
+    pub(crate) fail_every: u64,
     /// Virtual-time penalty charged per retry.
-    pub retry_penalty: SimTime,
+    pub(crate) retry_penalty: SimTime,
     /// Maximum retries before the read panics (a hard failure).
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     attempts: AtomicU64,
     retries: AtomicU64,
 }
@@ -46,13 +46,13 @@ impl RetryPlan {
     }
 
     /// Records one attempt; returns `true` if this attempt fails.
-    pub fn attempt_fails(&self) -> bool {
+    pub(crate) fn attempt_fails(&self) -> bool {
         let n = self.attempts.fetch_add(1, Ordering::Relaxed) + 1;
         n.is_multiple_of(self.fail_every)
     }
 
     /// Records a retry.
-    pub fn note_retry(&self) {
+    pub(crate) fn note_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -60,16 +60,18 @@ impl RetryPlan {
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
-
-    /// Attempts observed so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RetryPlan {
+        /// Attempts observed so far.
+        fn attempts(&self) -> u64 {
+            self.attempts.load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn every_third_attempt_fails() {

@@ -14,7 +14,7 @@ use crate::ost::{OstPool, OstSnapshot};
 
 /// Global counters for one file system instance.
 #[derive(Debug, Default)]
-pub struct PfsStats {
+pub(crate) struct PfsStats {
     reads: AtomicU64,
     writes: AtomicU64,
     bytes_read: AtomicU64,
@@ -22,7 +22,7 @@ pub struct PfsStats {
     extents_served: AtomicU64,
 }
 
-/// A point-in-time copy of [`PfsStats`].
+/// A point-in-time copy of `PfsStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PfsStatsSnapshot {
     /// Read calls.
@@ -57,18 +57,13 @@ pub struct FileHandle {
 }
 
 impl FileHandle {
-    /// The file's name in the namespace.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The file's striping.
     pub fn layout(&self) -> &StripeLayout {
         &self.layout
     }
 
     /// File size in bytes.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.backend.size()
     }
 }
@@ -84,7 +79,7 @@ pub struct OstBalance {
     /// Service seconds booked on the busiest OST.
     pub busiest_secs: f64,
     /// Mean service seconds booked per OST.
-    pub mean_secs: f64,
+    pub(crate) mean_secs: f64,
 }
 
 /// A simulated striped parallel file system.
@@ -182,7 +177,7 @@ impl Pfs {
     /// Like [`read_at`](Self::read_at), but reads into a caller-owned
     /// buffer (cleared and resized to `len`), so a pipeline draining many
     /// chunks can reuse one allocation. Returns the completion time.
-    pub fn read_at_into(
+    pub(crate) fn read_at_into(
         &self,
         file: &FileHandle,
         offset: u64,
@@ -469,11 +464,6 @@ impl Pfs {
         self.stats.snapshot()
     }
 
-    /// Per-OST (requests, bytes) served so far.
-    pub fn per_ost_totals(&self) -> Vec<(u64, u64)> {
-        self.pool.per_ost_totals()
-    }
-
     /// Per-OST busy seconds (service time booked).
     pub fn per_ost_busy_secs(&self) -> Vec<f64> {
         self.pool.per_ost_busy_secs()
@@ -486,7 +476,7 @@ impl Pfs {
 
     /// Per-OST load snapshots at virtual time `now` (cumulative totals,
     /// wait seconds, and the service backlog still queued at the probe
-    /// time) — see [`crate::ost::OstPool::snapshot_at`]. The multi-job
+    /// time) — see `crate::ost::OstPool::snapshot_at`. The multi-job
     /// service takes deltas of these around each job step to attribute
     /// cross-job contention.
     pub fn ost_snapshot(&self, now: SimTime) -> Vec<OstSnapshot> {

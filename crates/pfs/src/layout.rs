@@ -13,7 +13,7 @@ pub struct StripeLayout {
     /// Stripe size in bytes.
     pub stripe_size: u64,
     /// OST ids used by the file, in round-robin order.
-    pub osts: Vec<usize>,
+    pub(crate) osts: Vec<usize>,
 }
 
 /// One contiguous piece of a file range as mapped to an OST object.
@@ -22,11 +22,11 @@ pub struct ObjectExtent {
     /// The OST holding this piece.
     pub ost: usize,
     /// Offset within the OST object.
-    pub object_offset: u64,
+    pub(crate) object_offset: u64,
     /// File offset this piece starts at.
-    pub file_offset: u64,
+    pub(crate) file_offset: u64,
     /// Length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 impl StripeLayout {
@@ -95,7 +95,11 @@ impl StripeLayout {
     /// within each OST, and merging object-contiguous runs. The per-OST
     /// lists are what the timing model charges: one seek per discontiguous
     /// run per OST.
-    pub fn map_range_by_ost(&self, offset: u64, len: u64) -> Vec<(usize, Vec<ObjectExtent>)> {
+    pub(crate) fn map_range_by_ost(
+        &self,
+        offset: u64,
+        len: u64,
+    ) -> Vec<(usize, Vec<ObjectExtent>)> {
         let mut per_ost: Vec<(usize, Vec<ObjectExtent>)> = Vec::new();
         for ext in self.map_range(offset, len) {
             match per_ost.iter_mut().find(|(o, _)| *o == ext.ost) {

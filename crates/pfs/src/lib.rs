@@ -22,6 +22,6 @@ pub mod ost;
 
 pub use backend::{Backend, MemBackend, OverlayBackend, SyntheticBackend, ValueFn};
 pub use fault::RetryPlan;
-pub use fs::{FileHandle, OstBalance, Pfs, PfsStats, PfsStatsSnapshot};
+pub use fs::{FileHandle, OstBalance, Pfs, PfsStatsSnapshot};
 pub use layout::StripeLayout;
 pub use ost::OstSnapshot;

@@ -14,7 +14,7 @@
 //! number of idle gaps, not the number of requests.
 //!
 //! Persistent degradation from a [`cc_model::FaultPlan`] is applied with
-//! [`OstPool::apply_faults`]: a *slow* OST multiplies every service time,
+//! `OstPool::apply_faults`: a *slow* OST multiplies every service time,
 //! and a *stalled* OST books its whole stall window up front so the first
 //! requests queue behind it — a controller failover, as seen by clients.
 
@@ -61,7 +61,7 @@ impl OstState {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OstSnapshot {
     /// Extents served so far.
-    pub requests: u64,
+    pub(crate) requests: u64,
     /// Bytes served so far.
     pub bytes: u64,
     /// Total service seconds booked so far.
@@ -72,11 +72,11 @@ pub struct OstSnapshot {
     pub delayed_requests: u64,
     /// Service seconds booked at or after the probe time — the OST's
     /// queue depth in service-seconds.
-    pub backlog_secs: f64,
+    pub(crate) backlog_secs: f64,
 }
 
 /// The OST pool of one file system.
-pub struct OstPool {
+pub(crate) struct OstPool {
     osts: Vec<Mutex<OstState>>,
     disk: DiskModel,
     /// Per-OST service-time multiplier (1.0 = healthy), from the fault plan.
@@ -85,7 +85,7 @@ pub struct OstPool {
 
 impl OstPool {
     /// A pool of `count` idle OSTs sharing one disk model.
-    pub fn new(count: usize, disk: DiskModel) -> Self {
+    pub(crate) fn new(count: usize, disk: DiskModel) -> Self {
         assert!(count > 0, "need at least one OST");
         Self {
             osts: (0..count)
@@ -97,7 +97,7 @@ impl OstPool {
     }
 
     /// Number of OSTs.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.osts.len()
     }
 
@@ -106,7 +106,7 @@ impl OstPool {
     /// OSTs are blocked from time zero until their stall deadline.
     /// OST indices outside the pool are ignored (the plan may be written
     /// for a larger machine).
-    pub fn apply_faults(&mut self, plan: &FaultPlan) {
+    pub(crate) fn apply_faults(&mut self, plan: &FaultPlan) {
         for (ost, factor) in self.slowdown.iter_mut().enumerate() {
             *factor = plan.ost_slowdown(ost);
         }
@@ -123,13 +123,13 @@ impl OstPool {
 
     /// Healthy (fault-free) service time for one extent on `ost` —
     /// what an idle, undegraded OST would take.
-    pub fn ideal_service_time(&self, bytes: u64) -> SimTime {
+    pub(crate) fn ideal_service_time(&self, bytes: u64) -> SimTime {
         self.disk.service_time(bytes as usize)
     }
 
     /// Serves one contiguous extent of `bytes` on `ost`, requested at
     /// virtual time `now`. Returns the completion time.
-    pub fn serve(&self, ost: usize, now: SimTime, bytes: u64) -> SimTime {
+    pub(crate) fn serve(&self, ost: usize, now: SimTime, bytes: u64) -> SimTime {
         let mut state = self.osts[ost].lock().unwrap();
         let service = self
             .disk
@@ -142,7 +142,7 @@ impl OstPool {
     /// acquisition, chaining each run after the previous one's completion
     /// exactly as sequential [`serve`](Self::serve) calls would. Returns
     /// the completion time of the last run (`now` if the batch is empty).
-    pub fn book_many(&self, ost: usize, now: SimTime, byte_runs: &[u64]) -> SimTime {
+    pub(crate) fn book_many(&self, ost: usize, now: SimTime, byte_runs: &[u64]) -> SimTime {
         if byte_runs.is_empty() {
             return now;
         }
@@ -160,7 +160,7 @@ impl OstPool {
 
     /// Total service seconds booked per OST — the utilization profile of
     /// the pool, for diagnosing striping imbalance.
-    pub fn per_ost_busy_secs(&self) -> Vec<f64> {
+    pub(crate) fn per_ost_busy_secs(&self) -> Vec<f64> {
         self.osts
             .iter()
             .map(|o| o.lock().unwrap().busy_secs)
@@ -169,7 +169,7 @@ impl OstPool {
 
     /// Load imbalance: busiest OST's service time over the mean (1.0 =
     /// perfectly balanced; only meaningful once traffic has flowed).
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         let busy = self.per_ost_busy_secs();
         let total: f64 = busy.iter().sum();
         if total <= 0.0 {
@@ -179,22 +179,11 @@ impl OstPool {
         busy.iter().cloned().fold(0.0, f64::max) / mean
     }
 
-    /// Total (requests, bytes) served per OST so far.
-    pub fn per_ost_totals(&self) -> Vec<(u64, u64)> {
-        self.osts
-            .iter()
-            .map(|o| {
-                let s = o.lock().unwrap();
-                (s.requests, s.bytes)
-            })
-            .collect()
-    }
-
     /// Per-OST load snapshots at virtual time `now`: cumulative totals plus
     /// the backlog of booked-but-unfinished service at the probe time. The
     /// multi-job scheduler and bench use deltas of these to attribute
     /// cross-job contention to individual OSTs.
-    pub fn snapshot_at(&self, now: SimTime) -> Vec<OstSnapshot> {
+    pub(crate) fn snapshot_at(&self, now: SimTime) -> Vec<OstSnapshot> {
         self.osts
             .iter()
             .map(|o| {
@@ -210,17 +199,30 @@ impl OstPool {
             })
             .collect()
     }
-
-    /// The disk model backing the pool.
-    pub fn disk(&self) -> &DiskModel {
-        &self.disk
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl OstPool {
+        /// Total (requests, bytes) served per OST so far.
+        fn per_ost_totals(&self) -> Vec<(u64, u64)> {
+            self.osts
+                .iter()
+                .map(|o| {
+                    let s = o.lock().unwrap();
+                    (s.requests, s.bytes)
+                })
+                .collect()
+        }
+
+        /// The disk model backing the pool.
+        fn disk(&self) -> &DiskModel {
+            &self.disk
+        }
+    }
 
     fn pool() -> OstPool {
         OstPool::new(

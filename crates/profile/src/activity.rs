@@ -23,7 +23,7 @@ pub struct Segment {
     /// Segment end.
     pub end: SimTime,
     /// What the rank was doing.
-    pub activity: Activity,
+    pub(crate) activity: Activity,
 }
 
 impl Segment {
@@ -40,16 +40,18 @@ impl Segment {
             activity,
         }
     }
-
-    /// The segment's duration.
-    pub fn duration(&self) -> SimTime {
-        self.end.saturating_since(self.start)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Segment {
+        /// The segment's duration.
+        fn duration(&self) -> SimTime {
+            self.end.saturating_since(self.start)
+        }
+    }
 
     #[test]
     fn duration_is_end_minus_start() {

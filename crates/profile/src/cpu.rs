@@ -6,18 +6,18 @@ use crate::activity::{Activity, Segment};
 
 /// One time bucket's accumulated seconds per category.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Bucket {
+pub(crate) struct Bucket {
     /// Seconds of user computation.
-    pub user: f64,
+    pub(crate) user: f64,
     /// Seconds of system-side data movement.
-    pub sys: f64,
+    pub(crate) sys: f64,
     /// Seconds blocked on I/O.
-    pub wait: f64,
+    pub(crate) wait: f64,
 }
 
 impl Bucket {
     /// Total accounted seconds.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.user + self.sys + self.wait
     }
 }
@@ -36,7 +36,7 @@ impl CpuProfile {
     ///
     /// # Panics
     /// Panics on zero width or zero bins.
-    pub fn new(bin_width: SimTime, bins: usize) -> Self {
+    pub(crate) fn new(bin_width: SimTime, bins: usize) -> Self {
         assert!(bin_width > SimTime::ZERO, "bin width must be positive");
         assert!(bins > 0, "need at least one bin");
         Self {
@@ -62,7 +62,7 @@ impl CpuProfile {
 
     /// Accumulates one segment, splitting it across the buckets it spans.
     /// Time beyond the last bucket is dropped.
-    pub fn add(&mut self, seg: Segment) {
+    pub(crate) fn add(&mut self, seg: Segment) {
         let w = self.bin_width.secs();
         let mut lo = seg.start.secs();
         let end = seg.end.secs();
@@ -90,16 +90,6 @@ impl CpuProfile {
             }
             lo = hi;
         }
-    }
-
-    /// The buckets in time order.
-    pub fn buckets(&self) -> &[Bucket] {
-        &self.buckets
-    }
-
-    /// The bucket width.
-    pub fn bin_width(&self) -> SimTime {
-        self.bin_width
     }
 
     /// Percentages `(user, sys, wait)` per bucket, normalized to the busy
@@ -138,6 +128,13 @@ impl CpuProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CpuProfile {
+        /// The buckets in time order.
+        fn buckets(&self) -> &[Bucket] {
+            &self.buckets
+        }
+    }
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)

@@ -35,16 +35,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders as comma-separated values (headers first).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -88,14 +78,26 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with 3 significant decimals (benchmark convention).
-pub fn fmt_f(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        /// Number of data rows.
+        pub(crate) fn len(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// Whether the table has no data rows.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.rows.is_empty()
+        }
+    }
+
+    /// Formats a float with 3 significant decimals (benchmark convention).
+    fn fmt_f(v: f64) -> String {
+        format!("{v:.3}")
+    }
 
     #[test]
     fn renders_aligned_columns() {

@@ -235,15 +235,15 @@ struct Bin {
 #[derive(Debug, Clone)]
 pub struct BinReport {
     /// Bin id (dispatch order).
-    pub bin: usize,
+    pub(crate) bin: usize,
     /// The file swept.
     pub file: String,
     /// Tasks served by this sweep.
     pub tasks: usize,
     /// Virtual time the sweep started (≥ the last member's arrival).
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Virtual time the last member's result was scattered.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Extents across the bin's task requests (what independent I/O
     /// would have issued).
     pub task_extents: u64,
@@ -252,7 +252,7 @@ pub struct BinReport {
     /// Bytes across the bin's task requests, duplicates counted per task.
     pub task_bytes: u64,
     /// Unique bytes the fused sweep requested.
-    pub fused_bytes: u64,
+    pub(crate) fused_bytes: u64,
 }
 
 /// What one task produced and experienced.

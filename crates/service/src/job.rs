@@ -38,7 +38,7 @@ pub struct StepSpec {
 #[derive(Clone)]
 pub struct JobSpec {
     /// Display name (also carried into the result).
-    pub name: String,
+    pub(crate) name: String,
     /// Name of the file in the service's shared file system.
     pub file: String,
     /// The variable swept.
@@ -51,11 +51,11 @@ pub struct JobSpec {
     /// QoS class.
     pub class: QosClass,
     /// Weighted-fair-queueing weight (batch jobs; must be positive).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Engine hints applied to every step.
     pub hints: Hints,
     /// The kernel applied inside the collective and folded across steps.
-    pub kernel: Arc<dyn MapKernel>,
+    pub(crate) kernel: Arc<dyn MapKernel>,
     /// The sweep, one global hyperslab per step.
     pub steps: Vec<StepSpec>,
 }
@@ -119,12 +119,6 @@ impl JobSpec {
     /// Sets the fair-share weight.
     pub fn weight(mut self, weight: f64) -> Self {
         self.weight = weight;
-        self
-    }
-
-    /// Sets the engine hints applied to every step.
-    pub fn hints(mut self, hints: Hints) -> Self {
-        self.hints = hints;
         self
     }
 
@@ -213,7 +207,7 @@ impl std::error::Error for AdmissionError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobHandle {
     /// The job's id: its position in the outcome's result list.
-    pub id: u64,
+    pub(crate) id: u64,
 }
 
 /// What one job produced and experienced.
@@ -234,7 +228,7 @@ pub struct JobResult {
     /// The finalized fold of all steps' globals (at the reduce root).
     pub global: Option<Vec<f64>>,
     /// Each step's own finalized global, in step order.
-    pub per_step: Option<Vec<Vec<f64>>>,
+    pub(crate) per_step: Option<Vec<Vec<f64>>>,
     /// Steps executed.
     pub steps: usize,
     /// Plan-cache counters of the job, one lookup per step; in a
@@ -275,6 +269,14 @@ mod tests {
     use super::*;
     use cc_array::{DType, Shape};
     use cc_core::SumKernel;
+
+    impl JobSpec {
+        /// Sets the engine hints applied to every step.
+        pub(crate) fn hints(mut self, hints: Hints) -> Self {
+            self.hints = hints;
+            self
+        }
+    }
 
     fn spec(nprocs: usize) -> JobSpec {
         let var = Variable::new("v", Shape::new(vec![16, 8]), DType::F64, 0);

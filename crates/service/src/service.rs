@@ -239,7 +239,7 @@ fn serve_steps(comm: &mut Comm, spec: &JobSpec, jid: u64, gate: &Gate, pfs: &Pfs
 }
 
 /// What a service run produced: per-job results (indexed by
-/// [`JobHandle::id`]), the makespan, and the shared-resource accounting.
+/// `JobHandle::id`), the makespan, and the shared-resource accounting.
 #[derive(Debug)]
 pub struct ServiceOutcome {
     /// Every job's result, in submission order.

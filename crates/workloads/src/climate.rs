@@ -22,7 +22,7 @@ pub struct ClimateWorkload {
 
 impl ClimateWorkload {
     /// The name of the single variable.
-    pub const VAR: &'static str = "temperature";
+    pub(crate) const VAR: &'static str = "temperature";
 
     /// The file name in the PFS namespace.
     pub const FILE: &'static str = "climate.nc";
@@ -147,7 +147,7 @@ impl ClimateWorkload {
     }
 
     /// The deterministic element value (for oracles).
-    pub fn value(&self, elem: u64) -> f64 {
+    pub(crate) fn value(&self, elem: u64) -> f64 {
         match self.var().dtype() {
             DType::F32 => default_climate_value(elem) as f32 as f64,
             DType::F64 => default_climate_value(elem),

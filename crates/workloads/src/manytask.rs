@@ -83,7 +83,7 @@ pub struct ManyTask {
 
 impl ManyTask {
     /// Variable name in the shared file.
-    pub const VAR: &'static str = "field";
+    pub(crate) const VAR: &'static str = "field";
     /// Name of the shared file.
     pub const FILE: &'static str = "manytask.nc";
 
@@ -137,7 +137,7 @@ impl ManyTask {
     }
 
     /// The shared variable.
-    pub fn variable(&self) -> Variable {
+    pub(crate) fn variable(&self) -> Variable {
         Variable::new(
             Self::VAR,
             Shape::new(vec![self.rows, self.cols]),
@@ -217,7 +217,7 @@ impl ManyTask {
     /// `cols / task_cols` column windows, so neighbours tile whole rows;
     /// wave `w`'s pattern is wave 0's shifted down `w * stencil_shift`
     /// rows.
-    pub fn region(&self, i: usize) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn region(&self, i: usize) -> (Vec<u64>, Vec<u64>) {
         let (w, _, k) = self.locate(i);
         let windows = (self.cols / self.task_cols).max(1);
         let row = w as u64 * self.stencil_shift + (k as u64 * self.row_stride) % self.span();
@@ -228,7 +228,7 @@ impl ManyTask {
 
     /// The kernel of task `i`: the first three quarters of each wave sum
     /// (bounded-error class), the rest take a max (exact class).
-    pub fn kernel(&self, i: usize) -> Arc<dyn MapKernel> {
+    pub(crate) fn kernel(&self, i: usize) -> Arc<dyn MapKernel> {
         let (_, exact, _) = self.locate(i);
         if exact {
             Arc::new(MaxKernel)
@@ -238,7 +238,7 @@ impl ManyTask {
     }
 
     /// Arrival time of task `i` (its wave's burst instant).
-    pub fn arrival(&self, i: usize) -> SimTime {
+    pub(crate) fn arrival(&self, i: usize) -> SimTime {
         let (w, _, _) = self.locate(i);
         SimTime::from_secs(self.wave_spacing.secs() * w as f64)
     }

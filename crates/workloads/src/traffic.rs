@@ -50,7 +50,7 @@ pub struct MixedTraffic {
 
 impl MixedTraffic {
     /// Variable name used in every generated file.
-    pub const VAR: &'static str = "field";
+    pub(crate) const VAR: &'static str = "field";
 
     /// A small, fast population for tests:
     /// `batch_jobs` sweeps of 4 steps x 32 rows x 256 columns (512 KiB
@@ -97,7 +97,7 @@ impl MixedTraffic {
     }
 
     /// Name of batch file `i`.
-    pub fn file_name(i: usize) -> String {
+    pub(crate) fn file_name(i: usize) -> String {
         format!("sweep-{i}.nc")
     }
 
@@ -184,23 +184,6 @@ impl MixedTraffic {
         }
         jobs
     }
-
-    /// Brute-force sum of one batch sweep's whole variable (every batch
-    /// file serves the same synthetic values) — test oracle, only
-    /// sensible at quick scales.
-    pub fn oracle_sweep_sum(&self) -> f64 {
-        (0..self.file_rows() * self.cols)
-            .map(default_climate_value)
-            .sum()
-    }
-
-    /// Brute-force sum of interactive job `i`'s ROI.
-    pub fn oracle_roi_sum(&self, i: usize) -> f64 {
-        let offset = (i as u64 * self.roi_rows) % (self.file_rows() - self.roi_rows + 1);
-        let lo = offset * self.cols;
-        let hi = lo + self.roi_rows * self.cols;
-        (lo..hi).map(default_climate_value).sum()
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +191,25 @@ mod tests {
     use super::*;
     use cc_model::{ClusterModel, Topology};
     use cc_service::Service;
+
+    impl MixedTraffic {
+        /// Brute-force sum of one batch sweep's whole variable (every batch
+        /// file serves the same synthetic values) — test oracle, only
+        /// sensible at quick scales.
+        fn oracle_sweep_sum(&self) -> f64 {
+            (0..self.file_rows() * self.cols)
+                .map(default_climate_value)
+                .sum()
+        }
+
+        /// Brute-force sum of interactive job `i`'s ROI.
+        fn oracle_roi_sum(&self, i: usize) -> f64 {
+            let offset = (i as u64 * self.roi_rows) % (self.file_rows() - self.roi_rows + 1);
+            let lo = offset * self.cols;
+            let hi = lo + self.roi_rows * self.cols;
+            (lo..hi).map(default_climate_value).sum()
+        }
+    }
 
     fn model(nodes: usize, cores: usize) -> ClusterModel {
         let mut m = ClusterModel::test_tiny(cores);

@@ -67,7 +67,7 @@ impl WrfGrid {
 
     /// Storm depth (hPa below ambient) at time `t`: deepens by 1 hPa per
     /// step from 40, saturating at 75 (a category-5-like 935 hPa center).
-    pub fn depth(&self, t: u64) -> f64 {
+    pub(crate) fn depth(&self, t: u64) -> f64 {
         40.0 + (t as f64).min(35.0)
     }
 
@@ -146,7 +146,7 @@ fn wind_at(depth: f64, d2: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct WrfWorkload {
     /// The grid.
-    pub grid: WrfGrid,
+    pub(crate) grid: WrfGrid,
     dataset: Dataset,
     nprocs: usize,
     /// Stripe size of the output file.
@@ -160,7 +160,7 @@ impl WrfWorkload {
     pub const FILE: &'static str = "wrfout.nc";
 
     /// Builds the workload. Rank decompositions are chosen per call site:
-    /// [`slab`](Self::slab) (time blocks, requires `nprocs | times`) or
+    /// `slab` (time blocks, requires `nprocs | times`) or
     /// [`band_slab`](Self::band_slab) (south-north bands, requires
     /// `nprocs | sn`).
     pub fn new(grid: WrfGrid, nprocs: usize, stripe_size: u64, stripe_count: usize) -> Self {
@@ -185,26 +185,6 @@ impl WrfWorkload {
     /// The 10 m wind variable.
     pub fn wind_var(&self) -> &Variable {
         self.dataset.var("wind10").expect("wind10 exists")
-    }
-
-    /// Number of ranks.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// Rank `r`'s time-block selection over a variable, optionally
-    /// restricted to an inner `(sn, we)` sub-box (making the request
-    /// non-contiguous, as in the paper's tasks).
-    pub fn slab(&self, rank: usize, sub_sn: u64, sub_we: u64) -> Hyperslab {
-        assert!(sub_sn <= self.grid.sn && sub_we <= self.grid.we);
-        assert!(
-            self.grid.times.is_multiple_of(self.nprocs as u64),
-            "{} ranks must divide {} time steps",
-            self.nprocs,
-            self.grid.times
-        );
-        let per = self.grid.times / self.nprocs as u64;
-        Hyperslab::new(vec![rank as u64 * per, 0, 0], vec![per, sub_sn, sub_we])
     }
 
     /// Rank `r`'s south-north band across *all* time steps — the spatial
@@ -251,19 +231,6 @@ impl WrfWorkload {
         Arc::new(fs)
     }
 
-    /// Brute-force oracle: `(min, argmin)` of SLP over the whole grid.
-    /// Test-scale only.
-    pub fn oracle_slp_min(&self) -> (f64, u64) {
-        let mut best = (f64::INFINITY, 0u64);
-        for i in 0..self.grid.elements() {
-            let v = self.grid.slp(i);
-            if v < best.0 {
-                best = (v, i);
-            }
-        }
-        best
-    }
-
     /// Brute-force oracle: `(max, argmax)` of 10 m wind over the grid.
     pub fn oracle_wind_max(&self) -> (f64, u64) {
         let mut best = (f64::NEG_INFINITY, 0u64);
@@ -280,6 +247,36 @@ impl WrfWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WrfWorkload {
+        /// Rank `r`'s time-block selection over a variable, optionally
+        /// restricted to an inner `(sn, we)` sub-box (making the request
+        /// non-contiguous, as in the paper's tasks).
+        fn slab(&self, rank: usize, sub_sn: u64, sub_we: u64) -> Hyperslab {
+            assert!(sub_sn <= self.grid.sn && sub_we <= self.grid.we);
+            assert!(
+                self.grid.times.is_multiple_of(self.nprocs as u64),
+                "{} ranks must divide {} time steps",
+                self.nprocs,
+                self.grid.times
+            );
+            let per = self.grid.times / self.nprocs as u64;
+            Hyperslab::new(vec![rank as u64 * per, 0, 0], vec![per, sub_sn, sub_we])
+        }
+
+        /// Brute-force oracle: `(min, argmin)` of SLP over the whole grid.
+        /// Test-scale only.
+        fn oracle_slp_min(&self) -> (f64, u64) {
+            let mut best = (f64::INFINITY, 0u64);
+            for i in 0..self.grid.elements() {
+                let v = self.grid.slp(i);
+                if v < best.0 {
+                    best = (v, i);
+                }
+            }
+            best
+        }
+    }
 
     /// The generator's closed forms as they read before the row-first
     /// rewrite, with no shortcut: the references the fast paths must match
