@@ -9,6 +9,7 @@
 //! that a map kernel can run on raw bytes mid-collective.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod dtype;

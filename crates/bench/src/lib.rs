@@ -11,6 +11,7 @@
 //! and knees sit. See `EXPERIMENTS.md` for paper-vs-measured notes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod figs;

@@ -22,6 +22,7 @@
 //! platform-independent (little-endian serialization throughout).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 

@@ -24,6 +24,7 @@
 //! which the paper's Fig. 9 speedup curve is reproducible.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod engine;

@@ -10,6 +10,7 @@
 //! models easy to property-test.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod booking;
 pub mod cpu;

@@ -193,7 +193,7 @@ impl Shared {
     }
 
     /// Current value of the global activity counter.
-    fn progress(&self) -> u64 {
+    pub(crate) fn progress(&self) -> u64 {
         self.progress.load(Ordering::Relaxed)
     }
 
@@ -317,6 +317,11 @@ impl Comm {
     /// between phases.
     pub fn drop_pooled_bufs(&mut self) {
         self.pool.clear();
+    }
+
+    /// The state this rank shares with the rest of its run.
+    pub(crate) fn shared(&self) -> &Arc<Shared> {
+        &self.shared
     }
 
     /// This rank's id in `0..nprocs`.
@@ -474,50 +479,10 @@ impl Comm {
             .unwrap_or_else(|| resume_unwind(Box::new(WorldAborted)))
     }
 
-    /// Publishes `value` as this rank's entry in the collective that
-    /// `tag` was stamped for (see [`next_engine_tag`](Self::next_engine_tag)),
-    /// for exactly `readers` takes through [`published`](Self::published)
-    /// — by peers, by this rank, or both. Like [`memo`](Self::memo) it
-    /// lives in the memo's table, sends no message and charges no virtual
-    /// time: an engine that hands bytes to same-node ranks through a
-    /// publication stamps their arrival itself. The entry leaves the table
-    /// at its last declared take; one still there when the run ends is
-    /// reported like a skipped memo. With no reader, `value` is dropped.
-    ///
-    /// # Panics
-    /// Panics if this rank already has an untaken entry in the collective.
-    pub fn publish<T: Any + Send + Sync>(&self, tag: TagValue, value: Arc<T>, readers: usize) {
-        self.shared
-            .memo
-            .publish_for(tag & SEQ_MASK, self.rank, value, readers);
-    }
-
-    /// Takes `owner`'s [`publish`](Self::publish)ed entry in `tag`'s
-    /// collective, blocking until `owner` has published it. Each call
-    /// counts as one of the readers `owner` declared.
-    ///
-    /// # Panics
-    /// A rank that panics before publishing aborts the world; the ranks
-    /// parked here unwind at once. Panics if the entry is not a `T`.
-    pub fn published<T: Any + Send + Sync>(&self, tag: TagValue, owner: usize) -> Arc<T> {
-        let shared = &self.shared;
-        let value = shared
-            .memo
-            .take_published(tag & SEQ_MASK, owner, || shared.is_aborted())
-            .unwrap_or_else(|| resume_unwind(Box::new(WorldAborted)));
-        value.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {} expected a different type than rank {owner} published for tag \
-                 {tag:#x}",
-                self.rank
-            )
-        })
-    }
-
     /// When `bytes` posted to the same-node rank `dst` at `depart` would
     /// arrive: the intra-node transfer plus the fault plan's fixed delay on
     /// the link. Draws no jitter and counts no message, so it is the clock
-    /// of a hand-off through a [`publish`](Self::publish)ed buffer.
+    /// of a hand-off through a [`lend`](Self::lend)ed buffer.
     pub fn handoff_arrival(&self, dst: usize, bytes: usize, depart: SimTime) -> SimTime {
         let arrival = depart + self.shared.model.net.transfer_time(bytes, true);
         match &self.shared.model.fault {

@@ -31,10 +31,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;
 pub mod hier;
+// The one module that may use `unsafe`: a loan's lifetime erasure.
+#[allow(unsafe_code)]
+mod loan;
 mod memo;
 pub mod ops;
 pub mod pool;
@@ -44,6 +48,7 @@ pub mod world;
 
 pub use comm::{Comm, Payload};
 pub use hier::{frame_sections, NodeView};
+pub use loan::Borrowed;
 pub use ops::ReduceOp;
 pub use stats::CommStats;
 pub use world::World;

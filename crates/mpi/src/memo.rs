@@ -19,16 +19,17 @@
 //! no message, no virtual time, a prompt unwind when a peer panics, and the
 //! run's "every cell was taken" check.
 //!
-//! The third kind of cell is a *publication* ([`Comm::publish`]): one rank
-//! hands a value to a declared number of readers, which may be any ranks,
-//! itself included. It is keyed by the collective's sequence number *and*
-//! its owner, since every rank of a collective may publish; a reader that
-//! arrives first parks until the owner publishes, and the last declared
-//! reader drops the cell.
+//! The third kind of cell is a *loan* ([`Comm::lend`]): one rank lends a
+//! buffer to a declared number of readers, which may be any ranks, itself
+//! included. It is keyed by the collective's sequence number *and* its
+//! lender, since every rank of a collective may lend; a reader that
+//! arrives first parks until the lender lends, and the last declared
+//! reader drops the cell. The loan itself — who holds the bytes and when
+//! the lender may return — lives in the `loan` module.
 //!
 //! [`Comm::memo`]: crate::Comm::memo
 //! [`Comm::agree_max`]: crate::Comm::agree_max
-//! [`Comm::publish`]: crate::Comm::publish
+//! [`Comm::lend`]: crate::Comm::lend
 
 use std::any::Any;
 use std::collections::hash_map::{Entry, HashMap};
@@ -37,6 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use cc_model::SimTime;
 
 use crate::comm::lock_unpoisoned;
+use crate::loan::Lent;
 
 /// A memoized value, type-erased so one table serves every call site.
 pub(crate) type MemoValue = Arc<dyn Any + Send + Sync>;
@@ -48,8 +50,8 @@ enum Slot {
     /// An agreement: the maximum so far, and how many ranks have yet to
     /// contribute. Ready once `owed` reaches zero.
     Max { max: SimTime, owed: usize },
-    /// A publication: ready from the moment its owner inserts it.
-    Published(MemoValue),
+    /// A loan: ready from the moment its lender inserts it.
+    Lent(Arc<Lent>),
 }
 
 struct Cell {
@@ -59,7 +61,7 @@ struct Cell {
 }
 
 /// A cell's address: the collective sequence number of its call site and,
-/// for a publication, the rank that owns it.
+/// for a loan, the rank that lends it.
 type Key = (u32, Option<usize>);
 
 type Cells = HashMap<Key, Cell>;
@@ -119,45 +121,49 @@ impl Memo {
         })
     }
 
-    /// Stores `owner`'s publication in collective `seq` for `readers`
-    /// takes and wakes the ranks parked on it. With no reader the value is
-    /// simply dropped.
+    /// Stores `owner`'s loan in collective `seq` for `readers` borrows and
+    /// wakes the ranks parked on it.
     ///
     /// # Panics
-    /// Panics if `owner` already has a live publication in `seq`.
-    pub(crate) fn publish_for(&self, seq: u32, owner: usize, value: MemoValue, readers: usize) {
-        if readers == 0 {
-            return;
-        }
-        let cell = Cell {
-            slot: Slot::Published(value),
-            remaining: readers,
-        };
+    /// Panics, inserting nothing, if `owner` already has a live loan in
+    /// `seq`.
+    pub(crate) fn lend(&self, seq: u32, owner: usize, loan: Arc<Lent>, readers: usize) {
         let mut cells = lock_unpoisoned(&self.cells);
-        let before = cells.insert((seq, Some(owner)), cell);
-        assert!(
-            before.is_none(),
-            "rank {owner} published twice in collective {seq}"
-        );
+        let Entry::Vacant(cell) = cells.entry((seq, Some(owner))) else {
+            panic!("rank {owner} lent twice in collective {seq}")
+        };
+        cell.insert(Cell {
+            slot: Slot::Lent(loan),
+            remaining: readers,
+        });
         self.changed.notify_all();
     }
 
-    /// Blocks until `owner` has published in collective `seq` and returns
-    /// the value, counting one of its declared readers; `None` once
-    /// `aborted` reports that the world is being torn down (the owner
-    /// panicked, so the value will never come).
-    pub(crate) fn take_published(
+    /// Blocks until `owner` has lent in collective `seq` and returns the
+    /// loan, counting one of its declared readers and, on the loan, one
+    /// handle taken; `None` once `aborted` reports that the world is being
+    /// torn down (the lender panicked, so the loan will never come).
+    pub(crate) fn borrow(
         &self,
         seq: u32,
         owner: usize,
         aborted: impl Fn() -> bool,
-    ) -> Option<MemoValue> {
+    ) -> Option<Arc<Lent>> {
         let cells = lock_unpoisoned(&self.cells);
         let key = (seq, Some(owner));
         self.wait(cells, key, aborted, |slot| match slot {
-            Slot::Published(value) => Some(value.clone()),
+            Slot::Lent(loan) => {
+                loan.count_take();
+                Some(Arc::clone(loan))
+            }
             _ => mismatch(key),
         })
+    }
+
+    /// Removes `owner`'s loan in collective `seq` if a declared reader has
+    /// not borrowed it yet, so that no handle can be taken from it any more.
+    pub(crate) fn withdraw(&self, seq: u32, owner: usize) {
+        lock_unpoisoned(&self.cells).remove(&(seq, Some(owner)));
     }
 
     /// Contributes `t` to the agreement at cell `seq` of a `nprocs`-rank
@@ -230,10 +236,16 @@ impl Memo {
         }
     }
 
-    /// Wakes every rank parked on a cell so it re-checks the abort flag.
-    /// Called by the run supervisor after it sets the flag.
+    /// Wakes every rank parked on a cell, and every lender waiting for
+    /// readers of a loan still in the table, so it re-checks the abort
+    /// flag. Called by the run supervisor after it sets the flag.
     pub(crate) fn wake_all(&self) {
-        let _cells = lock_unpoisoned(&self.cells);
+        let cells = lock_unpoisoned(&self.cells);
+        for cell in cells.values() {
+            if let Slot::Lent(loan) = &cell.slot {
+                loan.wake();
+            }
+        }
         self.changed.notify_all();
     }
 
@@ -464,112 +476,6 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "abort took {elapsed:?}; a rank stayed parked in the agreement"
         );
-    }
-
-    /// An engine tag base for the publication tests.
-    const TAG: u32 = 0x5000_0000;
-
-    #[test]
-    fn a_reader_on_another_rank_gets_the_published_arc() {
-        // Every rank publishes to both neighbours; each reader must see the
-        // owner's own allocation, not a copy.
-        for n in [2, 3, 8] {
-            let out = World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
-                let tag = comm.next_engine_tag(TAG);
-                let mine = Arc::new(vec![comm.rank() as u64; 3]);
-                comm.publish(tag, Arc::clone(&mine), 2);
-                let (left, right) = ((comm.rank() + n - 1) % n, (comm.rank() + 1) % n);
-                let got = [
-                    comm.published::<Vec<u64>>(tag, left),
-                    comm.published::<Vec<u64>>(tag, right),
-                ];
-                (mine, got)
-            });
-            for (r, (_, [left, right])) in out.iter().enumerate() {
-                let (l, rr) = ((r + n - 1) % n, (r + 1) % n);
-                assert!(Arc::ptr_eq(left, &out[l].0), "{n} ranks: rank {r} from {l}");
-                assert!(
-                    Arc::ptr_eq(right, &out[rr].0),
-                    "{n} ranks: rank {r} from {rr}"
-                );
-                assert_eq!(**left, vec![l as u64; 3]);
-            }
-        }
-    }
-
-    #[test]
-    fn a_publication_leaves_the_table_with_its_last_declared_reader() {
-        // Rank 0 publishes for three readers, itself among them, and keeps
-        // only a weak handle: once all three have taken and dropped the
-        // value, nothing may hold it, so the table dropped its entry.
-        // `World::run` then checks that the table is empty.
-        let n = 4;
-        let gone = World::new(n, ClusterModel::test_tiny(n)).run(|comm| {
-            let tag = comm.next_engine_tag(TAG);
-            let mut weak = None;
-            if comm.rank() == 0 {
-                let value = Arc::new([7u8; 16]);
-                weak = Some(Arc::downgrade(&value));
-                comm.publish(tag, value, 3);
-            }
-            if comm.rank() < 3 {
-                assert_eq!(*comm.published::<[u8; 16]>(tag, 0), [7u8; 16]);
-            }
-            comm.barrier();
-            weak.map(|w| w.upgrade().is_none())
-        });
-        assert_eq!(gone[0], Some(true), "the table still held the value");
-    }
-
-    #[test]
-    fn owner_panic_before_publishing_unwinds_parked_readers_quickly() {
-        // Every rank but 1 parks on rank 1's publication, which never comes.
-        // As in the memo and agreement tests, the watchdog sits far beyond
-        // the 5 s budget, so only the table's abort wakeup can free them.
-        let n = 5;
-        let model = ClusterModel::test_tiny(n).with_recv_watchdog(Duration::from_secs(600));
-        let world = World::new(n, model);
-        let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            world.run(|comm| {
-                let tag = comm.next_engine_tag(TAG);
-                if comm.rank() == 1 {
-                    // Give the readers time to park (either order passes).
-                    std::thread::sleep(Duration::from_millis(100));
-                    panic!("rank 1 never packs its window");
-                }
-                *comm.published::<u32>(tag, 1)
-            })
-        }));
-        let elapsed = t0.elapsed();
-        let msg = panic_message(result.expect_err("the world must abort").as_ref());
-        assert!(
-            msg.contains("rank 1 panicked: rank 1 never packs its window"),
-            "abort must name the owner, got: {msg}"
-        );
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "abort took {elapsed:?}; a reader stayed parked on the publication"
-        );
-    }
-
-    #[test]
-    fn an_unread_publication_is_reported_when_the_run_ends() {
-        let world = World::new(3, ClusterModel::test_tiny(3));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            world.run(|comm| {
-                let tag = comm.next_engine_tag(TAG);
-                // Two readers declared, one shows up.
-                if comm.rank() == 2 {
-                    comm.publish(tag, Arc::new(1u8), 2);
-                }
-                if comm.rank() == 0 {
-                    let _ = comm.published::<u8>(tag, 2);
-                }
-            })
-        }));
-        let msg = panic_message(result.expect_err("leak must be reported").as_ref());
-        assert!(msg.contains("outlived the run"), "got: {msg}");
     }
 
     #[test]

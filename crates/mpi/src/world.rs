@@ -2,8 +2,8 @@
 //!
 //! Every rank closure runs under a panic guard. The first rank to panic
 //! records itself as the abort cause and wakes every mailbox condvar (and
-//! the memo's), so peers blocked in `recv` or parked on a memo, agreement
-//! or publication cell unwind immediately (well under the watchdog)
+//! the memo's), so peers blocked in `recv`, parked on a memo, agreement
+//! or loan cell, or waiting for a loan's readers unwind immediately (well under the watchdog)
 //! instead of timing out. [`World::run`] then re-raises a single panic
 //! naming the *originating* rank and its message, plus a per-rank
 //! diagnostic snapshot (virtual clock, collectives entered, pending
@@ -168,12 +168,12 @@ impl World {
             .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect();
         // Every rank returned, so every rank passed every collective: a
-        // memo, agreement or publication cell still waiting for a taker
-        // means some rank skipped one.
+        // memo or agreement cell still waiting for a taker means some rank
+        // skipped one. (A lender withdraws its loan before it returns.)
         assert!(
             shared.memo.is_empty(),
             "memo entries outlived the run: the ranks did not all make the same memo and \
-             agreement calls, or a publication had fewer readers than it declared"
+             agreement calls"
         );
         results
     }

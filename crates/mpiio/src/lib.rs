@@ -20,6 +20,7 @@
 //! optionally with data sieving) used for the paper's Fig. 3 comparison.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod exchange;
 pub mod extent;

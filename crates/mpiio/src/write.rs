@@ -9,20 +9,19 @@
 //! because requests never overlap within one offset list and overlapping
 //! writes *across* ranks are application bugs MPI-IO leaves undefined.
 //!
-//! With hierarchical paths active, the intra-node leg sends no message:
-//! each rank packs every piece it sends to another aggregator once, into
-//! one `Window` it publishes to its readers — its node leader and the
-//! same-node aggregators it sources — which copy straight out of it. Only
-//! the node leaders' coalesced frames cross the interconnect, posted by
-//! the `Relay` both shuffle directions share: this engine's step
-//! gathers a chunk's window slots into one frame.
+//! With hierarchical paths active, the intra-node leg sends no message and
+//! makes no copy on the sending side: each rank lends its write buffer
+//! itself (`Comm::lend`) to its readers — its node leader and the
+//! same-node aggregators it sources — which copy each piece straight out
+//! of it. Only the node leaders' coalesced frames cross the interconnect,
+//! posted by the `Relay` both shuffle directions share: this engine's step
+//! gathers a chunk's pieces from its members' loans into one frame.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use cc_model::{Lane, SimTime};
 use cc_mpi::comm::{TagValue, SEQ_MASK};
-use cc_mpi::{Comm, NodeView, Payload};
+use cc_mpi::{Borrowed, Comm, NodeView, Payload};
 use cc_pfs::{FileHandle, Pfs};
 use cc_profile::{Activity, Segment};
 
@@ -37,7 +36,7 @@ use crate::stage::Staging;
 pub(crate) const TAG_WRITE_SHUFFLE: TagValue = 0x6000_0000;
 
 /// Tag base for coalesced write-shuffle frames: the node leader
-/// concatenates its members' window slots for one chunk into a single
+/// concatenates its members' pieces of one chunk into a single
 /// frame and sends it to the owning aggregator — one inter-node message
 /// per (chunk, source node) pair.
 pub(crate) const TAG_WRITE_FRAME: TagValue = 0x7000_0000;
@@ -87,9 +86,9 @@ pub fn collective_write(
         ..WriteReport::default()
     };
 
-    // --- Sender role: pack my pieces for the owning aggregators. -------
+    // --- Sender role: send or price my pieces for the owning aggregators.
     let hier = comm.hier_view();
-    let sends_done = send_pieces(
+    let (sends_done, slots, readers) = send_pieces(
         comm,
         &schedule,
         hier.as_ref(),
@@ -104,115 +103,147 @@ pub fn collective_write(
             .push(Segment::new(report.start, sends_done, Activity::Sys));
     }
 
-    // --- Leader role: coalesce members' window slots into frames, in
-    // step with this rank's aggregator loop when it has one. ------------
-    let mut relay = hier
-        .as_ref()
-        .filter(|v| v.is_leader(comm.rank()))
-        .map(|view| {
-            let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
-            let windows = NodeWindows::new(tag, view.node_lo..view.node_hi);
-            Relay::new(comm, &schedule, view, frames, windows)
-        });
-    let relay_segment_at = report.segments.len();
+    // The rest of the collective runs while `data` is on loan to its
+    // readers, and ends once they have all given it back.
+    let done = comm.lend(tag, data, slots, readers, |comm| {
+        // --- Leader role: coalesce members' pieces into frames, in step
+        // with this rank's aggregator loop when it has one. --------------
+        let mut relay = hier
+            .as_ref()
+            .filter(|v| v.is_leader(comm.rank()))
+            .map(|view| {
+                let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
+                let loans = NodeLoans::new(tag, view.node_lo..view.node_hi);
+                Relay::new(comm, &schedule, view, frames, loans)
+            });
+        let relay_segment_at = report.segments.len();
 
-    // --- Aggregator role: assemble chunks and write. --------------------
-    let mut done = sends_done;
-    if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
-        let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
-        done = done.max(run_write_aggregator(
-            comm,
-            stage,
-            tag,
-            relay.as_mut(),
-            data,
-            my_request,
-            &mut report,
-        ));
-    }
-    if let Some(relay) = relay {
-        let (last, shuffled, _) =
-            relay.finish(comm, &mut (), &mut report.segments, relay_segment_at);
-        report.bytes_shuffled += shuffled;
-        done = done.max(last);
-    }
+        // --- Aggregator role: assemble chunks and write. ----------------
+        let mut done = sends_done;
+        if let Some(agg_idx) = schedule.aggregator_index(comm.rank()) {
+            let stage = Staging::new(pfs, file, &schedule, agg_idx, hints);
+            done = done.max(run_write_aggregator(
+                comm,
+                stage,
+                tag,
+                relay.as_mut(),
+                data,
+                my_request,
+                &mut report,
+            ));
+        }
+        if let Some(relay) = relay {
+            let (last, shuffled, _) =
+                relay.finish(comm, &mut (), &mut report.segments, relay_segment_at);
+            report.bytes_shuffled += shuffled;
+            done = done.max(last);
+        }
+        done
+    });
     comm.advance_to(done);
     report.end = comm.clock();
     report
 }
 
-/// One rank's write window: every piece it sends to another aggregator,
-/// packed once, in round order, into one buffer that the rank publishes
-/// for its readers — its node leader when it holds pieces for remote-node
-/// aggregators, and each same-node aggregator it sources. Readers copy
-/// straight out of it; the last one to drop its handle frees it.
-struct Window {
-    bytes: Vec<u8>,
-    /// One per `(aggregator, iteration)` slot, in round order.
-    slots: Vec<WindowSlot>,
-}
-
-/// Where one chunk's pieces sit in a [`Window`], and when they count as
-/// arrived at their reader: when an intra-node message of the same bytes
-/// would arrive. Readers stamp their clocks from it, so the hand-off
-/// prices exactly like that message.
-struct WindowSlot {
+/// One `(aggregator, iteration)` slot of a rank's loan: when its pieces
+/// count as arrived at their reader — when an intra-node message of the
+/// same bytes would arrive. Readers stamp their clocks from it, so the
+/// hand-off prices exactly like that message. The pieces themselves are
+/// the schedule's, read from the lent buffer at their `buf_offset`s.
+struct LoanSlot {
     chunk: (usize, usize),
-    range: Range<usize>,
     arrival: SimTime,
+    /// Whether no later slot of the loan has the same reader in the same
+    /// role (leader or same-node aggregator): the reader gives the loan
+    /// back once it has read this one.
+    last: bool,
 }
 
-/// A reader's handles on the windows of its node's members, each taken at
-/// its first slot and held until the reader is done. Every reader visits
-/// a window's slots in round order, so a forward cursor finds each one.
-struct NodeWindows {
+/// A reader's handles on the loans of its node's members, each borrowed
+/// at its first slot and given back after its last. Every reader visits
+/// a loan's slots in round order, so a forward cursor finds each one.
+struct NodeLoans {
     tag: TagValue,
     lo: usize,
-    /// Per member from `lo`: its window, once taken, and the next slot.
-    taken: Vec<Option<(Arc<Window>, usize)>>,
+    /// Per member from `lo`.
+    held: Vec<Hold>,
 }
 
-impl NodeWindows {
-    /// Handles on the windows of ranks `members` in `tag`'s collective.
+/// Where a reader stands with one member's loan.
+enum Hold {
+    Unborrowed,
+    /// Borrowed, with the next slot to look at.
+    Held(Borrowed<Vec<LoanSlot>>, usize),
+    Returned,
+}
+
+impl NodeLoans {
+    /// Handles on the loans of ranks `members` in `tag`'s collective.
     fn new(tag: TagValue, members: Range<usize>) -> Self {
-        let taken = members.clone().map(|_| None).collect();
         Self {
             tag,
             lo: members.start,
-            taken,
+            held: members.map(|_| Hold::Unborrowed).collect(),
         }
     }
 
-    /// The bytes and arrival of `src`'s slot for chunk `(a, iter)`, which
-    /// must come after the slot of `src`'s read last and hold `pieces`.
-    /// The first slot takes the window, blocking until `src` publishes it;
-    /// the take counts as one of `src`'s declared readers.
-    fn slot(
+    /// Reads `src`'s slot for chunk `(a, iter)`, which must come after the
+    /// slot of `src`'s read last: hands `copy` the lent buffer, gives the
+    /// loan back if that was this reader's last slot in it, and returns
+    /// the slot's arrival. The first slot borrows the loan, blocking until
+    /// `src` lends it.
+    fn read(
         &mut self,
         comm: &Comm,
         src: usize,
         (a, iter): (usize, usize),
-        pieces: &[Piece],
-    ) -> (&[u8], SimTime) {
-        let tag = self.tag;
-        let (window, next) =
-            self.taken[src - self.lo].get_or_insert_with(|| (comm.published(tag, src), 0));
+        copy: impl FnOnce(&[u8]),
+    ) -> SimTime {
+        let hold = &mut self.held[src - self.lo];
+        if let Hold::Unborrowed = hold {
+            *hold = Hold::Held(comm.borrow(self.tag, src), 0);
+        }
+        let Hold::Held(loan, next) = hold else {
+            panic!(
+                "rank {}: rank {src}'s loan was given back before aggregator {a}, \
+                 iteration {iter}",
+                comm.rank()
+            )
+        };
+        let slots = loan.meta();
         let k = *next
-            + window.slots[*next..]
+            + slots[*next..]
                 .iter()
                 .position(|s| s.chunk == (a, iter))
-                .unwrap_or_else(|| panic!("no window slot for aggregator {a}, iteration {iter}"));
+                .unwrap_or_else(|| panic!("no loan slot for aggregator {a}, iteration {iter}"));
         *next = k + 1;
-        let slot = &window.slots[k];
-        let bytes = &window.bytes[slot.range.clone()];
-        assert_eq!(
-            bytes.len(),
-            piece_bytes(pieces),
-            "rank {}: write window slot length mismatch from rank {src} \
-             (aggregator {a}, iteration {iter})",
-            comm.rank(),
-        );
-        (bytes, slot.arrival)
+        let LoanSlot { arrival, last, .. } = slots[k];
+        copy(loan.bytes());
+        if last {
+            *hold = Hold::Returned;
+        }
+        arrival
+    }
+}
+
+/// Appends `pieces`, read at their `buf_offset`s from `buf` (their owner's
+/// write buffer, in request-buffer order), to `out`.
+fn gather(pieces: &[Piece], buf: &[u8], out: &mut Vec<u8>) {
+    for p in pieces {
+        let lo = p.buf_offset as usize;
+        out.extend_from_slice(&buf[lo..lo + p.extent.len as usize]);
+    }
+}
+
+/// Copies `pieces`, read at their `buf_offset`s from `buf` (their owner's
+/// write buffer), to their places in the chunk starting at file offset
+/// `clo`, and records their extents.
+fn place(pieces: &[Piece], buf: &[u8], clo: u64, chunk: &mut [u8], extents: &mut Vec<Extent>) {
+    for p in pieces {
+        let off = (p.extent.offset - clo) as usize;
+        let (lo, len) = (p.buf_offset as usize, p.extent.len as usize);
+        chunk[off..off + len].copy_from_slice(&buf[lo..lo + len]);
+        extents.push(p.extent);
     }
 }
 
@@ -237,17 +268,18 @@ fn unpack(
     cursor
 }
 
-/// The member send loop: packs this rank's pieces of every chunk it
-/// sources, walking its sources in round order — the order the node
-/// leader coalesces in. With hierarchical paths active every piece for
-/// another aggregator goes into this rank's [`Window`]: pieces bound for a
-/// remote-node aggregator are read by the local node leader (one cheap
-/// intra-node hop) instead of crossing the interconnect one message per
-/// rank, same-node pieces by their aggregator. Each slot is priced on the
-/// send lane as the intra-node message it replaces; without hierarchy
-/// every piece travels as its own message. This rank's own chunks are
-/// handed over in its aggregator loop. Returns the time the send lane is
-/// free.
+/// The member send loop: walks this rank's pieces of every chunk it
+/// sources in round order — the order the node leader coalesces in. With
+/// hierarchical paths active no piece is sent: each `(aggregator,
+/// iteration)` slot becomes a [`LoanSlot`] of the loan of `data` that
+/// [`collective_write`] makes. Pieces bound for a remote-node aggregator
+/// are read by the local node leader (one cheap intra-node hop) instead of
+/// crossing the interconnect one message per rank, same-node pieces by
+/// their aggregator. Each slot is priced on the send lane as the
+/// intra-node message it replaces; without hierarchy every piece travels
+/// as its own message. This rank's own chunks are handed over in its
+/// aggregator loop. Returns the time the send lane is free, the loan's
+/// slots and its number of readers (none of either without hierarchy).
 fn send_pieces(
     comm: &mut Comm,
     schedule: &PlanSchedule,
@@ -256,7 +288,7 @@ fn send_pieces(
     hints: &Hints,
     data: &[u8],
     report: &mut WriteReport,
-) -> SimTime {
+) -> (SimTime, Vec<LoanSlot>, usize) {
     let rank = comm.rank();
     let mut send_lane = Lane::free_from(comm.clock());
     let others = || {
@@ -264,49 +296,32 @@ fn send_pieces(
             .sources_with_pieces(rank)
             .filter(|&(a, _, _)| schedule.aggregator_rank(a) != rank)
     };
-    let pack = |buf: &mut Vec<u8>, pieces: &[Piece]| {
-        for p in pieces {
-            let lo = p.buf_offset as usize;
-            buf.extend_from_slice(&data[lo..lo + p.extent.len as usize]);
-        }
-    };
     let Some(view) = hier else {
         // Direct sends that cross the interconnect may travel compressed.
         let direct = Wire::new(tag, hints);
         for (a, _, pieces) in others() {
             let mut payload = comm.take_buf(piece_bytes(pieces));
-            pack(&mut payload, pieces);
+            gather(pieces, data, &mut payload);
             let ready = comm.clock();
             let agg_rank = schedule.aggregator_rank(a);
             let (_, sent) =
                 direct.post(comm, &mut send_lane, ready, agg_rank, payload, pieces.len());
             report.bytes_shuffled += sent;
         }
-        return send_lane.free_at().max(comm.clock());
+        return (send_lane.free_at().max(comm.clock()), Vec::new(), 0);
     };
-    let (count, total) = others().fold((0, 0), |(n, b), (_, _, ps)| (n + 1, b + piece_bytes(ps)));
-    let mut bytes = comm.take_buf(total);
-    let mut slots = Vec::with_capacity(count);
-    // Same-node aggregators this rank sources: one reader each.
-    let mut aggregators: Vec<usize> = Vec::new();
-    let mut leader_reads = false;
+    let mut slots = Vec::with_capacity(others().count());
     let (cpu, net) = (&comm.model().cpu, &comm.model().net);
     for (a, iter, pieces) in others() {
-        let lo = bytes.len();
-        pack(&mut bytes, pieces);
-        let len = bytes.len() - lo;
+        let len = piece_bytes(pieces);
         let agg_rank = schedule.aggregator_rank(a);
         let reader = if view.node_of(agg_rank) == view.node {
-            if !aggregators.contains(&agg_rank) {
-                aggregators.push(agg_rank);
-            }
             agg_rank
         } else {
-            leader_reads = true;
             view.leader
         };
         // Intra-node legs never travel compressed. The leader's own
-        // pieces skip the wire and the posting overhead: just the pack.
+        // pieces skip the wire and the posting overhead: just the copy.
         let mut cost = cpu.memcpy_time(len) + net.scatter_cost().scale(pieces.len() as f64);
         if reader != rank {
             cost = cost + net.wire_time(len, true) + net.msg_cost(true);
@@ -317,23 +332,35 @@ fn send_pieces(
         } else {
             comm.handoff_arrival(reader, len, depart)
         };
-        slots.push(WindowSlot {
+        slots.push(LoanSlot {
             chunk: (a, iter),
-            range: lo..bytes.len(),
             arrival,
+            last: false,
         });
         report.bytes_shuffled += len as u64;
     }
-    let readers = aggregators.len() + usize::from(leader_reads);
-    comm.publish(tag, Arc::new(Window { bytes, slots }), readers);
-    send_lane.free_at().max(comm.clock())
+    // One borrower per same-node aggregator sourced, plus the leader's
+    // relay if any piece is bound off the node: mark each one's last slot.
+    let (mut aggregators, mut relayed) = (Vec::new(), false);
+    for slot in slots.iter_mut().rev() {
+        let agg_rank = schedule.aggregator_rank(slot.chunk.0);
+        if view.node_of(agg_rank) != view.node {
+            slot.last = !relayed;
+            relayed = true;
+        } else if !aggregators.contains(&agg_rank) {
+            aggregators.push(agg_rank);
+            slot.last = true;
+        }
+    }
+    let readers = aggregators.len() + usize::from(relayed);
+    (send_lane.free_at().max(comm.clock()), slots, readers)
 }
 
-/// The write leader's step: concatenates its members' window slots for
-/// the chunk (its own included), in ascending member order, into one
-/// header-less frame, stamped at the latest slot arrival, and posts it to
-/// the aggregator.
-impl<'s> Leg<'s> for NodeWindows {
+/// The write leader's step: concatenates its members' pieces of the chunk
+/// (its own included), in ascending member order, read from their loans,
+/// into one header-less frame, stamped at the latest slot arrival, and
+/// posts it to the aggregator.
+impl<'s> Leg<'s> for NodeLoans {
     type Out = ();
 
     fn step(
@@ -351,11 +378,12 @@ impl<'s> Leg<'s> for NodeWindows {
         for (src, pieces) in
             schedule.dests_with_pieces_in(chunk.0, chunk.1, view.node_lo, view.node_hi)
         {
-            let (slot, at) = relay.leg.slot(comm, src, chunk, pieces);
+            let at = relay
+                .leg
+                .read(comm, src, chunk, |buf| gather(pieces, buf, &mut frame));
             arrival = arrival.max(at);
-            frame.extend_from_slice(slot);
         }
-        // Concatenating contiguous slots is a plain copy — the per-piece
+        // Gathering the pieces is a plain copy — the per-piece
         // scatter cost was already paid by the members, so the frame
         // packs zero pieces. It always crosses the interconnect, so it is
         // compressed whenever the hints ask for it.
@@ -375,7 +403,7 @@ fn run_write_aggregator(
     comm: &mut Comm,
     mut stage: Staging<'_>,
     tag: TagValue,
-    mut relay: Option<&mut Relay<'_, NodeWindows>>,
+    mut relay: Option<&mut Relay<'_, NodeLoans>>,
     my_data: &[u8],
     my_request: &OffsetList,
     report: &mut WriteReport,
@@ -394,8 +422,8 @@ fn run_write_aggregator(
     let hier = comm.hier_view();
     let direct = Wire::new(tag, hints);
     let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), hints);
-    // Same-node sources' windows, held for the whole loop.
-    let mut windows = NodeWindows::new(tag, hier.map_or(0..0, |v| v.node_lo..v.node_hi));
+    // Same-node sources' loans.
+    let mut loans = NodeLoans::new(tag, hier.map_or(0..0, |v| v.node_lo..v.node_hi));
     let mut extents: Vec<Extent> = Vec::new();
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for (pos, &iter) in stage.iters().iter().enumerate() {
@@ -432,21 +460,17 @@ fn run_write_aggregator(
                     pieces.iter().map(|p| p.extent.len).sum::<u64>(),
                     "own piece extraction mismatch"
                 );
-                for p in pieces {
-                    let off = (p.extent.offset - clo) as usize;
-                    let (lo, len) = (p.buf_offset as usize, p.extent.len as usize);
-                    chunk[off..off + len].copy_from_slice(&my_data[lo..lo + len]);
-                    extents.push(p.extent);
-                }
+                place(pieces, my_data, clo, chunk, &mut extents);
                 continue;
             }
             // Leader frames always cross the interconnect, so they arrive
             // compressed exactly when the hints ask for it.
             let (sender, wire) = match hier {
                 Some(view) if view.node_of(src) == view.node => {
-                    let (bytes, at) = windows.slot(comm, src, (agg_idx, iter), pieces);
+                    let at = loans.read(comm, src, (agg_idx, iter), |buf| {
+                        place(pieces, buf, clo, chunk, &mut extents)
+                    });
                     arrival = arrival.max(at);
-                    unpack(pieces, bytes, clo, chunk, &mut extents);
                     continue;
                 }
                 Some(view) => (view.leader_of(src), frames),
@@ -943,22 +967,18 @@ mod tests {
             }
             let data = vec![comm.rank() as u8; 200];
             let mut report = WriteReport::default();
-            let mut times = vec![send_pieces(
-                comm,
-                schedule,
-                Some(&view),
-                tag,
-                &hints,
-                &data,
-                &mut report,
-            )];
-            if view.is_leader(comm.rank()) {
-                let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), &hints);
-                let windows = NodeWindows::new(tag, view.node_lo..view.node_hi);
-                let relay = Relay::new(comm, schedule, &view, frames, windows);
-                times.push(relay.finish(comm, &mut (), &mut report.segments, 0).0);
-            }
-            times
+            let (sent, slots, readers) =
+                send_pieces(comm, schedule, Some(&view), tag, &hints, &data, &mut report);
+            comm.lend(tag, &data, slots, readers, |comm| {
+                let mut times = vec![sent];
+                if view.is_leader(comm.rank()) {
+                    let frames = Wire::new(TAG_WRITE_FRAME | (tag & SEQ_MASK), &hints);
+                    let loans = NodeLoans::new(tag, view.node_lo..view.node_hi);
+                    let relay = Relay::new(comm, schedule, &view, frames, loans);
+                    times.push(relay.finish(comm, &mut (), &mut report.segments, 0).0);
+                }
+                times
+            })
         });
         // Leader: own sends done at once, last frame departs at 9u.
         assert_eq!(out[0], vec![SimTime::ZERO, t(9.0)]);

@@ -13,6 +13,7 @@
 //! as a closed-form function of the element index; nothing is materialized.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod fault;

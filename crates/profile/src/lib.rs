@@ -8,6 +8,7 @@
 //! benchmark output as aligned text or CSV.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod activity;
 pub mod cpu;

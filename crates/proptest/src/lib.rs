@@ -10,6 +10,8 @@
 //! reproducible across runs and machines (there is no shrinking — a failing
 //! case panics with its inputs via the normal assert message).
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

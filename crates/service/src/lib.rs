@@ -33,6 +33,7 @@
 //!   solo execution, per-task latency attributed through the batch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod job;

@@ -255,13 +255,6 @@ pub struct ServiceOutcome {
     pub ost: Vec<OstSnapshot>,
     /// Backbone-lane counters, when the service ran with a shared lane.
     pub lane: Option<LaneStats>,
-    /// Median per-job latency (submission → finish). Both the concurrent
-    /// and the serial/independent path fill this, so fused-vs-independent
-    /// latency comparisons read off one struct instead of re-deriving
-    /// percentiles from makespans.
-    pub latency_p50: SimTime,
-    /// 99th-percentile per-job latency (submission → finish).
-    pub latency_p99: SimTime,
 }
 
 /// The `p`-th percentile of a set of virtual durations (nearest-rank);
@@ -700,17 +693,12 @@ fn assemble(
         .zip(specs)
         .map(|(job, spec)| job.into_result(spec))
         .collect();
-    let latencies: Vec<SimTime> = jobs.iter().map(JobResult::latency).collect();
-    let latency_p50 = percentile_time(latencies.clone(), 50.0);
-    let latency_p99 = percentile_time(latencies, 99.0);
     ServiceOutcome {
         jobs,
         makespan,
         cache,
         ost,
         lane,
-        latency_p50,
-        latency_p99,
     }
 }
 
@@ -1013,9 +1001,8 @@ mod tests {
         }
     }
 
-    /// Both runners report latency percentiles over per-job (submission →
-    /// finish) latencies, so fused-vs-independent comparisons read off one
-    /// struct.
+    /// Both runners fill every job's (submission → finish) latency, so
+    /// percentiles over a run read off its outcome.
     #[test]
     fn outcomes_report_latency_percentiles() {
         let mk = || {
@@ -1025,10 +1012,13 @@ mod tests {
             svc
         };
         for out in [mk().run(), mk().run_serial()] {
-            assert!(out.latency_p50 > SimTime::ZERO);
-            assert!(out.latency_p50 <= out.latency_p99);
+            let latencies: Vec<SimTime> = out.jobs.iter().map(JobResult::latency).collect();
+            let p50 = percentile_time(latencies.clone(), 50.0);
+            let p99 = percentile_time(latencies, 99.0);
+            assert!(p50 > SimTime::ZERO);
+            assert!(p50 <= p99);
             let worst = out.jobs.iter().map(JobResult::latency).max().unwrap();
-            assert_eq!(out.latency_p99, worst, "p99 of 2 jobs is the max");
+            assert_eq!(p99, worst, "p99 of 2 jobs is the max");
         }
         // Nearest-rank percentile convention, pinned.
         let times: Vec<SimTime> = (1..=100).map(|i| SimTime::from_secs(i as f64)).collect();

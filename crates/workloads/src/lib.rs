@@ -19,6 +19,7 @@
 //! independently computed oracle, even for virtually TB-sized files.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod climate;
 pub mod incite;

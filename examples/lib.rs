@@ -1,5 +1,7 @@
 //! Shared helpers for the runnable examples.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use cc_array::{DType, Shape, Variable};

@@ -1,5 +1,7 @@
 //! Shared helpers for the cross-crate integration tests.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use cc_array::{DType, Hyperslab, Shape, Variable};
