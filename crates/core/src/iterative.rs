@@ -9,7 +9,7 @@
 
 use cc_array::Variable;
 use cc_mpi::{Comm, CommStats};
-use cc_pfs::{FileHandle, OstBalance, Pfs};
+use cc_pfs::{FileHandle, Pfs};
 
 use crate::engine::{object_get_vara, CcOutcome};
 use crate::kernel::{MapKernel, Partial};
@@ -24,10 +24,6 @@ pub struct IterativeOutcome {
     pub per_step: Option<Vec<Vec<f64>>>,
     /// Every step's full outcome (reports etc.), in step order.
     pub steps: Vec<CcOutcome>,
-    /// Cumulative per-OST load balance of the file system after the sweep
-    /// (busiest/mean busy-seconds): how evenly the chosen domain-partition
-    /// strategy spread the sweep's reads over the OSTs.
-    pub ost_balance: OstBalance,
     /// This rank's communication counters over the sweep alone (a delta
     /// against the communicator's state at entry). The per-lane
     /// `logical_*` vs `bytes_*` gap is exactly the compression saving:
@@ -95,7 +91,6 @@ pub fn iterative_get_vara(
         }),
         per_step: at_root.then_some(per_step),
         steps: outcomes,
-        ost_balance: pfs.ost_balance(),
         comm: comm.stats().delta(&comm_since),
     }
 }
@@ -156,11 +151,6 @@ mod tests {
         assert_eq!(steps.len(), 4);
         let step_total: f64 = steps.iter().map(|s| s[0]).sum();
         assert!((step_total - expect).abs() < 1e-9 * expect.abs().max(1.0));
-        // The sweep surfaces the file system's cumulative OST balance.
-        let bal = &results[0].ost_balance;
-        assert_eq!(bal.osts, 4);
-        assert!(bal.imbalance >= 1.0 - 1e-12, "imbalance {}", bal.imbalance);
-        assert!(bal.busiest_secs > 0.0);
         // And this rank's comm counters for the sweep alone. Compression
         // is off here, so every lane's logical bytes equal its wire bytes.
         let comm = &results[0].comm;

@@ -83,37 +83,12 @@ impl CpuModel {
 mod tests {
     use super::*;
 
-    impl CpuModel {
-        /// Returns a copy whose `map_cost_per_byte` is scaled so that mapping a
-        /// byte costs `ratio` times reading a byte at `read_bw` bytes/s. This is
-        /// how benchmarks express the paper's "computation vs I/O" ratio knob.
-        fn with_compute_io_ratio(&self, ratio: f64, read_bw: f64) -> Self {
-            assert!(ratio > 0.0 && read_bw > 0.0);
-            Self {
-                map_cost_per_byte: ratio / read_bw,
-                ..self.clone()
-            }
-        }
-    }
-
     #[test]
     fn map_time_is_linear() {
         let c = CpuModel::magny_cours_like();
         let t1 = c.map_time(1 << 20).secs();
         let t2 = c.map_time(1 << 21).secs();
         assert!((t2 / t1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_knob_sets_relative_cost() {
-        let c = CpuModel::magny_cours_like();
-        let bw = 100e6; // bytes/s
-                        // ratio 2:1 -> computing N bytes costs twice reading N bytes.
-        let c2 = c.with_compute_io_ratio(2.0, bw);
-        let n = 50_000_000usize;
-        let compute = c2.map_time(n).secs();
-        let read = n as f64 / bw;
-        assert!((compute / read - 2.0).abs() < 1e-9);
     }
 
     #[test]

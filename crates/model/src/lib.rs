@@ -23,7 +23,7 @@ pub mod topology;
 
 use std::time::Duration;
 
-pub use booking::{BusyLedger, LaneStats, SharedLane};
+pub use booking::{Calendar, Load};
 pub use cpu::CpuModel;
 pub use disk::DiskModel;
 pub use fault::FaultPlan;

@@ -4,13 +4,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cc_model::{DiskModel, SimTime};
+use cc_model::{Calendar, DiskModel, Load, SimTime};
 use std::sync::RwLock;
 
 use crate::backend::Backend;
 use crate::fault::RetryPlan;
 use crate::layout::StripeLayout;
-use crate::ost::{OstPool, OstSnapshot};
+use crate::ost::OstPool;
 
 /// Global counters for one file system instance.
 #[derive(Debug, Default)]
@@ -68,20 +68,6 @@ impl FileHandle {
     }
 }
 
-/// A point-in-time OST load snapshot, for surfacing striping imbalance
-/// in iterative outcomes and benchmark artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OstBalance {
-    /// Number of OSTs in the pool.
-    pub osts: usize,
-    /// Busiest OST's booked service seconds over the mean (1.0 = balanced).
-    pub imbalance: f64,
-    /// Service seconds booked on the busiest OST.
-    pub busiest_secs: f64,
-    /// Mean service seconds booked per OST.
-    pub(crate) mean_secs: f64,
-}
-
 /// A simulated striped parallel file system.
 pub struct Pfs {
     pool: OstPool,
@@ -124,7 +110,7 @@ impl Pfs {
 
     /// Number of OSTs.
     pub fn ost_count(&self) -> usize {
-        self.pool.count()
+        self.pool.osts.len()
     }
 
     /// Creates (or replaces) a file and returns its handle.
@@ -138,9 +124,9 @@ impl Pfs {
         backend: Box<dyn Backend>,
     ) -> Arc<FileHandle> {
         assert!(
-            layout.osts.iter().all(|&o| o < self.pool.count()),
+            layout.osts.iter().all(|&o| o < self.pool.osts.len()),
             "layout references OSTs outside the pool of {}",
-            self.pool.count()
+            self.pool.osts.len()
         );
         let handle = Arc::new(FileHandle {
             name: name.to_string(),
@@ -464,38 +450,24 @@ impl Pfs {
         self.stats.snapshot()
     }
 
-    /// Per-OST busy seconds (service time booked).
-    pub fn per_ost_busy_secs(&self) -> Vec<f64> {
-        self.pool.per_ost_busy_secs()
+    /// Per-OST load snapshots at virtual time `now`: cumulative totals,
+    /// wait seconds, and the service backlog still queued at the probe
+    /// time.
+    pub fn ost_snapshot(&self, now: SimTime) -> Vec<Load> {
+        self.pool.osts.iter().map(|o| o.load(now)).collect()
     }
 
-    /// OST load imbalance: busiest over mean, 1.0 = balanced.
+    /// Service seconds booked across every OST, summed in OST index order.
+    /// The multi-job service takes deltas of it around each job step to
+    /// attribute OST service to jobs.
+    pub fn ost_busy_secs(&self) -> f64 {
+        self.pool.osts.iter().map(Calendar::busy_secs).sum()
+    }
+
+    /// OST load imbalance: the busiest OST's booked service seconds over
+    /// the mean (1.0 = balanced, and for an idle pool).
     pub fn ost_imbalance(&self) -> f64 {
         self.pool.imbalance()
-    }
-
-    /// Per-OST load snapshots at virtual time `now` (cumulative totals,
-    /// wait seconds, and the service backlog still queued at the probe
-    /// time) — see `crate::ost::OstPool::snapshot_at`. The multi-job
-    /// service takes deltas of these around each job step to attribute
-    /// cross-job contention.
-    pub fn ost_snapshot(&self, now: SimTime) -> Vec<OstSnapshot> {
-        self.pool.snapshot_at(now)
-    }
-
-    /// A point-in-time OST load snapshot (count, imbalance, busiest and
-    /// mean service seconds) for outcomes and benchmark artifacts.
-    pub fn ost_balance(&self) -> OstBalance {
-        let busy = self.pool.per_ost_busy_secs();
-        let total: f64 = busy.iter().sum();
-        let busiest = busy.iter().cloned().fold(0.0, f64::max);
-        let mean = total / busy.len() as f64;
-        OstBalance {
-            osts: busy.len(),
-            imbalance: if total <= 0.0 { 1.0 } else { busiest / mean },
-            busiest_secs: busiest,
-            mean_secs: mean,
-        }
     }
 }
 
@@ -722,13 +694,30 @@ mod tests {
     #[test]
     fn ost_balance_snapshot_matches_imbalance() {
         let fs = test_fs(2);
+        assert_eq!(fs.ost_imbalance(), 1.0, "an idle pool reads balanced");
         let f = mem_file(&fs, 1000, 1000, 1); // all traffic on OST 0
         fs.read_at(&f, 0, 500, SimTime::ZERO);
-        let b = fs.ost_balance();
-        assert_eq!(b.osts, 2);
-        assert!((b.imbalance - fs.ost_imbalance()).abs() < 1e-12);
-        assert!((b.imbalance - 2.0).abs() < 1e-12, "one of two OSTs busy");
-        assert!(b.busiest_secs > 0.0 && (b.mean_secs - b.busiest_secs / 2.0).abs() < 1e-12);
+        let snap = fs.ost_snapshot(SimTime::ZERO);
+        assert_eq!(snap.len(), 2);
+        let busiest = snap[0].busy_secs;
+        assert!(busiest > 0.0 && snap[1].busy_secs == 0.0);
+        assert_eq!(fs.ost_busy_secs(), busiest);
+        let mean = busiest / 2.0;
+        assert!((fs.ost_imbalance() - busiest / mean).abs() < 1e-12);
+        assert!(
+            (fs.ost_imbalance() - 2.0).abs() < 1e-12,
+            "one of two OSTs busy"
+        );
+        // A second read on OST 0 and one on OST 1: busiest 2 s over a
+        // mean of 1.5 s.
+        fs.read_at(&f, 0, 500, SimTime::ZERO);
+        let g = fs.create(
+            "g",
+            StripeLayout::round_robin(1000, 1, 1, 2),
+            Box::new(MemBackend::zeroed(1000)),
+        );
+        fs.read_at(&g, 0, 500, SimTime::ZERO);
+        assert!((fs.ost_imbalance() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

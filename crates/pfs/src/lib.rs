@@ -22,7 +22,9 @@ pub mod layout;
 pub mod ost;
 
 pub use backend::{Backend, MemBackend, OverlayBackend, SyntheticBackend, ValueFn};
+/// One OST's load at a probe time, as [`Pfs::ost_snapshot`] reports it:
+/// the booking calendar's [`Load`](cc_model::Load) record.
+pub use cc_model::Load as OstSnapshot;
 pub use fault::RetryPlan;
-pub use fs::{FileHandle, OstBalance, Pfs, PfsStatsSnapshot};
+pub use fs::{FileHandle, Pfs, PfsStatsSnapshot};
 pub use layout::StripeLayout;
-pub use ost::OstSnapshot;

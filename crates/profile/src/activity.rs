@@ -46,23 +46,6 @@ impl Segment {
 mod tests {
     use super::*;
 
-    impl Segment {
-        /// The segment's duration.
-        fn duration(&self) -> SimTime {
-            self.end.saturating_since(self.start)
-        }
-    }
-
-    #[test]
-    fn duration_is_end_minus_start() {
-        let s = Segment::new(
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(3.5),
-            Activity::User,
-        );
-        assert_eq!(s.duration().secs(), 2.5);
-    }
-
     #[test]
     #[should_panic]
     fn backwards_segment_panics() {

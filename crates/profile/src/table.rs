@@ -94,11 +94,6 @@ mod tests {
         }
     }
 
-    /// Formats a float with 3 significant decimals (benchmark convention).
-    fn fmt_f(v: f64) -> String {
-        format!("{v:.3}")
-    }
-
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("demo", &["name", "value"]);
@@ -124,10 +119,5 @@ mod tests {
     fn ragged_row_panics() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only one".into()]);
-    }
-
-    #[test]
-    fn fmt_f_rounds() {
-        assert_eq!(fmt_f(1.23456), "1.235");
     }
 }

@@ -236,8 +236,6 @@ struct Bin {
 pub struct BinReport {
     /// Bin id (dispatch order).
     pub(crate) bin: usize,
-    /// The file swept.
-    pub file: String,
     /// Tasks served by this sweep.
     pub tasks: usize,
     /// Virtual time the sweep started (≥ the last member's arrival).
@@ -258,8 +256,6 @@ pub struct BinReport {
 /// What one task produced and experienced.
 #[derive(Debug, Clone)]
 pub struct TaskResult {
-    /// The task's id (submission order).
-    pub id: u64,
     /// The spec's display name.
     pub name: String,
     /// The finalized kernel output.
@@ -458,7 +454,7 @@ impl TaskBatch {
             hints.compression = Compression::Lossless;
         }
         let stats0 = pfs.stats();
-        let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
+        let busy0 = pfs.ost_busy_secs();
         // Bins are not jobs: every bin's lookup is tagged job 0.
         let cache = Arc::new(SharedPlanCache::new());
         let scope = Arc::new(PlanScope::new(Arc::clone(&cache), 0));
@@ -528,7 +524,6 @@ impl TaskBatch {
             .enumerate()
             .map(|(id, bin)| BinReport {
                 bin: id,
-                file: bin.file.clone(),
                 tasks: bin.tasks.len(),
                 start: SimTime::ZERO,
                 end: SimTime::ZERO,
@@ -549,7 +544,6 @@ impl TaskBatch {
                 for (t, value, finished) in sweep.done {
                     let task = &mut tasks[t];
                     results[t] = Some(TaskResult {
-                        id: t as u64,
                         name: std::mem::take(&mut task.name),
                         value,
                         submitted: task.arrival,
@@ -592,7 +586,7 @@ impl TaskBatch {
         let mut order: Vec<usize> = (0..tasks.len()).collect();
         order.sort_by(|&a, &b| tasks[a].arrival.cmp(&tasks[b].arrival).then(a.cmp(&b)));
         let stats0 = pfs.stats();
-        let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
+        let busy0 = pfs.ost_busy_secs();
         let world = World::new(policy.nprocs, model.clone());
         let outs = {
             let tasks = &tasks;
@@ -638,7 +632,6 @@ impl TaskBatch {
             for (t, value, finished) in done {
                 let task = &mut tasks[t];
                 results[t] = Some(TaskResult {
-                    id: t as u64,
                     name: std::mem::take(&mut task.name),
                     value,
                     submitted: task.arrival,
@@ -674,7 +667,7 @@ impl TaskBatch {
             model, pfs, tasks, ..
         } = self;
         let stats0 = pfs.stats();
-        let busy0: f64 = pfs.per_ost_busy_secs().iter().sum();
+        let busy0 = pfs.ost_busy_secs();
         let mut tasks_out = Vec::with_capacity(tasks.len());
         for (t, task) in tasks.into_iter().enumerate() {
             let world = World::new(1, model.clone());
@@ -705,7 +698,6 @@ impl TaskBatch {
                 panic!("solo task {t} ({:?}): world returned no result", task.name)
             });
             tasks_out.push(TaskResult {
-                id: t as u64,
                 name: task.name,
                 value,
                 submitted: task.arrival,
@@ -826,7 +818,7 @@ fn assemble_outcome(
     plan_cache: PlanCacheStats,
 ) -> BatchOutcome {
     let stats1 = pfs.stats();
-    let busy1: f64 = pfs.per_ost_busy_secs().iter().sum();
+    let busy1 = pfs.ost_busy_secs();
     let makespan = tasks
         .iter()
         .map(|t| t.finished)

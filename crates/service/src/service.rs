@@ -6,10 +6,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use cc_core::{iterative_get_vara, object_get_vara, CcOutcome, Partial};
-use cc_model::{ClusterModel, LaneStats, SharedLane, SimTime, Topology};
+use cc_model::{Calendar, ClusterModel, Load, SimTime, Topology};
 use cc_mpi::{Comm, World};
 use cc_mpiio::{PlanCacheStats, PlanScope, SharedPlanCache};
-use cc_pfs::{OstSnapshot, Pfs};
+use cc_pfs::Pfs;
 
 use crate::job::{AdmissionError, JobHandle, JobResult, JobSpec, QosClass};
 
@@ -252,9 +252,10 @@ pub struct ServiceOutcome {
     pub cache: PlanCacheStats,
     /// Per-OST load snapshots at the makespan (backlog is zero by then;
     /// the totals and wait columns describe the whole run).
-    pub ost: Vec<OstSnapshot>,
-    /// Backbone-lane counters, when the service ran with a shared lane.
-    pub lane: Option<LaneStats>,
+    pub ost: Vec<Load>,
+    /// The backbone lane's load at the makespan, when the service ran
+    /// with one.
+    pub lane: Option<Load>,
 }
 
 /// The `p`-th percentile of a set of virtual durations (nearest-rank);
@@ -269,8 +270,8 @@ pub fn percentile_time(mut times: Vec<SimTime>, p: f64) -> SimTime {
 }
 
 /// A scheduler running N concurrent collective jobs over one shared
-/// cluster: one [`Pfs`] (OST contention), one optional backbone
-/// [`SharedLane`] (inter-node contention), one process-wide
+/// cluster: one [`Pfs`] (OST contention), one optional backbone lane
+/// [`Calendar`] (inter-node contention), one process-wide
 /// [`SharedPlanCache`] (cross-job schedule reuse), and per-job rank pools
 /// carved from the cluster's nodes.
 ///
@@ -285,7 +286,8 @@ pub struct Service {
     model: ClusterModel,
     pfs: Arc<Pfs>,
     cache: Arc<SharedPlanCache>,
-    lane: Option<SharedLane>,
+    /// The backbone lane and its capacity in bytes per second.
+    lane: Option<(Calendar, f64)>,
     policy: ServicePolicy,
     /// Every submitted job's spec; a job's id is its index.
     specs: Vec<JobSpec>,
@@ -316,8 +318,15 @@ impl Service {
     /// each step's inter-node bytes are booked on it, and the step does
     /// not complete before its lane booking drains. Models the aggregate
     /// fabric the per-job `NetModel` cannot see.
+    ///
+    /// # Panics
+    /// Panics on a non-positive capacity.
     pub fn with_backbone(mut self, bytes_per_sec: f64) -> Self {
-        self.lane = Some(SharedLane::new(bytes_per_sec));
+        assert!(
+            bytes_per_sec > 0.0,
+            "backbone lane needs positive capacity, got {bytes_per_sec}"
+        );
+        self.lane = Some((Calendar::default(), bytes_per_sec));
         self
     }
 
@@ -532,7 +541,7 @@ impl Service {
             let world = World::new(spec.nprocs, m).attach(Arc::clone(&scope));
             let start = spec.arrival.max(prev_end);
             job.started = start;
-            let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
+            let busy_before = pfs.ost_busy_secs();
             let pfs_ref = &*pfs;
             let outs = world.run(move |comm| {
                 comm.advance_to(start);
@@ -546,7 +555,7 @@ impl Service {
                     .collect();
                 iterative_get_vara(comm, pfs_ref, &file, &steps, &*spec.kernel)
             });
-            let busy_after: f64 = pfs.per_ost_busy_secs().iter().sum();
+            let busy_after = pfs.ost_busy_secs();
             let mut end = start;
             let mut inter = 0u64;
             for o in &outs {
@@ -556,12 +565,7 @@ impl Service {
                 inter += o.comm.bytes_inter as u64;
             }
             job.plan_stats = scope.stats();
-            if let Some(lane) = lane.as_ref() {
-                if inter > 0 {
-                    end = end.max(lane.book_bytes(start, inter));
-                    job.lane_bytes = inter;
-                }
-            }
+            let end = book_backbone(lane.as_ref(), job, start, inter, end);
             // The root's finalized results, shaped exactly as the
             // concurrent path shapes them.
             let root = &outs[0];
@@ -643,20 +647,15 @@ fn step_job(
     spec: &JobSpec,
     gate: &Gate,
     pfs: &Pfs,
-    lane: Option<&SharedLane>,
+    lane: Option<&(Calendar, f64)>,
 ) -> bool {
     let t0 = job.clock;
-    let busy_before: f64 = pfs.per_ost_busy_secs().iter().sum();
-    let Some((mut end, inter, root)) = gate.run_step(job.next_step, t0, spec.nprocs) else {
+    let busy_before = pfs.ost_busy_secs();
+    let Some((end, inter, root)) = gate.run_step(job.next_step, t0, spec.nprocs) else {
         return false;
     };
-    let busy_after: f64 = pfs.per_ost_busy_secs().iter().sum();
-    if let Some(lane) = lane {
-        if inter > 0 {
-            end = end.max(lane.book_bytes(t0, inter));
-            job.lane_bytes += inter;
-        }
-    }
+    let busy_after = pfs.ost_busy_secs();
+    let end = book_backbone(lane, job, t0, inter, end);
     // Fold the root's partial across steps, exactly as
     // `iterative_get_vara` does within a sweep.
     if let Some(p) = root.global_partial {
@@ -677,17 +676,38 @@ fn step_job(
     true
 }
 
+/// Books `inter` inter-node bytes of `job`'s step, requested at `t0`, on
+/// the backbone lane when the service has one: `inter / bytes_per_sec`
+/// seconds of lane service. Returns the step's end, which is no earlier
+/// than that booking's completion.
+fn book_backbone(
+    lane: Option<&(Calendar, f64)>,
+    job: &mut Job,
+    t0: SimTime,
+    inter: u64,
+    end: SimTime,
+) -> SimTime {
+    match lane {
+        Some((calendar, bytes_per_sec)) if inter > 0 => {
+            job.lane_bytes += inter;
+            let service = SimTime::from_secs(inter as f64 / bytes_per_sec);
+            end.max(calendar.book(t0, service, inter))
+        }
+        _ => end,
+    }
+}
+
 /// Builds the outcome from finished jobs (already in id order).
 fn assemble(
     specs: Vec<JobSpec>,
     jobs: Vec<Job>,
     cache: PlanCacheStats,
     pfs: &Pfs,
-    lane: Option<&SharedLane>,
+    lane: Option<&(Calendar, f64)>,
 ) -> ServiceOutcome {
     let makespan = jobs.iter().map(|j| j.clock).max().unwrap_or(SimTime::ZERO);
     let ost = pfs.ost_snapshot(makespan);
-    let lane = lane.map(|l| l.stats());
+    let lane = lane.map(|(calendar, _)| calendar.load(makespan));
     let jobs: Vec<JobResult> = jobs
         .into_iter()
         .zip(specs)
